@@ -85,8 +85,8 @@ class AlloyCacheController(HybridMemoryController):
         # round trip first), parallel DRAM access otherwise.
         probe_ns = 0.0
         if predict_hit:
-            probe = self.hbm.access(hbm_addr, LINE_BYTES, False, now_ns)
-            probe_ns = probe.done_ns - now_ns
+            probe_ns = self.hbm.access(hbm_addr, LINE_BYTES, False,
+                                       now_ns) - now_ns
         result = self._demand_dram(request.addr, request,
                                    now_ns + probe_ns)
         self._fill(slot, tag, hbm_addr, request, now_ns)

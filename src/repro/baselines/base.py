@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import abc
 
-from ..mem.device import MemoryDevice
+from ..mem.device import MemoryDevice, TimingState
 from ..mem.timing import DeviceConfig
 from ..sim.request import AccessResult, MemoryRequest, ServicedBy
 from ..sim.stats import StatGroup
@@ -103,8 +103,11 @@ class HybridMemoryController(abc.ABC):
     def __init__(self, hbm_config: DeviceConfig | None,
                  dram_config: DeviceConfig, name: str) -> None:
         self.name = name
-        self.hbm = MemoryDevice(hbm_config) if hbm_config else None
-        self.dram = MemoryDevice(dram_config)
+        # Both devices share one flat timing state, HBM first: one global
+        # channel/bank numbering for the scalar path and the replay kernels.
+        state = TimingState()
+        self.hbm = MemoryDevice(hbm_config, state) if hbm_config else None
+        self.dram = MemoryDevice(dram_config, state)
         self.stats = StatGroup(name)
         self.mover = MovementEngine(self.hbm, self.dram, self.stats)
         # Demand-path constants, hoisted so the per-request helpers avoid
@@ -121,14 +124,14 @@ class HybridMemoryController(abc.ABC):
                     now_ns: float, metadata_ns: float = 0.0) -> AccessResult:
         """Serve the demand from HBM and account the hit."""
         assert self.hbm is not None
-        access = self.hbm.access(hbm_addr % self._hbm_capacity,
-                                 request.size, request.is_write,
-                                 now_ns + metadata_ns)
+        done_ns = self.hbm.access(hbm_addr % self._hbm_capacity,
+                                  request.size, request.is_write,
+                                  now_ns + metadata_ns)
         bump = self.stats.bump
         bump("hbm_demand_hits")
         bump("demand_writes" if request.is_write else "demand_reads")
         return AccessResult(
-            latency_ns=access.done_ns - now_ns,
+            latency_ns=done_ns - now_ns,
             serviced_by=ServicedBy.HBM,
             metadata_ns=metadata_ns,
             hbm_hit=True,
@@ -137,13 +140,13 @@ class HybridMemoryController(abc.ABC):
     def _demand_dram(self, dram_addr: int, request: MemoryRequest,
                      now_ns: float, metadata_ns: float = 0.0) -> AccessResult:
         """Serve the demand from off-chip DRAM."""
-        access = self.dram.access(dram_addr % self._dram_capacity,
-                                  request.size, request.is_write,
-                                  now_ns + metadata_ns)
+        done_ns = self.dram.access(dram_addr % self._dram_capacity,
+                                   request.size, request.is_write,
+                                   now_ns + metadata_ns)
         self.stats.bump("demand_writes" if request.is_write
                         else "demand_reads")
         return AccessResult(
-            latency_ns=access.done_ns - now_ns,
+            latency_ns=done_ns - now_ns,
             serviced_by=ServicedBy.DRAM,
             metadata_ns=metadata_ns,
             hbm_hit=False,

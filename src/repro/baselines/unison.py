@@ -89,10 +89,9 @@ class UnisonCacheController(HybridMemoryController):
             extra_ns = 0.0
             if mispredict:
                 # Wrong way read first: one extra HBM access.
-                probe = self.hbm.access(
+                extra_ns = self.hbm.access(
                     self._hbm_addr(set_index, (hit_way + 1) % WAYS, line),
-                    LINE_BYTES, False, now_ns)
-                extra_ns = probe.done_ns - now_ns
+                    LINE_BYTES, False, now_ns) - now_ns
                 self.stats.bump("way_mispredictions")
             result = self._demand_hbm(
                 self._hbm_addr(set_index, hit_way, line), request,
@@ -105,10 +104,9 @@ class UnisonCacheController(HybridMemoryController):
             )
         # Miss (page absent, or resident without this line): the embedded
         # tag probe happens in HBM before the off-chip access.
-        probe = self.hbm.access(
+        probe_ns = self.hbm.access(
             self._hbm_addr(set_index, hit_way or 0, 0), TAG_BYTES, False,
-            now_ns)
-        probe_ns = probe.done_ns - now_ns
+            now_ns) - now_ns
         self.stats.bump("metadata_accesses")
         result = self._demand_dram(request.addr, request, now_ns + probe_ns)
         if hit_way is not None:

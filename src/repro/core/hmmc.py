@@ -727,23 +727,32 @@ class BumblebeeController(HybridMemoryController):
         n = len(indices)
         if n >= 64:
             # Bulk form: the entry feedback is pure bit-OR — commutative
-            # and saturating — so per-entry masks aggregate with a
-            # scatter-OR and land once per touched entry; the final
-            # entry state is exactly the scalar loop's.  Hotness is
-            # order-sensitive but per-set disjoint, so a stable sort by
-            # set preserves each tracker's arrival order.
+            # and saturating — so per-entry masks aggregate and land once
+            # per touched entry; the final entry state is exactly the
+            # scalar loop's.  Block masks fit a uint64 scatter-OR (the
+            # epoch engine only runs with <= 64 blocks per page); line
+            # masks span a whole page (1024 lines at 64KB), so they OR
+            # per 64-line word and each word lands shifted into place.
+            # Hotness is order-sensitive but per-set disjoint, so a
+            # stable sort by set preserves each tracker's arrival order.
             s_a, w_a, o_a, b_a, u_a, chbm_a, wr_a = plan.cols
             idx = np.asarray(indices, dtype=np.int64)
             s = s_a[idx]
             wide = len(entries[0])
             key = s * wide + w_a[idx]
-            one = np.uint64(1)
-            ub = one << u_a[idx].astype(np.uint64)
-            bb = one << b_a[idx].astype(np.uint64)
+            bb = np.uint64(1) << b_a[idx].astype(np.uint64)
             cached = chbm_a[idx]
             size = len(entries) * wide
-            used_or = np.zeros(size, dtype=np.uint64)
-            np.bitwise_or.at(used_or, key, ub)
+            u = u_a[idx]
+            words = int(u.max()) // 64 + 1
+            word_key, word_of = np.unique(key * words + (u >> 6),
+                                          return_inverse=True)
+            used_or = np.zeros(word_key.shape[0], dtype=np.uint64)
+            np.bitwise_or.at(used_or, word_of,
+                             np.uint64(1) << (u & 63).astype(np.uint64))
+            for wk, bits in zip(word_key.tolist(), used_or.tolist()):
+                k, word = divmod(wk, words)
+                entries[k // wide][k % wide].used |= bits << (64 * word)
             dirty_or = np.zeros(size, dtype=np.uint64)
             dm = cached & wr_a[idx]
             if dm.any():
@@ -752,9 +761,8 @@ class BumblebeeController(HybridMemoryController):
             vm = ~cached
             if vm.any():
                 np.bitwise_or.at(valid_or, key[vm], bb[vm])
-            for k in np.unique(key).tolist():
+            for k in np.flatnonzero(dirty_or | valid_or).tolist():
                 entry = entries[k // wide][k % wide]
-                entry.used |= int(used_or[k])
                 d = int(dirty_or[k])
                 if d:
                     entry.dirty |= d

@@ -3,13 +3,12 @@
 This package replaces DRAMSim2 in the paper's toolchain with a semi-analytic
 model: per-bank row-buffer state machines, per-channel data-bus
 serialisation, Micron-style IDD energy accounting, and byte-exact traffic
-counters.  See DESIGN.md §1 for the substitution argument.
+counters, all kept in the flat lists of one :class:`TimingState` per
+controller.  See DESIGN.md §1 for the substitution argument.
 """
 
 from .address import AddressMapper, DecodedAddress
-from .bank import Bank, BankAccess, RowBufferOutcome
-from .channel import Channel, ChannelAccess
-from .device import MemoryDevice, TrafficStats
+from .device import MemoryDevice, TimingState, TrafficStats
 from .energy import EnergyBreakdown, EnergyCounters, EnergyModel
 from .timing import (
     GIB,
@@ -28,12 +27,8 @@ from .timing import (
 __all__ = [
     "AddressMapper",
     "DecodedAddress",
-    "Bank",
-    "BankAccess",
-    "RowBufferOutcome",
-    "Channel",
-    "ChannelAccess",
     "MemoryDevice",
+    "TimingState",
     "TrafficStats",
     "EnergyBreakdown",
     "EnergyCounters",

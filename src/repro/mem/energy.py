@@ -18,7 +18,7 @@ bursts issued on each channel, which the device model counts directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .timing import DeviceConfig
 
@@ -31,14 +31,6 @@ class EnergyCounters:
     read_bursts: int = 0
     write_bursts: int = 0
     refreshes: int = 0
-    busy_ns: float = 0.0
-
-    def merge(self, other: "EnergyCounters") -> None:
-        self.activations += other.activations
-        self.read_bursts += other.read_bursts
-        self.write_bursts += other.write_bursts
-        self.refreshes += other.refreshes
-        self.busy_ns = max(self.busy_ns, other.busy_ns)
 
 
 @dataclass(frozen=True)

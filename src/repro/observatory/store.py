@@ -171,6 +171,9 @@ class RunStore:
              config.get("warmup"), config.get("scale"),
              config.get("version"), _canonical(record)))
         if cursor.rowcount == 0:
+            # The ignored INSERT still opened an implicit transaction;
+            # left open, it locks the database against other writers.
+            self._conn.commit()
             return False
         run_id = cursor.lastrowid
         rows = [(run_id, "metric", name, value)

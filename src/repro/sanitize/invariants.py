@@ -12,7 +12,7 @@ asserts conservation laws while a run executes:
   Bumblebee's PRT/BLE metadata cross-validates and cHBM/mHBM occupancy
   never exceeds the stack (:meth:`BumblebeeController.check_invariants`),
   per-bank row-buffer state is consistent with the issued commands
-  (device/channel/bank ``check_consistent`` plus an exact
+  (the device's ``check_consistent`` plus an exact
   accesses-vs-bank-outcomes reconciliation), and device horizons and
   traffic counters only ever move forward;
 * at mode-flip time — every BLE state transition is validated against
@@ -252,23 +252,22 @@ class InvariantChecker:
         g = device.config.geometry
         rows_per_bank = (g.capacity_bytes // g.channels
                          // g.banks_per_channel // g.row_bytes)
-        for channel in device.channels:
-            for index, bank in enumerate(channel.banks):
-                row = bank.open_row
-                if row is not None and row >= rows_per_bank:
-                    self.record(
-                        f"{label} channel {channel.index} bank {index}: "
-                        f"open row {row} beyond the device's "
-                        f"{rows_per_bank} rows")
+        rows = device.state.open_row[device.bank_slice]
+        for index, row in enumerate(rows):
+            if row >= rows_per_bank:
+                channel, bank = divmod(index, g.banks_per_channel)
+                self.record(
+                    f"{label} channel {channel} bank {bank}: open row "
+                    f"{row} beyond the device's {rows_per_bank} rows")
 
     def _check_monotone(self, label: str, device: "MemoryDevice") -> None:
         """Device horizons and counters only ever move forward."""
         snapshot = self._snapshot(device)
-        for old, new, channel in zip(self._snapshots[label], snapshot,
-                                     device.channels):
+        for channel, (old, new) in enumerate(zip(self._snapshots[label],
+                                                 snapshot)):
             if any(n < o for o, n in zip(old, new)):
                 self.record(
-                    f"{label} channel {channel.index}: a bus/busy "
+                    f"{label} channel {channel}: a bus/busy "
                     f"horizon or traffic counter moved backwards "
                     f"({old} -> {new})")
         self._snapshots[label] = snapshot
@@ -354,10 +353,12 @@ class InvariantChecker:
 
     @staticmethod
     def _snapshot(device: "MemoryDevice") -> list[tuple]:
-        return [(c.bus_free_ns, c.counters.busy_ns, c.read_bytes,
-                 c.write_bytes, c.counters.activations,
-                 c.counters.read_bursts, c.counters.write_bursts)
-                for c in device.channels]
+        s = device.state
+        chans = device.chan_slice
+        return list(zip(s.bus_free[chans], s.chan_busy[chans],
+                        s.read_bytes[chans], s.write_bytes[chans],
+                        s.activations[chans], s.read_bursts[chans],
+                        s.write_bursts[chans]))
 
     def _wrap_device_access(self, label: str,
                             device: "MemoryDevice") -> None:

@@ -169,11 +169,11 @@ class SimulationDriver:
     Args:
         cpu: The analytic CPU model (defaults to the paper system).
         checker: Optional :class:`~repro.sanitize.InvariantChecker`.
-            When set, runs execute through a checked loop that validates
-            conservation laws per request and per epoch (see
-            :mod:`repro.sanitize.invariants`) — numerically identical
-            results, sanitizer-grade overhead.  When None (the default)
-            the unmodified zero-overhead fast loop runs.
+            When set, runs take the scalar loop with the checker's hooks
+            called at run start, at the warm-up boundary, per request
+            and at run end, validating conservation laws per request and
+            per epoch (see :mod:`repro.sanitize.invariants`) —
+            numerically identical results, sanitizer-grade overhead.
         vector_epoch: Epoch size (requests) of the vectorized batch
             kernel; None uses :data:`VECTOR_EPOCH_REQUESTS`.  Results
             are bit-identical at any epoch size (pinned by the
@@ -268,14 +268,11 @@ class SimulationDriver:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; valid engines: "
                              f"{', '.join(ENGINES)}")
-        if self.checker is not None:
-            self.last_engine = "checked"
-            self.last_vector_epochs = 0
-            self.last_fallback_reason = "invariant-checker-active"
-            return self._run_checked(controller, trace, workload,
-                                     max_requests, warmup, self.checker)
+        checker = self.checker
         self.last_fallback_reason = None
-        if engine == "scalar":
+        if checker is not None:
+            self.last_fallback_reason = "invariant-checker-active"
+        elif engine == "scalar":
             self.last_fallback_reason = "engine-forced-scalar"
         elif not isinstance(trace, PackedTrace):
             self.last_fallback_reason = "object-stream"
@@ -335,6 +332,8 @@ class SimulationDriver:
         total_metadata = 0.0
         hbm_hits = 0
         counts = [0] * (len(bounds) + 1)
+        if checker is not None:
+            checker.on_run_start(controller, workload)
         for request in trace:
             if requests >= limit:
                 break
@@ -347,6 +346,8 @@ class SimulationDriver:
                 hbm_hits = 0
                 requests = 0
                 counts = [0] * (len(bounds) + 1)
+                if checker is not None:
+                    checker.on_measurement_reset(now_ns)
             seen += 1
             icount = request.icount
             now_ns += icount / retire_rate / freq_ghz
@@ -354,6 +355,9 @@ class SimulationDriver:
             fault_ns = fault_penalty(request)
             result = controller_access(request, now_ns + fault_ns)
             latency_ns = result.latency_ns + fault_ns
+            if checker is not None:
+                checker.on_request(request, result, fault_ns, now_ns,
+                                   now_ns + latency_ns / mlp)
             now_ns += latency_ns / mlp
             total_latency += latency_ns
             total_metadata += result.metadata_ns
@@ -366,86 +370,15 @@ class SimulationDriver:
         histogram = Histogram(bounds=list(LATENCY_BOUNDS), counts=counts,
                               total=requests)
         epoch = self.vector_epoch or VECTOR_EPOCH_REQUESTS
-        self.last_engine = "scalar"
+        self.last_engine = "scalar" if checker is None else "checked"
         self.last_vector_epochs = 0
         self.last_scalar_epochs = -(-seen // epoch)
-        return self._build_result(controller, workload, instructions,
-                                  requests, now_ns, total_latency,
-                                  total_metadata, hbm_hits, histogram)
-
-    def _run_checked(self, controller: "HybridMemoryController",
-                     trace: Iterable[MemoryRequest], workload: str,
-                     max_requests: int | None, warmup: int,
-                     checker) -> SimResult:
-        """The :meth:`run` loop with sanitizer hooks woven in.
-
-        Term-for-term the same arithmetic as the fast loop (results are
-        numerically identical, pinned by tests); the only additions are
-        the checker callbacks around each request and at the warm-up
-        boundary.
-        """
-        if isinstance(trace, PackedTrace):
-            trace = trace.replay()
-        cpu = self.cpu
-        retire_rate = cpu.ipc_peak * cpu.cores
-        freq_ghz = cpu.freq_ghz
-        mlp = cpu.mlp
-        controller_access = controller.access
-        fault_penalty = controller.page_fault_penalty_ns
-        bounds = LATENCY_BOUNDS
-        bucket = bisect_right
-        limit = float("inf") if max_requests is None else max_requests
-        now_ns = 0.0
-        measure_start_ns = 0.0
-        instructions = 0
-        requests = 0
-        seen = 0
-        total_latency = 0.0
-        total_metadata = 0.0
-        hbm_hits = 0
-        counts = [0] * (len(bounds) + 1)
-        checker.on_run_start(controller, workload)
-        for request in trace:
-            if requests >= limit:
-                break
-            if seen == warmup and warmup:
-                controller.reset_measurements()
-                measure_start_ns = now_ns
-                instructions = 0
-                total_latency = 0.0
-                total_metadata = 0.0
-                hbm_hits = 0
-                requests = 0
-                counts = [0] * (len(bounds) + 1)
-                checker.on_measurement_reset(now_ns)
-            seen += 1
-            icount = request.icount
-            now_ns += icount / retire_rate / freq_ghz
-            instructions += icount
-            fault_ns = fault_penalty(request)
-            before_ns = now_ns
-            result = controller_access(request, now_ns + fault_ns)
-            latency_ns = result.latency_ns + fault_ns
-            now_ns += latency_ns / mlp
-            total_latency += latency_ns
-            total_metadata += result.metadata_ns
-            counts[bucket(bounds, latency_ns)] += 1
-            if result.hbm_hit:
-                hbm_hits += 1
-            requests += 1
-            checker.on_request(request, result, fault_ns, before_ns,
-                               now_ns)
-        controller.finish(now_ns)
-        now_ns -= measure_start_ns
-        histogram = Histogram(bounds=list(LATENCY_BOUNDS), counts=counts,
-                              total=requests)
-        epoch = self.vector_epoch or VECTOR_EPOCH_REQUESTS
-        self.last_scalar_epochs = -(-seen // epoch)
-        sim_result = self._build_result(controller, workload, instructions,
-                                        requests, now_ns, total_latency,
-                                        total_metadata, hbm_hits, histogram)
-        checker.on_run_end(controller, sim_result)
-        return sim_result
+        result = self._build_result(controller, workload, instructions,
+                                    requests, now_ns, total_latency,
+                                    total_metadata, hbm_hits, histogram)
+        if checker is not None:
+            checker.on_run_end(controller, result)
+        return result
 
     def _build_result(self, controller: "HybridMemoryController",
                       workload: str, instructions: int, requests: int,

@@ -15,20 +15,29 @@ numpy array operations:
 * the controller's placement decision for the whole epoch at once (a
   :class:`BatchPlan` from :meth:`batch_plan`);
 * the interleaved channel/bank/row decode of
-  :class:`~repro.mem.address.AddressMapper` as integer array arithmetic;
+  :class:`~repro.mem.address.AddressMapper` as integer array arithmetic,
+  yielding the global channel/bank ids of the controller's shared
+  :class:`~repro.mem.device.TimingState`;
 * row-buffer hit/closed/conflict classification per bank via a stable
   sort by bank id (each access sees the row its bank's *previous* access
   opened, with the open-row state carried across epoch boundaries);
 * bulk traffic, energy-counter, statistic, and histogram accumulation
-  (:meth:`~repro.sim.stats.Histogram.add_many` on ``np.bincount``).
+  (``np.bincount`` totals added straight into the state's lists,
+  :meth:`~repro.sim.stats.Histogram.add_many` for the histogram).
+
+Neither kernel keeps timing state of its own: both load the state's
+flat lists (bank busy horizons, bus-free times, backlogs, counters) into
+local variables and run against them, so whatever a kernel leaves behind
+is exactly what ``MemoryDevice`` reads for traffic, energy and
+row-buffer statistics.
 
 What cannot be vectorized bit-identically is the sequential float
 recurrence that couples request *i*'s latency to request *i+1*'s arrival
 time (``now += icount/...; arrival = now + fault; done = f(bank, bus);
 now += latency/mlp``).  That recurrence runs as a minimal pure-Python
 loop over pre-converted lists — eight float operations per request
-instead of the scalar path's full controller/device/channel/bank call
-chain — performing *exactly* the same operations in exactly the same
+instead of the scalar path's controller and ``MemoryDevice.access``
+calls — performing *exactly* the same operations in exactly the same
 order as the scalar loop, so every float result is bit-identical.  The
 equivalence is enforced by the four-path differential sanitizer
 (``repro sanitize``) and the property/identity tests.
@@ -50,15 +59,18 @@ which requests are *pure* (their placement and device-local address are
 fully determined, and serving them touches no state the classification
 read) and which must take the scalar path.  The engine then walks the
 epoch span by span: each maximal run of pure requests executes through
-an inlined bank/bus recurrence **directly against the live Bank/Channel
-objects**, after which pass 2 (:meth:`commit_epoch`) replays the span's
+an inlined bank/bus recurrence **directly on the shared timing-state
+lists**, after which pass 2 (:meth:`commit_epoch`) replays the span's
 deferred feedback (counter saturation, recency reordering, used/dirty
 bitmaps) in closed form; each non-pure request in between executes
 through the ordinary ``controller.access`` bridge against the same live
 devices.  Because pure requests by definition cannot change any
 classification input, deferring their feedback to the span boundary is
 exact — and the bridge is the scalar loop, so every float and every
-counter lands bit-identically.
+counter lands bit-identically.  An epoch with no impure request never
+bridges, so, as in the stateless kernel, its row-buffer outcomes
+(scripted probes included) are classified up front and its walk runs
+only the timing recurrence.
 
 A scalar (bridged) request may invalidate classifications made against
 the frozen state (an eviction, a mode switch, a refill).  Controllers
@@ -83,7 +95,9 @@ hooks) and registering with ``batch_replayable="epoch"``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, Any
 
 try:
@@ -98,7 +112,7 @@ from .stats import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..baselines.base import HybridMemoryController
-    from ..mem.device import MemoryDevice
+    from ..mem.device import MemoryDevice, TimingState
     from .driver import SimResult, SimulationDriver
 
 __all__ = ["BatchPlan", "EpochPlan", "batch_capable", "epoch_capable",
@@ -241,104 +255,154 @@ def _decode_values(values):
     return addr, is_write, icount
 
 
-class _Lane:
-    """Hoisted per-device constants (mirrors Device/Channel/Bank init).
+def _lanes(controller: "HybridMemoryController"
+           ) -> tuple["TimingState", list[tuple[int, "MemoryDevice"]]]:
+    """The controller's shared timing state and its ``(code, device)``
+    lanes: code 0 is the stacked device, 1 off-chip DRAM."""
+    lanes = [(1, controller.dram)]
+    if controller.hbm is not None:
+        lanes.insert(0, (0, controller.hbm))
+    return controller.dram.state, lanes
 
-    ``code`` indexes the (2, ...) latency/burst lookup tables: 0 = the
-    stacked device, 1 = off-chip DRAM.  Channel and bank ids are
-    globalised by the offsets so one flat state array covers both
-    devices.
+
+def _decode_lanes(lanes, local, use_hbm, select, who: str, name: str):
+    """Interleaved address decode (``MemoryDevice.access`` as array math).
+
+    Returns global ``(chan_gid, bank_gid, row)`` arrays for the requests
+    in ``select`` (all when None); the rest stay 0.
+
+    Raises:
+        ValueError: for a local address outside the serving device.
     """
-
-    __slots__ = ("device", "code", "capacity", "interleave", "nchannels",
-                 "row_bytes", "banks", "chan_offset", "bank_offset",
-                 "lat", "burst_ns", "bursts_per_access", "bus_bytes",
-                 "burst_bytes", "tck_half")
-
-    def __init__(self, device: "MemoryDevice", code: int,
-                 chan_offset: int, bank_offset: int) -> None:
-        g = device.config.geometry
-        t = device.config.timings
-        self.device = device
-        self.code = code
-        self.capacity = g.capacity_bytes
-        self.interleave = g.interleave_bytes
-        self.nchannels = g.channels
-        self.row_bytes = g.row_bytes
-        self.banks = g.banks_per_channel
-        self.chan_offset = chan_offset
-        self.bank_offset = bank_offset
-        # Same hoists as Bank.__init__ / Channel.__init__, so the float
-        # constants entering the recurrence are bit-equal to theirs.
-        self.lat = (t.row_hit_ns, t.row_closed_ns, t.row_conflict_ns)
-        bus = g.bus_bytes
-        beats = (CACHE_LINE_BYTES + bus - 1) // bus
-        self.burst_ns = (beats if beats > 1 else 1) * (t.tck_ns / 2.0)
-        burst_bytes = t.burst_length * bus
-        bursts = (CACHE_LINE_BYTES + burst_bytes - 1) // burst_bytes
-        self.bursts_per_access = bursts if bursts > 1 else 1
-        # Constants for expanding scripted device ops of arbitrary size.
-        self.bus_bytes = bus
-        self.burst_bytes = burst_bytes
-        self.tck_half = t.tck_ns / 2.0
+    m = local.shape[0]
+    chan_gid = np.zeros(m, dtype=np.int64)
+    bank_gid = np.zeros(m, dtype=np.int64)
+    row = np.zeros(m, dtype=np.int64)
+    for code, dev in lanes:
+        mask = use_hbm if code == 0 else ~use_hbm
+        if select is not None:
+            mask = select & mask
+        la = local[mask]
+        if la.size == 0:
+            continue
+        if int(la.min()) < 0 or int(la.max()) >= dev.capacity_bytes:
+            raise ValueError(
+                f"{who} of {name!r} produced a local address outside the "
+                f"{dev.name} capacity")
+        chunk = la // dev.interleave
+        ch = chunk % dev.nchannels
+        loc = ((chunk // dev.nchannels) * dev.interleave
+               + la % dev.interleave)
+        row_index = loc // dev.row_bytes
+        banks = dev.banks_per_channel
+        chan_gid[mask] = ch + dev.chan_base
+        bank_gid[mask] = dev.bank_base + ch * banks + row_index % banks
+        row[mask] = row_index // banks
+    return chan_gid, bank_gid, row
 
 
-def _resolve_serial_op(lane: _Lane, addr: int, nbytes: int,
-                       is_write: bool) -> tuple:
-    """Expand one scripted demand-style probe into walk-ready scalars.
+def _lookup_tables(lanes):
+    """Per-lane latency/burst tables and per-channel line-burst counts."""
+    nch = sum(dev.nchannels for _, dev in lanes)
+    lat_table = np.zeros((2, 3), dtype=np.float64)
+    burst_table = np.zeros(2, dtype=np.float64)
+    bursts_by_chan = np.zeros(nch, dtype=np.int64)
+    for code, dev in lanes:
+        lat_table[code] = (dev.row_hit_ns, dev.row_closed_ns,
+                           dev.row_conflict_ns)
+        burst_table[code] = dev.demand_burst_ns(CACHE_LINE_BYTES)
+        bursts_by_chan[dev.chan_slice] = dev.bursts(CACHE_LINE_BYTES)
+    return lat_table, burst_table, bursts_by_chan
 
-    Mirrors ``MemoryDevice.access`` address decode plus the burst/energy
-    hoists of ``Channel.access`` so the walk can run the probe with the
-    same inlined arithmetic it uses for demand requests.
+
+def _add(target: list, counts) -> None:
+    """``target += counts`` elementwise, in place."""
+    target[:] = (np.asarray(target, dtype=np.int64)
+                 + counts.astype(np.int64)).tolist()
+
+
+def _add_counts(state: "TimingState", chan, bank, is_write, outcome,
+                nbytes, bursts) -> None:
+    """Add the traffic, burst, activation and row-buffer outcome counts
+    of a batch of demand-style accesses into ``state``."""
+    nch = len(state.bus_free)
+    nbank = len(state.open_row)
+    for sel, byte_counts, burst_counts in (
+            (~is_write, state.read_bytes, state.read_bursts),
+            (is_write, state.write_bytes, state.write_bursts)):
+        _add(byte_counts, np.bincount(chan[sel], nbytes[sel], nch))
+        _add(burst_counts, np.bincount(chan[sel], bursts[sel], nch))
+    _add(state.activations, np.bincount(chan[outcome != 0], minlength=nch))
+    for kind, counts in enumerate((state.hits, state.closed,
+                                   state.conflicts)):
+        _add(counts, np.bincount(bank[outcome == kind], minlength=nbank))
+
+
+def _row_outcomes(bank, row, open_row):
+    """Row-buffer outcome (0 hit, 1 closed, 2 conflict) of each access:
+    it sees the row its bank's previous access opened, a bank's first
+    access its ``open_row`` entry (int64, updated in place)."""
+    m = bank.shape[0]
+    outcome = np.empty(m, dtype=np.int64)
+    if not m:
+        return outcome
+    order = np.argsort(bank, kind="stable")
+    bank_sorted = bank[order]
+    row_sorted = row[order]
+    same = bank_sorted[1:] == bank_sorted[:-1]
+    prev_row = np.empty(m, dtype=np.int64)
+    prev_row[0] = open_row[bank_sorted[0]]
+    prev_row[1:] = np.where(same, row_sorted[:-1],
+                            open_row[bank_sorted[1:]])
+    outcome[order] = np.where(row_sorted == prev_row, 0,
+                              np.where(prev_row < 0, 1, 2))
+    last = np.append(~same, True)
+    open_row[bank_sorted[last]] = row_sorted[last]
+    return outcome
+
+
+def _burst_arrays(lanes, code, nbytes):
+    """``MemoryDevice.demand_burst_ns`` and ``bursts`` of each access of
+    ``nbytes`` on lane ``code``, as arrays."""
+    burst_ns = np.zeros(code.shape[0])
+    bursts = np.zeros(code.shape[0], dtype=np.int64)
+    for lane, dev in lanes:
+        sel = code == lane
+        beats = (nbytes[sel] + dev.bus_bytes - 1) // dev.bus_bytes
+        burst_ns[sel] = np.maximum(beats, 1) * dev.tck_half_ns
+        bursts[sel] = np.maximum(
+            (nbytes[sel] + dev.burst_bytes - 1) // dev.burst_bytes, 1)
+    return burst_ns, bursts
+
+
+def _resolve_bulk_op(dev: "MemoryDevice", addr: int,
+                     nbytes: int) -> tuple[list, list]:
+    """Expand one scripted bulk transfer into its per-channel shares.
+
+    The chunking of ``MemoryDevice.bulk_transfer``: the byte count splits
+    into equal shares over ``min(channels, chunks)`` consecutive channels
+    starting at the address's home channel, and every share charges its
+    row count (as the device does).  Returns the walk's ``(channel,
+    burst_ns)`` steps and ``(channel, nbytes, bursts, rows)`` counts.
     """
-    chunk = addr // lane.interleave
-    ch = chunk % lane.nchannels
-    loc = ((chunk // lane.nchannels) * lane.interleave
-           + addr % lane.interleave)
-    row_index = loc // lane.row_bytes
-    beats = (nbytes + lane.bus_bytes - 1) // lane.bus_bytes
-    bursts = (nbytes + lane.burst_bytes - 1) // lane.burst_bytes
-    lat = lane.lat
-    return (lane.chan_offset + ch,
-            lane.bank_offset + ch * lane.banks + row_index % lane.banks,
-            row_index // lane.banks,
-            lat[0], lat[1], lat[2],
-            (beats if beats > 1 else 1) * lane.tck_half,
-            nbytes, is_write,
-            bursts if bursts > 1 else 1)
-
-
-def _resolve_bulk_op(lane: _Lane, addr: int, nbytes: int,
-                     is_write: bool) -> list[tuple]:
-    """Expand one scripted bulk transfer into per-channel chunk tuples.
-
-    Mirrors ``MemoryDevice.bulk_transfer`` chunking exactly: the byte
-    count splits into equal shares over ``min(channels, chunks)``
-    consecutive channels starting at the address's home channel, and
-    every chunk charges the *share*'s row count (as the device does).
-    """
-    chunks = (nbytes + lane.interleave - 1) // lane.interleave
+    chunks = (nbytes + dev.interleave - 1) // dev.interleave
     if chunks < 1:
         chunks = 1
-    channels_used = min(lane.nchannels, chunks)
+    channels_used = min(dev.nchannels, chunks)
     share = (nbytes + channels_used - 1) // channels_used
-    rows = max(1, share // lane.row_bytes)
-    start = (addr // lane.interleave) % lane.nchannels
+    rows = max(1, share // dev.row_bytes)
+    start = (addr // dev.interleave) % dev.nchannels
     remaining = nbytes
-    out = []
+    steps, counts = [], []
     for k in range(channels_used):
         if remaining <= 0:
             break
         cn = share if share < remaining else remaining
-        beats = (cn + lane.bus_bytes - 1) // lane.bus_bytes
-        bursts = (cn + lane.burst_bytes - 1) // lane.burst_bytes
-        out.append((lane.chan_offset + (start + k) % lane.nchannels,
-                    (beats if beats > 1 else 1) * lane.tck_half,
-                    cn,
-                    bursts if bursts > 1 else 1,
-                    rows, is_write))
+        c = dev.chan_base + (start + k) % dev.nchannels
+        steps.append((c, dev.demand_burst_ns(cn)))
+        counts.append((c, cn, dev.bursts(cn), rows))
         remaining -= cn
-    return out
+    return steps, counts
 
 
 def _segments(n: int, max_requests: int | None,
@@ -388,23 +452,14 @@ def replay_vectorized(driver: "SimulationDriver",
     freq_ghz = cpu.freq_ghz
     mlp = cpu.mlp
 
-    # ---- device lanes and lookup tables ---------------------------------
-    lanes: list[_Lane] = []
-    chan_off = bank_off = 0
-    if controller.hbm is not None:
-        hbm_lane = _Lane(controller.hbm, 0, 0, 0)
-        lanes.append(hbm_lane)
-        chan_off = hbm_lane.nchannels
-        bank_off = hbm_lane.nchannels * hbm_lane.banks
-    dram_lane = _Lane(controller.dram, 1, chan_off, bank_off)
-    lanes.append(dram_lane)
-    nch = chan_off + dram_lane.nchannels
-    nbank = bank_off + dram_lane.nchannels * dram_lane.banks
-    lat_table = np.zeros((2, 3), dtype=np.float64)
-    burst_table = np.zeros(2, dtype=np.float64)
-    for lane in lanes:
-        lat_table[lane.code] = lane.lat
-        burst_table[lane.code] = lane.burst_ns
+    # ---- the shared device timing state and lookup tables ---------------
+    # Plain lists inside the recurrence: scalar indexing on lists is much
+    # cheaper than on numpy arrays.
+    state, lanes = _lanes(controller)
+    lat_table, burst_table, bursts_by_chan = _lookup_tables(lanes)
+    bank_busy = state.bank_busy
+    bus_free = state.bus_free
+    chan_busy = state.chan_busy
 
     visible = controller.os_visible_bytes()
     controller._os_visible_cache = visible
@@ -415,12 +470,6 @@ def replay_vectorized(driver: "SimulationDriver",
 
     # ---- measured-window accumulators -----------------------------------
     histogram = Histogram(bounds=list(LATENCY_BOUNDS))
-    reads_per_chan = np.zeros(nch, dtype=np.int64)
-    writes_per_chan = np.zeros(nch, dtype=np.int64)
-    acts_per_chan = np.zeros(nch, dtype=np.int64)
-    hits_per_bank = np.zeros(nbank, dtype=np.int64)
-    closed_per_bank = np.zeros(nbank, dtype=np.int64)
-    conflicts_per_bank = np.zeros(nbank, dtype=np.int64)
     instructions = 0
     measured_requests = 0
     hbm_hits = 0
@@ -439,14 +488,9 @@ def replay_vectorized(driver: "SimulationDriver",
             # reset (devices return to power-on FSM state, stats zero).
             controller.reset_measurements()
             measure_start = now
-        # Power-on / post-reset device timing state.  One flat array
-        # per quantity, indexed by globalised channel/bank ids; plain
-        # Python lists inside the recurrence (scalar indexing on lists
-        # is much cheaper than on numpy arrays).
-        bank_busy = [0.0] * nbank
-        bus_free = [0.0] * nch
-        chan_busy = [0.0] * nch
-        open_row = np.full(nbank, -1, dtype=np.int64)
+        # The row-buffer classification below is array math over the
+        # open rows; they return to the shared state after the segment.
+        open_row = np.asarray(state.open_row, dtype=np.int64)
 
         for start in range(seg_start, seg_stop, epoch):
             stop = min(start + epoch, seg_stop)
@@ -476,54 +520,12 @@ def replay_vectorized(driver: "SimulationDriver",
                     f"batch_plan of {controller.name!r} routed requests "
                     f"to HBM but the design has no stacked device")
 
-            # Interleaved address decode (AddressMapper as array math) ---
-            chan_gid = np.empty(m, dtype=np.int64)
-            bank_gid = np.empty(m, dtype=np.int64)
-            row = np.empty(m, dtype=np.int64)
-            for lane in lanes:
-                mask = use_hbm if lane.code == 0 else ~use_hbm
-                la = local[mask]
-                if la.size == 0:
-                    continue
-                if int(la.min()) < 0 or int(la.max()) >= lane.capacity:
-                    raise ValueError(
-                        f"batch_plan of {controller.name!r} produced a "
-                        f"local address outside the "
-                        f"{lane.device.name} capacity")
-                chunk = la // lane.interleave
-                ch = chunk % lane.nchannels
-                loc = ((chunk // lane.nchannels) * lane.interleave
-                       + la % lane.interleave)
-                row_index = loc // lane.row_bytes
-                chan_gid[mask] = ch + lane.chan_offset
-                bank_gid[mask] = (lane.bank_offset + ch * lane.banks
-                                  + row_index % lane.banks)
-                row[mask] = row_index // lane.banks
+            chan_gid, bank_gid, row = _decode_lanes(
+                lanes, local, use_hbm, None, "batch_plan", controller.name)
 
-            # Row-buffer outcome classification --------------------------
-            # Stable sort groups each bank's accesses in request order;
-            # every access sees the row its bank's previous access
-            # opened (the bank FSM opens the row unconditionally), with
-            # open_row carrying state across epochs within a segment.
-            order = np.argsort(bank_gid, kind="stable")
-            bank_sorted = bank_gid[order]
-            row_sorted = row[order]
-            prev_row = np.empty(m, dtype=np.int64)
-            if m:
-                prev_row[0] = open_row[bank_sorted[0]]
-                same = bank_sorted[1:] == bank_sorted[:-1]
-                prev_row[1:] = np.where(same, row_sorted[:-1],
-                                        open_row[bank_sorted[1:]])
-            outcome_sorted = np.where(
-                row_sorted == prev_row, 0,
-                np.where(prev_row < 0, 1, 2)).astype(np.int64)
-            outcome = np.empty(m, dtype=np.int64)
-            outcome[order] = outcome_sorted
-            if m:
-                last = np.empty(m, dtype=bool)
-                last[:-1] = bank_sorted[:-1] != bank_sorted[1:]
-                last[-1] = True
-                open_row[bank_sorted[last]] = row_sorted[last]
+            # Row-buffer outcome classification, open_row carrying each
+            # bank's state across epochs.
+            outcome = _row_outcomes(bank_gid, row, open_row)
 
             device_idx = np.where(use_hbm, 0, 1)
             lat = lat_table[device_idx, outcome]
@@ -536,7 +538,9 @@ def replay_vectorized(driver: "SimulationDriver",
             #   done = max(data, bus_free) + burst
             #   latency = (done - arrival) + fault; now += latency / mlp
             # (The scalar path's "+ 0.0" metadata and movement
-            # interference terms are exact float no-ops and elided.)
+            # interference terms are exact float no-ops and elided:
+            # batch designs never queue movement, so the backlog and its
+            # drain timestamp are never read and stay untouched.)
             comp_l = comp.tolist()
             fault_l = fault_arr.tolist()
             bank_l = bank_gid.tolist()
@@ -557,8 +561,6 @@ def replay_vectorized(driver: "SimulationDriver",
                 free = bus_free[c]
                 done = (data if data > free else free) + burst_i
                 bus_free[c] = done
-                if done > chan_busy[c]:
-                    chan_busy[c] = done
                 latency = (done - arrival) + fault_i
                 running += latency
                 t += latency / mlp
@@ -578,20 +580,14 @@ def replay_vectorized(driver: "SimulationDriver",
             writes = int(is_write.sum())
             demand_writes += writes
             demand_reads += m - writes
-            reads_per_chan += np.bincount(chan_gid[~is_write],
-                                          minlength=nch)
-            writes_per_chan += np.bincount(chan_gid[is_write],
-                                           minlength=nch)
-            acts_per_chan += np.bincount(chan_gid[outcome != 0],
-                                         minlength=nch)
-            hits_per_bank += np.bincount(bank_gid[outcome == 0],
-                                         minlength=nbank)
-            closed_per_bank += np.bincount(bank_gid[outcome == 1],
-                                           minlength=nbank)
-            conflicts_per_bank += np.bincount(bank_gid[outcome == 2],
-                                              minlength=nbank)
+            _add_counts(state, chan_gid, bank_gid, is_write, outcome,
+                        np.full(m, CACHE_LINE_BYTES),
+                        bursts_by_chan[chan_gid])
+        state.open_row[:] = open_row.tolist()
 
-    # ---- write the measured state back into the controller ---------------
+    # Batch designs queue no movement and a channel's bus_free only moves
+    # forward, so its busy horizon is its final bus_free.
+    chan_busy[:] = map(max, chan_busy, bus_free)
     # The stats bumps are conditional: the scalar loop only creates a
     # counter key when it actually increments, and controller_stats
     # equality is exact (a spurious zero-valued key would diverge).
@@ -604,37 +600,6 @@ def replay_vectorized(driver: "SimulationDriver",
         bump("hbm_demand_hits", hbm_hits)
     if faults:
         bump("page_faults", faults)
-    for lane in lanes:
-        per_access = lane.bursts_per_access
-        for index, channel in enumerate(lane.device.channels):
-            gid = lane.chan_offset + index
-            reads = int(reads_per_chan[gid])
-            writes = int(writes_per_chan[gid])
-            channel.read_bytes += reads * CACHE_LINE_BYTES
-            channel.write_bytes += writes * CACHE_LINE_BYTES
-            counters = channel.counters
-            counters.activations += int(acts_per_chan[gid])
-            counters.read_bursts += reads * per_access
-            counters.write_bursts += writes * per_access
-            if chan_busy[gid] > counters.busy_ns:
-                counters.busy_ns = chan_busy[gid]
-            if bus_free[gid] > channel._bus_free_ns:
-                channel._bus_free_ns = bus_free[gid]
-            # _backlog_at_ns (the movement-drain watermark) is left
-            # untouched: batch designs never queue movement, the value
-            # is unobservable in a finished SimResult, and tracking the
-            # last per-channel arrival would serialise the kernel.
-            for bank_index, bank in enumerate(channel.banks):
-                bgid = (lane.bank_offset + index * lane.banks
-                        + bank_index)
-                bank.hits += int(hits_per_bank[bgid])
-                bank.closed += int(closed_per_bank[bgid])
-                bank.conflicts += int(conflicts_per_bank[bgid])
-                if bank_busy[bgid] > bank._busy_until_ns:
-                    bank._busy_until_ns = bank_busy[bgid]
-                final_row = int(open_row[bgid])
-                if final_row >= 0:
-                    bank._open_row = final_row
 
     controller.finish(now)
     elapsed = now - measure_start
@@ -657,8 +622,8 @@ def replay_epoch(driver: "SimulationDriver",
     Pass 1 (:meth:`batch_epoch_plan`) classifies each epoch against the
     controller's frozen state; the walk below then executes every
     still-valid pure request through an inlined copy of the scalar
-    device arithmetic **against the live Bank/Channel objects** (so
-    bridged requests and movement traffic interleave exactly), flushing
+    device arithmetic **on the shared timing-state lists** (so bridged
+    requests and movement traffic interleave exactly), flushing
     the deferred feedback (:meth:`commit_epoch`) before every bridge and
     at the epoch boundary.  Every float operation happens in the same
     order as the scalar loop, so the result is bit-identical.
@@ -693,42 +658,24 @@ def replay_epoch(driver: "SimulationDriver",
     freq_ghz = cpu.freq_ghz
     mlp = cpu.mlp
 
-    # ---- device lanes, live object tables, lookup tables ----------------
-    lanes: list[_Lane] = []
-    chan_off = bank_off = 0
-    if controller.hbm is not None:
-        hbm_lane = _Lane(controller.hbm, 0, 0, 0)
-        lanes.append(hbm_lane)
-        chan_off = hbm_lane.nchannels
-        bank_off = hbm_lane.nchannels * hbm_lane.banks
-    dram_lane = _Lane(controller.dram, 1, chan_off, bank_off)
-    lanes.append(dram_lane)
-    nch = chan_off + dram_lane.nchannels
-    nbank = bank_off + dram_lane.nchannels * dram_lane.banks
-    channels_flat: list = [None] * nch
-    banks_flat: list = [None] * nbank
-    chunk_by_chan = [0.0] * nch
-    bursts_by_chan = np.zeros(nch, dtype=np.int64)
-    lat_table = np.zeros((2, 3), dtype=np.float64)
-    burst_table = np.zeros(2, dtype=np.float64)
-    for lane in lanes:
-        lat_table[lane.code] = lane.lat
-        burst_table[lane.code] = lane.burst_ns
-        for index, channel in enumerate(lane.device.channels):
-            gid = lane.chan_offset + index
-            channels_flat[gid] = channel
-            chunk_by_chan[gid] = channel._chunk_ns
-            bursts_by_chan[gid] = lane.bursts_per_access
-            for bank_index, bank in enumerate(channel.banks):
-                banks_flat[lane.bank_offset + index * lane.banks
-                           + bank_index] = bank
+    # ---- the shared device timing state and lookup tables ---------------
+    state, lanes = _lanes(controller)
+    lat_table, burst_table, bursts_by_chan = _lookup_tables(lanes)
+    chunk_by_chan = [dev.chunk_ns for _, dev in lanes
+                     for _ in range(dev.nchannels)]
+    lane_by_code = dict(lanes)
+    # The walks below run against these very lists (bridged requests
+    # mutate them through MemoryDevice.access in between).
+    open_row = state.open_row
+    bank_busy = state.bank_busy
+    bus_free = state.bus_free
+    backlog = state.backlog
+    backlog_at = state.backlog_at
+    chan_busy = state.chan_busy
 
-    lane_by_code: dict[int, _Lane] = {lane.code: lane for lane in lanes}
-    # Scripted micro-ops repeat heavily across epochs (slot addresses
-    # recur), so decoded forms are memoized for the whole run, keyed by
-    # the raw ``(lane_code, addr, nbytes, is_write)`` tuple.
-    serial_memo: dict[tuple, tuple] = {}
-    bulk_memo: dict[tuple, list] = {}
+    # Scripted bulk transfers repeat heavily across epochs, so their
+    # per-channel shares are memoized for the whole run.
+    bulk_memo: dict[tuple, tuple] = {}
 
     visible = controller.os_visible_bytes()
     controller._os_visible_cache = visible
@@ -746,12 +693,6 @@ def replay_epoch(driver: "SimulationDriver",
 
     # ---- measured-window accumulators -----------------------------------
     histogram = Histogram(bounds=list(LATENCY_BOUNDS))
-    reads_per_chan = np.zeros(nch, dtype=np.int64)
-    writes_per_chan = np.zeros(nch, dtype=np.int64)
-    acts_per_chan = np.zeros(nch, dtype=np.int64)
-    hits_per_bank = np.zeros(nbank, dtype=np.int64)
-    closed_per_bank = np.zeros(nbank, dtype=np.int64)
-    conflicts_per_bank = np.zeros(nbank, dtype=np.int64)
     instructions = 0
     measured_requests = 0
     hbm_hits = 0
@@ -793,10 +734,22 @@ def replay_epoch(driver: "SimulationDriver",
                     f"batch_epoch_plan returned {pure.shape[0]} entries "
                     f"for a {m}-request epoch")
             meta_const = float(plan.meta_const)
+            # An epoch without an impure request never bridges, so its
+            # row-buffer outcomes can be classified up front.
+            clean = bool(pure.all())
 
             # ---- optional full-script extensions -----------------------
+            # Per-request columns for the clean walk: metadata latency,
+            # serial probes and bulk movement (None where a request has
+            # none).  A plan that scripts device ops must be all pure.
             meta_arr = getattr(plan, "meta", None)
-            meta_l = None
+            pre_raw = getattr(plan, "pre", None)
+            post_raw = getattr(plan, "post", None)
+            if not clean and (meta_arr is not None or pre_raw or post_raw):
+                raise ValueError(
+                    f"batch_epoch_plan of {controller.name!r} scripted "
+                    f"an epoch with impure requests")
+            meta_l = repeat(meta_const)
             if meta_arr is not None:
                 meta_l = (meta_arr if type(meta_arr) is list
                           else np.asarray(meta_arr,
@@ -805,45 +758,39 @@ def replay_epoch(driver: "SimulationDriver",
                     raise ValueError(
                         f"batch_epoch_plan returned {len(meta_l)} "
                         f"metadata latencies for a {m}-request epoch")
-            pre_raw = getattr(plan, "pre", None)
-            pre_ops = None
-            if pre_raw:
-                smemo_get = serial_memo.get
-                pre_ops = {}
-                for i, ops in pre_raw.items():
-                    rops = []
-                    for op in ops:
-                        r = smemo_get(op)
-                        if r is None:
-                            code, a, n, w = op
-                            r = serial_memo[op] = _resolve_serial_op(
-                                lane_by_code[code], a, n, w)
-                        rops.append(r)
-                    pre_ops[i] = rops
-            post_raw = getattr(plan, "post", None)
-            post_ops = None
+            post_l = repeat(None)
             if post_raw:
                 bmemo_get = bulk_memo.get
-                post_ops = {}
+                post_l = [None] * m
+                moved = []
                 for i, ops in post_raw.items():
-                    flat = []
+                    steps = []
                     for code, a, n, w in ops:
-                        lane = lane_by_code[code]
+                        dev = lane_by_code[code]
                         # Bulk decode depends on the address only through
                         # its starting channel, so the memo key collapses
                         # to a handful of entries per lane.
-                        key = (code, (a // lane.interleave)
-                               % lane.nchannels, n, w)
+                        key = (code, (a // dev.interleave)
+                               % dev.nchannels, n, w)
                         r = bmemo_get(key)
                         if r is None:
                             r = bulk_memo[key] = _resolve_bulk_op(
-                                lane, a, n, w)
-                        flat.extend(r)
-                    post_ops[i] = flat
-            scripted = (meta_l is not None or pre_ops is not None
-                        or post_ops is not None)
-            pre_get = pre_ops.get if pre_ops is not None else None
-            post_get = post_ops.get if post_ops is not None else None
+                                dev, a, n)
+                        steps.extend(r[0])
+                        moved.append(key)
+                    post_l[i] = steps
+                if measured:
+                    # Every scripted transfer runs and its counts only
+                    # add: each distinct one lands once, times repeats.
+                    for key, times in Counter(moved).items():
+                        nbytes, bursts = (
+                            (state.write_bytes, state.write_bursts)
+                            if key[3] else
+                            (state.read_bytes, state.read_bursts))
+                        for c3, nb3, bs3, rows in bulk_memo[key][1]:
+                            state.activations[c3] += rows * times
+                            nbytes[c3] += nb3 * times
+                            bursts[c3] += bs3 * times
 
             use_hbm = np.where(pure, np.asarray(plan.use_hbm, dtype=bool),
                                False)
@@ -855,179 +802,120 @@ def replay_epoch(driver: "SimulationDriver",
             local = np.where(pure, np.asarray(plan.local_addr,
                                               dtype=np.int64), 0)
 
-            # Interleaved address decode for the pure candidates (the
-            # same arithmetic as MemoryDevice.access).
-            chan_gid = np.zeros(m, dtype=np.int64)
-            bank_gid = np.zeros(m, dtype=np.int64)
-            row = np.zeros(m, dtype=np.int64)
-            for lane in lanes:
-                mask = pure & (use_hbm if lane.code == 0 else ~use_hbm)
-                la = local[mask]
-                if la.size == 0:
-                    continue
-                if int(la.min()) < 0 or int(la.max()) >= lane.capacity:
-                    raise ValueError(
-                        f"batch_epoch_plan of {controller.name!r} "
-                        f"produced a local address outside the "
-                        f"{lane.device.name} capacity")
-                chunk = la // lane.interleave
-                ch = chunk % lane.nchannels
-                loc = ((chunk // lane.nchannels) * lane.interleave
-                       + la % lane.interleave)
-                row_index = loc // lane.row_bytes
-                chan_gid[mask] = ch + lane.chan_offset
-                bank_gid[mask] = (lane.bank_offset + ch * lane.banks
-                                  + row_index % lane.banks)
-                row[mask] = row_index // lane.banks
-
+            chan_gid, bank_gid, row = _decode_lanes(
+                lanes, local, use_hbm, pure, "batch_epoch_plan",
+                controller.name)
             device_idx = np.where(use_hbm, 0, 1)
-            lat3 = lat_table[device_idx]
-            hit_lat = lat3[:, 0]
-            closed_lat = lat3[:, 1]
-            conflict_lat = lat3[:, 2]
-            burst = burst_table[device_idx]
 
-            # Plain lists: scalar indexing inside the walk is much
+            # Plain lists: scalar indexing inside the walks is much
             # cheaper on lists than on numpy arrays.
             comp_l = comp.tolist()
             fault_l = fault_arr.tolist()
-            pure_l = pure.tolist()
-            addr_l = addr.tolist()
-            write_l = is_write.tolist()
-            icount_l = icount.tolist()
             chan_l = chan_gid.tolist()
             bank_l = bank_gid.tolist()
-            row_l = row.tolist()
-            hit_l = hit_lat.tolist()
-            closed_l = closed_lat.tolist()
-            conf_l = conflict_lat.tolist()
-            burst_l = burst.tolist()
-            keys = plan.inval_key
-            key_l = (np.asarray(keys).tolist()
-                     if keys is not None else None)
-
-            # ---- the epoch walk ----------------------------------------
-            # Pure requests run the inlined scalar device arithmetic
-            # against the live banks/channels (bank FSM, backlog drain,
-            # movement interference, bus serialisation — the same ops in
-            # the same order as Channel.access/Bank.access); impure ones
-            # flush pending feedback and bridge through
-            # ``controller.access``.
-            token = guard_fn() if guard_fn is not None else None
-            dirty: set = set()
-            demoted_all = False
-            pend: list[int] = []
-            executed: list[int] = []
-            outcomes: list[int] = []
+            burst_l = burst_table[device_idx].tolist()
             latencies: list[float] = []
             lat_append = latencies.append
-            out_append = outcomes.append
-            pend_append = pend.append
-            bridged = 0
             bridged_hbm = 0
             running = total_latency
             running_meta = total_metadata
             t = now
-            for i, (is_pure, comp_ns, f, c, bank_i, r, lat_hit,
-                    lat_closed, lat_conf, burst_ns) in enumerate(zip(
-                        pure_l, comp_l, fault_l, chan_l, bank_l, row_l,
-                        hit_l, closed_l, conf_l, burst_l)):
-                if (is_pure and not demoted_all
-                        and (key_l is None or key_l[i] not in dirty)):
+            if clean:
+                # ---- the clean walk ------------------------------------
+                # Nothing bridges: the row-buffer outcomes of every bank
+                # access (a request's probes, then its demand) are
+                # classified up front, and the walk runs only the timing
+                # of MemoryDevice.access and bulk_transfer, in order.
+                order = sorted(pre_raw or ())
+                probe_req = [i for i in order for _ in pre_raw[i]]
+                probe_ops = [op for i in order for op in pre_raw[i]]
+                executed = range(m)
+                seq_bank, seq_row, d_pos = bank_gid, row, slice(None)
+                if probe_ops:
+                    p_code, p_addr, p_bytes, p_write = map(
+                        np.array, zip(*probe_ops))
+                    p_chan, p_bank, p_row = _decode_lanes(
+                        lanes, p_addr, p_code == 0, None,
+                        "batch_epoch_plan", controller.name)
+                    p_burst, p_bursts = _burst_arrays(lanes, p_code,
+                                                      p_bytes)
+                    # Request i's demand follows the probes of requests
+                    # up to i; a probe follows the demands before its own.
+                    p_req = np.array(probe_req, dtype=np.int64)
+                    d_pos = np.arange(m) + np.cumsum(
+                        np.bincount(p_req, minlength=m))
+                    p_pos = np.arange(len(probe_req)) + p_req
+                    seq_bank = np.empty(m + len(probe_req), dtype=np.int64)
+                    seq_row = np.empty_like(seq_bank)
+                    seq_bank[d_pos], seq_bank[p_pos] = bank_gid, p_bank
+                    seq_row[d_pos], seq_row[p_pos] = row, p_row
+                open_rows = np.asarray(open_row, dtype=np.int64)
+                seq_out = _row_outcomes(seq_bank, seq_row, open_rows)
+                open_row[:] = open_rows.tolist()
+                outcomes = seq_out[d_pos]
+                pre_l = repeat(None)
+                if probe_ops:
+                    p_out = seq_out[p_pos]
+                    pre_l = [None] * m
+                    for i, step in zip(probe_req, zip(
+                            p_chan.tolist(), p_bank.tolist(),
+                            lat_table[p_code, p_out].tolist(),
+                            p_burst.tolist())):
+                        if pre_l[i] is None:
+                            pre_l[i] = [step]
+                        else:
+                            pre_l[i].append(step)
+                for (comp_ns, f, c, b, lat, burst_ns, mc, probes,
+                     bops) in zip(comp_l, fault_l, chan_l, bank_l,
+                                  lat_table[device_idx, outcomes].tolist(),
+                                  burst_l, meta_l, pre_l, post_l):
                     t += comp_ns
                     arrival = t + f
-                    if not scripted:
-                        mc = meta_const
-                        probes = None
-                        t0 = arrival + mc
-                    else:
-                        mc = (meta_l[i] if meta_l is not None
-                              else meta_const)
-                        probes = (pre_get(i) if pre_get is not None
-                                  else None)
-                        if probes is None:
-                            t0 = arrival + mc
-                        else:
-                            # Serial probes: each runs the same inlined
-                            # demand arithmetic at the running cursor
-                            # and extends the critical path, exactly
-                            # like the scalar probe_ns composition.
-                            for (c2, b2, r2, lh2, lc2, lf2, bn2, nb2,
-                                 wr2, bs2) in probes:
-                                cur = arrival + mc
-                                ch = channels_flat[c2]
-                                if cur > ch._backlog_at_ns:
-                                    drained = (ch._backlog_ns
-                                               - (cur
-                                                  - ch._backlog_at_ns))
-                                    ch._backlog_ns = (
-                                        drained if drained > 0.0
-                                        else 0.0)
-                                    ch._backlog_at_ns = cur
-                                bk = banks_flat[b2]
-                                busy = bk._busy_until_ns
-                                issue = cur if cur > busy else busy
-                                orow = bk._open_row
-                                ctr = ch.counters
-                                if orow == r2:
-                                    data = issue + lh2
-                                    bk.hits += 1
-                                elif orow is None:
-                                    data = issue + lc2
-                                    bk.closed += 1
-                                    ctr.activations += 1
-                                else:
-                                    data = issue + lf2
-                                    bk.conflicts += 1
-                                    ctr.activations += 1
-                                bk._open_row = r2
-                                bk._busy_until_ns = data
-                                backlog = ch._backlog_ns
-                                chunk_ns = chunk_by_chan[c2]
-                                interference = (backlog
-                                                if backlog < chunk_ns
-                                                else chunk_ns)
-                                free = ch._bus_free_ns
-                                done = ((data if data > free else free)
-                                        + interference + bn2)
-                                ch._bus_free_ns = done
-                                if wr2:
-                                    ctr.write_bursts += bs2
-                                    ch.write_bytes += nb2
-                                else:
-                                    ctr.read_bursts += bs2
-                                    ch.read_bytes += nb2
-                                mc += done - cur
-                            t0 = arrival + mc
-                    ch = channels_flat[c]
-                    bk = banks_flat[bank_i]
-                    if t0 > ch._backlog_at_ns:
-                        drained = ch._backlog_ns - (t0 - ch._backlog_at_ns)
-                        ch._backlog_ns = (drained if drained > 0.0
-                                          else 0.0)
-                        ch._backlog_at_ns = t0
-                    busy = bk._busy_until_ns
-                    issue = t0 if t0 > busy else busy
-                    orow = bk._open_row
-                    if orow == r:
-                        data = issue + lat_hit
-                        out = 0
-                    elif orow is None:
-                        data = issue + lat_closed
-                        out = 1
-                    else:
-                        data = issue + lat_conf
-                        out = 2
-                    bk._open_row = r
-                    bk._busy_until_ns = data
-                    backlog = ch._backlog_ns
-                    chunk_ns = chunk_by_chan[c]
-                    interference = (backlog if backlog < chunk_ns
-                                    else chunk_ns)
-                    free = ch._bus_free_ns
-                    done = ((data if data > free else free)
-                            + interference + burst_ns)
-                    ch._bus_free_ns = done
+                    if probes is not None:
+                        # Serial probes run at the running cursor and
+                        # extend the critical path, exactly like the
+                        # scalar probe_ns composition.
+                        for c2, b2, lat2, bn2 in probes:
+                            cur = arrival + mc
+                            if cur > backlog_at[c2]:
+                                drained = (backlog[c2]
+                                           - (cur - backlog_at[c2]))
+                                backlog[c2] = (drained if drained > 0.0
+                                               else 0.0)
+                                backlog_at[c2] = cur
+                            busy = bank_busy[b2]
+                            data = (cur if cur > busy else busy) + lat2
+                            bank_busy[b2] = data
+                            pending = backlog[c2]
+                            chunk_ns = chunk_by_chan[c2]
+                            free = bus_free[c2]
+                            done = ((data if data > free else free)
+                                    + (pending if pending < chunk_ns
+                                       else chunk_ns) + bn2)
+                            bus_free[c2] = done
+                            mc += done - cur
+                    t0 = arrival + mc
+                    # An empty backlog drains to itself and adds an exact
+                    # +0.0 to the bus step, so both are skipped.
+                    pending = backlog[c]
+                    at = backlog_at[c]
+                    if t0 > at:
+                        backlog_at[c] = t0
+                        if pending:
+                            pending -= t0 - at
+                            if pending < 0.0:
+                                pending = 0.0
+                            backlog[c] = pending
+                    busy = bank_busy[b]
+                    data = (t0 if t0 > busy else busy) + lat
+                    bank_busy[b] = data
+                    free = bus_free[c]
+                    done = data if data > free else free
+                    if pending:
+                        chunk_ns = chunk_by_chan[c]
+                        done += pending if pending < chunk_ns else chunk_ns
+                    done += burst_ns
+                    bus_free[c] = done
                     if probes is None:
                         # _demand_* composes latency from the caller's
                         # now_ns even though the access starts at
@@ -1042,66 +930,112 @@ def replay_epoch(driver: "SimulationDriver",
                     running_meta += mc
                     t += latency / mlp
                     lat_append(latency)
-                    out_append(out)
-                    pend_append(i)
-                    if post_get is not None:
-                        bops = post_get(i)
-                        if bops is not None:
-                            # Bulk movement charged at the request's
-                            # arrival, mirroring Channel.bulk_transfer.
-                            for (c3, bn3, nb3, bs3, rw3, wr3) in bops:
-                                ch3 = channels_flat[c3]
-                                if arrival > ch3._backlog_at_ns:
-                                    drained = (
-                                        ch3._backlog_ns
-                                        - (arrival
-                                           - ch3._backlog_at_ns))
-                                    ch3._backlog_ns = (
-                                        drained if drained > 0.0
-                                        else 0.0)
-                                    ch3._backlog_at_ns = arrival
-                                nbk = ch3._backlog_ns + bn3
-                                ch3._backlog_ns = nbk
-                                done3 = arrival + nbk
-                                ctr3 = ch3.counters
-                                ctr3.activations += rw3
-                                if wr3:
-                                    ctr3.write_bursts += bs3
-                                    ch3.write_bytes += nb3
-                                else:
-                                    ctr3.read_bursts += bs3
-                                    ch3.read_bytes += nb3
-                                if done3 > ctr3.busy_ns:
-                                    ctr3.busy_ns = done3
-                else:
-                    if pend:
-                        commit_fn(plan, pend)
-                        executed.extend(pend)
-                        pend = []
-                        pend_append = pend.append
-                    request.addr = addr_l[i]
-                    request.is_write = write_l[i]
-                    request.icount = icount_l[i]
-                    t += comp_ns
-                    fns = fault_penalty(request)
-                    result = controller_access(request, t + fns)
-                    latency = result.latency_ns + fns
-                    t += latency / mlp
-                    running += latency
-                    running_meta += result.metadata_ns
-                    lat_append(latency)
-                    bridged += 1
-                    if result.hbm_hit:
-                        bridged_hbm += 1
-                    if key_l is not None:
-                        dirty.add(key_l[i])
-                    if guard_fn is not None and not demoted_all:
-                        fresh = guard_fn()
-                        if fresh != token:
-                            demoted_all = True
-            if pend:
-                commit_fn(plan, pend)
-                executed.extend(pend)
+                    if bops is not None:
+                        # Movement charged at the request's arrival, one
+                        # share per channel as bulk_transfer charges it
+                        # (its counts were added with the script).
+                        for c3, bn3 in bops:
+                            at = backlog_at[c3]
+                            if arrival > at:
+                                drained = backlog[c3] - (arrival - at)
+                                queued = (drained if drained > 0.0
+                                          else 0.0) + bn3
+                                backlog_at[c3] = arrival
+                            else:
+                                queued = backlog[c3] + bn3
+                            backlog[c3] = queued
+                            done = arrival + queued
+                            if done > chan_busy[c3]:
+                                chan_busy[c3] = done
+                commit_fn(plan, executed)
+            else:
+                # ---- the bridging walk ---------------------------------
+                # Pure requests run MemoryDevice.access inlined, bank FSM
+                # included; an impure one commits the pure run since the
+                # last bridge, [run_start, i), and bridges through
+                # ``controller.access``.
+                lat3 = lat_table[device_idx]
+                keys = plan.inval_key
+                key_l = (np.asarray(keys).tolist()
+                         if keys is not None else repeat(None))
+                addr_l = addr.tolist()
+                write_l = is_write.tolist()
+                icount_l = icount.tolist()
+                token = guard_fn() if guard_fn is not None else None
+                dirty: set = set()
+                demoted_all = False
+                run_start = 0
+                executed = []
+                outcomes = []
+                out_append = outcomes.append
+                for i, (is_pure, comp_ns, f, c, bank_i, r, lat_hit,
+                        lat_closed, lat_conf, burst_ns, key) in enumerate(
+                            zip(pure.tolist(), comp_l, fault_l, chan_l,
+                                bank_l, row.tolist(), lat3[:, 0].tolist(),
+                                lat3[:, 1].tolist(), lat3[:, 2].tolist(),
+                                burst_l, key_l)):
+                    if is_pure and not demoted_all and key not in dirty:
+                        t += comp_ns
+                        arrival = t + f
+                        t0 = arrival + meta_const
+                        if t0 > backlog_at[c]:
+                            drained = backlog[c] - (t0 - backlog_at[c])
+                            backlog[c] = drained if drained > 0.0 else 0.0
+                            backlog_at[c] = t0
+                        busy = bank_busy[bank_i]
+                        issue = t0 if t0 > busy else busy
+                        orow = open_row[bank_i]
+                        if orow == r:
+                            data = issue + lat_hit
+                            out = 0
+                        elif orow < 0:
+                            data = issue + lat_closed
+                            out = 1
+                        else:
+                            data = issue + lat_conf
+                            out = 2
+                        open_row[bank_i] = r
+                        bank_busy[bank_i] = data
+                        pending = backlog[c]
+                        chunk_ns = chunk_by_chan[c]
+                        free = bus_free[c]
+                        done = ((data if data > free else free)
+                                + (pending if pending < chunk_ns
+                                   else chunk_ns) + burst_ns)
+                        bus_free[c] = done
+                        latency = (done - arrival) + f
+                        running += latency
+                        running_meta += meta_const
+                        t += latency / mlp
+                        lat_append(latency)
+                        out_append(out)
+                    else:
+                        if run_start < i:
+                            commit_fn(plan, range(run_start, i))
+                            executed.extend(range(run_start, i))
+                        run_start = i + 1
+                        request.addr = addr_l[i]
+                        request.is_write = write_l[i]
+                        request.icount = icount_l[i]
+                        t += comp_ns
+                        fns = fault_penalty(request)
+                        result = controller_access(request, t + fns)
+                        latency = result.latency_ns + fns
+                        t += latency / mlp
+                        running += latency
+                        running_meta += result.metadata_ns
+                        lat_append(latency)
+                        if result.hbm_hit:
+                            bridged_hbm += 1
+                        if key is not None:
+                            dirty.add(key)
+                        if guard_fn is not None and not demoted_all:
+                            fresh = guard_fn()
+                            if fresh != token:
+                                demoted_all = True
+                if run_start < m:
+                    commit_fn(plan, range(run_start, m))
+                    executed.extend(range(run_start, m))
             now = t
 
             if not measured:
@@ -1114,11 +1048,9 @@ def replay_epoch(driver: "SimulationDriver",
             instructions += int(icount.sum())
             measured_requests += m
             hbm_hits += bridged_hbm
-            if executed:
+            if len(executed):
                 idx = np.asarray(executed, dtype=np.int64)
-                outs = np.asarray(outcomes, dtype=np.int64)
                 cg = chan_gid[idx]
-                bg = bank_gid[idx]
                 wr = is_write[idx]
                 epoch_pure_hbm = int(use_hbm[idx].sum())
                 pure_hbm_hits += epoch_pure_hbm
@@ -1127,23 +1059,23 @@ def replay_epoch(driver: "SimulationDriver",
                 writes = int(wr.sum())
                 demand_writes += writes
                 demand_reads += idx.shape[0] - writes
-                reads_per_chan += np.bincount(cg[~wr], minlength=nch)
-                writes_per_chan += np.bincount(cg[wr], minlength=nch)
-                acts_per_chan += np.bincount(cg[outs != 0],
-                                             minlength=nch)
-                hits_per_bank += np.bincount(bg[outs == 0],
-                                             minlength=nbank)
-                closed_per_bank += np.bincount(bg[outs == 1],
-                                               minlength=nbank)
-                conflicts_per_bank += np.bincount(bg[outs == 2],
-                                                  minlength=nbank)
+                _add_counts(state, cg, bank_gid[idx], wr,
+                            np.asarray(outcomes, dtype=np.int64),
+                            np.full(idx.shape[0], CACHE_LINE_BYTES),
+                            bursts_by_chan[cg])
+            if clean and probe_ops:
+                _add_counts(state, p_chan, p_bank, p_write, p_out,
+                            p_bytes, p_bursts)
 
-    # ---- write the deferred measured state back into the controller -----
-    # The stats bumps are conditional: the scalar loop only creates a
-    # counter key when it actually increments, and controller_stats
-    # equality is exact.  Bridged requests already bumped their own stats
-    # and device counters live; everything deferred here is add-only or
-    # a max-watermark, so epoch-end accumulation commutes exactly.
+    # ---- the deferred measured state -------------------------------------
+    # Pure demand completions only advanced bus_free; the busy horizon is
+    # their max-watermark.  The stats bumps are conditional: the scalar
+    # loop only creates a counter key when it actually increments, and
+    # controller_stats equality is exact.  Bridged requests already bumped
+    # their own stats and device counters live; everything deferred here
+    # is add-only or a max-watermark, so deferred accumulation commutes
+    # exactly.
+    chan_busy[:] = map(max, chan_busy, bus_free)
     bump = controller.stats.bump
     if demand_reads:
         bump("demand_reads", demand_reads)
@@ -1153,26 +1085,6 @@ def replay_epoch(driver: "SimulationDriver",
         bump("hbm_demand_hits", pure_hbm_hits)
     if faults:
         bump("page_faults", faults)
-    for lane in lanes:
-        per_access = lane.bursts_per_access
-        for index, channel in enumerate(lane.device.channels):
-            gid = lane.chan_offset + index
-            reads = int(reads_per_chan[gid])
-            writes = int(writes_per_chan[gid])
-            channel.read_bytes += reads * CACHE_LINE_BYTES
-            channel.write_bytes += writes * CACHE_LINE_BYTES
-            counters = channel.counters
-            counters.activations += int(acts_per_chan[gid])
-            counters.read_bursts += reads * per_access
-            counters.write_bursts += writes * per_access
-            if channel._bus_free_ns > counters.busy_ns:
-                counters.busy_ns = channel._bus_free_ns
-            for bank_index, bank in enumerate(channel.banks):
-                bgid = (lane.bank_offset + index * lane.banks
-                        + bank_index)
-                bank.hits += int(hits_per_bank[bgid])
-                bank.closed += int(closed_per_bank[bgid])
-                bank.conflicts += int(conflicts_per_bank[bgid])
 
     controller.finish(now)
     elapsed = now - measure_start

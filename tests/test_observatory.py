@@ -98,6 +98,18 @@ class TestRunStore:
         assert (added, seen) == (0, 4)
         assert store.run_count == 4
 
+    def test_duplicate_leaves_no_open_transaction(self, store, tmp_path):
+        assert store.add_record(LEGACY_TIMED, source="campaign")
+        assert not store.add_record(LEGACY_TIMED, source="campaign")
+        assert not store._conn.in_transaction
+        other = RunStore(tmp_path / "runs.db")
+        other._conn.execute("PRAGMA busy_timeout = 0")
+        try:
+            assert other.add_record(LEGACY_NO_TIMING, source="campaign")
+        finally:
+            other.close()
+        assert store.run_count == 2
+
     def test_query_filters(self, store, mixed_file):
         store.ingest_jsonl(mixed_file)
         assert len(store.query(workload="mcf")) == 3

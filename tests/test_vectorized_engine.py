@@ -156,6 +156,45 @@ class TestEpochBitIdentity:
                 assert driver.last_engine == "vector", (design, epoch)
                 assert vector == scalar, (design, epoch)
 
+    def test_bulk_commit_keeps_every_used_line_of_a_page(self):
+        """A 64KB page has 1024 lines: the bulk commit path must OR line
+        bits past 63 exactly (a uint64 shift wraps them), or the BLE
+        used bitmaps and ``overfetch_bytes`` drift from the scalar loop."""
+        harness = ExperimentHarness(ExperimentConfig(
+            requests=20_000, warmup=10_000, seed=1234,
+            workloads=("lbm",)))
+        trace = harness.trace("lbm")
+        records = []
+        for engine in ("scalar", "auto"):
+            controller = registry.build(
+                "No-HMF", harness.hbm_config, harness.dram_config,
+                sram_bytes=harness.config.scale.sram_bytes)
+            records.append(harness.driver.run(
+                controller, trace, workload="lbm", warmup=10_000,
+                engine=engine).to_record())
+        assert records[0]["controller_stats"]["overfetch_bytes"] > 0
+        assert records[1] == records[0]
+
+    def test_scripted_plan_must_be_all_pure(self):
+        """A plan that scripts device ops is walked without bridging —
+        its row-buffer outcomes and movement counts are settled up
+        front — so leaving a request impure is rejected, not bridged."""
+        harness = ExperimentHarness(CONFIG)
+        controller = make_controller("AlloyCache", harness.hbm_config,
+                                     harness.dram_config)
+        plan_epoch = controller.batch_epoch_plan
+
+        def leaky(addr, is_write):
+            plan = plan_epoch(addr, is_write)
+            plan.pure[0] = False
+            return plan
+
+        controller.batch_epoch_plan = leaky
+        with pytest.raises(ValueError, match="impure"):
+            SimulationDriver(harness.config.cpu).run(
+                controller, _trace(harness, n=300), workload="mcf",
+                engine="vector")
+
     @given(data=st.data())
     @settings(max_examples=8, deadline=None)
     def test_two_pass_commit_matches_scalar_feedback_order(self, data):
