@@ -47,7 +47,6 @@ the resume hint.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -118,7 +117,7 @@ def _record_key(record: dict) -> str:
 def _comparison_record(comparison: WorkloadComparison,
                        harness: ExperimentHarness) -> dict:
     from .. import __version__
-    record = dataclasses.asdict(comparison)
+    record = comparison.to_record()
     record["config"] = {
         "requests": harness.config.requests,
         "warmup": harness.config.warmup,

@@ -139,24 +139,54 @@ class ExperimentHarness:
         self._comparisons: dict[tuple[DesignSpec, str],
                                 WorkloadComparison] = {}
         self._cell_timings: dict[tuple[str, str], dict[str, float]] = {}
+        self._dumps: dict = {}
+        self._encoded_designs: dict[DesignSpec, dict[str, str]] = {}
+        self._encoded_workloads: dict[str, dict[str, str]] = {}
 
     # ---- shared plumbing -------------------------------------------------
 
+    def _dump(self, value) -> dict:
+        """``dataclasses.asdict(value)`` of one frozen key input, built
+        once per distinct value.
+
+        Memoized by value (frozen dataclasses hash by their fields), so
+        a page-size refit of the devices gets its own entry.  The dump
+        is shared: key builders only read it, and :meth:`_key_fields`
+        hands out copies.
+        """
+        dump = self._dumps.get(value)
+        if dump is None:
+            dump = self._dumps[value] = dataclasses.asdict(value)
+        return dump
+
     def _key_fields(self, workload: str) -> dict:
-        """Common cache-key components of any run on ``workload``."""
+        """Common cache-key components of any run on ``workload``.
+
+        A fresh dict each call, nested dumps included, so a caller that
+        edits it cannot reach the memoized dumps behind later keys.
+        """
         # Lazy import: repro/__init__ pulls in this module's package.
         from .. import __version__
         c = self.config
         return {
             "workload": workload,
-            "spec": dataclasses.asdict(SPEC2017[workload]),
+            "spec": dict(self._dump(SPEC2017[workload])),
             "scale": c.scale.factor,
             "requests": c.requests,
             "warmup": c.warmup,
             "seed": c.seed,
-            "cpu": dataclasses.asdict(c.cpu),
+            "cpu": dict(self._dump(c.cpu)),
             "version": __version__,
         }
+
+    def _encoded_key_fields(self, workload: str) -> dict[str, str]:
+        """:meth:`_key_fields` pre-encoded for
+        :meth:`ResultCache.key_for_encoded`, once per workload."""
+        encoded = self._encoded_workloads.get(workload)
+        if encoded is None:
+            encoded = self._encoded_workloads[workload] = \
+                ResultCache.encode_fields(**self._key_fields(workload))
+        return encoded
 
     @staticmethod
     def _resolve_spec(design: "str | DesignSpec") -> DesignSpec:
@@ -178,15 +208,19 @@ class ExperimentHarness:
         ``chbm_ratio`` points of a sweep alias each other's records.
         """
         spec = self._resolve_spec(design)
-        return ResultCache.key_for(
-            kind="design",
-            design=spec.name,
-            design_spec=spec.to_dict(),
-            design_spec_hash=spec.spec_hash,
-            hbm=dataclasses.asdict(self.hbm_config),
-            dram=dataclasses.asdict(self.dram_config),
-            sram_bytes=self.config.scale.sram_bytes,
-            **self._key_fields(workload))
+        encoded = self._encoded_designs.get(spec)
+        if encoded is None:
+            encoded = self._encoded_designs[spec] = \
+                ResultCache.encode_fields(
+                    kind="design",
+                    design=spec.name,
+                    design_spec=spec.to_dict(),
+                    design_spec_hash=spec.spec_hash,
+                    hbm=self._dump(self.hbm_config),
+                    dram=self._dump(self.dram_config),
+                    sram_bytes=self.config.scale.sram_bytes)
+        return ResultCache.key_for_encoded(
+            {**encoded, **self._encoded_key_fields(workload)})
 
     def _bumblebee_key(self, bumblebee_config: BumblebeeConfig,
                        workload: str, name: str,
@@ -196,9 +230,9 @@ class ExperimentHarness:
         return ResultCache.key_for(
             kind="bumblebee",
             design=name,
-            bumblebee=dataclasses.asdict(bumblebee_config),
-            hbm=dataclasses.asdict(hbm_config),
-            dram=dataclasses.asdict(dram_config),
+            bumblebee=self._dump(bumblebee_config),
+            hbm=self._dump(hbm_config),
+            dram=self._dump(dram_config),
             **self._key_fields(workload))
 
     def cache_put(self, key: str, record) -> None:
@@ -242,9 +276,10 @@ class ExperimentHarness:
                           record: dict) -> WorkloadComparison:
         """Adopt a comparison computed elsewhere (a worker process).
 
-        The record (a ``dataclasses.asdict`` dump) lands in the in-memory
-        cell cache and, when configured, the persistent cache — exactly
-        as if this harness had simulated the cell itself.
+        The record (a :meth:`WorkloadComparison.to_record` dump) lands
+        in the in-memory cell cache and, when configured, the persistent
+        cache — exactly as if this harness had simulated the cell
+        itself.
         """
         spec = self._resolve_spec(design)
         comparison = WorkloadComparison(**record)
@@ -283,8 +318,8 @@ class ExperimentHarness:
         """Cache key of one no-HBM baseline run."""
         return ResultCache.key_for(
             kind="baseline",
-            hbm=dataclasses.asdict(self.hbm_config),
-            dram=dataclasses.asdict(self.dram_config),
+            hbm=self._dump(self.hbm_config),
+            dram=self._dump(self.dram_config),
             **self._key_fields(workload))
 
     def baseline(self, workload: str) -> SimResult:
@@ -413,7 +448,7 @@ class ExperimentHarness:
         self._comparisons[(spec, workload)] = comparison
         if self.cache is not None:
             self.cache_put(self._comparison_key(spec, workload),
-                           dataclasses.asdict(comparison))
+                           comparison.to_record())
         self._record_timing(spec.name, workload, snapshot, engine=engine)
         return comparison
 
@@ -444,7 +479,7 @@ class ExperimentHarness:
         engine = self._engine_timing()
         comparison = compare(result, self.baseline(workload))
         if key is not None:
-            self.cache_put(key, dataclasses.asdict(comparison))
+            self.cache_put(key, comparison.to_record())
         self._record_timing(name, workload, snapshot, engine=engine)
         return comparison
 

@@ -9,7 +9,7 @@ practice for those metric families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 from ..sim.driver import SimResult
@@ -31,6 +31,17 @@ class WorkloadComparison:
     overfetch_fraction: float
     metadata_latency_fraction: float
     page_faults: int
+
+    def to_record(self) -> dict:
+        """A flat ``{field: value}`` dump in field order.
+
+        Every field is a scalar, so this equals
+        ``dataclasses.asdict(self)`` without its recursive deep copy.
+        """
+        return {name: getattr(self, name) for name in _COMPARISON_FIELDS}
+
+
+_COMPARISON_FIELDS = tuple(f.name for f in fields(WorkloadComparison))
 
 
 def compare(result: SimResult, baseline: SimResult) -> WorkloadComparison:

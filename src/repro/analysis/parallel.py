@@ -21,8 +21,8 @@ no-HBM baseline records instead of re-simulating them; likewise a
 stream from the shared on-disk trace cache instead of re-synthesising
 it.
 
-Workers return plain ``dataclasses.asdict`` dumps (cheap to pickle)
-plus the cell's timing record; the parent harness re-adopts them
+Workers return plain ``WorkloadComparison.to_record`` dumps (cheap to
+pickle) plus the cell's timing record; the parent harness re-adopts them
 through :meth:`ExperimentHarness.absorb_comparison` /
 :meth:`ExperimentHarness.adopt_timing`, which also feed the persistent
 result cache when one is configured.
@@ -44,7 +44,6 @@ an exception — one poisoned cell cannot abort a campaign).
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
@@ -102,7 +101,7 @@ def _design_cell(task: tuple) -> tuple:
     """Worker: simulate one named-design cell, return (record, timing)."""
     config, cache_root, design, workload = task
     harness = _worker_harness(config, cache_root)
-    record = dataclasses.asdict(harness.run_design(design, workload))
+    record = harness.run_design(design, workload).to_record()
     return record, harness.cell_timing(design, workload)
 
 
@@ -118,8 +117,7 @@ def _bumblebee_cell(task: tuple) -> tuple:
         comparison = harness.run_bumblebee(bconfig, workload, name=name,
                                            hbm_config=hbm,
                                            dram_config=dram)
-    return dataclasses.asdict(comparison), harness.cell_timing(name,
-                                                               workload)
+    return comparison.to_record(), harness.cell_timing(name, workload)
 
 
 def resolve_jobs(jobs: int | None) -> int:

@@ -31,7 +31,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 from ..resilience.checkpoint import fsync_dir
 
@@ -83,6 +83,28 @@ class ResultCache:
         """
         digest = hashlib.sha256(_canonical(fields).encode("utf-8"))
         return digest.hexdigest()
+
+    @staticmethod
+    def encode_fields(**fields: Any) -> dict[str, str]:
+        """Each field as its canonical ``"name":value`` JSON text.
+
+        Encoding is the costly part of :meth:`key_for`; a caller that
+        keys many cells on the same inputs encodes them once and joins
+        the texts with :meth:`key_for_encoded`.
+        """
+        return {name: f"{_canonical(name)}:{_canonical(value)}"
+                for name, value in fields.items()}
+
+    @staticmethod
+    def key_for_encoded(encoded: Mapping[str, str]) -> str:
+        """:meth:`key_for` of fields pre-encoded by :meth:`encode_fields`.
+
+        The canonical form writes an object as its ``"name":value``
+        pairs in sorted name order, so joining the pre-encoded pairs
+        that way gives the same bytes, and so the same key.
+        """
+        body = ",".join(encoded[name] for name in sorted(encoded))
+        return hashlib.sha256(f"{{{body}}}".encode("utf-8")).hexdigest()
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"

@@ -16,7 +16,6 @@ scenario table (lazily, to avoid an import cycle) and run via
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import re
@@ -351,8 +350,8 @@ def fleet_duplicate_completion(sweep: _Sweep) -> ChaosCase:
         slow = FabricClient(url, "wA")
         lease = slow.call("POST", "/lease", {"worker": "wA"})
         design, workload = unwire_cell(lease["cell"])
-        comparison = dataclasses.asdict(
-            sweep.harness().run_design(design, workload))
+        comparison = sweep.harness().run_design(
+            design, workload).to_record()
         time.sleep(1.3)            # lease expires; sweeper reclaims it
         first = FabricClient(url, "wB").call("POST", "/complete", {
             "worker": "wB", "lease": "lost-in-restart",

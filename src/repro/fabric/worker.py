@@ -25,7 +25,6 @@ the cell.
 
 from __future__ import annotations
 
-import dataclasses
 import http.client
 import json
 import os
@@ -254,7 +253,7 @@ def run_worker(url: str, worker_id: str | None = None,
         outcome = client.call("POST", "/complete", {
             "worker": worker_id, "lease": reply["lease"],
             "cell": reply["cell"],
-            "comparison": dataclasses.asdict(comparison),
+            "comparison": comparison.to_record(),
             "timing": harness.cell_timing(design, workload)})
         completed += 1
         if progress is not None:

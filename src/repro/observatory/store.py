@@ -151,7 +151,8 @@ class RunStore:
         record ingested twice (from the file, from an on-the-fly
         ``--db`` hook, from a copy of the file) lands exactly once.
         """
-        digest = record_hash(record)
+        record_json = _canonical(record)
+        digest = hashlib.sha256(record_json.encode("utf-8")).hexdigest()
         spec = record.get("spec")
         spec_json = None
         spec_hash = None
@@ -169,7 +170,7 @@ class RunStore:
              record.get("workload"), spec_hash, spec_json,
              config.get("seed"), config.get("requests"),
              config.get("warmup"), config.get("scale"),
-             config.get("version"), _canonical(record)))
+             config.get("version"), record_json))
         if cursor.rowcount == 0:
             # The ignored INSERT still opened an implicit transaction;
             # left open, it locks the database against other writers.

@@ -9,6 +9,7 @@ must complete to the same bytes a straight-through run writes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -149,6 +150,28 @@ class TestBackendEquivalence:
             outcome = self._fleet_fill(resumed)
         assert outcome.new_runs == 2
         assert resumed.out.read_bytes() == reference.out.read_bytes()
+
+    def test_cache_served_rerun_is_byte_identical(self, tmp_path):
+        cache_dir = str(tmp_path / "results")
+        cold = plan_for(tmp_path, "cold.jsonl", cache_dir=cache_dir)
+        assert fill(cold, SerialBackend()).new_runs == 4
+        warm = plan_for(tmp_path, "warm.jsonl", cache_dir=cache_dir,
+                        db=":memory:")
+        campaign = warm.open_campaign()
+        try:
+            assert SerialBackend().execute(warm, campaign).new_runs == 4
+            cache = campaign.harness.cache
+            assert (cache.hits, cache.misses) == (4, 0)
+            assert campaign.store.counts_by_source() == {"campaign": 4}
+        finally:
+            campaign.store.close()
+        assert warm.out.read_bytes() == cold.out.read_bytes()
+        comparison = comparison_of(campaign, "Bumblebee", "mcf")
+        assert type(comparison.page_faults) is int
+        # Same pairs in the same order: record key order reaches the
+        # campaign bytes.
+        assert list(comparison.to_record().items()) == \
+            list(dataclasses.asdict(comparison).items())
 
 
 class TestFabricBackend:

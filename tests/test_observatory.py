@@ -182,6 +182,14 @@ class TestRunStore:
         assert record_hash(a) == record_hash(dict(reversed(a.items())))
         assert record_hash(a) != record_hash({**a, "norm_ipc": 1.1})
 
+    def test_stored_identity_is_record_hash(self, store):
+        record = SPEC_TIMED[0]
+        assert store.add_record(record, source="campaign")
+        row = store._conn.execute(
+            "SELECT record_hash, record_json FROM runs").fetchone()
+        assert row["record_hash"] == record_hash(record)
+        assert json.loads(row["record_json"]) == record
+
     def test_scalar_metrics_excludes_identity_and_blocks(self):
         metrics = scalar_metrics(SPEC_TIMED[0])
         assert "norm_ipc" in metrics and "norm_energy" in metrics

@@ -7,11 +7,12 @@ corrupted cache entry must be healed by recomputation, never returned.
 """
 
 import dataclasses
+import enum
 import json
 
 import pytest
 
-from repro import ExperimentConfig, ExperimentHarness
+from repro import ExperimentConfig, ExperimentHarness, __version__
 from repro.analysis import (
     Campaign,
     ResultCache,
@@ -22,8 +23,11 @@ from repro.analysis import (
 )
 from repro.analysis.campaign import run_campaign
 from repro.baselines import make_controller
+from repro.analysis.experiments import fitted_devices
 from repro.core.config import BumblebeeConfig
+from repro.designs import DesignSpec, registry
 from repro.sim.driver import SimulationDriver
+from repro.traces.spec import SPEC2017
 
 FAST = ExperimentConfig(requests=1500, warmup=500,
                         workloads=("leela", "mcf"))
@@ -133,6 +137,103 @@ class TestResultCache:
         second = ExperimentHarness(FAST, cache=ResultCache(tmp_path))
         assert run_bumblebee_cells(second, cells) == computed
         assert second.cache.hits == 1
+
+    def test_encoded_key_equals_key_for(self):
+        class Colour(enum.Enum):
+            RED = 1
+        fields = dict(design="Bee", design_spec={"b": [1, 2.5], "a": None},
+                      design_spec_hash="ab", kind="design", flag=True,
+                      label="caf\u00e9 \"q\"", policy=Colour.RED,
+                      nested={"z": {"y": 1e-300, "x": -0.0}})
+        encoded = ResultCache.encode_fields(**fields)
+        assert ResultCache.key_for_encoded(encoded) == \
+            ResultCache.key_for(**fields)
+
+
+def _reference_fields(harness, workload):
+    """The common key fields, derived the way the parent commit did."""
+    c = harness.config
+    return {"workload": workload,
+            "spec": dataclasses.asdict(SPEC2017[workload]),
+            "scale": c.scale.factor, "requests": c.requests,
+            "warmup": c.warmup, "seed": c.seed,
+            "cpu": dataclasses.asdict(c.cpu), "version": __version__}
+
+
+def _reference_comparison_key(harness, design, workload):
+    spec = registry.resolve(design)
+    return ResultCache.key_for(
+        kind="design", design=spec.name, design_spec=spec.to_dict(),
+        design_spec_hash=spec.spec_hash,
+        hbm=dataclasses.asdict(harness.hbm_config),
+        dram=dataclasses.asdict(harness.dram_config),
+        sram_bytes=harness.config.scale.sram_bytes,
+        **_reference_fields(harness, workload))
+
+
+def _reference_bumblebee_key(harness, bconfig, workload, name, hbm, dram):
+    return ResultCache.key_for(
+        kind="bumblebee", design=name,
+        bumblebee=dataclasses.asdict(bconfig),
+        hbm=dataclasses.asdict(hbm), dram=dataclasses.asdict(dram),
+        **_reference_fields(harness, workload))
+
+
+class TestKeyPins:
+    """Memoized and pre-encoded key inputs must keep every result-cache
+    key byte-identical, so caches written by earlier versions stay
+    warm.  The reference re-derives each key from fresh
+    ``dataclasses.asdict`` dumps through ``ResultCache.key_for``."""
+
+    def test_comparison_keys(self):
+        harness = ExperimentHarness(FAST)
+        designs = list(registry.names()) + [
+            DesignSpec(base="Bumblebee",
+                       params={"chbm_ratio": 0.5, "allocation": "dram"})]
+        assert len(designs) == 19
+        for design in designs:
+            for workload in SPEC2017:
+                assert harness._comparison_key(design, workload) == \
+                    _reference_comparison_key(harness, design, workload)
+
+    def test_baseline_keys(self):
+        harness = ExperimentHarness(FAST)
+        for workload in SPEC2017:
+            assert harness._baseline_key(workload) == ResultCache.key_for(
+                kind="baseline",
+                hbm=dataclasses.asdict(harness.hbm_config),
+                dram=dataclasses.asdict(harness.dram_config),
+                **_reference_fields(harness, workload))
+
+    def test_bumblebee_keys_at_harness_devices_and_refit(self):
+        harness = ExperimentHarness(FAST)
+        refit = fitted_devices(FAST.scale, page_bytes=96 * 1024)
+        assert refit != (harness.hbm_config, harness.dram_config)
+        cells = [(BumblebeeConfig(), "bee",
+                  (harness.hbm_config, harness.dram_config)),
+                 (BumblebeeConfig(page_bytes=96 * 1024), "bee-96k", refit)]
+        for workload in ("leela", "mcf"):
+            for bconfig, name, (hbm, dram) in cells:
+                assert harness._bumblebee_key(
+                    bconfig, workload, name, hbm, dram) == \
+                    _reference_bumblebee_key(harness, bconfig, workload,
+                                             name, hbm, dram)
+
+    def test_edited_key_fields_do_not_leak(self):
+        harness = ExperimentHarness(FAST)
+        fields = harness._key_fields("mcf")
+        fields["seed"] = -1
+        fields["spec"]["mpki"] = 0.0
+        fields["cpu"]["cores"] = 99
+        assert harness._key_fields("mcf") == \
+            _reference_fields(harness, "mcf")
+        assert harness._comparison_key("Bumblebee", "mcf") == \
+            _reference_comparison_key(harness, "Bumblebee", "mcf")
+        assert harness._bumblebee_key(
+            BumblebeeConfig(), "mcf", "bee", harness.hbm_config,
+            harness.dram_config) == _reference_bumblebee_key(
+                harness, BumblebeeConfig(), "mcf", "bee",
+                harness.hbm_config, harness.dram_config)
 
 
 class TestCampaignJsonl:
