@@ -319,9 +319,9 @@ class Campaign:
         generation vs simulation wall time, trace-cache counter deltas
         (hits / misses / generated / bytes), and replay-engine counts
         (``engine_vector`` / ``engine_scalar`` cells plus their
-        ``vector_epochs`` / ``scalar_epochs`` — numeric flags so they
-        sum here without special-casing).  Records persisted by older
-        versions (no timing block) are skipped.
+        ``vector_epochs`` / ``scalar_epochs`` / ``bridged_requests`` —
+        numeric so they sum here without special-casing).  Records
+        persisted by older versions (no timing block) are skipped.
         """
         totals: dict[str, float] = {"cells": 0, "gen_s": 0.0, "sim_s": 0.0}
         for record in self._records.values():

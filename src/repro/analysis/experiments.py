@@ -381,12 +381,15 @@ class ExperimentHarness:
         """The driver's engine choice for the run that just finished, as
         numeric timing keys (``Campaign.timing_summary`` sums every
         timing value, so engine choice is encoded as 0/1 indicators and
-        epoch counts rather than strings).  A scalar cell additionally
-        carries a ``fallback_<reason>`` indicator (hyphens as
-        underscores, e.g. ``fallback_design_not_batch_capable``) so a
-        campaign summary shows not just *how many* cells fell back but
-        *why*.  Cells served from a cache never simulated, so they
-        carry no engine keys at all."""
+        epoch counts rather than strings).  ``bridged_requests`` counts
+        the requests the two-pass epoch engine ran through the scalar
+        ``controller.access`` bridge (0 on the other engines).  A scalar
+        cell additionally carries a ``fallback_<reason>`` indicator
+        (hyphens as underscores, e.g.
+        ``fallback_design_not_batch_capable``) so a campaign summary
+        shows not just *how many* cells fell back but *why*.  Cells
+        served from a cache never simulated, so they carry no engine
+        keys at all."""
         driver = self.driver
         timing = {
             "engine_vector": 1.0 if driver.last_engine == "vector"
@@ -395,6 +398,7 @@ class ExperimentHarness:
             else 1.0,
             "vector_epochs": float(driver.last_vector_epochs),
             "scalar_epochs": float(driver.last_scalar_epochs),
+            "bridged_requests": float(driver.last_bridged_requests),
         }
         if driver.last_fallback_reason is not None:
             reason = driver.last_fallback_reason.replace("-", "_")

@@ -321,7 +321,8 @@ def _print_timing(campaign) -> None:
                  f"vector / {timing.get('engine_scalar', 0):.0f} "
                  f"scalar cells "
                  f"({timing.get('vector_epochs', 0):.0f} vector "
-                 f"epochs)")
+                 f"epochs, {timing.get('bridged_requests', 0):.0f} "
+                 f"bridged requests)")
         fallbacks = {key[len("fallback_"):].replace("_", "-"): count
                      for key, count in sorted(timing.items())
                      if key.startswith("fallback_") and count}

@@ -45,6 +45,13 @@ from .policy import (
 )
 from .prt import UNALLOCATED, PageRemappingTable
 
+#: Run length from which :meth:`BumblebeeController.commit_epoch` lands
+#: feedback through its numpy scatter-OR form instead of the per-request
+#: loop.  The bulk form costs ~0.2 ms more per call; measured on pure runs
+#: of the fig8-cold Bumblebee and pressure-cold family cells, it is slower
+#: at 512 requests, even at 1024 and ~20% faster at 2048.
+COMMIT_BULK_MIN = 1024
+
 
 class BumblebeeController(HybridMemoryController):
     """Bumblebee's HMMC sitting between the LLC and the two memories."""
@@ -70,11 +77,17 @@ class BumblebeeController(HybridMemoryController):
         self._recent_allocs: list[deque[int]] = [
             deque(maxlen=2) for _ in range(g.sets)]
         self._decision_ticks = [0] * g.sets
+        # Per-set count of changes to what an epoch classification reads
+        # (PRT slots, way owners and modes, cHBM block bits), bumped at
+        # every such change: the two-pass engine re-checks a set's
+        # pending requests only after a bridge that moved it.
+        self._set_versions = [0] * g.sets
         self._chbm_disabled = [False] * g.sets
         self._hmf_cooldown = 0
         self._hmf_cursor = 0
         self._hmf_streak = 0
         self._hmf_flush_interval = 512
+        self._hmf_flushes = 0   # the epoch guard token
         self._full_block_mask = (1 << c.blocks_per_page) - 1
         self._lines_per_block = c.block_bytes // 64
         self._lines_per_page = c.page_bytes // 64
@@ -92,6 +105,7 @@ class BumblebeeController(HybridMemoryController):
         # chains would otherwise be re-walked on every LLC miss).
         self._page_bytes = c.page_bytes
         self._block_bytes = c.block_bytes
+        self._most_blocks = c.most_blocks_threshold
         self._sets = g.sets
         self._slots_per_set = g.slots_per_set
         self._dram_slots = g.dram_slots
@@ -217,6 +231,7 @@ class BumblebeeController(HybridMemoryController):
                 f"set {set_index} has no free slot for page {orig}; "
                 "the OS address space cannot exceed the slot count")
         rset.allocate(orig, slot)
+        self._set_versions[set_index] += 1
         self._recent_allocs[set_index].append(orig)
         self.stats.bump("alloc_hbm" if self.geometry.is_hbm_slot(slot)
                         else "alloc_dram")
@@ -261,7 +276,7 @@ class BumblebeeController(HybridMemoryController):
                            used_line: int = 0) -> None:
         ble = self.ble[set_index]
         tracker = self.hot[set_index]
-        na, nn, nc = ble.spatial_counts(self.config.most_blocks_threshold)
+        na, nn, nc = ble.spatial_counts(self._most_blocks)
         condition = SetCondition(
             sl=spatial_locality(na, nn, nc),
             rh=ble.occupancy(),
@@ -314,6 +329,7 @@ class BumblebeeController(HybridMemoryController):
             g.hbm_page_addr(set_index, hbm_slot),
             self.config.page_bytes, now_ns)
         rset.move(orig, hbm_slot)
+        self._set_versions[set_index] += 1
         entry = self.ble[set_index][way]
         entry.reset()
         entry.owner = orig
@@ -354,6 +370,7 @@ class BumblebeeController(HybridMemoryController):
             g.hbm_page_addr(set_index, g.dram_slots + way) + block_off,
             self.config.block_bytes, now_ns)
         entry.mark_valid(block)
+        self._set_versions[set_index] += 1
         entry.mark_brought_lines(
             self._block_line_mask << (block * self._lines_per_block))
         if used_line is not None:
@@ -392,7 +409,7 @@ class BumblebeeController(HybridMemoryController):
         """§III-E (2): a mostly-cached cHBM page becomes an mHBM page."""
         entry = self.ble[set_index][way]
         if not should_switch_to_mhbm(entry.valid_count(),
-                                     self.config.most_blocks_threshold,
+                                     self._most_blocks,
                                      adaptive=self._adaptive):
             return
         g = self.geometry
@@ -423,6 +440,7 @@ class BumblebeeController(HybridMemoryController):
                                       << (b * self._lines_per_block))
         entry.mark_brought_lines(missing_line_mask)
         rset.move(orig, hbm_slot)
+        self._set_versions[set_index] += 1
         entry.mode = WayMode.MHBM
         # entry.valid keeps the accessed-block history, which now feeds the
         # Na/Nn spatial estimate for this mHBM page.
@@ -553,6 +571,7 @@ class BumblebeeController(HybridMemoryController):
         entry.mode = WayMode.CHBM
         entry.valid = self._full_block_mask
         entry.dirty = dirty_mask
+        self._set_versions[set_index] += 1
         self.stats.bump("switch_m2c")
 
     def _evict_zombie(self, set_index: int, page: int,
@@ -595,6 +614,7 @@ class BumblebeeController(HybridMemoryController):
                         g.dram_page_addr(set_index, dram_slot),
                         self.config.page_bytes, now_ns)
         rset.swap(orig, victim)
+        self._set_versions[set_index] += 1
         entry = self.ble[set_index][victim_way]
         self._account_overfetch(entry)
         entry.reset()
@@ -631,6 +651,7 @@ class BumblebeeController(HybridMemoryController):
                 if self.ble[set_index][way].mode is WayMode.CHBM:
                     self._evict_chbm_way(set_index, way, now_ns)
             self._chbm_disabled[set_index] = True
+        self._hmf_flushes += 1
         self.stats.bump("hmf_flushes")
 
     # ------------------------------------------------------------------
@@ -638,38 +659,41 @@ class BumblebeeController(HybridMemoryController):
     # ------------------------------------------------------------------
 
     #: Advisory epoch size for the two-pass engine when no explicit
-    #: ``vector_epoch`` is set.  Pass 1 classifies against a frozen
-    #: snapshot, so pages filled mid-epoch keep bridging until the next
-    #: snapshot; short epochs re-freeze sooner and roughly halve the
-    #: cold-start bridge count, while the per-epoch planning cost stays
-    #: amortised (measured optimum is flat across 4096-8192).
-    preferred_epoch_requests = 8192
+    #: ``vector_epoch`` is set.  A page allocated or filled after an
+    #: epoch's snapshot no longer bridges, but every request it serves in
+    #: that epoch is re-classified once; a fresher snapshot saves that
+    #: work until the per-epoch planning cost takes over.  CPU time of
+    #: the cells (min of 4 interleaved runs, 2 vCPUs) at 2048 / 8192 /
+    #: the 65536 default: pressure-cold's C-Only/M-Only/Alloc-D/Alloc-H
+    #: cells 1.78 / 2.08 / 1.97 s, fig8-cold's Bumblebee cells
+    #: 0.60 / 0.60 / 0.68 s.
+    preferred_epoch_requests = 2048
 
     def batch_epoch_plan(self, addr, is_write):
         """Pass 1: classify one epoch against the frozen PRT/BLE state.
 
         Pure requests are exactly the accesses whose scalar path touches
-        no state the classification read: HMF-safe resident mHBM hits
-        and cHBM block hits that cannot trigger the cHBM->mHBM switch.
-        Everything else — PRT misses, DRAM-home service (movement
-        decisions), cHBM block fills, HMF-window addresses, and whole
-        epochs planned during an HMF cooldown (every low access must
-        decrement the counter) — bridges through :meth:`access`.
+        no state the classification read: resident mHBM hits and cHBM
+        block hits that cannot trigger the cHBM->mHBM switch.  Everything
+        else — PRT misses, DRAM-home service (movement decisions), cHBM
+        block fills — bridges through :meth:`access`.  So do the two
+        kinds of request at which the high-memory-footprint state acts on
+        the sets, a batch flush and the re-enable that ends a cooldown
+        (:meth:`_hmf_trajectory`); every other request only moves the
+        cooldown and streak counters, a sequence the addresses alone fix,
+        which :meth:`commit_epoch` lands.
+
         The per-request invalidation key is the set index: every
-        movement/allocation a bridged request performs is confined to
-        its own set, and the only global couplings (cooldown entry,
-        batch flush, re-enable) all move ``_hmf_cooldown``, the guard
-        token.
+        movement or allocation a bridged request performs is confined to
+        its own set, and :meth:`epoch_reclassify` re-checks the set's
+        pending requests against the live tables.  The one cross-set
+        action, the batch flush, moves the guard token
+        (:meth:`epoch_guard_token`).
         """
         from ..sim.vectorized import EpochPlan
         m = addr.shape[0]
         meta_const = (self._metadata_epoch_const()
                       if self._meta_in_hbm else 0.0)
-        none = np.zeros(m, dtype=bool)
-        if self._hmf_on and self._hmf_cooldown > 0:
-            return EpochPlan(pure=none, use_hbm=none,
-                             local_addr=np.zeros(m, dtype=np.int64),
-                             meta_const=meta_const)
         page = addr // self._page_bytes
         set_index = page % self._sets
         orig = (page // self._sets) % self._slots_per_set
@@ -677,14 +701,14 @@ class BumblebeeController(HybridMemoryController):
         block = offset // self._block_bytes
         slot = np.array(self._slot_maps, dtype=np.int64)[set_index, orig]
         ok = slot != UNALLOCATED
-        if self._hmf_on:
-            ok &= addr < self._dram_capacity
+        hmf = self._hmf_trajectory(addr) if self._hmf_on else None
+        if hmf is not None:
+            ok &= ~hmf[0]
         mhbm = ok & (slot >= self._dram_slots)
-        chbm = none
+        chbm = np.zeros(m, dtype=bool)
         way = np.zeros(m, dtype=np.int64)
-        blocks = self.config.blocks_per_page
         cand = ok & ~mhbm
-        if blocks <= 64 and bool(cand.any()):
+        if self.config.blocks_per_page <= 64 and bool(cand.any()):
             owner, live, cached, valid, counts = epoch_snapshot(
                 self._ble_entries, with_counts=self._adaptive)
             cs = set_index[cand]
@@ -697,21 +721,135 @@ class BumblebeeController(HybridMemoryController):
             if self._adaptive:
                 # A block hit that would flip the way to mHBM
                 # (_maybe_switch_to_mhbm) is feedback, not a pure read.
-                hit &= counts[cs, w] < self.config.most_blocks_threshold
-            chbm = np.zeros(m, dtype=bool)
+                hit &= counts[cs, w] < self._most_blocks
             chbm[cand] = hit
             way[cand] = w
         pure = mhbm | chbm
         way = np.where(mhbm, slot - self._dram_slots, way)
         hbm_addr = (way * self._sets + set_index) * self._page_bytes \
             + offset
-        plan = EpochPlan(pure=pure, use_hbm=pure,
+        # Every request is placed at its best-known HBM way (the snapshot
+        # owner's, else way 0), where it lands if it turns pure.
+        plan = EpochPlan(pure=pure, use_hbm=np.ones(m, dtype=bool),
                          local_addr=hbm_addr % self._hbm_capacity,
-                         meta_const=meta_const, inval_key=set_index)
+                         meta_const=meta_const, inval_key=set_index,
+                         key_versions=self._set_versions)
         plan.cols = (set_index, way, orig, block, offset >> 6, chbm,
                      np.asarray(is_write))
-        plan.rows = None
+        plan.lists = None
+        plan.hmf = hmf
         return plan
+
+    def _hmf_trajectory(self, addr):
+        """:meth:`_global_footprint_check` replayed over one epoch.
+
+        A beyond-DRAM address restarts the cooldown and advances the
+        streak, flushing a batch of sets whenever the streak was a
+        multiple of ``_hmf_flush_interval``; any other address counts the
+        cooldown down, and the one that reaches 0 re-enables the sets and
+        resets the streak.
+
+        Returns:
+            None when the epoch leaves the HMF state as it is (no
+            beyond-DRAM address, no cooldown running); else
+            ``(events, cooldown, streak)`` arrays: whether each request
+            flushes or re-enables (both must bridge), and the counters
+            it leaves behind.
+        """
+        high = addr >= self._dram_capacity
+        start = self._hmf_cooldown
+        if not start and not high.any():
+            return None
+        idx = np.arange(high.shape[0])
+        last_high = np.maximum.accumulate(np.where(high, idx, -1))
+        cooldown = np.where(
+            last_high >= 0,
+            np.maximum(self.config.hmf_cooldown_requests
+                       - (idx - last_high), 0),
+            np.maximum(start - (idx + 1), 0))
+        before = np.concatenate(([start], cooldown[:-1]))
+        reenable = ~high & (before == 1)
+        highs = np.cumsum(high)
+        last_reenable = np.maximum.accumulate(np.where(reenable, idx, -1))
+        streak = highs - np.where(last_reenable >= 0, highs[last_reenable],
+                                  -self._hmf_streak)
+        flush = high & ((streak - 1) % self._hmf_flush_interval == 0)
+        return flush | reenable, cooldown, streak
+
+    @staticmethod
+    def _plan_lists(plan) -> tuple:
+        """The plan's commit columns as lists (built once): per-request
+        scalar reads are much cheaper on lists than on numpy arrays."""
+        if plan.lists is None:
+            plan.lists = tuple(col.tolist() for col in plan.cols)
+        return plan.lists
+
+    def epoch_reclassify(self, plan, indices):
+        """Re-check pending requests against the live PRT/BLE state.
+
+        The engine calls this for requests whose set a bridge changed
+        after they were classified (and for every pending request after
+        a batch flush).  The rule is pass 1's, read from the live
+        tables, which uncommitted pure feedback never changes; the way
+        and mode of each request that is pure now land in the plan's
+        commit columns.
+
+        Returns:
+            ``(pure, local_addr)`` lists aligned with ``indices``: the
+            HBM address of each request that is pure now.
+        """
+        s_l, w_l, o_l, b_l, u_l, c_l, _ = self._plan_lists(plan)
+        events = plan.hmf[0] if plan.hmf is not None else None
+        way_col, chbm_col = plan.cols[1], plan.cols[5]
+        slot_maps = self._slot_maps
+        entries = self._ble_entries
+        dram_slots = self._dram_slots
+        sets = self._sets
+        page_bytes = self._page_bytes
+        capacity = self._hbm_capacity
+        # Static partitions never switch a cached page to mHBM.
+        threshold = self._most_blocks if self._adaptive else float("inf")
+        free = WayMode.FREE
+        cmode = WayMode.CHBM
+        pure, local = [], []
+        page = None
+        for i in indices:
+            s = s_l[i]
+            o = o_l[i]
+            if (s, o) != page:
+                # Runs of one page share its lookup: the resident way,
+                # or the owning cHBM entry (None when not cached).
+                page = (s, o)
+                slot = slot_maps[s][o]
+                resident = slot - dram_slots
+                owner = None
+                if 0 <= slot < dram_slots:
+                    for k, entry in enumerate(entries[s]):
+                        if entry.owner == o and entry.mode is not free:
+                            if entry.mode is cmode:
+                                owner = entry
+                            break
+            way = -1
+            if resident >= 0:
+                way = resident
+                now_cached = False
+            elif owner is not None:
+                valid = owner.valid
+                if (valid >> b_l[i] & 1
+                        and valid.bit_count() < threshold):
+                    way = k
+                    now_cached = True
+            if way < 0 or (events is not None and events[i]):
+                pure.append(False)
+                local.append(0)
+                continue
+            if way != w_l[i] or now_cached != c_l[i]:
+                w_l[i] = way_col[i] = way
+                c_l[i] = chbm_col[i] = now_cached
+            pure.append(True)
+            local.append(((way * sets + s) * page_bytes + (u_l[i] << 6))
+                         % capacity)
+        return pure, local
 
     def commit_epoch(self, plan, indices) -> None:
         """Pass 2: replay the deferred feedback of executed pure requests.
@@ -720,12 +858,13 @@ class BumblebeeController(HybridMemoryController):
         mHBM hits OR the valid/used bits then touch the hotness counter;
         cHBM block hits touch the counter first, then used (and dirty on
         writes) — so counter saturation and LRU recency land
-        bit-identically.
+        bit-identically.  ``indices`` is an ascending run with no bridge
+        inside, so the HMF counters land at its last request's values.
         """
         entries = self._ble_entries
         hot = self.hot
         n = len(indices)
-        if n >= 64:
+        if n >= COMMIT_BULK_MIN:
             # Bulk form: the entry feedback is pure bit-OR — commutative
             # and saturating — so per-entry masks aggregate and land once
             # per touched entry; the final entry state is exactly the
@@ -778,35 +917,28 @@ class BumblebeeController(HybridMemoryController):
                     hot[ss[start]].record_hbm_epoch(oo[start:end])
                     start = end
         else:
-            rows = plan.rows
-            if rows is None:
-                s, w, o, b, u, chbm, wr = plan.cols
-                rows = plan.rows = list(zip(
-                    s.tolist(), w.tolist(), o.tolist(), b.tolist(),
-                    u.tolist(), chbm.tolist(), wr.tolist()))
-            # Entry bit-ops land inline; hotness records are grouped per
-            # set (record_hbm_epoch) — the hot tables and the BLE entries
-            # are disjoint structures, so any interleaving that preserves
-            # the per-structure order is the scalar order.
-            per_set: dict[int, list[int]] = {}
+            # Entry bit-ops and hotness records land per request — the
+            # hot tables and the BLE entries are disjoint structures, so
+            # any interleaving that preserves the per-structure order is
+            # the scalar order.
+            s_l, w_l, o_l, b_l, u_l, c_l, wr_l = self._plan_lists(plan)
             for i in indices:
-                s, w, o, b, u, cached, wr = rows[i]
-                entry = entries[s][w]
-                if cached:
-                    entry.used |= 1 << u
-                    if wr:
-                        entry.dirty |= 1 << b
+                s = s_l[i]
+                entry = entries[s][w_l[i]]
+                if c_l[i]:
+                    entry.used |= 1 << u_l[i]
+                    if wr_l[i]:
+                        entry.dirty |= 1 << b_l[i]
                 else:
-                    entry.valid |= 1 << b
-                    entry.used |= 1 << u
-                bucket = per_set.get(s)
-                if bucket is None:
-                    bucket = per_set[s] = []
-                bucket.append(o)
-            for s, pages in per_set.items():
-                hot[s].record_hbm_epoch(pages)
+                    entry.valid |= 1 << b_l[i]
+                    entry.used |= 1 << u_l[i]
+                hot[s].record_hbm_access(o_l[i])
+        if plan.hmf is not None and n:
+            _, cooldown, streak = plan.hmf
+            self._hmf_cooldown = int(cooldown[indices[-1]])
+            self._hmf_streak = int(streak[indices[-1]])
         if self._meta_in_hbm:
-            self.stats.bump("metadata_accesses", len(indices))
+            self.stats.bump("metadata_accesses", n)
 
     def epoch_fallback_reason(self) -> str | None:
         """Veto the two-pass engine when feedback isn't epoch-granular.
@@ -822,11 +954,11 @@ class BumblebeeController(HybridMemoryController):
         return None
 
     def epoch_guard_token(self):
-        """The global state every epoch classification froze: the HMF
-        cooldown counter.  Entering the high-footprint window (and the
-        batch flush / set re-enable it implies) moves it, demoting the
-        rest of the in-flight epoch to the exact scalar bridge."""
-        return self._hmf_cooldown
+        """The number of batch flushes so far.  A flush evicts cHBM ways
+        across a batch of sets, outside the flushing request's own
+        invalidation key, so the engine re-classifies every pending
+        request of the epoch when it moves."""
+        return self._hmf_flushes
 
     def _metadata_epoch_const(self) -> float:
         """The constant `_metadata_access_ns` returns, without the bump
@@ -860,6 +992,7 @@ class BumblebeeController(HybridMemoryController):
             self.stats.bump("overfetch_bytes", unused * 64)
 
     def _retire_way(self, set_index: int, way: int) -> None:
+        self._set_versions[set_index] += 1
         entry = self.ble[set_index][way]
         self._account_overfetch(entry)
         entry.reset()

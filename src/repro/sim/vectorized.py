@@ -72,25 +72,33 @@ bridges, so, as in the stateless kernel, its row-buffer outcomes
 (scripted probes included) are classified up front and its walk runs
 only the timing recurrence.
 
-A scalar (bridged) request may invalidate classifications made against
-the frozen state (an eviction, a mode switch, a refill).  Controllers
-report a conservative *invalidation key* per request
-(:attr:`EpochPlan.inval_key`) and drain the keys dirtied by each bridged
-request (:meth:`epoch_invalidations`); the engine demotes every
-still-pending pure request sharing a dirtied key to the bridge.
-Demoting is always safe — the bridge is exact — so controllers only
-need their keys to be a *superset* of real interference, never precise.
+A scalar (bridged) request changes the state pass 1 read: it can
+invalidate a classification (an eviction, a mode switch) or make a
+request pure that pass 1 had to leave impure (an allocation, a block
+fill).  Controllers report a conservative *invalidation key* per request
+(:attr:`EpochPlan.inval_key`); a bridged request dirties its own key,
+and every still-pending request of a dirtied key is *stale*.  A
+controller with an ``epoch_reclassify(plan, indices)`` hook re-checks
+stale requests against its live state before they run — the engine
+hands it every stale request of a look-ahead window
+(:data:`RECLASSIFY_WINDOW`) in one call and decodes only the addresses
+that moved; without the hook a stale request is demoted to the bridge.
+Demoting is always safe — the bridge is exact — so keys only need to be
+a *superset* of real interference, never precise.  A controller that
+counts its own changes per key (:attr:`EpochPlan.key_versions`) lets a
+bridge that changed nothing leave its key clean.
 
-A scalar (bridged) request can also flip *global* state that the whole
-epoch's classification assumed frozen (a footprint-mode transition, a
-cooldown).  Controllers expose that state as a cheap hashable *guard
-token* (:meth:`epoch_guard_token`); the engine samples it at plan time
-and after every bridge, and demotes the entire rest of the epoch when it
-changes.
+A scalar (bridged) request can also change state outside its own key (a
+flush across many sets).  Controllers expose such global changes as a
+cheap hashable *guard token* (:meth:`epoch_guard_token`); the engine
+samples it at plan time and after every bridge, and when it moves every
+pending request of the epoch is stale — re-classified through the hook,
+or demoted without it.
 
 Controllers opt in by implementing ``batch_epoch_plan``/``commit_epoch``
-(plus the optional ``epoch_guard_token``/``epoch_fallback_reason``
-hooks) and registering with ``batch_replayable="epoch"``.
+(plus the optional ``epoch_reclassify``/``epoch_guard_token``/
+``epoch_fallback_reason`` hooks) and registering with
+``batch_replayable="epoch"``.
 """
 
 from __future__ import annotations
@@ -118,6 +126,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["BatchPlan", "EpochPlan", "batch_capable", "epoch_capable",
            "fallback_reason", "decode_epoch", "replay_vectorized",
            "replay_epoch", "VECTOR_EPOCH_REQUESTS"]
+
+#: Requests the two-pass engine looks ahead when it meets a stale
+#: classification: one ``epoch_reclassify`` call, and at most one address
+#: decode, covers every stale request of the window.
+RECLASSIFY_WINDOW = 256
 
 
 @dataclass
@@ -151,19 +164,28 @@ class EpochPlan:
             by the frozen state and whose service touches nothing the
             classification read.  Non-pure requests run through the
             scalar ``controller.access`` bridge.
-        use_hbm: Bool array — which device serves each pure request
-            (meaningful only where ``pure``).
+        use_hbm: Bool array — which device serves each pure request.
+            Meaningful only where ``pure``, unless the controller
+            implements ``epoch_reclassify``: then every request is
+            placed on the device that serves it if it turns pure
+            (re-classification may move its address, not its device).
         local_addr: Device-local byte address per pure request (already
-            wrapped into the serving device), int64.
+            wrapped into the serving device), int64; placed like
+            ``use_hbm``.
         meta_const: Constant metadata latency (ns) added to every pure
             request's device access (designs with in-HBM metadata);
             0.0 selects the fast no-metadata recurrence.
         inval_key: Optional int64 array — conservative interference key
-            per request (e.g. the set index).  After each bridged
-            request the engine marks that request's key dirty and
-            demotes every later pure request sharing a dirtied key to
-            the bridge.  ``None`` disables key-based demotion (the
-            guard token still applies).
+            per request (e.g. the set index).  A bridged request dirties
+            its key, which makes every later request of that key stale:
+            re-classified through ``epoch_reclassify`` before it runs,
+            or demoted to the bridge without the hook.  ``None``
+            disables key-based invalidation (the guard token still
+            applies).
+        key_versions: Optional live list, indexed by key value, of
+            counters the controller bumps whenever it changes the state
+            a key's classifications read.  With it a bridge dirties its
+            key only when it moved the key's counter.
     """
 
     pure: Any
@@ -171,6 +193,7 @@ class EpochPlan:
     local_addr: Any
     meta_const: float = 0.0
     inval_key: Any = None
+    key_versions: Any = None
 
     # ---- optional full-script extensions ---------------------------------
     # Designs whose metadata state machine never reads device timing can
@@ -629,9 +652,11 @@ def replay_epoch(driver: "SimulationDriver",
     order as the scalar loop, so the result is bit-identical.
 
     Returns:
-        ``(result, epochs)`` — a :class:`~repro.sim.driver.SimResult`
-        bit-identical to the scalar loop's, and the number of epochs
-        processed.
+        ``(result, epochs, bridged)`` — a
+        :class:`~repro.sim.driver.SimResult` bit-identical to the scalar
+        loop's, the number of epochs processed, and the number of
+        requests that ran through the scalar ``controller.access``
+        bridge.
 
     Raises:
         ValueError: on a non-positive epoch size or a malformed
@@ -642,11 +667,11 @@ def replay_epoch(driver: "SimulationDriver",
     if epoch_requests is None:
         # A controller whose pass-1 classification reads a *frozen*
         # snapshot (rather than forward-replaying the epoch) trades
-        # purity for epoch length: everything that becomes resident
-        # mid-epoch still bridges until the next snapshot.  Such
-        # designs advise a shorter epoch; an explicit ``vector_epoch``
-        # always wins, and the choice is performance-only — results
-        # are bit-identical at any size (pinned by tests).
+        # work for epoch length: everything that becomes resident
+        # mid-epoch is stale until the next snapshot.  Such designs
+        # advise a shorter epoch; an explicit ``vector_epoch`` always
+        # wins, and the choice is performance-only — results are
+        # bit-identical at any size (pinned by tests).
         epoch_requests = getattr(controller, "preferred_epoch_requests",
                                  None)
     epoch = int(epoch_requests or VECTOR_EPOCH_REQUESTS)
@@ -685,6 +710,9 @@ def replay_epoch(driver: "SimulationDriver",
     guard_fn = getattr(controller, "epoch_guard_token", None)
     if not callable(guard_fn):
         guard_fn = None
+    reclassify_fn = getattr(controller, "epoch_reclassify", None)
+    if not callable(reclassify_fn):
+        reclassify_fn = None
     controller_access = controller.access
     fault_penalty = controller.page_fault_penalty_ns
     request = MutableRequest()
@@ -702,6 +730,7 @@ def replay_epoch(driver: "SimulationDriver",
     demand_writes = 0
     total_latency = 0.0
     total_metadata = 0.0
+    bridged = 0
 
     now = 0.0
     measure_start = 0.0
@@ -792,18 +821,22 @@ def replay_epoch(driver: "SimulationDriver",
                             nbytes[c3] += nb3 * times
                             bursts[c3] += bs3 * times
 
-            use_hbm = np.where(pure, np.asarray(plan.use_hbm, dtype=bool),
+            # A re-classifying controller places impure requests too
+            # (where they would be served if they turned pure), so a
+            # re-classification that keeps the address needs no decode.
+            placed = pure if reclassify_fn is None else True
+            use_hbm = np.where(placed, np.asarray(plan.use_hbm, dtype=bool),
                                False)
             if controller.hbm is None and use_hbm.any():
                 raise ValueError(
                     f"batch_epoch_plan of {controller.name!r} routed "
                     f"requests to HBM but the design has no stacked "
                     f"device")
-            local = np.where(pure, np.asarray(plan.local_addr,
-                                              dtype=np.int64), 0)
+            local = np.where(placed, np.asarray(plan.local_addr,
+                                                dtype=np.int64), 0)
 
             chan_gid, bank_gid, row = _decode_lanes(
-                lanes, local, use_hbm, pure, "batch_epoch_plan",
+                lanes, local, use_hbm, None, "batch_epoch_plan",
                 controller.name)
             device_idx = np.where(use_hbm, 0, 1)
 
@@ -953,28 +986,81 @@ def replay_epoch(driver: "SimulationDriver",
                 # Pure requests run MemoryDevice.access inlined, bank FSM
                 # included; an impure one commits the pure run since the
                 # last bridge, [run_start, i), and bridges through
-                # ``controller.access``.
+                # ``controller.access``.  A bridge that dirties its key
+                # moves the key's version, and a guard-token change moves
+                # every key's: a request classified at an older version
+                # is stale, and is re-classified before it runs (or,
+                # without ``epoch_reclassify``, demoted to the bridge).
+                pure_l = pure.tolist()
+                local_l = local.tolist()
+                row_l = row.tolist()
                 lat3 = lat_table[device_idx]
+                hit_l = lat3[:, 0].tolist()
+                closed_l = lat3[:, 1].tolist()
+                conf_l = lat3[:, 2].tolist()
                 keys = plan.inval_key
-                key_l = (np.asarray(keys).tolist()
-                         if keys is not None else repeat(None))
+                if keys is None:
+                    key_l = [0] * m
+                    version = [0]
+                else:
+                    uniq, dense = np.unique(np.asarray(keys),
+                                            return_inverse=True)
+                    key_l = dense.tolist()
+                    version = [0] * uniq.shape[0]
+                stamp_l = [0] * m
+                live = plan.key_versions if keys is not None else None
+                if live is not None:
+                    live_keys = uniq.tolist()
+                    seen = [live[key] for key in live_keys]
                 addr_l = addr.tolist()
                 write_l = is_write.tolist()
                 icount_l = icount.tolist()
                 token = guard_fn() if guard_fn is not None else None
-                dirty: set = set()
-                demoted_all = False
+
+                def refresh(i):
+                    """Re-classify the stale requests of the window
+                    starting at ``i`` and decode the addresses that
+                    moved."""
+                    batch = [j for j in range(i, min(i + RECLASSIFY_WINDOW,
+                                                     m))
+                             if stamp_l[j] != version[key_l[j]]]
+                    moved = []
+                    for j, p, a in zip(batch, *reclassify_fn(plan, batch)):
+                        stamp_l[j] = version[key_l[j]]
+                        pure_l[j] = p
+                        if p and a != local_l[j]:
+                            local_l[j] = a
+                            moved.append(j)
+                    if not moved:
+                        return
+                    sel = np.array(moved, dtype=np.int64)
+                    chans, banks, rows = _decode_lanes(
+                        lanes, np.array([local_l[j] for j in moved],
+                                        dtype=np.int64),
+                        use_hbm[sel], None, "epoch_reclassify",
+                        controller.name)
+                    chan_gid[sel] = chans
+                    bank_gid[sel] = banks
+                    for j, c, b, r in zip(moved, chans.tolist(),
+                                          banks.tolist(), rows.tolist()):
+                        chan_l[j] = c
+                        bank_l[j] = b
+                        row_l[j] = r
+
                 run_start = 0
                 executed = []
                 outcomes = []
                 out_append = outcomes.append
-                for i, (is_pure, comp_ns, f, c, bank_i, r, lat_hit,
-                        lat_closed, lat_conf, burst_ns, key) in enumerate(
-                            zip(pure.tolist(), comp_l, fault_l, chan_l,
-                                bank_l, row.tolist(), lat3[:, 0].tolist(),
-                                lat3[:, 1].tolist(), lat3[:, 2].tolist(),
-                                burst_l, key_l)):
-                    if is_pure and not demoted_all and key not in dirty:
+                for i, (k, comp_ns, f) in enumerate(zip(key_l, comp_l,
+                                                        fault_l)):
+                    if stamp_l[i] != version[k]:
+                        if reclassify_fn is None:
+                            pure_l[i] = False
+                        else:
+                            refresh(i)
+                    if pure_l[i]:
+                        c = chan_l[i]
+                        bank_i = bank_l[i]
                         t += comp_ns
                         arrival = t + f
                         t0 = arrival + meta_const
@@ -985,14 +1071,15 @@ def replay_epoch(driver: "SimulationDriver",
                         busy = bank_busy[bank_i]
                         issue = t0 if t0 > busy else busy
                         orow = open_row[bank_i]
+                        r = row_l[i]
                         if orow == r:
-                            data = issue + lat_hit
+                            data = issue + hit_l[i]
                             out = 0
                         elif orow < 0:
-                            data = issue + lat_closed
+                            data = issue + closed_l[i]
                             out = 1
                         else:
-                            data = issue + lat_conf
+                            data = issue + conf_l[i]
                             out = 2
                         open_row[bank_i] = r
                         bank_busy[bank_i] = data
@@ -1001,7 +1088,7 @@ def replay_epoch(driver: "SimulationDriver",
                         free = bus_free[c]
                         done = ((data if data > free else free)
                                 + (pending if pending < chunk_ns
-                                   else chunk_ns) + burst_ns)
+                                   else chunk_ns) + burst_l[i])
                         bus_free[c] = done
                         latency = (done - arrival) + f
                         running += latency
@@ -1025,14 +1112,21 @@ def replay_epoch(driver: "SimulationDriver",
                         running += latency
                         running_meta += result.metadata_ns
                         lat_append(latency)
+                        bridged += 1
                         if result.hbm_hit:
                             bridged_hbm += 1
-                        if key is not None:
-                            dirty.add(key)
-                        if guard_fn is not None and not demoted_all:
+                        if live is not None:
+                            counter = live[live_keys[k]]
+                            if counter != seen[k]:
+                                seen[k] = counter
+                                version[k] += 1
+                        elif keys is not None:
+                            version[k] += 1
+                        if guard_fn is not None:
                             fresh = guard_fn()
                             if fresh != token:
-                                demoted_all = True
+                                token = fresh
+                                version[:] = [v + 1 for v in version]
                 if run_start < m:
                     commit_fn(plan, range(run_start, m))
                     executed.extend(range(run_start, m))
@@ -1091,4 +1185,4 @@ def replay_epoch(driver: "SimulationDriver",
     result = driver._build_result(
         controller, workload, instructions, measured_requests, elapsed,
         total_latency, total_metadata, hbm_hits, histogram)
-    return result, epochs
+    return result, epochs, bridged

@@ -1,6 +1,9 @@
 """Corner-path tests for the HMMC: swaps, flush rotation, failure modes."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     AllocationPolicy,
@@ -115,6 +118,42 @@ class TestGlobalFlushRotation:
             now += 50.0
             controller.access(MemoryRequest(addr=64 * i), now)
         assert not any(controller._chbm_disabled)
+
+
+    @given(beyond=st.lists(st.booleans(), min_size=1, max_size=60),
+           window=st.integers(0, 6), interval=st.integers(1, 4),
+           cooldown=st.integers(0, 6), streak=st.integers(0, 9))
+    @settings(max_examples=200, deadline=None)
+    def test_epoch_trajectory_matches_footprint_check(
+            self, beyond, window, interval, cooldown, streak):
+        """Pass 1's array form of the HMF counters (``_hmf_trajectory``)
+        agrees with stepping ``_global_footprint_check`` request by
+        request: the same flush and re-enable requests, and the same
+        cooldown and streak after each one."""
+        controller = make(BumblebeeConfig(hmf_cooldown_requests=window))
+        controller._hmf_flush_interval = interval
+        controller._hmf_cooldown = min(cooldown, window)
+        controller._hmf_streak = streak
+        high = controller.dram.capacity_bytes
+        addr = np.array([high if b else 0 for b in beyond], dtype=np.int64)
+        planned = controller._hmf_trajectory(addr)
+        events, after = [], []
+        for a in addr.tolist():
+            flushes = controller._hmf_flushes
+            reenables = controller.stats.get("hmf_reenables")
+            controller._global_footprint_check(a, 0.0)
+            events.append(controller._hmf_flushes != flushes
+                          or controller.stats.get("hmf_reenables")
+                          != reenables)
+            after.append((controller._hmf_cooldown,
+                          controller._hmf_streak))
+        if planned is None:
+            assert not any(events)
+            assert set(after) == {(0, streak)}
+            return
+        flags, cooldowns, streaks = planned
+        assert flags.tolist() == events
+        assert list(zip(cooldowns.tolist(), streaks.tolist())) == after
 
 
 class TestBufferReheat:

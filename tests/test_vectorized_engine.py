@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro import ExperimentConfig, ExperimentHarness
 from repro.baselines import make_controller
-from repro.core import BumblebeeConfig, BumblebeeController
+from repro.core import BumblebeeConfig, BumblebeeController, hmmc
 from repro.designs import registry
 from repro.sim import (SimulationDriver, batch_capable, epoch_capable,
                        fallback_reason)
@@ -156,22 +156,36 @@ class TestEpochBitIdentity:
                 assert driver.last_engine == "vector", (design, epoch)
                 assert vector == scalar, (design, epoch)
 
-    def test_bulk_commit_keeps_every_used_line_of_a_page(self):
+    def test_bulk_commit_keeps_every_used_line_of_a_page(self,
+                                                       monkeypatch):
         """A 64KB page has 1024 lines: the bulk commit path must OR line
         bits past 63 exactly (a uint64 shift wraps them), or the BLE
-        used bitmaps and ``overfetch_bytes`` drift from the scalar loop."""
+        used bitmaps and ``overfetch_bytes`` drift from the scalar loop.
+        The bulk branch's run length is lowered so that about a third of
+        the pure runs between this trace's bridges take it, interleaved
+        with the per-request branch."""
+        monkeypatch.setattr(hmmc, "COMMIT_BULK_MIN", 32)
         harness = ExperimentHarness(ExperimentConfig(
             requests=20_000, warmup=10_000, seed=1234,
             workloads=("lbm",)))
         trace = harness.trace("lbm")
         records = []
+        runs = []
         for engine in ("scalar", "auto"):
             controller = registry.build(
                 "No-HMF", harness.hbm_config, harness.dram_config,
                 sram_bytes=harness.config.scale.sram_bytes)
+            commit = controller.commit_epoch
+
+            def counted(plan, indices, commit=commit):
+                runs.append(len(indices))
+                commit(plan, indices)
+
+            controller.commit_epoch = counted
             records.append(harness.driver.run(
                 controller, trace, workload="lbm", warmup=10_000,
                 engine=engine).to_record())
+        assert sum(n >= hmmc.COMMIT_BULK_MIN for n in runs) >= 100
         assert records[0]["controller_stats"]["overfetch_bytes"] > 0
         assert records[1] == records[0]
 
@@ -220,6 +234,122 @@ class TestEpochBitIdentity:
                               warmup=warmup, vector_epoch=epoch)
         assert driver.last_engine == "vector"
         assert vector == scalar
+
+
+#: Bumblebee and every spec built on its controller (ablations and
+#: static partitions), whose roms cells cross the high-memory-footprint
+#: window.
+BUMBLEBEE_FAMILY = ("Bumblebee", "No-Multi", "Meta-H", "No-HMF", "C-Only",
+                    "M-Only", "Alloc-D", "Alloc-H")
+
+
+def _window_harness(workloads, requests, warmup):
+    return ExperimentHarness(ExperimentConfig(
+        requests=requests, warmup=warmup, seed=1234, workloads=workloads))
+
+
+def _replay(harness, design, workload, engine, vector_epoch=None):
+    driver = SimulationDriver(harness.config.cpu,
+                              vector_epoch=vector_epoch)
+    controller = registry.build(design, harness.hbm_config,
+                                harness.dram_config,
+                                sram_bytes=harness.config.scale.sram_bytes)
+    result = driver.run(controller, harness.trace(workload),
+                        workload=workload, warmup=harness.config.warmup,
+                        engine=engine)
+    return result, driver
+
+
+class TestReclassification:
+    """Bridged requests re-classify the stale requests of their set
+    instead of demoting them, and the high-memory-footprint window is a
+    trajectory pass 1 computes rather than a veto on whole epochs."""
+
+    def test_family_identical_to_scalar_on_pressure_workloads(self):
+        """lbm (5x the HBM) and roms (beyond off-chip DRAM, so HMF
+        cooldowns run through epochs) at the tiny, a small and the
+        advised epoch size.  Every change a bridge makes re-stales what
+        it affects, so what bridges is what is impure against the live
+        state: the bridge count cannot depend on when snapshots were
+        taken."""
+        harness = _window_harness(("lbm", "roms"), 3000, 1000)
+        for workload in ("lbm", "roms"):
+            for design in BUMBLEBEE_FAMILY:
+                scalar, _ = _replay(harness, design, workload, "scalar")
+                bridged = set()
+                for epoch in (7, 512, None):
+                    vector, driver = _replay(harness, design, workload,
+                                             "auto", vector_epoch=epoch)
+                    label = (design, workload, epoch)
+                    assert driver.last_engine == "vector", label
+                    assert vector == scalar, label
+                    bridged.add(driver.last_bridged_requests)
+                assert len(bridged) == 1, (design, workload, bridged)
+
+    def test_hmf_window_epochs_are_not_all_impure(self):
+        """roms keeps the HMF cooldown running for the whole window;
+        M-Only still bridges only its allocations and movements."""
+        harness = _window_harness(("roms",), 20_000, 10_000)
+        _, driver = _replay(harness, "M-Only", "roms", "auto")
+        assert driver.last_engine == "vector"
+        assert 0 < driver.last_bridged_requests <= 0.05 * 30_000
+
+    def test_flush_and_reenable_mid_epoch(self):
+        """A short cooldown makes batch flushes and set re-enables land
+        inside epochs: both bridge, the requests between them do not,
+        and the counters the commits land carry across epochs."""
+        harness = _window_harness(("roms",), 6000, 2000)
+        spec = registry.spec("Bumblebee").with_params(
+            hmf_cooldown_requests=40)
+        scalar, _ = _replay(harness, spec, "roms", "scalar")
+        stats = scalar.controller_stats
+        assert stats["hmf_flushes"] > 2 and stats["hmf_reenables"] > 2
+        for epoch in (7, 512, None):
+            vector, driver = _replay(harness, spec, "roms", "auto",
+                                     vector_epoch=epoch)
+            assert vector == scalar, epoch
+            assert driver.last_bridged_requests < 0.2 * 8000, epoch
+
+    def test_controller_without_hook_demotes_dirtied_keys(self):
+        """Without ``epoch_reclassify`` a bridge dirties its key and
+        every later request of that key bridges, exactly as pass 1's
+        classification and the bridge order predict."""
+
+        class NoReclassify(BumblebeeController):
+            epoch_reclassify = None
+
+            def batch_epoch_plan(self, addr, is_write):
+                plan = super().batch_epoch_plan(addr, is_write)
+                plan.key_versions = None
+                plans.append(plan)
+                return plan
+
+            def access(self, request, now_ns):
+                bridged.append(request.addr)
+                return super().access(request, now_ns)
+
+        plans, bridged = [], []
+        harness = ExperimentHarness(CONFIG)
+        trace = _trace(harness)
+        controller = NoReclassify(harness.hbm_config, harness.dram_config)
+        driver = SimulationDriver(harness.config.cpu, vector_epoch=N)
+        vector = driver.run(controller, trace, workload="mcf",
+                            engine="vector")
+        assert len(plans) == 1
+        plan = plans[0]
+        addr = [request.addr for request in trace.replay()]
+        expected, dirty = [], set()
+        for i, key in enumerate(plan.inval_key.tolist()):
+            if not plan.pure[i] or key in dirty:
+                expected.append(addr[i])
+                dirty.add(key)
+        assert bridged == expected
+        assert driver.last_bridged_requests == len(expected)
+        scalar, _ = _run(harness, "Bumblebee", trace, "scalar")
+        assert vector == scalar
+        _, hooked = _run(harness, "Bumblebee", trace, "vector",
+                         vector_epoch=N)
+        assert hooked.last_bridged_requests < len(expected)
 
 
 class TestFallback:
@@ -347,11 +477,19 @@ class TestEngineObservability:
         assert timing["engine_vector"] == 1.0
         assert timing["engine_scalar"] == 0.0
         assert timing["vector_epochs"] >= 1.0
+        assert timing["bridged_requests"] == 0.0
+        harness.run_design("Bumblebee", "mcf")
+        timing = harness.cell_timing("Bumblebee", "mcf")
+        assert timing["engine_vector"] == 1.0
+        assert 0.0 < timing["bridged_requests"] < 1600
+        assert timing["bridged_requests"] \
+            == harness.driver.last_bridged_requests
         harness.run_design("MemPod", "mcf")
         timing = harness.cell_timing("MemPod", "mcf")
         assert timing["engine_vector"] == 0.0
         assert timing["engine_scalar"] == 1.0
         assert timing["scalar_epochs"] >= 1.0
+        assert timing["bridged_requests"] == 0.0
         assert timing["fallback_design_not_batch_capable"] == 1.0
 
     def test_config_engine_scalar_forces_reference_loop(self):
