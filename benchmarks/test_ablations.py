@@ -14,17 +14,23 @@ from __future__ import annotations
 import pytest
 
 from conftest import emit
-from repro.analysis import sweep_bumblebee
-from repro.analysis.experiments import fitted_devices
-from repro.core import BumblebeeConfig
+from repro.analysis import geomean_speedup
+from repro.designs import registry
+from repro.exec import enumerate_cells, run_cells
 
 #: Locality-diverse subset keeps each sweep affordable.
 SWEEP_WORKLOADS = ("mcf", "wrf", "xz", "roms")
 
 
-def run_sweep(harness, field, values, **kwargs):
-    results = sweep_bumblebee(harness, field, values,
-                              workloads=SWEEP_WORKLOADS, **kwargs)
+def run_sweep(harness, field, values):
+    """Geomean speedup per value of one Bumblebee parameter, each value
+    a :class:`~repro.designs.DesignSpec` cell on the execution plane."""
+    specs = registry.expand_grid("Bumblebee", {field: list(values)})
+    run_cells(harness, enumerate_cells(specs, SWEEP_WORKLOADS))
+    results = {value: geomean_speedup(
+                   [harness.cached_comparison(spec, workload)
+                    for workload in SWEEP_WORKLOADS])
+               for value, spec in zip(values, specs)}
     body = "\n".join(f"  {field}={value}: {speedup:.3f}"
                      for value, speedup in results.items())
     emit(f"Ablation — {field}", body)
@@ -59,21 +65,8 @@ def test_ablation_zombie_patience(benchmark, harness):
 
 @pytest.mark.benchmark(group="ablation")
 def test_ablation_associativity(benchmark, harness):
-    def sweep():
-        out = {}
-        for ways in (4, 8, 16):
-            hbm, dram = fitted_devices(harness.config.scale, hbm_ways=ways)
-            config = BumblebeeConfig(hbm_ways=ways)
-            comparisons = [
-                harness.run_bumblebee(config, workload,
-                                      name=f"bee-{ways}way",
-                                      hbm_config=hbm, dram_config=dram)
-                for workload in SWEEP_WORKLOADS]
-            from repro.analysis import geomean_speedup
-            out[ways] = geomean_speedup(comparisons)
-        emit("Ablation — associativity",
-             "\n".join(f"  ways={k}: {v:.3f}" for k, v in out.items()))
-        return out
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    # The harness refits the devices to each way count's set size.
+    results = benchmark.pedantic(
+        run_sweep, args=(harness, "hbm_ways", (4, 8, 16)),
+        rounds=1, iterations=1)
     assert results[8] >= max(results.values()) * 0.95

@@ -1,4 +1,8 @@
-"""Experiment harness, metric aggregation, sweeps, and report rendering."""
+"""Experiment harness, metric aggregation, campaigns, and report rendering.
+
+Cell fan-out (serial, process pool, supervised pool) and design-space
+sweeps live on the execution plane, :mod:`repro.exec`.
+"""
 
 from .experiments import ExperimentConfig, ExperimentHarness, fitted_devices
 from .metrics import (
@@ -24,7 +28,6 @@ from .campaign import (
     QuarantinedCell,
     run_campaign,
 )
-from .parallel import resolve_jobs, run_bumblebee_cells, run_design_cells
 from .resultcache import ResultCache, default_cache_dir
 from .devices import (
     DeviceReport,
@@ -33,7 +36,6 @@ from .devices import (
     format_device_reports,
 )
 from .plotting import bar_chart, grouped_bars, heat_strip, sparkline
-from .sweep import config_with, sweep_bumblebee
 from .tracetools import (
     ReuseProfile,
     StrideProfile,
@@ -69,8 +71,6 @@ __all__ = [
     "compare",
     "summarise_group",
     "geomean_speedup",
-    "config_with",
-    "sweep_bumblebee",
     "format_figure1",
     "format_table2",
     "format_figure6",
@@ -106,9 +106,6 @@ __all__ = [
     "run_campaign",
     "ResultCache",
     "default_cache_dir",
-    "resolve_jobs",
-    "run_design_cells",
-    "run_bumblebee_cells",
     "SANITIZE_DESIGNS",
     "DiffCase",
     "DifferentialReport",

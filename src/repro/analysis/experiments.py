@@ -32,7 +32,6 @@ from ..baselines import FIGURE7_VARIANTS, FIGURE8_DESIGNS, make_controller
 from ..designs import DesignSpec, registry
 from ..cache.utilisation import FIG1_LINE_SIZES, UtilisationResult, characterise
 from ..core.config import BumblebeeConfig, derive_geometry
-from ..core.hmmc import BumblebeeController
 from ..core.metadata import (
     SRAM_BUDGET_BYTES,
     MetadataSizes,
@@ -103,7 +102,14 @@ def fitted_devices(scale: SystemScale, page_bytes: int = 64 * KIB,
     Page sizes such as 96KB do not divide power-of-two capacities; both
     memories are rounded down to the nearest whole-set multiple, exactly
     as a real controller would leave a sliver of a stack unmanaged.
+
+    Raises:
+        ValueError: for a non-positive ``page_bytes`` or ``hbm_ways``.
     """
+    for field_name, value in (("page_bytes", page_bytes),
+                              ("hbm_ways", hbm_ways)):
+        if value <= 0:
+            raise ValueError(f"{field_name} must be positive, got {value}")
     set_bytes = page_bytes * hbm_ways
     hbm_bytes = max(set_bytes, scale.hbm_bytes // set_bytes * set_bytes)
     sets = hbm_bytes // set_bytes
@@ -119,7 +125,7 @@ class ExperimentHarness:
     Args:
         config: Shared experiment knobs (scale, window, seed, ...).
         cache: Optional persistent :class:`ResultCache`.  When given,
-            design/Bumblebee comparison records are looked up by the
+            design-cell comparison records are looked up by the
             content hash of their full input description before any
             simulation runs, and stored after; records round-trip
             bit-identically, so cached and fresh results are equal.
@@ -132,6 +138,9 @@ class ExperimentHarness:
         self.trace_cache: TraceCache | None = resolve_trace_cache(
             self.config.trace_cache_dir)
         self.hbm_config, self.dram_config = fitted_devices(self.config.scale)
+        self._devices: dict[tuple[int, int],
+                            tuple[DeviceConfig, DeviceConfig]] = {
+            (64 * KIB, 8): (self.hbm_config, self.dram_config)}
         self.driver = SimulationDriver(self.config.cpu)
         self.gen_seconds = 0.0
         self._traces: dict[str, PackedTrace] = {}
@@ -198,6 +207,24 @@ class ExperimentHarness:
         """The observability label of one design cell."""
         return design.name if isinstance(design, DesignSpec) else design
 
+    def devices(self, design: "str | DesignSpec"
+                ) -> tuple[DeviceConfig, DeviceConfig]:
+        """The (HBM, DRAM) configs one design cell runs on.
+
+        The harness devices refit to the spec's ``page_bytes`` /
+        ``hbm_ways`` overrides (memoized per pair), so a page size such
+        as 96KB tiles into whole remapping sets.  Specs without those
+        overrides — and every size that already tiles the harness
+        capacities — get device configs equal to the harness's own.
+        """
+        spec = self._resolve_spec(design)
+        fit = (spec.get("page_bytes", 64 * KIB), spec.get("hbm_ways", 8))
+        devices = self._devices.get(fit)
+        if devices is None:
+            devices = self._devices[fit] = fitted_devices(
+                self.config.scale, *fit)
+        return devices
+
     def _comparison_key(self, design: "str | DesignSpec",
                         workload: str) -> str:
         """Cache key of one design-spec cell.
@@ -210,30 +237,18 @@ class ExperimentHarness:
         spec = self._resolve_spec(design)
         encoded = self._encoded_designs.get(spec)
         if encoded is None:
+            hbm, dram = self.devices(spec)
             encoded = self._encoded_designs[spec] = \
                 ResultCache.encode_fields(
                     kind="design",
                     design=spec.name,
                     design_spec=spec.to_dict(),
                     design_spec_hash=spec.spec_hash,
-                    hbm=self._dump(self.hbm_config),
-                    dram=self._dump(self.dram_config),
+                    hbm=self._dump(hbm),
+                    dram=self._dump(dram),
                     sram_bytes=self.config.scale.sram_bytes)
         return ResultCache.key_for_encoded(
             {**encoded, **self._encoded_key_fields(workload)})
-
-    def _bumblebee_key(self, bumblebee_config: BumblebeeConfig,
-                       workload: str, name: str,
-                       hbm_config: DeviceConfig,
-                       dram_config: DeviceConfig) -> str:
-        """Cache key of one custom-Bumblebee cell."""
-        return ResultCache.key_for(
-            kind="bumblebee",
-            design=name,
-            bumblebee=self._dump(bumblebee_config),
-            hbm=self._dump(hbm_config),
-            dram=self._dump(dram_config),
-            **self._key_fields(workload))
 
     def cache_put(self, key: str, record) -> None:
         """Store into the persistent cache, degrading gracefully.
@@ -439,7 +454,7 @@ class ExperimentHarness:
             self._record_timing(spec.name, workload, snapshot)
             return cached
         controller = registry.build(
-            spec, self.hbm_config, self.dram_config,
+            spec, *self.devices(spec),
             sram_bytes=self.config.scale.sram_bytes)
         result = self.driver.run(controller, self.trace(workload),
                                  workload=workload,
@@ -454,37 +469,6 @@ class ExperimentHarness:
             self.cache_put(self._comparison_key(spec, workload),
                            comparison.to_record())
         self._record_timing(spec.name, workload, snapshot, engine=engine)
-        return comparison
-
-    def run_bumblebee(self, bumblebee_config: BumblebeeConfig,
-                      workload: str,
-                      name: str = "Bumblebee",
-                      hbm_config: DeviceConfig | None = None,
-                      dram_config: DeviceConfig | None = None
-                      ) -> WorkloadComparison:
-        """Run a custom Bumblebee configuration on one workload."""
-        hbm = hbm_config or self.hbm_config
-        dram = dram_config or self.dram_config
-        snapshot = self._timing_start()
-        key = None
-        if self.cache is not None:
-            key = self._bumblebee_key(bumblebee_config, workload, name,
-                                      hbm, dram)
-            record = self.cache.get(key)
-            if record is not None:
-                self._record_timing(name, workload, snapshot)
-                return WorkloadComparison(**record)
-        controller = BumblebeeController(hbm, dram, bumblebee_config,
-                                         name=name)
-        result = self.driver.run(controller, self.trace(workload),
-                                 workload=workload,
-                                 warmup=self.config.warmup,
-                                 engine=self.config.engine)
-        engine = self._engine_timing()
-        comparison = compare(result, self.baseline(workload))
-        if key is not None:
-            self.cache_put(key, comparison.to_record())
-        self._record_timing(name, workload, snapshot, engine=engine)
         return comparison
 
     # ---- Figure 1 ---------------------------------------------------------
@@ -550,40 +534,34 @@ class ExperimentHarness:
     ) -> dict[tuple[int, int], dict]:
         """Normalised IPC for each block-page configuration (Figure 6).
 
-        Configurations whose metadata exceeds the (scaled) SRAM budget are
-        reported with ``fits_sram=False``, mirroring the paper's 512KB
-        feasibility cut.  ``jobs`` > 1 fans the cells over processes.
+        Each configuration is a Bumblebee :class:`DesignSpec` whose
+        devices the harness refits to its page size (see
+        :meth:`devices`).  Configurations whose metadata exceeds the
+        (scaled) SRAM budget are reported with ``fits_sram=False``,
+        mirroring the paper's 512KB feasibility cut.  ``jobs`` > 1 fans
+        the cells over processes.
         """
-        from .parallel import run_bumblebee_cells
+        from ..exec.backends import run_cells
+        from ..exec.plan import enumerate_cells
         chosen = list(workloads or self.config.workloads)
-        cells = []
-        for page in page_sizes:
-            for block in block_sizes:
-                bconfig = BumblebeeConfig(page_bytes=page, block_bytes=block)
-                for workload in chosen:
-                    cells.append((bconfig, workload,
-                                  f"bee-{block}-{page}", page))
-        comparisons = run_bumblebee_cells(self, cells, jobs=jobs)
-        by_cell = dict(zip(cells, comparisons))
+        specs = registry.expand_grid("Bumblebee", {
+            "page_bytes": list(page_sizes), "block_bytes": list(block_sizes)})
+        run_cells(self, enumerate_cells(specs, chosen), jobs=jobs)
         out: dict[tuple[int, int], dict] = {}
-        for page in page_sizes:
-            hbm_config, dram_config = fitted_devices(self.config.scale,
-                                                     page_bytes=page)
-            for block in block_sizes:
-                bconfig = BumblebeeConfig(page_bytes=page, block_bytes=block)
-                geometry = derive_geometry(
-                    bconfig, hbm_config.geometry.capacity_bytes,
-                    dram_config.geometry.capacity_bytes)
-                sizes = metadata_sizes(bconfig, geometry)
-                picked = [by_cell[(bconfig, workload,
-                                   f"bee-{block}-{page}", page)]
-                          for workload in chosen]
-                out[(block, page)] = {
-                    "norm_ipc": geomean_speedup(picked),
-                    "metadata_bytes": sizes.total_bytes,
-                    "fits_sram": sizes.total_bytes
-                    <= self.config.scale.sram_bytes,
-                }
+        for spec in specs:
+            bconfig = BumblebeeConfig(**spec.param_dict)
+            hbm_config, dram_config = self.devices(spec)
+            geometry = derive_geometry(
+                bconfig, hbm_config.geometry.capacity_bytes,
+                dram_config.geometry.capacity_bytes)
+            sizes = metadata_sizes(bconfig, geometry)
+            picked = [self.run_design(spec, workload) for workload in chosen]
+            out[(bconfig.block_bytes, bconfig.page_bytes)] = {
+                "norm_ipc": geomean_speedup(picked),
+                "metadata_bytes": sizes.total_bytes,
+                "fits_sram": sizes.total_bytes
+                <= self.config.scale.sram_bytes,
+            }
         return out
 
     # ---- §IV-B -------------------------------------------------------------

@@ -106,14 +106,18 @@ class BumblebeeConfig:
     counter_bits: int = 8
 
     def __post_init__(self) -> None:
+        # Before any modulo: a zero size would divide by zero and a
+        # negative one would turn into a bogus geometry downstream.
+        for name in ("page_bytes", "block_bytes", "hbm_ways"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.page_bytes % self.block_bytes != 0:
             raise ValueError("page size must be a multiple of block size")
         if self.block_bytes % 64 != 0:
             raise ValueError("block size must be a multiple of 64B lines")
         if not 0.0 < self.most_blocks_fraction <= 1.0:
             raise ValueError("most_blocks_fraction must be in (0, 1]")
-        if self.hbm_ways < 1:
-            raise ValueError("need at least one HBM way per set")
         if (self.fixed_chbm_ways is not None
                 and not 0 <= self.fixed_chbm_ways <= self.hbm_ways):
             raise ValueError("fixed_chbm_ways must be within hbm_ways")

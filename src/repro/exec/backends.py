@@ -31,28 +31,194 @@ Interrupt behaviour is uniform: SIGTERM/SIGINT flushes the completed
 prefix and raises
 :class:`~repro.analysis.campaign.CampaignInterrupted` with the resume
 hint, whichever backend was running.
+
+Underneath all local backends sits :func:`run_cells`.  Every cell is an
+independent, deterministic function of the
+:class:`~repro.analysis.experiments.ExperimentConfig` and its
+``(design, workload)`` coordinate, so fanning cells over processes is
+bit-identical to a serial run.  Each worker process keeps one
+:class:`~repro.analysis.experiments.ExperimentHarness` per distinct
+(config, result-cache root) for the life of the pool, so packed traces
+and no-HBM baselines are paid once per worker, not once per cell; a
+parent's persistent result cache and trace cache are shared with the
+workers.  Workers return ``WorkloadComparison.to_record`` dumps plus the
+cell's timing record, which the parent re-adopts through
+:meth:`~repro.analysis.experiments.ExperimentHarness.absorb_comparison`
+and :meth:`~repro.analysis.experiments.ExperimentHarness.adopt_timing`.
 """
 
 from __future__ import annotations
 
+import os
 import signal
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+# Per-process harness store: workers keep traces and baselines warm
+# across the cells they are handed (keyed by the frozen config plus the
+# persistent cache root, so one pool can serve several harnesses).
+_WORKER_HARNESSES: dict[tuple, object] = {}
+
+
+def _worker_harness(config, cache_root: "str | None"):
+    harness = _WORKER_HARNESSES.get((config, cache_root))
+    if harness is None:
+        from ..analysis.experiments import ExperimentHarness
+        from ..analysis.resultcache import ResultCache
+        cache = ResultCache(cache_root) if cache_root is not None else None
+        harness = _WORKER_HARNESSES[(config, cache_root)] = \
+            ExperimentHarness(config, cache=cache)
+    return harness
+
+
+def _cache_root(harness) -> "str | None":
+    """The parent's persistent-cache root, as shipped to workers."""
+    return str(harness.cache.root) if harness.cache is not None else None
+
+
+def design_token(design) -> str:
+    """A stable, collision-free string token for one design cell.
+
+    Plain registered names map to themselves; parameterised specs add
+    their stable hash so two same-named (or same-based) sweep points
+    can never share a supervision key or sort position.
+    """
+    from ..designs import DesignSpec
+    if isinstance(design, DesignSpec):
+        return f"{design.name}@{design.spec_hash[:12]}"
+    return str(design)
+
+
+def _design_cell(task: tuple) -> tuple:
+    """Worker: simulate one design cell, return (record, timing)."""
+    config, cache_root, design, workload = task
+    harness = _worker_harness(config, cache_root)
+    record = harness.run_design(design, workload).to_record()
+    return record, harness.cell_timing(design, workload)
+
+
+def resolve_jobs(jobs: "int | None") -> int:
+    """Normalise a ``--jobs`` value to a worker count.
+
+    None or 0 mean "all available cores"; negatives are rejected.
+    """
+    if jobs is None or jobs == 0:
+        return os.cpu_count() or 1
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
+    return jobs
 
 
 def run_cells(harness, cells: Sequence[tuple], jobs: "int | None" = 1,
               supervise=None, on_result=None, on_quarantine=None):
-    """Fill cells on a harness without a campaign (figure drivers).
+    """Fill ``(design, workload)`` cells on a harness, optionally across
+    processes.
 
-    The plane's campaign-less entry point: dedup, cache reuse,
-    serial/pool/supervised execution, and ordered incremental emission,
-    exactly as a campaign fill — just without persistence.
+    The plane's campaign-less entry point (figure drivers, ablation
+    sweeps) and the engine under :func:`fill_cells`.  Already-known
+    cells (harness memory or persistent cache) are reused; the rest run
+    serially (``jobs`` <= 1), on a process pool, or — with
+    ``supervise`` — on the supervised pool.  Results are bit-identical
+    whichever way they were computed.
+
+    Args:
+        harness: The parent harness that adopts every result.
+        cells: (design, workload) pairs, design a registered name or a
+            :class:`~repro.designs.DesignSpec`; duplicates collapse.
+        jobs: Worker processes (0/None = all cores, 1 = in-process).
+        supervise: A :class:`~repro.resilience.supervisor.Supervision`
+            policy; when given, missing cells run under supervision
+            (timeouts, retries, quarantine) even at ``jobs=1``.
+        on_result: Invoked once per resolved unique cell, in cell
+            order, with (design, workload, comparison).  Emission is
+            incremental: a cell is emitted as soon as it and every cell
+            before it have resolved, so an interrupted run has persisted
+            a clean, order-stable prefix of the uninterrupted run.
+        on_quarantine: Invoked with (design, workload,
+            :class:`~repro.resilience.supervisor.CellFailure`) for each
+            cell the supervisor gave up on; such cells are skipped, not
+            raised, and excluded from the returned list.
+
+    Returns:
+        One comparison per unique resolved cell, in first-appearance
+        order (quarantined cells are absent).
     """
-    from ..analysis.parallel import run_design_cells
-    return run_design_cells(harness, cells, jobs=jobs,
-                            on_result=on_result, supervise=supervise,
-                            on_quarantine=on_quarantine)
+    unique = list(dict.fromkeys(tuple(cell) for cell in cells))
+    jobs = resolve_jobs(jobs)
+    known: dict = {}
+    skipped: set = set()
+    emitted = 0
+
+    def flush() -> None:
+        """Emit the longest fully-resolved prefix of ``unique``."""
+        nonlocal emitted
+        while emitted < len(unique):
+            cell = unique[emitted]
+            if cell in skipped:
+                emitted += 1
+                continue
+            comparison = known.get(cell)
+            if comparison is None:
+                break
+            if on_result is not None:
+                on_result(cell[0], cell[1], comparison)
+            emitted += 1
+
+    def adopt(design, workload, outcome: tuple) -> None:
+        record, timing = outcome
+        known[(design, workload)] = harness.absorb_comparison(
+            design, workload, record)
+        harness.adopt_timing(design, workload, timing)
+        flush()
+
+    todo = []
+    for cell in unique:
+        cached = harness.cached_comparison(*cell)
+        if cached is not None:
+            known[cell] = cached
+        else:
+            todo.append(cell)
+    cache_root = _cache_root(harness)
+    if supervise is not None and todo:
+        # Imported lazily: repro.exec must stay importable without
+        # triggering the resilience package (and vice versa).
+        from ..resilience.supervisor import run_supervised
+        by_key = {f"{design_token(design)}::{workload}": (design, workload)
+                  for design, workload in todo}
+        tasks = [(key, (harness.config, cache_root, *cell))
+                 for key, cell in by_key.items()]
+
+        def quarantine(key: str, failure) -> None:
+            cell = by_key[key]
+            skipped.add(cell)
+            flush()
+            if on_quarantine is not None:
+                on_quarantine(cell[0], cell[1], failure)
+
+        run_supervised(_design_cell, tasks, jobs=jobs, policy=supervise,
+                       on_complete=lambda key, outcome: adopt(
+                           *by_key[key], outcome),
+                       on_quarantine=quarantine)
+    elif jobs <= 1 or len(todo) <= 1:
+        for design, workload in todo:
+            known[(design, workload)] = harness.run_design(design, workload)
+            flush()
+    else:
+        # Workload-major order: consecutive cells of one chunk share a
+        # trace and baseline inside their worker.
+        ordered = sorted(todo,
+                         key=lambda cell: (cell[1], design_token(cell[0])))
+        tasks = [(harness.config, cache_root, *cell) for cell in ordered]
+        workers = min(jobs, len(tasks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for cell, outcome in zip(ordered, pool.map(
+                    _design_cell, tasks,
+                    chunksize=-(-len(tasks) // workers))):
+                adopt(*cell, outcome)
+    flush()
+    return [known[cell] for cell in unique if cell in known]
 
 
 def fill_cells(campaign, cells: Sequence[tuple],

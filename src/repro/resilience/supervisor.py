@@ -20,8 +20,8 @@ This module supervises each cell individually:
   never abort a campaign.
 
 Workers are long-lived (one task loop per process, warm
-per-process harness state, exactly like the plain pool in
-:mod:`repro.analysis.parallel`) and communicate over per-worker
+per-process harness state, exactly like the plain pool behind
+:func:`repro.exec.backends.run_cells`) and communicate over per-worker
 queues, so the supervisor always knows which cell a worker holds and a
 killed worker's possibly-torn queue is discarded with it.  Workers
 orphaned by a SIGKILL'd supervisor notice the parent change and exit on

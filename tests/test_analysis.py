@@ -1,11 +1,10 @@
-"""Tests for the analysis layer: metrics, harness, sweeps, reports."""
+"""Tests for the analysis layer: metrics, harness, reports."""
 
 import pytest
 
 from repro import ExperimentConfig, ExperimentHarness
 from repro.analysis import (
     compare,
-    config_with,
     format_figure1,
     format_figure6,
     format_figure7,
@@ -15,11 +14,9 @@ from repro.analysis import (
     format_table2,
     geomean_speedup,
     summarise_group,
-    sweep_bumblebee,
 )
 from repro.analysis.experiments import fitted_devices
 from repro.analysis.metrics import WorkloadComparison
-from repro.core import BumblebeeConfig
 from repro.traces import DEFAULT_SCALE, SystemScale
 
 FAST = ExperimentConfig(requests=6000, warmup=2000,
@@ -126,48 +123,6 @@ class TestFittedDevices:
         scale = SystemScale(1.0 / 512.0)
         hbm, dram = fitted_devices(scale)
         assert hbm.geometry.capacity_bytes >= 64 * 1024 * 8
-
-
-class TestSweep:
-    """The legacy single-field sweep API is a deprecation shim over
-    DesignSpec grid expansion on the execution plane."""
-
-    def test_config_with_replaces_field(self):
-        base = BumblebeeConfig()
-        with pytest.deprecated_call():
-            modified = config_with(base, zombie_patience=99)
-        assert modified.zombie_patience == 99
-        assert modified.page_bytes == base.page_bytes
-
-    def test_config_with_rejects_unknown(self):
-        with pytest.raises(TypeError):
-            config_with(BumblebeeConfig(), nonsense=1)
-
-    def test_sweep_returns_one_entry_per_value(self, harness):
-        with pytest.deprecated_call():
-            results = sweep_bumblebee(harness, "zombie_patience",
-                                      (16, 64), workloads=("leela",))
-        assert set(results) == {16, 64}
-        assert all(v > 0 for v in results.values())
-
-    def test_sweep_rejects_unknown_field(self, harness):
-        with pytest.raises(TypeError, match="nonsense"):
-            sweep_bumblebee(harness, "nonsense", (1, 2),
-                            workloads=("leela",))
-
-    def test_sweep_matches_design_spec_cells(self, harness):
-        # The shim must route through the same DesignSpec cells the
-        # registry grid produces — identical geomeans, cached results.
-        from repro.analysis.metrics import geomean_speedup
-        from repro.designs import DesignSpec
-        with pytest.deprecated_call():
-            results = sweep_bumblebee(harness, "zombie_patience",
-                                      (16,), workloads=("leela",))
-        spec = DesignSpec(base="Bumblebee",
-                          params={"zombie_patience": 16})
-        direct = geomean_speedup(
-            [harness.cached_comparison(spec, "leela")])
-        assert results[16] == direct
 
 
 class TestReports:

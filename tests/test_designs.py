@@ -367,6 +367,21 @@ class TestSpecCacheKeys:
             campaign.matrix()[spec.name]["leela"])
 
 
+class TestSpecTrustBoundary:
+    @pytest.mark.parametrize("field, value", [
+        ("page_bytes", 0), ("block_bytes", 0), ("page_bytes", -65536),
+        ("hbm_ways", 0)])
+    def test_non_positive_geometry_rejected(self, field, value):
+        """A zero or negative size is a typed error naming the field,
+        on the harness path (device refit first) and a direct build."""
+        spec = DesignSpec("Bumblebee", {field: value})
+        harness = ExperimentHarness(ExperimentConfig(**FAST))
+        with pytest.raises(ValueError, match=field):
+            harness.run_design(spec, "leela")
+        with pytest.raises(ValueError, match=field):
+            registry.build(spec, HBM, DRAM)
+
+
 # ---- CLI -------------------------------------------------------------------
 
 
@@ -410,6 +425,17 @@ class TestDesignsCli:
         code, out = run_cli(capsys, *argv, "--resume")
         assert code == 0
         assert "4 cells complete (0 new)" in out
+
+    def test_sweep_refits_devices_to_page_size(self, capsys, tmp_path):
+        # 96KB pages do not tile the harness capacities: the cell runs
+        # on devices refit to whole 96KB-page sets.
+        code, out = run_cli(capsys, "sweep", "--base", "Bumblebee",
+                            "--grid", "page_bytes=65536,98304",
+                            "--workloads", "leela",
+                            "--out", str(tmp_path / "sweep.jsonl"),
+                            "--requests", "900", "--warmup", "300")
+        assert code == 0
+        assert "2 cells complete (2 new)" in out
 
     def test_sweep_rejects_bad_grid(self, capsys):
         code = main(["sweep", "--grid", "warp_factor=9",

@@ -13,19 +13,16 @@ import json
 import pytest
 
 from repro import ExperimentConfig, ExperimentHarness, __version__
-from repro.analysis import (
-    Campaign,
-    ResultCache,
-    resolve_jobs,
-    run_bumblebee_cells,
-    run_design_cells,
-    sweep_bumblebee,
-)
+from repro.analysis import Campaign, ResultCache
 from repro.analysis.campaign import run_campaign
 from repro.baselines import make_controller
 from repro.analysis.experiments import fitted_devices
+from repro.analysis.metrics import compare, geomean_speedup
 from repro.core.config import BumblebeeConfig
+from repro.core.hmmc import BumblebeeController
 from repro.designs import DesignSpec, registry
+from repro.exec import run_cells
+from repro.exec.backends import resolve_jobs
 from repro.sim.driver import SimulationDriver
 from repro.traces.spec import SPEC2017
 
@@ -35,15 +32,19 @@ FAST = ExperimentConfig(requests=1500, warmup=500,
 CELLS = [("Bumblebee", "leela"), ("Bumblebee", "mcf"),
          ("Banshee", "leela"), ("Banshee", "mcf")]
 
+#: A page size that does not tile the harness capacities: its cells run
+#: on devices the harness refits to whole 96KB-page sets.
+PAGE_96K = DesignSpec(base="Bumblebee", params={"page_bytes": 96 * 1024})
+
 
 class TestParallelIdentical:
     def test_design_cells_bit_identical(self):
-        serial = run_design_cells(ExperimentHarness(FAST), CELLS, jobs=1)
-        parallel = run_design_cells(ExperimentHarness(FAST), CELLS, jobs=2)
+        serial = run_cells(ExperimentHarness(FAST), CELLS, jobs=1)
+        parallel = run_cells(ExperimentHarness(FAST), CELLS, jobs=2)
         assert serial == parallel    # frozen dataclasses: exact equality
 
     def test_duplicates_collapse(self):
-        results = run_design_cells(
+        results = run_cells(
             ExperimentHarness(FAST),
             [("Banshee", "leela"), ("Banshee", "leela")], jobs=2)
         assert len(results) == 1
@@ -56,21 +57,10 @@ class TestParallelIdentical:
             variants=variants, workloads=("leela",), jobs=2)
         assert serial == parallel
 
-    def test_sweep_identical(self):
-        serial = sweep_bumblebee(ExperimentHarness(FAST),
-                                 "hot_queue_dram_entries", [4, 8],
-                                 workloads=("leela",))
-        parallel = sweep_bumblebee(ExperimentHarness(FAST),
-                                   "hot_queue_dram_entries", [4, 8],
-                                   workloads=("leela",), jobs=2)
-        assert serial == parallel
-
     def test_bumblebee_cells_page_refit(self):
-        cells = [(BumblebeeConfig(page_bytes=128 * 1024), "leela",
-                  "bee-128k", 128 * 1024)]
-        serial = run_bumblebee_cells(ExperimentHarness(FAST), cells)
-        parallel = run_bumblebee_cells(ExperimentHarness(FAST), cells,
-                                       jobs=2)
+        cells = [(PAGE_96K, "leela"), (PAGE_96K, "mcf")]
+        serial = run_cells(ExperimentHarness(FAST), cells, jobs=1)
+        parallel = run_cells(ExperimentHarness(FAST), cells, jobs=2)
         assert serial == parallel
 
     def test_resolve_jobs(self):
@@ -79,6 +69,35 @@ class TestParallelIdentical:
         assert resolve_jobs(0) >= 1
         with pytest.raises(ValueError):
             resolve_jobs(-1)
+
+
+class TestFigure6SpecCells:
+    def test_figure6_matches_direct_controllers(self):
+        """Figure 6 fills Bumblebee spec cells on refit devices; each
+        equals a controller built directly on ``fitted_devices``."""
+        harness = ExperimentHarness(FAST)
+        results = harness.figure6_design_space()
+        reference = ExperimentHarness(FAST)
+        for page in (64 * 1024, 96 * 1024, 128 * 1024):
+            hbm, dram = fitted_devices(FAST.scale, page_bytes=page)
+            for block in (1024, 2048, 4096):
+                spec = DesignSpec(base="Bumblebee", params={
+                    "page_bytes": page, "block_bytes": block})
+                expected = []
+                for workload in FAST.workloads:
+                    controller = BumblebeeController(
+                        hbm, dram,
+                        BumblebeeConfig(page_bytes=page, block_bytes=block),
+                        name=spec.name)
+                    result = reference.driver.run(
+                        controller, reference.trace(workload),
+                        workload=workload, warmup=FAST.warmup)
+                    expected.append(compare(result,
+                                            reference.baseline(workload)))
+                    assert harness.cached_comparison(spec, workload) == \
+                        expected[-1]
+                assert results[(block, page)]["norm_ipc"] == \
+                    geomean_speedup(expected)
 
 
 class TestResultCache:
@@ -131,12 +150,12 @@ class TestResultCache:
         assert len(cache) == 0
 
     def test_bumblebee_cells_share_cache(self, tmp_path):
-        cells = [(BumblebeeConfig(), "leela", "bee", None)]
+        cells = [(PAGE_96K, "leela")]
         first = ExperimentHarness(FAST, cache=ResultCache(tmp_path))
-        computed = run_bumblebee_cells(first, cells)
+        computed = run_cells(first, cells)
         second = ExperimentHarness(FAST, cache=ResultCache(tmp_path))
-        assert run_bumblebee_cells(second, cells) == computed
-        assert second.cache.hits == 1
+        assert run_cells(second, cells) == computed
+        assert second.cache.hits == 1 and second.cache.misses == 0
 
     def test_encoded_key_equals_key_for(self):
         class Colour(enum.Enum):
@@ -160,22 +179,14 @@ def _reference_fields(harness, workload):
             "cpu": dataclasses.asdict(c.cpu), "version": __version__}
 
 
-def _reference_comparison_key(harness, design, workload):
+def _reference_comparison_key(harness, design, workload, devices=None):
     spec = registry.resolve(design)
+    hbm, dram = devices or (harness.hbm_config, harness.dram_config)
     return ResultCache.key_for(
         kind="design", design=spec.name, design_spec=spec.to_dict(),
         design_spec_hash=spec.spec_hash,
-        hbm=dataclasses.asdict(harness.hbm_config),
-        dram=dataclasses.asdict(harness.dram_config),
-        sram_bytes=harness.config.scale.sram_bytes,
-        **_reference_fields(harness, workload))
-
-
-def _reference_bumblebee_key(harness, bconfig, workload, name, hbm, dram):
-    return ResultCache.key_for(
-        kind="bumblebee", design=name,
-        bumblebee=dataclasses.asdict(bconfig),
         hbm=dataclasses.asdict(hbm), dram=dataclasses.asdict(dram),
+        sram_bytes=harness.config.scale.sram_bytes,
         **_reference_fields(harness, workload))
 
 
@@ -205,19 +216,23 @@ class TestKeyPins:
                 dram=dataclasses.asdict(harness.dram_config),
                 **_reference_fields(harness, workload))
 
-    def test_bumblebee_keys_at_harness_devices_and_refit(self):
+    def test_spec_keys_at_harness_devices_and_refit(self):
         harness = ExperimentHarness(FAST)
         refit = fitted_devices(FAST.scale, page_bytes=96 * 1024)
         assert refit != (harness.hbm_config, harness.dram_config)
-        cells = [(BumblebeeConfig(), "bee",
-                  (harness.hbm_config, harness.dram_config)),
-                 (BumblebeeConfig(page_bytes=96 * 1024), "bee-96k", refit)]
+        assert harness.devices(PAGE_96K) == refit
         for workload in ("leela", "mcf"):
-            for bconfig, name, (hbm, dram) in cells:
-                assert harness._bumblebee_key(
-                    bconfig, workload, name, hbm, dram) == \
-                    _reference_bumblebee_key(harness, bconfig, workload,
-                                             name, hbm, dram)
+            assert harness._comparison_key(PAGE_96K, workload) == \
+                _reference_comparison_key(harness, PAGE_96K, workload,
+                                          devices=refit)
+            # Sizes that tile the harness capacities keep its devices.
+            for params in ({"page_bytes": 128 * 1024}, {"hbm_ways": 4},
+                           {"hbm_ways": 16}):
+                spec = DesignSpec(base="Bumblebee", params=params)
+                assert harness.devices(spec) == \
+                    (harness.hbm_config, harness.dram_config)
+                assert harness._comparison_key(spec, workload) == \
+                    _reference_comparison_key(harness, spec, workload)
 
     def test_edited_key_fields_do_not_leak(self):
         harness = ExperimentHarness(FAST)
@@ -229,11 +244,10 @@ class TestKeyPins:
             _reference_fields(harness, "mcf")
         assert harness._comparison_key("Bumblebee", "mcf") == \
             _reference_comparison_key(harness, "Bumblebee", "mcf")
-        assert harness._bumblebee_key(
-            BumblebeeConfig(), "mcf", "bee", harness.hbm_config,
-            harness.dram_config) == _reference_bumblebee_key(
-                harness, BumblebeeConfig(), "mcf", "bee",
-                harness.hbm_config, harness.dram_config)
+        assert harness._comparison_key(PAGE_96K, "mcf") == \
+            _reference_comparison_key(
+                harness, PAGE_96K, "mcf",
+                devices=fitted_devices(FAST.scale, page_bytes=96 * 1024))
 
 
 class TestCampaignJsonl:
