@@ -247,11 +247,10 @@ def test_fig8_campaign_vector_speedup(harness, tmp_path: Path):
     the same warm packed stream: once through the forced scalar
     reference loop and once with ``engine="auto"``, which now selects a
     vectorized engine for all six designs (``batch_plan`` for the
-    stateless baselines, the two-pass ``batch_epoch_plan`` /
-    ``commit_epoch`` protocol for the feedback designs, Bumblebee
-    included).  Results are asserted bit-identical per design; each leg
-    is the best of three timed runs so the end-to-end gate measures the
-    engines, not scheduler noise.
+    stateless baselines, the two-pass ``batch_epoch_plan`` protocol for
+    the feedback designs, Bumblebee included).  Results are asserted
+    bit-identical per design; each leg is the best of three timed runs
+    so the end-to-end gate measures the engines, not scheduler noise.
     """
     from repro.designs import registry
     designs = registry.figure_names("fig8")

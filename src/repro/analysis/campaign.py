@@ -319,7 +319,7 @@ class Campaign:
         generation vs simulation wall time, trace-cache counter deltas
         (hits / misses / generated / bytes), and replay-engine counts
         (``engine_vector`` / ``engine_scalar`` cells plus their
-        ``vector_epochs`` / ``scalar_epochs`` / ``bridged_requests`` —
+        ``vector_epochs`` / ``scalar_epochs`` / ``policy_requests`` —
         numeric so they sum here without special-casing).  Records
         persisted by older versions (no timing block) are skipped.
         """

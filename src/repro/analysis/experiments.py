@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 from ..baselines import FIGURE7_VARIANTS, FIGURE8_DESIGNS, make_controller
 from ..designs import DesignSpec, registry
 from ..cache.utilisation import FIG1_LINE_SIZES, UtilisationResult, characterise
-from ..core.config import BumblebeeConfig, derive_geometry
+from ..core.config import BumblebeeConfig, check_geometry, derive_geometry
 from ..core.metadata import (
     SRAM_BUDGET_BYTES,
     MetadataSizes,
@@ -104,12 +104,11 @@ def fitted_devices(scale: SystemScale, page_bytes: int = 64 * KIB,
     as a real controller would leave a sliver of a stack unmanaged.
 
     Raises:
-        ValueError: for a non-positive ``page_bytes`` or ``hbm_ways``.
+        ValueError: for a ``page_bytes`` or ``hbm_ways`` that is not a
+            positive integer.
     """
-    for field_name, value in (("page_bytes", page_bytes),
-                              ("hbm_ways", hbm_ways)):
-        if value <= 0:
-            raise ValueError(f"{field_name} must be positive, got {value}")
+    check_geometry("page_bytes", page_bytes)
+    check_geometry("hbm_ways", hbm_ways)
     set_bytes = page_bytes * hbm_ways
     hbm_bytes = max(set_bytes, scale.hbm_bytes // set_bytes * set_bytes)
     sets = hbm_bytes // set_bytes
@@ -396,9 +395,9 @@ class ExperimentHarness:
         """The driver's engine choice for the run that just finished, as
         numeric timing keys (``Campaign.timing_summary`` sums every
         timing value, so engine choice is encoded as 0/1 indicators and
-        epoch counts rather than strings).  ``bridged_requests`` counts
-        the requests the two-pass epoch engine ran through the scalar
-        ``controller.access`` bridge (0 on the other engines).  A scalar
+        epoch counts rather than strings).  ``policy_requests`` counts
+        the requests the two-pass epoch engine's pass 1 ran through
+        ``controller.access`` (0 on the other engines).  A scalar
         cell additionally carries a ``fallback_<reason>`` indicator
         (hyphens as underscores, e.g.
         ``fallback_design_not_batch_capable``) so a campaign summary
@@ -413,7 +412,7 @@ class ExperimentHarness:
             else 1.0,
             "vector_epochs": float(driver.last_vector_epochs),
             "scalar_epochs": float(driver.last_scalar_epochs),
-            "bridged_requests": float(driver.last_bridged_requests),
+            "policy_requests": float(driver.last_policy_requests),
         }
         if driver.last_fallback_reason is not None:
             reason = driver.last_fallback_reason.replace("-", "_")

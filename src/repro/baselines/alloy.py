@@ -124,10 +124,9 @@ class AlloyCacheController(HybridMemoryController):
         Alloy's state machine — tags, dirty bits, and the MAP-I
         saturating counter — never reads device timing, so pass 1 can
         replay the whole epoch in scalar order against the *live* state
-        and hand the walk a static device script: every request is
-        pure, predicted-hit misses carry a serial TAD probe (``pre``)
-        and every miss carries its writeback/fetch movement (``post``).
-        :meth:`commit_epoch` is a no-op; the statistics the replay
+        and hand the walk a static device script: predicted-hit misses
+        carry a serial TAD probe (``pre``) and every miss carries its
+        writeback/fetch movement (``post``).  The statistics the replay
         owns (predictor counts, movement byte totals) are bumped here.
         """
         from ..sim.vectorized import EpochPlan
@@ -203,15 +202,11 @@ class AlloyCacheController(HybridMemoryController):
             bump("fetched_bytes", fills * LINE_BYTES)
             if writebacks:
                 bump("writeback_bytes", writebacks * LINE_BYTES)
-        plan = EpochPlan(pure=np.ones(m, dtype=bool),
-                         use_hbm=np.asarray(use, dtype=bool),
+        plan = EpochPlan(use_hbm=np.asarray(use, dtype=bool),
                          local_addr=np.asarray(local, dtype=np.int64))
         plan.pre = pre
         plan.post = post
         return plan
-
-    def commit_epoch(self, plan, indices) -> None:
-        """Pass 2 is empty: pass 1 already committed all feedback."""
 
     def metadata_bytes(self) -> int:
         """Tag store size (held in HBM, not SRAM)."""

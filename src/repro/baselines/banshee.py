@@ -154,11 +154,10 @@ class BansheeController(HybridMemoryController):
         Banshee's replacement — way tags, frequency counters, the
         sample tick, candidate counters, and the install gate — never
         reads device timing, so pass 1 replays the whole epoch in
-        scalar order against the live state: every request is pure and
-        the rare gated installs carry their page movement as ``post``
-        bulk ops.  :meth:`commit_epoch` is a no-op; the statistics the
-        replay owns (fills, evictions, rejections, overfetch, movement
-        byte totals) are bumped here.
+        scalar order against the live state: the rare gated installs
+        carry their page movement as ``post`` bulk ops.  The statistics
+        the replay owns (fills, evictions, rejections, overfetch,
+        movement byte totals) are bumped here.
         """
         from ..sim.vectorized import EpochPlan
         sets = self._sets
@@ -266,14 +265,10 @@ class BansheeController(HybridMemoryController):
             bump("replacement_rejected", rejected)
         if overfetch:
             bump("overfetch_bytes", overfetch)
-        plan = EpochPlan(pure=np.ones(m, dtype=bool),
-                         use_hbm=np.asarray(use, dtype=bool),
+        plan = EpochPlan(use_hbm=np.asarray(use, dtype=bool),
                          local_addr=np.asarray(local, dtype=np.int64))
         plan.post = post
         return plan
-
-    def commit_epoch(self, plan, indices) -> None:
-        """Pass 2 is empty: pass 1 already committed all feedback."""
 
 
     def reset_measurements(self) -> None:

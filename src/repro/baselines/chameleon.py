@@ -129,8 +129,7 @@ class ChameleonController(HybridMemoryController):
         epoch in scalar order against the live state, querying the
         *real* :class:`MetadataCache` per request.  Variable metadata
         latency rides in ``plan.meta``; the rare segment swaps carry
-        their movement as ``post`` bulk ops.  Every request is pure and
-        :meth:`commit_epoch` is a no-op.
+        their movement as ``post`` bulk ops.
         """
         from ..sim.vectorized import EpochPlan
         groups_count = self._groups_count
@@ -189,15 +188,11 @@ class ChameleonController(HybridMemoryController):
             bump("writeback_bytes", swaps * SEGMENT_BYTES)
             bump("fetch_bytes", swaps * SEGMENT_BYTES)
             bump("fetched_bytes", swaps * SEGMENT_BYTES)
-        plan = EpochPlan(pure=np.ones(m, dtype=bool),
-                         use_hbm=np.asarray(use, dtype=bool),
+        plan = EpochPlan(use_hbm=np.asarray(use, dtype=bool),
                          local_addr=np.asarray(local, dtype=np.int64))
         plan.meta = meta
         plan.post = post
         return plan
-
-    def commit_epoch(self, plan, indices) -> None:
-        """Pass 2 is empty: pass 1 already committed all feedback."""
 
     def metadata_bytes(self) -> int:
         return self._metadata.total_bytes

@@ -263,8 +263,7 @@ class Hybrid2Controller(HybridMemoryController):
         :class:`MetadataCache` per request.  Variable metadata latency
         rides in ``plan.meta``; block fills, evictions, and the
         promotion cascade carry their movement as ``post`` bulk ops in
-        exact scalar call order.  Every request is pure and
-        :meth:`commit_epoch` is a no-op.
+        exact scalar call order.
         """
         from ..sim.vectorized import EpochPlan
         hbm_cap = self._hbm_capacity
@@ -456,15 +455,11 @@ class Hybrid2Controller(HybridMemoryController):
             bump("writeback_bytes", wb_total)
         if mode_switch:
             bump("mode_switch_bytes", mode_switch)
-        plan = EpochPlan(pure=np.ones(m, dtype=bool),
-                         use_hbm=np.asarray(use, dtype=bool),
+        plan = EpochPlan(use_hbm=np.asarray(use, dtype=bool),
                          local_addr=np.asarray(local, dtype=np.int64))
         plan.meta = meta
         plan.post = post
         return plan
-
-    def commit_epoch(self, plan, indices) -> None:
-        """Pass 2 is empty: pass 1 already committed all feedback."""
 
     def reset_measurements(self) -> None:
         super().reset_measurements()

@@ -14,16 +14,18 @@ Vectorized replay
 
 The static splits ride the two-pass epoch engine
 (:meth:`~repro.core.hmmc.BumblebeeController.batch_epoch_plan`), and
-take its *direct* plan path: with ``fixed_chbm_ways`` pinned the
+take its *direct* classification: with ``fixed_chbm_ways`` pinned the
 controller is non-adaptive, so pass 1 skips the most-blocks switch
 restriction entirely — every resident hit classifies pure straight from
-the frozen BLE snapshot, without the per-way block-count guard the
-adaptive Bumblebee needs.  Feedback still exists (fills, hotness
-counters), which is why these are ``batch_replayable="epoch"`` rather
-than ``"stateless"``: a feedback-free ``batch_plan`` could not replay
-them bit-identically.  The specs below declare the tier explicitly so
-the capability pin (``tests/test_vectorized_engine.py``) checks them
-independently of the base design's registration.
+the BLE snapshot, without the per-way block-count guard the adaptive
+Bumblebee needs.  Every other request runs through ``access`` in pass 1
+and hands the walk its recorded device script.  Feedback still exists
+(fills, hotness counters), which is why these are
+``batch_replayable="epoch"`` rather than ``"stateless"``: a
+feedback-free ``batch_plan`` could not replay them bit-identically.  The
+specs below declare the tier explicitly so the capability pin
+(``tests/test_vectorized_engine.py``) checks them independently of the
+base design's registration.
 """
 
 from __future__ import annotations

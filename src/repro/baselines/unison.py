@@ -191,8 +191,7 @@ class UnisonCacheController(HybridMemoryController):
         so pass 1 replays the whole epoch in scalar order against the
         live state: mispredicted hits and misses carry their serial
         HBM probe as a ``pre`` op, fills and evictions carry their
-        movement as ``post`` bulk ops, and every request is pure.
-        :meth:`commit_epoch` is a no-op.
+        movement as ``post`` bulk ops.
         """
         from ..sim.vectorized import EpochPlan
         sets = self._sets
@@ -324,15 +323,11 @@ class UnisonCacheController(HybridMemoryController):
             bump("fetched_bytes", fetch_total)
         if wb_total:
             bump("writeback_bytes", wb_total)
-        plan = EpochPlan(pure=np.ones(m, dtype=bool),
-                         use_hbm=np.asarray(use, dtype=bool),
+        plan = EpochPlan(use_hbm=np.asarray(use, dtype=bool),
                          local_addr=np.asarray(local, dtype=np.int64))
         plan.pre = pre
         plan.post = post
         return plan
-
-    def commit_epoch(self, plan, indices) -> None:
-        """Pass 2 is empty: pass 1 already committed all feedback."""
 
     def reset_measurements(self) -> None:
         super().reset_measurements()

@@ -321,8 +321,8 @@ def _print_timing(campaign) -> None:
                  f"vector / {timing.get('engine_scalar', 0):.0f} "
                  f"scalar cells "
                  f"({timing.get('vector_epochs', 0):.0f} vector "
-                 f"epochs, {timing.get('bridged_requests', 0):.0f} "
-                 f"bridged requests)")
+                 f"epochs, {timing.get('policy_requests', 0):.0f} "
+                 f"policy requests)")
         fallbacks = {key[len("fallback_"):].replace("_", "-"): count
                      for key, count in sorted(timing.items())
                      if key.startswith("fallback_") and count}
@@ -362,6 +362,25 @@ def _report_campaign(args: argparse.Namespace, plan, campaign,
     return 0
 
 
+def _spec_error(harness, designs) -> str | None:
+    """``<spec name>: <message>`` for the first design whose controller
+    cannot be built on its cell's devices, else None.
+
+    Each distinct spec is built once, so a value a builder rejects (a
+    zero page size, a block size that does not divide the page) stops
+    the run before the campaign file opens instead of surfacing as a
+    traceback from the first cell.
+    """
+    for design in dict.fromkeys(designs):
+        try:
+            spec = registry.resolve(design)
+            registry.build(spec, *harness.devices(spec),
+                           sram_bytes=harness.config.scale.sram_bytes)
+        except ValueError as exc:
+            return f"{getattr(design, 'name', design)}: {exc}"
+    return None
+
+
 def _run_plan(args: argparse.Namespace, designs,
               source: str = "campaign") -> int:
     """Shared plan/execute/report path of ``campaign`` and ``sweep``.
@@ -371,16 +390,22 @@ def _run_plan(args: argparse.Namespace, designs,
     serial, pool, or fabric fleet — comes from the shared flags; the
     post-run summary is identical on all of them (same campaign line,
     db ingest, timing/engine counters, matrix render, and quarantine
-    trailer).  Exit codes: 0 complete, 2 usage (bad --resume, a
-    --metric no record carries, fabric config errors), 3 fabric
-    unreachable, 4 quarantined cells, 130 interrupted.
+    trailer).  Exit codes: 0 complete, 2 usage (a spec whose controller
+    cannot be built, bad --resume, a --metric no record carries, fabric
+    config errors), 3 fabric unreachable, 4 quarantined cells, 130
+    interrupted.
     """
     from .analysis import CampaignInterrupted
     from .exec import PlanError
     from .fabric import FabricUnreachable
     plan = _plan_from_args(args, designs, source)
+    harness = plan.build_harness()
+    error = _spec_error(harness, designs)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 2
     try:
-        campaign = plan.open_campaign()
+        campaign = plan.open_campaign(harness)
     except PlanError as exc:
         print(exc, file=sys.stderr)
         return 2

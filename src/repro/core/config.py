@@ -16,6 +16,20 @@ from typing import Optional
 KIB = 1024
 
 
+def check_geometry(name: str, value) -> None:
+    """Reject a page/block size or way count that is not a positive
+    integer, naming the field.
+
+    Raises:
+        ValueError: for a bool, a non-integer, or a value <= 0.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be a positive integer, got "
+                         f"{value!r}")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 class AllocationPolicy(enum.Enum):
     """Where a newly touched page is first placed (§III-D)."""
 
@@ -106,12 +120,11 @@ class BumblebeeConfig:
     counter_bits: int = 8
 
     def __post_init__(self) -> None:
-        # Before any modulo: a zero size would divide by zero and a
-        # negative one would turn into a bogus geometry downstream.
+        # Before any modulo: a zero size would divide by zero, and a
+        # negative or non-integer one would turn into a bogus geometry
+        # downstream.
         for name in ("page_bytes", "block_bytes", "hbm_ways"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            check_geometry(name, getattr(self, name))
         if self.page_bytes % self.block_bytes != 0:
             raise ValueError("page size must be a multiple of block size")
         if self.block_bytes % 64 != 0:

@@ -30,7 +30,7 @@ except ImportError:  # pragma: no cover - numpy is a declared dep
 from ..baselines.base import HybridMemoryController
 from ..designs import register_design, register_spec
 from ..mem.timing import DeviceConfig
-from ..sim.request import AccessResult, MemoryRequest
+from ..sim.request import AccessResult, MemoryRequest, MutableRequest
 from .ble import BLEArray, WayMode, epoch_snapshot
 from .config import AllocationPolicy, BumblebeeConfig, derive_geometry
 from .hotness import HotnessTracker
@@ -45,7 +45,7 @@ from .policy import (
 )
 from .prt import UNALLOCATED, PageRemappingTable
 
-#: Run length from which :meth:`BumblebeeController.commit_epoch` lands
+#: Run length from which :meth:`BumblebeeController._commit_run` lands
 #: feedback through its numpy scatter-OR form instead of the per-request
 #: loop.  The bulk form costs ~0.2 ms more per call; measured on pure runs
 #: of the fig8-cold Bumblebee and pressure-cold family cells, it is slower
@@ -79,15 +79,14 @@ class BumblebeeController(HybridMemoryController):
         self._decision_ticks = [0] * g.sets
         # Per-set count of changes to what an epoch classification reads
         # (PRT slots, way owners and modes, cHBM block bits), bumped at
-        # every such change: the two-pass engine re-checks a set's
-        # pending requests only after a bridge that moved it.
+        # every such change: pass 1 re-checks a request only when its
+        # set moved after the request was classified.
         self._set_versions = [0] * g.sets
         self._chbm_disabled = [False] * g.sets
         self._hmf_cooldown = 0
         self._hmf_cursor = 0
         self._hmf_streak = 0
         self._hmf_flush_interval = 512
-        self._hmf_flushes = 0   # the epoch guard token
         self._full_block_mask = (1 << c.blocks_per_page) - 1
         self._lines_per_block = c.block_bytes // 64
         self._lines_per_page = c.page_bytes // 64
@@ -651,7 +650,6 @@ class BumblebeeController(HybridMemoryController):
                 if self.ble[set_index][way].mode is WayMode.CHBM:
                     self._evict_chbm_way(set_index, way, now_ns)
             self._chbm_disabled[set_index] = True
-        self._hmf_flushes += 1
         self.stats.bump("hmf_flushes")
 
     # ------------------------------------------------------------------
@@ -660,35 +658,36 @@ class BumblebeeController(HybridMemoryController):
 
     #: Advisory epoch size for the two-pass engine when no explicit
     #: ``vector_epoch`` is set.  A page allocated or filled after an
-    #: epoch's snapshot no longer bridges, but every request it serves in
-    #: that epoch is re-classified once; a fresher snapshot saves that
-    #: work until the per-epoch planning cost takes over.  CPU time of
-    #: the cells (min of 4 interleaved runs, 2 vCPUs) at 2048 / 8192 /
+    #: epoch's numpy classification makes every later request it serves
+    #: in that epoch re-checked once; a fresher classification saves
+    #: that work until the per-epoch planning cost takes over.  CPU time
+    #: of the cells (min of 4 interleaved runs, 2 vCPUs) at 2048 / 8192 /
     #: the 65536 default: pressure-cold's C-Only/M-Only/Alloc-D/Alloc-H
     #: cells 1.78 / 2.08 / 1.97 s, fig8-cold's Bumblebee cells
     #: 0.60 / 0.60 / 0.68 s.
     preferred_epoch_requests = 2048
 
     def batch_epoch_plan(self, addr, is_write):
-        """Pass 1: classify one epoch against the frozen PRT/BLE state.
+        """Pass 1: decide one epoch in scalar order against live state.
 
         Pure requests are exactly the accesses whose scalar path touches
-        no state the classification read: resident mHBM hits and cHBM
-        block hits that cannot trigger the cHBM->mHBM switch.  Everything
-        else — PRT misses, DRAM-home service (movement decisions), cHBM
-        block fills — bridges through :meth:`access`.  So do the two
-        kinds of request at which the high-memory-footprint state acts on
-        the sets, a batch flush and the re-enable that ends a cooldown
-        (:meth:`_hmf_trajectory`); every other request only moves the
-        cooldown and streak counters, a sequence the addresses alone fix,
-        which :meth:`commit_epoch` lands.
+        no state a classification reads: resident mHBM hits and cHBM
+        block hits that cannot trigger the cHBM->mHBM switch.  They are
+        classified with numpy from the PRT/BLE state at the epoch's
+        start, and their feedback lands one run at a time
+        (:meth:`_commit_run`).  Every other request — PRT misses,
+        DRAM-home service (movement decisions), cHBM block fills, and
+        the two requests at which the high-memory-footprint state acts
+        on the sets, a batch flush and the re-enable that ends a
+        cooldown (:meth:`_hmf_trajectory`) — runs through :meth:`access`
+        at its place in the order, with the devices bound to a
+        :class:`~repro.sim.vectorized.ScriptRecorder`: its demand and
+        movement become the request's script.
 
-        The per-request invalidation key is the set index: every
-        movement or allocation a bridged request performs is confined to
-        its own set, and :meth:`epoch_reclassify` re-checks the set's
-        pending requests against the live tables.  The one cross-set
-        action, the batch flush, moves the guard token
-        (:meth:`epoch_guard_token`).
+        Such a request changes the tables the classification read, and
+        every change bumps its set's ``_set_versions`` counter: a request
+        whose set moved since it was classified is re-checked against
+        the live tables (:meth:`_reclassify`) when its turn comes.
         """
         from ..sim.vectorized import EpochPlan
         m = addr.shape[0]
@@ -726,19 +725,89 @@ class BumblebeeController(HybridMemoryController):
             way[cand] = w
         pure = mhbm | chbm
         way = np.where(mhbm, slot - self._dram_slots, way)
-        hbm_addr = (way * self._sets + set_index) * self._page_bytes \
-            + offset
-        # Every request is placed at its best-known HBM way (the snapshot
-        # owner's, else way 0), where it lands if it turns pure.
-        plan = EpochPlan(pure=pure, use_hbm=np.ones(m, dtype=bool),
-                         local_addr=hbm_addr % self._hbm_capacity,
-                         meta_const=meta_const, inval_key=set_index,
-                         key_versions=self._set_versions)
+        use_hbm = np.ones(m, dtype=bool)
+        plan = EpochPlan(use_hbm=use_hbm, local_addr=None,
+                         meta_const=meta_const)
         plan.cols = (set_index, way, orig, block, offset >> 6, chbm,
                      np.asarray(is_write))
         plan.lists = None
         plan.hmf = hmf
+        impure = np.flatnonzero(~pure)
+        demands = {}
+        if not impure.shape[0]:
+            self._commit_run(plan, range(m))
+        else:
+            demands = self._run_impure(plan, pure.tolist(),
+                                       int(impure[0]), addr.tolist())
+        # Every request that stayed pure reads at its final way.
+        local = (plan.cols[1] * self._sets + set_index) \
+            * self._page_bytes + offset
+        local %= self._hbm_capacity
+        for i, (lane, demand) in demands.items():
+            use_hbm[i] = lane == 0
+            local[i] = demand
+        plan.local_addr = local
         return plan
+
+    def _run_impure(self, plan, pure_l: list, first: int,
+                    addr_l: list) -> dict:
+        """Pass 1's scalar walk from the first impure request on.
+
+        Commits each pure run, runs each impure request through
+        :meth:`access` with the devices recorded and files its movement
+        in the plan's ``pre_bulk``/``post``, and re-checks a request
+        whose set an earlier request changed.
+
+        Returns:
+            ``{index: (lane, local_addr)}`` — the demand of every request
+            that ran through :meth:`access`.
+        """
+        from ..sim.vectorized import ScriptRecorder
+        s_l, _, _, _, _, _, wr_l = self._plan_lists(plan)
+        versions = self._set_versions
+        stamp_l = np.array(versions, dtype=np.int64)[plan.cols[0]].tolist()
+        demands, pre_bulk, post = {}, {}, {}
+        request = MutableRequest()
+        access = self.access
+        commit = self._commit_run
+        reclassify = self._reclassify
+        run_start = 0
+        with ScriptRecorder(self) as recorder:
+            for i in range(first, len(pure_l)):
+                version = versions[s_l[i]]
+                if version != stamp_l[i]:
+                    stamp_l[i] = version
+                    pure_l[i] = reclassify(plan, i)
+                if pure_l[i]:
+                    continue
+                if run_start < i:
+                    commit(plan, range(run_start, i))
+                run_start = i + 1
+                request.addr = addr_l[i]
+                request.is_write = wr_l[i]
+                access(request, 0.0)
+                lane, demand, before, after = recorder.take()
+                demands[i] = (lane, demand)
+                if before:
+                    pre_bulk[i] = before
+                if after:
+                    post[i] = after
+        if run_start < len(pure_l):
+            commit(plan, range(run_start, len(pure_l)))
+        plan.pre_bulk = pre_bulk
+        plan.post = post
+        plan.policy_requests = len(demands)
+        # The engine counts every request's demand; take back the counts
+        # access made for the requests it ran.
+        writes = sum(wr_l[i] for i in demands)
+        hbm = sum(lane == 0 for lane, _ in demands.values())
+        bump = self.stats.bump
+        for key, count in (("demand_reads", len(demands) - writes),
+                           ("demand_writes", writes),
+                           ("hbm_demand_hits", hbm)):
+            if count:
+                bump(key, -count)
+        return demands
 
     def _hmf_trajectory(self, addr):
         """:meth:`_global_footprint_check` replayed over one epoch.
@@ -753,8 +822,8 @@ class BumblebeeController(HybridMemoryController):
             None when the epoch leaves the HMF state as it is (no
             beyond-DRAM address, no cooldown running); else
             ``(events, cooldown, streak)`` arrays: whether each request
-            flushes or re-enables (both must bridge), and the counters
-            it leaves behind.
+            flushes or re-enables (both run through :meth:`access`), and
+            the counters it leaves behind.
         """
         high = addr >= self._dram_capacity
         start = self._hmf_cooldown
@@ -784,82 +853,52 @@ class BumblebeeController(HybridMemoryController):
             plan.lists = tuple(col.tolist() for col in plan.cols)
         return plan.lists
 
-    def epoch_reclassify(self, plan, indices):
-        """Re-check pending requests against the live PRT/BLE state.
+    def _reclassify(self, plan, i: int) -> bool:
+        """Whether request ``i`` is pure against the live PRT/BLE state.
 
-        The engine calls this for requests whose set a bridge changed
-        after they were classified (and for every pending request after
-        a batch flush).  The rule is pass 1's, read from the live
-        tables, which uncommitted pure feedback never changes; the way
-        and mode of each request that is pure now land in the plan's
-        commit columns.
-
-        Returns:
-            ``(pure, local_addr)`` lists aligned with ``indices``: the
-            HBM address of each request that is pure now.
+        Pass 1's rule, read from the live tables, which uncommitted pure
+        feedback never changes; the way and mode of a request that is
+        pure land in the plan's commit columns.
         """
-        s_l, w_l, o_l, b_l, u_l, c_l, _ = self._plan_lists(plan)
-        events = plan.hmf[0] if plan.hmf is not None else None
-        way_col, chbm_col = plan.cols[1], plan.cols[5]
-        slot_maps = self._slot_maps
-        entries = self._ble_entries
-        dram_slots = self._dram_slots
-        sets = self._sets
-        page_bytes = self._page_bytes
-        capacity = self._hbm_capacity
-        # Static partitions never switch a cached page to mHBM.
-        threshold = self._most_blocks if self._adaptive else float("inf")
-        free = WayMode.FREE
-        cmode = WayMode.CHBM
-        pure, local = [], []
-        page = None
-        for i in indices:
-            s = s_l[i]
-            o = o_l[i]
-            if (s, o) != page:
-                # Runs of one page share its lookup: the resident way,
-                # or the owning cHBM entry (None when not cached).
-                page = (s, o)
-                slot = slot_maps[s][o]
-                resident = slot - dram_slots
-                owner = None
-                if 0 <= slot < dram_slots:
-                    for k, entry in enumerate(entries[s]):
-                        if entry.owner == o and entry.mode is not free:
-                            if entry.mode is cmode:
-                                owner = entry
-                            break
-            way = -1
-            if resident >= 0:
-                way = resident
-                now_cached = False
-            elif owner is not None:
-                valid = owner.valid
-                if (valid >> b_l[i] & 1
-                        and valid.bit_count() < threshold):
-                    way = k
-                    now_cached = True
-            if way < 0 or (events is not None and events[i]):
-                pure.append(False)
-                local.append(0)
-                continue
-            if way != w_l[i] or now_cached != c_l[i]:
-                w_l[i] = way_col[i] = way
-                c_l[i] = chbm_col[i] = now_cached
-            pure.append(True)
-            local.append(((way * sets + s) * page_bytes + (u_l[i] << 6))
-                         % capacity)
-        return pure, local
+        if plan.hmf is not None and plan.hmf[0][i]:
+            return False
+        s_l, w_l, o_l, b_l, _, c_l, _ = plan.lists
+        s = s_l[i]
+        o = o_l[i]
+        slot = self._slot_maps[s][o]
+        if slot >= self._dram_slots:
+            way = slot - self._dram_slots
+            cached = False
+        elif slot == UNALLOCATED:
+            return False
+        else:
+            for way, entry in enumerate(self._ble_entries[s]):
+                if entry.owner == o and entry.mode is not WayMode.FREE:
+                    break
+            else:
+                return False
+            valid = entry.valid
+            # Static partitions never switch a cached page to mHBM.
+            if (entry.mode is not WayMode.CHBM or not valid >> b_l[i] & 1
+                    or (self._adaptive
+                        and valid.bit_count() >= self._most_blocks)):
+                return False
+            cached = True
+        if way != w_l[i] or cached != c_l[i]:
+            w_l[i] = plan.cols[1][i] = way
+            c_l[i] = plan.cols[5][i] = cached
+        return True
 
-    def commit_epoch(self, plan, indices) -> None:
-        """Pass 2: replay the deferred feedback of executed pure requests.
+    def _commit_run(self, plan, indices) -> None:
+        """Land the feedback of a run of pure requests.
 
         Exactly the scalar per-request feedback ops in the scalar order:
         mHBM hits OR the valid/used bits then touch the hotness counter;
         cHBM block hits touch the counter first, then used (and dirty on
         writes) — so counter saturation and LRU recency land
-        bit-identically.  ``indices`` is an ascending run with no bridge
-        inside, so the HMF counters land at its last request's values.
+        bit-identically.  ``indices`` is an ascending run with no impure
+        request inside, so the HMF counters land at its last request's
+        values.
         """
         entries = self._ble_entries
         hot = self.hot
@@ -945,24 +984,17 @@ class BumblebeeController(HybridMemoryController):
 
         The cHBM purity classification packs per-page block-valid
         bitmaps into ``uint64`` lanes; a configuration with more than
-        64 blocks per page cannot be classified that way, so every
-        request would bridge and the epoch engine would only add
-        overhead over the scalar loop it wraps.
+        64 blocks per page cannot be classified that way, so pass 1
+        would run every request through :meth:`access` and the epoch
+        engine would only add overhead over the scalar loop.
         """
         if self.config.blocks_per_page > 64:
             return "feedback-not-epoch-granular"
         return None
 
-    def epoch_guard_token(self):
-        """The number of batch flushes so far.  A flush evicts cHBM ways
-        across a batch of sets, outside the flushing request's own
-        invalidation key, so the engine re-classifies every pending
-        request of the epoch when it moves."""
-        return self._hmf_flushes
-
     def _metadata_epoch_const(self) -> float:
         """The constant `_metadata_access_ns` returns, without the bump
-        (the engine's commit path accounts the counter per request)."""
+        (:meth:`_commit_run` accounts the counter per pure request)."""
         timings = self.hbm.config.timings
         return timings.row_closed_ns + self.hbm.config.burst_ns(64)
 

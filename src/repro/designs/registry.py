@@ -39,8 +39,8 @@ class DesignEntry:
         batch_replayable: Vectorized-replay capability tier of
             controllers built from this design: ``"none"`` (scalar loop
             only), ``"stateless"`` (the feedback-free ``batch_plan``
-            kernel), or ``"epoch"`` (the two-pass
-            ``batch_epoch_plan``/``commit_epoch`` engine) — see
+            kernel), or ``"epoch"`` (the two-pass engine: pass 1's
+            ``batch_epoch_plan`` decides, the walk times) — see
             :mod:`repro.sim.vectorized`.  Declarative only — the driver
             detects the capability on the built controller; tests pin
             that the two agree.
@@ -327,9 +327,9 @@ def register_design(name: str, *, params: Mapping[str, Any] | None = None,
     the design is immediately runnable by name.  Designs whose
     controllers implement ``batch_plan`` declare
     ``batch_replayable="stateless"``; designs whose controllers
-    implement the two-pass ``batch_epoch_plan``/``commit_epoch``
-    protocol declare ``batch_replayable="epoch"`` so tooling can
-    report which designs take the vectorized replay engine.
+    implement the two-pass ``batch_epoch_plan`` protocol declare
+    ``batch_replayable="epoch"`` so tooling can report which designs
+    take the vectorized replay engine.
     """
     def wrap(builder):
         registry.add_design(name, builder, params=params,

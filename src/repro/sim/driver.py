@@ -182,9 +182,9 @@ class SimulationDriver:
     After each :meth:`run` the driver records which engine executed:
     ``last_engine`` ("vector", "scalar", or "checked") plus
     ``last_vector_epochs`` / ``last_scalar_epochs`` (epoch counts at
-    the vector epoch granularity), ``last_bridged_requests`` (requests
-    the two-pass epoch engine ran through the scalar
-    ``controller.access`` bridge; 0 for the other engines) and
+    the vector epoch granularity), ``last_policy_requests`` (requests
+    the two-pass epoch engine's pass 1 ran through
+    ``controller.access``; 0 for the other engines) and
     ``last_fallback_reason`` (why the
     scalar loop ran: e.g. ``design-not-batch-capable``,
     ``engine-forced-scalar``; None when the vector kernel ran) —
@@ -213,7 +213,7 @@ class SimulationDriver:
         self.last_engine: str | None = None
         self.last_vector_epochs = 0
         self.last_scalar_epochs = 0
-        self.last_bridged_requests = 0
+        self.last_policy_requests = 0
         self.last_fallback_reason: str | None = None
 
     def run(self, controller: "HybridMemoryController",
@@ -289,7 +289,7 @@ class SimulationDriver:
                 batch_capable = None
                 self.last_fallback_reason = "numpy-unavailable"
             if batch_capable is not None:
-                bridged = 0
+                policy_requests = 0
                 if batch_capable(controller):
                     result, epochs = replay_vectorized(
                         self, controller, trace, workload=workload,
@@ -300,7 +300,7 @@ class SimulationDriver:
                     # An epoch-capable controller can still veto the
                     # two-pass engine for a configuration whose feedback
                     # is not epoch-granular (epoch_fallback_reason).
-                    result, epochs, bridged = replay_epoch(
+                    result, epochs, policy_requests = replay_epoch(
                         self, controller, trace, workload=workload,
                         max_requests=max_requests, warmup=warmup,
                         epoch_requests=self.vector_epoch)
@@ -313,7 +313,7 @@ class SimulationDriver:
                     self.last_engine = "vector"
                     self.last_vector_epochs = epochs
                     self.last_scalar_epochs = 0
-                    self.last_bridged_requests = bridged
+                    self.last_policy_requests = policy_requests
                     self.last_fallback_reason = None
                     return result
         else:
@@ -379,7 +379,7 @@ class SimulationDriver:
         self.last_engine = "scalar" if checker is None else "checked"
         self.last_vector_epochs = 0
         self.last_scalar_epochs = -(-seen // epoch)
-        self.last_bridged_requests = 0
+        self.last_policy_requests = 0
         result = self._build_result(controller, workload, instructions,
                                     requests, now_ns, total_latency,
                                     total_metadata, hbm_hits, histogram)

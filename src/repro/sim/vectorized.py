@@ -50,54 +50,33 @@ everything else falls back to the scalar loop automatically (see
 Two-pass epoch replay (``replay_epoch``)
 ----------------------------------------
 
-Stateful designs whose feedback is *epoch-granular* — hotness counters,
-BLE mode bookkeeping, LRU stacks: state that demand hits only ever
-*accumulate* into, and that the hit path itself never reads — take a
-second, more general engine.  Pass 1 (:meth:`batch_epoch_plan`)
-classifies a whole epoch of requests against frozen controller state:
-which requests are *pure* (their placement and device-local address are
-fully determined, and serving them touches no state the classification
-read) and which must take the scalar path.  The engine then walks the
-epoch span by span: each maximal run of pure requests executes through
-an inlined bank/bus recurrence **directly on the shared timing-state
-lists**, after which pass 2 (:meth:`commit_epoch`) replays the span's
-deferred feedback (counter saturation, recency reordering, used/dirty
-bitmaps) in closed form; each non-pure request in between executes
-through the ordinary ``controller.access`` bridge against the same live
-devices.  Because pure requests by definition cannot change any
-classification input, deferring their feedback to the span boundary is
-exact — and the bridge is the scalar loop, so every float and every
-counter lands bit-identically.  An epoch with no impure request never
-bridges, so, as in the stateless kernel, its row-buffer outcomes
-(scripted probes included) are classified up front and its walk runs
-only the timing recurrence.
+Stateful designs take a second, more general engine.  Their policy
+state (tags, remapping tables, hotness counters, mode bits) never reads
+device timing: a request's placement and the movement it triggers follow
+from the addresses alone, and only *when* the devices finish depends on
+the timing model.  The protocol splits along that line.
 
-A scalar (bridged) request changes the state pass 1 read: it can
-invalidate a classification (an eviction, a mode switch) or make a
-request pure that pass 1 had to leave impure (an allocation, a block
-fill).  Controllers report a conservative *invalidation key* per request
-(:attr:`EpochPlan.inval_key`); a bridged request dirties its own key,
-and every still-pending request of a dirtied key is *stale*.  A
-controller with an ``epoch_reclassify(plan, indices)`` hook re-checks
-stale requests against its live state before they run — the engine
-hands it every stale request of a look-ahead window
-(:data:`RECLASSIFY_WINDOW`) in one call and decodes only the addresses
-that moved; without the hook a stale request is demoted to the bridge.
-Demoting is always safe — the bridge is exact — so keys only need to be
-a *superset* of real interference, never precise.  A controller that
-counts its own changes per key (:attr:`EpochPlan.key_versions`) lets a
-bridge that changed nothing leave its key clean.
+Pass 1 (:meth:`batch_epoch_plan`) decides every request of an epoch in
+scalar order against the controller's live state, commits all of its
+feedback, and returns an :class:`EpochPlan`: each request's serving
+device and local address plus a *device script* of the extra device
+operations it issues (serial probes, bulk movement before and after the
+demand, per-request metadata latency).  A design may decide requests
+however it likes — Bumblebee classifies runs of resident hits with numpy
+and runs every other request through its own ``access`` with the devices
+bound to a :class:`ScriptRecorder` — as long as the decisions and the
+script are the scalar loop's.
 
-A scalar (bridged) request can also change state outside its own key (a
-flush across many sets).  Controllers expose such global changes as a
-cheap hashable *guard token* (:meth:`epoch_guard_token`); the engine
-samples it at plan time and after every bridge, and when it moves every
-pending request of the epoch is stale — re-classified through the hook,
-or demoted without it.
+The walk then times the script: the row-buffer outcomes of every bank
+access (probes and demands) are classified up front, and one
+pure-Python loop runs the bank/bus/backlog recurrence of
+``MemoryDevice.access`` and ``bulk_transfer`` **directly on the shared
+timing-state lists**, operation for operation in the scalar order.  It
+never calls back into the controller, so every float and every counter
+lands bit-identically.
 
-Controllers opt in by implementing ``batch_epoch_plan``/``commit_epoch``
-(plus the optional ``epoch_reclassify``/``epoch_guard_token``/
-``epoch_fallback_reason`` hooks) and registering with
+Controllers opt in by implementing ``batch_epoch_plan`` (plus the
+optional ``epoch_fallback_reason`` veto) and registering with
 ``batch_replayable="epoch"``.
 """
 
@@ -115,7 +94,7 @@ except ImportError:      # pragma: no cover - numpy is a declared dep
 
 from ..traces.packed import ICOUNT_MAX, LINE_SHIFT, PackedTrace
 from .driver import LATENCY_BOUNDS, VECTOR_EPOCH_REQUESTS
-from .request import CACHE_LINE_BYTES, MutableRequest
+from .request import CACHE_LINE_BYTES
 from .stats import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -123,14 +102,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mem.device import MemoryDevice, TimingState
     from .driver import SimResult, SimulationDriver
 
-__all__ = ["BatchPlan", "EpochPlan", "batch_capable", "epoch_capable",
-           "fallback_reason", "decode_epoch", "replay_vectorized",
-           "replay_epoch", "VECTOR_EPOCH_REQUESTS"]
-
-#: Requests the two-pass engine looks ahead when it meets a stale
-#: classification: one ``epoch_reclassify`` call, and at most one address
-#: decode, covers every stale request of the window.
-RECLASSIFY_WINDOW = 256
+__all__ = ["BatchPlan", "EpochPlan", "ScriptRecorder", "batch_capable",
+           "epoch_capable", "fallback_reason", "decode_epoch",
+           "replay_vectorized", "replay_epoch", "VECTOR_EPOCH_REQUESTS"]
 
 
 @dataclass
@@ -153,70 +127,103 @@ class BatchPlan:
 
 @dataclass
 class EpochPlan:
-    """Pass-1 classification of one epoch against frozen controller state.
+    """Pass 1's decisions and device script for one epoch.
 
-    Returned by :meth:`batch_epoch_plan`.  Controllers attach whatever
-    extra per-request columns :meth:`commit_epoch` needs as additional
+    Returned by :meth:`batch_epoch_plan`, after pass 1 has applied every
+    request's policy feedback.  Controllers may attach further
     attributes (the dataclass is deliberately not slotted).
 
     Attributes:
-        pure: Bool array — requests whose placement is fully determined
-            by the frozen state and whose service touches nothing the
-            classification read.  Non-pure requests run through the
-            scalar ``controller.access`` bridge.
-        use_hbm: Bool array — which device serves each pure request.
-            Meaningful only where ``pure``, unless the controller
-            implements ``epoch_reclassify``: then every request is
-            placed on the device that serves it if it turns pure
-            (re-classification may move its address, not its device).
-        local_addr: Device-local byte address per pure request (already
-            wrapped into the serving device), int64; placed like
-            ``use_hbm``.
-        meta_const: Constant metadata latency (ns) added to every pure
+        use_hbm: Bool array — which device serves each request's demand.
+        local_addr: Device-local byte address of each demand (already
+            wrapped into the serving device), int64.
+        meta_const: Constant metadata latency (ns) added to every
             request's device access (designs with in-HBM metadata);
-            0.0 selects the fast no-metadata recurrence.
-        inval_key: Optional int64 array — conservative interference key
-            per request (e.g. the set index).  A bridged request dirties
-            its key, which makes every later request of that key stale:
-            re-classified through ``epoch_reclassify`` before it runs,
-            or demoted to the bridge without the hook.  ``None``
-            disables key-based invalidation (the guard token still
-            applies).
-        key_versions: Optional live list, indexed by key value, of
-            counters the controller bumps whenever it changes the state
-            a key's classifications read.  With it a bridge dirties its
-            key only when it moved the key's counter.
+            overridden per request by ``meta``.
+        meta: Optional per-request metadata latency (ns) (variable MAL
+            designs).
+        pre_bulk: Optional ``{index: [(lane, addr, nbytes, is_write),
+            ...]}`` — bulk movement issued *before* the demand (an
+            eviction that frees a slot, a flush), charged at the
+            request's arrival like ``MemoryDevice.bulk_transfer``.
+        pre: Optional ``{index: [(lane, addr, nbytes, is_write), ...]}``
+            — serial demand-style accesses (tag probes) executed after
+            ``pre_bulk`` and before the demand; their duration extends
+            the request's critical path and metadata time, exactly like
+            the scalar ``probe_ns`` terms.
+        post: Optional ``{index: [(lane, addr, nbytes, is_write), ...]}``
+            — bulk movement issued after the demand (fills, migrations,
+            writebacks), charged at the request's arrival.
+        policy_requests: How many of the epoch's requests pass 1 ran
+            through the controller's ``access`` (0 for designs that
+            forward-replay their own state machine).
+
+    ``lane`` is 0 for the stacked device, 1 for off-chip DRAM.  Pass 1
+    bumps the design's own statistics; the engine counts every
+    request's demand (``demand_reads``/``demand_writes``,
+    ``hbm_demand_hits``, ``page_faults``).
     """
 
-    pure: Any
     use_hbm: Any
     local_addr: Any
     meta_const: float = 0.0
-    inval_key: Any = None
-    key_versions: Any = None
+    meta: Any = None
+    pre_bulk: Any = None
+    pre: Any = None
+    post: Any = None
+    policy_requests: int = 0
 
-    # ---- optional full-script extensions ---------------------------------
-    # Designs whose metadata state machine never reads device timing can
-    # forward-replay the whole epoch in pass 1 (committing feedback
-    # immediately) and hand the engine a *device micro-op script* instead
-    # of bridging misses:
-    #
-    # ``meta``      — per-request metadata latency (ns) overriding
-    #                 ``meta_const`` (variable MAL designs).
-    # ``pre``       — ``{index: [(lane, addr, nbytes, is_write), ...]}``
-    #                 serial demand-style accesses (tag probes, serial
-    #                 cache probes) executed *before* the demand access;
-    #                 their duration extends the request's critical path
-    #                 and metadata time, exactly like the scalar
-    #                 ``probe_ns`` terms.
-    # ``post``      — ``{index: [(lane, addr, nbytes, is_write), ...]}``
-    #                 asynchronous bulk movement (mover fetches,
-    #                 writebacks) charged at the request's arrival time,
-    #                 mirroring ``MemoryDevice.bulk_transfer`` chunking.
-    #
-    # ``lane`` is 0 for the stacked device, 1 for off-chip DRAM.  A
-    # full-script plan must classify every request pure; the design's
-    # pass 1 bumps its own statistics (they are timing-independent).
+
+class ScriptRecorder:
+    """Device calls of a controller's ``access``, recorded as a script.
+
+    Inside a ``with`` block the controller's devices are bound to the
+    recorder: ``MemoryDevice.access`` and ``bulk_transfer`` append to the
+    current request's script instead of running the timing model (they
+    return their ``now_ns`` argument), so pass 1 can run a request's
+    policy in scalar order and leave its timing to the walk.  After each
+    request, which must issue exactly one demand access, :meth:`take`
+    returns what it issued.
+    """
+
+    def __init__(self, controller: "HybridMemoryController") -> None:
+        self._devices = _lanes(controller)[1]
+        self._ops: list[tuple] = []
+        self._demand: tuple | None = None
+
+    def _bind(self, lane: int, dev: "MemoryDevice") -> None:
+        ops = self._ops
+
+        def access(addr, nbytes, is_write, now_ns):
+            self._demand = (lane, addr, len(ops))
+            return now_ns
+
+        def bulk_transfer(addr, nbytes, is_write, now_ns):
+            ops.append((lane, addr, nbytes, is_write))
+            return now_ns
+
+        dev.access = access
+        dev.bulk_transfer = bulk_transfer
+
+    def __enter__(self) -> "ScriptRecorder":
+        for lane, dev in self._devices:
+            self._bind(lane, dev)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for _, dev in self._devices:
+            del dev.access, dev.bulk_transfer
+
+    def take(self) -> tuple[int, int, list, list]:
+        """``(lane, addr, before, after)`` of the request just run: its
+        demand's lane and local address, and the bulk operations issued
+        before and after the demand, in call order."""
+        lane, addr, split = self._demand
+        ops = self._ops
+        before, after = ops[:split], ops[split:]
+        ops.clear()
+        self._demand = None
+        return lane, addr, before, after
 
 
 def batch_capable(controller: "HybridMemoryController") -> bool:
@@ -632,6 +639,34 @@ def replay_vectorized(driver: "SimulationDriver",
     return result, epochs
 
 
+def _bulk_steps(raw: dict, m: int, lane_by_code: dict, bulk_memo: dict,
+                moved: list) -> list:
+    """A scripted bulk column as per-request walk steps.
+
+    Returns one ``[(channel, burst_ns), ...]`` list per request (None
+    where a request moves nothing) and appends each transfer's memo key
+    to ``moved``, so its traffic counts can land once per distinct
+    transfer.
+    """
+    steps_l = [None] * m
+    get = bulk_memo.get
+    for i, ops in raw.items():
+        steps = []
+        for code, a, n, w in ops:
+            dev = lane_by_code[code]
+            # Bulk decode depends on the address only through its
+            # starting channel, so the memo key collapses to a handful
+            # of entries per lane.
+            key = (code, (a // dev.interleave) % dev.nchannels, n, w)
+            r = get(key)
+            if r is None:
+                r = bulk_memo[key] = _resolve_bulk_op(dev, a, n)
+            steps.extend(r[0])
+            moved.append(key)
+        steps_l[i] = steps
+    return steps_l
+
+
 def replay_epoch(driver: "SimulationDriver",
                  controller: "HybridMemoryController",
                  trace: PackedTrace,
@@ -639,24 +674,20 @@ def replay_epoch(driver: "SimulationDriver",
                  max_requests: int | None = None,
                  warmup: int = 0,
                  epoch_requests: int | None = None
-                 ) -> tuple["SimResult", int]:
+                 ) -> tuple["SimResult", int, int]:
     """Replay ``trace`` through the two-pass epoch engine.
 
-    Pass 1 (:meth:`batch_epoch_plan`) classifies each epoch against the
-    controller's frozen state; the walk below then executes every
-    still-valid pure request through an inlined copy of the scalar
-    device arithmetic **on the shared timing-state lists** (so bridged
-    requests and movement traffic interleave exactly), flushing
-    the deferred feedback (:meth:`commit_epoch`) before every bridge and
-    at the epoch boundary.  Every float operation happens in the same
-    order as the scalar loop, so the result is bit-identical.
+    Pass 1 (:meth:`batch_epoch_plan`) decides each epoch and returns its
+    device script; the walk below times the script through an inlined
+    copy of the scalar device arithmetic **on the shared timing-state
+    lists**.  Every float operation happens in the same order as the
+    scalar loop, so the result is bit-identical.
 
     Returns:
-        ``(result, epochs, bridged)`` — a
+        ``(result, epochs, policy_requests)`` — a
         :class:`~repro.sim.driver.SimResult` bit-identical to the scalar
         loop's, the number of epochs processed, and the number of
-        requests that ran through the scalar ``controller.access``
-        bridge.
+        requests pass 1 ran through ``controller.access``.
 
     Raises:
         ValueError: on a non-positive epoch size or a malformed
@@ -665,13 +696,12 @@ def replay_epoch(driver: "SimulationDriver",
     """
     _require_numpy()
     if epoch_requests is None:
-        # A controller whose pass-1 classification reads a *frozen*
-        # snapshot (rather than forward-replaying the epoch) trades
-        # work for epoch length: everything that becomes resident
-        # mid-epoch is stale until the next snapshot.  Such designs
-        # advise a shorter epoch; an explicit ``vector_epoch`` always
-        # wins, and the choice is performance-only — results are
-        # bit-identical at any size (pinned by tests).
+        # A controller whose pass 1 classifies from a snapshot (rather
+        # than forward-replaying every request) trades work for epoch
+        # length and may advise a shorter epoch; an explicit
+        # ``vector_epoch`` always wins, and the choice is
+        # performance-only — results are bit-identical at any size
+        # (pinned by tests).
         epoch_requests = getattr(controller, "preferred_epoch_requests",
                                  None)
     epoch = int(epoch_requests or VECTOR_EPOCH_REQUESTS)
@@ -689,14 +719,29 @@ def replay_epoch(driver: "SimulationDriver",
     chunk_by_chan = [dev.chunk_ns for _, dev in lanes
                      for _ in range(dev.nchannels)]
     lane_by_code = dict(lanes)
-    # The walks below run against these very lists (bridged requests
-    # mutate them through MemoryDevice.access in between).
     open_row = state.open_row
     bank_busy = state.bank_busy
     bus_free = state.bus_free
     backlog = state.backlog
     backlog_at = state.backlog_at
     chan_busy = state.chan_busy
+
+    def charge(steps, at_ns):
+        """Scripted movement charged at ``at_ns``, one share per channel
+        as ``bulk_transfer`` charges it (its counts land with the
+        script)."""
+        for c3, bn3 in steps:
+            at = backlog_at[c3]
+            if at_ns > at:
+                drained = backlog[c3] - (at_ns - at)
+                queued = (drained if drained > 0.0 else 0.0) + bn3
+                backlog_at[c3] = at_ns
+            else:
+                queued = backlog[c3] + bn3
+            backlog[c3] = queued
+            done = at_ns + queued
+            if done > chan_busy[c3]:
+                chan_busy[c3] = done
 
     # Scripted bulk transfers repeat heavily across epochs, so their
     # per-channel shares are memoized for the whole run.
@@ -706,16 +751,6 @@ def replay_epoch(driver: "SimulationDriver",
     controller._os_visible_cache = visible
     fault_penalty_ns = float(controller.PAGE_FAULT_NS)
     plan_fn = controller.batch_epoch_plan
-    commit_fn = controller.commit_epoch
-    guard_fn = getattr(controller, "epoch_guard_token", None)
-    if not callable(guard_fn):
-        guard_fn = None
-    reclassify_fn = getattr(controller, "epoch_reclassify", None)
-    if not callable(reclassify_fn):
-        reclassify_fn = None
-    controller_access = controller.access
-    fault_penalty = controller.page_fault_penalty_ns
-    request = MutableRequest()
 
     values_all = np.frombuffer(trace.data, dtype=np.uint64)
 
@@ -724,13 +759,12 @@ def replay_epoch(driver: "SimulationDriver",
     instructions = 0
     measured_requests = 0
     hbm_hits = 0
-    pure_hbm_hits = 0
     faults = 0
     demand_reads = 0
     demand_writes = 0
     total_latency = 0.0
     total_metadata = 0.0
-    bridged = 0
+    policy_requests = 0
 
     now = 0.0
     measure_start = 0.0
@@ -755,381 +789,177 @@ def replay_epoch(driver: "SimulationDriver",
             fault_mask = addr >= visible
             fault_arr = np.where(fault_mask, fault_penalty_ns, 0.0)
 
-            # ---- pass 1: classify against frozen state -----------------
+            # ---- pass 1: the controller decides the epoch ---------------
             plan = plan_fn(addr, is_write)
-            pure = np.asarray(plan.pure, dtype=bool)
-            if pure.shape[0] != m:
+            policy_requests += plan.policy_requests
+            use_hbm = np.asarray(plan.use_hbm, dtype=bool)
+            local = np.asarray(plan.local_addr, dtype=np.int64)
+            if use_hbm.shape[0] != m or local.shape[0] != m:
                 raise ValueError(
-                    f"batch_epoch_plan returned {pure.shape[0]} entries "
-                    f"for a {m}-request epoch")
-            meta_const = float(plan.meta_const)
-            # An epoch without an impure request never bridges, so its
-            # row-buffer outcomes can be classified up front.
-            clean = bool(pure.all())
-
-            # ---- optional full-script extensions -----------------------
-            # Per-request columns for the clean walk: metadata latency,
-            # serial probes and bulk movement (None where a request has
-            # none).  A plan that scripts device ops must be all pure.
-            meta_arr = getattr(plan, "meta", None)
-            pre_raw = getattr(plan, "pre", None)
-            post_raw = getattr(plan, "post", None)
-            if not clean and (meta_arr is not None or pre_raw or post_raw):
-                raise ValueError(
-                    f"batch_epoch_plan of {controller.name!r} scripted "
-                    f"an epoch with impure requests")
-            meta_l = repeat(meta_const)
-            if meta_arr is not None:
-                meta_l = (meta_arr if type(meta_arr) is list
-                          else np.asarray(meta_arr,
-                                          dtype=np.float64).tolist())
-                if len(meta_l) != m:
-                    raise ValueError(
-                        f"batch_epoch_plan returned {len(meta_l)} "
-                        f"metadata latencies for a {m}-request epoch")
-            post_l = repeat(None)
-            if post_raw:
-                bmemo_get = bulk_memo.get
-                post_l = [None] * m
-                moved = []
-                for i, ops in post_raw.items():
-                    steps = []
-                    for code, a, n, w in ops:
-                        dev = lane_by_code[code]
-                        # Bulk decode depends on the address only through
-                        # its starting channel, so the memo key collapses
-                        # to a handful of entries per lane.
-                        key = (code, (a // dev.interleave)
-                               % dev.nchannels, n, w)
-                        r = bmemo_get(key)
-                        if r is None:
-                            r = bulk_memo[key] = _resolve_bulk_op(
-                                dev, a, n)
-                        steps.extend(r[0])
-                        moved.append(key)
-                    post_l[i] = steps
-                if measured:
-                    # Every scripted transfer runs and its counts only
-                    # add: each distinct one lands once, times repeats.
-                    for key, times in Counter(moved).items():
-                        nbytes, bursts = (
-                            (state.write_bytes, state.write_bursts)
-                            if key[3] else
-                            (state.read_bytes, state.read_bursts))
-                        for c3, nb3, bs3, rows in bulk_memo[key][1]:
-                            state.activations[c3] += rows * times
-                            nbytes[c3] += nb3 * times
-                            bursts[c3] += bs3 * times
-
-            # A re-classifying controller places impure requests too
-            # (where they would be served if they turned pure), so a
-            # re-classification that keeps the address needs no decode.
-            placed = pure if reclassify_fn is None else True
-            use_hbm = np.where(placed, np.asarray(plan.use_hbm, dtype=bool),
-                               False)
+                    f"batch_epoch_plan returned {use_hbm.shape[0]}/"
+                    f"{local.shape[0]} entries for a {m}-request epoch")
             if controller.hbm is None and use_hbm.any():
                 raise ValueError(
                     f"batch_epoch_plan of {controller.name!r} routed "
                     f"requests to HBM but the design has no stacked "
                     f"device")
-            local = np.where(placed, np.asarray(plan.local_addr,
-                                                dtype=np.int64), 0)
+
+            # ---- the script's per-request columns ----------------------
+            # Metadata latency, bulk movement before and after the
+            # demand, and serial probes (None where a request has none).
+            meta_l = repeat(float(plan.meta_const))
+            if plan.meta is not None:
+                meta_l = (plan.meta if type(plan.meta) is list
+                          else np.asarray(plan.meta,
+                                          dtype=np.float64).tolist())
+                if len(meta_l) != m:
+                    raise ValueError(
+                        f"batch_epoch_plan returned {len(meta_l)} "
+                        f"metadata latencies for a {m}-request epoch")
+            moved: list[tuple] = []
+            early_l = post_l = repeat(None)
+            if plan.pre_bulk:
+                early_l = _bulk_steps(plan.pre_bulk, m, lane_by_code,
+                                      bulk_memo, moved)
+            if plan.post:
+                post_l = _bulk_steps(plan.post, m, lane_by_code,
+                                     bulk_memo, moved)
+            if measured:
+                # Every scripted transfer runs and its counts only add:
+                # each distinct one lands once, times repeats.
+                for key, times in Counter(moved).items():
+                    nbytes, bursts = (
+                        (state.write_bytes, state.write_bursts) if key[3]
+                        else (state.read_bytes, state.read_bursts))
+                    for c3, nb3, bs3, rows in bulk_memo[key][1]:
+                        state.activations[c3] += rows * times
+                        nbytes[c3] += nb3 * times
+                        bursts[c3] += bs3 * times
 
             chan_gid, bank_gid, row = _decode_lanes(
                 lanes, local, use_hbm, None, "batch_epoch_plan",
                 controller.name)
             device_idx = np.where(use_hbm, 0, 1)
 
-            # Plain lists: scalar indexing inside the walks is much
-            # cheaper on lists than on numpy arrays.
-            comp_l = comp.tolist()
-            fault_l = fault_arr.tolist()
-            chan_l = chan_gid.tolist()
-            bank_l = bank_gid.tolist()
-            burst_l = burst_table[device_idx].tolist()
+            # Row-buffer outcomes of every bank access (a request's
+            # probes, then its demand) are classified up front: bulk
+            # movement opens no rows.
+            pre_raw = plan.pre
+            order = sorted(pre_raw or ())
+            probe_req = [i for i in order for _ in pre_raw[i]]
+            probe_ops = [op for i in order for op in pre_raw[i]]
+            seq_bank, seq_row, d_pos = bank_gid, row, slice(None)
+            if probe_ops:
+                p_code, p_addr, p_bytes, p_write = map(
+                    np.array, zip(*probe_ops))
+                p_chan, p_bank, p_row = _decode_lanes(
+                    lanes, p_addr, p_code == 0, None,
+                    "batch_epoch_plan", controller.name)
+                p_burst, p_bursts = _burst_arrays(lanes, p_code, p_bytes)
+                # Request i's demand follows the probes of requests up
+                # to i; a probe follows the demands before its own.
+                p_req = np.array(probe_req, dtype=np.int64)
+                d_pos = np.arange(m) + np.cumsum(
+                    np.bincount(p_req, minlength=m))
+                p_pos = np.arange(len(probe_req)) + p_req
+                seq_bank = np.empty(m + len(probe_req), dtype=np.int64)
+                seq_row = np.empty_like(seq_bank)
+                seq_bank[d_pos], seq_bank[p_pos] = bank_gid, p_bank
+                seq_row[d_pos], seq_row[p_pos] = row, p_row
+            open_rows = np.asarray(open_row, dtype=np.int64)
+            seq_out = _row_outcomes(seq_bank, seq_row, open_rows)
+            open_row[:] = open_rows.tolist()
+            outcomes = seq_out[d_pos]
+            pre_l = repeat(None)
+            if probe_ops:
+                p_out = seq_out[p_pos]
+                pre_l = [None] * m
+                for i, step in zip(probe_req, zip(
+                        p_chan.tolist(), p_bank.tolist(),
+                        lat_table[p_code, p_out].tolist(),
+                        p_burst.tolist())):
+                    if pre_l[i] is None:
+                        pre_l[i] = [step]
+                    else:
+                        pre_l[i].append(step)
+
+            # ---- the walk: the timing of the script, in order ----------
+            # Plain lists: scalar indexing is much cheaper on lists than
+            # on numpy arrays.
             latencies: list[float] = []
             lat_append = latencies.append
-            bridged_hbm = 0
             running = total_latency
             running_meta = total_metadata
             t = now
-            if clean:
-                # ---- the clean walk ------------------------------------
-                # Nothing bridges: the row-buffer outcomes of every bank
-                # access (a request's probes, then its demand) are
-                # classified up front, and the walk runs only the timing
-                # of MemoryDevice.access and bulk_transfer, in order.
-                order = sorted(pre_raw or ())
-                probe_req = [i for i in order for _ in pre_raw[i]]
-                probe_ops = [op for i in order for op in pre_raw[i]]
-                executed = range(m)
-                seq_bank, seq_row, d_pos = bank_gid, row, slice(None)
-                if probe_ops:
-                    p_code, p_addr, p_bytes, p_write = map(
-                        np.array, zip(*probe_ops))
-                    p_chan, p_bank, p_row = _decode_lanes(
-                        lanes, p_addr, p_code == 0, None,
-                        "batch_epoch_plan", controller.name)
-                    p_burst, p_bursts = _burst_arrays(lanes, p_code,
-                                                      p_bytes)
-                    # Request i's demand follows the probes of requests
-                    # up to i; a probe follows the demands before its own.
-                    p_req = np.array(probe_req, dtype=np.int64)
-                    d_pos = np.arange(m) + np.cumsum(
-                        np.bincount(p_req, minlength=m))
-                    p_pos = np.arange(len(probe_req)) + p_req
-                    seq_bank = np.empty(m + len(probe_req), dtype=np.int64)
-                    seq_row = np.empty_like(seq_bank)
-                    seq_bank[d_pos], seq_bank[p_pos] = bank_gid, p_bank
-                    seq_row[d_pos], seq_row[p_pos] = row, p_row
-                open_rows = np.asarray(open_row, dtype=np.int64)
-                seq_out = _row_outcomes(seq_bank, seq_row, open_rows)
-                open_row[:] = open_rows.tolist()
-                outcomes = seq_out[d_pos]
-                pre_l = repeat(None)
-                if probe_ops:
-                    p_out = seq_out[p_pos]
-                    pre_l = [None] * m
-                    for i, step in zip(probe_req, zip(
-                            p_chan.tolist(), p_bank.tolist(),
-                            lat_table[p_code, p_out].tolist(),
-                            p_burst.tolist())):
-                        if pre_l[i] is None:
-                            pre_l[i] = [step]
-                        else:
-                            pre_l[i].append(step)
-                for (comp_ns, f, c, b, lat, burst_ns, mc, probes,
-                     bops) in zip(comp_l, fault_l, chan_l, bank_l,
-                                  lat_table[device_idx, outcomes].tolist(),
-                                  burst_l, meta_l, pre_l, post_l):
-                    t += comp_ns
-                    arrival = t + f
-                    if probes is not None:
-                        # Serial probes run at the running cursor and
-                        # extend the critical path, exactly like the
-                        # scalar probe_ns composition.
-                        for c2, b2, lat2, bn2 in probes:
-                            cur = arrival + mc
-                            if cur > backlog_at[c2]:
-                                drained = (backlog[c2]
-                                           - (cur - backlog_at[c2]))
-                                backlog[c2] = (drained if drained > 0.0
-                                               else 0.0)
-                                backlog_at[c2] = cur
-                            busy = bank_busy[b2]
-                            data = (cur if cur > busy else busy) + lat2
-                            bank_busy[b2] = data
-                            pending = backlog[c2]
-                            chunk_ns = chunk_by_chan[c2]
-                            free = bus_free[c2]
-                            done = ((data if data > free else free)
-                                    + (pending if pending < chunk_ns
-                                       else chunk_ns) + bn2)
-                            bus_free[c2] = done
-                            mc += done - cur
-                    t0 = arrival + mc
-                    # An empty backlog drains to itself and adds an exact
-                    # +0.0 to the bus step, so both are skipped.
-                    pending = backlog[c]
-                    at = backlog_at[c]
-                    if t0 > at:
-                        backlog_at[c] = t0
-                        if pending:
-                            pending -= t0 - at
-                            if pending < 0.0:
-                                pending = 0.0
-                            backlog[c] = pending
-                    busy = bank_busy[b]
-                    data = (t0 if t0 > busy else busy) + lat
-                    bank_busy[b] = data
-                    free = bus_free[c]
-                    done = data if data > free else free
-                    if pending:
-                        chunk_ns = chunk_by_chan[c]
-                        done += pending if pending < chunk_ns else chunk_ns
-                    done += burst_ns
-                    bus_free[c] = done
-                    if probes is None:
-                        # _demand_* composes latency from the caller's
-                        # now_ns even though the access starts at
-                        # now_ns + metadata_ns.
-                        latency = (done - arrival) + f
-                    else:
-                        # Probe composition: probe_ns + demand latency
-                        # measured from the shifted start (AccessResult
-                        # addition order in Alloy/Unison).
-                        latency = (mc + (done - t0)) + f
-                    running += latency
-                    running_meta += mc
-                    t += latency / mlp
-                    lat_append(latency)
-                    if bops is not None:
-                        # Movement charged at the request's arrival, one
-                        # share per channel as bulk_transfer charges it
-                        # (its counts were added with the script).
-                        for c3, bn3 in bops:
-                            at = backlog_at[c3]
-                            if arrival > at:
-                                drained = backlog[c3] - (arrival - at)
-                                queued = (drained if drained > 0.0
-                                          else 0.0) + bn3
-                                backlog_at[c3] = arrival
-                            else:
-                                queued = backlog[c3] + bn3
-                            backlog[c3] = queued
-                            done = arrival + queued
-                            if done > chan_busy[c3]:
-                                chan_busy[c3] = done
-                commit_fn(plan, executed)
-            else:
-                # ---- the bridging walk ---------------------------------
-                # Pure requests run MemoryDevice.access inlined, bank FSM
-                # included; an impure one commits the pure run since the
-                # last bridge, [run_start, i), and bridges through
-                # ``controller.access``.  A bridge that dirties its key
-                # moves the key's version, and a guard-token change moves
-                # every key's: a request classified at an older version
-                # is stale, and is re-classified before it runs (or,
-                # without ``epoch_reclassify``, demoted to the bridge).
-                pure_l = pure.tolist()
-                local_l = local.tolist()
-                row_l = row.tolist()
-                lat3 = lat_table[device_idx]
-                hit_l = lat3[:, 0].tolist()
-                closed_l = lat3[:, 1].tolist()
-                conf_l = lat3[:, 2].tolist()
-                keys = plan.inval_key
-                if keys is None:
-                    key_l = [0] * m
-                    version = [0]
-                else:
-                    uniq, dense = np.unique(np.asarray(keys),
-                                            return_inverse=True)
-                    key_l = dense.tolist()
-                    version = [0] * uniq.shape[0]
-                stamp_l = [0] * m
-                live = plan.key_versions if keys is not None else None
-                if live is not None:
-                    live_keys = uniq.tolist()
-                    seen = [live[key] for key in live_keys]
-                addr_l = addr.tolist()
-                write_l = is_write.tolist()
-                icount_l = icount.tolist()
-                token = guard_fn() if guard_fn is not None else None
-
-                def refresh(i):
-                    """Re-classify the stale requests of the window
-                    starting at ``i`` and decode the addresses that
-                    moved."""
-                    batch = [j for j in range(i, min(i + RECLASSIFY_WINDOW,
-                                                     m))
-                             if stamp_l[j] != version[key_l[j]]]
-                    moved = []
-                    for j, p, a in zip(batch, *reclassify_fn(plan, batch)):
-                        stamp_l[j] = version[key_l[j]]
-                        pure_l[j] = p
-                        if p and a != local_l[j]:
-                            local_l[j] = a
-                            moved.append(j)
-                    if not moved:
-                        return
-                    sel = np.array(moved, dtype=np.int64)
-                    chans, banks, rows = _decode_lanes(
-                        lanes, np.array([local_l[j] for j in moved],
-                                        dtype=np.int64),
-                        use_hbm[sel], None, "epoch_reclassify",
-                        controller.name)
-                    chan_gid[sel] = chans
-                    bank_gid[sel] = banks
-                    for j, c, b, r in zip(moved, chans.tolist(),
-                                          banks.tolist(), rows.tolist()):
-                        chan_l[j] = c
-                        bank_l[j] = b
-                        row_l[j] = r
-
-                run_start = 0
-                executed = []
-                outcomes = []
-                out_append = outcomes.append
-                for i, (k, comp_ns, f) in enumerate(zip(key_l, comp_l,
-                                                        fault_l)):
-                    if stamp_l[i] != version[k]:
-                        if reclassify_fn is None:
-                            pure_l[i] = False
-                        else:
-                            refresh(i)
-                    if pure_l[i]:
-                        c = chan_l[i]
-                        bank_i = bank_l[i]
-                        t += comp_ns
-                        arrival = t + f
-                        t0 = arrival + meta_const
-                        if t0 > backlog_at[c]:
-                            drained = backlog[c] - (t0 - backlog_at[c])
-                            backlog[c] = drained if drained > 0.0 else 0.0
-                            backlog_at[c] = t0
-                        busy = bank_busy[bank_i]
-                        issue = t0 if t0 > busy else busy
-                        orow = open_row[bank_i]
-                        r = row_l[i]
-                        if orow == r:
-                            data = issue + hit_l[i]
-                            out = 0
-                        elif orow < 0:
-                            data = issue + closed_l[i]
-                            out = 1
-                        else:
-                            data = issue + conf_l[i]
-                            out = 2
-                        open_row[bank_i] = r
-                        bank_busy[bank_i] = data
-                        pending = backlog[c]
-                        chunk_ns = chunk_by_chan[c]
-                        free = bus_free[c]
+            for (comp_ns, f, c, b, lat, burst_ns, mc, early, probes,
+                 bops) in zip(comp.tolist(), fault_arr.tolist(),
+                              chan_gid.tolist(), bank_gid.tolist(),
+                              lat_table[device_idx, outcomes].tolist(),
+                              burst_table[device_idx].tolist(), meta_l,
+                              early_l, pre_l, post_l):
+                t += comp_ns
+                arrival = t + f
+                if early is not None:
+                    charge(early, arrival)
+                if probes is not None:
+                    # Serial probes run at the running cursor and extend
+                    # the critical path, exactly like the scalar
+                    # probe_ns composition.
+                    for c2, b2, lat2, bn2 in probes:
+                        cur = arrival + mc
+                        if cur > backlog_at[c2]:
+                            drained = backlog[c2] - (cur - backlog_at[c2])
+                            backlog[c2] = drained if drained > 0.0 else 0.0
+                            backlog_at[c2] = cur
+                        busy = bank_busy[b2]
+                        data = (cur if cur > busy else busy) + lat2
+                        bank_busy[b2] = data
+                        pending = backlog[c2]
+                        chunk_ns = chunk_by_chan[c2]
+                        free = bus_free[c2]
                         done = ((data if data > free else free)
                                 + (pending if pending < chunk_ns
-                                   else chunk_ns) + burst_l[i])
-                        bus_free[c] = done
-                        latency = (done - arrival) + f
-                        running += latency
-                        running_meta += meta_const
-                        t += latency / mlp
-                        lat_append(latency)
-                        out_append(out)
-                    else:
-                        if run_start < i:
-                            commit_fn(plan, range(run_start, i))
-                            executed.extend(range(run_start, i))
-                        run_start = i + 1
-                        request.addr = addr_l[i]
-                        request.is_write = write_l[i]
-                        request.icount = icount_l[i]
-                        t += comp_ns
-                        fns = fault_penalty(request)
-                        result = controller_access(request, t + fns)
-                        latency = result.latency_ns + fns
-                        t += latency / mlp
-                        running += latency
-                        running_meta += result.metadata_ns
-                        lat_append(latency)
-                        bridged += 1
-                        if result.hbm_hit:
-                            bridged_hbm += 1
-                        if live is not None:
-                            counter = live[live_keys[k]]
-                            if counter != seen[k]:
-                                seen[k] = counter
-                                version[k] += 1
-                        elif keys is not None:
-                            version[k] += 1
-                        if guard_fn is not None:
-                            fresh = guard_fn()
-                            if fresh != token:
-                                token = fresh
-                                version[:] = [v + 1 for v in version]
-                if run_start < m:
-                    commit_fn(plan, range(run_start, m))
-                    executed.extend(range(run_start, m))
+                                   else chunk_ns) + bn2)
+                        bus_free[c2] = done
+                        mc += done - cur
+                t0 = arrival + mc
+                # An empty backlog drains to itself and adds an exact
+                # +0.0 to the bus step, so both are skipped.
+                pending = backlog[c]
+                at = backlog_at[c]
+                if t0 > at:
+                    backlog_at[c] = t0
+                    if pending:
+                        pending -= t0 - at
+                        if pending < 0.0:
+                            pending = 0.0
+                        backlog[c] = pending
+                busy = bank_busy[b]
+                data = (t0 if t0 > busy else busy) + lat
+                bank_busy[b] = data
+                free = bus_free[c]
+                done = data if data > free else free
+                if pending:
+                    chunk_ns = chunk_by_chan[c]
+                    done += pending if pending < chunk_ns else chunk_ns
+                done += burst_ns
+                bus_free[c] = done
+                if probes is None:
+                    # _demand_* composes latency from the caller's now_ns
+                    # even though the access starts at now_ns +
+                    # metadata_ns.
+                    latency = (done - arrival) + f
+                else:
+                    # Probe composition: probe_ns + demand latency
+                    # measured from the shifted start (AccessResult
+                    # addition order in Alloy/Unison).
+                    latency = (mc + (done - t0)) + f
+                running += latency
+                running_meta += mc
+                t += latency / mlp
+                lat_append(latency)
+                if bops is not None:
+                    charge(bops, arrival)
             now = t
 
             if not measured:
@@ -1141,33 +971,24 @@ def replay_epoch(driver: "SimulationDriver",
             histogram.add_many(latencies)
             instructions += int(icount.sum())
             measured_requests += m
-            hbm_hits += bridged_hbm
-            if len(executed):
-                idx = np.asarray(executed, dtype=np.int64)
-                cg = chan_gid[idx]
-                wr = is_write[idx]
-                epoch_pure_hbm = int(use_hbm[idx].sum())
-                pure_hbm_hits += epoch_pure_hbm
-                hbm_hits += epoch_pure_hbm
-                faults += int(fault_mask[idx].sum())
-                writes = int(wr.sum())
-                demand_writes += writes
-                demand_reads += idx.shape[0] - writes
-                _add_counts(state, cg, bank_gid[idx], wr,
-                            np.asarray(outcomes, dtype=np.int64),
-                            np.full(idx.shape[0], CACHE_LINE_BYTES),
-                            bursts_by_chan[cg])
-            if clean and probe_ops:
+            hbm_hits += int(use_hbm.sum())
+            faults += int(fault_mask.sum())
+            writes = int(is_write.sum())
+            demand_writes += writes
+            demand_reads += m - writes
+            _add_counts(state, chan_gid, bank_gid, is_write, outcomes,
+                        np.full(m, CACHE_LINE_BYTES),
+                        bursts_by_chan[chan_gid])
+            if probe_ops:
                 _add_counts(state, p_chan, p_bank, p_write, p_out,
                             p_bytes, p_bursts)
 
     # ---- the deferred measured state -------------------------------------
-    # Pure demand completions only advanced bus_free; the busy horizon is
+    # Demand completions only advanced bus_free; the busy horizon is
     # their max-watermark.  The stats bumps are conditional: the scalar
     # loop only creates a counter key when it actually increments, and
-    # controller_stats equality is exact.  Bridged requests already bumped
-    # their own stats and device counters live; everything deferred here
-    # is add-only or a max-watermark, so deferred accumulation commutes
+    # controller_stats equality is exact.  Everything deferred here is
+    # add-only or a max-watermark, so deferred accumulation commutes
     # exactly.
     chan_busy[:] = map(max, chan_busy, bus_free)
     bump = controller.stats.bump
@@ -1175,8 +996,8 @@ def replay_epoch(driver: "SimulationDriver",
         bump("demand_reads", demand_reads)
     if demand_writes:
         bump("demand_writes", demand_writes)
-    if pure_hbm_hits:
-        bump("hbm_demand_hits", pure_hbm_hits)
+    if hbm_hits:
+        bump("hbm_demand_hits", hbm_hits)
     if faults:
         bump("page_faults", faults)
 
@@ -1185,4 +1006,4 @@ def replay_epoch(driver: "SimulationDriver",
     result = driver._build_result(
         controller, workload, instructions, measured_requests, elapsed,
         total_latency, total_metadata, hbm_hits, histogram)
-    return result, epochs, bridged
+    return result, epochs, policy_requests

@@ -437,6 +437,25 @@ class TestDesignsCli:
         assert code == 0
         assert "2 cells complete (2 new)" in out
 
+    @pytest.mark.parametrize("value, message", [
+        ("page_bytes=0", "page_bytes must be positive"),
+        ("hbm_ways=0", "hbm_ways must be positive"),
+        ("block_bytes=3", "multiple of block size"),
+        ("page_bytes=abc", "page_bytes must be a positive integer")])
+    def test_sweep_rejects_bad_geometry_before_any_cell(
+            self, capsys, tmp_path, value, message):
+        """A value the builder rejects exits 2 naming the spec, before
+        the campaign file opens and without a traceback."""
+        out_file = tmp_path / "sweep.jsonl"
+        code = main(["sweep", "--base", "Bumblebee", "--grid", value,
+                     "--workloads", "mcf", "--out", str(out_file),
+                     "--requests", "200", "--warmup", "100"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"Bumblebee[{value}]: ")
+        assert message in err
+        assert not out_file.exists()
+
     def test_sweep_rejects_bad_grid(self, capsys):
         code = main(["sweep", "--grid", "warp_factor=9",
                      "--workloads", "leela"])

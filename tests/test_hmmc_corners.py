@@ -139,10 +139,10 @@ class TestGlobalFlushRotation:
         planned = controller._hmf_trajectory(addr)
         events, after = [], []
         for a in addr.tolist():
-            flushes = controller._hmf_flushes
+            flushes = controller.stats.get("hmf_flushes")
             reenables = controller.stats.get("hmf_reenables")
             controller._global_footprint_check(a, 0.0)
-            events.append(controller._hmf_flushes != flushes
+            events.append(controller.stats.get("hmf_flushes") != flushes
                           or controller.stats.get("hmf_reenables")
                           != reenables)
             after.append((controller._hmf_cooldown,

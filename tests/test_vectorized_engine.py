@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 
 from repro import ExperimentConfig, ExperimentHarness
 from repro.baselines import make_controller
-from repro.core import BumblebeeConfig, BumblebeeController, hmmc
+from repro.core import (AllocationPolicy, BumblebeeConfig,
+                        BumblebeeController, hmmc)
 from repro.designs import registry
+from repro.mem import ddr4_3200_config, hbm2_config
 from repro.sim import (SimulationDriver, batch_capable, epoch_capable,
                        fallback_reason)
 from repro.traces import SyntheticTraceGenerator, synthetic_spec
@@ -143,7 +145,7 @@ class TestEpochBitIdentity:
                 assert vector == scalar, label
 
     def test_small_epochs_identical(self):
-        """Tiny epochs maximise commit_epoch invocations and cross-epoch
+        """Tiny epochs maximise pass-1 invocations and cross-epoch
         feedback carry; the result must not change."""
         harness = ExperimentHarness(CONFIG)
         trace = _trace(harness)
@@ -162,8 +164,8 @@ class TestEpochBitIdentity:
         bits past 63 exactly (a uint64 shift wraps them), or the BLE
         used bitmaps and ``overfetch_bytes`` drift from the scalar loop.
         The bulk branch's run length is lowered so that about a third of
-        the pure runs between this trace's bridges take it, interleaved
-        with the per-request branch."""
+        the pure runs between this trace's policy requests take it,
+        interleaved with the per-request branch."""
         monkeypatch.setattr(hmmc, "COMMIT_BULK_MIN", 32)
         harness = ExperimentHarness(ExperimentConfig(
             requests=20_000, warmup=10_000, seed=1234,
@@ -175,13 +177,13 @@ class TestEpochBitIdentity:
             controller = registry.build(
                 "No-HMF", harness.hbm_config, harness.dram_config,
                 sram_bytes=harness.config.scale.sram_bytes)
-            commit = controller.commit_epoch
+            commit = controller._commit_run
 
             def counted(plan, indices, commit=commit):
                 runs.append(len(indices))
                 commit(plan, indices)
 
-            controller.commit_epoch = counted
+            controller._commit_run = counted
             records.append(harness.driver.run(
                 controller, trace, workload="lbm", warmup=10_000,
                 engine=engine).to_record())
@@ -189,33 +191,13 @@ class TestEpochBitIdentity:
         assert records[0]["controller_stats"]["overfetch_bytes"] > 0
         assert records[1] == records[0]
 
-    def test_scripted_plan_must_be_all_pure(self):
-        """A plan that scripts device ops is walked without bridging —
-        its row-buffer outcomes and movement counts are settled up
-        front — so leaving a request impure is rejected, not bridged."""
-        harness = ExperimentHarness(CONFIG)
-        controller = make_controller("AlloyCache", harness.hbm_config,
-                                     harness.dram_config)
-        plan_epoch = controller.batch_epoch_plan
-
-        def leaky(addr, is_write):
-            plan = plan_epoch(addr, is_write)
-            plan.pure[0] = False
-            return plan
-
-        controller.batch_epoch_plan = leaky
-        with pytest.raises(ValueError, match="impure"):
-            SimulationDriver(harness.config.cpu).run(
-                controller, _trace(harness, n=300), workload="mcf",
-                engine="vector")
-
     @given(data=st.data())
     @settings(max_examples=8, deadline=None)
     def test_two_pass_commit_matches_scalar_feedback_order(self, data):
-        """Property pin: whatever the request mix, the two-pass engine's
-        deferred ``commit_epoch`` replays Bumblebee's feedback (BLE used
-        and dirty bits, hotness counter order) exactly as the scalar
-        loop applied it inline — every SimResult field equal."""
+        """Property pin: whatever the request mix, pass 1's per-run
+        commit replays Bumblebee's feedback (BLE used and dirty bits,
+        hotness counter order) exactly as the scalar loop applied it
+        inline — every SimResult field equal."""
         harness = ExperimentHarness(CONFIG)
         lines = (32 << 20) // 64
         n = data.draw(st.integers(min_value=64, max_value=300))
@@ -261,43 +243,45 @@ def _replay(harness, design, workload, engine, vector_epoch=None):
 
 
 class TestReclassification:
-    """Bridged requests re-classify the stale requests of their set
-    instead of demoting them, and the high-memory-footprint window is a
+    """Requests pass 1 runs through ``access`` re-classify the stale
+    requests of their set, and the high-memory-footprint window is a
     trajectory pass 1 computes rather than a veto on whole epochs."""
 
     def test_family_identical_to_scalar_on_pressure_workloads(self):
         """lbm (5x the HBM) and roms (beyond off-chip DRAM, so HMF
         cooldowns run through epochs) at the tiny, a small and the
-        advised epoch size.  Every change a bridge makes re-stales what
-        it affects, so what bridges is what is impure against the live
-        state: the bridge count cannot depend on when snapshots were
-        taken."""
+        advised epoch size.  Every change a policy request makes
+        re-stales what it affects, so what runs through ``access`` is
+        what is impure against the live state: the policy-request count
+        cannot depend on when snapshots were taken."""
         harness = _window_harness(("lbm", "roms"), 3000, 1000)
         for workload in ("lbm", "roms"):
             for design in BUMBLEBEE_FAMILY:
                 scalar, _ = _replay(harness, design, workload, "scalar")
-                bridged = set()
+                policy = set()
                 for epoch in (7, 512, None):
                     vector, driver = _replay(harness, design, workload,
                                              "auto", vector_epoch=epoch)
                     label = (design, workload, epoch)
                     assert driver.last_engine == "vector", label
                     assert vector == scalar, label
-                    bridged.add(driver.last_bridged_requests)
-                assert len(bridged) == 1, (design, workload, bridged)
+                    policy.add(driver.last_policy_requests)
+                assert len(policy) == 1, (design, workload, policy)
 
     def test_hmf_window_epochs_are_not_all_impure(self):
         """roms keeps the HMF cooldown running for the whole window;
-        M-Only still bridges only its allocations and movements."""
+        M-Only still runs only its allocations and movements through
+        ``access``."""
         harness = _window_harness(("roms",), 20_000, 10_000)
         _, driver = _replay(harness, "M-Only", "roms", "auto")
         assert driver.last_engine == "vector"
-        assert 0 < driver.last_bridged_requests <= 0.05 * 30_000
+        assert 0 < driver.last_policy_requests <= 0.05 * 30_000
 
     def test_flush_and_reenable_mid_epoch(self):
         """A short cooldown makes batch flushes and set re-enables land
-        inside epochs: both bridge, the requests between them do not,
-        and the counters the commits land carry across epochs."""
+        inside epochs: both run through ``access``, the requests between
+        them do not, and the counters the commits land carry across
+        epochs."""
         harness = _window_harness(("roms",), 6000, 2000)
         spec = registry.spec("Bumblebee").with_params(
             hmf_cooldown_requests=40)
@@ -308,48 +292,73 @@ class TestReclassification:
             vector, driver = _replay(harness, spec, "roms", "auto",
                                      vector_epoch=epoch)
             assert vector == scalar, epoch
-            assert driver.last_bridged_requests < 0.2 * 8000, epoch
+            assert driver.last_policy_requests < 0.2 * 8000, epoch
 
-    def test_controller_without_hook_demotes_dirtied_keys(self):
-        """Without ``epoch_reclassify`` a bridge dirties its key and
-        every later request of that key bridges, exactly as pass 1's
-        classification and the bridge order predict."""
+def _small_bumblebee(config):
+    """A Bumblebee over 4 MiB of HBM (8 sets of 8 64 KiB ways) and
+    40 MiB of DRAM: a handful of requests reach every movement path."""
+    return BumblebeeController(hbm2_config(4 << 20),
+                               ddr4_3200_config(40 << 20), config)
 
-        class NoReclassify(BumblebeeController):
-            epoch_reclassify = None
 
-            def batch_epoch_plan(self, addr, is_write):
-                plan = super().batch_epoch_plan(addr, is_write)
-                plan.key_versions = None
-                plans.append(plan)
-                return plan
+def _movement_case(case):
+    """``(config, requests, expected stats)`` of one crafted trace.
 
-            def access(self, request, now_ns):
-                bridged.append(request.addr)
-                return super().access(request, now_ns)
+    Pages are ``k`` of set 0 at page offset 0, so a movement issued
+    for a way shares the way's home channel with the demand that
+    follows it on that way.
+    """
+    probe = _small_bumblebee(BumblebeeConfig())
+    sets = probe.geometry.sets
+    page_bytes = probe.config.page_bytes
+    block_bytes = probe.config.block_bytes
 
-        plans, bridged = [], []
-        harness = ExperimentHarness(CONFIG)
-        trace = _trace(harness)
-        controller = NoReclassify(harness.hbm_config, harness.dram_config)
-        driver = SimulationDriver(harness.config.cpu, vector_epoch=N)
-        vector = driver.run(controller, trace, workload="mcf",
-                            engine="vector")
-        assert len(plans) == 1
-        plan = plans[0]
-        addr = [request.addr for request in trace.replay()]
-        expected, dirty = [], set()
-        for i, key in enumerate(plan.inval_key.tolist()):
-            if not plan.pure[i] or key in dirty:
-                expected.append(addr[i])
-                dirty.add(key)
-        assert bridged == expected
-        assert driver.last_bridged_requests == len(expected)
-        scalar, _ = _run(harness, "Bumblebee", trace, "scalar")
-        assert vector == scalar
-        _, hooked = _run(harness, "Bumblebee", trace, "vector",
-                         vector_epoch=N)
-        assert hooked.last_bridged_requests < len(expected)
+    def page(k, offset=0):
+        return k * sets * page_bytes + offset
+
+    if case == "alloc-flushes-chbm":
+        # p0's write caches its block 0 dirty in cHBM way 0; p1..p7 are
+        # hot-allocated into the other ways; p8's PRT miss then finds no
+        # free way and flushes way 0 (writeback) before its demand on
+        # that very way.
+        return (BumblebeeConfig(),
+                [(page(0), True)] + [(page(k), False) for k in range(1, 9)],
+                {"chbm_evictions": 1, "alloc_hbm": 8})
+    if case == "hmf-batch-flush":
+        # The first beyond-DRAM request flushes set 0's dirty cHBM way 0
+        # before it allocates into that freed way and reads it.
+        return (BumblebeeConfig(),
+                [(page(0), True), (page(1), False),
+                 (probe.dram.capacity_bytes, False)],
+                {"hmf_flushes": 1, "chbm_evictions": 1})
+    # Block fills after each DRAM-home demand of p0 switch it to mHBM at
+    # the 13th block; p1 then migrates, its page fetch after its demand.
+    return (BumblebeeConfig(allocation=AllocationPolicy.DRAM),
+            [(page(0, b * block_bytes), b == 0) for b in range(13)]
+            + [(page(1), False)],
+            {"block_fills": 13, "switch_c2m": 1, "migrations": 1})
+
+
+class TestMovementOrder:
+    """Movement a request issues before its demand is charged before
+    the demand in the walk, and movement issued after it after."""
+
+    @pytest.mark.parametrize("case", ["alloc-flushes-chbm",
+                                      "hmf-batch-flush",
+                                      "fill-switch-migrate"])
+    @pytest.mark.parametrize("vector_epoch", [1, 7, 2048])
+    def test_movement_order(self, case, vector_epoch):
+        config, requests, expected = _movement_case(case)
+        trace = PackedTrace(array("Q", [encode_request(addr, wr, 40)
+                                        for addr, wr in requests]))
+        scalar = SimulationDriver().run(_small_bumblebee(config), trace,
+                                        engine="scalar")
+        for key, count in expected.items():
+            assert scalar.controller_stats[key] == count, key
+        driver = SimulationDriver(vector_epoch=vector_epoch)
+        epoch = driver.run(_small_bumblebee(config), trace, engine="auto")
+        assert driver.last_engine == "vector"
+        assert epoch == scalar
 
 
 class TestFallback:
@@ -477,19 +486,19 @@ class TestEngineObservability:
         assert timing["engine_vector"] == 1.0
         assert timing["engine_scalar"] == 0.0
         assert timing["vector_epochs"] >= 1.0
-        assert timing["bridged_requests"] == 0.0
+        assert timing["policy_requests"] == 0.0
         harness.run_design("Bumblebee", "mcf")
         timing = harness.cell_timing("Bumblebee", "mcf")
         assert timing["engine_vector"] == 1.0
-        assert 0.0 < timing["bridged_requests"] < 1600
-        assert timing["bridged_requests"] \
-            == harness.driver.last_bridged_requests
+        assert 0.0 < timing["policy_requests"] < 1600
+        assert timing["policy_requests"] \
+            == harness.driver.last_policy_requests
         harness.run_design("MemPod", "mcf")
         timing = harness.cell_timing("MemPod", "mcf")
         assert timing["engine_vector"] == 0.0
         assert timing["engine_scalar"] == 1.0
         assert timing["scalar_epochs"] >= 1.0
-        assert timing["bridged_requests"] == 0.0
+        assert timing["policy_requests"] == 0.0
         assert timing["fallback_design_not_batch_capable"] == 1.0
 
     def test_config_engine_scalar_forces_reference_loop(self):
