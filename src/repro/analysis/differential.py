@@ -3,9 +3,9 @@
 The simulator has four execution paths — object replay (an iterable of
 :class:`~repro.sim.request.MemoryRequest`), the packed fast path
 (:meth:`~repro.traces.packed.PackedTrace.replay`), the opt-in checked
-loop, and the vectorized batch kernel
+loop, and the vectorized epoch engine
 (:mod:`repro.sim.vectorized`; ``engine="vector"``, which falls back to
-the scalar loop on designs without a batch plan).  All four must
+the scalar loop on a controller without ``batch_epoch_plan``).  All four must
 produce bit-identical :class:`~repro.sim.driver.SimResult`\\ s.  This
 harness replays randomized synthetic traces through every requested
 design on all paths, diffs the results field by field, runs the
@@ -174,9 +174,9 @@ def _replay_all_paths(design: str, trace: PackedTrace,
         workload=workload, warmup=warmup)
     diffs += [f"checked-vs-fast {d}"
               for d in diff_results(packed_result, checked_result)]
-    # The fourth path: batch-capable designs exercise the vectorized
-    # kernel; everything else falls back to the scalar loop, which
-    # keeps the equality trivially true and the sweep uniform.
+    # The fourth path: the vectorized epoch engine (a controller
+    # without batch_epoch_plan falls back to the scalar loop, which
+    # keeps the equality trivially true and the sweep uniform).
     vector_result = SimulationDriver(vector_epoch=vector_epoch).run(
         make_controller(design, hbm_config, dram_config), trace,
         workload=workload, warmup=warmup, engine="vector")
@@ -254,8 +254,8 @@ def run_differential(designs: Sequence[str] | None = None,
 
     For each pair a randomized synthetic trace is replayed through the
     object path, the packed fast path, the sanitizer-checked loop, and
-    the vectorized batch engine (scalar fallback on designs without a
-    batch plan); any result divergence or invariant violation fails
+    the vectorized epoch engine (scalar fallback on a controller
+    without ``batch_epoch_plan``); any result divergence or invariant violation fails
     the case, and
     the failing trace is ddmin-shrunk (at ``warmup=0`` when the failure
     survives without warm-up) to a minimal reproducer under

@@ -397,10 +397,10 @@ class ExperimentHarness:
         timing value, so engine choice is encoded as 0/1 indicators and
         epoch counts rather than strings).  ``policy_requests`` counts
         the requests the two-pass epoch engine's pass 1 ran through
-        ``controller.access`` (0 on the other engines).  A scalar
+        ``controller.access`` (0 on the scalar loop).  A scalar
         cell additionally carries a ``fallback_<reason>`` indicator
         (hyphens as underscores, e.g.
-        ``fallback_design_not_batch_capable``) so a campaign summary
+        ``fallback_engine_forced_scalar``) so a campaign summary
         shows not just *how many* cells fell back but *why*.  Cells
         served from a cache never simulated, so they carry no engine
         keys at all."""

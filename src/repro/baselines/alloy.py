@@ -230,7 +230,6 @@ class AlloyCacheController(HybridMemoryController):
     "AlloyCache",
     description="Direct-mapped TAD cache over the whole stack "
                 "(tags in HBM, MAP-I hit prediction)",
-    figures=(("fig8", 1),),
-    batch_replayable="epoch")
+    figures=(("fig8", 1),))
 def _build_alloy(hbm_config, dram_config, *, name="AlloyCache"):
     return AlloyCacheController(hbm_config, dram_config, name=name)

@@ -296,7 +296,6 @@ class BansheeController(HybridMemoryController):
     "Banshee",
     description="Page-granular TLB-tracked cache with "
                 "frequency-based replacement",
-    figures=(("fig8", 0),),
-    batch_replayable="epoch")
+    figures=(("fig8", 0),))
 def _build_banshee(hbm_config, dram_config, *, name="Banshee"):
     return BansheeController(hbm_config, dram_config, name=name)

@@ -210,8 +210,7 @@ class ChameleonController(HybridMemoryController):
     params={"sram_bytes": 512 * 1024},
     description="Segment-group POM with an SRAM metadata cache "
                 "(sram_bytes budgets it)",
-    figures=(("fig8", 3),),
-    batch_replayable="epoch")
+    figures=(("fig8", 3),))
 def _build_chameleon(hbm_config, dram_config, *, name="Chameleon",
                      sram_bytes=512 * 1024):
     return ChameleonController(hbm_config, dram_config,

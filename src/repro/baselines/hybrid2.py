@@ -489,8 +489,7 @@ class Hybrid2Controller(HybridMemoryController):
     params={"sram_bytes": 512 * 1024},
     description="Fixed 1/16 cHBM staging cache plus 2KB-page POM "
                 "(sram_bytes budgets the metadata cache)",
-    figures=(("fig8", 4),),
-    batch_replayable="epoch")
+    figures=(("fig8", 4),))
 def _build_hybrid2(hbm_config, dram_config, *, name="Hybrid2",
                    sram_bytes=512 * 1024):
     return Hybrid2Controller(hbm_config, dram_config,

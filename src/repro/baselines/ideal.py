@@ -11,6 +11,11 @@ MPKI group.
 
 from __future__ import annotations
 
+try:
+    import numpy as np
+except ImportError:                                   # pragma: no cover
+    np = None
+
 from ..designs import register_design
 from ..mem.timing import DeviceConfig
 from ..sim.request import AccessResult, MemoryRequest
@@ -27,13 +32,14 @@ class IdealHBMController(HybridMemoryController):
     def access(self, request: MemoryRequest, now_ns: float) -> AccessResult:
         return self._demand_hbm(request.addr, request, now_ns)
 
-    def batch_plan(self, addrs, is_writes):
-        """Feedback-free placement for the vectorized engine: every
+    def batch_epoch_plan(self, addr, is_write):
+        """Pass 1 of the epoch engine, with nothing to decide: every
         request hits HBM, wrapped modulo its capacity — exactly
-        :meth:`access`'s ``_demand_hbm`` arithmetic."""
-        from ..sim.vectorized import BatchPlan
-        return BatchPlan(use_hbm=True,
-                         local_addr=addrs % self._hbm_capacity)
+        :meth:`access`'s ``_demand_hbm`` arithmetic — and scripts no
+        movement."""
+        from ..sim.vectorized import EpochPlan
+        return EpochPlan(use_hbm=np.ones(addr.shape[0], dtype=bool),
+                         local_addr=addr % self._hbm_capacity)
 
     def os_visible_bytes(self) -> int:
         """The oracle never faults: capacity is assumed sufficient."""
@@ -45,7 +51,6 @@ class IdealHBMController(HybridMemoryController):
 
 @register_design(
     "Ideal",
-    description="Infinite-HBM oracle: the performance ceiling",
-    batch_replayable="stateless")
+    description="Infinite-HBM oracle: the performance ceiling")
 def _build_ideal(hbm_config, dram_config, *, name="Ideal"):
     return IdealHBMController(hbm_config, dram_config, name=name)

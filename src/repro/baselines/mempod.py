@@ -18,6 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+try:
+    import numpy as np
+except ImportError:                                   # pragma: no cover
+    np = None
+
 from ..designs import register_design
 from ..mem.timing import DeviceConfig
 from ..sim.request import AccessResult, MemoryRequest
@@ -80,6 +85,26 @@ class MemPodController(HybridMemoryController):
             return self._demand_hbm(
                 self._hbm_addr(pod_index, slot, offset), request, now_ns)
         return self._demand_dram(request.addr, request, now_ns)
+
+    def batch_epoch_plan(self, addr, is_write):
+        """Pass 1 of the epoch engine: every request runs through
+        :meth:`access` in scalar order with the devices bound to a
+        :class:`~repro.sim.vectorized.ScriptRecorder`.  MemPod's policy
+        (MEA counters, per-pod access epochs, LRU ticks) never reads
+        device timing — ``now_ns`` only reaches the movement engine — so
+        the page moves a pod epoch issues before the demand become that
+        request's ``pre_bulk`` script."""
+        from ..sim.vectorized import EpochPlan, ScriptRecorder
+        m = addr.shape[0]
+        plan = EpochPlan(use_hbm=np.zeros(m, dtype=bool),
+                         local_addr=np.zeros(m, dtype=np.int64))
+        with ScriptRecorder(self) as recorder:
+            run = recorder.run
+            for i, (a, w) in enumerate(zip(addr.tolist(),
+                                           is_write.tolist())):
+                run(i, a, w)
+        recorder.fill(plan)
+        return plan
 
     def _mea_update(self, pod: _Pod, page: int) -> None:
         """Majority-Element-Algorithm counter update (Misra-Gries)."""

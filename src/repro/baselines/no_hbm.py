@@ -7,6 +7,11 @@ modulo the module capacity, and no metadata exists.
 
 from __future__ import annotations
 
+try:
+    import numpy as np
+except ImportError:                                   # pragma: no cover
+    np = None
+
 from ..designs import register_design
 from ..mem.timing import DeviceConfig
 from ..sim.request import AccessResult, MemoryRequest
@@ -23,13 +28,14 @@ class NoHBMController(HybridMemoryController):
     def access(self, request: MemoryRequest, now_ns: float) -> AccessResult:
         return self._demand_dram(request.addr, request, now_ns)
 
-    def batch_plan(self, addrs, is_writes):
-        """Feedback-free placement for the vectorized engine: every
+    def batch_epoch_plan(self, addr, is_write):
+        """Pass 1 of the epoch engine, with nothing to decide: every
         request goes to off-chip DRAM, wrapped modulo its capacity —
-        exactly :meth:`access`'s ``_demand_dram`` arithmetic."""
-        from ..sim.vectorized import BatchPlan
-        return BatchPlan(use_hbm=False,
-                         local_addr=addrs % self._dram_capacity)
+        exactly :meth:`access`'s ``_demand_dram`` arithmetic — and
+        scripts no movement."""
+        from ..sim.vectorized import EpochPlan
+        return EpochPlan(use_hbm=np.zeros(addr.shape[0], dtype=bool),
+                         local_addr=addr % self._dram_capacity)
 
     def os_visible_bytes(self) -> int:
         """The stack is a cache (or absent): the OS sees only DRAM."""
@@ -39,7 +45,6 @@ class NoHBMController(HybridMemoryController):
 @register_design(
     "No-HBM",
     description="Off-chip DRAM only: the denominator of every "
-                "normalised metric",
-    batch_replayable="stateless")
+                "normalised metric")
 def _build_no_hbm(hbm_config, dram_config, *, name="No-HBM"):
     return NoHBMController(dram_config, name=name)

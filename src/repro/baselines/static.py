@@ -19,13 +19,7 @@ controller is non-adaptive, so pass 1 skips the most-blocks switch
 restriction entirely — every resident hit classifies pure straight from
 the BLE snapshot, without the per-way block-count guard the adaptive
 Bumblebee needs.  Every other request runs through ``access`` in pass 1
-and hands the walk its recorded device script.  Feedback still exists
-(fills, hotness counters), which is why these are
-``batch_replayable="epoch"`` rather than ``"stateless"``: a
-feedback-free ``batch_plan`` could not replay them bit-identically.  The
-specs below declare the tier explicitly so the capability pin
-(``tests/test_vectorized_engine.py``) checks them independently of the
-base design's registration.
+and hands the walk its recorded device script.
 """
 
 from __future__ import annotations
@@ -87,13 +81,13 @@ def fixed_chbm(hbm_config: DeviceConfig, dram_config: DeviceConfig,
 # chbm_ratio override (ratio x hbm_ways cHBM-only ways, rest mHBM-only).
 register_spec("C-Only", "Bumblebee", {"chbm_ratio": 1.0},
               description="All HBM as DRAM cache",
-              figures=(("fig7", 0),), batch_replayable="epoch")
+              figures=(("fig7", 0),))
 register_spec("M-Only", "Bumblebee", {"chbm_ratio": 0.0},
               description="All HBM as OS-visible POM",
-              figures=(("fig7", 1),), batch_replayable="epoch")
+              figures=(("fig7", 1),))
 register_spec("25%-C", "Bumblebee", {"chbm_ratio": 0.25},
               description="KNL-style static split, 25% cHBM",
-              figures=(("fig7", 2),), batch_replayable="epoch")
+              figures=(("fig7", 2),))
 register_spec("50%-C", "Bumblebee", {"chbm_ratio": 0.5},
               description="KNL-style static split, 50% cHBM",
-              figures=(("fig7", 3),), batch_replayable="epoch")
+              figures=(("fig7", 3),))

@@ -353,8 +353,7 @@ class UnisonCacheController(HybridMemoryController):
     params={"seed": 7},
     description="4-way page-granular cache with way + footprint "
                 "prediction (seeded predictor)",
-    figures=(("fig8", 2),),
-    batch_replayable="epoch")
+    figures=(("fig8", 2),))
 def _build_unison(hbm_config, dram_config, *, name="UnisonCache", seed=7):
     return UnisonCacheController(hbm_config, dram_config, name=name,
                                  seed=seed)

@@ -61,11 +61,11 @@ def _add_window_args(parser: argparse.ArgumentParser) -> None:
                         help="trace generator seed")
     parser.add_argument("--engine", choices=("auto", "scalar", "vector"),
                         default="auto",
-                        help="replay engine: 'auto' vectorizes "
-                             "batch-capable designs, 'scalar' forces the "
-                             "reference loop, 'vector' requests the batch "
-                             "kernel (scalar fallback where unsupported); "
-                             "results are bit-identical either way")
+                        help="replay engine: 'auto' and 'vector' take "
+                             "the vectorized epoch engine (scalar "
+                             "fallback where unsupported), 'scalar' "
+                             "forces the reference loop; results are "
+                             "bit-identical either way")
 
 
 def _jobs_arg(value: str) -> int:
@@ -565,8 +565,13 @@ def cmd_explore(args: argparse.Namespace) -> int:
         print(exc, file=sys.stderr)
         return 2
     plan = _plan_from_args(args, specs, source="explore")
+    harness = plan.build_harness()
+    error = _spec_error(harness, specs)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 2
     try:
-        campaign = plan.open_campaign()
+        campaign = plan.open_campaign(harness)
     except PlanError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -649,12 +654,13 @@ def cmd_designs(args: argparse.Namespace) -> int:
     print(f"base      : {spec.base}")
     if entry.description:
         print(f"about     : {entry.description}")
-    tier = registry.batch_tier(args.name)
-    print("batch     : " + {
-        "stateless": "vectorized batch replay (stateless batch_plan)",
-        "epoch": "vectorized batch replay (two-pass epoch plan)",
-        "none": "scalar replay only",
-    }[tier])
+    from .sim import fallback_reason
+    harness = ExperimentHarness(ExperimentConfig(trace_cache_dir="off"))
+    reason = fallback_reason(registry.build(
+        spec, *harness.devices(spec),
+        sram_bytes=harness.config.scale.sram_bytes))
+    print("replay    : " + ("vectorized two-pass epoch engine"
+                            if reason is None else f"scalar loop ({reason})"))
     if entry.figures:
         print("figures   : " + ", ".join(
             f"{fig} bar {index}" for fig, index in entry.figures))

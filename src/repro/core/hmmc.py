@@ -30,7 +30,7 @@ except ImportError:  # pragma: no cover - numpy is a declared dep
 from ..baselines.base import HybridMemoryController
 from ..designs import register_design, register_spec
 from ..mem.timing import DeviceConfig
-from ..sim.request import AccessResult, MemoryRequest, MutableRequest
+from ..sim.request import AccessResult, MemoryRequest
 from .ble import BLEArray, WayMode, epoch_snapshot
 from .config import AllocationPolicy, BumblebeeConfig, derive_geometry
 from .hotness import HotnessTracker
@@ -733,46 +733,42 @@ class BumblebeeController(HybridMemoryController):
         plan.lists = None
         plan.hmf = hmf
         impure = np.flatnonzero(~pure)
-        demands = {}
+        recorder = None
         if not impure.shape[0]:
             self._commit_run(plan, range(m))
         else:
-            demands = self._run_impure(plan, pure.tolist(),
-                                       int(impure[0]), addr.tolist())
+            recorder = self._run_impure(plan, pure.tolist(),
+                                        int(impure[0]), addr.tolist())
         # Every request that stayed pure reads at its final way.
         local = (plan.cols[1] * self._sets + set_index) \
             * self._page_bytes + offset
         local %= self._hbm_capacity
-        for i, (lane, demand) in demands.items():
-            use_hbm[i] = lane == 0
-            local[i] = demand
         plan.local_addr = local
+        if recorder is not None:
+            recorder.fill(plan)
         return plan
 
-    def _run_impure(self, plan, pure_l: list, first: int,
-                    addr_l: list) -> dict:
+    def _run_impure(self, plan, pure_l: list, first: int, addr_l: list):
         """Pass 1's scalar walk from the first impure request on.
 
         Commits each pure run, runs each impure request through
-        :meth:`access` with the devices recorded and files its movement
-        in the plan's ``pre_bulk``/``post``, and re-checks a request
-        whose set an earlier request changed.
+        :meth:`access` with the devices recorded, and re-checks a
+        request whose set an earlier request changed.
 
         Returns:
-            ``{index: (lane, local_addr)}`` — the demand of every request
-            that ran through :meth:`access`.
+            The :class:`~repro.sim.vectorized.ScriptRecorder` holding the
+            demand and movement of every request that ran through
+            :meth:`access`.
         """
         from ..sim.vectorized import ScriptRecorder
         s_l, _, _, _, _, _, wr_l = self._plan_lists(plan)
         versions = self._set_versions
         stamp_l = np.array(versions, dtype=np.int64)[plan.cols[0]].tolist()
-        demands, pre_bulk, post = {}, {}, {}
-        request = MutableRequest()
-        access = self.access
         commit = self._commit_run
         reclassify = self._reclassify
         run_start = 0
         with ScriptRecorder(self) as recorder:
+            run = recorder.run
             for i in range(first, len(pure_l)):
                 version = versions[s_l[i]]
                 if version != stamp_l[i]:
@@ -783,31 +779,10 @@ class BumblebeeController(HybridMemoryController):
                 if run_start < i:
                     commit(plan, range(run_start, i))
                 run_start = i + 1
-                request.addr = addr_l[i]
-                request.is_write = wr_l[i]
-                access(request, 0.0)
-                lane, demand, before, after = recorder.take()
-                demands[i] = (lane, demand)
-                if before:
-                    pre_bulk[i] = before
-                if after:
-                    post[i] = after
+                run(i, addr_l[i], wr_l[i])
         if run_start < len(pure_l):
             commit(plan, range(run_start, len(pure_l)))
-        plan.pre_bulk = pre_bulk
-        plan.post = post
-        plan.policy_requests = len(demands)
-        # The engine counts every request's demand; take back the counts
-        # access made for the requests it ran.
-        writes = sum(wr_l[i] for i in demands)
-        hbm = sum(lane == 0 for lane, _ in demands.values())
-        bump = self.stats.bump
-        for key, count in (("demand_reads", len(demands) - writes),
-                           ("demand_writes", writes),
-                           ("hbm_demand_hits", hbm)):
-            if count:
-                bump(key, -count)
-        return demands
+        return recorder
 
     def _hmf_trajectory(self, addr):
         """:meth:`_global_footprint_check` replayed over one epoch.
@@ -1168,8 +1143,7 @@ _BUMBLEBEE_PARAMS["chbm_ratio"] = None
     "Bumblebee", params=_BUMBLEBEE_PARAMS,
     description="The paper's MemCache HMMC (multiplexed cHBM/mHBM, "
                 "hotness allocation, HMF movement)",
-    figures=(("fig8", 5), ("fig7", 9)),
-    batch_replayable="epoch")
+    figures=(("fig8", 5), ("fig7", 9)))
 def build_bumblebee(hbm_config: DeviceConfig, dram_config: DeviceConfig,
                     *, name: str = "Bumblebee",
                     **params) -> BumblebeeController:

@@ -36,21 +36,12 @@ class DesignEntry:
             parameter absent from this mapping is *unsupported* — a
             spec overriding it is rejected at build time.
         description: One-line summary for ``repro designs list``.
-        batch_replayable: Vectorized-replay capability tier of
-            controllers built from this design: ``"none"`` (scalar loop
-            only), ``"stateless"`` (the feedback-free ``batch_plan``
-            kernel), or ``"epoch"`` (the two-pass engine: pass 1's
-            ``batch_epoch_plan`` decides, the walk times) — see
-            :mod:`repro.sim.vectorized`.  Declarative only — the driver
-            detects the capability on the built controller; tests pin
-            that the two agree.
     """
 
     name: str
     builder: Callable[..., Any]
     params: Mapping[str, Any]
     description: str = ""
-    batch_replayable: str = "none"
 
     def supports(self, param: str) -> bool:
         return param in self.params
@@ -64,13 +55,6 @@ class SpecEntry:
     description: str = ""
     #: ``((figure_id, bar_index), ...)`` placements, e.g. (("fig8", 5),).
     figures: tuple[tuple[str, int], ...] = ()
-    #: Vectorized-replay capability tier override for this spec, or
-    #: ``None`` to inherit the base design's declared tier.  Lets a
-    #: parameterisation whose controllers land in a different tier than
-    #: the base default (e.g. the static-partition Bumblebee splits)
-    #: declare so explicitly; :meth:`DesignRegistry.batch_tier` resolves
-    #: the effective tier.
-    batch_replayable: str | None = None
 
 
 class DesignRegistry:
@@ -91,40 +75,24 @@ class DesignRegistry:
 
     # ---- registration ----------------------------------------------------
 
-    #: Valid vectorized-replay capability tiers, least to most capable.
-    BATCH_TIERS = ("none", "stateless", "epoch")
-
     def add_design(self, name: str, builder: Callable[..., Any],
                    params: Mapping[str, Any] | None = None,
-                   description: str = "",
-                   batch_replayable: str = "none") -> DesignEntry:
+                   description: str = "") -> DesignEntry:
         if name in self._designs:
             raise ValueError(f"design {name!r} already registered")
-        if batch_replayable not in self.BATCH_TIERS:
-            raise ValueError(
-                f"batch_replayable must be one of "
-                f"{'/'.join(self.BATCH_TIERS)}, got {batch_replayable!r}")
         entry = DesignEntry(name=name, builder=builder,
                             params=dict(params or {}),
-                            description=description,
-                            batch_replayable=batch_replayable)
+                            description=description)
         self._designs[name] = entry
         return entry
 
     def add_spec(self, spec: DesignSpec, description: str = "",
-                 figures: Sequence[tuple[str, int]] = (),
-                 batch_replayable: str | None = None) -> DesignSpec:
+                 figures: Sequence[tuple[str, int]] = ()) -> DesignSpec:
         if spec.name in self._specs:
             raise ValueError(f"design spec {spec.name!r} already registered")
-        if (batch_replayable is not None
-                and batch_replayable not in self.BATCH_TIERS):
-            raise ValueError(
-                f"batch_replayable must be one of "
-                f"{'/'.join(self.BATCH_TIERS)}, got {batch_replayable!r}")
         self._specs[spec.name] = SpecEntry(
             spec=spec, description=description,
-            figures=tuple((str(f), int(i)) for f, i in figures),
-            batch_replayable=batch_replayable)
+            figures=tuple((str(f), int(i)) for f, i in figures))
         return spec
 
     # ---- loading ---------------------------------------------------------
@@ -199,18 +167,6 @@ class DesignRegistry:
         if name not in self._specs:
             self.spec(name)        # raises with the known-name list
         return self._specs[name]
-
-    def batch_tier(self, name: str) -> str:
-        """The effective vectorized-replay tier of spec ``name``.
-
-        A spec-level ``batch_replayable`` override wins; otherwise the
-        base design's declared tier applies.  Raises ``ValueError`` for
-        an unknown name (with the known-name list).
-        """
-        entry = self.describe(name)
-        if entry.batch_replayable is not None:
-            return entry.batch_replayable
-        return self.design(entry.spec.base).batch_replayable
 
     def figure_names(self, figure: str) -> list[str]:
         """Spec names placed in ``figure``, sorted by bar index."""
@@ -317,24 +273,19 @@ registry = DesignRegistry(loader=_load_builtin_designs)
 
 def register_design(name: str, *, params: Mapping[str, Any] | None = None,
                     description: str = "",
-                    figures: Sequence[tuple[str, int]] = (),
-                    batch_replayable: str = "none"):
+                    figures: Sequence[tuple[str, int]] = ()):
     """Decorator: register ``builder`` as a base design (plus its spec).
 
     The decorated callable must accept ``(hbm_config, dram_config, *,
     name, **params)`` and return a controller.  An eponymous
     :class:`DesignSpec` with no overrides is registered alongside, so
-    the design is immediately runnable by name.  Designs whose
-    controllers implement ``batch_plan`` declare
-    ``batch_replayable="stateless"``; designs whose controllers
-    implement the two-pass ``batch_epoch_plan`` protocol declare
-    ``batch_replayable="epoch"`` so tooling can report which designs
-    take the vectorized replay engine.
+    the design is immediately runnable by name.  Its controllers take
+    the vectorized epoch engine when they implement
+    ``batch_epoch_plan`` (see :mod:`repro.sim.vectorized`).
     """
     def wrap(builder):
         registry.add_design(name, builder, params=params,
-                            description=description,
-                            batch_replayable=batch_replayable)
+                            description=description)
         registry.add_spec(DesignSpec(base=name, name=name),
                           description=description, figures=figures)
         return builder
@@ -344,18 +295,8 @@ def register_design(name: str, *, params: Mapping[str, Any] | None = None,
 def register_spec(name: str, base: str,
                   params: Mapping[str, Any] | None = None, *,
                   description: str = "",
-                  figures: Sequence[tuple[str, int]] = (),
-                  batch_replayable: str | None = None) -> DesignSpec:
-    """Register one named spec (a parameterisation of a base design).
-
-    ``batch_replayable`` optionally pins the spec's vectorized-replay
-    capability tier when it differs from (or should be asserted
-    independently of) the base design's declaration; ``None`` inherits
-    the base tier.  :meth:`DesignRegistry.batch_tier` resolves the
-    effective tier, and the capability tests pin that the declaration
-    matches what the built controller implements.
-    """
+                  figures: Sequence[tuple[str, int]] = ()) -> DesignSpec:
+    """Register one named spec (a parameterisation of a base design)."""
     return registry.add_spec(
         DesignSpec(base=base, params=params or {}, name=name),
-        description=description, figures=figures,
-        batch_replayable=batch_replayable)
+        description=description, figures=figures)

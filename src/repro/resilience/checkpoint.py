@@ -194,6 +194,11 @@ class CheckpointWriter:
         self.pending: list[tuple[str, str]] = []
         self.write_errors = 0
         self._seq = 0
+        # Set while the head of ``pending`` may already be on disk: an
+        # interrupt (the campaign's SIGTERM handler raises
+        # KeyboardInterrupt anywhere) can land between a line's write
+        # and its pop.
+        self._unsure = False
 
     def _write_line(self, tag: str, line: str) -> None:
         """One append attempt; raises OSError on (possibly injected)
@@ -209,16 +214,36 @@ class CheckpointWriter:
                 if self.fsync:
                     os.fsync(handle.fileno())
 
+    def _ends_with(self, line: str) -> bool:
+        """Whether the file's last line is ``line``."""
+        data = line.encode("utf-8")
+        try:
+            with self.path.open("rb") as handle:
+                size = handle.seek(0, os.SEEK_END)
+                handle.seek(max(0, size - len(data) - 1))
+                tail = handle.read()
+        except FileNotFoundError:
+            return False
+        return tail in (data, b"\n" + data)
+
     def _drain(self) -> bool:
-        """Write pending lines in FIFO order; False on first failure."""
+        """Write pending lines in FIFO order; False on first failure.
+
+        A line whose write was interrupted before its pop is not written
+        twice: the retry pops it when the file already ends with it.
+        """
         while self.pending:
             tag, line = self.pending[0]
-            try:
-                self._write_line(tag, line)
-            except OSError:
-                self.write_errors += 1
-                return False
+            if not (self._unsure and self._ends_with(line)):
+                self._unsure = True
+                try:
+                    self._write_line(tag, line)
+                except OSError:
+                    self._unsure = False
+                    self.write_errors += 1
+                    return False
             self.pending.pop(0)
+            self._unsure = False
         return True
 
     def append(self, record: dict, tag: str = "") -> bool:

@@ -9,8 +9,8 @@ from .request import (CACHE_LINE_BYTES, AccessResult, MemoryRequest,
                       MutableRequest, ServicedBy)
 from .stats import Histogram, StatGroup, geomean
 
-from .vectorized import (BatchPlan, EpochPlan, batch_capable,
-                         epoch_capable, fallback_reason, replay_epoch)
+from .vectorized import (EpochPlan, epoch_capable, fallback_reason,
+                         replay_epoch)
 
 __all__ = [
     "CpuModel",
@@ -18,9 +18,7 @@ __all__ = [
     "VECTOR_EPOCH_REQUESTS",
     "SimResult",
     "SimulationDriver",
-    "BatchPlan",
     "EpochPlan",
-    "batch_capable",
     "epoch_capable",
     "fallback_reason",
     "replay_epoch",

@@ -24,8 +24,8 @@ from .stats import Histogram
 LATENCY_BOUNDS = [10.0, 20.0, 30.0, 50.0, 80.0, 120.0, 200.0, 400.0,
                   1000.0]
 
-#: Epoch granularity of the vectorized batch kernel (requests per
-#: epoch); also the epoch size scalar runs report for comparability.
+#: Default epoch granularity of the vectorized epoch engine (requests
+#: per epoch); also the epoch size scalar runs report for comparability.
 VECTOR_EPOCH_REQUESTS = 1 << 16
 
 #: Valid ``engine=`` selectors for :meth:`SimulationDriver.run`.
@@ -174,8 +174,8 @@ class SimulationDriver:
             and at run end, validating conservation laws per request and
             per epoch (see :mod:`repro.sanitize.invariants`) —
             numerically identical results, sanitizer-grade overhead.
-        vector_epoch: Epoch size (requests) of the vectorized batch
-            kernel; None uses :data:`VECTOR_EPOCH_REQUESTS`.  Results
+        vector_epoch: Epoch size (requests) of the vectorized epoch
+            engine; None uses :data:`VECTOR_EPOCH_REQUESTS`.  Results
             are bit-identical at any epoch size (pinned by the
             sanitizer's ``--vector-epoch`` matrix leg).
 
@@ -184,10 +184,10 @@ class SimulationDriver:
     ``last_vector_epochs`` / ``last_scalar_epochs`` (epoch counts at
     the vector epoch granularity), ``last_policy_requests`` (requests
     the two-pass epoch engine's pass 1 ran through
-    ``controller.access``; 0 for the other engines) and
+    ``controller.access``; 0 for the scalar loop) and
     ``last_fallback_reason`` (why the
     scalar loop ran: e.g. ``design-not-batch-capable``,
-    ``engine-forced-scalar``; None when the vector kernel ran) —
+    ``engine-forced-scalar``; None when the epoch engine ran) —
     campaign timing records surface these per cell.
 
     Raises:
@@ -244,12 +244,13 @@ class SimulationDriver:
                 paper's SimPoint warm-up, without which one-time
                 cold-start movement dominates the traffic ratios.
             engine: Replay engine selection.  ``"auto"`` and
-                ``"vector"`` take the vectorized epoch-at-a-time kernel
+                ``"vector"`` take the two-pass epoch engine
                 (:mod:`repro.sim.vectorized`) when the trace is packed
-                and the controller is batch-capable, falling back to
-                the scalar loop otherwise; ``"scalar"`` forces the
-                scalar loop.  Engine choice can never change a result —
-                the vector kernel is bit-identical to the scalar loop
+                and the controller implements ``batch_epoch_plan``,
+                falling back to the scalar loop otherwise; ``"scalar"``
+                forces the scalar loop.  Engine choice can never change
+                a result — the epoch engine is bit-identical to the
+                scalar loop
                 (pinned by the four-path differential sanitizer).
 
         Raises:
@@ -281,41 +282,21 @@ class SimulationDriver:
         elif not isinstance(trace, PackedTrace):
             self.last_fallback_reason = "object-stream"
         elif len(trace):
-            try:
-                from .vectorized import (batch_capable, epoch_capable,
-                                         fallback_reason,
-                                         replay_epoch, replay_vectorized)
-            except ImportError:  # pragma: no cover - numpy declared dep
-                batch_capable = None
-                self.last_fallback_reason = "numpy-unavailable"
-            if batch_capable is not None:
-                policy_requests = 0
-                if batch_capable(controller):
-                    result, epochs = replay_vectorized(
-                        self, controller, trace, workload=workload,
-                        max_requests=max_requests, warmup=warmup,
-                        epoch_requests=self.vector_epoch)
-                elif (epoch_capable(controller)
-                      and fallback_reason(controller) is None):
-                    # An epoch-capable controller can still veto the
-                    # two-pass engine for a configuration whose feedback
-                    # is not epoch-granular (epoch_fallback_reason).
-                    result, epochs, policy_requests = replay_epoch(
-                        self, controller, trace, workload=workload,
-                        max_requests=max_requests, warmup=warmup,
-                        epoch_requests=self.vector_epoch)
-                else:
-                    result = None
-                    self.last_fallback_reason = (
-                        fallback_reason(controller)
-                        or "design-not-batch-capable")
-                if result is not None:
-                    self.last_engine = "vector"
-                    self.last_vector_epochs = epochs
-                    self.last_scalar_epochs = 0
-                    self.last_policy_requests = policy_requests
-                    self.last_fallback_reason = None
-                    return result
+            from .vectorized import fallback_reason, replay_epoch
+            # An epoch-capable controller can still veto the two-pass
+            # engine for a configuration whose feedback is not
+            # epoch-granular (epoch_fallback_reason).
+            self.last_fallback_reason = fallback_reason(controller)
+            if self.last_fallback_reason is None:
+                result, epochs, policy_requests = replay_epoch(
+                    self, controller, trace, workload=workload,
+                    max_requests=max_requests, warmup=warmup,
+                    epoch_requests=self.vector_epoch)
+                self.last_engine = "vector"
+                self.last_vector_epochs = epochs
+                self.last_scalar_epochs = 0
+                self.last_policy_requests = policy_requests
+                return result
         else:
             self.last_fallback_reason = "empty-trace"
         if isinstance(trace, PackedTrace):

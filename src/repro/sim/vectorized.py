@@ -3,81 +3,63 @@
 The scalar driver loop (:meth:`~repro.sim.driver.SimulationDriver.run`)
 pays Python bytecode dispatch per simulated miss: a controller method
 call, a device decode, a bank FSM step, a channel bus step, and a few
-dataclass allocations.  For *batch-friendly* controllers — designs whose
-placement decision for a request does not depend on the timing feedback
-of earlier requests (No-HBM, the Ideal oracle) — almost all of that work
-is feedback-free and can be computed for a whole epoch of requests as
-numpy array operations:
+dataclass allocations.  No in-tree policy reads device timing, though:
+a request's placement and the movement it triggers follow from the
+addresses and the policy state alone (tags, remapping tables, hotness
+counters, mode bits), and only *when* the devices finish depends on the
+timing model.  ``replay_epoch`` splits an epoch of requests along that
+line into two passes.
 
-* bulk decode of the packed ``uint64`` records into ``addr`` /
-  ``is_write`` / ``icount`` columns (the same bit layout as
-  :mod:`repro.traces.packed`);
-* the controller's placement decision for the whole epoch at once (a
-  :class:`BatchPlan` from :meth:`batch_plan`);
-* the interleaved channel/bank/row decode of
-  :class:`~repro.mem.address.AddressMapper` as integer array arithmetic,
-  yielding the global channel/bank ids of the controller's shared
-  :class:`~repro.mem.device.TimingState`;
-* row-buffer hit/closed/conflict classification per bank via a stable
-  sort by bank id (each access sees the row its bank's *previous* access
-  opened, with the open-row state carried across epoch boundaries);
-* bulk traffic, energy-counter, statistic, and histogram accumulation
-  (``np.bincount`` totals added straight into the state's lists,
-  :meth:`~repro.sim.stats.Histogram.add_many` for the histogram).
-
-Neither kernel keeps timing state of its own: both load the state's
-flat lists (bank busy horizons, bus-free times, backlogs, counters) into
-local variables and run against them, so whatever a kernel leaves behind
-is exactly what ``MemoryDevice`` reads for traffic, energy and
-row-buffer statistics.
-
-What cannot be vectorized bit-identically is the sequential float
-recurrence that couples request *i*'s latency to request *i+1*'s arrival
-time (``now += icount/...; arrival = now + fault; done = f(bank, bus);
-now += latency/mlp``).  That recurrence runs as a minimal pure-Python
-loop over pre-converted lists — eight float operations per request
-instead of the scalar path's controller and ``MemoryDevice.access``
-calls — performing *exactly* the same operations in exactly the same
-order as the scalar loop, so every float result is bit-identical.  The
-equivalence is enforced by the four-path differential sanitizer
-(``repro sanitize``) and the property/identity tests.
-
-Controllers opt in by implementing ``batch_plan(addrs, is_writes) ->
-BatchPlan`` and registering with ``batch_replayable="stateless"``;
-everything else falls back to the scalar loop automatically (see
-``SimulationDriver.run(engine=...)``).
-
-Two-pass epoch replay (``replay_epoch``)
-----------------------------------------
-
-Stateful designs take a second, more general engine.  Their policy
-state (tags, remapping tables, hotness counters, mode bits) never reads
-device timing: a request's placement and the movement it triggers follow
-from the addresses alone, and only *when* the devices finish depends on
-the timing model.  The protocol splits along that line.
-
-Pass 1 (:meth:`batch_epoch_plan`) decides every request of an epoch in
+Pass 1 (:meth:`batch_epoch_plan`) decides every request of the epoch in
 scalar order against the controller's live state, commits all of its
 feedback, and returns an :class:`EpochPlan`: each request's serving
 device and local address plus a *device script* of the extra device
 operations it issues (serial probes, bulk movement before and after the
 demand, per-request metadata latency).  A design may decide requests
-however it likes — Bumblebee classifies runs of resident hits with numpy
-and runs every other request through its own ``access`` with the devices
-bound to a :class:`ScriptRecorder` — as long as the decisions and the
-script are the scalar loop's.
+however it likes, as long as the decisions and the script are the
+scalar loop's:
 
-The walk then times the script: the row-buffer outcomes of every bank
-access (probes and demands) are classified up front, and one
-pure-Python loop runs the bank/bus/backlog recurrence of
-``MemoryDevice.access`` and ``bulk_transfer`` **directly on the shared
+* No-HBM and Ideal send the whole epoch to one device at
+  ``addr % capacity`` and script nothing;
+* the Figure-8 caches forward-replay their own state machine;
+* MemPod runs every request through its own ``access``, and Bumblebee
+  classifies runs of resident hits with numpy and runs every other
+  request through ``access``, both with the devices bound to a
+  :class:`ScriptRecorder`.
+
+The walk then times the script, with everything outside the sequential
+float recurrence done as numpy array operations over the epoch:
+
+* bulk decode of the packed ``uint64`` records into ``addr`` /
+  ``is_write`` / ``icount`` columns (the same bit layout as
+  :mod:`repro.traces.packed`);
+* the interleaved channel/bank/row decode of
+  :class:`~repro.mem.address.AddressMapper` as integer array arithmetic
+  over every demand and probe, yielding the global channel/bank ids of
+  the controller's shared :class:`~repro.mem.device.TimingState`;
+* row-buffer hit/closed/conflict classification of every bank access
+  (probes and demands, in script order) via a stable sort by bank id:
+  each access sees the row its bank's *previous* access opened, with
+  the open-row state carried across epoch boundaries;
+* bulk traffic, energy-counter, statistic, and histogram accumulation
+  (``np.bincount`` totals added straight into the state's lists,
+  :meth:`~repro.sim.stats.Histogram.add_many` for the histogram).
+
+What cannot be vectorized bit-identically is the recurrence that
+couples request *i*'s latency to request *i+1*'s arrival time
+(``now += icount/...; arrival = now + fault; done = f(bank, bus,
+backlog); now += latency/mlp``).  One pure-Python loop runs the
+bank/bus/backlog arithmetic of ``MemoryDevice.access`` and
+``bulk_transfer`` over pre-converted lists, **directly on the shared
 timing-state lists**, operation for operation in the scalar order.  It
-never calls back into the controller, so every float and every counter
-lands bit-identically.
+keeps no timing state of its own and never calls back into the
+controller, so every float and every counter lands bit-identically.
+The equivalence is enforced by the four-path differential sanitizer
+(``repro sanitize``) and the property/identity tests.
 
 Controllers opt in by implementing ``batch_epoch_plan`` (plus the
-optional ``epoch_fallback_reason`` veto) and registering with
-``batch_replayable="epoch"``.
+optional ``epoch_fallback_reason`` veto); everything else falls back to
+the scalar loop automatically (see ``SimulationDriver.run(engine=...)``).
 """
 
 from __future__ import annotations
@@ -94,7 +76,7 @@ except ImportError:      # pragma: no cover - numpy is a declared dep
 
 from ..traces.packed import ICOUNT_MAX, LINE_SHIFT, PackedTrace
 from .driver import LATENCY_BOUNDS, VECTOR_EPOCH_REQUESTS
-from .request import CACHE_LINE_BYTES
+from .request import CACHE_LINE_BYTES, MutableRequest
 from .stats import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -102,27 +84,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mem.device import MemoryDevice, TimingState
     from .driver import SimResult, SimulationDriver
 
-__all__ = ["BatchPlan", "EpochPlan", "ScriptRecorder", "batch_capable",
-           "epoch_capable", "fallback_reason", "decode_epoch",
-           "replay_vectorized", "replay_epoch", "VECTOR_EPOCH_REQUESTS"]
-
-
-@dataclass
-class BatchPlan:
-    """A controller's feedback-free placement decision for one epoch.
-
-    Attributes:
-        use_hbm: Which requests the stacked device serves — a scalar
-            bool (the whole epoch goes one way) or a bool array of the
-            epoch's length.  Requests not served by HBM go to off-chip
-            DRAM.
-        local_addr: Device-local byte address per request (already
-            wrapped modulo the serving device's capacity), as an int64
-            array of the epoch's length.
-    """
-
-    use_hbm: Any
-    local_addr: Any
+__all__ = ["EpochPlan", "ScriptRecorder", "epoch_capable",
+           "fallback_reason", "decode_epoch", "replay_epoch",
+           "VECTOR_EPOCH_REQUESTS"]
 
 
 @dataclass
@@ -181,21 +145,39 @@ class ScriptRecorder:
     recorder: ``MemoryDevice.access`` and ``bulk_transfer`` append to the
     current request's script instead of running the timing model (they
     return their ``now_ns`` argument), so pass 1 can run a request's
-    policy in scalar order and leave its timing to the walk.  After each
-    request, which must issue exactly one demand access, :meth:`take`
-    returns what it issued.
+    policy in scalar order and leave its timing to the walk.  Each
+    request :meth:`run` sends through ``access`` must issue exactly one
+    demand access; :meth:`fill` writes the demands, and the bulk
+    transfers each request issued before and after its demand, into the
+    epoch's plan.
+
+    The engine counts every request's demand, so on leaving the block
+    the recorder takes back the ``demand_reads``/``demand_writes``/
+    ``hbm_demand_hits`` bumps that ``access`` made for the requests it
+    ran.
     """
 
     def __init__(self, controller: "HybridMemoryController") -> None:
+        self._access = controller.access
+        self._stats = controller.stats
         self._devices = _lanes(controller)[1]
+        self._request = MutableRequest()
         self._ops: list[tuple] = []
-        self._demand: tuple | None = None
+        self._index: list[int] = []
+        #: ``(lane, local_addr, is_write, ops issued before it)`` of each
+        #: demand access, in call order.
+        self._demands: list[tuple] = []
+        #: ``{index: [(lane, addr, nbytes, is_write), ...]}`` — bulk
+        #: movement each request issued before / after its demand.
+        self._pre_bulk: dict[int, list] = {}
+        self._post: dict[int, list] = {}
 
     def _bind(self, lane: int, dev: "MemoryDevice") -> None:
         ops = self._ops
+        demands = self._demands
 
         def access(addr, nbytes, is_write, now_ns):
-            self._demand = (lane, addr, len(ops))
+            demands.append((lane, addr, is_write, len(ops)))
             return now_ns
 
         def bulk_transfer(addr, nbytes, is_write, now_ns):
@@ -213,23 +195,53 @@ class ScriptRecorder:
     def __exit__(self, *exc) -> None:
         for _, dev in self._devices:
             del dev.access, dev.bulk_transfer
+        demands = self._demands
+        writes = sum(demand[2] for demand in demands)
+        bump = self._stats.bump
+        for key, count in (
+                ("demand_reads", len(demands) - writes),
+                ("demand_writes", writes),
+                ("hbm_demand_hits", sum(demand[0] == 0
+                                        for demand in demands))):
+            if count:
+                bump(key, -count)
 
-    def take(self) -> tuple[int, int, list, list]:
-        """``(lane, addr, before, after)`` of the request just run: its
-        demand's lane and local address, and the bulk operations issued
-        before and after the demand, in call order."""
-        lane, addr, split = self._demand
+    def run(self, index: int, addr: int, is_write: bool) -> None:
+        """Run request ``index`` of the epoch through ``access`` and file
+        the movement it issued before and after its demand."""
+        request = self._request
+        request.addr = addr
+        request.is_write = is_write
+        self._access(request, 0.0)
+        self._index.append(index)
         ops = self._ops
-        before, after = ops[:split], ops[split:]
-        ops.clear()
-        self._demand = None
-        return lane, addr, before, after
+        if ops:
+            split = self._demands[-1][3]
+            if split:
+                self._pre_bulk[index] = ops[:split]
+            if split < len(ops):
+                self._post[index] = ops[split:]
+            ops.clear()
 
+    def fill(self, plan: EpochPlan) -> None:
+        """Write the recorded demands and scripts into ``plan``.
 
-def batch_capable(controller: "HybridMemoryController") -> bool:
-    """Whether ``controller`` can take the stateless vectorized path."""
-    return np is not None and callable(getattr(controller, "batch_plan",
-                                               None))
+        Raises:
+            ValueError: when the requests run did not each issue exactly
+                one demand access.
+        """
+        if len(self._demands) != len(self._index):
+            raise ValueError(
+                f"{len(self._index)} recorded requests issued "
+                f"{len(self._demands)} demand accesses")
+        if self._index:
+            lane, local, _, _ = zip(*self._demands)
+            index = np.array(self._index, dtype=np.int64)
+            plan.use_hbm[index] = np.array(lane) == 0
+            plan.local_addr[index] = local
+        plan.pre_bulk = self._pre_bulk
+        plan.post = self._post
+        plan.policy_requests = len(self._index)
 
 
 def epoch_capable(controller: "HybridMemoryController") -> bool:
@@ -239,7 +251,7 @@ def epoch_capable(controller: "HybridMemoryController") -> bool:
 
 
 def fallback_reason(controller: "HybridMemoryController") -> str | None:
-    """Why no vectorized engine can replay ``controller``, or None.
+    """Why the epoch engine cannot replay ``controller``, or None.
 
     The per-run reason a :class:`~repro.sim.driver.SimulationDriver`
     records (``last_fallback_reason``) combines this with run-level
@@ -248,8 +260,6 @@ def fallback_reason(controller: "HybridMemoryController") -> str | None:
     """
     if np is None:
         return "numpy-unavailable"
-    if callable(getattr(controller, "batch_plan", None)):
-        return None
     if callable(getattr(controller, "batch_epoch_plan", None)):
         hook = getattr(controller, "epoch_fallback_reason", None)
         return hook() if callable(hook) else None
@@ -452,193 +462,6 @@ def _segments(n: int, max_requests: int | None,
     return [(0, count, True)]
 
 
-def replay_vectorized(driver: "SimulationDriver",
-                      controller: "HybridMemoryController",
-                      trace: PackedTrace,
-                      workload: str = "unnamed",
-                      max_requests: int | None = None,
-                      warmup: int = 0,
-                      epoch_requests: int | None = None
-                      ) -> tuple["SimResult", int]:
-    """Replay ``trace`` through the batch kernel.
-
-    Returns:
-        ``(result, epochs)`` — a :class:`~repro.sim.driver.SimResult`
-        bit-identical to the scalar loop's, and the number of epochs
-        processed.
-
-    Raises:
-        ValueError: on a non-positive epoch size or a malformed
-            :class:`BatchPlan` (wrong length, out-of-range local
-            address, HBM use on a design without HBM).
-    """
-    _require_numpy()
-    epoch = int(epoch_requests or VECTOR_EPOCH_REQUESTS)
-    if epoch <= 0:
-        raise ValueError(f"epoch_requests must be positive, got {epoch}")
-
-    cpu = driver.cpu
-    retire_rate = cpu.ipc_peak * cpu.cores
-    freq_ghz = cpu.freq_ghz
-    mlp = cpu.mlp
-
-    # ---- the shared device timing state and lookup tables ---------------
-    # Plain lists inside the recurrence: scalar indexing on lists is much
-    # cheaper than on numpy arrays.
-    state, lanes = _lanes(controller)
-    lat_table, burst_table, bursts_by_chan = _lookup_tables(lanes)
-    bank_busy = state.bank_busy
-    bus_free = state.bus_free
-    chan_busy = state.chan_busy
-
-    visible = controller.os_visible_bytes()
-    controller._os_visible_cache = visible
-    fault_penalty = float(controller.PAGE_FAULT_NS)
-    batch_plan = controller.batch_plan
-
-    values_all = np.frombuffer(trace.data, dtype=np.uint64)
-
-    # ---- measured-window accumulators -----------------------------------
-    histogram = Histogram(bounds=list(LATENCY_BOUNDS))
-    instructions = 0
-    measured_requests = 0
-    hbm_hits = 0
-    faults = 0
-    demand_reads = 0
-    demand_writes = 0
-    total_latency = 0.0
-
-    now = 0.0
-    measure_start = 0.0
-    epochs = 0
-    segments = _segments(len(trace), max_requests, warmup)
-    for seg_start, seg_stop, measured in segments:
-        if measured and len(segments) == 2:
-            # The warm-up boundary: same effect as the scalar loop's
-            # reset (devices return to power-on FSM state, stats zero).
-            controller.reset_measurements()
-            measure_start = now
-        # The row-buffer classification below is array math over the
-        # open rows; they return to the shared state after the segment.
-        open_row = np.asarray(state.open_row, dtype=np.int64)
-
-        for start in range(seg_start, seg_stop, epoch):
-            stop = min(start + epoch, seg_stop)
-            epochs += 1
-            values = values_all[start:stop]
-            m = values.shape[0]
-            addr, is_write, icount = _decode_values(values)
-
-            # Feedback-free per-request precompute -----------------------
-            comp = icount / retire_rate / freq_ghz
-            fault_mask = addr >= visible
-            fault_arr = np.where(fault_mask, fault_penalty, 0.0)
-
-            plan = batch_plan(addr, is_write)
-            use_hbm = plan.use_hbm
-            if isinstance(use_hbm, (bool, np.bool_)):
-                use_hbm = np.full(m, bool(use_hbm), dtype=bool)
-            else:
-                use_hbm = np.asarray(use_hbm, dtype=bool)
-            local = np.asarray(plan.local_addr, dtype=np.int64)
-            if use_hbm.shape[0] != m or local.shape[0] != m:
-                raise ValueError(
-                    f"batch_plan returned {use_hbm.shape[0]}/"
-                    f"{local.shape[0]} entries for a {m}-request epoch")
-            if controller.hbm is None and use_hbm.any():
-                raise ValueError(
-                    f"batch_plan of {controller.name!r} routed requests "
-                    f"to HBM but the design has no stacked device")
-
-            chan_gid, bank_gid, row = _decode_lanes(
-                lanes, local, use_hbm, None, "batch_plan", controller.name)
-
-            # Row-buffer outcome classification, open_row carrying each
-            # bank's state across epochs.
-            outcome = _row_outcomes(bank_gid, row, open_row)
-
-            device_idx = np.where(use_hbm, 0, 1)
-            lat = lat_table[device_idx, outcome]
-            burst = burst_table[device_idx]
-
-            # The sequential float recurrence ----------------------------
-            # Exactly the scalar chain, operation for operation:
-            #   now += comp; arrival = now + fault
-            #   issue = max(arrival, bank_busy); data = issue + lat
-            #   done = max(data, bus_free) + burst
-            #   latency = (done - arrival) + fault; now += latency / mlp
-            # (The scalar path's "+ 0.0" metadata and movement
-            # interference terms are exact float no-ops and elided:
-            # batch designs never queue movement, so the backlog and its
-            # drain timestamp are never read and stay untouched.)
-            comp_l = comp.tolist()
-            fault_l = fault_arr.tolist()
-            bank_l = bank_gid.tolist()
-            chan_l = chan_gid.tolist()
-            lat_l = lat.tolist()
-            burst_l = burst.tolist()
-            latencies: list[float] = []
-            append = latencies.append
-            running = total_latency
-            t = now
-            for comp_i, fault_i, b, c, lat_i, burst_i in zip(
-                    comp_l, fault_l, bank_l, chan_l, lat_l, burst_l):
-                t += comp_i
-                arrival = t + fault_i
-                busy = bank_busy[b]
-                data = (arrival if arrival > busy else busy) + lat_i
-                bank_busy[b] = data
-                free = bus_free[c]
-                done = (data if data > free else free) + burst_i
-                bus_free[c] = done
-                latency = (done - arrival) + fault_i
-                running += latency
-                t += latency / mlp
-                append(latency)
-            now = t
-
-            if not measured:
-                continue
-
-            # Bulk accumulation (measured window only) -------------------
-            total_latency = running
-            histogram.add_many(latencies)
-            instructions += int(icount.sum())
-            measured_requests += m
-            hbm_hits += int(use_hbm.sum())
-            faults += int(fault_mask.sum())
-            writes = int(is_write.sum())
-            demand_writes += writes
-            demand_reads += m - writes
-            _add_counts(state, chan_gid, bank_gid, is_write, outcome,
-                        np.full(m, CACHE_LINE_BYTES),
-                        bursts_by_chan[chan_gid])
-        state.open_row[:] = open_row.tolist()
-
-    # Batch designs queue no movement and a channel's bus_free only moves
-    # forward, so its busy horizon is its final bus_free.
-    chan_busy[:] = map(max, chan_busy, bus_free)
-    # The stats bumps are conditional: the scalar loop only creates a
-    # counter key when it actually increments, and controller_stats
-    # equality is exact (a spurious zero-valued key would diverge).
-    bump = controller.stats.bump
-    if demand_reads:
-        bump("demand_reads", demand_reads)
-    if demand_writes:
-        bump("demand_writes", demand_writes)
-    if hbm_hits:
-        bump("hbm_demand_hits", hbm_hits)
-    if faults:
-        bump("page_faults", faults)
-
-    controller.finish(now)
-    elapsed = now - measure_start
-    result = driver._build_result(
-        controller, workload, instructions, measured_requests, elapsed,
-        total_latency, 0.0, hbm_hits, histogram)
-    return result, epochs
-
-
 def _bulk_steps(raw: dict, m: int, lane_by_code: dict, bulk_memo: dict,
                 moved: list) -> list:
     """A scripted bulk column as per-request walk steps.
@@ -665,6 +488,31 @@ def _bulk_steps(raw: dict, m: int, lane_by_code: dict, bulk_memo: dict,
             moved.append(key)
         steps_l[i] = steps
     return steps_l
+
+
+def _plain_walk(columns, t: float, running: float, mlp: float,
+                bank_busy: list, bus_free: list, backlog_at: list,
+                lat_append) -> tuple[float, float]:
+    """The walk of an epoch whose plan scripts nothing, with no backlog
+    queued anywhere: the general walk with its script, metadata and
+    backlog-drain steps elided (each adds an exact 0.0 or is skipped).
+    Returns the advanced ``(t, running)``."""
+    for comp_ns, f, c, b, lat, burst_ns in zip(*columns):
+        t += comp_ns
+        arrival = t + f
+        if arrival > backlog_at[c]:
+            backlog_at[c] = arrival
+        busy = bank_busy[b]
+        data = (arrival if arrival > busy else busy) + lat
+        bank_busy[b] = data
+        free = bus_free[c]
+        done = (data if data > free else free) + burst_ns
+        bus_free[c] = done
+        latency = (done - arrival) + f
+        running += latency
+        t += latency / mlp
+        lat_append(latency)
+    return t, running
 
 
 def replay_epoch(driver: "SimulationDriver",
@@ -891,76 +739,88 @@ def replay_epoch(driver: "SimulationDriver",
             running = total_latency
             running_meta = total_metadata
             t = now
-            for (comp_ns, f, c, b, lat, burst_ns, mc, early, probes,
-                 bops) in zip(comp.tolist(), fault_arr.tolist(),
-                              chan_gid.tolist(), bank_gid.tolist(),
-                              lat_table[device_idx, outcomes].tolist(),
-                              burst_table[device_idx].tolist(), meta_l,
-                              early_l, pre_l, post_l):
-                t += comp_ns
-                arrival = t + f
-                if early is not None:
-                    charge(early, arrival)
-                if probes is not None:
-                    # Serial probes run at the running cursor and extend
-                    # the critical path, exactly like the scalar
-                    # probe_ns composition.
-                    for c2, b2, lat2, bn2 in probes:
-                        cur = arrival + mc
-                        if cur > backlog_at[c2]:
-                            drained = backlog[c2] - (cur - backlog_at[c2])
-                            backlog[c2] = drained if drained > 0.0 else 0.0
-                            backlog_at[c2] = cur
-                        busy = bank_busy[b2]
-                        data = (cur if cur > busy else busy) + lat2
-                        bank_busy[b2] = data
-                        pending = backlog[c2]
-                        chunk_ns = chunk_by_chan[c2]
-                        free = bus_free[c2]
-                        done = ((data if data > free else free)
-                                + (pending if pending < chunk_ns
-                                   else chunk_ns) + bn2)
-                        bus_free[c2] = done
-                        mc += done - cur
-                t0 = arrival + mc
-                # An empty backlog drains to itself and adds an exact
-                # +0.0 to the bus step, so both are skipped.
-                pending = backlog[c]
-                at = backlog_at[c]
-                if t0 > at:
-                    backlog_at[c] = t0
+            columns = (comp.tolist(), fault_arr.tolist(),
+                       chan_gid.tolist(), bank_gid.tolist(),
+                       lat_table[device_idx, outcomes].tolist(),
+                       burst_table[device_idx].tolist())
+            plain = (not (moved or probe_ops or plan.meta_const)
+                     and plan.meta is None and not any(backlog))
+            if plain:
+                # No script, no metadata time and nothing queued: each
+                # request is its bare demand, and the drain timestamps
+                # are the only backlog state that moves.
+                t, running = _plain_walk(columns, t, running, mlp,
+                                         bank_busy, bus_free, backlog_at,
+                                         lat_append)
+            else:
+                for (comp_ns, f, c, b, lat, burst_ns, mc, early, probes,
+                     bops) in zip(*columns, meta_l, early_l, pre_l,
+                                  post_l):
+                    t += comp_ns
+                    arrival = t + f
+                    if early is not None:
+                        charge(early, arrival)
+                    if probes is not None:
+                        # Serial probes run at the running cursor and extend
+                        # the critical path, exactly like the scalar
+                        # probe_ns composition.
+                        for c2, b2, lat2, bn2 in probes:
+                            cur = arrival + mc
+                            if cur > backlog_at[c2]:
+                                drained = backlog[c2] - (cur - backlog_at[c2])
+                                backlog[c2] = drained if drained > 0.0 else 0.0
+                                backlog_at[c2] = cur
+                            busy = bank_busy[b2]
+                            data = (cur if cur > busy else busy) + lat2
+                            bank_busy[b2] = data
+                            pending = backlog[c2]
+                            chunk_ns = chunk_by_chan[c2]
+                            free = bus_free[c2]
+                            done = ((data if data > free else free)
+                                    + (pending if pending < chunk_ns
+                                       else chunk_ns) + bn2)
+                            bus_free[c2] = done
+                            mc += done - cur
+                    t0 = arrival + mc
+                    # An empty backlog drains to itself and adds an exact
+                    # +0.0 to the bus step, so both are skipped.
+                    pending = backlog[c]
+                    at = backlog_at[c]
+                    if t0 > at:
+                        backlog_at[c] = t0
+                        if pending:
+                            pending -= t0 - at
+                            if pending < 0.0:
+                                pending = 0.0
+                            backlog[c] = pending
+                    busy = bank_busy[b]
+                    data = (t0 if t0 > busy else busy) + lat
+                    bank_busy[b] = data
+                    free = bus_free[c]
+                    done = data if data > free else free
                     if pending:
-                        pending -= t0 - at
-                        if pending < 0.0:
-                            pending = 0.0
-                        backlog[c] = pending
-                busy = bank_busy[b]
-                data = (t0 if t0 > busy else busy) + lat
-                bank_busy[b] = data
-                free = bus_free[c]
-                done = data if data > free else free
-                if pending:
-                    chunk_ns = chunk_by_chan[c]
-                    done += pending if pending < chunk_ns else chunk_ns
-                done += burst_ns
-                bus_free[c] = done
-                if probes is None:
-                    # _demand_* composes latency from the caller's now_ns
-                    # even though the access starts at now_ns +
-                    # metadata_ns.
-                    latency = (done - arrival) + f
-                else:
-                    # Probe composition: probe_ns + demand latency
-                    # measured from the shifted start (AccessResult
-                    # addition order in Alloy/Unison).
-                    latency = (mc + (done - t0)) + f
-                running += latency
-                running_meta += mc
-                t += latency / mlp
-                lat_append(latency)
-                if bops is not None:
-                    charge(bops, arrival)
+                        chunk_ns = chunk_by_chan[c]
+                        done += pending if pending < chunk_ns else chunk_ns
+                    done += burst_ns
+                    bus_free[c] = done
+                    if probes is None:
+                        # _demand_* composes latency from the caller's now_ns
+                        # even though the access starts at now_ns +
+                        # metadata_ns.
+                        latency = (done - arrival) + f
+                    else:
+                        # Probe composition: probe_ns + demand latency
+                        # measured from the shifted start (AccessResult
+                        # addition order in Alloy/Unison).
+                        latency = (mc + (done - t0)) + f
+                    running += latency
+                    running_meta += mc
+                    t += latency / mlp
+                    lat_append(latency)
+                    if bops is not None:
+                        charge(bops, arrival)
             now = t
+            del columns         # the lists are dead: keep peak RSS low
 
             if not measured:
                 continue

@@ -403,6 +403,7 @@ class TestDesignsCli:
         assert code == 0
         assert "chbm_ratio" in out
         assert registry.spec("25%-C").spec_hash in out
+        assert "replay    : vectorized two-pass epoch engine" in out
 
     def test_designs_show_unknown(self, capsys):
         code = main(["designs", "show", "FancyCache"])
@@ -454,6 +455,20 @@ class TestDesignsCli:
         assert code == 2
         assert err.startswith(f"Bumblebee[{value}]: ")
         assert message in err
+        assert not out_file.exists()
+
+    def test_explore_rejects_bad_geometry_before_any_cell(self, capsys,
+                                                          tmp_path):
+        """``explore`` runs the same check before its campaign opens."""
+        out_file = tmp_path / "explore.jsonl"
+        code = main(["explore", "--base", "Bumblebee",
+                     "--grid", "page_bytes=0,65536", "--workloads", "mcf",
+                     "--out", str(out_file), "--requests", "200",
+                     "--warmup", "100"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("Bumblebee[page_bytes=0]: page_bytes must be "
+                       "positive, got 0\n")
         assert not out_file.exists()
 
     def test_sweep_rejects_bad_grid(self, capsys):

@@ -1,8 +1,11 @@
 """Tests for the bank FSM and the two-priority channel model of a device,
 plus closed-form timing and energy oracles for the Table I presets."""
 
+from array import array
+
 import pytest
 
+from repro.designs import registry
 from repro.mem import (
     DecodedAddress,
     MemoryDevice,
@@ -11,6 +14,8 @@ from repro.mem import (
     hbm2_config,
 )
 from repro.mem.device import MOVEMENT_CHUNK_BYTES
+from repro.sim import SimulationDriver
+from repro.traces.packed import PackedTrace, encode_request
 
 MIB = 1 << 20
 
@@ -240,3 +245,46 @@ class TestClosedFormOracles:
             assert breakdown.write_pj == pytest.approx(write)
             assert breakdown.dynamic_pj == pytest.approx(
                 2 * act + 2 * read + write)
+
+
+class TestControllerOracles:
+    """The closed forms above, through a controller on both engines:
+    No-HBM serves every request from DDR4-3200, Ideal from HBM2.
+
+    Arrivals are ``GAP_ICOUNT`` instructions apart (~347 ns at the paper
+    CPU), well past a row cycle, so no request queues behind another.
+    """
+
+    GAP_ICOUNT = 10_000
+    N = 12
+
+    @pytest.mark.parametrize("engine", ["scalar", "auto"])
+    @pytest.mark.parametrize("design, device", [("No-HBM", "DDR4-3200"),
+                                                ("Ideal", "HBM2")])
+    @pytest.mark.parametrize("pattern, steady", [("same-row", "hit"),
+                                                 ("ping-pong", "conflict")])
+    def test_stream_total_latency(self, engine, design, device, pattern,
+                                  steady):
+        controller = registry.build(
+            design, hbm2_config(ORACLE["HBM2"]["capacity"]),
+            ddr4_3200_config(ORACLE["DDR4-3200"]["capacity"]))
+        serving = controller.hbm if design == "Ideal" else controller.dram
+        assert serving.name == device
+        if pattern == "same-row":
+            # Successive lines of one row in one bank.
+            addrs = [serving.mapper.encode(DecodedAddress(
+                channel=0, bank=0, row=3, column_byte=64 * k))
+                for k in range(self.N)]
+        else:
+            # Two rows of one bank, alternating.
+            addrs = [at(serving, 1 + k % 2) for k in range(self.N)]
+        trace = PackedTrace(array("Q", [
+            encode_request(addr, False, self.GAP_ICOUNT) for addr in addrs]))
+        driver = SimulationDriver()
+        result = driver.run(controller, trace, engine=engine)
+        assert driver.last_engine == ("scalar" if engine == "scalar"
+                                      else "vector")
+        spec = ORACLE[device]
+        assert result.requests == self.N
+        assert result.total_latency_ns == pytest.approx(
+            spec["closed"] + (self.N - 1) * spec[steady], rel=1e-12)

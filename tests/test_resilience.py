@@ -115,6 +115,36 @@ class TestCheckpointWriter:
         records, _ = recover_jsonl(tmp_path / "c.jsonl")
         assert [r["i"] for r in records] == [0, 1]
 
+    @pytest.mark.parametrize("written", [True, False],
+                             ids=["after-write", "before-write"])
+    def test_interrupt_inside_append_keeps_record_exactly_once(
+            self, tmp_path, written):
+        """A KeyboardInterrupt (the campaign's SIGTERM handler) landing
+        between a line's write and its pop must not make
+        ``flush_pending`` write the line again; one landing before the
+        write must not lose it."""
+        path = tmp_path / "c.jsonl"
+        writer = CheckpointWriter(path)
+        assert writer.append({"i": 0}, tag="cell0")
+        write_line = writer._write_line
+        fired = []
+
+        def interrupted(tag, line):
+            if written:
+                write_line(tag, line)
+            if not fired:
+                fired.append(tag)
+                raise KeyboardInterrupt
+            if not written:
+                write_line(tag, line)
+
+        writer._write_line = interrupted
+        with pytest.raises(KeyboardInterrupt):
+            writer.append({"i": 1}, tag="cell1")
+        assert writer.flush_pending()
+        assert not writer.pending
+        assert path.read_text().splitlines() == ['{"i": 0}', '{"i": 1}']
+
 
 # ---- deterministic primitives ---------------------------------------------
 

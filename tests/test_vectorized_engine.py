@@ -1,39 +1,40 @@
-"""The vectorized batch replay engine (``repro.sim.vectorized``).
+"""The vectorized epoch replay engine (``repro.sim.vectorized``).
 
-The contract mirrors ``tests/test_packed_traces.py``'s: the vectorized
-kernel is an *engine*, not a model — every :class:`SimResult` it
+The contract mirrors ``tests/test_packed_traces.py``'s: the epoch
+engine is an *engine*, not a model — every :class:`SimResult` it
 produces must be bit-identical to the scalar reference loop, across
 warm-up boundaries, request caps, epoch sizes, and page-fault-heavy
-footprints.  Designs without a batch plan must fall back to the scalar
-loop transparently, the registry's declared ``batch_replayable`` flag
-must agree with what the built controllers actually implement, and the
-harness must record which engine ran in its per-cell timing.
+footprints.  Every registered design must take it, a controller without
+``batch_epoch_plan`` must fall back to the scalar loop transparently,
+and the harness must record which engine ran in its per-cell timing.
 """
 
+import dataclasses
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ExperimentConfig, ExperimentHarness
-from repro.baselines import make_controller
+from repro.baselines import HybridMemoryController, make_controller
 from repro.core import (AllocationPolicy, BumblebeeConfig,
                         BumblebeeController, hmmc)
 from repro.designs import registry
 from repro.mem import ddr4_3200_config, hbm2_config
-from repro.sim import (SimulationDriver, batch_capable, epoch_capable,
-                       fallback_reason)
+from repro.sim import SimulationDriver, epoch_capable, fallback_reason
+from repro.sim.vectorized import EpochPlan, ScriptRecorder
 from repro.traces import SyntheticTraceGenerator, synthetic_spec
 from repro.traces.packed import PackedTrace, encode_request
 
 CONFIG = ExperimentConfig(requests=1200, warmup=400, workloads=("mcf",))
-BATCH_DESIGNS = ("No-HBM", "Ideal")
-#: Every spec on the two-pass epoch tier — the feedback designs that
-#: newly vectorize.  Derived from the registry so a design added later
-#: joins the bit-identity matrix automatically.
-EPOCH_DESIGNS = tuple(name for name in registry.names()
-                      if registry.batch_tier(name) == "epoch")
+#: The designs whose plans script nothing.
+PLAIN_DESIGNS = ("No-HBM", "Ideal")
+#: Every registered spec: all of them take the two-pass epoch engine.
+#: Derived from the registry so a design added later joins the
+#: bit-identity matrix automatically.
+EPOCH_DESIGNS = tuple(registry.names())
 N = 1700
 
 
@@ -66,7 +67,7 @@ class TestBitIdentity:
         """
         harness = ExperimentHarness(CONFIG)
         trace = _trace(harness)
-        for design in BATCH_DESIGNS:
+        for design in PLAIN_DESIGNS:
             for warmup in (0, 400):
                 for cap in (None, 200, 700):
                     scalar, _ = _run(harness, design, trace, "scalar",
@@ -83,7 +84,7 @@ class TestBitIdentity:
         boundaries; the result must not change."""
         harness = ExperimentHarness(CONFIG)
         trace = _trace(harness)
-        for design in BATCH_DESIGNS:
+        for design in PLAIN_DESIGNS:
             scalar, _ = _run(harness, design, trace, "scalar",
                              warmup=400)
             vector, driver = _run(harness, design, trace, "vector",
@@ -124,14 +125,15 @@ class TestBitIdentity:
 
 
 class TestEpochBitIdentity:
-    """The two-pass engine on every feedback design that declares it."""
+    """The two-pass engine on every registered design."""
 
     def test_epoch_designs_identical_to_scalar(self):
-        """Vector == scalar for all 15 epoch-tier designs across the
-        warm-up x cap matrix (including the cap-inside-warm-up edge)."""
+        """Vector == scalar for all 18 registered designs (MemPod's
+        recorded pass 1 included) across the warm-up x cap matrix
+        (including the cap-inside-warm-up edge)."""
         harness = ExperimentHarness(CONFIG)
         trace = _trace(harness)
-        assert len(EPOCH_DESIGNS) >= 15
+        assert len(EPOCH_DESIGNS) >= 18 and "MemPod" in EPOCH_DESIGNS
         for design in EPOCH_DESIGNS:
             for warmup, cap in ((0, None), (400, None), (400, 200),
                                 (0, 700)):
@@ -339,6 +341,61 @@ def _movement_case(case):
             {"block_fills": 13, "switch_c2m": 1, "migrations": 1})
 
 
+class _FaultThenFetch(HybridMemoryController):
+    """DRAM-served requests that fault beyond 1 MiB; a request to
+    ``FETCH`` first fetches a page into HBM.  Pass 1 records ``access``,
+    so every epoch without a fetch scripts nothing."""
+
+    FETCH = 1 << 19
+
+    def os_visible_bytes(self):
+        return 1 << 20
+
+    def access(self, request, now_ns):
+        if request.addr == self.FETCH:
+            self.mover.fetch_to_hbm(self.FETCH, 0, 4096, now_ns)
+        return self._demand_dram(request.addr, request, now_ns)
+
+    def batch_epoch_plan(self, addr, is_write):
+        m = addr.shape[0]
+        plan = EpochPlan(use_hbm=np.zeros(m, dtype=bool),
+                         local_addr=np.zeros(m, dtype=np.int64))
+        with ScriptRecorder(self) as recorder:
+            for i, (a, w) in enumerate(zip(addr.tolist(),
+                                           is_write.tolist())):
+                recorder.run(i, a, w)
+        recorder.fill(plan)
+        return plan
+
+
+class TestPlainWalk:
+    def test_plain_epoch_advances_the_drain_timestamp(self):
+        """A faulted request starts 250 ns after it arrives, so the
+        fetch the next request issues is charged at an earlier time,
+        and the request after that starts before the faulted demand did:
+        the fetch's backlog has not drained yet when it reaches the bus.
+        The faulted request's epoch scripts nothing (the plain walk),
+        which must still advance its channel's drain timestamp."""
+        def build():
+            return _FaultThenFetch(hbm2_config(4 << 20),
+                                   ddr4_3200_config(40 << 20), "FT")
+
+        dram = build().dram
+        home = dram.mapper.decode(_FaultThenFetch.FETCH).channel
+        fault, later = (next(a for a in range(start, 40 << 20, 64)
+                             if dram.mapper.decode(a).channel == home)
+                        for start in (2 << 20, 1 << 18))
+        trace = PackedTrace(array("Q", [
+            encode_request(fault, False, 10_000),
+            encode_request(_FaultThenFetch.FETCH, False, 8),
+            encode_request(later, False, 8)]))
+        scalar = SimulationDriver().run(build(), trace, engine="scalar")
+        assert scalar.controller_stats["page_faults"] == 1
+        driver = SimulationDriver(vector_epoch=1)
+        assert driver.run(build(), trace, engine="vector") == scalar
+        assert driver.last_engine == "vector"
+
+
 class TestMovementOrder:
     """Movement a request issues before its demand is charged before
     the demand in the walk, and movement issued after it after."""
@@ -361,16 +418,31 @@ class TestMovementOrder:
         assert epoch == scalar
 
 
+class _DramOnly(HybridMemoryController):
+    """A controller without ``batch_epoch_plan``: scalar loop only."""
+
+    def access(self, request, now_ns):
+        return self._demand_dram(request.addr, request, now_ns)
+
+
 class TestFallback:
     def test_unsupported_design_falls_back_to_scalar(self):
-        """MemPod is the one remaining ``batch_replayable="none"``
-        design — its interval migration is not epoch-replayable."""
+        """A controller that does not implement ``batch_epoch_plan``
+        (every in-tree design does) takes the scalar loop and records
+        why."""
         harness = ExperimentHarness(CONFIG)
         trace = _trace(harness, n=600)
-        scalar, _ = _run(harness, "MemPod", trace, "scalar",
-                         warmup=200)
-        vector, driver = _run(harness, "MemPod", trace, "vector",
-                              warmup=200)
+
+        def run(engine):
+            driver = SimulationDriver(harness.config.cpu)
+            controller = _DramOnly(None, harness.dram_config, "DramOnly")
+            return driver.run(controller, trace, workload="mcf",
+                              warmup=200, engine=engine), driver
+
+        assert not epoch_capable(_DramOnly(None, harness.dram_config,
+                                           "probe"))
+        scalar, _ = run("scalar")
+        vector, driver = run("vector")
         assert driver.last_engine == "scalar"
         assert driver.last_vector_epochs == 0
         assert driver.last_scalar_epochs > 0
@@ -389,12 +461,15 @@ class TestFallback:
     def test_auto_selects_vector_when_capable(self):
         harness = ExperimentHarness(CONFIG)
         trace = _trace(harness, n=600)
-        _, on_batch = _run(harness, "Ideal", trace, "auto")
-        assert on_batch.last_engine == "vector"
+        _, on_plain = _run(harness, "Ideal", trace, "auto")
+        assert on_plain.last_engine == "vector"
         _, on_epoch = _run(harness, "Bumblebee", trace, "auto")
         assert on_epoch.last_engine == "vector"
-        _, on_scalar = _run(harness, "MemPod", trace, "auto")
-        assert on_scalar.last_engine == "scalar"
+        scalar, _ = _run(harness, "MemPod", trace, "scalar")
+        recorded, on_recorded = _run(harness, "MemPod", trace, "auto")
+        assert on_recorded.last_engine == "vector"
+        assert on_recorded.last_policy_requests == 600
+        assert recorded == scalar
 
     def test_unknown_engine_rejected(self):
         harness = ExperimentHarness(CONFIG)
@@ -442,40 +517,29 @@ class TestFallback:
 
 class TestRegistryCapability:
     def test_declared_tier_matches_controller(self):
-        """``batch_replayable`` in the registry is declarative; the
-        driver trusts only the hooks on the built controller
-        (``batch_plan`` / ``batch_epoch_plan``).  This pin keeps the
-        declared tier in agreement with the implementation for every
-        spec: stateless designs expose ``batch_plan``, epoch designs
-        expose the two-pass protocol without a fallback veto, and
-        ``none`` designs expose neither."""
+        """The driver reads the engine off the built controller: every
+        registered spec builds one that implements the two-pass
+        protocol without a fallback veto."""
         harness = ExperimentHarness(CONFIG)
         for name in registry.names():
-            tier = registry.batch_tier(name)
             controller = make_controller(
                 name, harness.hbm_config, harness.dram_config,
                 sram_bytes=harness.config.scale.sram_bytes)
-            if tier == "stateless":
-                assert batch_capable(controller), name
-            elif tier == "epoch":
-                assert not batch_capable(controller), name
-                assert epoch_capable(controller), name
-                assert fallback_reason(controller) is None, name
-            else:
-                assert tier == "none", name
-                assert not batch_capable(controller), name
-                assert not epoch_capable(controller), name
+            assert epoch_capable(controller), name
+            assert fallback_reason(controller) is None, name
 
     def test_engine_coverage_never_silently_drops(self):
-        """A refactor that quietly loses a design's batch hooks would
-        show up only as a slowdown; fail loudly instead.  17 of the 18
-        registered specs vectorize today — all but MemPod."""
-        tiers = {name: registry.batch_tier(name)
-                 for name in registry.names()}
-        capable = [n for n, t in tiers.items() if t != "none"]
-        assert len(tiers) >= 18
-        assert len(capable) >= 17
-        assert [n for n, t in tiers.items() if t == "none"] == ["MemPod"]
+        """A refactor that quietly loses a design's ``batch_epoch_plan``
+        would show up only as a slowdown; fail loudly instead.  All 18
+        registered specs vectorize."""
+        harness = ExperimentHarness(CONFIG)
+        names = registry.names()
+        capable = [name for name in names if fallback_reason(
+            make_controller(name, harness.hbm_config, harness.dram_config,
+                            sram_bytes=harness.config.scale.sram_bytes))
+            is None]
+        assert len(names) >= 18
+        assert capable == names
 
 
 class TestEngineObservability:
@@ -493,13 +557,20 @@ class TestEngineObservability:
         assert 0.0 < timing["policy_requests"] < 1600
         assert timing["policy_requests"] \
             == harness.driver.last_policy_requests
-        harness.run_design("MemPod", "mcf")
+        recorded = harness.run_design("MemPod", "mcf")
         timing = harness.cell_timing("MemPod", "mcf")
-        assert timing["engine_vector"] == 0.0
+        assert timing["engine_vector"] == 1.0
+        assert timing["engine_scalar"] == 0.0
+        assert timing["vector_epochs"] >= 1.0
+        assert timing["policy_requests"] == 1600.0
+        scalar = ExperimentHarness(dataclasses.replace(
+            CONFIG, engine="scalar"))
+        assert scalar.run_design("MemPod", "mcf") == recorded
+        timing = scalar.cell_timing("MemPod", "mcf")
         assert timing["engine_scalar"] == 1.0
         assert timing["scalar_epochs"] >= 1.0
         assert timing["policy_requests"] == 0.0
-        assert timing["fallback_design_not_batch_capable"] == 1.0
+        assert timing["fallback_engine_forced_scalar"] == 1.0
 
     def test_config_engine_scalar_forces_reference_loop(self):
         config = ExperimentConfig(requests=1200, warmup=400,
