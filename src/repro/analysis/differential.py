@@ -20,7 +20,6 @@ Entry points: :func:`run_differential` (library) and the
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,7 +30,7 @@ from ..designs import registry
 from ..mem.timing import DeviceConfig
 from ..sanitize import InvariantChecker, shrink_trace
 from ..sim.driver import SimResult, SimulationDriver
-from ..traces.packed import PACKED_FORMAT_VERSION, PackedTrace
+from ..traces.packed import PackedTrace, decode_entry, encode_entry
 from ..traces.spec import SystemScale
 from ..traces.synthetic import (
     GENERATOR_VERSION,
@@ -197,18 +196,10 @@ def _case_fails(design: str, trace: PackedTrace,
 
 def write_reproducer(path: Path, trace: PackedTrace,
                      metadata: dict) -> None:
-    """Persist a failing trace: JSON header line + packed payload, with
-    a ``.json`` sidecar holding the full failure context."""
+    """Persist a failing trace as a trace entry, with a ``.json``
+    sidecar holding the full failure context."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = trace.tobytes()
-    header = json.dumps({
-        "digest": hashlib.sha256(payload).hexdigest(),
-        "count": len(trace),
-        "format": PACKED_FORMAT_VERSION,
-    })
-    with open(path, "wb") as handle:
-        handle.write(header.encode("utf-8") + b"\n")
-        handle.write(payload)
+    path.write_bytes(encode_entry(trace))
     sidecar = path.with_suffix(path.suffix + ".json")
     sidecar.write_text(json.dumps(metadata, indent=2, default=str))
 
@@ -221,17 +212,17 @@ def load_reproducer(path: str | Path) -> tuple[PackedTrace, dict]:
         sidecar is missing).
 
     Raises:
-        ValueError: on a corrupt payload (digest mismatch).
+        ValueError: on a corrupt entry (malformed header, digest or
+            count mismatch).
     """
     path = Path(path)
-    with open(path, "rb") as handle:
-        header = json.loads(handle.readline())
-        payload = handle.read()
-    if hashlib.sha256(payload).hexdigest() != header["digest"]:
-        raise ValueError(f"reproducer {path} payload digest mismatch")
+    try:
+        trace = decode_entry(path.read_bytes())
+    except ValueError as exc:
+        raise ValueError(f"reproducer {path}: {exc}") from exc
     sidecar = path.with_suffix(path.suffix + ".json")
     metadata = json.loads(sidecar.read_text()) if sidecar.exists() else {}
-    return PackedTrace.frombytes(payload), metadata
+    return trace, metadata
 
 
 def _safe_name(design: str) -> str:

@@ -15,13 +15,15 @@ knobs, workload spec, scale, window, seed, and the package version), so
 * a corrupted or hand-edited entry is detected through an embedded
   digest of the record and silently recomputed.
 
-Entries are single JSON files under the cache root (default
+Entries are :func:`encode_record`'s ``{"digest", "record"}`` JSON
+bytes in a byte store (``get``/``put`` of bytes plus an optional
+``discard``): here ``<key>.json`` files under the cache root (default
 ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-bumblebee``), written
-atomically *and durably* (temp file + fsync + rename + directory
-fsync) so a crashed run — or a crashed machine — never leaves a
-half-written record behind.  JSON round-trips Python floats exactly
-(shortest-round-trip repr), so a cached record is bit-identical to the
-freshly computed one.
+atomically *and durably* by :class:`~repro.resilience.checkpoint.
+LocalDirBackend`, so a crashed run — or a crashed machine — never
+leaves a half-written record behind.  JSON round-trips Python floats
+exactly (shortest-round-trip repr), so a cached record is bit-identical
+to the freshly computed one.
 """
 
 from __future__ import annotations
@@ -29,11 +31,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-from ..resilience.checkpoint import fsync_dir
+from ..resilience.checkpoint import LocalDirBackend, read_valid
 
 
 def default_cache_dir() -> Path:
@@ -54,6 +55,30 @@ def _canonical(payload: Any) -> str:
                       default=str)
 
 
+def encode_record(record: Any) -> bytes:
+    """The stored bytes of one result entry: ``{"digest", "record"}``."""
+    digest = hashlib.sha256(_canonical(record).encode("utf-8")).hexdigest()
+    return json.dumps({"digest": digest, "record": record}).encode("utf-8")
+
+
+def decode_record(data: bytes) -> Any:
+    """The record of one :func:`encode_record` entry.
+
+    Raises:
+        ValueError: on malformed bytes or a record that does not match
+            its embedded digest.
+    """
+    try:
+        wrapped = json.loads(data)
+        record, digest = wrapped["record"], wrapped["digest"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed result entry: {exc!r}") from exc
+    if hashlib.sha256(
+            _canonical(record).encode("utf-8")).hexdigest() != digest:
+        raise ValueError("result entry digest mismatch")
+    return record
+
+
 class ResultCache:
     """On-disk store of result records keyed by input content hash.
 
@@ -62,12 +87,14 @@ class ResultCache:
             to :func:`default_cache_dir`.
 
     Attributes:
+        store: The byte store holding the ``<key>.json`` entries.
         hits: Number of successful :meth:`get` lookups.
         misses: Number of lookups that found nothing usable.
     """
 
     def __init__(self, root: str | Path | None = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
+        self.store = LocalDirBackend(self.root, ".json")
         self.hits = 0
         self.misses = 0
 
@@ -106,83 +133,27 @@ class ResultCache:
         body = ",".join(encoded[name] for name in sorted(encoded))
         return hashlib.sha256(f"{{{body}}}".encode("utf-8")).hexdigest()
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
     # ---- lookup / store -------------------------------------------------
-
-    def _read_entry(self, path: Path) -> Any:
-        """Read and validate one entry; raises on any damage."""
-        wrapped = json.loads(path.read_text())
-        record = wrapped["record"]
-        digest = hashlib.sha256(
-            _canonical(record).encode("utf-8")).hexdigest()
-        if digest != wrapped["digest"]:
-            raise ValueError("record digest mismatch")
-        return record
 
     def get(self, key: str) -> Any | None:
         """The record stored under ``key``, or None.
 
-        Damage never surfaces as an error.  A validation failure
-        (malformed bytes, digest mismatch, torn or empty file) is
-        retried once first: with many fleet workers sharing one store,
-        the failed read may have observed a concurrent ``put`` whose
-        final rename had not landed yet, and the retry finds the
-        completed entry instead of destroying it.  Only a failure that
-        persists across both reads — genuine corruption, manual edits —
-        deletes the entry and reports a miss, so the caller recomputes
-        and overwrites it.
+        Damage never surfaces as an error: :func:`~repro.resilience.
+        checkpoint.read_valid` retries a read that fails validation
+        once (it may have observed a concurrent put) and drops an entry
+        whose damage persists, so the caller recomputes and heals it.
         """
-        path = self._path(key)
-        record = _MISSING = object()
-        for _ in range(2):
-            try:
-                record = self._read_entry(path)
-                break
-            except FileNotFoundError:
-                self.misses += 1
-                return None
-            except (ValueError, KeyError, TypeError, OSError):
-                record = _MISSING
-        if record is _MISSING:
-            # Poisoned entry: drop it so the recompute can heal the cache.
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        record = read_valid(self.store, key, decode_record)
+        if record is None:
             self.misses += 1
-            return None
-        self.hits += 1
+        else:
+            self.hits += 1
         return record
 
     def put(self, key: str, record: Any) -> None:
-        """Store ``record`` (JSON-serialisable) under ``key``.
-
-        The write is atomic (temp file + rename) and durable (file and
-        directory fsync'd): concurrent writers of the same key are both
-        writing identical content, readers never observe a partial
-        file, and a machine crash right after return cannot lose the
-        entry.
-        """
-        self.root.mkdir(parents=True, exist_ok=True)
-        digest = hashlib.sha256(
-            _canonical(record).encode("utf-8")).hexdigest()
-        payload = json.dumps({"digest": digest, "record": record})
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        fsync_dir(self.root)
+        """Store ``record`` (JSON-serialisable) under ``key``, atomically
+        and durably."""
+        self.store.put(key, encode_record(record))
 
     def get_or_compute(self, key: str,
                        compute: Callable[[], Any]) -> Any:
@@ -196,18 +167,8 @@ class ResultCache:
     # ---- maintenance ----------------------------------------------------
 
     def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*.json"))
+        return len(self.store)
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""
-        removed = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
+        return self.store.clear()

@@ -451,7 +451,7 @@ def _cmd_fabric_serve(args: argparse.Namespace) -> int:
     import json
 
     from .exec import PlanError
-    from .fabric import FabricCoordinator, FabricPolicy, LocalDirBackend
+    from .fabric import FabricCoordinator, FabricPolicy
     from .resilience import faults
     designs = args.designs
     if args.grid:
@@ -470,20 +470,16 @@ def _cmd_fabric_serve(args: argparse.Namespace) -> int:
         return 2
     _announce_campaign(args, campaign)
     harness = campaign.harness
-    result_backend = trace_backend = None
-    if harness.cache is not None:
-        result_backend = LocalDirBackend(harness.cache.root, ".json")
-    if harness.trace_cache is not None:
-        trace_backend = LocalDirBackend(harness.trace_cache.root,
-                                        ".trace")
     policy = FabricPolicy(lease_s=args.lease,
                           max_attempts=args.retries + 1,
                           quarantine_workers=args.quarantine_workers,
                           seed=args.seed)
     coordinator = FabricCoordinator(campaign, designs, args.workloads,
                                     policy=policy,
-                                    result_backend=result_backend,
-                                    trace_backend=trace_backend)
+                                    result_backend=getattr(
+                                        harness.cache, "store", None),
+                                    trace_backend=getattr(
+                                        harness.trace_cache, "store", None))
     try:
         coordinator.serve(host=args.host, port=args.port,
                           once=args.once, linger_s=args.linger)

@@ -443,23 +443,17 @@ class FleetServeBackend(ExecutionBackend):
         """Start (or return) the coordinator; returns its URL."""
         if self._thread is not None:
             return self._coordinator.url
-        from ..fabric import (FabricCoordinator, FabricPolicy,
-                              LocalDirBackend)
+        from ..fabric import FabricCoordinator, FabricPolicy
         from ..fabric.coordinator import CoordinatorThread
         harness = campaign.harness
-        result_backend = trace_backend = None
-        if harness.cache is not None:
-            result_backend = LocalDirBackend(harness.cache.root, ".json")
-        if harness.trace_cache is not None:
-            trace_backend = LocalDirBackend(harness.trace_cache.root,
-                                            ".trace")
         policy = FabricPolicy(lease_s=self.lease_s,
                               max_attempts=self.retries + 1,
                               quarantine_workers=self.quarantine_workers,
                               seed=self.seed)
         self._coordinator = FabricCoordinator(
             campaign, (), (), policy=policy,
-            result_backend=result_backend, trace_backend=trace_backend,
+            result_backend=getattr(harness.cache, "store", None),
+            trace_backend=getattr(harness.trace_cache, "store", None),
             hold=True)
         self._thread = CoordinatorThread(
             self._coordinator, host=self.host, port=self.port,

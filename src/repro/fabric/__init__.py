@@ -13,9 +13,9 @@ observatory RunStore already understand.
 The lease bookkeeping itself lives in :mod:`~repro.fabric.state` as a
 pure, I/O-free table so its determinism (same seed -> same re-lease
 ordering, across coordinator restarts) is directly testable.  Workers
-share the content-addressed result/trace caches through the pluggable
-backends in :mod:`~repro.fabric.cachebackend` (a local directory, or
-the coordinator's HTTP cache endpoints).
+share the content-addressed result/trace caches through pluggable byte
+stores (a local directory, or the coordinator's HTTP cache endpoints in
+:mod:`~repro.fabric.cachebackend`).
 
 Fleet chaos scenarios live in :mod:`repro.fabric.chaos` — deliberately
 NOT imported here, so importing the fabric never drags in the chaos
@@ -23,19 +23,14 @@ harness (and the resilience chaos module can lazily merge the fleet
 scenario table without an import cycle).
 """
 
-from .cachebackend import (
-    BackendResultCache,
-    BackendTraceCache,
-    HTTPCacheBackend,
-    LocalDirBackend,
-)
+from ..resilience.checkpoint import LocalDirBackend
+from .cachebackend import BackendResultCache, HTTPCacheBackend
 from .coordinator import CoordinatorThread, FabricCoordinator, wire_cell
 from .state import CellState, FabricPolicy, FabricState, Lease
 from .worker import FabricClient, FabricUnreachable, run_worker
 
 __all__ = [
     "BackendResultCache",
-    "BackendTraceCache",
     "CellState",
     "CoordinatorThread",
     "FabricClient",

@@ -1,83 +1,33 @@
-"""Pluggable byte-store backends for the fleet's shared caches.
+"""The fleet's HTTP byte store and its result-cache adapter.
 
 The result and trace caches are content-addressed (SHA-256 keys over
 the complete input description), which makes sharing them across a
 fleet trivially safe: a key either maps to the one correct byte string
-or to nothing.  A backend is therefore just ``get(key) -> bytes | None``
-/ ``put(key, data)`` — two implementations here:
+or to nothing.  A byte store is therefore just ``get(key) -> bytes |
+None`` / ``put(key, data)`` plus an optional best-effort
+``discard(key)``; two implementations serve the caches:
 
-* :class:`LocalDirBackend` — a directory of ``<key><suffix>`` files
-  with atomic puts; pointed at a shared filesystem it is the
-  many-workers-one-NFS-mount deployment, and its layout matches the
-  native caches' so the coordinator can serve an existing local cache
-  directory over HTTP without conversion.
+* :class:`~repro.resilience.checkpoint.LocalDirBackend` — the native
+  caches' own directory of ``<key><suffix>`` files, which the
+  coordinator serves over HTTP as is; on a shared filesystem it is the
+  many-workers-one-NFS-mount deployment.
 * :class:`HTTPCacheBackend` — ``GET``/``PUT /cache/<kind>/<key>``
-  against the fabric coordinator, for workers with no shared disk.
+  against the fabric coordinator, for workers with no shared disk.  It
+  has no ``discard``: the coordinator's store owns its own healing.
 
-:class:`BackendResultCache` and :class:`BackendTraceCache` adapt a
-backend to the interfaces :class:`~repro.analysis.experiments.
-ExperimentHarness` expects from :class:`~repro.analysis.resultcache.
-ResultCache` and :class:`~repro.traces.tracecache.TraceCache`.  Both
-keep the caches' degradation contract: damaged, torn, or unreachable
-entries read as misses, never as errors — the fleet recomputes and
-heals.
+A worker's trace cache is a plain :class:`~repro.traces.tracecache.
+TraceCache` over an :class:`HTTPCacheBackend`, and
+:class:`BackendResultCache` is the result cache's counterpart.  Both
+validate entries client-side with the native codecs and
+:func:`~repro.resilience.checkpoint.read_valid`: damaged, torn, or
+unreachable entries read as misses, never as errors — the fleet
+recomputes and heals.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import tempfile
-from pathlib import Path
-
-from ..analysis.resultcache import _canonical
-from ..resilience.checkpoint import fsync_dir
-from ..traces.packed import PACKED_FORMAT_VERSION, PackedTrace
-from ..traces.synthetic import SyntheticSpec
-from ..traces.tracecache import TraceCache
-
-
-class LocalDirBackend:
-    """Byte store over a directory of ``<key><suffix>`` files.
-
-    Args:
-        root: The directory (created lazily on first put).
-        suffix: Filename suffix — ``".json"`` for result entries,
-            ``".trace"`` for trace entries — matching the native
-            caches' on-disk layout, so a coordinator can serve its own
-            local cache directories directly.
-    """
-
-    def __init__(self, root: str | Path, suffix: str = "") -> None:
-        self.root = Path(root)
-        self.suffix = suffix
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}{self.suffix}"
-
-    def get(self, key: str) -> bytes | None:
-        try:
-            return self._path(key).read_bytes()
-        except FileNotFoundError:
-            return None
-
-    def put(self, key: str, data: bytes) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        fsync_dir(self.root)
+from ..analysis.resultcache import decode_record, encode_record
+from ..resilience.checkpoint import read_valid
 
 
 class HTTPCacheBackend:
@@ -104,14 +54,12 @@ class HTTPCacheBackend:
 
 
 class BackendResultCache:
-    """Result-record cache over a byte-store backend.
+    """Result-record cache over a byte store.
 
     Duck-types the subset of :class:`~repro.analysis.resultcache.
     ResultCache` the harness touches (``get``/``put``/counters; keying
-    stays on the ``ResultCache.key_for`` classmethod).  Entries carry
-    the same embedded-digest JSON wrapper as the native cache, and the
-    digest is validated *client-side* — torn or damaged remote bytes,
-    and an unreachable backend, read as misses.
+    stays on the ``ResultCache.key_for`` classmethod), with the same
+    entry codec and validated read.
     """
 
     def __init__(self, backend) -> None:
@@ -120,75 +68,12 @@ class BackendResultCache:
         self.misses = 0
 
     def get(self, key: str):
-        try:
-            data = self.backend.get(key)
-        except OSError:
-            data = None
-        if data is not None:
-            try:
-                wrapped = json.loads(data)
-                record = wrapped["record"]
-                digest = hashlib.sha256(
-                    _canonical(record).encode("utf-8")).hexdigest()
-                if digest == wrapped["digest"]:
-                    self.hits += 1
-                    return record
-            except (ValueError, KeyError, TypeError):
-                pass
-        self.misses += 1
-        return None
+        record = read_valid(self.backend, key, decode_record)
+        if record is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return record
 
     def put(self, key: str, record) -> None:
-        digest = hashlib.sha256(
-            _canonical(record).encode("utf-8")).hexdigest()
-        payload = json.dumps({"digest": digest, "record": record})
-        self.backend.put(key, payload.encode("utf-8"))
-
-
-class BackendTraceCache(TraceCache):
-    """Packed-trace cache over a byte-store backend.
-
-    Inherits keying, counters, and :meth:`~repro.traces.tracecache.
-    TraceCache.get_or_generate` from the native cache; only the byte
-    transport differs.  Entries use the native single-header-line +
-    payload format, validated client-side; torn or unreachable entries
-    read as misses (no unlink — the backend owns its own healing).
-    """
-
-    def __init__(self, backend) -> None:
-        super().__init__(root=".")     # root unused; keeps counters
-        self.backend = backend
-
-    def get(self, spec: SyntheticSpec, n: int, seed: int
-            ) -> PackedTrace | None:
-        key = self.key_for(spec, n, seed)
-        try:
-            data = self.backend.get(key)
-        except OSError:
-            data = None
-        if data is not None:
-            try:
-                head, _, payload = data.partition(b"\n")
-                header = json.loads(head)
-                digest = hashlib.sha256(payload).hexdigest()
-                if digest == header["digest"] and \
-                        header["count"] * 8 == len(payload):
-                    self.hits += 1
-                    self.bytes_read += len(payload)
-                    return PackedTrace.frombytes(payload)
-            except (ValueError, KeyError, TypeError):
-                pass
-        self.misses += 1
-        return None
-
-    def put(self, spec: SyntheticSpec, n: int, seed: int,
-            trace: PackedTrace) -> None:
-        payload = trace.tobytes()
-        header = json.dumps({
-            "digest": hashlib.sha256(payload).hexdigest(),
-            "count": len(trace),
-            "format": PACKED_FORMAT_VERSION,
-        })
-        self.backend.put(self.key_for(spec, n, seed),
-                         header.encode("utf-8") + b"\n" + payload)
-        self.bytes_written += len(payload)
+        self.backend.put(key, encode_record(record))

@@ -37,11 +37,8 @@ from ..analysis.campaign import _cell_key
 from ..resilience import faults
 from ..resilience.supervisor import Supervision, backoff_delay
 from ..traces.spec import SystemScale
-from .cachebackend import (
-    BackendResultCache,
-    BackendTraceCache,
-    HTTPCacheBackend,
-)
+from ..traces.tracecache import TraceCache
+from .cachebackend import BackendResultCache, HTTPCacheBackend
 from .coordinator import unwire_cell
 
 
@@ -212,8 +209,8 @@ def run_worker(url: str, worker_id: str | None = None,
             harness.cache = BackendResultCache(
                 HTTPCacheBackend(client, "result"))
         if config["caches"]["trace"]:
-            harness.trace_cache = BackendTraceCache(
-                HTTPCacheBackend(client, "trace"))
+            harness.trace_cache = TraceCache(
+                backend=HTTPCacheBackend(client, "trace"))
     lease_s = float(config.get("lease_s", 30.0))
     injector = faults.active()
     completed = 0

@@ -28,6 +28,10 @@ Two failure modes are handled here:
   (``flock`` on a ``<name>.lock`` sibling; a no-op where ``fcntl`` is
   unavailable), serialising the two paths.
 
+The same durable write backs the content-addressed caches through
+their one byte store (:class:`LocalDirBackend`) and one validated read
+(:func:`read_valid`).
+
 The :mod:`~repro.resilience.faults` hook lets the chaos harness inject
 write failures deterministically.
 """
@@ -38,6 +42,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from typing import Any, Callable
 
 try:
     import fcntl
@@ -127,6 +132,88 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
             pass
         raise
     fsync_dir(path.parent)
+
+
+class LocalDirBackend:
+    """Durable byte store over a directory of ``<key><suffix>`` files.
+
+    Puts go through :func:`atomic_write_bytes`, so a reader never sees
+    a partial entry; the fabric coordinator serves the same object over
+    HTTP.
+
+    Args:
+        root: The directory (created lazily on first put).
+        suffix: Filename suffix — ``".json"`` for result entries,
+            ``".trace"`` for trace entries.
+    """
+
+    def __init__(self, root: str | Path, suffix: str = "") -> None:
+        self.root = Path(root)
+        self.suffix = suffix
+
+    def _path(self, key: str) -> Path:
+        return self.root / f"{key}{self.suffix}"
+
+    def get(self, key: str) -> bytes | None:
+        try:
+            return self._path(key).read_bytes()
+        except FileNotFoundError:
+            return None
+
+    def put(self, key: str, data: bytes) -> None:
+        atomic_write_bytes(self._path(key), data)
+
+    def discard(self, key: str) -> None:
+        """Best-effort removal of one entry."""
+        try:
+            self._path(key).unlink()
+        except OSError:
+            pass
+
+    def _entries(self) -> list[Path]:
+        if not self.root.is_dir():
+            return []
+        return list(self.root.glob(f"*{self.suffix}"))
+
+    def __len__(self) -> int:
+        return len(self._entries())
+
+    def clear(self) -> int:
+        """Delete every entry; returns the number removed."""
+        removed = 0
+        for path in self._entries():
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:
+                pass
+        return removed
+
+
+def read_valid(store, key: str, decode: Callable[[bytes], Any]) -> Any:
+    """``decode(store.get(key))``, or None when no valid entry exists.
+
+    Bytes that ``decode`` rejects with ``ValueError`` are read once
+    more: the first read may have observed another worker's put before
+    its rename landed.  Damage that persists is dropped through the
+    store's optional ``discard`` so the caller recomputes and heals it.
+    An ``OSError`` from the store is a miss, like a missing entry.
+    """
+    for _ in range(2):
+        try:
+            data = store.get(key)
+        except OSError:
+            return None
+        if data is None:
+            return None
+        try:
+            return decode(data)
+        except ValueError:
+            pass
+    discard = getattr(store, "discard", None)
+    if discard is not None:
+        discard(key)
+    return None
 
 
 def recover_jsonl(path: str | Path) -> tuple[list[dict], int]:

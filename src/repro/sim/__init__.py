@@ -1,9 +1,8 @@
-"""Simulation engine: requests, statistics, events, CPU model, and driver."""
+"""Simulation engine: requests, statistics, CPU model, and driver."""
 
 from .cpu import CpuModel
 from .driver import ENGINES, VECTOR_EPOCH_REQUESTS, SimResult, \
     SimulationDriver
-from .engine import EventEngine, EventHandle
 from .fullstack import RawAccess, raw_access_stream, run_full_stack
 from .request import (CACHE_LINE_BYTES, AccessResult, MemoryRequest,
                       MutableRequest, ServicedBy)
@@ -22,8 +21,6 @@ __all__ = [
     "epoch_capable",
     "fallback_reason",
     "replay_epoch",
-    "EventEngine",
-    "EventHandle",
     "RawAccess",
     "raw_access_stream",
     "run_full_stack",

@@ -11,7 +11,8 @@ campaign wall time alongside the controller loop.  A
 * bits 25..63   — the cache-line index (39 bits, 32TB of address space).
 
 The packed form is ~56 bytes/request cheaper than objects, pickles and
-persists as raw bytes (see :mod:`repro.traces.tracecache`), and feeds
+persists as raw bytes behind a JSON header line (:func:`encode_entry` /
+:func:`decode_entry`, used by :mod:`repro.traces.tracecache`), and feeds
 :meth:`~repro.sim.driver.SimulationDriver.run`'s zero-allocation fast
 path, which decodes the integers into one reused
 :class:`~repro.sim.request.MutableRequest` instead of constructing a
@@ -27,6 +28,8 @@ and callers fall back to the object path.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import sys
 from array import array
 from typing import Iterable, Iterator
@@ -190,6 +193,45 @@ class PackedTrace:
     def __repr__(self) -> str:
         return (f"PackedTrace({len(self.data)} requests, "
                 f"{self.nbytes} bytes)")
+
+
+def encode_entry(trace: PackedTrace) -> bytes:
+    """The stored bytes of one trace entry.
+
+    A single JSON header line carrying the payload digest, request
+    count and packed-format version, then the raw :meth:`PackedTrace.
+    tobytes` payload.  Trace-cache entries and sanitizer reproducers
+    share this format.
+    """
+    payload = trace.tobytes()
+    header = json.dumps({
+        "digest": hashlib.sha256(payload).hexdigest(),
+        "count": len(trace),
+        "format": PACKED_FORMAT_VERSION,
+    })
+    return header.encode("utf-8") + b"\n" + payload
+
+
+def decode_entry(data: bytes) -> PackedTrace:
+    """The trace of one :func:`encode_entry` entry.
+
+    Raises:
+        ValueError: on a malformed header, a payload that does not
+            match the header's digest, or a request count that does not
+            match the payload length.
+    """
+    head, _, payload = data.partition(b"\n")
+    try:
+        header = json.loads(head)
+        digest, count = header["digest"], header["count"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed trace entry header: {exc!r}") from exc
+    if hashlib.sha256(payload).hexdigest() != digest:
+        raise ValueError("trace entry payload digest mismatch")
+    if type(count) is not int or count * 8 != len(payload):
+        raise ValueError(f"trace entry header count {count!r} does not "
+                         f"match its {len(payload)}-byte payload")
+    return PackedTrace.frombytes(payload)
 
 
 def pack_trace(requests: Iterable[MemoryRequest]) -> PackedTrace:

@@ -9,12 +9,13 @@ including each of the ``--jobs`` worker processes of a campaign — loads
 the stored bytes instead of re-synthesising the stream, so a campaign
 materialises each workload once instead of ``designs x jobs`` times.
 
-Entry format (one file per trace, ``<key>.trace``): a single JSON header
-line carrying the payload digest, request count, and packed-format
-version, followed by the raw little-endian ``array('Q')`` payload.
-Writes are atomic (temp file + ``os.replace``); a corrupted or truncated
-entry fails its digest check, is deleted, and is transparently
-regenerated — the same self-healing contract as the result cache.
+Entry format (:func:`~repro.traces.packed.encode_entry`): a single
+JSON header line carrying the payload digest, request count, and
+packed-format version, followed by the raw little-endian ``array('Q')``
+payload.  Entries live in a byte store — ``<key>.trace`` files by
+default, the coordinator's HTTP routes on a fleet worker; a corrupted
+or truncated entry is dropped and transparently regenerated — the same
+self-healing contract as the result cache.
 
 The cache root resolves from (in order) an explicit path, the
 ``$REPRO_TRACE_CACHE`` environment variable, or
@@ -28,11 +29,11 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 
-from ..resilience.checkpoint import fsync_dir
-from .packed import PACKED_FORMAT_VERSION, PackedTrace
+from ..resilience.checkpoint import LocalDirBackend, read_valid
+from .packed import PACKED_FORMAT_VERSION, PackedTrace, decode_entry, \
+    encode_entry
 from .synthetic import (
     GENERATOR_VERSION,
     SyntheticSpec,
@@ -78,13 +79,19 @@ def resolve_trace_cache(setting: str | None) -> "TraceCache | None":
 
 
 class TraceCache:
-    """On-disk store of packed traces keyed by input content hash.
+    """Store of packed traces keyed by input content hash.
 
     Args:
         root: Directory holding the entries (created lazily).  Defaults
-            to :func:`default_trace_cache_dir`.
+            to :func:`default_trace_cache_dir`.  Ignored when
+            ``backend`` is given.
+        backend: A byte store to use instead of the directory, such as
+            a fleet worker's :class:`~repro.fabric.cachebackend.
+            HTTPCacheBackend`.
 
     Attributes:
+        store: The byte store holding the entries.
+        root: The entry directory, or None over a ``backend``.
         hits: Lookups served from disk.
         misses: Lookups that found no usable entry.
         generated: Traces synthesised (and stored) by this instance.
@@ -94,9 +101,14 @@ class TraceCache:
             absorbed — the generated trace is still returned.
     """
 
-    def __init__(self, root: str | Path | None = None) -> None:
-        self.root = (Path(root) if root is not None
-                     else default_trace_cache_dir())
+    def __init__(self, root: str | Path | None = None,
+                 backend=None) -> None:
+        self.root = None
+        if backend is None:
+            self.root = (Path(root) if root is not None
+                         else default_trace_cache_dir())
+            backend = LocalDirBackend(self.root, ".trace")
+        self.store = backend
         self.hits = 0
         self.misses = 0
         self.generated = 0
@@ -127,84 +139,31 @@ class TraceCache:
                                separators=(",", ":"), default=str)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.trace"
-
     # ---- lookup / store -------------------------------------------------
-
-    def _read_entry(self, path: Path) -> bytes:
-        """Read and validate one entry's payload; raises on any damage."""
-        with open(path, "rb") as handle:
-            header = json.loads(handle.readline())
-            payload = handle.read()
-        digest = hashlib.sha256(payload).hexdigest()
-        if digest != header["digest"] or header["count"] * 8 != \
-                len(payload):
-            raise ValueError("trace digest/count mismatch")
-        return payload
 
     def get(self, spec: SyntheticSpec, n: int, seed: int
             ) -> PackedTrace | None:
         """The stored stream, or None.
 
-        Damage never surfaces as an error.  A validation failure
-        (malformed header, digest mismatch, wrong request count, torn
-        or empty bytes) is retried once first: when many fleet workers
-        warm one shared store, the failed read may simply have observed
-        a concurrent ``put`` whose final rename had not landed yet, and
-        the retry finds the completed entry instead of destroying it.
-        Only a failure that persists across both reads — genuine
-        corruption, truncation, manual edits — deletes the entry and
-        reports a miss so the caller regenerates and heals the cache.
+        Damage never surfaces as an error: :func:`~repro.resilience.
+        checkpoint.read_valid` retries a read that fails validation
+        once (it may have observed a concurrent put) and drops an entry
+        whose damage persists, so the caller regenerates and heals it.
         """
-        path = self._path(self.key_for(spec, n, seed))
-        payload = None
-        for _ in range(2):
-            try:
-                payload = self._read_entry(path)
-                break
-            except FileNotFoundError:
-                self.misses += 1
-                return None
-            except (ValueError, KeyError, TypeError, OSError):
-                payload = None
-        if payload is None:
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        trace = read_valid(self.store, self.key_for(spec, n, seed),
+                           decode_entry)
+        if trace is None:
             self.misses += 1
             return None
         self.hits += 1
-        self.bytes_read += len(payload)
-        return PackedTrace.frombytes(payload)
+        self.bytes_read += trace.nbytes
+        return trace
 
     def put(self, spec: SyntheticSpec, n: int, seed: int,
             trace: PackedTrace) -> None:
-        """Persist a packed stream atomically under its content key."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        payload = trace.tobytes()
-        header = json.dumps({
-            "digest": hashlib.sha256(payload).hexdigest(),
-            "count": len(trace),
-            "format": PACKED_FORMAT_VERSION,
-        })
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(header.encode("utf-8") + b"\n")
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self._path(self.key_for(spec, n, seed)))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        fsync_dir(self.root)
-        self.bytes_written += len(payload)
+        """Persist a packed stream under its content key."""
+        self.store.put(self.key_for(spec, n, seed), encode_entry(trace))
+        self.bytes_written += trace.nbytes
 
     def get_or_generate(self, spec: SyntheticSpec, n: int,
                         seed: int) -> PackedTrace:
@@ -241,18 +200,8 @@ class TraceCache:
         }
 
     def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*.trace"))
+        return len(self.store)
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""
-        removed = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*.trace"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
+        return self.store.clear()

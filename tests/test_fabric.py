@@ -2,7 +2,7 @@
 
 Covers the pure lease table (issue/heartbeat/expiry/quarantine, and
 the restart-determinism contract: same seed, same history, same
-re-lease order and backoff schedule), the pluggable cache backends
+re-lease order and backoff schedule), the pluggable cache byte stores
 (round trips, torn remote bytes read as misses), the HTTP fault hooks
 (drop/delay/5xx/disconnect/partition injected below the routing
 layer), and the end-to-end contract: a two-worker in-process fleet
@@ -28,7 +28,6 @@ from repro.analysis.experiments import ExperimentConfig, ExperimentHarness
 from repro.designs import registry
 from repro.fabric import (
     BackendResultCache,
-    BackendTraceCache,
     FabricClient,
     FabricCoordinator,
     FabricPolicy,
@@ -41,6 +40,7 @@ from repro.fabric import (
 from repro.fabric.coordinator import unwire_cell, wire_cell
 from repro.resilience import FaultSpec, faults
 from repro.traces.spec import SystemScale, synthetic_spec
+from repro.traces.tracecache import TraceCache
 
 FLEET = ExperimentConfig(requests=600, warmup=150, workloads=("leela",))
 
@@ -196,22 +196,51 @@ class TestCacheBackends:
         cache = BackendResultCache(Down())
         assert cache.get("ef" * 32) is None
 
+    def test_damaged_remote_bytes_retried_once_and_kept(self):
+        # A store without ``discard`` (the HTTP one) is read twice on
+        # damage and then left alone: the coordinator owns its healing.
+        class Remote:
+            def __init__(self):
+                self.gets = 0
+
+            def get(self, key):
+                self.gets += 1
+                return b'{"digest": "00", "record": {}}'
+        store = Remote()
+        cache = BackendResultCache(store)
+        assert cache.get("ab" * 32) is None
+        assert (store.gets, cache.misses) == (2, 1)
+
     def test_trace_cache_round_trip_and_torn_miss(self, tmp_path):
         spec = synthetic_spec("mcf", SystemScale(1 / 256))
         backend = LocalDirBackend(tmp_path, ".trace")
-        cache = BackendTraceCache(backend)
+        cache = TraceCache(backend=backend)
+        assert cache.root is None
         trace = cache.get_or_generate(spec, 2000, 9)
         assert cache.counters()["generated"] == 1
-        warm = BackendTraceCache(backend)
+        warm = TraceCache(backend=backend)
         assert warm.get_or_generate(spec, 2000, 9) == trace
         assert warm.counters()["hits"] == 1
         assert warm.counters()["generated"] == 0
         # Truncate the stored payload: reads as a miss, regenerates.
         entry = tmp_path / f"{cache.key_for(spec, 2000, 9)}.trace"
         entry.write_bytes(entry.read_bytes()[:-16])
-        torn = BackendTraceCache(backend)
+        torn = TraceCache(backend=backend)
         assert torn.get(spec, 2000, 9) is None
+        assert not entry.exists()             # persistent damage dropped
         assert torn.get_or_generate(spec, 2000, 9) == trace
+
+    def test_local_store_maintenance(self, tmp_path):
+        backend = LocalDirBackend(tmp_path / "store", ".json")
+        assert (len(backend), backend.clear()) == (0, 0)
+        for key in ("ab" * 32, "cd" * 32):
+            backend.put(key, b"x")
+        (tmp_path / "store" / "stray.trace").write_bytes(b"y")
+        assert len(backend) == 2              # only its own suffix
+        backend.discard("ab" * 32)
+        backend.discard("ab" * 32)            # best effort, no error
+        assert backend.get("ab" * 32) is None
+        assert (backend.clear(), len(backend)) == (1, 0)
 
 
 # ---- worker client --------------------------------------------------------

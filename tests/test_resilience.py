@@ -517,14 +517,14 @@ class TestTornCacheReads:
         cache = TraceCache(tmp_path)
         trace = cache.get_or_generate(spec, 2000, 9)
         fresh = TraceCache(tmp_path)
-        real = fresh._read_entry
+        real = fresh.store.get
         observed = []
-        def flaky(path):
+        def flaky(key):
             if not observed:                  # first read sees the torn
-                observed.append(path)         # in-flight put
-                raise ValueError("torn concurrent put")
-            return real(path)
-        fresh._read_entry = flaky
+                observed.append(key)          # in-flight put
+                return real(key)[:-16]
+            return real(key)
+        fresh.store.get = flaky
         assert fresh.get(spec, 2000, 9) == trace
         assert fresh.counters()["hits"] == 1
         assert next(Path(tmp_path).glob("*.trace")).exists()
@@ -548,14 +548,14 @@ class TestTornCacheReads:
         cache = ResultCache(tmp_path)
         key = "cd" * 32
         cache.put(key, {"norm_ipc": 0.75})
-        real = cache._read_entry
+        real = cache.store.get
         observed = []
-        def flaky(path):
+        def flaky(key):
             if not observed:
-                observed.append(path)
-                raise ValueError("torn concurrent put")
-            return real(path)
-        cache._read_entry = flaky
+                observed.append(key)
+                return real(key)[:-8]
+            return real(key)
+        cache.store.get = flaky
         assert cache.get(key) == {"norm_ipc": 0.75}
         assert (cache.hits, cache.misses) == (1, 0)
         assert (tmp_path / f"{key}.json").exists()

@@ -1,6 +1,7 @@
 """Tests for the sanitizer: invariant checker, ddmin shrinking,
 reproducer IO, and the differential replay harness."""
 
+import json
 from array import array
 
 import pytest
@@ -200,6 +201,19 @@ class TestReproducerIO:
         raw[-1] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="digest"):
+            load_reproducer(path)
+
+    def test_miscounted_payload_rejected(self, tmp_path):
+        # The digest covers the payload only: a header whose count
+        # disagrees with a correctly digested payload is still damage.
+        trace = _trace(3, 64)
+        path = tmp_path / "case.repro.trace"
+        write_reproducer(path, trace, {})
+        head, _, payload = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        header["count"] = len(trace) - 1
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+        with pytest.raises(ValueError, match="count"):
             load_reproducer(path)
 
 

@@ -1,95 +1,8 @@
-"""Tests for the event engine, statistics machinery, and CPU model."""
+"""Tests for the statistics machinery and CPU model."""
 
 import pytest
 
-from repro.sim import CpuModel, EventEngine, Histogram, StatGroup, geomean
-
-
-class TestEventEngine:
-    def test_check_invariants_clean_engine(self):
-        engine = EventEngine()
-        engine.schedule(10.0, lambda t: None)
-        engine.schedule(20.0, lambda t: None)
-        assert engine.check_invariants() == []
-        engine.advance_to(15.0)
-        assert engine.check_invariants() == []
-
-    def test_check_invariants_flags_past_event(self):
-        engine = EventEngine()
-        engine.schedule(10.0, lambda t: None)
-        # Corrupt the clock directly: a live event is now in the past.
-        engine._now_ns = 50.0
-        violations = engine.check_invariants()
-        assert violations
-        assert "in the past" in violations[0]
-
-    def test_check_invariants_ignores_cancelled_past_event(self):
-        engine = EventEngine()
-        event = engine.schedule(10.0, lambda t: None)
-        event.cancel()
-        engine._now_ns = 50.0
-        assert engine.check_invariants() == []
-
-    def test_events_fire_in_time_order(self):
-        engine = EventEngine()
-        order = []
-        engine.schedule(20.0, lambda t: order.append("b"))
-        engine.schedule(10.0, lambda t: order.append("a"))
-        engine.advance_to(30.0)
-        assert order == ["a", "b"]
-
-    def test_same_time_fires_in_insertion_order(self):
-        engine = EventEngine()
-        order = []
-        engine.schedule(10.0, lambda t: order.append(1))
-        engine.schedule(10.0, lambda t: order.append(2))
-        engine.advance_to(10.0)
-        assert order == [1, 2]
-
-    def test_advance_only_fires_due_events(self):
-        engine = EventEngine()
-        fired = []
-        engine.schedule(10.0, lambda t: fired.append(t))
-        engine.schedule(50.0, lambda t: fired.append(t))
-        assert engine.advance_to(20.0) == 1
-        assert fired == [10.0]
-        assert engine.pending == 1
-
-    def test_cancel_prevents_firing(self):
-        engine = EventEngine()
-        fired = []
-        handle = engine.schedule(10.0, lambda t: fired.append(t))
-        handle.cancel()
-        engine.advance_to(100.0)
-        assert fired == []
-        assert handle.cancelled
-
-    def test_schedule_in_past_raises(self):
-        engine = EventEngine()
-        engine.advance_to(100.0)
-        with pytest.raises(ValueError):
-            engine.schedule(50.0, lambda t: None)
-
-    def test_drain_fires_everything(self):
-        engine = EventEngine()
-        fired = []
-        for t in (5.0, 15.0, 25.0):
-            engine.schedule(t, lambda t=t: fired.append(t))
-        assert engine.drain() == 3
-        assert fired == [5.0, 15.0, 25.0]
-
-    def test_events_can_schedule_events(self):
-        engine = EventEngine()
-        fired = []
-
-        def chain(t):
-            fired.append(t)
-            if len(fired) < 3:
-                engine.schedule(t + 10.0, chain)
-
-        engine.schedule(0.0, chain)
-        engine.advance_to(100.0)
-        assert fired == [0.0, 10.0, 20.0]
+from repro.sim import CpuModel, Histogram, StatGroup, geomean
 
 
 class TestStatGroup:
