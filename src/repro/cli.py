@@ -381,6 +381,28 @@ def _spec_error(harness, designs) -> str | None:
     return None
 
 
+def _open_campaign(args: argparse.Namespace, plan):
+    """Open the plan's campaign once every spec in it builds.
+
+    Prints ``<spec>: <message>`` (or the plan error) and returns None
+    when a spec's controller cannot be built or the campaign cannot
+    open, so the caller exits 2 before any cell runs.
+    """
+    from .exec import PlanError
+    harness = plan.build_harness()
+    error = _spec_error(harness, plan.designs)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return None
+    try:
+        campaign = plan.open_campaign(harness)
+    except PlanError as exc:
+        print(exc, file=sys.stderr)
+        return None
+    _announce_campaign(args, campaign)
+    return campaign
+
+
 def _run_plan(args: argparse.Namespace, designs,
               source: str = "campaign") -> int:
     """Shared plan/execute/report path of ``campaign`` and ``sweep``.
@@ -396,20 +418,11 @@ def _run_plan(args: argparse.Namespace, designs,
     interrupted.
     """
     from .analysis import CampaignInterrupted
-    from .exec import PlanError
     from .fabric import FabricUnreachable
     plan = _plan_from_args(args, designs, source)
-    harness = plan.build_harness()
-    error = _spec_error(harness, designs)
-    if error is not None:
-        print(error, file=sys.stderr)
+    campaign = _open_campaign(args, plan)
+    if campaign is None:
         return 2
-    try:
-        campaign = plan.open_campaign(harness)
-    except PlanError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    _announce_campaign(args, campaign)
     backend = _backend(args)
     try:
         outcome = backend.execute(plan, campaign)
@@ -450,7 +463,6 @@ def _cmd_fabric_serve(args: argparse.Namespace) -> int:
     """Lease a campaign's cells to fabric workers over HTTP."""
     import json
 
-    from .exec import PlanError
     from .fabric import FabricCoordinator, FabricPolicy
     from .resilience import faults
     designs = args.designs
@@ -463,12 +475,9 @@ def _cmd_fabric_serve(args: argparse.Namespace) -> int:
             print(exc, file=sys.stderr)
             return 2
     plan = _plan_from_args(args, designs, source="campaign")
-    try:
-        campaign = plan.open_campaign()
-    except PlanError as exc:
-        print(exc, file=sys.stderr)
+    campaign = _open_campaign(args, plan)
+    if campaign is None:
         return 2
-    _announce_campaign(args, campaign)
     harness = campaign.harness
     policy = FabricPolicy(lease_s=args.lease,
                           max_attempts=args.retries + 1,
@@ -561,17 +570,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
         print(exc, file=sys.stderr)
         return 2
     plan = _plan_from_args(args, specs, source="explore")
-    harness = plan.build_harness()
-    error = _spec_error(harness, specs)
-    if error is not None:
-        print(error, file=sys.stderr)
+    campaign = _open_campaign(args, plan)
+    if campaign is None:
         return 2
-    try:
-        campaign = plan.open_campaign(harness)
-    except PlanError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    _announce_campaign(args, campaign)
     if args.fabric_serve is not None:
         backend = FleetServeBackend(
             host=args.host, port=args.fabric_serve, seed=args.seed,
@@ -845,7 +846,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    print(report.render())
+    # --verbose already streamed each case's line.
+    print(report.verdict if args.verbose else report.render())
     return 0 if report.passed else 1
 
 

@@ -16,11 +16,6 @@ ordering, across coordinator restarts) is directly testable.  Workers
 share the content-addressed result/trace caches through pluggable byte
 stores (a local directory, or the coordinator's HTTP cache endpoints in
 :mod:`~repro.fabric.cachebackend`).
-
-Fleet chaos scenarios live in :mod:`repro.fabric.chaos` — deliberately
-NOT imported here, so importing the fabric never drags in the chaos
-harness (and the resilience chaos module can lazily merge the fleet
-scenario table without an import cycle).
 """
 
 from ..resilience.checkpoint import LocalDirBackend

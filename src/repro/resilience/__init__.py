@@ -13,8 +13,9 @@ campaigns *survival*:
   (worker crashes/hangs, checkpoint ENOSPC/EIO, on-disk corruption,
   and network faults for the distributed fabric);
 * :mod:`~repro.resilience.chaos` — the seeded scenario harness behind
-  ``repro chaos`` that proves all of the above end to end (imported
-  lazily; it depends on :mod:`repro.analysis`).
+  ``repro chaos`` that proves all of the above, and the fabric fleet,
+  end to end (not imported here: it depends on :mod:`repro.analysis`
+  and :mod:`repro.fabric`).
 """
 
 from .checkpoint import (

@@ -471,6 +471,27 @@ class TestDesignsCli:
                        "positive, got 0\n")
         assert not out_file.exists()
 
+    def test_fabric_serve_rejects_bad_geometry_before_serving(
+            self, capsys, tmp_path, monkeypatch):
+        """``fabric serve`` runs the same check before it opens the
+        campaign and listens; serving at all is a failure here."""
+        from repro.fabric import FabricCoordinator
+
+        def serve(self, *args, **kwargs):
+            raise AssertionError("served a campaign with a bad spec")
+
+        monkeypatch.setattr(FabricCoordinator, "serve", serve)
+        out_file = tmp_path / "fleet.jsonl"
+        code = main(["fabric", "serve", "--base", "Bumblebee",
+                     "--grid", "page_bytes=0", "--workloads", "mcf",
+                     "--out", str(out_file), "--requests", "200",
+                     "--warmup", "100", "--once", "--no-timing"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("Bumblebee[page_bytes=0]: page_bytes must be "
+                       "positive, got 0\n")
+        assert not out_file.exists()
+
     def test_sweep_rejects_bad_grid(self, capsys):
         code = main(["sweep", "--grid", "warp_factor=9",
                      "--workloads", "leela"])

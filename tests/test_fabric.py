@@ -12,7 +12,7 @@ completions add zero rows on RunStore ingest.
 The full fleet scenarios — worker SIGKILL, lease expiry under a hung
 worker, coordinator restart + --resume, partition-then-heal — run real
 subprocesses and live in ``repro chaos --scenarios fleet-...`` (see
-:mod:`repro.fabric.chaos`); these tests pin the mechanisms those
+:mod:`repro.resilience.chaos`); these tests pin the mechanisms those
 scenarios compose.
 """
 
