@@ -25,7 +25,7 @@ def run_mixes(harness):
     out: dict[str, dict[str, float]] = {}
     for preset in sorted(MIX_PRESETS):
         members = build_mix(MIX_PRESETS[preset])
-        trace = list(mix_trace(members, total, seed=harness.config.seed))
+        trace = mix_trace(members, total, seed=harness.config.seed)
         baseline = None
         out[preset] = {}
         for design in DESIGNS:
@@ -34,6 +34,7 @@ def run_mixes(harness):
                 sram_bytes=harness.config.scale.sram_bytes)
             result = driver.run(controller, trace, workload=preset,
                                 warmup=harness.config.warmup)
+            assert driver.last_engine == "vector", (preset, design)
             if design == "No-HBM":
                 baseline = result
             out[preset][design] = result.normalised_ipc(baseline)

@@ -42,7 +42,8 @@ def run_phase_study(harness):
     now = 0.0
     hits = count = 0
     boundary_set = set(schedule.boundaries())
-    for index, request in enumerate(schedule.generate(), start=1):
+    trace = schedule.generate()
+    for index, request in enumerate(trace.replay(), start=1):
         now += cpu.compute_ns(request.icount)
         result = controller.access(request, now)
         now += cpu.stall_ns(result.latency_ns)
@@ -57,7 +58,6 @@ def run_phase_study(harness):
             censuses.append((chbm, mhbm))
 
     # Comparative runs over the identical schedule.
-    trace = list(schedule.generate())
     driver = SimulationDriver(cpu)
     ipcs = {}
     base = driver.run(make_controller("No-HBM", harness.hbm_config,

@@ -119,8 +119,8 @@ def test_warm_campaign_speedup(harness, tmp_path: Path):
     """End-to-end multi-design campaign: warm caches vs PR 1 pattern.
 
     The PR 1 leg reproduces what each pool worker paid per cell when
-    ``jobs >= cells``: synthesise the object trace, run the no-HBM
-    baseline, then the design itself.  The warm leg runs the identical
+    ``jobs >= cells``: synthesise the trace, run the no-HBM baseline,
+    then the design itself, both on the scalar loop.  The warm leg runs the identical
     cells on fresh harnesses (one per cell, the same worker model)
     backed by a pre-warmed trace cache and persisted baseline records.
     """
@@ -135,19 +135,21 @@ def test_warm_campaign_speedup(harness, tmp_path: Path):
     pr1_results = {}
     for design in CAMPAIGN_DESIGNS:
         start = time.perf_counter()
-        objects = SyntheticTraceGenerator(spec, seed=config.seed).generate(n)
+        trace = SyntheticTraceGenerator(
+            spec, seed=config.seed).generate_packed(n)
         driver = SimulationDriver(config.cpu)
         probe = ExperimentHarness(dataclasses.replace(
             config, trace_cache_dir="off"))
         baseline = driver.run(
             make_controller("No-HBM", probe.hbm_config, probe.dram_config),
-            objects, workload=CAMPAIGN_WORKLOAD, warmup=config.warmup)
+            trace, workload=CAMPAIGN_WORKLOAD, warmup=config.warmup,
+            engine="scalar")
         controller = make_controller(
             design, probe.hbm_config, probe.dram_config,
             sram_bytes=config.scale.sram_bytes)
-        result = driver.run(controller, objects,
+        result = driver.run(controller, trace,
                             workload=CAMPAIGN_WORKLOAD,
-                            warmup=config.warmup)
+                            warmup=config.warmup, engine="scalar")
         pr1_results[design] = result.normalised_ipc(baseline)
         pr1_s += time.perf_counter() - start
 

@@ -55,7 +55,8 @@ def main() -> None:
                 spatial=spatial, temporal=temporal,
                 mpki=16.0, hot_fraction=0.01,
             )
-            trace = SyntheticTraceGenerator(spec, seed=7).generate(REQUESTS)
+            trace = SyntheticTraceGenerator(spec, seed=7).generate_packed(
+                REQUESTS)
             baseline = driver.run(NoHBMController(dram), trace,
                                   workload=spec.name)
             controller = BumblebeeController(hbm, dram)

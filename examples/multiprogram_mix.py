@@ -28,7 +28,7 @@ WARMUP = 40_000
 def main() -> None:
     preset = sys.argv[1] if len(sys.argv) > 1 else "mix-fig1"
     members = build_mix(MIX_PRESETS[preset])
-    trace = list(mix_trace(members, REQUESTS + WARMUP))
+    trace = mix_trace(members, REQUESTS + WARMUP)
     shares = member_share(members, trace)
     print(f"mix {preset}: " + ", ".join(
         f"{name} {share:.0%}" for name, share in shares.items()))

@@ -1,12 +1,12 @@
 """Differential replay: cross-check every trace execution path.
 
-The simulator has four execution paths — object replay (an iterable of
-:class:`~repro.sim.request.MemoryRequest`), the packed fast path
-(:meth:`~repro.traces.packed.PackedTrace.replay`), the opt-in checked
-loop, and the vectorized epoch engine
+The simulator replays a :class:`~repro.traces.packed.PackedTrace` on
+three paths — the scalar loop (``engine="scalar"``), the opt-in
+checked loop, and the vectorized epoch engine
 (:mod:`repro.sim.vectorized`; ``engine="vector"``, which falls back to
-the scalar loop on a controller without ``batch_epoch_plan``).  All four must
-produce bit-identical :class:`~repro.sim.driver.SimResult`\\ s.  This
+the scalar loop on a controller without ``batch_epoch_plan``).  All
+three must produce bit-identical
+:class:`~repro.sim.driver.SimResult`\\ s, at any epoch size.  This
 harness replays randomized synthetic traces through every requested
 design on all paths, diffs the results field by field, runs the
 :class:`~repro.sanitize.InvariantChecker` over the checked replay, and
@@ -156,31 +156,25 @@ def _replay_all_paths(design: str, trace: PackedTrace,
                       workload: str, warmup: int, epoch_requests: int,
                       vector_epoch: int | None = None
                       ) -> tuple[list[str], list[str], InvariantChecker]:
-    """Run object, packed, checked, and vectorized replays; return
+    """Run the scalar, checked, and epoch replays; return
     (diffs, violations, checker)."""
-    driver = SimulationDriver()
-    object_result = driver.run(
-        make_controller(design, hbm_config, dram_config), iter(trace),
-        workload=workload, warmup=warmup)
-    packed_result = driver.run(
+    scalar_result = SimulationDriver().run(
         make_controller(design, hbm_config, dram_config), trace,
-        workload=workload, warmup=warmup)
-    diffs = [f"packed-vs-object {d}"
-             for d in diff_results(object_result, packed_result)]
+        workload=workload, warmup=warmup, engine="scalar")
     checker = InvariantChecker(epoch_requests=epoch_requests)
     checked_result = SimulationDriver(checker=checker).run(
         make_controller(design, hbm_config, dram_config), trace,
         workload=workload, warmup=warmup)
-    diffs += [f"checked-vs-fast {d}"
-              for d in diff_results(packed_result, checked_result)]
-    # The fourth path: the vectorized epoch engine (a controller
-    # without batch_epoch_plan falls back to the scalar loop, which
-    # keeps the equality trivially true and the sweep uniform).
-    vector_result = SimulationDriver(vector_epoch=vector_epoch).run(
+    diffs = [f"checked-vs-scalar {d}"
+             for d in diff_results(scalar_result, checked_result)]
+    # A controller without batch_epoch_plan falls back to the scalar
+    # loop, which keeps the equality trivially true and the sweep
+    # uniform.
+    epoch_result = SimulationDriver(vector_epoch=vector_epoch).run(
         make_controller(design, hbm_config, dram_config), trace,
         workload=workload, warmup=warmup, engine="vector")
-    diffs += [f"vectorized-vs-packed {d}"
-              for d in diff_results(packed_result, vector_result)]
+    diffs += [f"epoch-vs-scalar {d}"
+              for d in diff_results(scalar_result, epoch_result)]
     return diffs, list(checker.violations), checker
 
 
@@ -244,11 +238,10 @@ def run_differential(designs: Sequence[str] | None = None,
     """Cross-check every (design, seed) pair on all execution paths.
 
     For each pair a randomized synthetic trace is replayed through the
-    object path, the packed fast path, the sanitizer-checked loop, and
-    the vectorized epoch engine (scalar fallback on a controller
-    without ``batch_epoch_plan``); any result divergence or invariant violation fails
-    the case, and
-    the failing trace is ddmin-shrunk (at ``warmup=0`` when the failure
+    scalar loop, the sanitizer-checked loop, and the vectorized epoch
+    engine (scalar fallback on a controller without
+    ``batch_epoch_plan``); any result divergence or invariant violation
+    fails the case, and the failing trace is ddmin-shrunk (at ``warmup=0`` when the failure
     survives without warm-up) to a minimal reproducer under
     ``out_dir``.
 
@@ -261,7 +254,7 @@ def run_differential(designs: Sequence[str] | None = None,
         scale: System scale of the simulated machine.
         out_dir: Where failing reproducers are written.
         shrink_budget: Max predicate evaluations spent shrinking one
-            failing case (each evaluation re-simulates four paths).
+            failing case (each evaluation re-simulates three paths).
         shrink_seconds: Wall-clock budget per shrink; on expiry the
             best-so-far reduction is persisted (None = no time bound).
         progress: Optional per-case sink (e.g. ``print``).

@@ -3,7 +3,7 @@
 Tools for characterising a miss stream the same way the paper's §II
 motivation characterises SPEC slices — usable both on the built-in
 synthetic workloads (to verify the locality knobs produce the intended
-patterns) and on user-imported traces (``repro.traces.load_trace``).
+patterns) and on user-imported traces (``repro.traces.import_trace``).
 """
 
 from __future__ import annotations

@@ -853,8 +853,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 def cmd_mix(args: argparse.Namespace) -> int:
     members = build_mix(MIX_PRESETS[args.preset])
-    trace = list(mix_trace(members, args.requests + args.warmup,
-                           seed=args.seed))
+    trace = mix_trace(members, args.requests + args.warmup,
+                      seed=args.seed)
     harness = _harness(args, ["mcf"])  # devices only
     driver = SimulationDriver()
     baseline = driver.run(

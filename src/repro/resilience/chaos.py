@@ -257,6 +257,21 @@ class _Proc:
         self.proc.wait()
 
 
+def _live_processes() -> dict[int, tuple[str, str]]:
+    """``{pid: (ppid, start time)}`` of every live, non-zombie process,
+    from ``/proc/*/stat`` (empty where there is no ``/proc``).  The
+    start time tells a process from a later one reusing its pid."""
+    live = {}
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, ppid, *rest = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if state != "Z":
+            live[int(stat.parent.name)] = (ppid, rest[17])
+    return live
+
+
 @contextlib.contextmanager
 def _processes() -> Iterator[Callable[..., _Proc]]:
     """Yield ``spawn(cmd, spec=None)``; every process it started is
@@ -479,14 +494,24 @@ def _kill_resume(sweep: _Sweep, path: Path) -> str:
     it to a file byte-identical to the uninterrupted reference.
 
     The *last* cell hangs, so the kill lands after the others are
-    checkpointed; no handler runs, and the orphaned supervised worker
-    reaps itself."""
+    checkpointed; no handler runs, and the orphaned supervised worker,
+    hanging in that cell, must be gone within 5 s."""
     with _processes() as spawn:
         proc = spawn(sweep.cli("campaign", path, "--retries", "1"),
                      faults.FaultSpec(seed=sweep.seed, hang=1.0,
                                       hang_s=120.0, match=_LAST_CELL))
         killed_after = _await_lines(proc, path, _CELLS - 1)
+        workers = {(pid, start) for pid, (ppid, start)
+                   in _live_processes().items()
+                   if ppid == str(proc.proc.pid)}
         proc.reap()
+    deadline = time.monotonic() + 5.0
+    while (alive := workers & {(pid, start) for pid, (_, start)
+                               in _live_processes().items()}) \
+            and time.monotonic() < deadline:
+        time.sleep(0.1)
+    _check(not alive, f"campaign worker(s) {sorted(alive)} outlived the "
+                      f"SIGKILL'd campaign by 5 s")
     _, dropped = recover_jsonl(path)
     sweep.fill(path)
     return _verdict(sweep, path,

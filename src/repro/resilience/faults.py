@@ -145,11 +145,18 @@ class FaultInjector:
         """Worker-side hook: maybe hang, then maybe crash.
 
         Called by the supervisor's child loop before each cell attempt;
-        never call this in a process you are not prepared to lose.
+        never call this in a process you are not prepared to lose.  A
+        hang sleeps in slices of at most 0.5 s and returns early once
+        the worker's parent changes (the supervisor died).
         """
         if self._fires("hang", self.spec.hang, key, attempt):
             self.counters["hang"] += 1
-            time.sleep(self.spec.hang_s)
+            parent = os.getppid()
+            end = time.monotonic() + self.spec.hang_s
+            while (left := end - time.monotonic()) > 0:
+                time.sleep(min(left, 0.5))
+                if os.getppid() != parent:
+                    return
         if self._fires("crash", self.spec.crash, key, attempt):
             self.counters["crash"] += 1
             os._exit(CRASH_EXIT)

@@ -24,18 +24,22 @@ per-process harness state, exactly like the plain pool behind
 :func:`repro.exec.backends.run_cells`) and communicate over per-worker
 queues, so the supervisor always knows which cell a worker holds and a
 killed worker's possibly-torn queue is discarded with it.  Workers
-orphaned by a SIGKILL'd supervisor notice the parent change and exit on
-their own.  Chaos faults (:mod:`repro.resilience.faults`) are installed
-in the child from ``$REPRO_CHAOS``, never in the supervisor.
+orphaned by a SIGKILL'd supervisor die with it (``PR_SET_PDEATHSIG``
+on Linux) or notice the parent change and exit on their own.  Chaos
+faults (:mod:`repro.resilience.faults`) are installed in the child
+from ``$REPRO_CHAOS``, never in the supervisor.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import heapq
 import multiprocessing
 import os
 import queue
+import signal
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -94,15 +98,31 @@ def backoff_delay(policy: Supervision, key: str, attempt: int) -> float:
                policy.backoff_cap_s)
 
 
-def _child_main(worker: Callable[[Any], Any], task_q, result_q) -> None:
+#: ``prctl`` option: the signal a process gets when its parent dies.
+_PR_SET_PDEATHSIG = 1
+
+
+def _child_main(worker: Callable[[Any], Any], task_q, result_q,
+                parent: int) -> None:
     """Worker loop: pull (key, payload, attempt) tasks, push results.
 
     Installs chaos faults from the environment, keeps module-level
     caches warm across tasks, and exits when handed ``None`` or when
-    its parent disappears (orphan self-reaping after a parent SIGKILL).
+    its parent (pid ``parent``) disappears: on Linux the kernel
+    SIGKILLs it, elsewhere it notices at its next queue timeout.
     """
+    if sys.platform.startswith("linux"):
+        # SIGKILL, not SIGTERM: a forked worker inherits run_campaign's
+        # SIGTERM handler, whose KeyboardInterrupt this loop would
+        # report as a cell error.  Should prctl fail, the ppid checks
+        # below and at each queue timeout still catch an orphaning.
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+        prctl.restype = ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:
+        return  # the parent died before the death signal was armed
     faults.install_from_env()
-    parent = os.getppid()
     while True:
         try:
             item = task_q.get(timeout=1.0)
@@ -132,7 +152,8 @@ class _Slot:
         self.task_q = ctx.Queue()
         self.result_q = ctx.Queue()
         self.proc = ctx.Process(target=_child_main,
-                                args=(worker, self.task_q, self.result_q),
+                                args=(worker, self.task_q, self.result_q,
+                                      os.getpid()),
                                 daemon=True)
         self.proc.start()
         #: The (key, payload, attempt, deadline) this worker holds.
@@ -196,6 +217,8 @@ def run_supervised(
     failures: dict[str, list[str]] = {}
     tiebreak = 0
     total = len(tasks)
+    # A worker's death signal fires when the *thread* that started it
+    # exits, so slots are created and replaced on this thread only.
     slots = [_Slot(ctx, worker)
              for _ in range(max(1, min(jobs, total)))]
 

@@ -1,8 +1,8 @@
 """Delta-debugging trace reduction for the differential harness.
 
-When a randomized trace exposes a packed-vs-object divergence or an
-invariant violation, replaying the whole stream is a poor reproducer.
-:func:`shrink_trace` applies ddmin (Zeller & Hildebrandt) over the
+When a randomized trace exposes a divergence between the scalar,
+checked and epoch replays or an invariant violation, replaying the
+whole stream is a poor reproducer.  :func:`shrink_trace` applies ddmin (Zeller & Hildebrandt) over the
 packed request stream: repeatedly drop chunks, keep any reduction that
 still fails, and refine the granularity until no single request can be
 removed — a 1-minimal failing subsequence.

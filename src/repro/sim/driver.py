@@ -1,23 +1,23 @@
 """The trace -> controller -> CPU simulation loop.
 
-:class:`SimulationDriver` feeds a request stream (any iterable of
-:class:`MemoryRequest`) into a hybrid memory controller, advances wall time
-through the analytic CPU model, and collects the :class:`SimResult` that
-every experiment in the paper is derived from: achieved IPC, per-device
-traffic, per-device dynamic energy, and the controller's own statistics
-(hit rates, over-fetch, metadata-access latency, movement counts).
+:class:`SimulationDriver` feeds a miss stream (a
+:class:`~repro.traces.packed.PackedTrace`) into a hybrid memory
+controller, advances wall time through the analytic CPU model, and
+collects the :class:`SimResult` that every experiment in the paper is
+derived from: achieved IPC, per-device traffic, per-device dynamic
+energy, and the controller's own statistics (hit rates, over-fetch,
+metadata-access latency, movement counts).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from ..mem.energy import EnergyBreakdown
 from ..traces.packed import PackedTrace
 from .cpu import CpuModel
-from .request import AccessResult, MemoryRequest, ServicedBy
 from .stats import Histogram
 
 #: Latency histogram bucket bounds (ns): sub-row-hit through fault-class.
@@ -164,7 +164,7 @@ class SimResult:
 
 
 class SimulationDriver:
-    """Runs request streams against hybrid memory controllers.
+    """Runs packed miss streams against hybrid memory controllers.
 
     Args:
         cpu: The analytic CPU model (defaults to the paper system).
@@ -217,7 +217,7 @@ class SimulationDriver:
         self.last_fallback_reason: str | None = None
 
     def run(self, controller: "HybridMemoryController",
-            trace: Iterable[MemoryRequest],
+            trace: PackedTrace,
             workload: str = "unnamed",
             max_requests: int | None = None,
             warmup: int = 0,
@@ -228,12 +228,9 @@ class SimulationDriver:
             controller: Any object implementing the
                 :class:`~repro.baselines.base.HybridMemoryController`
                 protocol.
-            trace: Iterable of :class:`MemoryRequest`, or a
-                :class:`~repro.traces.packed.PackedTrace`, which takes
-                the zero-allocation fast path: each packed integer is
-                decoded into one reused mutable request instead of
-                constructing a fresh object per miss.  Results are
-                bit-identical between the two paths (pinned by tests).
+            trace: The miss stream.  The scalar loop decodes each
+                packed integer into one reused mutable request instead
+                of constructing a fresh object per miss.
             workload: Label recorded in the result.
             max_requests: Optional cap on the number of requests consumed
                 (measured requests, after warm-up).
@@ -245,15 +242,17 @@ class SimulationDriver:
                 cold-start movement dominates the traffic ratios.
             engine: Replay engine selection.  ``"auto"`` and
                 ``"vector"`` take the two-pass epoch engine
-                (:mod:`repro.sim.vectorized`) when the trace is packed
-                and the controller implements ``batch_epoch_plan``,
-                falling back to the scalar loop otherwise; ``"scalar"``
-                forces the scalar loop.  Engine choice can never change
-                a result — the epoch engine is bit-identical to the
-                scalar loop
-                (pinned by the four-path differential sanitizer).
+                (:mod:`repro.sim.vectorized`) when the controller
+                implements ``batch_epoch_plan`` and does not veto it,
+                and the scalar loop otherwise; ``"scalar"`` forces the
+                scalar loop.  Engine choice can never change a result —
+                the epoch engine is bit-identical to the scalar loop
+                (pinned by the differential sanitizer's scalar, checked
+                and epoch legs).
 
         Raises:
+            TypeError: for a ``trace`` that is not a
+                :class:`~repro.traces.packed.PackedTrace`.
             ValueError: for an ``engine`` outside :data:`ENGINES`.
 
         Returns:
@@ -266,10 +265,14 @@ class SimulationDriver:
         # experiment's wall time.  All attribute lookups are hoisted to
         # locals, the analytic CPU model is inlined (same arithmetic as
         # CpuModel.compute_ns/stall_ns, term for term), and the histogram
-        # insert is a single bisect on a local counts list.  Packed
-        # traces replay through one reused mutable request — the
-        # controllers only ever read request fields, so the loop body is
-        # identical either way.
+        # insert is a single bisect on a local counts list.  The trace
+        # replays through one reused mutable request — the controllers
+        # only ever read request fields.
+        if not isinstance(trace, PackedTrace):
+            raise TypeError(
+                f"SimulationDriver.run replays a PackedTrace, got "
+                f"{type(trace).__name__}; pack request objects with "
+                f"PackedTrace.from_requests")
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; valid engines: "
                              f"{', '.join(ENGINES)}")
@@ -279,8 +282,6 @@ class SimulationDriver:
             self.last_fallback_reason = "invariant-checker-active"
         elif engine == "scalar":
             self.last_fallback_reason = "engine-forced-scalar"
-        elif not isinstance(trace, PackedTrace):
-            self.last_fallback_reason = "object-stream"
         elif len(trace):
             from .vectorized import fallback_reason, replay_epoch
             # An epoch-capable controller can still veto the two-pass
@@ -299,8 +300,6 @@ class SimulationDriver:
                 return result
         else:
             self.last_fallback_reason = "empty-trace"
-        if isinstance(trace, PackedTrace):
-            trace = trace.replay()
         cpu = self.cpu
         retire_rate = cpu.ipc_peak * cpu.cores
         freq_ghz = cpu.freq_ghz
@@ -321,7 +320,7 @@ class SimulationDriver:
         counts = [0] * (len(bounds) + 1)
         if checker is not None:
             checker.on_run_start(controller, workload)
-        for request in trace:
+        for request in trace.replay():
             if requests >= limit:
                 break
             if seen == warmup and warmup:

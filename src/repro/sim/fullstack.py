@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, TYPE_CHECKING
 
 from ..cache.hierarchy import CacheHierarchy, HierarchyConfig
+from ..traces.packed import PackedTrace
 from ..traces.synthetic import SyntheticSpec, SyntheticTraceGenerator
 from .cpu import CpuModel
 from .driver import SimResult, SimulationDriver
@@ -66,7 +67,8 @@ def run_full_stack(controller: "HybridMemoryController",
     """
     hierarchy = hierarchy or CacheHierarchy(HierarchyConfig())
     triples = ((a.addr, a.is_write, a.icount) for a in accesses)
-    miss_stream = hierarchy.llc_miss_stream(triples)
+    miss_stream = PackedTrace.from_requests(
+        hierarchy.llc_miss_stream(triples))
     driver = SimulationDriver(cpu or CpuModel())
     result = driver.run(controller, miss_stream, workload=workload)
     return result, hierarchy

@@ -54,8 +54,9 @@ bank/bus/backlog arithmetic of ``MemoryDevice.access`` and
 timing-state lists**, operation for operation in the scalar order.  It
 keeps no timing state of its own and never calls back into the
 controller, so every float and every counter lands bit-identically.
-The equivalence is enforced by the four-path differential sanitizer
-(``repro sanitize``) and the property/identity tests.
+The equivalence is enforced by the differential sanitizer
+(``repro sanitize``: scalar, checked and epoch legs) and the
+property/identity tests.
 
 Controllers opt in by implementing ``batch_epoch_plan`` (plus the
 optional ``epoch_fallback_reason`` veto); everything else falls back to
@@ -255,7 +256,7 @@ def fallback_reason(controller: "HybridMemoryController") -> str | None:
 
     The per-run reason a :class:`~repro.sim.driver.SimulationDriver`
     records (``last_fallback_reason``) combines this with run-level
-    causes (forced scalar engine, unpacked trace, active invariant
+    causes (forced scalar engine, empty trace, active invariant
     checker).
     """
     if np is None:

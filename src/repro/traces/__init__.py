@@ -11,13 +11,12 @@ from .spec import (
     workload_trace,
 )
 from .importers import (
-    import_packed_trace,
     import_trace,
     read_csv_trace,
     read_gem5_trace,
     read_pin_trace,
 )
-from .packed import PackedTrace, pack_trace
+from .packed import PackedTrace
 from .tracecache import (
     TraceCache,
     default_trace_cache_dir,
@@ -46,14 +45,7 @@ from .synthetic import (
     derive_seed,
     phase_shift_trace,
 )
-from .trace import (
-    TraceSummary,
-    interleave,
-    load_trace,
-    save_trace,
-    summarise,
-    take,
-)
+from .trace import TraceSummary, summarise
 
 __all__ = [
     "BenchmarkSpec",
@@ -82,19 +74,13 @@ __all__ = [
     "markov_phases",
     "windowed_hit_rates",
     "import_trace",
-    "import_packed_trace",
     "read_csv_trace",
     "read_gem5_trace",
     "read_pin_trace",
     "PackedTrace",
-    "pack_trace",
     "TraceCache",
     "default_trace_cache_dir",
     "resolve_trace_cache",
     "TraceSummary",
-    "interleave",
-    "load_trace",
-    "save_trace",
     "summarise",
-    "take",
 ]

@@ -1,10 +1,10 @@
 """Importers for external memory-trace formats.
 
-Users bringing their own traces (gem5 packet dumps, Intel PIN memory
-logs, CSV exports) can convert them into the simulator's request stream
-without writing glue code.  All importers are line-streaming (constant
-memory), skip blank/comment lines, and raise on malformed records with
-the offending line number.
+Users bringing their own LLC-miss traces (gem5 packet dumps, Intel PIN
+memory logs, CSV exports) can convert them into the simulator's
+:class:`~repro.traces.packed.PackedTrace` without writing glue code.
+All importers are line-streaming, skip blank/comment lines, and raise
+on malformed or unrepresentable records with the offending line number.
 
 Supported formats:
 
@@ -21,10 +21,16 @@ fixed ``icount`` per record (choose ``1000 / target_mpki``).
 from __future__ import annotations
 
 import csv as _csv
+from array import array
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 from ..sim.request import MemoryRequest
+from .packed import PackedTrace, encode_request
+
+#: A per-line parser's record: ``(addr, is_write, icount)``, or None
+#: for a line the format skips.
+_Record = tuple[int, bool, int] | None
 
 
 def _parse_rw(token: str, line_no: int) -> bool:
@@ -37,14 +43,84 @@ def _parse_rw(token: str, line_no: int) -> bool:
                      f"{token!r}")
 
 
-def _parse_addr(token: str, line_no: int) -> int:
+def _parse_int(token: str, line_no: int, what: str = "address") -> int:
     token = token.strip()
     try:
         return int(token, 16) if token.lower().startswith("0x") \
             else int(token)
     except ValueError:
-        raise ValueError(f"line {line_no}: bad address {token!r}") \
+        raise ValueError(f"line {line_no}: bad {what} {token!r}") \
             from None
+
+
+def _csv_record(line: str, line_no: int, default_icount: int) -> _Record:
+    try:
+        row = next(_csv.reader([line]))
+    except _csv.Error as exc:
+        raise ValueError(f"line {line_no}: {exc}") from None
+    if row[0].strip().lower() in ("addr", "address"):
+        return None  # header
+    if len(row) < 2:
+        raise ValueError(f"line {line_no}: expected at least "
+                         f"addr,rw — got {row!r}")
+    addr = _parse_int(row[0], line_no)
+    is_write = _parse_rw(row[1], line_no)
+    icount = _parse_int(row[2], line_no, "icount") \
+        if len(row) > 2 and row[2].strip() else default_icount
+    return addr, is_write, icount
+
+
+def _gem5_record(line: str, line_no: int, default_icount: int) -> _Record:
+    command = None
+    addr_token = None
+    for token in line.replace(",", " ").replace(":", " ").split():
+        lowered = token.lower()
+        if lowered in ("readreq", "read", "readexreq"):
+            command = "r"
+        elif lowered in ("writereq", "write", "writebackdirty"):
+            command = "w"
+        if token.startswith("@"):
+            addr_token = token[1:]
+        elif token.startswith("0x"):
+            addr_token = token
+    if command is None or addr_token is None:
+        return None
+    return _parse_int(addr_token, line_no), command == "w", default_icount
+
+
+def _pin_record(line: str, line_no: int, default_icount: int) -> _Record:
+    parts = line.replace(":", " ").split()
+    if len(parts) < 3:
+        raise ValueError(f"line {line_no}: expected "
+                         f"'<ip>: <R|W> <addr>', got {line!r}")
+    is_write = _parse_rw(parts[-2], line_no)
+    return _parse_int(parts[-1], line_no), is_write, default_icount
+
+
+_PARSERS = {
+    "csv": _csv_record,
+    "gem5": _gem5_record,
+    "pin": _pin_record,
+}
+
+
+def _records(fmt: str, lines: Iterable[str], default_icount: int
+             ) -> Iterator[tuple[int, int, bool, int]]:
+    """``(line_no, addr, is_write, icount)`` per record of ``lines``,
+    skipping blank and ``#`` comment lines."""
+    parse = _PARSERS[fmt]
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            record = parse(line, line_no, default_icount)
+            if record is not None:
+                yield (line_no, *record)
+
+
+def _requests(fmt: str, lines: Iterable[str], default_icount: int
+              ) -> Iterator[MemoryRequest]:
+    for _, addr, is_write, icount in _records(fmt, lines, default_icount):
+        yield MemoryRequest(addr=addr, is_write=is_write, icount=icount)
 
 
 def read_csv_trace(lines: Iterable[str],
@@ -52,23 +128,9 @@ def read_csv_trace(lines: Iterable[str],
     """Parse ``addr,rw[,icount]`` records (header auto-detected).
 
     Raises:
-        ValueError: on malformed rows, with the row number.
+        ValueError: on malformed rows, with the line number.
     """
-    reader = _csv.reader(lines)
-    for line_no, row in enumerate(reader, start=1):
-        if not row or row[0].strip().startswith("#"):
-            continue
-        first = row[0].strip().lower()
-        if first in ("addr", "address"):
-            continue  # header
-        if len(row) < 2:
-            raise ValueError(f"line {line_no}: expected at least "
-                             f"addr,rw — got {row!r}")
-        addr = _parse_addr(row[0], line_no)
-        is_write = _parse_rw(row[1], line_no)
-        icount = int(row[2]) if len(row) > 2 and row[2].strip() \
-            else default_icount
-        yield MemoryRequest(addr=addr, is_write=is_write, icount=icount)
+    return _requests("csv", lines, default_icount)
 
 
 def read_gem5_trace(lines: Iterable[str],
@@ -80,29 +142,7 @@ def read_gem5_trace(lines: Iterable[str],
     kept, everything else is skipped silently (gem5 dumps carry many
     maintenance packets).
     """
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        normalised = line.replace(",", " ").replace(":", " ")
-        tokens = normalised.split()
-        command = None
-        addr_token = None
-        for index, token in enumerate(tokens):
-            lowered = token.lower()
-            if lowered in ("readreq", "read", "readexreq"):
-                command = "r"
-            elif lowered in ("writereq", "write", "writebackdirty"):
-                command = "w"
-            if token.startswith("@"):
-                addr_token = token[1:]
-            elif token.startswith("0x"):
-                addr_token = token
-        if command is None or addr_token is None:
-            continue
-        yield MemoryRequest(addr=_parse_addr(addr_token, line_no),
-                            is_write=command == "w",
-                            icount=default_icount)
+    return _requests("gem5", lines, default_icount)
 
 
 def read_pin_trace(lines: Iterable[str],
@@ -112,30 +152,12 @@ def read_pin_trace(lines: Iterable[str],
     Raises:
         ValueError: on malformed lines.
     """
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.replace(":", " ").split()
-        if len(parts) < 3:
-            raise ValueError(f"line {line_no}: expected "
-                             f"'<ip>: <R|W> <addr>', got {line!r}")
-        is_write = _parse_rw(parts[-2], line_no)
-        addr = _parse_addr(parts[-1], line_no)
-        yield MemoryRequest(addr=addr, is_write=is_write,
-                            icount=default_icount)
-
-
-_READERS = {
-    "csv": read_csv_trace,
-    "gem5": read_gem5_trace,
-    "pin": read_pin_trace,
-}
+    return _requests("pin", lines, default_icount)
 
 
 def import_trace(path: str | Path, fmt: str = "csv",
-                 default_icount: int = 100) -> Iterator[MemoryRequest]:
-    """Stream an external trace file as :class:`MemoryRequest` records.
+                 default_icount: int = 100) -> PackedTrace:
+    """Import an external LLC-miss trace file as a :class:`PackedTrace`.
 
     Args:
         path: Trace file.
@@ -144,30 +166,23 @@ def import_trace(path: str | Path, fmt: str = "csv",
             carries none (pick ``round(1000 / target_mpki)``).
 
     Raises:
-        ValueError: for an unknown format or malformed content.
+        ValueError: for an unknown format, malformed content, or a
+            record the packed layout cannot hold (an unaligned or
+            negative address, a line index beyond 39 bits, a negative
+            icount or one above 2^24-1), naming the file and the line.
     """
-    try:
-        reader = _READERS[fmt]
-    except KeyError:
+    if fmt not in _PARSERS:
         raise ValueError(f"unknown trace format {fmt!r}; "
-                         f"supported: {sorted(_READERS)}") from None
-    with open(path) as fh:
-        yield from reader(fh, default_icount=default_icount)
-
-
-def import_packed_trace(path: str | Path, fmt: str = "csv",
-                        default_icount: int = 100):
-    """Import an external trace directly into packed form.
-
-    Packs the stream as it parses (~9 bytes/request held, no request
-    objects kept), ready for the driver's zero-allocation replay path.
-
-    Raises:
-        ValueError: for an unknown format, malformed content, or
-            records the packed layout cannot represent (unaligned
-            addresses, oversized icount) — import with
-            :func:`import_trace` instead in that case.
-    """
-    from .packed import PackedTrace
-    return PackedTrace.from_requests(
-        import_trace(path, fmt=fmt, default_icount=default_icount))
+                         f"supported: {sorted(_PARSERS)}")
+    data = array("Q")
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        try:
+            for line_no, addr, is_write, icount in _records(
+                    fmt, fh, default_icount):
+                try:
+                    data.append(encode_request(addr, is_write, icount))
+                except ValueError as exc:
+                    raise ValueError(f"line {line_no}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return PackedTrace(data)

@@ -15,12 +15,14 @@ shared memory controller would observe them.
 
 from __future__ import annotations
 
+import bisect
 import heapq
+from array import array
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from ..sim.request import MemoryRequest
-from .spec import SPEC2017, DEFAULT_SCALE, SystemScale, synthetic_spec
+from .packed import ICOUNT_MAX, PackedTrace
+from .spec import DEFAULT_SCALE, SystemScale, synthetic_spec
 from .synthetic import SyntheticSpec, SyntheticTraceGenerator
 
 #: Canonical mixes, one per locality regime the paper's motivation names.
@@ -92,7 +94,7 @@ def build_mix(names: Sequence[str],
 
 
 def mix_trace(members: Sequence[MixMember], n_requests: int,
-              seed: int = 1234) -> Iterator[MemoryRequest]:
+              seed: int = 1234) -> PackedTrace:
     """Interleave member miss streams in miss-rate proportion.
 
     A virtual-time merge: each member advances a clock by
@@ -100,30 +102,44 @@ def mix_trace(members: Sequence[MixMember], n_requests: int,
     emits next — deterministic, starvation-free, and rate-accurate.
     Instruction counts are rescaled so the merged stream's aggregate
     MPKI equals the sum of the members' rates.
+
+    The merge only decides the member order; each member then draws
+    its whole share with
+    :meth:`~repro.traces.synthetic.SyntheticTraceGenerator.generate_packed`
+    and the merged stream takes the members' records in that order.
+
+    Raises:
+        ValueError: for an empty mix, or weights whose merged icount
+            exceeds the packed layout's budget.
     """
     if not members:
         raise ValueError("a mix needs at least one member")
-    total_weight = sum(m.weight for m in members)
-    iterators = []
-    heap: list[tuple[float, int]] = []
-    for index, member in enumerate(members):
-        generator = SyntheticTraceGenerator(member.spec, seed=seed + index)
-        iterators.append(iter(generator))
-        heapq.heappush(heap, (1.0 / member.weight, index))
-    merged_icount = max(1, round(1000.0 / total_weight))
-    emitted = 0
-    while emitted < n_requests:
-        clock, index = heapq.heappop(heap)
-        request = next(iterators[index])
-        yield MemoryRequest(addr=request.addr, is_write=request.is_write,
-                            icount=merged_icount)
-        emitted += 1
-        heapq.heappush(heap, (clock + 1.0 / members[index].weight, index))
+    merged_icount = max(1, round(1000.0 / sum(m.weight for m in members)))
+    if merged_icount > ICOUNT_MAX:
+        raise ValueError(f"merged icount {merged_icount} exceeds the "
+                         f"packed budget")
+    steps = [1.0 / member.weight for member in members]
+    heap = [(step, index) for index, step in enumerate(steps)]
+    heapq.heapify(heap)
+    order: list[int] = []
+    counts = [0] * len(members)
+    for _ in range(n_requests):
+        clock, index = heap[0]
+        heapq.heapreplace(heap, (clock + steps[index], index))
+        order.append(index)
+        counts[index] += 1
+    streams = [iter(SyntheticTraceGenerator(member.spec, seed=seed + index)
+                    .generate_packed(counts[index]).data)
+               for index, member in enumerate(members)]
+    keep = ~(ICOUNT_MAX << 1) & 0xFFFF_FFFF_FFFF_FFFF
+    icount_bits = merged_icount << 1
+    return PackedTrace(array("Q", [next(streams[index]) & keep | icount_bits
+                                   for index in order]))
 
 
 def preset_mix_trace(name: str, n_requests: int,
                      scale: SystemScale = DEFAULT_SCALE,
-                     seed: int = 1234, packed: bool = False):
+                     seed: int = 1234) -> PackedTrace:
     """Materialise one of the canonical :data:`MIX_PRESETS`.
 
     Args:
@@ -131,23 +147,16 @@ def preset_mix_trace(name: str, n_requests: int,
         n_requests: Merged stream length.
         scale: System scale used for footprints.
         seed: Base seed (each member derives its own stream).
-        packed: Return a :class:`~repro.traces.packed.PackedTrace`
-            (8 bytes/request, replayable through the driver's
-            zero-allocation fast path) instead of a request list.
 
     Raises:
         KeyError: for an unknown preset name.
     """
-    members = build_mix(MIX_PRESETS[name], scale)
-    stream = mix_trace(members, n_requests, seed=seed)
-    if packed:
-        from .packed import PackedTrace
-        return PackedTrace.from_requests(stream)
-    return list(stream)
+    return mix_trace(build_mix(MIX_PRESETS[name], scale), n_requests,
+                     seed=seed)
 
 
 def member_share(members: Sequence[MixMember],
-                 trace: Sequence[MemoryRequest]) -> dict[str, float]:
+                 trace: PackedTrace) -> dict[str, float]:
     """Fraction of a merged trace's requests belonging to each member."""
     if not members:
         raise ValueError("a mix needs at least one member")
@@ -155,9 +164,7 @@ def member_share(members: Sequence[MixMember],
     counts = {name: 0 for _, name in regions}
     bases = [base for base, _ in regions]
     names = [name for _, name in regions]
-    import bisect
-    for request in trace:
-        slot = bisect.bisect_right(bases, request.addr) - 1
-        counts[names[slot]] += 1
+    for addr, _, _ in trace.iter_decoded():
+        counts[names[bisect.bisect_right(bases, addr) - 1]] += 1
     total = len(trace) or 1
     return {name: count / total for name, count in counts.items()}

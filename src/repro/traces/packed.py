@@ -10,20 +10,22 @@ campaign wall time alongside the controller loop.  A
 * bits 1..24    — the instruction-count gap (up to ~16.7M);
 * bits 25..63   — the cache-line index (39 bits, 32TB of address space).
 
-The packed form is ~56 bytes/request cheaper than objects, pickles and
-persists as raw bytes behind a JSON header line (:func:`encode_entry` /
-:func:`decode_entry`, used by :mod:`repro.traces.tracecache`), and feeds
-:meth:`~repro.sim.driver.SimulationDriver.run`'s zero-allocation fast
-path, which decodes the integers into one reused
+:class:`PackedTrace` is the simulator's one trace format: every
+miss-stream producer returns one and
+:meth:`~repro.sim.driver.SimulationDriver.run` accepts nothing else.
+It pickles and persists as raw bytes behind a JSON header line
+(:func:`encode_entry` / :func:`decode_entry`, used by
+:mod:`repro.traces.tracecache` and sanitizer reproducers), and the
+driver decodes its integers into one reused
 :class:`~repro.sim.request.MutableRequest` instead of constructing a
-fresh object per miss.  Iterating a :class:`PackedTrace` the ordinary
-way still yields immutable :class:`MemoryRequest` objects, so every
-existing consumer (``summarise``, ``save_trace``, custom loops) keeps
-working unchanged.
+fresh object per miss.  Iterating or indexing a :class:`PackedTrace`
+the ordinary way yields immutable :class:`MemoryRequest` objects, and
+slicing yields a :class:`PackedTrace`, so sequence consumers
+(``summarise``, :mod:`repro.analysis.tracetools`) take it unchanged.
 
 Only line-aligned, line-sized requests whose fields fit the bit budget
-are representable; :func:`pack_trace` raises ``ValueError`` otherwise,
-and callers fall back to the object path.
+are representable; :func:`encode_request` and
+:meth:`PackedTrace.from_requests` raise ``ValueError`` otherwise.
 """
 
 from __future__ import annotations
@@ -52,12 +54,17 @@ def encode_request(addr: int, is_write: bool, icount: int) -> int:
             address, negative fields, or a field exceeding its bit
             budget).
     """
+    if addr < 0:
+        raise ValueError(f"negative address {addr}")
     if addr % CACHE_LINE_BYTES:
-        raise ValueError(f"address {addr:#x} is not cache-line aligned")
+        raise ValueError(
+            f"address {addr:#x} is not cache-line aligned: an LLC-miss "
+            f"stream is line-aligned, so this is not a miss stream "
+            f"(filter raw core accesses through repro.sim.fullstack)")
     line = addr // CACHE_LINE_BYTES
-    if not 0 <= line <= LINE_MAX:
-        raise ValueError(f"line {line} outside the {LINE_MAX.bit_length()}"
-                         f"-bit packed budget")
+    if line > LINE_MAX:
+        raise ValueError(f"line index {line} outside the "
+                         f"{LINE_MAX.bit_length()}-bit packed budget")
     if not 0 <= icount <= ICOUNT_MAX:
         raise ValueError(f"icount {icount} outside the {ICOUNT_BITS}-bit "
                          f"packed budget")
@@ -74,10 +81,10 @@ def decode_value(value: int) -> tuple[int, bool, int]:
 class PackedTrace:
     """A miss stream stored as one unsigned 64-bit integer per request.
 
-    Iterating yields fresh immutable :class:`MemoryRequest` objects
-    (drop-in for any existing trace consumer); :meth:`replay` yields one
-    *reused* :class:`MutableRequest` for the driver's zero-allocation
-    fast path.
+    Iterating (or indexing with an int) yields fresh immutable
+    :class:`MemoryRequest` objects and slicing yields a
+    :class:`PackedTrace`; :meth:`replay` yields one *reused*
+    :class:`MutableRequest` for the driver's zero-allocation loop.
     """
 
     __slots__ = ("data",)
@@ -107,6 +114,14 @@ class PackedTrace:
                     f"got size={request.size}")
             append(encode_request(request.addr, request.is_write,
                                   request.icount))
+        return cls(data)
+
+    @classmethod
+    def concat(cls, traces: Iterable["PackedTrace"]) -> "PackedTrace":
+        """One trace replaying ``traces`` back to back."""
+        data = array("Q")
+        for trace in traces:
+            data.extend(trace.data)
         return cls(data)
 
     @classmethod
@@ -146,13 +161,15 @@ class PackedTrace:
         return len(self.data) * self.data.itemsize
 
     def __iter__(self) -> Iterator[MemoryRequest]:
-        icount_mask = ICOUNT_MAX
-        line_bytes = CACHE_LINE_BYTES
-        shift = LINE_SHIFT
-        for value in self.data:
-            yield MemoryRequest(addr=(value >> shift) * line_bytes,
-                                is_write=bool(value & 1),
-                                icount=(value >> 1) & icount_mask)
+        for addr, is_write, icount in self.iter_decoded():
+            yield MemoryRequest(addr=addr, is_write=is_write, icount=icount)
+
+    def __getitem__(self, index: int | slice
+                    ) -> "MemoryRequest | PackedTrace":
+        if isinstance(index, slice):
+            return PackedTrace(self.data[index])
+        addr, is_write, icount = decode_value(self.data[index])
+        return MemoryRequest(addr=addr, is_write=is_write, icount=icount)
 
     def iter_decoded(self) -> Iterator[tuple[int, bool, int]]:
         """Yield ``(addr, is_write, icount)`` tuples (no objects built)."""
@@ -180,10 +197,6 @@ class PackedTrace:
             request.is_write = bool(value & 1)
             request.icount = (value >> 1) & icount_mask
             yield request
-
-    def to_requests(self) -> list[MemoryRequest]:
-        """Materialise the stream as immutable request objects."""
-        return list(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PackedTrace):
@@ -232,13 +245,3 @@ def decode_entry(data: bytes) -> PackedTrace:
         raise ValueError(f"trace entry header count {count!r} does not "
                          f"match its {len(payload)}-byte payload")
     return PackedTrace.frombytes(payload)
-
-
-def pack_trace(requests: Iterable[MemoryRequest]) -> PackedTrace:
-    """Pack any iterable of requests into a :class:`PackedTrace`.
-
-    Raises:
-        ValueError: when a request is not representable in the packed
-            layout (keep the object path for such traces).
-    """
-    return PackedTrace.from_requests(requests)

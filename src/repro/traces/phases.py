@@ -22,13 +22,12 @@ so data placed during one phase is exactly the data the next phase finds
 
 from __future__ import annotations
 
-import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
-from ..sim.request import MemoryRequest
-from .spec import DEFAULT_SCALE, SPEC2017, SystemScale, synthetic_spec
+from .packed import PackedTrace
+from .spec import DEFAULT_SCALE, SystemScale, synthetic_spec
 from .synthetic import SyntheticSpec, SyntheticTraceGenerator, derive_seed
 
 
@@ -68,26 +67,19 @@ class PhaseSchedule:
     def total_requests(self) -> int:
         return self.cycles * sum(p.requests for p in self.phases)
 
-    def generate(self) -> Iterator[MemoryRequest]:
-        """Emit the full schedule as one lazy request stream.
-
-        Phases stream through :func:`itertools.islice` (constant
-        memory) — a long schedule never materialises a whole phase of
-        request objects at once.
+    def generate(self) -> PackedTrace:
+        """Emit the full schedule as one packed trace.
 
         Each phase instance's RNG derives from a hash mix of the base
         seed and the instance index (``seed + instance`` collided
         across neighbouring schedule seeds).
         """
-        instance = 0
-        for _ in range(self.cycles):
-            for phase in self.phases:
-                generator = SyntheticTraceGenerator(
-                    phase.spec,
-                    seed=derive_seed("phase-schedule", self.seed, instance))
-                yield from itertools.islice(iter(generator),
-                                            phase.requests)
-                instance += 1
+        return PackedTrace.concat(
+            SyntheticTraceGenerator(
+                phase.spec,
+                seed=derive_seed("phase-schedule", self.seed, instance)
+            ).generate_packed(phase.requests)
+            for instance, phase in enumerate(self.phases * self.cycles))
 
     def boundaries(self) -> list[int]:
         """Request indices at which a new phase begins (excluding 0)."""
@@ -182,7 +174,7 @@ def windowed_hit_rates(controller, schedule: PhaseSchedule,
     hits = 0
     count = 0
     samples: list[float] = []
-    for request in schedule.generate():
+    for request in schedule.generate().replay():
         now += cpu.compute_ns(request.icount)
         result = controller.access(request, now)
         now += cpu.stall_ns(result.latency_ns)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..mem.timing import GIB, MIB
+from .packed import PackedTrace
 from .synthetic import SyntheticSpec, SyntheticTraceGenerator
 
 
@@ -152,8 +153,8 @@ def synthetic_spec(name: str, scale: SystemScale = DEFAULT_SCALE
 
 def workload_trace(name: str, n_requests: int,
                    scale: SystemScale = DEFAULT_SCALE,
-                   seed: int = 1234) -> list:
+                   seed: int = 1234) -> PackedTrace:
     """Materialise ``n_requests`` of one benchmark's miss stream."""
     generator = SyntheticTraceGenerator(synthetic_spec(name, scale),
                                         seed=seed)
-    return generator.generate(n_requests)
+    return generator.generate_packed(n_requests)

@@ -227,12 +227,11 @@ class SyntheticTraceGenerator:
         Consumes the RNG in exactly the order of :meth:`__iter__`
         (address draw, then write draw), so the packed stream decodes to
         the byte-identical ``(addr, is_write, icount)`` sequence the
-        object path yields for the same seed.
+        reference :meth:`__iter__` yields for the same seed.
 
         Raises:
             ValueError: when the spec is not representable in the packed
-                layout (address or icount beyond the bit budget); use
-                :meth:`generate` for such traces.
+                layout (address or icount beyond the bit budget).
         """
         spec = self.spec
         icount = spec.icount_per_miss
@@ -259,20 +258,19 @@ class SyntheticTraceGenerator:
 
 def phase_shift_trace(spec_a: SyntheticSpec, spec_b: SyntheticSpec,
                       n_per_phase: int, phases: int = 2,
-                      seed: int = 1234) -> Iterator[MemoryRequest]:
+                      seed: int = 1234) -> PackedTrace:
     """Alternate between two workload behaviours (phase-change stress).
 
     Exercises Bumblebee's claim that the cHBM:mHBM ratio adapts *at
-    runtime* — each phase flips the dominant locality pattern.  Phases
-    stream lazily (constant memory): nothing is materialised, so long
-    phase-change runs never hold a whole phase of request objects.
+    runtime* — each phase flips the dominant locality pattern.
 
     Each phase's RNG derives from a hash mix of the base seed and the
     phase index (not ``seed + phase``, whose collisions made e.g.
     (seed=4, phase=1) replay (seed=5, phase=0)'s stream exactly).
     """
-    for phase in range(phases):
-        spec = spec_a if phase % 2 == 0 else spec_b
-        generator = SyntheticTraceGenerator(
-            spec, seed=derive_seed("phase-shift", seed, phase))
-        yield from itertools.islice(iter(generator), n_per_phase)
+    return PackedTrace.concat(
+        SyntheticTraceGenerator(
+            spec_a if phase % 2 == 0 else spec_b,
+            seed=derive_seed("phase-shift", seed, phase)
+        ).generate_packed(n_per_phase)
+        for phase in range(phases))

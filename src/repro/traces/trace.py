@@ -1,54 +1,16 @@
-"""Trace record plumbing: materialisation, persistence, and slicing.
+"""Trace statistics: the summary the harness and the CLI print.
 
-A trace is any iterable of :class:`~repro.sim.request.MemoryRequest`.  This
-module adds the conveniences the harness needs: materialising generator
-output once so several controllers replay the identical stream, saving and
-loading traces as a compact text format, and summarising trace statistics
-(distinct footprint, write fraction, implied MPKI).
+:func:`summarise` reduces a :class:`~repro.traces.packed.PackedTrace`
+to its distinct footprint, write fraction and implied MPKI in one pass
+over the decoded integer stream (no request objects are built).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Iterator
 
-from ..sim.request import CACHE_LINE_BYTES, MemoryRequest
+from ..sim.request import CACHE_LINE_BYTES
 from .packed import PackedTrace
-
-
-def take(trace: Iterable[MemoryRequest], n: int) -> list[MemoryRequest]:
-    """Materialise the first ``n`` requests of a trace."""
-    return list(itertools.islice(trace, n))
-
-
-def save_trace(trace: Iterable[MemoryRequest], path: str | Path) -> int:
-    """Write a trace as ``addr is_write icount`` lines.
-
-    Returns:
-        The number of records written.
-    """
-    count = 0
-    with open(path, "w") as fh:
-        for request in trace:
-            fh.write(f"{request.addr:x} {int(request.is_write)} "
-                     f"{request.icount}\n")
-            count += 1
-    return count
-
-
-def load_trace(path: str | Path) -> Iterator[MemoryRequest]:
-    """Stream a trace previously written by :func:`save_trace`."""
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(
-                    f"{path}:{line_no}: expected 3 fields, got {len(parts)}")
-            yield MemoryRequest(addr=int(parts[0], 16),
-                                is_write=bool(int(parts[1])),
-                                icount=int(parts[2]))
 
 
 @dataclass(frozen=True)
@@ -74,42 +36,22 @@ class TraceSummary:
         return self.requests * 1000.0 / self.instructions
 
 
-def summarise(trace: Iterable[MemoryRequest]) -> TraceSummary:
-    """Single-pass summary of a trace.
-
-    Packed traces are summarised from their decoded integer stream
-    (no request objects are built).
-    """
+def summarise(trace: PackedTrace) -> TraceSummary:
+    """Single-pass summary of a packed trace."""
     lines: set[int] = set()
+    add_line = lines.add
     requests = 0
     instructions = 0
     writes = 0
     max_addr = 0
-    if isinstance(trace, PackedTrace):
-        add_line = lines.add
-        for addr, is_write, icount in trace.iter_decoded():
-            requests += 1
-            instructions += icount
-            if is_write:
-                writes += 1
-            add_line(addr // CACHE_LINE_BYTES)
-            if addr > max_addr:
-                max_addr = addr
-        return TraceSummary(
-            requests=requests,
-            instructions=instructions,
-            distinct_lines=len(lines),
-            write_fraction=writes / requests if requests else 0.0,
-            max_addr=max_addr,
-        )
-    for request in trace:
+    for addr, is_write, icount in trace.iter_decoded():
         requests += 1
-        instructions += request.icount
-        if request.is_write:
+        instructions += icount
+        if is_write:
             writes += 1
-        lines.add(request.line)
-        if request.addr > max_addr:
-            max_addr = request.addr
+        add_line(addr // CACHE_LINE_BYTES)
+        if addr > max_addr:
+            max_addr = addr
     return TraceSummary(
         requests=requests,
         instructions=instructions,
@@ -117,22 +59,3 @@ def summarise(trace: Iterable[MemoryRequest]) -> TraceSummary:
         write_fraction=writes / requests if requests else 0.0,
         max_addr=max_addr,
     )
-
-
-def interleave(traces: list[Iterable[MemoryRequest]],
-               chunk: int = 64) -> Iterator[MemoryRequest]:
-    """Round-robin interleave several traces (multi-programmed mixes).
-
-    Each stream contributes ``chunk`` consecutive requests per turn until
-    every stream is exhausted.
-    """
-    iterators = [iter(t) for t in traces]
-    alive = list(range(len(iterators)))
-    while alive:
-        finished: list[int] = []
-        for idx in alive:
-            emitted = list(itertools.islice(iterators[idx], chunk))
-            yield from emitted
-            if len(emitted) < chunk:
-                finished.append(idx)
-        alive = [i for i in alive if i not in finished]

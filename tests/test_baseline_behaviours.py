@@ -6,7 +6,7 @@ import pytest
 from repro.baselines import make_controller
 from repro.mem import ddr4_3200_config, hbm2_config
 from repro.sim import MemoryRequest, SimulationDriver
-from repro.traces import SyntheticSpec, SyntheticTraceGenerator
+from repro.traces import PackedTrace, SyntheticSpec, SyntheticTraceGenerator
 
 MIB = 1 << 20
 HBM = hbm2_config(8 * MIB)
@@ -24,7 +24,7 @@ def pattern(spatial, temporal, n=12000, footprint_mb=16, hot=0.1,
             seed=21):
     spec = SyntheticSpec("p", footprint_mb * MIB, spatial, temporal,
                          mpki=16.0, hot_fraction=hot)
-    return SyntheticTraceGenerator(spec, seed=seed).generate(n)
+    return SyntheticTraceGenerator(spec, seed=seed).generate_packed(n)
 
 
 class TestAlloyCharacter:
@@ -36,8 +36,8 @@ class TestAlloyCharacter:
 
     def test_no_spatial_benefit(self):
         """A pure streaming pattern never hits (no prefetch at 64B)."""
-        trace = [MemoryRequest(addr=i * 64, icount=62)
-                 for i in range(8000)]
+        trace = PackedTrace.from_requests(
+            MemoryRequest(addr=i * 64, icount=62) for i in range(8000))
         _, result = run("AlloyCache", trace)
         assert result.hbm_hit_rate < 0.05
 

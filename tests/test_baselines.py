@@ -27,7 +27,7 @@ def run_trace(controller, n=4000, spatial=0.5, temporal=0.7,
               footprint_mb=16):
     spec = SyntheticSpec("t", footprint_mb * MIB, spatial, temporal,
                          mpki=16.0, hot_fraction=0.1)
-    trace = SyntheticTraceGenerator(spec, seed=11).generate(n)
+    trace = SyntheticTraceGenerator(spec, seed=11).generate_packed(n)
     return SimulationDriver().run(controller, trace, workload="t")
 
 

@@ -261,7 +261,7 @@ class TestEndToEnd:
         controller = make_controller()
         spec = SyntheticSpec("load", footprint_bytes=24 * MIB,
                              spatial=spatial, temporal=temporal, mpki=16.0)
-        trace = SyntheticTraceGenerator(spec, seed=9).generate(8000)
+        trace = SyntheticTraceGenerator(spec, seed=9).generate_packed(8000)
         driver = SimulationDriver()
         result = driver.run(controller, trace, workload="load")
         controller.check_invariants()
@@ -272,7 +272,7 @@ class TestEndToEnd:
         from repro.baselines import NoHBMController
         spec = SyntheticSpec("hot", footprint_bytes=4 * MIB, spatial=0.8,
                              temporal=0.9, mpki=20.0, hot_fraction=0.3)
-        trace = SyntheticTraceGenerator(spec, seed=3).generate(20000)
+        trace = SyntheticTraceGenerator(spec, seed=3).generate_packed(20000)
         driver = SimulationDriver()
         base = driver.run(NoHBMController(ddr4_3200_config(80 * MIB)),
                           trace, workload="hot")
@@ -287,7 +287,7 @@ class TestEndToEnd:
     def test_deterministic_replay(self):
         spec = SyntheticSpec("det", footprint_bytes=8 * MIB, spatial=0.5,
                              temporal=0.5, mpki=10.0)
-        trace = SyntheticTraceGenerator(spec, seed=5).generate(5000)
+        trace = SyntheticTraceGenerator(spec, seed=5).generate_packed(5000)
         driver = SimulationDriver()
         a = driver.run(make_controller(), trace, workload="det")
         b = driver.run(make_controller(), trace, workload="det")

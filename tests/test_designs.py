@@ -110,7 +110,7 @@ def legacy_make_controller(name, hbm_config, dram_config,
 def run_trace(controller, n=1200, seed=11):
     spec = SyntheticSpec("t", 16 * MIB, 0.5, 0.7, mpki=16.0,
                          hot_fraction=0.1)
-    trace = SyntheticTraceGenerator(spec, seed=seed).generate(n)
+    trace = SyntheticTraceGenerator(spec, seed=seed).generate_packed(n)
     return SimulationDriver().run(controller, trace, workload="t")
 
 

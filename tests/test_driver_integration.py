@@ -8,7 +8,7 @@ from repro.baselines import NoHBMController, make_controller
 from repro.core import BumblebeeController
 from repro.mem import ddr4_3200_config, hbm2_config
 from repro.sim import CpuModel, MemoryRequest, SimulationDriver
-from repro.traces import SyntheticSpec, SyntheticTraceGenerator
+from repro.traces import PackedTrace, SyntheticSpec, SyntheticTraceGenerator
 
 MIB = 1 << 20
 HBM = hbm2_config(8 * MIB)
@@ -20,7 +20,7 @@ def trace_of(n, footprint_mb=16, seed=3, **kwargs):
                          kwargs.pop("spatial", 0.6),
                          kwargs.pop("temporal", 0.6),
                          kwargs.pop("mpki", 16.0), **kwargs)
-    return SyntheticTraceGenerator(spec, seed=seed).generate(n)
+    return SyntheticTraceGenerator(spec, seed=seed).generate_packed(n)
 
 
 class TestDriver:
@@ -89,8 +89,9 @@ class TestDriver:
     def test_page_fault_penalty_charged(self):
         driver = SimulationDriver()
         beyond = DRAM.geometry.capacity_bytes + (1 << 20)
-        trace = [MemoryRequest(addr=beyond + i * 64, icount=100)
-                 for i in range(100)]
+        trace = PackedTrace.from_requests(
+            MemoryRequest(addr=beyond + i * 64, icount=100)
+            for i in range(100))
         result = driver.run(NoHBMController(DRAM), trace, workload="w")
         assert result.controller_stats.get("page_faults") == 100
         assert result.avg_latency_ns > NoHBMController.PAGE_FAULT_NS
@@ -146,7 +147,7 @@ class TestPropertyBased:
     def test_bumblebee_invariants_hold_for_any_locality(self, spatial,
                                                         temporal, seed):
         spec = SyntheticSpec("p", 8 * MIB, spatial, temporal, mpki=16.0)
-        trace = SyntheticTraceGenerator(spec, seed=seed).generate(1200)
+        trace = SyntheticTraceGenerator(spec, seed=seed).generate_packed(1200)
         controller = BumblebeeController(HBM, DRAM)
         SimulationDriver().run(controller, trace, workload="p")
         controller.check_invariants()

@@ -64,7 +64,7 @@ class TestPrefetch:
     def test_prefetch_improves_sequential_hit_rate(self):
         spec = SyntheticSpec("seq", 16 * MIB, spatial=0.95, temporal=0.1,
                              mpki=16.0)
-        trace = SyntheticTraceGenerator(spec, seed=2).generate(12000)
+        trace = SyntheticTraceGenerator(spec, seed=2).generate_packed(12000)
         plain = SimulationDriver().run(self.make(0), trace, workload="s")
         prefetched = SimulationDriver().run(self.make(2), trace,
                                             workload="s")

@@ -1,6 +1,12 @@
 """Tests for trace importers and controller telemetry."""
 
+import re
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     BumblebeeController,
@@ -9,6 +15,7 @@ from repro.core import (
 )
 from repro.mem import ddr4_3200_config, hbm2_config
 from repro.traces import (
+    PackedTrace,
     import_trace,
     read_csv_trace,
     read_gem5_trace,
@@ -88,14 +95,16 @@ class TestImportTrace:
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("addr,rw\n0x40,R\n0x80,W\n")
-        requests = list(import_trace(path, fmt="csv"))
-        assert len(requests) == 2
+        trace = import_trace(path, fmt="csv")
+        assert isinstance(trace, PackedTrace)
+        assert [(r.addr, r.is_write, r.icount) for r in trace] \
+            == [(0x40, False, 100), (0x80, True, 100)]
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "t.bin"
         path.write_text("")
         with pytest.raises(ValueError, match="unknown trace format"):
-            list(import_trace(path, fmt="vtune"))
+            import_trace(path, fmt="vtune")
 
     def test_imported_trace_drives_controller(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -109,6 +118,98 @@ class TestImportTrace:
             controller, import_trace(path), workload="imported")
         assert result.requests == 500
         controller.check_invariants()
+
+
+class TestImportTrustBoundary:
+    """A record the packed layout cannot hold is a typed error naming
+    the file and the line, never a plausible result."""
+
+    @pytest.mark.parametrize("row, reason", [
+        ("0x40,R,abc", "bad icount"),
+        ("0x40,R,-5", "icount -5"),
+        ("-64,R,5", "negative address"),
+        ("0x41,R,5", "not cache-line aligned"),
+        ("0x40,R,16777216", "icount 16777216"),
+        (f"{(1 << 39) * 64},R,5", "packed budget"),
+    ])
+    def test_unrepresentable_record_names_its_line(self, tmp_path, row,
+                                                   reason):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"addr,rw,icount\n0x80,W,7\n{row}\n")
+        with pytest.raises(ValueError, match=f"line 3: .*{reason}") as exc:
+            import_trace(path)
+        assert str(path) in str(exc.value)
+
+    def test_unaligned_points_at_full_stack(self, tmp_path):
+        path = tmp_path / "core.csv"
+        path.write_text("0x40,R,-5000\n0x41,W,7\n-64,R,3\n")
+        with pytest.raises(ValueError, match="line 1"):
+            import_trace(path)
+        path.write_text("0x40,R,5000\n0x41,W,7\n")
+        with pytest.raises(ValueError,
+                           match="line 2: .*not a miss stream.*fullstack"):
+            import_trace(path)
+
+
+_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126),
+                max_size=24)
+_ADDR = st.one_of(st.integers(-4, 1 << 40).map(lambda line: line * 64),
+                  st.integers(-(1 << 10), 1 << 46))
+_ADDR_TOKEN = st.one_of(_ADDR.map(str), _ADDR.map(hex))
+_RW = st.sampled_from(["R", "W", "r", "write", "0", "1", "x"])
+_ICOUNT = st.one_of(st.integers(-3, (1 << 24) + 3).map(str),
+                    st.just(""), _TEXT)
+_LINES = {
+    "csv": st.one_of(
+        st.builds("{},{},{}".format, _ADDR_TOKEN, _RW, _ICOUNT),
+        st.builds("{},{}".format, _ADDR_TOKEN, _RW), _TEXT),
+    "gem5": st.one_of(
+        st.builds("{}: mem_ctrl: {} @{} size 64".format,
+                  st.integers(0, 10 ** 6),
+                  st.sampled_from(["ReadReq", "WriteReq", "ReadExReq",
+                                   "WritebackDirty", "PrefetchReq"]),
+                  _ADDR_TOKEN),
+        _TEXT),
+    "pin": st.one_of(
+        st.builds("{}: {} {}".format, _ADDR.map(hex), _RW, _ADDR_TOKEN),
+        _TEXT),
+}
+_READERS = {"csv": read_csv_trace, "gem5": read_gem5_trace,
+            "pin": read_pin_trace}
+
+
+def _import_or_name_a_line(fmt: str, lines: list[str]) -> None:
+    """``import_trace`` returns a trace whose every record decodes back
+    to the parser's record, or raises ``ValueError`` naming a line of
+    the file; nothing else escapes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"trace.{fmt}"
+        path.write_text("".join(line + "\n" for line in lines))
+        try:
+            trace = import_trace(path, fmt=fmt, default_icount=62)
+        except ValueError as exc:
+            named = re.search(r"line (\d+)", str(exc))
+            assert named and 1 <= int(named.group(1)) <= len(lines), exc
+            return
+    assert isinstance(trace, PackedTrace)
+    assert list(trace) == list(_READERS[fmt](lines, default_icount=62))
+
+
+class TestImporterFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_LINES["csv"], max_size=8))
+    def test_csv(self, lines):
+        _import_or_name_a_line("csv", lines)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_LINES["gem5"], max_size=8))
+    def test_gem5(self, lines):
+        _import_or_name_a_line("gem5", lines)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_LINES["pin"], max_size=8))
+    def test_pin(self, lines):
+        _import_or_name_a_line("pin", lines)
 
 
 class TestTelemetry:

@@ -75,7 +75,7 @@ class TestMemPod:
 def golden_trace():
     spec = SyntheticSpec("golden", 4 * MIB, spatial=0.6, temporal=0.7,
                          mpki=16.0, hot_fraction=0.2)
-    return SyntheticTraceGenerator(spec, seed=42).generate(4000)
+    return SyntheticTraceGenerator(spec, seed=42).generate_packed(4000)
 
 
 class TestGoldenValues:

@@ -55,19 +55,19 @@ class TestBuildMix:
 class TestMixTrace:
     def test_exact_request_count(self):
         members = build_mix(["mcf", "wrf"])
-        trace = list(mix_trace(members, 5000))
+        trace = mix_trace(members, 5000)
         assert len(trace) == 5000
 
     def test_shares_proportional_to_mpki(self):
         members = build_mix(["mcf", "leela"])  # 16.1 vs 0.1 MPKI
-        trace = list(mix_trace(members, 8000))
+        trace = mix_trace(members, 8000)
         shares = member_share(members, trace)
         assert shares["mcf#0"] > 0.9
         assert shares["leela#1"] < 0.1
 
     def test_addresses_stay_in_member_regions(self):
         members = build_mix(["mcf", "wrf"])
-        trace = list(mix_trace(members, 4000))
+        trace = mix_trace(members, 4000)
         boundary = members[1].spec.base_addr
         for request in trace:
             member = members[0] if request.addr < boundary else members[1]
@@ -76,19 +76,19 @@ class TestMixTrace:
 
     def test_deterministic(self):
         members = build_mix(["mcf", "wrf"])
-        a = list(mix_trace(members, 2000, seed=5))
-        b = list(mix_trace(build_mix(["mcf", "wrf"]), 2000, seed=5))
+        a = mix_trace(members, 2000, seed=5)
+        b = mix_trace(build_mix(["mcf", "wrf"]), 2000, seed=5)
         assert a == b
 
     def test_merged_icount_reflects_aggregate_mpki(self):
         members = build_mix(["roms", "lbm"])  # 31.9 + 31.4 MPKI
-        trace = list(mix_trace(members, 1000))
+        trace = mix_trace(members, 1000)
         expected = max(1, round(1000.0 / (31.9 + 31.4)))
         assert all(r.icount == expected for r in trace)
 
     def test_empty_members_rejected(self):
         with pytest.raises(ValueError):
-            list(mix_trace([], 100))
+            mix_trace([], 100)
 
 
 class TestPresets:

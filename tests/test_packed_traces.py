@@ -1,11 +1,10 @@
-"""The packed trace engine: encoding, the on-disk trace cache, and the
-driver's zero-allocation replay path.
+"""The packed trace engine: encoding, the on-disk trace cache, the
+producers' pinned bytes, and the driver's zero-allocation replay path.
 
 The contract under test mirrors ``tests/test_parallel.py``'s: packed
-streams must be *bit-identical* to the object streams they replace —
-same addresses, same write flags, same icounts, and therefore exactly
-equal :class:`SimResult`s on every baseline design — across processes,
-across the on-disk cache, and across the replay fast path.
+streams must be *bit-identical* to the reference generator's request
+objects — same addresses, same write flags, same icounts — across
+processes, across the on-disk cache, and across every producer.
 """
 
 import dataclasses
@@ -19,14 +18,17 @@ import pytest
 
 from repro import ExperimentConfig, ExperimentHarness
 from repro.analysis.resultcache import ResultCache
-from repro.baselines import FIGURE8_DESIGNS, make_controller
-from repro.sim.driver import SimResult, SimulationDriver
+from repro.sim.driver import SimResult
 from repro.sim.request import CACHE_LINE_BYTES, MemoryRequest, MutableRequest
 from repro.traces import (
+    MIX_PRESETS,
     SyntheticTraceGenerator,
     TraceCache,
+    build_mix,
+    mix_trace,
     phase_shift_trace,
     synthetic_spec,
+    table2_phases,
 )
 from repro.traces.packed import (
     ICOUNT_MAX,
@@ -90,7 +92,10 @@ class TestGeneratorIdentity:
 
     def test_iter_yields_equal_requests(self):
         packed = SyntheticTraceGenerator(SPEC, seed=11).generate_packed(50)
-        assert list(packed) == packed.to_requests()
+        assert list(packed) == [packed[i] for i in range(len(packed))]
+        assert list(packed) == [MemoryRequest(addr, is_write, icount)
+                                for addr, is_write, icount
+                                in packed.iter_decoded()]
 
     def test_replay_reuses_one_request(self):
         packed = SyntheticTraceGenerator(SPEC, seed=3).generate_packed(100)
@@ -116,32 +121,41 @@ class TestGeneratorIdentity:
         assert streamed == expected
 
 
-class TestSimResultIdentity:
-    def test_every_design_bit_identical(self):
-        """Packed replay == object path for all of repro.baselines."""
-        config = ExperimentConfig(requests=1200, warmup=400,
-                                  workloads=("mcf",))
-        harness = ExperimentHarness(config)
-        spec = synthetic_spec("mcf", config.scale)
-        n = config.requests + config.warmup
-        objects = SyntheticTraceGenerator(spec,
-                                          seed=config.seed).generate(n)
-        packed = SyntheticTraceGenerator(
-            spec, seed=config.seed).generate_packed(n)
-        driver = SimulationDriver(config.cpu)
-        for design in list(FIGURE8_DESIGNS) + ["No-HBM"]:
-            from_objects = driver.run(
-                make_controller(design, harness.hbm_config,
-                                harness.dram_config,
-                                sram_bytes=config.scale.sram_bytes),
-                objects, workload="mcf", warmup=config.warmup)
-            from_packed = driver.run(
-                make_controller(design, harness.hbm_config,
-                                harness.dram_config,
-                                sram_bytes=config.scale.sram_bytes),
-                packed, workload="mcf", warmup=config.warmup)
-            assert from_objects == from_packed, design
+def _digest(trace: PackedTrace) -> str:
+    return hashlib.sha256(trace.tobytes()).hexdigest()[:16]
 
+
+class TestProducerBytes:
+    """Every composite miss-stream producer's bytes, pinned.
+
+    The digests were computed by packing (``PackedTrace.from_requests``)
+    the request-object streams these producers returned before they
+    built packed traces themselves, so the producers' output is
+    unchanged by that move.
+    """
+
+    @pytest.mark.parametrize("preset, digest", [
+        ("mix-aggressor", "9a67292ef5fa1c2e"),
+        ("mix-bandwidth", "6fc7fca0012ed995"),
+        ("mix-capacity", "da7ee44138daa9d2"),
+        ("mix-fig1", "d3e1e28ab5a03406"),
+    ])
+    def test_mix_trace(self, preset, digest):
+        trace = mix_trace(build_mix(MIX_PRESETS[preset]), 2000, seed=5)
+        assert _digest(trace) == digest
+
+    def test_phase_shift_trace(self):
+        trace = phase_shift_trace(synthetic_spec("mcf"),
+                                  synthetic_spec("wrf"), 500, phases=4,
+                                  seed=5)
+        assert _digest(trace) == "f95263fabf5eb419"
+
+    def test_phase_schedule(self):
+        trace = table2_phases("mcf", 500, cycles=2).generate()
+        assert _digest(trace) == "0dee1864f32d3849"
+
+
+class TestSimResultIdentity:
     def test_simresult_record_roundtrip(self):
         harness = ExperimentHarness(FAST)
         result = harness.baseline("leela")

@@ -24,6 +24,7 @@ from repro.designs import DesignSpec, registry
 from repro.exec import run_cells
 from repro.exec.backends import resolve_jobs
 from repro.sim.driver import SimulationDriver
+from repro.traces.packed import PackedTrace
 from repro.traces.spec import SPEC2017
 
 FAST = ExperimentConfig(requests=1500, warmup=500,
@@ -316,7 +317,8 @@ class TestZeroRequestRuns:
         harness = ExperimentHarness(FAST)
         controller = make_controller("No-HBM", harness.hbm_config,
                                      harness.dram_config)
-        result = SimulationDriver().run(controller, [], workload="empty")
+        result = SimulationDriver().run(controller, PackedTrace(),
+                                        workload="empty")
         assert result.requests == 0
         assert result.elapsed_ns == 0.0
 
@@ -324,6 +326,7 @@ class TestZeroRequestRuns:
         harness = ExperimentHarness(FAST)
         controller = make_controller("No-HBM", harness.hbm_config,
                                      harness.dram_config)
-        result = SimulationDriver().run(controller, [], workload="empty")
+        result = SimulationDriver().run(controller, PackedTrace(),
+                                        workload="empty")
         with pytest.raises(ValueError, match="no IPC"):
             result.ipc

@@ -8,39 +8,44 @@ from repro.traces import (
     MPKI_GROUPS,
     PAPER_SCALE,
     SPEC2017,
+    PackedTrace,
     SyntheticSpec,
     SyntheticTraceGenerator,
     SystemScale,
-    interleave,
-    load_trace,
     phase_shift_trace,
-    save_trace,
     summarise,
     synthetic_spec,
-    take,
     workload_trace,
 )
+from repro.traces.packed import decode_entry, encode_entry
 
 
 class TestTraceIO:
+    """A trace persists as one :func:`encode_entry` entry, the format
+    the trace cache and sanitizer reproducers share."""
+
     def test_save_load_roundtrip(self, tmp_path):
-        trace = [MemoryRequest(addr=i * 64, is_write=i % 2 == 0, icount=50)
-                 for i in range(20)]
-        path = tmp_path / "trace.txt"
-        assert save_trace(trace, path) == 20
-        loaded = list(load_trace(path))
-        assert loaded == trace
+        requests = [MemoryRequest(addr=i * 64, is_write=i % 2 == 0,
+                                  icount=50) for i in range(20)]
+        path = tmp_path / "trace.bin"
+        path.write_bytes(encode_entry(PackedTrace.from_requests(requests)))
+        loaded = decode_entry(path.read_bytes())
+        assert len(loaded) == 20
+        assert list(loaded) == requests
 
     def test_load_rejects_malformed(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("deadbeef 1\n")
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"deadbeef 1\n")
         with pytest.raises(ValueError):
-            list(load_trace(path))
+            decode_entry(path.read_bytes())
 
     def test_take(self):
         spec = SyntheticSpec("t", 1 << 20, 0.5, 0.5, 10.0)
-        generator = SyntheticTraceGenerator(spec)
-        assert len(take(iter(generator), 100)) == 100
+        trace = SyntheticTraceGenerator(spec).generate_packed(300)
+        head = trace[:100]
+        assert isinstance(head, PackedTrace) and len(head) == 100
+        assert list(head) == SyntheticTraceGenerator(spec).generate(100)
+        assert trace[-1] == list(trace)[-1]
 
 
 class TestSummarise:
@@ -60,15 +65,6 @@ class TestSummarise:
         trace = workload_trace("mcf", 20000)
         summary = summarise(trace)
         assert summary.max_addr < spec.footprint_bytes
-
-
-class TestInterleave:
-    def test_preserves_all_requests(self):
-        a = [MemoryRequest(addr=i * 64) for i in range(10)]
-        b = [MemoryRequest(addr=(1000 + i) * 64) for i in range(25)]
-        mixed = list(interleave([a, b], chunk=4))
-        assert len(mixed) == 35
-        assert {r.addr for r in mixed} == {r.addr for r in a + b}
 
 
 class TestSyntheticSpec:
@@ -141,24 +137,24 @@ class TestGenerator:
     def test_phase_shift_concatenates(self):
         a = SyntheticSpec("a", 1 << 20, 0.9, 0.9, 10.0)
         b = SyntheticSpec("b", 1 << 20, 0.1, 0.1, 10.0)
-        trace = list(phase_shift_trace(a, b, n_per_phase=100, phases=4))
-        assert len(trace) == 400
+        trace = phase_shift_trace(a, b, n_per_phase=100, phases=4)
+        assert isinstance(trace, PackedTrace) and len(trace) == 400
 
     def test_phase_seeds_do_not_collide(self):
         # Regression: per-phase seeding used ``seed + phase``, so
         # (seed=4, phase=1) replayed (seed=5, phase=0)'s stream exactly.
         spec = SyntheticSpec("a", 1 << 20, 0.9, 0.9, 10.0)
-        later_phase = list(phase_shift_trace(
-            spec, spec, n_per_phase=200, phases=2, seed=4))[200:]
-        first_phase = list(phase_shift_trace(
-            spec, spec, n_per_phase=200, phases=1, seed=5))
+        later_phase = phase_shift_trace(
+            spec, spec, n_per_phase=200, phases=2, seed=4)[200:]
+        first_phase = phase_shift_trace(
+            spec, spec, n_per_phase=200, phases=1, seed=5)
         assert later_phase != first_phase
 
     def test_phase_shift_deterministic(self):
         a = SyntheticSpec("a", 1 << 20, 0.9, 0.9, 10.0)
         b = SyntheticSpec("b", 1 << 20, 0.1, 0.1, 10.0)
-        first = list(phase_shift_trace(a, b, n_per_phase=50, phases=3))
-        again = list(phase_shift_trace(a, b, n_per_phase=50, phases=3))
+        first = phase_shift_trace(a, b, n_per_phase=50, phases=3)
+        again = phase_shift_trace(a, b, n_per_phase=50, phases=3)
         assert first == again
 
     def test_derive_seed_mixes_all_parts(self):

@@ -449,14 +449,15 @@ class TestFallback:
         assert driver.last_fallback_reason == "design-not-batch-capable"
         assert vector == scalar
 
-    def test_object_stream_stays_scalar(self):
+    def test_request_list_rejected(self):
+        """The driver replays PackedTrace only: a request list (or any
+        other iterable) is a TypeError pointing at the packer."""
         harness = ExperimentHarness(CONFIG)
         trace = _trace(harness, n=600)
-        result, driver = _run(harness, "Ideal", iter(trace), "vector",
-                              warmup=200)
-        assert driver.last_engine == "scalar"
-        packed, _ = _run(harness, "Ideal", trace, "scalar", warmup=200)
-        assert result == packed
+        for stream in (list(trace), iter(trace)):
+            with pytest.raises(TypeError,
+                               match="PackedTrace.from_requests"):
+                _run(harness, "Ideal", stream, "vector")
 
     def test_auto_selects_vector_when_capable(self):
         harness = ExperimentHarness(CONFIG)
