@@ -47,13 +47,13 @@ the resume hint.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from ..designs import DesignSpec
-from ..resilience.checkpoint import CheckpointWriter, recover_jsonl
+from ..resilience.checkpoint import (CheckpointWriter, read_jsonl,
+                                     recover_jsonl)
 from .experiments import ExperimentHarness
 from .metrics import WorkloadComparison
 
@@ -128,32 +128,6 @@ def _comparison_record(comparison: WorkloadComparison,
     return record
 
 
-def _load_records(text: str) -> list[dict]:
-    """Records from campaign file content, legacy JSON array or JSONL.
-
-    A truncated trailing JSONL line (interrupted write) is skipped; the
-    campaign recomputes that cell.  (Kept for callers holding text; the
-    campaign itself loads through
-    :func:`~repro.resilience.checkpoint.recover_jsonl`, which also
-    repairs the file on disk.)
-    """
-    stripped = text.lstrip()
-    if not stripped:
-        return []
-    if stripped.startswith("["):        # legacy whole-file JSON array
-        return json.loads(stripped)
-    records = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            break
-    return records
-
-
 class Campaign:
     """A persisted, resumable result matrix.
 
@@ -197,7 +171,7 @@ class Campaign:
         if self.path.exists():
             if self.path.read_text().lstrip().startswith("["):
                 self._needs_migration = True
-                records = _load_records(self.path.read_text())
+                records, self.recovered_lines = read_jsonl(self.path)
             else:
                 records, self.recovered_lines = recover_jsonl(self.path)
             for record in records:

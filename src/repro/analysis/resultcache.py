@@ -32,7 +32,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from ..resilience.checkpoint import LocalDirBackend, read_valid
 
@@ -154,15 +154,6 @@ class ResultCache:
         """Store ``record`` (JSON-serialisable) under ``key``, atomically
         and durably."""
         self.store.put(key, encode_record(record))
-
-    def get_or_compute(self, key: str,
-                       compute: Callable[[], Any]) -> Any:
-        """The cached record, or ``compute()`` stored and returned."""
-        record = self.get(key)
-        if record is None:
-            record = compute()
-            self.put(key, record)
-        return record
 
     # ---- maintenance ----------------------------------------------------
 

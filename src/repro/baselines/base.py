@@ -71,17 +71,6 @@ class MovementEngine:
         if mode_switch:
             self._stats.bump("mode_switch_bytes", nbytes)
 
-    def hbm_internal_copy(self, nbytes: int, now_ns: float,
-                          mode_switch: bool = False) -> None:
-        """Copy data between two HBM locations (read + write traffic)."""
-        if nbytes <= 0 or self._hbm is None:
-            return
-        self._hbm.bulk_transfer(0, nbytes, is_write=False, now_ns=now_ns)
-        self._hbm.bulk_transfer(0, nbytes, is_write=True, now_ns=now_ns)
-        self._stats.bump("hbm_copy_bytes", nbytes)
-        if mode_switch:
-            self._stats.bump("mode_switch_bytes", 2 * nbytes)
-
     def swap(self, hbm_addr: int, dram_addr: int, nbytes: int,
              now_ns: float) -> None:
         """Exchange a page between HBM and DRAM (both directions move)."""
@@ -151,10 +140,6 @@ class HybridMemoryController(abc.ABC):
             metadata_ns=metadata_ns,
             hbm_hit=False,
         )
-
-    def _count_demand(self, request: MemoryRequest) -> None:
-        self.stats.bump("demand_writes" if request.is_write
-                        else "demand_reads")
 
     #: Amortised cost of touching a page the OS had to swap out because
     #: the design's OS-visible capacity could not hold the footprint: a

@@ -200,10 +200,6 @@ class ChameleonController(HybridMemoryController):
     def metadata_in_sram(self) -> bool:
         return self._metadata.fits_sram
 
-    @property
-    def metadata_sram_miss_rate(self) -> float:
-        return self._metadata.miss_rate
-
 
 @register_design(
     "Chameleon",

@@ -475,10 +475,6 @@ class Hybrid2Controller(HybridMemoryController):
     def metadata_in_sram(self) -> bool:
         return self._metadata.fits_sram
 
-    @property
-    def metadata_sram_miss_rate(self) -> float:
-        return self._metadata.miss_rate
-
     def os_visible_bytes(self) -> int:
         """DRAM plus the mHBM region; the fixed cHBM is hidden from the OS."""
         return self.dram.capacity_bytes + self._mhbm_slots * PAGE_BYTES

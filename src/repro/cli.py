@@ -25,6 +25,7 @@ Every subcommand prints paper-style text tables; numeric knobs mirror
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Sequence
 
@@ -463,8 +464,8 @@ def _cmd_fabric_serve(args: argparse.Namespace) -> int:
     """Lease a campaign's cells to fabric workers over HTTP."""
     import json
 
-    from .fabric import FabricCoordinator, FabricPolicy
-    from .resilience import faults
+    from .fabric import FabricCoordinator
+    from .resilience import FLEET_POLICY, faults
     designs = args.designs
     if args.grid:
         tokens = [token for group in args.grid for token in group]
@@ -479,10 +480,10 @@ def _cmd_fabric_serve(args: argparse.Namespace) -> int:
     if campaign is None:
         return 2
     harness = campaign.harness
-    policy = FabricPolicy(lease_s=args.lease,
-                          max_attempts=args.retries + 1,
-                          quarantine_workers=args.quarantine_workers,
-                          seed=args.seed)
+    policy = dataclasses.replace(
+        FLEET_POLICY, timeout_s=args.lease,
+        max_attempts=args.retries + 1,
+        quarantine_workers=args.quarantine_workers, seed=args.seed)
     coordinator = FabricCoordinator(campaign, designs, args.workloads,
                                     policy=policy,
                                     result_backend=getattr(
@@ -574,8 +575,10 @@ def cmd_explore(args: argparse.Namespace) -> int:
     if campaign is None:
         return 2
     if args.fabric_serve is not None:
+        from .resilience import FLEET_POLICY
         backend = FleetServeBackend(
-            host=args.host, port=args.fabric_serve, seed=args.seed,
+            host=args.host, port=args.fabric_serve,
+            policy=dataclasses.replace(FLEET_POLICY, seed=args.seed),
             progress=lambda line: print(line, flush=True))
     else:
         backend = _backend(args)

@@ -415,8 +415,10 @@ class FleetServeBackend(ExecutionBackend):
 
     Args:
         host / port: Listen address (port 0 = ephemeral).
-        lease_s / retries / quarantine_workers / seed: Fleet policy
-            (mirrors ``repro fabric serve``).
+        policy: The fleet's lease/retry/quarantine
+            :class:`~repro.resilience.supervisor.Supervision` (default
+            :data:`~repro.resilience.supervisor.FLEET_POLICY`, the
+            ``repro fabric serve`` defaults).
         linger_s: How long to keep answering stragglers after release.
         progress: Line sink for the serving announcement.
     """
@@ -424,16 +426,12 @@ class FleetServeBackend(ExecutionBackend):
     name = "fleet"
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 lease_s: float = 30.0, retries: int = 3,
-                 quarantine_workers: int = 2, seed: int = 0,
+                 policy: "Supervision | None" = None,
                  linger_s: float = 2.0,
                  progress: "Callable[[str], None] | None" = None) -> None:
         self.host = host
         self.port = port
-        self.lease_s = lease_s
-        self.retries = retries
-        self.quarantine_workers = quarantine_workers
-        self.seed = seed
+        self.policy = policy
         self.linger_s = linger_s
         self.progress = progress
         self._coordinator = None
@@ -443,15 +441,11 @@ class FleetServeBackend(ExecutionBackend):
         """Start (or return) the coordinator; returns its URL."""
         if self._thread is not None:
             return self._coordinator.url
-        from ..fabric import FabricCoordinator, FabricPolicy
+        from ..fabric import FabricCoordinator
         from ..fabric.coordinator import CoordinatorThread
         harness = campaign.harness
-        policy = FabricPolicy(lease_s=self.lease_s,
-                              max_attempts=self.retries + 1,
-                              quarantine_workers=self.quarantine_workers,
-                              seed=self.seed)
         self._coordinator = FabricCoordinator(
-            campaign, (), (), policy=policy,
+            campaign, (), (), policy=self.policy,
             result_backend=getattr(harness.cache, "store", None),
             trace_backend=getattr(harness.trace_cache, "store", None),
             hold=True)

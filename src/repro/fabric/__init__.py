@@ -10,9 +10,13 @@ workers, and merges completions on arrival into the same fsync'd
 clean-prefix campaign JSONL that ``repro campaign --resume`` and the
 observatory RunStore already understand.
 
-The lease bookkeeping itself lives in :mod:`~repro.fabric.state` as a
-pure, I/O-free table so its determinism (same seed -> same re-lease
-ordering, across coordinator restarts) is directly testable.  Workers
+The lease bookkeeping is the same pure, I/O-free
+:class:`~repro.resilience.supervisor.LeaseTable` the local supervised
+pool runs on, under the same
+:class:`~repro.resilience.supervisor.Supervision` policy (its
+``timeout_s`` is the lease length a heartbeat renews), so its
+determinism (same seed -> same re-lease ordering, across coordinator
+restarts) is directly testable.  Workers
 share the content-addressed result/trace caches through pluggable byte
 stores (a local directory, or the coordinator's HTTP cache endpoints in
 :mod:`~repro.fabric.cachebackend`).
@@ -21,20 +25,15 @@ stores (a local directory, or the coordinator's HTTP cache endpoints in
 from ..resilience.checkpoint import LocalDirBackend
 from .cachebackend import BackendResultCache, HTTPCacheBackend
 from .coordinator import CoordinatorThread, FabricCoordinator, wire_cell
-from .state import CellState, FabricPolicy, FabricState, Lease
 from .worker import FabricClient, FabricUnreachable, run_worker
 
 __all__ = [
     "BackendResultCache",
-    "CellState",
     "CoordinatorThread",
     "FabricClient",
     "FabricCoordinator",
-    "FabricPolicy",
-    "FabricState",
     "FabricUnreachable",
     "HTTPCacheBackend",
-    "Lease",
     "LocalDirBackend",
     "run_worker",
     "wire_cell",

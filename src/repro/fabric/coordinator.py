@@ -3,7 +3,7 @@
 One coordinator owns one campaign file.  It leases the campaign's
 missing ``design x workload`` cells to worker clients
 (:mod:`~repro.fabric.worker`), tracks them through the deterministic
-:class:`~repro.fabric.state.FabricState` table, and merges completions
+:class:`~repro.resilience.supervisor.LeaseTable`, and merges completions
 on arrival into the campaign through
 :meth:`~repro.analysis.campaign.Campaign.persist_comparison` — in
 deterministic cell order, via the same fsync'd clean-prefix
@@ -45,7 +45,7 @@ from ..analysis.metrics import WorkloadComparison
 from ..analysis.resultcache import _canonical
 from ..designs import DesignSpec
 from ..resilience import faults
-from .state import FabricPolicy, FabricState
+from ..resilience.supervisor import FLEET_POLICY, LeaseTable, Supervision
 
 _REASONS = {200: "OK", 204: "No Content", 400: "Bad Request",
             404: "Not Found", 500: "Internal Server Error"}
@@ -88,7 +88,9 @@ class FabricCoordinator:
             resume path).
         designs: Full design axis, names and specs mixed freely.
         workloads: Full workload axis.
-        policy: Lease/retry/quarantine policy.
+        policy: Lease/retry/quarantine policy (default
+            :data:`~repro.resilience.supervisor.FLEET_POLICY`); its
+            ``timeout_s`` is the lease length and must be set.
         result_backend: Optional byte store served at
             ``/cache/result/`` (workers then share result records).
         trace_backend: Optional byte store served at ``/cache/trace/``.
@@ -104,11 +106,14 @@ class FabricCoordinator:
     """
 
     def __init__(self, campaign: Campaign, designs, workloads,
-                 policy: FabricPolicy | None = None,
+                 policy: Supervision | None = None,
                  result_backend=None, trace_backend=None,
                  hold: bool = False) -> None:
         self.campaign = campaign
-        self.policy = policy or FabricPolicy()
+        self.policy = policy or FLEET_POLICY
+        if self.policy.timeout_s is None:
+            raise ValueError("a fleet policy needs a lease length "
+                             "(timeout_s)")
         self.hold = hold
         self.result_backend = result_backend
         self.trace_backend = trace_backend
@@ -119,7 +124,7 @@ class FabricCoordinator:
         self._keys = [_cell_key(design, workload)
                       for design, workload in self.pending_cells]
         self._index = {key: i for i, key in enumerate(self._keys)}
-        self.state = FabricState(self._keys, self.policy)
+        self.state = LeaseTable(self._keys, self.policy)
         self._results: dict[int, WorkloadComparison] = {}
         self._timings: dict[int, dict] = {}
         self._hashes: dict[str, str] = {}
@@ -287,7 +292,7 @@ class FabricCoordinator:
             "scale": config.scale.factor,
             "engine": config.engine,
             "workloads": list(config.workloads),
-            "lease_s": self.policy.lease_s,
+            "lease_s": self.policy.timeout_s,
             "caches": {"result": self.result_backend is not None,
                        "trace": self.trace_backend is not None},
         }
@@ -317,12 +322,12 @@ class FabricCoordinator:
                     "cell": wire_cell(design, workload),
                     "lease": lease.lease_id,
                     "attempt": lease.attempt,
-                    "lease_s": self.policy.lease_s}
+                    "lease_s": self.policy.timeout_s}
         if self.finished:
             return {"status": "done"}
         ready_at = self.state.next_ready_at()
         retry = (max(ready_at - now, 0.05) if ready_at is not None
-                 else max(self.policy.lease_s / 4, 0.05))
+                 else max(self.policy.timeout_s / 4, 0.05))
         # A held coordinator may be extended with a new batch (or
         # released) at any moment; keep idle workers polling fast so
         # they pick it up — and catch the final "done" within linger.
@@ -462,7 +467,7 @@ class FabricCoordinator:
             print(f"fabric: serving {len(self.pending_cells)} cell(s) "
                   f"at {self.url}", flush=True)
         self.ready.set()
-        sweep_s = max(min(self.policy.lease_s / 4, 0.5), 0.05)
+        sweep_s = max(min(self.policy.timeout_s / 4, 0.5), 0.05)
         finished_at: float | None = None
         try:
             async with server:

@@ -112,10 +112,6 @@ class DeviceGeometry:
         """Channel data-bus width in bytes."""
         return self.bus_bits // 8
 
-    @property
-    def bytes_per_channel(self) -> int:
-        return self.capacity_bytes // self.channels
-
 
 @dataclass(frozen=True)
 class DeviceConfig:

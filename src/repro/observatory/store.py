@@ -116,11 +116,12 @@ def _version_key(version: str | None) -> tuple:
 def load_jsonl_records(path: Path) -> list[dict]:
     """Records from a campaign/sweep/chaos file (JSONL or legacy array).
 
-    A torn trailing line (interrupted write) is skipped, mirroring
-    campaign loading; the file on disk is never modified.
+    Torn, corrupt and non-object lines are skipped exactly as campaign
+    loading skips them (:func:`~repro.resilience.checkpoint.read_jsonl`);
+    the file on disk is never modified.
     """
-    from ..analysis.campaign import _load_records
-    return _load_records(path.read_text())
+    from ..resilience.checkpoint import read_jsonl
+    return read_jsonl(path)[0]
 
 
 class RunStore:

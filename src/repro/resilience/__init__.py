@@ -3,9 +3,12 @@
 PR 3's sanitizer gave the simulator *detection*; this package gives
 campaigns *survival*:
 
-* :mod:`~repro.resilience.supervisor` — a supervised worker pool with
-  per-cell timeouts, bounded retries with deterministic backoff,
-  dead-worker respawn, and quarantine of persistently failing cells;
+* :mod:`~repro.resilience.supervisor` — the one cell lifecycle
+  (:class:`~repro.resilience.supervisor.LeaseTable` under one
+  :class:`~repro.resilience.supervisor.Supervision` policy: leases,
+  bounded retries with deterministic backoff, quarantine of
+  persistently failing cells), shared by the fabric coordinator and
+  the supervised worker pool (per-cell timeouts, dead-worker respawn);
 * :mod:`~repro.resilience.checkpoint` — fsync'd JSONL appends, torn-
   tail recovery, and write-failure absorption for crash-safe
   checkpoint/resume;
@@ -34,7 +37,9 @@ from .faults import (
     corrupt_tree,
 )
 from .supervisor import (
+    FLEET_POLICY,
     CellFailure,
+    LeaseTable,
     Supervision,
     backoff_delay,
     run_supervised,
@@ -52,7 +57,9 @@ __all__ = [
     "FaultSpec",
     "corrupt_file",
     "corrupt_tree",
+    "FLEET_POLICY",
     "CellFailure",
+    "LeaseTable",
     "Supervision",
     "backoff_delay",
     "run_supervised",

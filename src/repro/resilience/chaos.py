@@ -36,7 +36,7 @@ import threading
 import time
 import traceback
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -44,12 +44,12 @@ from ..analysis.campaign import Campaign
 from ..analysis.experiments import ExperimentConfig, ExperimentHarness
 from ..analysis.resultcache import ResultCache
 from ..fabric import (CoordinatorThread, FabricClient, FabricCoordinator,
-                      FabricPolicy, run_worker)
+                      run_worker)
 from ..fabric.coordinator import unwire_cell
 from ..observatory import RunStore
 from . import faults
 from .checkpoint import recover_jsonl
-from .supervisor import Supervision
+from .supervisor import FLEET_POLICY, Supervision
 
 #: The (small) campaign every scenario runs.
 CHAOS_DESIGNS = ("Bumblebee", "Banshee")
@@ -651,7 +651,7 @@ def _fleet_duplicate_completion(sweep: _Sweep, path: Path) -> str:
     idempotently (0 new rows on RunStore ingest)."""
     coordinator = FabricCoordinator(
         sweep.campaign(path), CHAOS_DESIGNS, CHAOS_WORKLOADS,
-        policy=FabricPolicy(lease_s=1.0, seed=sweep.seed))
+        policy=replace(FLEET_POLICY, timeout_s=1.0, seed=sweep.seed))
     thread = CoordinatorThread(coordinator)
     url = thread.start()
     try:

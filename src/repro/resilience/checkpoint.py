@@ -216,14 +216,61 @@ def read_valid(store, key: str, decode: Callable[[bytes], Any]) -> Any:
     return None
 
 
+def _parse_jsonl(raw: bytes) -> tuple[list[dict], list[bytes], int]:
+    """``(records, their lines, damaged lines)`` of JSONL bytes.
+
+    Every syntactically valid object line is kept; torn, corrupt or
+    non-object lines (interrupted appends, bit-rot) are counted and
+    skipped, so one bad line never hides the records after it.
+    """
+    records: list[dict] = []
+    good_lines: list[bytes] = []
+    dropped = 0
+    for segment in raw.split(b"\n"):
+        if not segment.strip():
+            continue
+        try:
+            record = json.loads(segment)
+        except ValueError:
+            dropped += 1
+            continue
+        if not isinstance(record, dict):
+            dropped += 1
+            continue
+        records.append(record)
+        good_lines.append(segment)
+    return records, good_lines, dropped
+
+
+def read_jsonl(path: str | Path) -> tuple[list[dict], int]:
+    """Read a campaign file's records; the file is never modified.
+
+    The read-only twin of :func:`recover_jsonl` (same line parse, no
+    repair) for readers that do not own the file, such as ``repro db
+    ingest``.  Content starting with ``[`` is a legacy whole-file JSON
+    array (``ValueError`` when malformed); its non-object entries count
+    as damaged.
+
+    Returns:
+        ``(records, dropped)``: the valid records in file order and the
+        number of damaged lines (or array entries) skipped.
+    """
+    raw = Path(path).read_bytes()
+    if raw.lstrip().startswith(b"["):
+        items = json.loads(raw)
+        records = [item for item in items if isinstance(item, dict)]
+        return records, len(items) - len(records)
+    records, _, dropped = _parse_jsonl(raw)
+    return records, dropped
+
+
 def recover_jsonl(path: str | Path) -> tuple[list[dict], int]:
     """Load a JSONL checkpoint, repairing any damage in place.
 
-    Every syntactically valid object line is kept; torn or corrupt
-    lines (interrupted appends, bit-rot) are dropped.  When anything
-    was dropped — or the file lacks its final newline, which would make
-    the next append produce a run-on line — the file is rewritten
-    atomically from the surviving lines.
+    Parses like :func:`read_jsonl`.  When any line was dropped — or
+    the file lacks its final newline, which would make the next append
+    produce a run-on line — the file is rewritten atomically from the
+    surviving lines.
 
     The read and the compacting rewrite happen under the file's
     advisory :class:`FileLock`, so an append racing in from another
@@ -236,24 +283,9 @@ def recover_jsonl(path: str | Path) -> tuple[list[dict], int]:
         the number of damaged lines discarded.
     """
     path = Path(path)
-    records: list[dict] = []
-    good_lines: list[bytes] = []
-    dropped = 0
     with FileLock(path):
         raw = path.read_bytes()
-        for segment in raw.split(b"\n"):
-            if not segment.strip():
-                continue
-            try:
-                record = json.loads(segment)
-            except ValueError:
-                dropped += 1
-                continue
-            if not isinstance(record, dict):
-                dropped += 1
-                continue
-            records.append(record)
-            good_lines.append(segment)
+        records, good_lines, dropped = _parse_jsonl(raw)
         if dropped or (raw and not raw.endswith(b"\n")):
             atomic_write_bytes(path, b"".join(line + b"\n"
                                               for line in good_lines))

@@ -1,13 +1,34 @@
-"""A supervised worker pool: timeouts, retries, backoff, quarantine.
+"""One cell lifecycle (the lease table) and the supervised pool on it.
+
+The local supervised pool (:func:`run_supervised`) and the fabric
+coordinator (:mod:`repro.fabric.coordinator`) share one policy,
+:class:`Supervision`, and one lifecycle, :class:`LeaseTable`::
+
+    pending --lease()--> leased --complete()--> done
+       ^                   |
+       |                   +-- fail() / reclaim_expired() --+
+       |                                                    |
+       +-- (heappush at now + backoff) <-- attempts left ---+
+                                                 |
+                          quarantined <-- budget exhausted -+
+
+Quarantine fires on either budget: ``max_attempts`` total failures, or
+failures on ``quarantine_workers`` *distinct* workers — the fleet-wide
+"this cell is poison, stop feeding it to healthy machines" signal.
+The table is pure and I/O-free: everything time-dependent takes
+``now`` and every delay derives from the policy seed, so a restarted
+coordinator rebuilding its table from the same campaign file re-issues
+the remaining cells in the same order with the same retry spacing
+(pinned by ``tests/test_fabric.py``).
 
 ``concurrent.futures`` offers no way to kill a wedged worker without
 tearing down the whole pool, so large campaigns inherit the weakest
 worker's failure mode: one hang or crash sinks hours of finished work.
-This module supervises each cell individually:
+:func:`run_supervised` supervises each cell individually:
 
-* every attempt runs in a worker **process** with an optional per-cell
-  wall-clock timeout — a wedged worker is killed and respawned, never
-  waited on forever;
+* every attempt runs in a worker **process** under a lease that is
+  never renewed, i.e. an optional per-cell wall-clock timeout — a
+  wedged worker is killed and respawned, never waited on forever;
 * a worker that dies (crash, OOM-kill, injected fault) is detected by
   process liveness, respawned, and its cell retried;
 * retries are bounded (:attr:`Supervision.max_attempts`) with
@@ -41,8 +62,7 @@ import queue
 import signal
 import sys
 import time
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from . import faults
@@ -50,12 +70,19 @@ from . import faults
 
 @dataclass(frozen=True)
 class Supervision:
-    """Retry/timeout policy of one supervised run.
+    """Lease/retry/quarantine policy of one supervised run or fleet.
 
     Args:
-        timeout_s: Per-cell wall-clock limit; None disables timeouts
-            (crashes are still detected).
-        max_attempts: Attempts per cell before quarantine (>= 1).
+        timeout_s: Lease length: how long one attempt may hold a cell.
+            A fleet worker's heartbeat renews the lease and silence
+            past it reclaims the cell; the local supervisor never
+            renews it, so there it is a per-cell wall-clock timeout.
+            None means no deadline (crashes are still detected).
+        max_attempts: Total failures (of any kind) a cell may accrue
+            before quarantine (>= 1).
+        quarantine_workers: Distinct workers that must fail a cell to
+            quarantine it regardless of remaining attempts.  A fleet
+            signal only: every local slot leases under one identity.
         backoff_base_s: First retry delay before jitter.
         backoff_cap_s: Upper bound on any retry delay.
         seed: Root of the deterministic jitter.
@@ -63,9 +90,16 @@ class Supervision:
 
     timeout_s: float | None = None
     max_attempts: int = 3
+    quarantine_workers: int = 2
     backoff_base_s: float = 0.05
     backoff_cap_s: float = 2.0
     seed: int = 0
+
+
+#: The fabric fleet's policy (``repro fabric serve`` defaults): 30 s
+#: leases, 4 attempts, quarantine after 2 distinct workers fail a cell.
+FLEET_POLICY = Supervision(timeout_s=30.0, max_attempts=4,
+                           backoff_cap_s=5.0)
 
 
 @dataclass
@@ -96,6 +130,204 @@ def backoff_delay(policy: Supervision, key: str, attempt: int) -> float:
     jitter = 0.5 + int.from_bytes(digest[:8], "big") / 2 ** 64
     return min(policy.backoff_base_s * (2 ** attempt) * jitter,
                policy.backoff_cap_s)
+
+
+@dataclass
+class Lease:
+    """One outstanding lease of one cell to one worker."""
+
+    lease_id: str
+    index: int
+    worker: str
+    attempt: int
+    deadline: float | None
+
+
+@dataclass
+class CellState:
+    """The table's view of one cell."""
+
+    index: int
+    key: str
+    attempt: int = 0
+    failures: list[str] = field(default_factory=list)
+    failed_workers: set[str] = field(default_factory=set)
+    status: str = "pending"      # pending | leased | done | quarantined
+
+
+class LeaseTable:
+    """Lease bookkeeping over an indexed list of cells.
+
+    Args:
+        keys: Cell keys in deterministic cell order (design-major, the
+            order the campaign file emits).
+        policy: Lease/retry/quarantine policy.
+
+    Attributes:
+        cells: Per-cell state, indexed by position in ``keys``.
+        duplicates: Completions received for already-done (or unknown)
+            cells — the reclaimed-cell-finishes-twice count.
+        reclaimed: Leases taken back after their deadline passed.
+    """
+
+    def __init__(self, keys: list[str], policy: Supervision) -> None:
+        self.policy = policy
+        self.cells = [CellState(index=i, key=key)
+                      for i, key in enumerate(keys)]
+        self.duplicates = 0
+        self.reclaimed = 0
+        self._by_key = {cell.key: cell for cell in self.cells}
+        self._leases: dict[str, Lease] = {}
+        # (ready_at, index) min-heap: index breaks ties, so equal-ready
+        # cells lease in deterministic cell order.
+        self._ready: list[tuple[float, int]] = [
+            (0.0, cell.index) for cell in self.cells]
+        heapq.heapify(self._ready)
+
+    def _deadline(self, now: float) -> float | None:
+        timeout = self.policy.timeout_s
+        return None if timeout is None else now + timeout
+
+    # ---- issue ----------------------------------------------------------
+
+    def lease(self, worker: str, now: float) -> Lease | None:
+        """Issue the next ready cell to ``worker``, or None.
+
+        Expired leases are reclaimed first, so a single slow poller
+        still drives the whole reclaim cycle.  None means either
+        nothing is pending (check :attr:`done`) or every pending cell
+        is still serving its backoff delay (check
+        :meth:`next_ready_at`).
+        """
+        self.reclaim_expired(now)
+        while self._ready and self._ready[0][0] <= now:
+            _, index = heapq.heappop(self._ready)
+            cell = self.cells[index]
+            if cell.status != "pending":
+                continue
+            cell.status = "leased"
+            lease = Lease(lease_id=f"{cell.key}#a{cell.attempt}",
+                          index=index, worker=worker,
+                          attempt=cell.attempt,
+                          deadline=self._deadline(now))
+            cell.attempt += 1
+            self._leases[lease.lease_id] = lease
+            return lease
+        return None
+
+    def extend(self, keys: "list[str]") -> None:
+        """Append new pending cells to the table (adaptive batches).
+
+        The explorer's hosted fleet discovers its cells as the search
+        narrows; appended cells take the next indices so the emission
+        order stays the order of arrival — deterministic, because the
+        search itself is.  Keys already tracked are ignored.
+        """
+        for key in keys:
+            if key in self._by_key:
+                continue
+            cell = CellState(index=len(self.cells), key=key)
+            self.cells.append(cell)
+            self._by_key[key] = cell
+            heapq.heappush(self._ready, (0.0, cell.index))
+
+    def heartbeat(self, lease_id: str, now: float) -> bool:
+        """Renew a live lease's deadline; False when it is unknown
+        (expired and reclaimed — the worker should abandon the cell)."""
+        lease = self._leases.get(lease_id)
+        if lease is None:
+            return False
+        lease.deadline = self._deadline(now)
+        return True
+
+    # ---- resolve --------------------------------------------------------
+
+    def complete(self, key: str, lease_id: str, now: float) -> str:
+        """Record a completion; ``"ok"`` or ``"duplicate"``.
+
+        Tolerant by design: an expired or unknown lease id does not
+        reject the result (the work is done and correct — merge on
+        arrival), and a second completion of a done cell is counted as
+        a duplicate, not an error.  Unknown keys (a worker from a
+        previous epoch) also count as duplicates so the caller can drop
+        the payload.
+        """
+        cell = self._by_key.get(key)
+        self._leases.pop(lease_id, None)
+        if cell is None or cell.status in ("done", "quarantined"):
+            self.duplicates += 1
+            return "duplicate"
+        cell.status = "done"
+        return "ok"
+
+    def fail(self, key: str, lease_id: str, worker: str, reason: str,
+             now: float) -> str:
+        """Record a failed attempt; the cell's resulting status."""
+        self._leases.pop(lease_id, None)
+        cell = self._by_key.get(key)
+        if cell is None or cell.status in ("done", "quarantined"):
+            return "ignored" if cell is None else cell.status
+        return self._record_failure(cell, worker, reason, now)
+
+    def _record_failure(self, cell: CellState, worker: str,
+                        reason: str, now: float) -> str:
+        cell.failures.append(reason)
+        cell.failed_workers.add(worker)
+        if (len(cell.failed_workers) >= self.policy.quarantine_workers
+                or len(cell.failures) >= self.policy.max_attempts):
+            cell.status = "quarantined"
+            return "quarantined"
+        cell.status = "pending"
+        delay = backoff_delay(self.policy, cell.key,
+                              len(cell.failures) - 1)
+        heapq.heappush(self._ready, (now + delay, cell.index))
+        return "pending"
+
+    def reclaim_expired(self, now: float) -> int:
+        """Fail every lease whose deadline passed; returns the count.
+
+        Iterates in sorted lease-id order so two coordinators replaying
+        the same history reclaim in the same order.
+        """
+        expired = sorted(lease_id
+                         for lease_id, lease in self._leases.items()
+                         if lease.deadline is not None
+                         and lease.deadline <= now)
+        for lease_id in expired:
+            lease = self._leases.pop(lease_id)
+            cell = self.cells[lease.index]
+            if cell.status != "leased":
+                continue
+            self.reclaimed += 1
+            self._record_failure(
+                cell, lease.worker,
+                f"lease expired after {self.policy.timeout_s:g}s on "
+                f"{lease.worker}", now)
+        return len(expired)
+
+    # ---- queries --------------------------------------------------------
+
+    @property
+    def done(self) -> bool:
+        """True when no cell can make further progress."""
+        return all(cell.status in ("done", "quarantined")
+                   for cell in self.cells)
+
+    def next_ready_at(self) -> float | None:
+        """When the earliest backoff-delayed cell becomes leasable."""
+        while self._ready and \
+                self.cells[self._ready[0][1]].status != "pending":
+            heapq.heappop(self._ready)
+        return self._ready[0][0] if self._ready else None
+
+    def counts(self) -> dict[str, int]:
+        """Cells per status plus the duplicate/reclaim counters."""
+        out = {"pending": 0, "leased": 0, "done": 0, "quarantined": 0}
+        for cell in self.cells:
+            out[cell.status] += 1
+        out["duplicates"] = self.duplicates
+        out["reclaimed"] = self.reclaimed
+        return out
 
 
 #: ``prctl`` option: the signal a process gets when its parent dies.
@@ -156,8 +388,8 @@ class _Slot:
                                       os.getpid()),
                                 daemon=True)
         self.proc.start()
-        #: The (key, payload, attempt, deadline) this worker holds.
-        self.busy: tuple[str, Any, int, float | None] | None = None
+        #: The lease this worker holds.
+        self.busy: Lease | None = None
 
     def kill(self) -> None:
         """Terminate (then kill) the process; tolerates the already-dead."""
@@ -177,6 +409,11 @@ def _context():
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX fallback
         return multiprocessing.get_context()
+
+
+#: The one worker identity every local slot leases under: slots are
+#: respawnable processes on one machine, not distinct failure domains.
+_LOCAL = "local"
 
 
 def run_supervised(
@@ -212,67 +449,48 @@ def run_supervised(
     if not tasks:
         return results, quarantined
     ctx = _context()
-    ready: deque = deque((key, payload, 0) for key, payload in tasks)
-    delayed: list = []  # (ready_at, tiebreak, key, payload, attempt)
-    failures: dict[str, list[str]] = {}
-    tiebreak = 0
-    total = len(tasks)
+    payloads = dict(tasks)
+    table = LeaseTable([key for key, _ in tasks], policy)
     # A worker's death signal fires when the *thread* that started it
     # exits, so slots are created and replaced on this thread only.
     slots = [_Slot(ctx, worker)
-             for _ in range(max(1, min(jobs, total)))]
+             for _ in range(max(1, min(jobs, len(tasks))))]
 
-    def resolve_failure(key: str, payload: Any, attempt: int,
-                        reason: str) -> None:
-        nonlocal tiebreak
-        failures.setdefault(key, []).append(reason)
-        if attempt + 1 >= policy.max_attempts:
-            failure = CellFailure(key=key, attempts=failures[key])
+    def resolve(lease: Lease, now: float, ok: bool, data: Any) -> None:
+        """Report an attempt's result (``ok``) or failure reason."""
+        key = table.cells[lease.index].key
+        if ok:
+            if table.complete(key, lease.lease_id, now) == "ok":
+                results[key] = data
+                if on_complete is not None:
+                    on_complete(key, data)
+        elif table.fail(key, lease.lease_id, _LOCAL, data,
+                        now) == "quarantined":
+            failure = CellFailure(
+                key=key, attempts=list(table.cells[lease.index].failures))
             quarantined[key] = failure
             if on_quarantine is not None:
                 on_quarantine(key, failure)
-        else:
-            tiebreak += 1
-            ready_at = time.monotonic() + backoff_delay(policy, key,
-                                                        attempt)
-            heapq.heappush(delayed, (ready_at, tiebreak, key, payload,
-                                     attempt + 1))
 
-    def resolve_message(slot: _Slot, message: tuple) -> None:
+    def resolve_message(slot: _Slot, message: tuple, now: float) -> None:
         kind, key, attempt, data = message
-        if slot.busy is None or slot.busy[0] != key \
-                or slot.busy[2] != attempt:
+        lease = slot.busy
+        if lease is None or table.cells[lease.index].key != key \
+                or lease.attempt != attempt:
             return  # stale echo from a superseded attempt
-        payload = slot.busy[1]
         slot.busy = None
-        if key in results or key in quarantined:
-            return
-        if kind == "ok":
-            results[key] = data
-            if on_complete is not None:
-                on_complete(key, data)
-        else:
-            resolve_failure(key, payload, attempt, data)
+        resolve(lease, now, kind == "ok", data)
 
     try:
-        while len(results) + len(quarantined) < total:
+        while len(results) + len(quarantined) < len(tasks):
+            # One clock reading per round.  Overdue leases are failed as
+            # timeouts (and their slots killed) here, before lease()
+            # could reclaim them as merely expired.
             now = time.monotonic()
-            while delayed and delayed[0][0] <= now:
-                _, _, key, payload, attempt = heapq.heappop(delayed)
-                if key not in results and key not in quarantined:
-                    ready.append((key, payload, attempt))
-            for slot in slots:
-                while slot.busy is None and ready:
-                    key, payload, attempt = ready.popleft()
-                    if key in results or key in quarantined:
-                        continue
-                    deadline = (now + policy.timeout_s
-                                if policy.timeout_s is not None else None)
-                    slot.busy = (key, payload, attempt, deadline)
-                    slot.task_q.put((key, payload, attempt))
             progress = False
             for index, slot in enumerate(slots):
-                if slot.busy is None:
+                lease = slot.busy
+                if lease is None:
                     continue
                 try:
                     message = slot.result_q.get_nowait()
@@ -280,38 +498,46 @@ def run_supervised(
                     pass
                 else:
                     progress = True
-                    resolve_message(slot, message)
+                    resolve_message(slot, message, now)
                     continue
-                key, payload, attempt, deadline = slot.busy
                 if not slot.proc.is_alive():
                     # Drain once more: the result may have landed just
                     # before the process exited.
                     try:
                         message = slot.result_q.get_nowait()
                     except queue.Empty:
-                        reason = (f"worker died "
-                                  f"(exit {slot.proc.exitcode})")
-                        resolve_failure(key, payload, attempt, reason)
+                        resolve(lease, now, False,
+                                f"worker died (exit {slot.proc.exitcode})")
                     else:
-                        resolve_message(slot, message)
+                        resolve_message(slot, message, now)
                     slots[index] = _Slot(ctx, worker)
                     progress = True
-                elif deadline is not None and now >= deadline:
+                elif lease.deadline is not None and now >= lease.deadline:
                     slot.kill()
-                    resolve_failure(
-                        key, payload, attempt,
-                        f"timeout after {policy.timeout_s:g}s")
+                    resolve(lease, now, False,
+                            f"timeout after {policy.timeout_s:g}s")
                     slots[index] = _Slot(ctx, worker)
                     progress = True
-            if not progress:
-                if delayed and not ready \
-                        and all(s.busy is None for s in slots):
-                    # Everything outstanding is backing off: sleep to
-                    # the earliest retry rather than spinning.
-                    pause = max(delayed[0][0] - time.monotonic(), 0.0)
-                    time.sleep(min(pause, 0.25) or tick_s)
-                else:
-                    time.sleep(tick_s)
+            if progress:
+                continue  # lease on a fresh clock: kills take a while
+            for slot in slots:
+                if slot.busy is not None:
+                    continue
+                lease = table.lease(_LOCAL, now)
+                if lease is None:
+                    break
+                slot.busy = lease
+                key = table.cells[lease.index].key
+                slot.task_q.put((key, payloads[key], lease.attempt))
+            pause = tick_s
+            if all(slot.busy is None for slot in slots):
+                # Everything outstanding is backing off: sleep to the
+                # earliest retry rather than spinning.
+                ready_at = table.next_ready_at()
+                if ready_at is not None:
+                    pause = min(max(ready_at - time.monotonic(), 0.0),
+                                0.25) or tick_s
+            time.sleep(pause)
     finally:
         for slot in slots:
             if slot.busy is None and slot.proc.is_alive():

@@ -128,7 +128,8 @@ class TestExecutionPlane:
         # not a bespoke fabric-only summary.
         from repro import ExperimentConfig, ExperimentHarness
         from repro.analysis import Campaign
-        from repro.fabric import FabricCoordinator, FabricPolicy
+        from repro.fabric import FabricCoordinator
+        from repro.resilience import FLEET_POLICY
         from repro.fabric.coordinator import CoordinatorThread
         config = ExperimentConfig(requests=600, warmup=150,
                                   workloads=("leela",))
@@ -137,7 +138,7 @@ class TestExecutionPlane:
                           record_timing=False)
         coordinator = FabricCoordinator(
             served, ["Bumblebee", "AlloyCache"], ["leela"],
-            policy=FabricPolicy())
+            policy=FLEET_POLICY)
         thread = CoordinatorThread(coordinator, once=True, linger_s=2.0)
         url = thread.start()
         try:

@@ -30,15 +30,14 @@ from repro.fabric import (
     BackendResultCache,
     FabricClient,
     FabricCoordinator,
-    FabricPolicy,
-    FabricState,
     FabricUnreachable,
     CoordinatorThread,
     LocalDirBackend,
     run_worker,
 )
 from repro.fabric.coordinator import unwire_cell, wire_cell
-from repro.resilience import FaultSpec, faults
+from repro.resilience import (FLEET_POLICY, FaultSpec, LeaseTable,
+                              Supervision, faults)
 from repro.traces.spec import SystemScale, synthetic_spec
 from repro.traces.tracecache import TraceCache
 
@@ -53,15 +52,17 @@ def _harness() -> ExperimentHarness:
 
 
 class TestFabricState:
+    """The coordinator's lease table (``FabricCoordinator.state``)."""
+
     def test_leases_issue_in_cell_order(self):
-        state = FabricState(["a::x", "b::x", "c::x"], FabricPolicy())
+        state = LeaseTable(["a::x", "b::x", "c::x"], FLEET_POLICY)
         issued = [state.lease(f"w{i}", 0.0).index for i in range(3)]
         assert issued == [0, 1, 2]
         assert state.lease("w9", 0.0) is None       # nothing left
 
     def test_heartbeat_extends_expiry_reclaims(self):
-        policy = FabricPolicy(lease_s=5.0)
-        state = FabricState(["a::x"], policy)
+        policy = Supervision(timeout_s=5.0)
+        state = LeaseTable(["a::x"], policy)
         lease = state.lease("w1", 0.0)
         assert lease.deadline == 5.0
         assert state.heartbeat(lease.lease_id, 4.0)
@@ -75,8 +76,8 @@ class TestFabricState:
         assert release.attempt == 1
 
     def test_quarantine_on_distinct_workers(self):
-        policy = FabricPolicy(quarantine_workers=2, max_attempts=10)
-        state = FabricState(["a::x"], policy)
+        policy = Supervision(quarantine_workers=2, max_attempts=10)
+        state = LeaseTable(["a::x"], policy)
         lease = state.lease("w1", 0.0)
         assert state.fail("a::x", lease.lease_id, "w1", "boom",
                           1.0) == "pending"
@@ -87,8 +88,8 @@ class TestFabricState:
         assert state.counts()["quarantined"] == 1
 
     def test_quarantine_on_attempt_budget(self):
-        policy = FabricPolicy(quarantine_workers=99, max_attempts=2)
-        state = FabricState(["a::x"], policy)
+        policy = Supervision(quarantine_workers=99, max_attempts=2)
+        state = LeaseTable(["a::x"], policy)
         lease = state.lease("w1", 0.0)
         assert state.fail("a::x", lease.lease_id, "w1", "boom",
                           1.0) == "pending"
@@ -97,7 +98,7 @@ class TestFabricState:
                           51.0) == "quarantined"
 
     def test_duplicate_completions_counted_not_fatal(self):
-        state = FabricState(["a::x"], FabricPolicy())
+        state = LeaseTable(["a::x"], FLEET_POLICY)
         lease = state.lease("w1", 0.0)
         assert state.complete("a::x", lease.lease_id, 1.0) == "ok"
         assert state.complete("a::x", "stale", 2.0) == "duplicate"
@@ -107,7 +108,7 @@ class TestFabricState:
 
     def test_orphaned_completion_merges_on_arrival(self):
         # An expired lease does not reject the (correct) result.
-        state = FabricState(["a::x"], FabricPolicy(lease_s=1.0))
+        state = LeaseTable(["a::x"], Supervision(timeout_s=1.0))
         lease = state.lease("w1", 0.0)
         state.reclaim_expired(2.0)
         assert state.complete("a::x", lease.lease_id, 2.5) == "ok"
@@ -117,10 +118,10 @@ class TestFabricState:
         # Satellite: same seed, same failure history => a restarted
         # coordinator re-issues cells in the same order with the same
         # backoff spacing.
-        policy = FabricPolicy(lease_s=1.0, max_attempts=6, seed=7,
-                              quarantine_workers=99)
+        policy = Supervision(timeout_s=1.0, max_attempts=6, seed=7,
+                             quarantine_workers=99)
         def replay():
-            state = FabricState(["a::x", "b::x", "c::x"], policy)
+            state = LeaseTable(["a::x", "b::x", "c::x"], policy)
             for worker in ("w1", "w2", "w3"):
                 state.lease(worker, 0.0)
             state.reclaim_expired(2.0)      # all three expire together
@@ -140,13 +141,19 @@ class TestFabricState:
 
     def test_different_seed_different_schedule(self):
         def schedule(seed):
-            policy = FabricPolicy(lease_s=1.0, seed=seed,
-                                  backoff_base_s=1.0, backoff_cap_s=60.0)
-            state = FabricState(["a::x"], policy)
+            policy = Supervision(timeout_s=1.0, seed=seed,
+                                 backoff_base_s=1.0, backoff_cap_s=60.0)
+            state = LeaseTable(["a::x"], policy)
             state.lease("w1", 0.0)
             state.reclaim_expired(2.0)
             return state.next_ready_at()
         assert schedule(1) != schedule(2)
+
+    def test_coordinator_needs_a_lease_length(self, tmp_path):
+        campaign = Campaign(_harness(), tmp_path / "c.jsonl")
+        with pytest.raises(ValueError, match="lease length"):
+            FabricCoordinator(campaign, ["Bumblebee"], ["leela"],
+                              policy=Supervision())
 
 
 # ---- cell wire format -----------------------------------------------------

@@ -378,6 +378,30 @@ class TestCampaignIngestHook:
         assert record["config"]["version"] == __version__
 
 
+class TestOneRecordReader:
+    """``repro db`` and a campaign read one damaged file alike."""
+
+    @pytest.mark.parametrize("damage", [b'{"design": "Banshee", "wor',
+                                        b"7"],
+                             ids=["torn-line", "non-object-line"])
+    def test_db_ingest_and_campaign_see_same_records(self, tmp_path,
+                                                     damage):
+        path = tmp_path / "damaged.jsonl"
+        raw = b"".join([json.dumps(LEGACY_NO_TIMING).encode(), b"\n",
+                        damage, b"\n",
+                        json.dumps(LEGACY_TIMED).encode(), b"\n"])
+        path.write_bytes(raw)
+        store = RunStore(":memory:")
+        assert store.ingest_jsonl(path) == (2, 2)
+        records = load_jsonl_records(path)
+        assert path.read_bytes() == raw        # the db never repairs
+        campaign = Campaign(ExperimentHarness(FAST), path)
+        assert campaign.completed_cells == len(records) == 2
+        for record in records:
+            assert campaign.record(record["design"],
+                                   record["workload"]) == record
+
+
 class TestCli:
     def run(self, capsys, *argv):
         code = main(list(argv))

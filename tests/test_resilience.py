@@ -277,6 +277,33 @@ class TestRunSupervised:
         assert results == {"k0": 10} and not quarantined
         assert time.monotonic() - start < 15.0
 
+    def test_persistent_hang_quarantined_as_timeouts(self, monkeypatch):
+        # The supervisor kills an overdue slot itself; the lease table
+        # never gets to reclaim the lease as merely expired.
+        monkeypatch.setenv(faults.CHAOS_ENV,
+                           FaultSpec(hang=1.0, hang_s=20.0).to_env())
+        policy = Supervision(timeout_s=0.5, max_attempts=2,
+                             backoff_base_s=0.01, backoff_cap_s=0.05)
+        results, quarantined = run_supervised(
+            _double, [("k0", 5)], jobs=1, policy=policy)
+        assert not results
+        assert quarantined["k0"].attempts == ["timeout after 0.5s"] * 2
+
+    def test_crash_budget_spans_respawned_slots(self, monkeypatch):
+        # Every slot leases under one identity, so a respawned worker
+        # is not a second machine: the attempt budget alone quarantines.
+        monkeypatch.setenv(faults.CHAOS_ENV,
+                           FaultSpec(crash=1.0, match="k1").to_env())
+        policy = Supervision(max_attempts=3, backoff_base_s=0.01,
+                             backoff_cap_s=0.05)
+        results, quarantined = run_supervised(
+            _double, [(f"k{i}", i) for i in range(3)], jobs=2,
+            policy=policy)
+        assert results == {"k0": 0, "k2": 4}
+        assert len(quarantined["k1"].attempts) == 3
+        assert all(f"exit {faults.CRASH_EXIT}" in reason
+                   for reason in quarantined["k1"].attempts)
+
 
 # ---- campaign-level resilience --------------------------------------------
 
