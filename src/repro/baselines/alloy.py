@@ -119,94 +119,118 @@ class AlloyCacheController(HybridMemoryController):
     # ------------------------------------------------------------------
 
     def batch_epoch_plan(self, addr, is_write):
-        """Pass 1: forward-replay the epoch's metadata, emit a script.
+        """Pass 1: Alloy's epoch as array arithmetic, with its op table.
 
         Alloy's state machine — tags, dirty bits, and the MAP-I
-        saturating counter — never reads device timing, so pass 1 can
-        replay the whole epoch in scalar order against the *live* state
-        and hand the walk a static device script: predicted-hit misses
-        carry a serial TAD probe (``pre``) and every miss carries its
-        writeback/fetch movement (``post``).  The statistics the replay
-        owns (predictor counts, movement byte totals) are bumped here.
+        saturating counter — never reads device timing, and the cache
+        is direct-mapped and fills on every miss.  So request *i* hits
+        iff the previous request to its slot carried the same tag, or,
+        for a slot's first request of the epoch, the live tag does: a
+        stable argsort by slot lines every request up with that
+        previous tag.  The line a miss evicts is dirty iff a write
+        reached it since its fill: a segmented OR over each run of
+        same-tag requests, seeded from the live dirty bit for the run
+        the epoch finds in place.  Only the counter stays a loop, over
+        the epoch's hit flags.  Predicted-hit misses carry a serial TAD
+        probe (a ``PROBE`` row) and every miss its writeback/fetch
+        movement (``POST_BULK`` rows); the statistics the replay owns
+        (predictor counts, movement byte totals) are bumped here.
         """
-        from ..sim.vectorized import EpochPlan
+        from ..sim.vectorized import OP_WIDTH, POST_BULK, PROBE, EpochPlan
         slots = self._slots
-        line = addr // LINE_BYTES
-        slot_arr = line % slots
-        tag_arr = line // slots
-        hbm_cap = self._hbm_capacity
         dram_cap = self._dram_capacity
-        slot_l = slot_arr.tolist()
-        tag_l = tag_arr.tolist()
-        hbm_l = ((slot_arr * (LINE_BYTES + TAD_TAG_BYTES))
-                 % hbm_cap).tolist()
-        dram_l = (addr % dram_cap).tolist()
-        wr_l = np.asarray(is_write, dtype=bool).tolist()
-        m = len(slot_l)
+        m = addr.shape[0]
+        line = addr // LINE_BYTES
+        slot = line % slots
+        tag = line // slots
+        hbm_addr = (slot * (LINE_BYTES + TAD_TAG_BYTES)) % self._hbm_capacity
+        dram_addr = addr % dram_cap
+
+        # The epoch grouped by slot, in request order within a slot.
+        order = np.argsort(slot, kind="stable")
+        slot_s = slot[order]
+        tag_s = tag[order]
+        first = np.ones(m, dtype=bool)
+        first[1:] = slot_s[1:] != slot_s[:-1]
+        last = np.append(first[1:], True)
+        touched = slot_s[first].tolist()
         tags = self._tags
         dirty = self._dirty
+        live_dirty = np.array([dirty[s] for s in touched], dtype=bool)
+        prev_s = np.empty(m, dtype=np.int64)
+        prev_s[1:] = tag_s[:-1]
+        prev_s[first] = [tags[s] for s in touched]
+        hit_s = prev_s == tag_s
+        # A run starts at every fill and at each slot's first request;
+        # the run a slot's first request hits continues the live line.
+        starts = first | ~hit_s
+        seed = np.zeros(m, dtype=bool)
+        seed[first] = live_dirty & hit_s[first]
+        wrote = (np.asarray(is_write, dtype=bool)[order] | seed).astype(
+            np.int64)
+        written = np.cumsum(wrote)
+        run_base = (written - wrote)[starts]
+        dirty_after = written > run_base[np.cumsum(starts) - 1]
+        dirty_before = np.empty(m, dtype=bool)
+        dirty_before[1:] = dirty_after[:-1]
+        dirty_before[first] = live_dirty
+        for s, t, d in zip(touched, tag_s[last].tolist(),
+                           dirty_after[last].tolist()):
+            tags[s] = t
+            dirty[s] = d
+
+        hit = np.empty(m, dtype=bool)
+        hit[order] = hit_s
+        victim = np.empty(m, dtype=np.int64)
+        victim[order] = prev_s
+        writeback = np.empty(m, dtype=bool)
+        writeback[order] = ~hit_s & dirty_before & (prev_s >= 0)
+
         predictor = self._predictor
         counter = predictor._counter
-        mispredicts = 0
-        fills = 0
-        writebacks = 0
-        use = [True] * m
-        local = hbm_l[:]
-        pre: dict[int, list] = {}
-        post: dict[int, list] = {}
-        for i, (slot, tg, haddr, da, wr) in enumerate(zip(
-                slot_l, tag_l, hbm_l, dram_l, wr_l)):
-            hit = tags[slot] == tg
-            predicted = counter >= 4
-            if predicted != hit:
-                mispredicts += 1
-            if hit:
+        guesses: list[bool] = []
+        guess = guesses.append
+        for h in hit.tolist():
+            guess(counter >= 4)
+            if h:
                 if counter < 7:
                     counter += 1
-                if wr:
-                    dirty[slot] = True
-                continue
-            if counter > 0:
+            elif counter > 0:
                 counter -= 1
-            use[i] = False
-            local[i] = da
-            if predicted:
-                # Serial probe: the predicted hit pays the HBM round
-                # trip before going to DRAM.
-                pre[i] = [(0, haddr, LINE_BYTES, False)]
-            victim = tags[slot]
-            if victim >= 0 and dirty[slot]:
-                victim_line = victim * slots + slot
-                post[i] = [
-                    (0, haddr, LINE_BYTES, False),
-                    (1, (victim_line * LINE_BYTES) % dram_cap,
-                     LINE_BYTES, True),
-                    (1, da, LINE_BYTES, False),
-                    (0, haddr, LINE_BYTES, True),
-                ]
-                writebacks += 1
-            else:
-                post[i] = [
-                    (1, da, LINE_BYTES, False),
-                    (0, haddr, LINE_BYTES, True),
-                ]
-            fills += 1
-            tags[slot] = tg
-            dirty[slot] = wr
         predictor._counter = counter
+        predicted = np.array(guesses, dtype=bool)
         predictor.predictions += m
-        predictor.mispredictions += mispredicts
-        if fills:
+        predictor.mispredictions += int((predicted != hit).sum())
+
+        # Each miss's candidate rows: the serial probe (a predicted
+        # hit pays the HBM round trip before going to DRAM), the dirty
+        # victim's writeback, and the fill; the mask keeps the ones
+        # the miss issues, in row-major (request, call) order.
+        miss = np.flatnonzero(~hit)
+        k = miss.shape[0]
+        h = hbm_addr[miss]
+        rows = np.empty((k, 5, OP_WIDTH), dtype=np.int64)
+        rows[:, :, 0] = miss[:, None]
+        rows[:, :, 1] = (PROBE,) + (POST_BULK,) * 4
+        rows[:, :, 2] = (0, 0, 1, 1, 0)
+        rows[:, :, 3] = np.stack((
+            h, h, ((victim[miss] * slots + slot[miss]) * LINE_BYTES)
+            % dram_cap, dram_addr[miss], h), axis=1)
+        rows[:, :, 4] = LINE_BYTES
+        rows[:, :, 5] = (0, 0, 1, 0, 1)
+        keep = np.ones((k, 5), dtype=bool)
+        keep[:, 0] = predicted[miss]
+        keep[:, 1] = keep[:, 2] = writeback[miss]
+        if k:
             bump = self.stats.bump
-            bump("fetch_bytes", fills * LINE_BYTES)
-            bump("fetched_bytes", fills * LINE_BYTES)
+            bump("fetch_bytes", k * LINE_BYTES)
+            bump("fetched_bytes", k * LINE_BYTES)
+            writebacks = int(writeback.sum())
             if writebacks:
                 bump("writeback_bytes", writebacks * LINE_BYTES)
-        plan = EpochPlan(use_hbm=np.asarray(use, dtype=bool),
-                         local_addr=np.asarray(local, dtype=np.int64))
-        plan.pre = pre
-        plan.post = post
-        return plan
+        return EpochPlan(use_hbm=hit,
+                         local_addr=np.where(hit, hbm_addr, dram_addr),
+                         ops=rows[keep])
 
     def metadata_bytes(self) -> int:
         """Tag store size (held in HBM, not SRAM)."""

@@ -149,17 +149,17 @@ class BansheeController(HybridMemoryController):
     # ------------------------------------------------------------------
 
     def batch_epoch_plan(self, addr, is_write):
-        """Pass 1: forward-replay the epoch's metadata, emit a script.
+        """Pass 1: forward-replay the epoch's metadata, emit an op table.
 
         Banshee's replacement — way tags, frequency counters, the
         sample tick, candidate counters, and the install gate — never
         reads device timing, so pass 1 replays the whole epoch in
         scalar order against the live state: the rare gated installs
-        carry their page movement as ``post`` bulk ops.  The statistics
-        the replay owns (fills, evictions, rejections, overfetch,
-        movement byte totals) are bumped here.
+        carry their page movement as ``POST_BULK`` rows of the op
+        table.  The statistics the replay owns (fills, evictions,
+        rejections, overfetch, movement byte totals) are bumped here.
         """
-        from ..sim.vectorized import EpochPlan
+        from ..sim.vectorized import POST_BULK, EpochPlan
         sets = self._sets
         hbm_cap = self._hbm_capacity
         dram_cap = self._dram_capacity
@@ -178,7 +178,8 @@ class BansheeController(HybridMemoryController):
         rate = self.SAMPLE_RATE
         use = [True] * m
         local = [0] * m
-        post: dict[int, list] = {}
+        ops: list[int] = []
+        emit = ops.extend
         fills = evictions = rejected = writebacks = overfetch = 0
         for i, (s, tg, off, da, wr) in enumerate(zip(
                 set_l, tag_l, off_l, dram_l, wr_l)):
@@ -224,15 +225,14 @@ class BansheeController(HybridMemoryController):
                 else:
                     rejected += 1
                     continue
-            ops = []
             w = ways[target]
             if w.tag >= 0:
                 old_pg = w.tag * sets + s
                 if w.dirty:
-                    ops.append((0, ((s * WAYS + target) * PAGE_BYTES)
-                                % hbm_cap, PAGE_BYTES, False))
-                    ops.append((1, (old_pg * PAGE_BYTES) % dram_cap,
-                                PAGE_BYTES, True))
+                    emit((i, POST_BULK, 0, ((s * WAYS + target) * PAGE_BYTES)
+                          % hbm_cap, PAGE_BYTES, 0,
+                          i, POST_BULK, 1, (old_pg * PAGE_BYTES) % dram_cap,
+                          PAGE_BYTES, 1))
                     writebacks += 1
                 unused = ((PAGE_BYTES // LINE_BYTES)
                           - w.used_lines.bit_count())
@@ -240,11 +240,10 @@ class BansheeController(HybridMemoryController):
                     overfetch += unused * LINE_BYTES
                 cand[old_pg] = w.counter // 2
                 evictions += 1
-            ops.append((1, (pg * PAGE_BYTES) % dram_cap,
-                        PAGE_BYTES, False))
-            ops.append((0, ((s * WAYS + target) * PAGE_BYTES) % hbm_cap,
-                        PAGE_BYTES, True))
-            post[i] = ops
+            emit((i, POST_BULK, 1, (pg * PAGE_BYTES) % dram_cap,
+                  PAGE_BYTES, 0,
+                  i, POST_BULK, 0, ((s * WAYS + target) * PAGE_BYTES)
+                  % hbm_cap, PAGE_BYTES, 1))
             w.tag = tg
             w.counter = counter
             w.dirty = wr
@@ -265,10 +264,9 @@ class BansheeController(HybridMemoryController):
             bump("replacement_rejected", rejected)
         if overfetch:
             bump("overfetch_bytes", overfetch)
-        plan = EpochPlan(use_hbm=np.asarray(use, dtype=bool),
-                         local_addr=np.asarray(local, dtype=np.int64))
-        plan.post = post
-        return plan
+        return EpochPlan(use_hbm=np.asarray(use, dtype=bool),
+                         local_addr=np.asarray(local, dtype=np.int64),
+                         ops=ops)
 
 
     def reset_measurements(self) -> None:

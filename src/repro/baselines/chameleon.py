@@ -121,60 +121,58 @@ class ChameleonController(HybridMemoryController):
     # ------------------------------------------------------------------
 
     def batch_epoch_plan(self, addr, is_write):
-        """Pass 1: forward-replay the epoch's metadata, emit a script.
+        """Pass 1: forward-replay the epoch's metadata, emit an op table.
 
         Chameleon's remap state (near member, competition counters) and
         its SRAM metadata cache are address-only deterministic — no
         decision ever reads device timing — so pass 1 replays the whole
-        epoch in scalar order against the live state, querying the
-        *real* :class:`MetadataCache` per request.  Variable metadata
+        epoch in scalar order against the live state.  Its SRAM
+        lookups depend on the group sequence alone, so the real
+        :class:`MetadataCache` resolves the whole epoch's in one
+        :meth:`~MetadataCache.lookup_many` call.  Variable metadata
         latency rides in ``plan.meta``; the rare segment swaps carry
-        their movement as ``post`` bulk ops.
+        their movement as ``POST_BULK`` rows of the op table.
         """
-        from ..sim.vectorized import EpochPlan
+        from ..sim.vectorized import POST_BULK, EpochPlan
         groups_count = self._groups_count
         members = self._members
         hbm_cap = self._hbm_capacity
         dram_cap = self._dram_capacity
         segment = addr // SEGMENT_BYTES
-        group_l = (segment % groups_count).tolist()
-        member_l = (segment // groups_count % members).tolist()
-        offset_l = (addr % SEGMENT_BYTES).tolist()
-        dram_l = (addr % dram_cap).tolist()
-        m = len(group_l)
-        lookup = self._metadata.lookup
+        group = segment % groups_count
+        m = addr.shape[0]
+        groups = self._groups
         group_state = self._group_state
         cap = self.COUNTER_MAX
         threshold = self.SWAP_THRESHOLD
         mal = (self.hbm.config.timings.row_closed_ns
                + self.hbm.config.burst_ns(64))
-        meta = [0.0] * m
+        sram_hit = self._metadata.lookup_many(group)
+        meta_misses = m - int(sram_hit.sum())
         use = [False] * m
-        local = dram_l[:]
-        post: dict[int, list] = {}
-        meta_misses = swaps = 0
-        for i, (g, member, off) in enumerate(zip(
-                group_l, member_l, offset_l)):
-            if not lookup(g):
-                meta[i] = mal
-                meta_misses += 1
-            state = group_state(g)
+        ops: list[int] = []
+        emit = ops.extend
+        swaps = 0
+        for i, (g, member) in enumerate(zip(
+                group.tolist(), (segment // groups_count % members).tolist())):
+            state = groups.get(g)
+            if state is None:
+                state = group_state(g)
             counters = state.counters
             c = counters[member] + 1
             counters[member] = c if c < cap else cap
-            if member == state.near_member:
-                use[i] = True
-                local[i] = (g * SEGMENT_BYTES + off) % hbm_cap
-                continue
             near = state.near_member
+            if member == near:
+                use[i] = True
+                continue
             if counters[member] < counters[near] + threshold:
                 continue
             h = (g * SEGMENT_BYTES) % hbm_cap
             d = ((member * groups_count + g) * SEGMENT_BYTES) % dram_cap
-            post[i] = [(0, h, SEGMENT_BYTES, False),
-                       (1, d, SEGMENT_BYTES, True),
-                       (1, d, SEGMENT_BYTES, False),
-                       (0, h, SEGMENT_BYTES, True)]
+            emit((i, POST_BULK, 0, h, SEGMENT_BYTES, 0,
+                  i, POST_BULK, 1, d, SEGMENT_BYTES, 1,
+                  i, POST_BULK, 1, d, SEGMENT_BYTES, 0,
+                  i, POST_BULK, 0, h, SEGMENT_BYTES, 1))
             state.near_member = member
             counters[near] = 0
             counters[member] = 0
@@ -188,11 +186,11 @@ class ChameleonController(HybridMemoryController):
             bump("writeback_bytes", swaps * SEGMENT_BYTES)
             bump("fetch_bytes", swaps * SEGMENT_BYTES)
             bump("fetched_bytes", swaps * SEGMENT_BYTES)
-        plan = EpochPlan(use_hbm=np.asarray(use, dtype=bool),
-                         local_addr=np.asarray(local, dtype=np.int64))
-        plan.meta = meta
-        plan.post = post
-        return plan
+        use = np.array(use, dtype=bool)
+        local = np.where(use, (group * SEGMENT_BYTES + addr % SEGMENT_BYTES)
+                         % hbm_cap, addr % dram_cap)
+        return EpochPlan(use_hbm=use, local_addr=local,
+                         meta=np.where(sram_hit, 0.0, mal).tolist(), ops=ops)
 
     def metadata_bytes(self) -> int:
         return self._metadata.total_bytes

@@ -253,52 +253,53 @@ class Hybrid2Controller(HybridMemoryController):
     # ------------------------------------------------------------------
 
     def batch_epoch_plan(self, addr, is_write):
-        """Pass 1: forward-replay the epoch's metadata, emit a script.
+        """Pass 1: forward-replay the epoch's metadata, emit an op table.
 
         Hybrid2's state — POM residency, staging-cache slots, LRU
         clock, page-block masks, and the SRAM metadata cache — is
         address-only deterministic (the clock is a counter, never a
         timestamp), so pass 1 replays the whole epoch in scalar order
-        against the live state, querying the *real*
-        :class:`MetadataCache` per request.  Variable metadata latency
-        rides in ``plan.meta``; block fills, evictions, and the
-        promotion cascade carry their movement as ``post`` bulk ops in
-        exact scalar call order.
+        against the live state.  Its SRAM metadata lookups depend on
+        the page sequence alone, so the real :class:`MetadataCache`
+        resolves the whole epoch's in one
+        :meth:`~MetadataCache.lookup_many` call.  Variable metadata
+        latency rides in ``plan.meta``; block fills, evictions, and the
+        promotion cascade carry their movement as ``POST_BULK`` rows of
+        the op table in exact scalar call order.
         """
-        from ..sim.vectorized import EpochPlan
+        from ..sim.vectorized import POST_BULK, EpochPlan
         hbm_cap = self._hbm_capacity
         dram_cap = self._dram_capacity
         cache_sets = self._cache_sets
         pom_sets = self._pom_sets
         chbm_base = self._chbm_base
-        page_l = (addr // PAGE_BYTES).tolist()
+        page_arr = addr // PAGE_BYTES
+        page_l = page_arr.tolist()
         block_l = (addr // BLOCK_BYTES).tolist()
         addr_l = addr.tolist()
         dram_l = (addr % dram_cap).tolist()
         wr_l = np.asarray(is_write, dtype=bool).tolist()
         m = len(page_l)
-        lookup = self._metadata.lookup
         mal = (self.hbm.config.timings.row_closed_ns
                + self.hbm.config.burst_ns(64))
+        sram_hit = self._metadata.lookup_many(page_arr)
+        meta_misses = m - int(sram_hit.sum())
+        meta = np.where(sram_hit, 0.0, mal).tolist()
         clock = self._clock
         cache = self._cache
         resident_all = self._resident
         free_all = self._free_ways
         page_blocks = self._page_blocks
-        meta = [0.0] * m
         use = [True] * m
         local = [0] * m
-        post: dict[int, list] = {}
-        meta_misses = 0
+        ops: list[int] = []
+        emit = ops.extend
         block_fills = block_evictions = overfetch = 0
         pom_evictions = promotions = 0
         fetch_total = wb_total = mode_switch = 0
         for i, (page, block, a, da, wr) in enumerate(zip(
                 page_l, block_l, addr_l, dram_l, wr_l)):
             clock += 1
-            if not lookup(page):
-                meta[i] = mal
-                meta_misses += 1
             pom_set = page % pom_sets
             resident = resident_all[pom_set]
             entry = resident.get(page)
@@ -327,7 +328,6 @@ class Hybrid2Controller(HybridMemoryController):
                 continue
             use[i] = False
             local[i] = da
-            ops = []
             way = -1
             for wi in range(CACHE_WAYS):
                 if slots[wi].tag < 0:
@@ -343,12 +343,12 @@ class Hybrid2Controller(HybridMemoryController):
                 slot = slots[way]
                 vblock = slot.tag * cache_sets + set_index
                 if slot.dirty:
-                    ops.append((0, (chbm_base
-                                    + (set_index * CACHE_WAYS + way)
-                                    * BLOCK_BYTES) % hbm_cap,
-                                BLOCK_BYTES, False))
-                    ops.append((1, (vblock * BLOCK_BYTES) % dram_cap,
-                                BLOCK_BYTES, True))
+                    emit((i, POST_BULK, 0, (chbm_base
+                                            + (set_index * CACHE_WAYS + way)
+                                            * BLOCK_BYTES) % hbm_cap,
+                          BLOCK_BYTES, 0,
+                          i, POST_BULK, 1, (vblock * BLOCK_BYTES) % dram_cap,
+                          BLOCK_BYTES, 1))
                     wb_total += BLOCK_BYTES
                 unused = LINES_PER_BLOCK - slot.used_lines.bit_count()
                 if unused > 0:
@@ -366,11 +366,12 @@ class Hybrid2Controller(HybridMemoryController):
                 slot.used_lines = 0
                 block_evictions += 1
             slot = slots[way]
-            ops.append((1, (block * BLOCK_BYTES) % dram_cap,
-                        BLOCK_BYTES, False))
-            ops.append((0, (chbm_base
-                            + (set_index * CACHE_WAYS + way)
-                            * BLOCK_BYTES) % hbm_cap, BLOCK_BYTES, True))
+            emit((i, POST_BULK, 1, (block * BLOCK_BYTES) % dram_cap,
+                  BLOCK_BYTES, 0,
+                  i, POST_BULK, 0, (chbm_base
+                                    + (set_index * CACHE_WAYS + way)
+                                    * BLOCK_BYTES) % hbm_cap,
+                  BLOCK_BYTES, 1))
             fetch_total += BLOCK_BYTES
             slot.tag = tag
             slot.dirty = wr
@@ -388,11 +389,12 @@ class Hybrid2Controller(HybridMemoryController):
                     victim_page = min(resident,
                                       key=lambda p: resident[p][1])
                     pway = resident.pop(victim_page)[0]
-                    ops.append((0, ((pom_set * POM_WAYS + pway)
-                                    * PAGE_BYTES) % hbm_cap,
-                                PAGE_BYTES, False))
-                    ops.append((1, (victim_page * PAGE_BYTES) % dram_cap,
-                                PAGE_BYTES, True))
+                    emit((i, POST_BULK, 0, ((pom_set * POM_WAYS + pway)
+                                            * PAGE_BYTES) % hbm_cap,
+                          PAGE_BYTES, 0,
+                          i, POST_BULK, 1,
+                          (victim_page * PAGE_BYTES) % dram_cap,
+                          PAGE_BYTES, 1))
                     wb_total += PAGE_BYTES
                     mode_switch += PAGE_BYTES
                     pom_evictions += 1
@@ -410,30 +412,29 @@ class Hybrid2Controller(HybridMemoryController):
                             bslot = bslots[wj]
                             if bslot.tag == btag:
                                 if bslot.dirty:
-                                    ops.append((0, (chbm_base
-                                                    + (si * CACHE_WAYS
-                                                       + wj)
-                                                    * BLOCK_BYTES)
-                                                % hbm_cap,
-                                                BLOCK_BYTES, False))
-                                    ops.append((1, (b * BLOCK_BYTES)
-                                                % dram_cap,
-                                                BLOCK_BYTES, True))
+                                    emit((i, POST_BULK, 0,
+                                          (chbm_base + (si * CACHE_WAYS
+                                                        + wj)
+                                           * BLOCK_BYTES) % hbm_cap,
+                                          BLOCK_BYTES, 0,
+                                          i, POST_BULK, 1,
+                                          (b * BLOCK_BYTES) % dram_cap,
+                                          BLOCK_BYTES, 1))
                                     wb_total += BLOCK_BYTES
                                     mode_switch += BLOCK_BYTES
                                 bslot.tag = -1
                                 bslot.dirty = False
                                 bslot.used_lines = 0
                                 break
-                ops.append((1, (page * PAGE_BYTES) % dram_cap,
-                            PAGE_BYTES, False))
-                ops.append((0, ((pom_set * POM_WAYS + pway) * PAGE_BYTES)
-                            % hbm_cap, PAGE_BYTES, True))
+                emit((i, POST_BULK, 1, (page * PAGE_BYTES) % dram_cap,
+                      PAGE_BYTES, 0,
+                      i, POST_BULK, 0, ((pom_set * POM_WAYS + pway)
+                                        * PAGE_BYTES) % hbm_cap,
+                      PAGE_BYTES, 1))
                 fetch_total += PAGE_BYTES
                 mode_switch += PAGE_BYTES
                 resident[page] = [pway, clock]
                 promotions += 1
-            post[i] = ops
         self._clock = clock
         bump = self.stats.bump
         if meta_misses:
@@ -455,11 +456,9 @@ class Hybrid2Controller(HybridMemoryController):
             bump("writeback_bytes", wb_total)
         if mode_switch:
             bump("mode_switch_bytes", mode_switch)
-        plan = EpochPlan(use_hbm=np.asarray(use, dtype=bool),
-                         local_addr=np.asarray(local, dtype=np.int64))
-        plan.meta = meta
-        plan.post = post
-        return plan
+        return EpochPlan(use_hbm=np.asarray(use, dtype=bool),
+                         local_addr=np.asarray(local, dtype=np.int64),
+                         meta=meta, ops=ops)
 
     def reset_measurements(self) -> None:
         super().reset_measurements()

@@ -93,7 +93,7 @@ class MemPodController(HybridMemoryController):
         (MEA counters, per-pod access epochs, LRU ticks) never reads
         device timing — ``now_ns`` only reaches the movement engine — so
         the page moves a pod epoch issues before the demand become that
-        request's ``pre_bulk`` script."""
+        request's ``PRE_BULK`` rows of the op table."""
         from ..sim.vectorized import EpochPlan, ScriptRecorder
         m = addr.shape[0]
         plan = EpochPlan(use_hbm=np.zeros(m, dtype=bool),

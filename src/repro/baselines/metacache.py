@@ -10,6 +10,11 @@ SRAM budget.
 
 from __future__ import annotations
 
+try:
+    import numpy as np
+except ImportError:                                   # pragma: no cover
+    np = None
+
 
 class MetadataCache:
     """An SRAM cache of metadata entries, indexed by entry number.
@@ -63,7 +68,27 @@ class MetadataCache:
         self.lookups += 1
         if self._always_hits:
             return True
-        line = (entry_index * self.entry_bytes) // self._line_bytes
+        if self._touch((entry_index * self.entry_bytes) // self._line_bytes):
+            return True
+        self.sram_misses += 1
+        return False
+
+    def lookup_many(self, entries):
+        """:meth:`lookup` of each entry of the int array ``entries``, in
+        order; returns the bool array of which were SRAM-resident."""
+        n = entries.shape[0]
+        self.lookups += n
+        if self._always_hits:
+            return np.ones(n, dtype=bool)
+        touch = self._touch
+        resident = np.array([touch(line) for line in (
+            (entries * self.entry_bytes) // self._line_bytes).tolist()],
+            dtype=bool)
+        self.sram_misses += n - int(resident.sum())
+        return resident
+
+    def _touch(self, line: int) -> bool:
+        """Make ``line`` its set's most recent; True when it was cached."""
         tags = self._sets[line % self._nsets]
         tag = line // self._nsets
         if tag in tags:
@@ -71,7 +96,6 @@ class MetadataCache:
                 tags.remove(tag)
                 tags.insert(0, tag)
             return True
-        self.sram_misses += 1
         if len(tags) >= self._ways:
             tags.pop()
         tags.insert(0, tag)

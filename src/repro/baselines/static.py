@@ -19,7 +19,7 @@ controller is non-adaptive, so pass 1 skips the most-blocks switch
 restriction entirely — every resident hit classifies pure straight from
 the BLE snapshot, without the per-way block-count guard the adaptive
 Bumblebee needs.  Every other request runs through ``access`` in pass 1
-and hands the walk its recorded device script.
+and hands the walk its recorded op-table rows.
 """
 
 from __future__ import annotations

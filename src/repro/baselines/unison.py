@@ -183,17 +183,17 @@ class UnisonCacheController(HybridMemoryController):
     # ------------------------------------------------------------------
 
     def batch_epoch_plan(self, addr, is_write):
-        """Pass 1: forward-replay the epoch's metadata, emit a script.
+        """Pass 1: forward-replay the epoch's metadata, emit an op table.
 
         Unison's state machine (tags, valid/dirty/used line vectors,
         LRU clock, footprint predictor) never reads device timing, and
         the way predictor's RNG draws only on hits — in request order —
         so pass 1 replays the whole epoch in scalar order against the
         live state: mispredicted hits and misses carry their serial
-        HBM probe as a ``pre`` op, fills and evictions carry their
-        movement as ``post`` bulk ops.
+        HBM probe as a ``PROBE`` row of the op table, fills and
+        evictions carry their movement as ``POST_BULK`` rows.
         """
-        from ..sim.vectorized import EpochPlan
+        from ..sim.vectorized import POST_BULK, PROBE, EpochPlan
         sets = self._sets
         hbm_cap = self._hbm_capacity
         dram_cap = self._dram_capacity
@@ -212,8 +212,8 @@ class UnisonCacheController(HybridMemoryController):
         accuracy = self.WAY_PREDICTION_ACCURACY
         use = [True] * m
         local = [0] * m
-        pre: dict[int, list] = {}
-        post: dict[int, list] = {}
+        ops: list[int] = []
+        emit = ops.extend
         mispredicts = probes = fills = evictions = 0
         fetch_total = wb_total = overfetch = 0
         # Epoch-local mirror of each touched set's way tags: the scan
@@ -239,25 +239,24 @@ class UnisonCacheController(HybridMemoryController):
                 if wr:
                     w.dirty_lines |= 1 << ln
                 if rng_random() > accuracy:
-                    pre[i] = [(0, ((s * WAYS + (hit_way + 1) % WAYS)
-                                   * stride + ln * LINE_BYTES) % hbm_cap,
-                               LINE_BYTES, False)]
+                    emit((i, PROBE, 0, ((s * WAYS + (hit_way + 1) % WAYS)
+                                        * stride + ln * LINE_BYTES)
+                          % hbm_cap, LINE_BYTES, 0))
                     mispredicts += 1
                 local[i] = ((s * WAYS + hit_way) * stride
                             + ln * LINE_BYTES) % hbm_cap
                 continue
             use[i] = False
             local[i] = da
-            pre[i] = [(0, ((s * WAYS + (hit_way or 0)) * stride)
-                      % hbm_cap, TAG_BYTES, False)]
+            emit((i, PROBE, 0, ((s * WAYS + (hit_way or 0)) * stride)
+                  % hbm_cap, TAG_BYTES, 0))
             probes += 1
-            ops = []
             if hit_way is not None:
                 # Resident page, footprint-missed line: 64B line fill.
-                ops.append((1, da, LINE_BYTES, False))
-                ops.append((0, ((s * WAYS + hit_way) * stride
-                                + ln * LINE_BYTES) % hbm_cap,
-                            LINE_BYTES, True))
+                emit((i, POST_BULK, 1, da, LINE_BYTES, 0,
+                      i, POST_BULK, 0, ((s * WAYS + hit_way) * stride
+                                        + ln * LINE_BYTES) % hbm_cap,
+                      LINE_BYTES, 1))
                 fetch_total += LINE_BYTES
                 w = ways[hit_way]
                 w.valid_lines |= 1 << ln
@@ -278,11 +277,11 @@ class UnisonCacheController(HybridMemoryController):
                     old_pg = victim.tag * sets + s
                     dirty = victim.dirty_lines.bit_count() * LINE_BYTES
                     if dirty:
-                        ops.append((0, ((s * WAYS + victim_index)
-                                        * stride) % hbm_cap,
-                                    dirty, False))
-                        ops.append((1, (old_pg * PAGE_BYTES) % dram_cap,
-                                    dirty, True))
+                        emit((i, POST_BULK, 0, ((s * WAYS + victim_index)
+                                                * stride) % hbm_cap,
+                              dirty, 0,
+                              i, POST_BULK, 1,
+                              (old_pg * PAGE_BYTES) % dram_cap, dirty, 1))
                         wb_total += dirty
                     footprints[old_pg] = victim.used_lines
                     unused = (victim.brought_lines
@@ -293,9 +292,9 @@ class UnisonCacheController(HybridMemoryController):
                 pg = tg * sets + s
                 footprint = footprints.get(pg, 0) | (1 << ln)
                 nb = footprint.bit_count() * LINE_BYTES
-                ops.append((1, (pg * PAGE_BYTES) % dram_cap, nb, False))
-                ops.append((0, ((s * WAYS + victim_index) * stride)
-                            % hbm_cap, nb, True))
+                emit((i, POST_BULK, 1, (pg * PAGE_BYTES) % dram_cap, nb, 0,
+                      i, POST_BULK, 0, ((s * WAYS + victim_index) * stride)
+                      % hbm_cap, nb, 1))
                 fetch_total += nb
                 victim.tag = tg
                 row[victim_index] = tg
@@ -305,7 +304,6 @@ class UnisonCacheController(HybridMemoryController):
                 victim.dirty_lines = (1 << ln) if wr else 0
                 victim.lru = clock
                 fills += 1
-            post[i] = ops
         self._clock = clock
         bump = self.stats.bump
         if mispredicts:
@@ -323,11 +321,9 @@ class UnisonCacheController(HybridMemoryController):
             bump("fetched_bytes", fetch_total)
         if wb_total:
             bump("writeback_bytes", wb_total)
-        plan = EpochPlan(use_hbm=np.asarray(use, dtype=bool),
-                         local_addr=np.asarray(local, dtype=np.int64))
-        plan.pre = pre
-        plan.post = post
-        return plan
+        return EpochPlan(use_hbm=np.asarray(use, dtype=bool),
+                         local_addr=np.asarray(local, dtype=np.int64),
+                         ops=ops)
 
     def reset_measurements(self) -> None:
         super().reset_measurements()

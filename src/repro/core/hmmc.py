@@ -661,10 +661,11 @@ class BumblebeeController(HybridMemoryController):
     #: epoch's numpy classification makes every later request it serves
     #: in that epoch re-checked once; a fresher classification saves
     #: that work until the per-epoch planning cost takes over.  CPU time
-    #: of the cells (min of 4 interleaved runs, 2 vCPUs) at 2048 / 8192 /
-    #: the 65536 default: pressure-cold's C-Only/M-Only/Alloc-D/Alloc-H
-    #: cells 1.78 / 2.08 / 1.97 s, fig8-cold's Bumblebee cells
-    #: 0.60 / 0.60 / 0.68 s.
+    #: of the cells (min of 6 interleaved runs, 2 vCPUs, op-table walk)
+    #: at 1024 / 2048 / 4096 / 8192: pressure-cold's C-Only/Alloc-H
+    #: cells 0.885 / 0.852 / 0.867 / 0.863 s, fig8-cold's Bumblebee
+    #: cells 0.462 / 0.433 / 0.388 / 0.387 s.  Longer epochs help the
+    #: second set and slow the first, so the size stays.
     preferred_epoch_requests = 2048
 
     def batch_epoch_plan(self, addr, is_write):
@@ -681,8 +682,8 @@ class BumblebeeController(HybridMemoryController):
         on the sets, a batch flush and the re-enable that ends a
         cooldown (:meth:`_hmf_trajectory`) — runs through :meth:`access`
         at its place in the order, with the devices bound to a
-        :class:`~repro.sim.vectorized.ScriptRecorder`: its demand and
-        movement become the request's script.
+        :class:`~repro.sim.vectorized.ScriptRecorder`: its demand fills
+        the request's plan entry and its movement becomes op-table rows.
 
         Such a request changes the tables the classification read, and
         every change bumps its set's ``_set_versions`` counter: a request

@@ -35,7 +35,7 @@ import urllib.parse
 from ..analysis.experiments import ExperimentConfig, ExperimentHarness
 from ..analysis.campaign import _cell_key
 from ..resilience import faults
-from ..resilience.supervisor import Supervision, backoff_delay
+from ..resilience.supervisor import backoff_delay
 from ..traces.spec import SystemScale
 from ..traces.tracecache import TraceCache
 from .cachebackend import BackendResultCache, HTTPCacheBackend
@@ -75,11 +75,7 @@ class FabricClient:
         self.worker_id = worker_id
         self.attempts = attempts
         self.timeout_s = timeout_s
-        self._policy = Supervision(timeout_s=None,
-                                   max_attempts=attempts,
-                                   backoff_base_s=backoff_base_s,
-                                   backoff_cap_s=backoff_cap_s,
-                                   seed=seed)
+        self._backoff = (backoff_base_s, backoff_cap_s, seed)
 
     def request(self, method: str, path: str,
                 body: bytes | None = None,
@@ -94,8 +90,8 @@ class FabricClient:
         last_error: Exception | None = None
         for attempt in range(self.attempts):
             if attempt:
-                time.sleep(backoff_delay(self._policy,
-                                         f"{method} {path}", attempt - 1))
+                time.sleep(backoff_delay(f"{method} {path}", attempt - 1,
+                                         *self._backoff))
             conn = http.client.HTTPConnection(self.host, self.port,
                                              timeout=self.timeout_s)
             try:

@@ -117,19 +117,17 @@ class CellFailure:
     attempts: list[str]
 
 
-def backoff_delay(policy: Supervision, key: str, attempt: int) -> float:
+def backoff_delay(key: str, attempt: int, base_s: float, cap_s: float,
+                  seed: int) -> float:
     """Deterministic exponential backoff with hashed jitter.
 
-    ``base * 2^attempt`` scaled by a jitter factor in ``[0.5, 1.5)``
-    derived from ``sha256(seed, key, attempt)``, capped at
-    ``backoff_cap_s`` — the classic decorrelated-retry shape, but
-    reproducible run to run.
+    ``base_s * 2^attempt`` scaled by a jitter factor in ``[0.5, 1.5)``
+    derived from ``sha256(seed, key, attempt)``, capped at ``cap_s`` —
+    the classic decorrelated-retry shape, but reproducible run to run.
     """
-    digest = hashlib.sha256(
-        f"{policy.seed}:{key}:{attempt}".encode()).digest()
+    digest = hashlib.sha256(f"{seed}:{key}:{attempt}".encode()).digest()
     jitter = 0.5 + int.from_bytes(digest[:8], "big") / 2 ** 64
-    return min(policy.backoff_base_s * (2 ** attempt) * jitter,
-               policy.backoff_cap_s)
+    return min(base_s * (2 ** attempt) * jitter, cap_s)
 
 
 @dataclass
@@ -278,8 +276,10 @@ class LeaseTable:
             cell.status = "quarantined"
             return "quarantined"
         cell.status = "pending"
-        delay = backoff_delay(self.policy, cell.key,
-                              len(cell.failures) - 1)
+        policy = self.policy
+        delay = backoff_delay(cell.key, len(cell.failures) - 1,
+                              policy.backoff_base_s, policy.backoff_cap_s,
+                              policy.seed)
         heapq.heappush(self._ready, (now + delay, cell.index))
         return "pending"
 

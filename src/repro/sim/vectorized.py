@@ -13,35 +13,40 @@ line into two passes.
 Pass 1 (:meth:`batch_epoch_plan`) decides every request of the epoch in
 scalar order against the controller's live state, commits all of its
 feedback, and returns an :class:`EpochPlan`: each request's serving
-device and local address plus a *device script* of the extra device
-operations it issues (serial probes, bulk movement before and after the
-demand, per-request metadata latency).  A design may decide requests
-however it likes, as long as the decisions and the script are the
-scalar loop's:
+device and local address, its metadata latency, and one flat *op
+table* of the extra device operations the epoch issues, a row
+``(owner, kind, lane, addr, nbytes, is_write)`` per operation (serial
+probes, bulk movement before and after the demand).  A design may
+decide requests however it likes, as long as the decisions and the
+table are the scalar loop's:
 
 * No-HBM and Ideal send the whole epoch to one device at
   ``addr % capacity`` and script nothing;
-* the Figure-8 caches forward-replay their own state machine;
+* the Figure-8 caches forward-replay their own state machine and
+  append rows directly (AlloyCache builds its table with numpy);
 * MemPod runs every request through its own ``access``, and Bumblebee
   classifies runs of resident hits with numpy and runs every other
   request through ``access``, both with the devices bound to a
-  :class:`ScriptRecorder`.
+  :class:`ScriptRecorder`, which appends the rows.
 
-The walk then times the script, with everything outside the sequential
+The walk then times the table, with everything outside the sequential
 float recurrence done as numpy array operations over the epoch:
 
 * bulk decode of the packed ``uint64`` records into ``addr`` /
   ``is_write`` / ``icount`` columns (the same bit layout as
   :mod:`repro.traces.packed`);
+* one validation and decode of the op table: bulk rows split into
+  their per-channel shares (``MemoryDevice.bulk_transfer``'s chunking
+  as array arithmetic), probes through the demand decode;
 * the interleaved channel/bank/row decode of
   :class:`~repro.mem.address.AddressMapper` as integer array arithmetic
   over every demand and probe, yielding the global channel/bank ids of
   the controller's shared :class:`~repro.mem.device.TimingState`;
 * row-buffer hit/closed/conflict classification of every bank access
-  (probes and demands, in script order) via a stable sort by bank id:
+  (probes and demands, in table order) via a stable sort by bank id:
   each access sees the row its bank's *previous* access opened, with
   the open-row state carried across epoch boundaries;
-* bulk traffic, energy-counter, statistic, and histogram accumulation
+* traffic, energy-counter, statistic, and histogram accumulation
   (``np.bincount`` totals added straight into the state's lists,
   :meth:`~repro.sim.stats.Histogram.add_many` for the histogram).
 
@@ -51,7 +56,9 @@ couples request *i*'s latency to request *i+1*'s arrival time
 backlog); now += latency/mlp``).  One pure-Python loop runs the
 bank/bus/backlog arithmetic of ``MemoryDevice.access`` and
 ``bulk_transfer`` over pre-converted lists, **directly on the shared
-timing-state lists**, operation for operation in the scalar order.  It
+timing-state lists**, operation for operation in the scalar order: a
+request's rows are a contiguous run of each decoded column, so the
+walk steps a cursor per column instead of looking a request up.  It
 keeps no timing state of its own and never calls back into the
 controller, so every float and every counter lands bit-identically.
 The equivalence is enforced by the differential sanitizer
@@ -65,7 +72,6 @@ the scalar loop automatically (see ``SimulationDriver.run(engine=...)``).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING, Any
@@ -87,12 +93,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["EpochPlan", "ScriptRecorder", "epoch_capable",
            "fallback_reason", "decode_epoch", "replay_epoch",
+           "PRE_BULK", "PROBE", "POST_BULK", "OP_WIDTH",
            "VECTOR_EPOCH_REQUESTS"]
+
+#: Op-table row kinds: bulk movement charged before the demand, a
+#: serial probe on the critical path, bulk movement after the demand.
+PRE_BULK, PROBE, POST_BULK = 0, 1, 2
+#: Ints per op-table row: ``(owner, kind, lane, addr, nbytes, is_write)``.
+OP_WIDTH = 6
 
 
 @dataclass
 class EpochPlan:
-    """Pass 1's decisions and device script for one epoch.
+    """Pass 1's decisions and op table for one epoch.
 
     Returned by :meth:`batch_epoch_plan`, after pass 1 has applied every
     request's policy feedback.  Controllers may attach further
@@ -107,18 +120,24 @@ class EpochPlan:
             overridden per request by ``meta``.
         meta: Optional per-request metadata latency (ns) (variable MAL
             designs).
-        pre_bulk: Optional ``{index: [(lane, addr, nbytes, is_write),
-            ...]}`` — bulk movement issued *before* the demand (an
-            eviction that frees a slot, a flush), charged at the
-            request's arrival like ``MemoryDevice.bulk_transfer``.
-        pre: Optional ``{index: [(lane, addr, nbytes, is_write), ...]}``
-            — serial demand-style accesses (tag probes) executed after
-            ``pre_bulk`` and before the demand; their duration extends
-            the request's critical path and metadata time, exactly like
-            the scalar ``probe_ns`` terms.
-        post: Optional ``{index: [(lane, addr, nbytes, is_write), ...]}``
-            — bulk movement issued after the demand (fills, migrations,
-            writebacks), charged at the request's arrival.
+        ops: Optional op table: every device operation of the epoch
+            besides the demands, one row ``(owner, kind, lane, addr,
+            nbytes, is_write)`` each, as a flat int sequence
+            (:data:`OP_WIDTH` ints a row; pass 1 appends rows with
+            ``emit = ops.extend``) or an ``(n, OP_WIDTH)`` int array.
+            ``owner`` is the issuing request's index in the epoch and
+            ``kind`` one of :data:`PRE_BULK` (bulk movement issued
+            before the demand — an eviction that frees a slot, a flush
+            — charged at the request's arrival like
+            ``MemoryDevice.bulk_transfer``), :data:`PROBE` (a serial
+            demand-style access — a tag probe — run after the
+            request's pre-demand movement and before its demand; its
+            duration extends the critical path and metadata time,
+            exactly like the scalar ``probe_ns`` terms) and
+            :data:`POST_BULK` (fills, migrations and writebacks issued
+            after the demand, charged at the request's arrival).  Rows
+            are ordered by ``(owner, kind)`` and keep the scalar call
+            order within each group.
         policy_requests: How many of the epoch's requests pass 1 ran
             through the controller's ``access`` (0 for designs that
             forward-replay their own state machine).
@@ -133,23 +152,22 @@ class EpochPlan:
     local_addr: Any
     meta_const: float = 0.0
     meta: Any = None
-    pre_bulk: Any = None
-    pre: Any = None
-    post: Any = None
+    ops: Any = None
     policy_requests: int = 0
 
 
 class ScriptRecorder:
-    """Device calls of a controller's ``access``, recorded as a script.
+    """Device calls of a controller's ``access``, recorded as op rows.
 
     Inside a ``with`` block the controller's devices are bound to the
-    recorder: ``MemoryDevice.access`` and ``bulk_transfer`` append to the
-    current request's script instead of running the timing model (they
-    return their ``now_ns`` argument), so pass 1 can run a request's
-    policy in scalar order and leave its timing to the walk.  Each
-    request :meth:`run` sends through ``access`` must issue exactly one
-    demand access; :meth:`fill` writes the demands, and the bulk
-    transfers each request issued before and after its demand, into the
+    recorder: ``MemoryDevice.access`` records the running request's
+    demand and ``bulk_transfer`` appends a :data:`PRE_BULK` row (before
+    the demand) or a :data:`POST_BULK` row (after it) to the epoch's op
+    table, instead of running the timing model (both return their
+    ``now_ns`` argument).  So pass 1 can run a request's policy in
+    scalar order and leave its timing to the walk.  Each request
+    :meth:`run` sends through ``access`` must issue exactly one demand
+    access; :meth:`fill` writes the demands and the table into the
     epoch's plan.
 
     The engine counts every request's demand, so on leaving the block
@@ -163,26 +181,28 @@ class ScriptRecorder:
         self._stats = controller.stats
         self._devices = _lanes(controller)[1]
         self._request = MutableRequest()
-        self._ops: list[tuple] = []
+        #: The recorded op table, flat.
+        self._ops: list[int] = []
+        #: ``[owner, kind]`` of the rows the running request appends;
+        #: its demand access turns the kind from PRE_BULK to POST_BULK.
+        self._cursor = [0, PRE_BULK]
         self._index: list[int] = []
-        #: ``(lane, local_addr, is_write, ops issued before it)`` of each
-        #: demand access, in call order.
+        #: ``(lane, local_addr, is_write)`` of each demand access, in
+        #: call order.
         self._demands: list[tuple] = []
-        #: ``{index: [(lane, addr, nbytes, is_write), ...]}`` — bulk
-        #: movement each request issued before / after its demand.
-        self._pre_bulk: dict[int, list] = {}
-        self._post: dict[int, list] = {}
 
     def _bind(self, lane: int, dev: "MemoryDevice") -> None:
-        ops = self._ops
-        demands = self._demands
+        emit = self._ops.extend
+        demand = self._demands.append
+        cursor = self._cursor
 
         def access(addr, nbytes, is_write, now_ns):
-            demands.append((lane, addr, is_write, len(ops)))
+            demand((lane, addr, is_write))
+            cursor[1] = POST_BULK
             return now_ns
 
         def bulk_transfer(addr, nbytes, is_write, now_ns):
-            ops.append((lane, addr, nbytes, is_write))
+            emit((cursor[0], cursor[1], lane, addr, nbytes, is_write))
             return now_ns
 
         dev.access = access
@@ -208,24 +228,19 @@ class ScriptRecorder:
                 bump(key, -count)
 
     def run(self, index: int, addr: int, is_write: bool) -> None:
-        """Run request ``index`` of the epoch through ``access`` and file
-        the movement it issued before and after its demand."""
+        """Run request ``index`` of the epoch through ``access``,
+        recording its demand and the movement it issues around it."""
         request = self._request
         request.addr = addr
         request.is_write = is_write
+        cursor = self._cursor
+        cursor[0] = index
+        cursor[1] = PRE_BULK
         self._access(request, 0.0)
         self._index.append(index)
-        ops = self._ops
-        if ops:
-            split = self._demands[-1][3]
-            if split:
-                self._pre_bulk[index] = ops[:split]
-            if split < len(ops):
-                self._post[index] = ops[split:]
-            ops.clear()
 
     def fill(self, plan: EpochPlan) -> None:
-        """Write the recorded demands and scripts into ``plan``.
+        """Write the recorded demands and op table into ``plan``.
 
         Raises:
             ValueError: when the requests run did not each issue exactly
@@ -236,12 +251,11 @@ class ScriptRecorder:
                 f"{len(self._index)} recorded requests issued "
                 f"{len(self._demands)} demand accesses")
         if self._index:
-            lane, local, _, _ = zip(*self._demands)
+            lane, local, _ = zip(*self._demands)
             index = np.array(self._index, dtype=np.int64)
             plan.use_hbm[index] = np.array(lane) == 0
             plan.local_addr[index] = local
-        plan.pre_bulk = self._pre_bulk
-        plan.post = self._post
+        plan.ops = self._ops
         plan.policy_requests = len(self._index)
 
 
@@ -356,16 +370,117 @@ def _lookup_tables(lanes):
     return lat_table, burst_table, bursts_by_chan
 
 
+#: The device constants the op-table decode reads, per lane.
+_LANE_FIELDS = ("capacity_bytes", "interleave", "nchannels", "row_bytes",
+                "chan_base", "bus_bytes", "burst_bytes", "tck_half_ns")
+
+
+def _lane_params(lanes) -> dict:
+    """Each of :data:`_LANE_FIELDS` as a two-entry array indexed by
+    lane code; a lane the design lacks stays 0 (capacity 0, so the op
+    table check rejects any row on it)."""
+    params = {name: np.zeros(2, dtype=np.float64 if name == "tck_half_ns"
+                             else np.int64) for name in _LANE_FIELDS}
+    for code, dev in lanes:
+        for name, column in params.items():
+            column[code] = getattr(dev, name)
+    return params
+
+
+def _op_table(ops, m: int, params: dict, name: str):
+    """A plan's op table as an ``(n, OP_WIDTH)`` int64 array, checked
+    once per epoch.
+
+    Raises:
+        ValueError: naming the design, for a table that is not whole
+            rows, an owner outside the epoch, a kind other than 0, 1 or
+            2, rows out of ``(owner, kind)`` order, a lane the design
+            lacks, a negative byte count, or an address outside its
+            device wherever the op touches it (a probe, or a move of
+            at least one byte) — the range ``MemoryDevice`` enforces.
+    """
+    table = (np.fromiter(ops, dtype=np.int64, count=len(ops))
+             if type(ops) is list else np.asarray(ops, dtype=np.int64))
+    problem = None
+    if table.size % OP_WIDTH:
+        problem = f"{table.size} ints, not rows of {OP_WIDTH}"
+    else:
+        table = table.reshape(-1, OP_WIDTH)
+        owner, kind, lane, addr, nbytes, _ = table.T
+        capacity = params["capacity_bytes"]
+        if int(owner.min()) < 0 or int(owner.max()) >= m:
+            problem = f"an op owner outside the {m}-request epoch"
+        elif int(kind.min()) < PRE_BULK or int(kind.max()) > POST_BULK:
+            problem = "an op kind other than 0, 1 or 2"
+        elif bool((np.diff(owner * 3 + kind) < 0).any()):
+            problem = "op rows out of (owner, kind) order"
+        elif int(lane.min()) < 0 or int(lane.max()) > 1 or not bool(
+                capacity[lane].all()):
+            problem = "an op on a device the design lacks"
+        elif int(nbytes.min()) < 0:
+            problem = "an op with a negative byte count"
+        else:
+            live = (nbytes > 0) | (kind == PROBE)
+            where = addr[live]
+            if bool(((where < 0) | (where >= capacity[lane[live]])).any()):
+                problem = "an op address outside its device"
+    if problem is not None:
+        raise ValueError(f"batch_epoch_plan of {name!r} scripted "
+                         f"{problem}")
+    return table
+
+
+def _bulk_shares(bulk, params):
+    """Every bulk row's per-channel shares, in row order.
+
+    The chunking of ``MemoryDevice.bulk_transfer`` as array arithmetic:
+    a row's byte count splits into equal shares over ``min(channels,
+    interleave chunks)`` consecutive channels from the address's home
+    channel, and every share charges the row count of a whole share.
+    A zero-byte row has no share.
+
+    Returns:
+        ``(owner, post, burst_ns, counts)`` arrays, one entry per
+        share, where ``counts`` is ``(chan, is_write, nbytes, bursts,
+        rows)`` in :func:`_add_counts`'s order.
+    """
+    owner, kind, lane, addr, nbytes, is_write = bulk.T
+    interleave = params["interleave"][lane]
+    nch = params["nchannels"][lane]
+    used = np.minimum(nch, np.maximum(
+        (nbytes + interleave - 1) // interleave, 1))
+    share = (nbytes + used - 1) // used
+    count = -(-nbytes // np.maximum(share, 1))
+    rep = np.repeat(np.arange(owner.shape[0]), count)
+    k = np.arange(rep.shape[0]) - np.repeat(np.cumsum(count) - count,
+                                            count)
+    share_r = share[rep]
+    part = np.minimum(share_r, nbytes[rep] - k * share_r)
+    lane_r = lane[rep]
+    home = (addr // interleave) % nch
+    chan = params["chan_base"][lane_r] + (home[rep] + k) % nch[rep]
+    burst_ns, bursts = _bursts(params, lane_r, part)
+    rows = np.maximum(share // params["row_bytes"][lane], 1)[rep]
+    return (owner[rep], kind[rep] == POST_BULK, burst_ns,
+            (chan, is_write[rep] != 0, part, bursts, rows))
+
+
+def _ends(owner, m: int):
+    """Per request, the end of its run in a column ordered by owner."""
+    return np.cumsum(np.bincount(owner, minlength=m))
+
+
 def _add(target: list, counts) -> None:
     """``target += counts`` elementwise, in place."""
     target[:] = (np.asarray(target, dtype=np.int64)
                  + counts.astype(np.int64)).tolist()
 
 
-def _add_counts(state: "TimingState", chan, bank, is_write, outcome,
-                nbytes, bursts) -> None:
-    """Add the traffic, burst, activation and row-buffer outcome counts
-    of a batch of demand-style accesses into ``state``."""
+def _add_counts(state: "TimingState", chan, is_write, nbytes, bursts,
+                activations, bank, outcome) -> None:
+    """Add the traffic, burst and activation counts of a batch of
+    channel operations, and the row-buffer outcome counts of its bank
+    accesses, into ``state``."""
     nch = len(state.bus_free)
     nbank = len(state.open_row)
     for sel, byte_counts, burst_counts in (
@@ -373,7 +488,7 @@ def _add_counts(state: "TimingState", chan, bank, is_write, outcome,
             (is_write, state.write_bytes, state.write_bursts)):
         _add(byte_counts, np.bincount(chan[sel], nbytes[sel], nch))
         _add(burst_counts, np.bincount(chan[sel], bursts[sel], nch))
-    _add(state.activations, np.bincount(chan[outcome != 0], minlength=nch))
+    _add(state.activations, np.bincount(chan, activations, nch))
     for kind, counts in enumerate((state.hits, state.closed,
                                    state.conflicts)):
         _add(counts, np.bincount(bank[outcome == kind], minlength=nbank))
@@ -402,48 +517,14 @@ def _row_outcomes(bank, row, open_row):
     return outcome
 
 
-def _burst_arrays(lanes, code, nbytes):
-    """``MemoryDevice.demand_burst_ns`` and ``bursts`` of each access of
-    ``nbytes`` on lane ``code``, as arrays."""
-    burst_ns = np.zeros(code.shape[0])
-    bursts = np.zeros(code.shape[0], dtype=np.int64)
-    for lane, dev in lanes:
-        sel = code == lane
-        beats = (nbytes[sel] + dev.bus_bytes - 1) // dev.bus_bytes
-        burst_ns[sel] = np.maximum(beats, 1) * dev.tck_half_ns
-        bursts[sel] = np.maximum(
-            (nbytes[sel] + dev.burst_bytes - 1) // dev.burst_bytes, 1)
-    return burst_ns, bursts
-
-
-def _resolve_bulk_op(dev: "MemoryDevice", addr: int,
-                     nbytes: int) -> tuple[list, list]:
-    """Expand one scripted bulk transfer into its per-channel shares.
-
-    The chunking of ``MemoryDevice.bulk_transfer``: the byte count splits
-    into equal shares over ``min(channels, chunks)`` consecutive channels
-    starting at the address's home channel, and every share charges its
-    row count (as the device does).  Returns the walk's ``(channel,
-    burst_ns)`` steps and ``(channel, nbytes, bursts, rows)`` counts.
-    """
-    chunks = (nbytes + dev.interleave - 1) // dev.interleave
-    if chunks < 1:
-        chunks = 1
-    channels_used = min(dev.nchannels, chunks)
-    share = (nbytes + channels_used - 1) // channels_used
-    rows = max(1, share // dev.row_bytes)
-    start = (addr // dev.interleave) % dev.nchannels
-    remaining = nbytes
-    steps, counts = [], []
-    for k in range(channels_used):
-        if remaining <= 0:
-            break
-        cn = share if share < remaining else remaining
-        c = dev.chan_base + (start + k) % dev.nchannels
-        steps.append((c, dev.demand_burst_ns(cn)))
-        counts.append((c, cn, dev.bursts(cn), rows))
-        remaining -= cn
-    return steps, counts
+def _bursts(params, lane, nbytes):
+    """``MemoryDevice.demand_burst_ns`` and ``bursts`` of each transfer
+    of ``nbytes`` on lane ``lane``, as arrays."""
+    bus = params["bus_bytes"][lane]
+    burst_bytes = params["burst_bytes"][lane]
+    return (np.maximum((nbytes + bus - 1) // bus, 1)
+            * params["tck_half_ns"][lane],
+            np.maximum((nbytes + burst_bytes - 1) // burst_bytes, 1))
 
 
 def _segments(n: int, max_requests: int | None,
@@ -462,33 +543,6 @@ def _segments(n: int, max_requests: int | None,
     count = n if max_requests is None else min(n, max_requests)
     return [(0, count, True)]
 
-
-def _bulk_steps(raw: dict, m: int, lane_by_code: dict, bulk_memo: dict,
-                moved: list) -> list:
-    """A scripted bulk column as per-request walk steps.
-
-    Returns one ``[(channel, burst_ns), ...]`` list per request (None
-    where a request moves nothing) and appends each transfer's memo key
-    to ``moved``, so its traffic counts can land once per distinct
-    transfer.
-    """
-    steps_l = [None] * m
-    get = bulk_memo.get
-    for i, ops in raw.items():
-        steps = []
-        for code, a, n, w in ops:
-            dev = lane_by_code[code]
-            # Bulk decode depends on the address only through its
-            # starting channel, so the memo key collapses to a handful
-            # of entries per lane.
-            key = (code, (a // dev.interleave) % dev.nchannels, n, w)
-            r = get(key)
-            if r is None:
-                r = bulk_memo[key] = _resolve_bulk_op(dev, a, n)
-            steps.extend(r[0])
-            moved.append(key)
-        steps_l[i] = steps
-    return steps_l
 
 
 def _plain_walk(columns, t: float, running: float, mlp: float,
@@ -527,10 +581,10 @@ def replay_epoch(driver: "SimulationDriver",
     """Replay ``trace`` through the two-pass epoch engine.
 
     Pass 1 (:meth:`batch_epoch_plan`) decides each epoch and returns its
-    device script; the walk below times the script through an inlined
-    copy of the scalar device arithmetic **on the shared timing-state
-    lists**.  Every float operation happens in the same order as the
-    scalar loop, so the result is bit-identical.
+    op table; the walk below times the table through an inlined copy of
+    the scalar device arithmetic **on the shared timing-state lists**.
+    Every float operation happens in the same order as the scalar loop,
+    so the result is bit-identical.
 
     Returns:
         ``(result, epochs, policy_requests)`` — a
@@ -541,7 +595,8 @@ def replay_epoch(driver: "SimulationDriver",
     Raises:
         ValueError: on a non-positive epoch size or a malformed
             :class:`EpochPlan` (wrong length, out-of-range local
-            address, HBM use on a design without HBM).
+            address, HBM use on a design without HBM, an op table that
+            fails :func:`_op_table`'s checks).
     """
     _require_numpy()
     if epoch_requests is None:
@@ -565,9 +620,9 @@ def replay_epoch(driver: "SimulationDriver",
     # ---- the shared device timing state and lookup tables ---------------
     state, lanes = _lanes(controller)
     lat_table, burst_table, bursts_by_chan = _lookup_tables(lanes)
+    params = _lane_params(lanes)
     chunk_by_chan = [dev.chunk_ns for _, dev in lanes
                      for _ in range(dev.nchannels)]
-    lane_by_code = dict(lanes)
     open_row = state.open_row
     bank_busy = state.bank_busy
     bus_free = state.bus_free
@@ -575,31 +630,12 @@ def replay_epoch(driver: "SimulationDriver",
     backlog_at = state.backlog_at
     chan_busy = state.chan_busy
 
-    def charge(steps, at_ns):
-        """Scripted movement charged at ``at_ns``, one share per channel
-        as ``bulk_transfer`` charges it (its counts land with the
-        script)."""
-        for c3, bn3 in steps:
-            at = backlog_at[c3]
-            if at_ns > at:
-                drained = backlog[c3] - (at_ns - at)
-                queued = (drained if drained > 0.0 else 0.0) + bn3
-                backlog_at[c3] = at_ns
-            else:
-                queued = backlog[c3] + bn3
-            backlog[c3] = queued
-            done = at_ns + queued
-            if done > chan_busy[c3]:
-                chan_busy[c3] = done
-
-    # Scripted bulk transfers repeat heavily across epochs, so their
-    # per-channel shares are memoized for the whole run.
-    bulk_memo: dict[tuple, tuple] = {}
-
     visible = controller.os_visible_bytes()
     controller._os_visible_cache = visible
     fault_penalty_ns = float(controller.PAGE_FAULT_NS)
     plan_fn = controller.batch_epoch_plan
+    name = controller.name
+    no_ops = repeat(0)
 
     values_all = np.frombuffer(trace.data, dtype=np.uint64)
 
@@ -649,13 +685,9 @@ def replay_epoch(driver: "SimulationDriver",
                     f"{local.shape[0]} entries for a {m}-request epoch")
             if controller.hbm is None and use_hbm.any():
                 raise ValueError(
-                    f"batch_epoch_plan of {controller.name!r} routed "
+                    f"batch_epoch_plan of {name!r} routed "
                     f"requests to HBM but the design has no stacked "
                     f"device")
-
-            # ---- the script's per-request columns ----------------------
-            # Metadata latency, bulk movement before and after the
-            # demand, and serial probes (None where a request has none).
             meta_l = repeat(float(plan.meta_const))
             if plan.meta is not None:
                 meta_l = (plan.meta if type(plan.meta) is list
@@ -665,53 +697,52 @@ def replay_epoch(driver: "SimulationDriver",
                     raise ValueError(
                         f"batch_epoch_plan returned {len(meta_l)} "
                         f"metadata latencies for a {m}-request epoch")
-            moved: list[tuple] = []
-            early_l = post_l = repeat(None)
-            if plan.pre_bulk:
-                early_l = _bulk_steps(plan.pre_bulk, m, lane_by_code,
-                                      bulk_memo, moved)
-            if plan.post:
-                post_l = _bulk_steps(plan.post, m, lane_by_code,
-                                     bulk_memo, moved)
-            if measured:
-                # Every scripted transfer runs and its counts only add:
-                # each distinct one lands once, times repeats.
-                for key, times in Counter(moved).items():
-                    nbytes, bursts = (
-                        (state.write_bytes, state.write_bursts) if key[3]
-                        else (state.read_bytes, state.read_bursts))
-                    for c3, nb3, bs3, rows in bulk_memo[key][1]:
-                        state.activations[c3] += rows * times
-                        nbytes[c3] += nb3 * times
-                        bursts[c3] += bs3 * times
+
+            # ---- the op table, decoded once -----------------------------
+            # Each request's rows are a contiguous run of the probe and
+            # share columns; the walk steps a cursor through each, up to
+            # the request's end in ``*_end``.
+            ops = plan.ops
+            table = (_op_table(ops, m, params, name)
+                     if ops is not None and len(ops) else None)
+            probe_ops = shares = None
+            e_end = p_end = b_end = no_ops
+            if table is not None:
+                is_probe = table[:, 1] == PROBE
+                if is_probe.any():
+                    probe_ops = table[is_probe]
+                    p_end = _ends(probe_ops[:, 0], m)
+                bulk = table[~is_probe]
+                if bulk.shape[0]:
+                    s_owner, s_post, s_burst, shares = _bulk_shares(
+                        bulk, params)
+                    b_end = _ends(s_owner, m)
+                    e_end = (b_end - np.bincount(s_owner[s_post],
+                                                 minlength=m)).tolist()
+                    b_end = b_end.tolist()
+                    s_chan = shares[0].tolist()
+                    s_burst = s_burst.tolist()
 
             chan_gid, bank_gid, row = _decode_lanes(
-                lanes, local, use_hbm, None, "batch_epoch_plan",
-                controller.name)
+                lanes, local, use_hbm, None, "batch_epoch_plan", name)
             device_idx = np.where(use_hbm, 0, 1)
 
             # Row-buffer outcomes of every bank access (a request's
             # probes, then its demand) are classified up front: bulk
             # movement opens no rows.
-            pre_raw = plan.pre
-            order = sorted(pre_raw or ())
-            probe_req = [i for i in order for _ in pre_raw[i]]
-            probe_ops = [op for i in order for op in pre_raw[i]]
             seq_bank, seq_row, d_pos = bank_gid, row, slice(None)
-            if probe_ops:
-                p_code, p_addr, p_bytes, p_write = map(
-                    np.array, zip(*probe_ops))
+            if probe_ops is not None:
+                p_req, _, p_code, p_addr, p_bytes, p_write = probe_ops.T
                 p_chan, p_bank, p_row = _decode_lanes(
                     lanes, p_addr, p_code == 0, None,
-                    "batch_epoch_plan", controller.name)
-                p_burst, p_bursts = _burst_arrays(lanes, p_code, p_bytes)
+                    "batch_epoch_plan", name)
+                p_burst, p_bursts = _bursts(params, p_code, p_bytes)
                 # Request i's demand follows the probes of requests up
                 # to i; a probe follows the demands before its own.
-                p_req = np.array(probe_req, dtype=np.int64)
-                d_pos = np.arange(m) + np.cumsum(
-                    np.bincount(p_req, minlength=m))
-                p_pos = np.arange(len(probe_req)) + p_req
-                seq_bank = np.empty(m + len(probe_req), dtype=np.int64)
+                d_pos = np.arange(m) + p_end
+                p_end = p_end.tolist()
+                p_pos = np.arange(p_req.shape[0]) + p_req
+                seq_bank = np.empty(m + p_req.shape[0], dtype=np.int64)
                 seq_row = np.empty_like(seq_bank)
                 seq_bank[d_pos], seq_bank[p_pos] = bank_gid, p_bank
                 seq_row[d_pos], seq_row[p_pos] = row, p_row
@@ -719,20 +750,14 @@ def replay_epoch(driver: "SimulationDriver",
             seq_out = _row_outcomes(seq_bank, seq_row, open_rows)
             open_row[:] = open_rows.tolist()
             outcomes = seq_out[d_pos]
-            pre_l = repeat(None)
-            if probe_ops:
+            if probe_ops is not None:
                 p_out = seq_out[p_pos]
-                pre_l = [None] * m
-                for i, step in zip(probe_req, zip(
-                        p_chan.tolist(), p_bank.tolist(),
-                        lat_table[p_code, p_out].tolist(),
-                        p_burst.tolist())):
-                    if pre_l[i] is None:
-                        pre_l[i] = [step]
-                    else:
-                        pre_l[i].append(step)
+                pc_l = p_chan.tolist()
+                pb_l = p_bank.tolist()
+                plat_l = lat_table[p_code, p_out].tolist()
+                pburst_l = p_burst.tolist()
 
-            # ---- the walk: the timing of the script, in order ----------
+            # ---- the walk: the timing of the table, in order ------------
             # Plain lists: scalar indexing is much cheaper on lists than
             # on numpy arrays.
             latencies: list[float] = []
@@ -744,44 +769,61 @@ def replay_epoch(driver: "SimulationDriver",
                        chan_gid.tolist(), bank_gid.tolist(),
                        lat_table[device_idx, outcomes].tolist(),
                        burst_table[device_idx].tolist())
-            plain = (not (moved or probe_ops or plan.meta_const)
-                     and plan.meta is None and not any(backlog))
-            if plain:
-                # No script, no metadata time and nothing queued: each
+            if (table is None and not plan.meta_const and plan.meta is None
+                    and not any(backlog)):
+                # No table, no metadata time and nothing queued: each
                 # request is its bare demand, and the drain timestamps
                 # are the only backlog state that moves.
                 t, running = _plain_walk(columns, t, running, mlp,
                                          bank_busy, bus_free, backlog_at,
                                          lat_append)
             else:
-                for (comp_ns, f, c, b, lat, burst_ns, mc, early, probes,
-                     bops) in zip(*columns, meta_l, early_l, pre_l,
-                                  post_l):
+                j = pj = 0
+                for (comp_ns, f, c, b, lat, burst_ns, mc, e_stop, p_stop,
+                     b_stop) in zip(*columns, meta_l, e_end, p_end, b_end):
                     t += comp_ns
                     arrival = t + f
-                    if early is not None:
-                        charge(early, arrival)
-                    if probes is not None:
+                    # Bulk shares queue as ``bulk_transfer`` charges them
+                    # (their counts land with the table's).
+                    while j < e_stop:
+                        c3 = s_chan[j]
+                        at = backlog_at[c3]
+                        if arrival > at:
+                            drained = backlog[c3] - (arrival - at)
+                            queued = ((drained if drained > 0.0 else 0.0)
+                                      + s_burst[j])
+                            backlog_at[c3] = arrival
+                        else:
+                            queued = backlog[c3] + s_burst[j]
+                        backlog[c3] = queued
+                        finish = arrival + queued
+                        if finish > chan_busy[c3]:
+                            chan_busy[c3] = finish
+                        j += 1
+                    probed = pj < p_stop
+                    while pj < p_stop:
                         # Serial probes run at the running cursor and extend
                         # the critical path, exactly like the scalar
                         # probe_ns composition.
-                        for c2, b2, lat2, bn2 in probes:
-                            cur = arrival + mc
-                            if cur > backlog_at[c2]:
-                                drained = backlog[c2] - (cur - backlog_at[c2])
-                                backlog[c2] = drained if drained > 0.0 else 0.0
-                                backlog_at[c2] = cur
-                            busy = bank_busy[b2]
-                            data = (cur if cur > busy else busy) + lat2
-                            bank_busy[b2] = data
-                            pending = backlog[c2]
-                            chunk_ns = chunk_by_chan[c2]
-                            free = bus_free[c2]
-                            done = ((data if data > free else free)
-                                    + (pending if pending < chunk_ns
-                                       else chunk_ns) + bn2)
-                            bus_free[c2] = done
-                            mc += done - cur
+                        c2 = pc_l[pj]
+                        cur = arrival + mc
+                        if cur > backlog_at[c2]:
+                            drained = backlog[c2] - (cur - backlog_at[c2])
+                            backlog[c2] = drained if drained > 0.0 else 0.0
+                            backlog_at[c2] = cur
+                        b2 = pb_l[pj]
+                        busy = bank_busy[b2]
+                        data = (cur if cur > busy else busy) + plat_l[pj]
+                        bank_busy[b2] = data
+                        pending = backlog[c2]
+                        chunk_ns = chunk_by_chan[c2]
+                        free = bus_free[c2]
+                        done = ((data if data > free else free)
+                                + (pending if pending < chunk_ns
+                                   else chunk_ns) + pburst_l[pj])
+                        bus_free[c2] = done
+                        mc += done - cur
+                        pj += 1
                     t0 = arrival + mc
                     # An empty backlog drains to itself and adds an exact
                     # +0.0 to the bus step, so both are skipped.
@@ -804,24 +846,37 @@ def replay_epoch(driver: "SimulationDriver",
                         done += pending if pending < chunk_ns else chunk_ns
                     done += burst_ns
                     bus_free[c] = done
-                    if probes is None:
-                        # _demand_* composes latency from the caller's now_ns
-                        # even though the access starts at now_ns +
-                        # metadata_ns.
-                        latency = (done - arrival) + f
-                    else:
+                    if probed:
                         # Probe composition: probe_ns + demand latency
                         # measured from the shifted start (AccessResult
                         # addition order in Alloy/Unison).
                         latency = (mc + (done - t0)) + f
+                    else:
+                        # _demand_* composes latency from the caller's
+                        # now_ns even though the access starts at now_ns +
+                        # metadata_ns.
+                        latency = (done - arrival) + f
                     running += latency
                     running_meta += mc
                     t += latency / mlp
                     lat_append(latency)
-                    if bops is not None:
-                        charge(bops, arrival)
-            now = t
+                    while j < b_stop:
+                        c3 = s_chan[j]
+                        at = backlog_at[c3]
+                        if arrival > at:
+                            drained = backlog[c3] - (arrival - at)
+                            queued = ((drained if drained > 0.0 else 0.0)
+                                      + s_burst[j])
+                            backlog_at[c3] = arrival
+                        else:
+                            queued = backlog[c3] + s_burst[j]
+                        backlog[c3] = queued
+                        finish = arrival + queued
+                        if finish > chan_busy[c3]:
+                            chan_busy[c3] = finish
+                        j += 1
             del columns         # the lists are dead: keep peak RSS low
+            now = t
 
             if not measured:
                 continue
@@ -837,12 +892,19 @@ def replay_epoch(driver: "SimulationDriver",
             writes = int(is_write.sum())
             demand_writes += writes
             demand_reads += m - writes
-            _add_counts(state, chan_gid, bank_gid, is_write, outcomes,
-                        np.full(m, CACHE_LINE_BYTES),
-                        bursts_by_chan[chan_gid])
-            if probe_ops:
-                _add_counts(state, p_chan, p_bank, p_write, p_out,
-                            p_bytes, p_bursts)
+            # Every device operation's counts only add: the demands',
+            # the probes' and the bulk shares' land in one batch.
+            counts = [(chan_gid, is_write, np.full(m, CACHE_LINE_BYTES),
+                       bursts_by_chan[chan_gid], outcomes != 0)]
+            bank_out = [(bank_gid, outcomes)]
+            if probe_ops is not None:
+                counts.append((p_chan, p_write != 0, p_bytes, p_bursts,
+                               p_out != 0))
+                bank_out.append((p_bank, p_out))
+            if shares is not None:
+                counts.append(shares)
+            _add_counts(state, *(np.concatenate(column) for column in
+                                 (*zip(*counts), *zip(*bank_out))))
 
     # ---- the deferred measured state -------------------------------------
     # Demand completions only advanced bus_free; the busy horizon is

@@ -150,21 +150,60 @@ class TestCheckpointWriter:
 
 
 class TestBackoff:
-    POLICY = Supervision(backoff_base_s=0.05, backoff_cap_s=2.0, seed=7)
+    #: ``(base_s, cap_s, seed)`` of the policy the shape tests use.
+    SPACING = (0.05, 2.0, 7)
 
     def test_deterministic(self):
-        assert backoff_delay(self.POLICY, "k", 1) == \
-            backoff_delay(self.POLICY, "k", 1)
+        assert backoff_delay("k", 1, *self.SPACING) == \
+            backoff_delay("k", 1, *self.SPACING)
 
     def test_varies_by_key_and_attempt(self):
-        delays = {backoff_delay(self.POLICY, key, attempt)
+        delays = {backoff_delay(key, attempt, *self.SPACING)
                   for key in ("a", "b") for attempt in (0, 1, 2)}
         assert len(delays) == 6
 
     def test_grows_until_capped(self):
-        assert all(backoff_delay(self.POLICY, "k", a) <= 2.0
+        assert all(backoff_delay("k", a, *self.SPACING) <= 2.0
                    for a in range(12))
-        assert backoff_delay(self.POLICY, "k", 11) == 2.0
+        assert backoff_delay("k", 11, *self.SPACING) == 2.0
+
+    @pytest.mark.parametrize("spacing, key, attempt, delay", [
+        ((0.05, 2.0, 7), "k", 0, 0.05912299328301049),
+        ((0.05, 2.0, 7), "k", 3, 0.5504782017005166),
+        ((0.05, 2.0, 7), "GET /config", 2, 0.17213389237351873),
+        ((0.05, 1.0, 0), "POST /lease", 0, 0.048823397625089304),
+        ((0.05, 1.0, 0), "mcf|Bumblebee", 5, 1.0),
+        ((0.05, 5.0, 0), "mcf|Bumblebee", 5, 1.4826423098818422),
+    ])
+    def test_pinned_delays(self, spacing, key, attempt, delay):
+        """The spacing the lease table and the fabric client sleep:
+        a change to the hash, the jitter or the cap moves these."""
+        assert backoff_delay(key, attempt, *spacing) == delay
+
+    def test_client_spaces_retries_with_its_own_values(self, monkeypatch):
+        """The fabric client sleeps the same spacing for its own
+        ``(base, cap, seed)``, keyed by method and path."""
+        from repro.fabric import worker
+
+        class Refused:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def request(self, *args, **kwargs):
+                raise ConnectionRefusedError("refused")
+
+            def close(self):
+                pass
+
+        slept = []
+        monkeypatch.setattr(worker.http.client, "HTTPConnection", Refused)
+        monkeypatch.setattr(worker.time, "sleep", slept.append)
+        client = worker.FabricClient("http://127.0.0.1:1", "w", attempts=3,
+                                     backoff_base_s=0.05, backoff_cap_s=1.0)
+        with pytest.raises(worker.FabricUnreachable):
+            client.request("POST", "/lease")
+        assert slept == [0.048823397625089304,
+                         backoff_delay("POST /lease", 1, 0.05, 1.0, 0)]
 
 
 class TestFaults:

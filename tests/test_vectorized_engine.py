@@ -418,6 +418,193 @@ class TestMovementOrder:
         assert epoch == scalar
 
 
+class _FetchOutOfRange(HybridMemoryController):
+    """Fetches every request's line to one address past the end of the
+    stack: the scalar ``bulk_transfer`` rejects it, and so must the
+    epoch engine."""
+
+    def access(self, request, now_ns):
+        self.mover.fetch_to_hbm(request.addr % self._dram_capacity,
+                                self.hbm.capacity_bytes + 64, 64, now_ns)
+        return self._demand_dram(request.addr, request, now_ns)
+
+    def batch_epoch_plan(self, addr, is_write):
+        m = addr.shape[0]
+        plan = EpochPlan(use_hbm=np.zeros(m, dtype=bool),
+                         local_addr=np.zeros(m, dtype=np.int64))
+        with ScriptRecorder(self) as recorder:
+            for i, (a, w) in enumerate(zip(addr.tolist(),
+                                           is_write.tolist())):
+                recorder.run(i, a, w)
+        recorder.fill(plan)
+        return plan
+
+
+class _FixedTable(HybridMemoryController):
+    """DRAM-served requests whose pass 1 returns ``rows`` as the op
+    table of every epoch."""
+
+    rows: tuple = ()
+
+    def access(self, request, now_ns):
+        return self._demand_dram(request.addr, request, now_ns)
+
+    def batch_epoch_plan(self, addr, is_write):
+        m = addr.shape[0]
+        return EpochPlan(use_hbm=np.zeros(m, dtype=bool),
+                         local_addr=addr % self._dram_capacity,
+                         ops=list(self.rows))
+
+
+def _small_pair():
+    return hbm2_config(4 << 20), ddr4_3200_config(40 << 20)
+
+
+def _four_requests():
+    return PackedTrace(array("Q", [encode_request(a * 4096, False, 8)
+                                   for a in range(4)]))
+
+
+class TestOpTableChecks:
+    """The walk checks each epoch's op table once, against the ranges
+    ``MemoryDevice`` enforces, instead of wrapping a bad address onto
+    a channel."""
+
+    def test_out_of_range_fetch_raises_on_both_engines(self):
+        hbm, dram = _small_pair()
+        trace = _four_requests()
+        with pytest.raises(ValueError, match="outside device"):
+            SimulationDriver().run(_FetchOutOfRange(hbm, dram, "Toy"),
+                                   trace, engine="scalar")
+        with pytest.raises(ValueError, match="'Toy'.*outside its device"):
+            SimulationDriver().run(_FetchOutOfRange(hbm, dram, "Toy"),
+                                   trace, engine="auto")
+
+    @pytest.mark.parametrize("rows, problem", [
+        ((4, 2, 1, 0, 64, 0), "owner outside the 4-request epoch"),
+        ((-1, 2, 1, 0, 64, 0), "owner outside"),
+        ((1, 2, 1, 0, 64, 0, 0, 2, 1, 0, 64, 0), "out of .owner, kind"),
+        ((0, 2, 1, 0, 64, 0, 0, 0, 1, 0, 64, 0), "out of .owner, kind"),
+        ((0, 3, 1, 0, 64, 0), "kind other than 0, 1 or 2"),
+        ((0, 2, 2, 0, 64, 0), "device the design lacks"),
+        ((0, 2, 1, 0, -64, 0), "negative byte count"),
+        ((0, 2, 1, 40 << 20, 64, 1), "address outside its device"),
+        ((0, 0, 0, -64, 64, 0), "address outside its device"),
+        ((0, 1, 0, 4 << 20, 8, 0), "address outside its device"),
+        ((0, 2, 1, 0, 64), "5 ints, not rows of 6"),
+    ])
+    def test_malformed_table_names_the_design(self, rows, problem):
+        hbm, dram = _small_pair()
+        design = _FixedTable(hbm, dram, "Toy")
+        design.rows = rows
+        with pytest.raises(ValueError, match="'Toy' scripted .*" + problem):
+            SimulationDriver().run(design, _four_requests(), engine="auto")
+
+    def test_stacked_lane_on_a_design_without_one(self):
+        design = _FixedTable(None, ddr4_3200_config(40 << 20), "Flat")
+        design.rows = (0, 2, 0, 0, 64, 1)
+        with pytest.raises(ValueError,
+                           match="'Flat' scripted an op on a device"):
+            SimulationDriver().run(design, _four_requests(), engine="auto")
+
+    def test_empty_move_is_not_range_checked(self):
+        """``bulk_transfer`` of zero bytes returns before it decodes
+        its address, so a zero-byte row moves nothing and passes."""
+        hbm, dram = _small_pair()
+        design = _FixedTable(hbm, dram, "Toy")
+        design.rows = (0, 2, 0, 1 << 40, 0, 0)
+        plain = _FixedTable(hbm, dram, "Toy")
+        trace = _four_requests()
+        assert (SimulationDriver().run(design, trace, engine="auto")
+                == SimulationDriver().run(plain, trace, engine="auto"))
+
+
+def _tiny_alloy():
+    """AlloyCache over a 64 KiB stack: 910 direct-mapped slots."""
+    return registry.build("AlloyCache", hbm2_config(64 << 10),
+                          ddr4_3200_config(4 << 20))
+
+
+def _alloy_state(controller):
+    predictor = controller._predictor
+    return (list(controller._tags), list(controller._dirty),
+            predictor._counter, predictor.predictions,
+            predictor.mispredictions)
+
+
+def _alloy_both(lines_writes, warmup=0, vector_epoch=None):
+    """``(result, final state)`` of the scalar loop and of the epoch
+    engine on one AlloyCache stream of ``(line, is_write)``."""
+    trace = PackedTrace(array("Q", [encode_request(line * 64, wr, 20)
+                                    for line, wr in lines_writes]))
+    runs = []
+    for engine, epoch in (("scalar", None), ("auto", vector_epoch)):
+        controller = _tiny_alloy()
+        driver = SimulationDriver(vector_epoch=epoch)
+        result = driver.run(controller, trace, warmup=warmup,
+                            engine=engine)
+        runs.append((result, _alloy_state(controller)))
+    assert driver.last_engine == "vector"
+    return runs
+
+
+class TestAlloyPassOne:
+    """AlloyCache's numpy pass 1 against its scalar ``access``."""
+
+    SLOTS = 910
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_differential_on_conflicting_lines(self, data):
+        """A few slots, several tags each, with writes: every request
+        hits or evicts a line another request just touched, so hits,
+        dirty victims and the first/last request of a slot in an epoch
+        all occur."""
+        stream = data.draw(st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 2),
+                      st.booleans()), min_size=1, max_size=120))
+        lines_writes = [(tag * self.SLOTS + slot, wr)
+                        for slot, tag, wr in stream]
+        epoch = data.draw(st.sampled_from([1, 7, 512, None]))
+        warmup = data.draw(st.sampled_from([0, len(stream) // 2]))
+        scalar, epoch_run = _alloy_both(lines_writes, warmup, epoch)
+        assert epoch_run == scalar
+
+    @pytest.mark.parametrize("vector_epoch", [1, 2, 512])
+    def test_dirty_line_found_by_a_later_epoch_is_written_back(
+            self, vector_epoch):
+        """Line A is written in one epoch and read (a clean hit) at the
+        start of the next, where B evicts it: the victim is dirty from
+        the live bit, not from any write of its own epoch."""
+        a, b, other = 0, self.SLOTS, 1
+        stream = [(a, True), (other, False), (a, False), (b, False)]
+        runs = _alloy_both(stream, vector_epoch=vector_epoch)
+        assert runs[0][0].controller_stats["writeback_bytes"] == 64
+        assert runs[1] == runs[0]
+
+    @pytest.mark.parametrize("vector_epoch", [1, 7, 512, None])
+    def test_cyclic_sweep_over_twice_the_slots_never_hits(self,
+                                                         vector_epoch):
+        lines = [(line, line % 3 == 0) for line in range(2 * self.SLOTS)]
+        runs = _alloy_both(lines * 3, vector_epoch=vector_epoch)
+        for result, _ in runs:
+            assert result.controller_stats.get("hbm_demand_hits", 0) == 0
+            assert result.controller_stats["fetch_bytes"] == \
+                6 * self.SLOTS * 64
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("vector_epoch", [1, 7, 512, None])
+    def test_repeated_footprint_misses_once_per_line(self, vector_epoch):
+        footprint = [(line * 5, line % 2 == 0) for line in range(150)]
+        runs = _alloy_both(footprint * 4, vector_epoch=vector_epoch)
+        for result, _ in runs:
+            stats = result.controller_stats
+            assert stats["hbm_demand_hits"] == 150 * 3
+            assert stats["fetch_bytes"] == 150 * 64
+            assert stats.get("writeback_bytes", 0) == 0
+        assert runs[0] == runs[1]
+
+
 class _DramOnly(HybridMemoryController):
     """A controller without ``batch_epoch_plan``: scalar loop only."""
 
