@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 from ..baselines import FIGURE7_VARIANTS, FIGURE8_DESIGNS, make_controller
 from ..designs import DesignSpec, registry
 from ..cache.utilisation import FIG1_LINE_SIZES, UtilisationResult, characterise
-from ..core.config import BumblebeeConfig, check_geometry, derive_geometry
+from ..core.config import BumblebeeConfig, check_int, derive_geometry
 from ..core.metadata import (
     SRAM_BUDGET_BYTES,
     MetadataSizes,
@@ -107,8 +107,8 @@ def fitted_devices(scale: SystemScale, page_bytes: int = 64 * KIB,
         ValueError: for a ``page_bytes`` or ``hbm_ways`` that is not a
             positive integer.
     """
-    check_geometry("page_bytes", page_bytes)
-    check_geometry("hbm_ways", hbm_ways)
+    check_int("page_bytes", page_bytes)
+    check_int("hbm_ways", hbm_ways)
     set_bytes = page_bytes * hbm_ways
     hbm_bytes = max(set_bytes, scale.hbm_bytes // set_bytes * set_bytes)
     sets = hbm_bytes // set_bytes

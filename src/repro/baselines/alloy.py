@@ -16,10 +16,7 @@ miss-stream level.
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:                                   # pragma: no cover
-    np = None
+import numpy as np
 
 from ..designs import register_design
 from ..mem.timing import DeviceConfig

@@ -13,10 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-try:
-    import numpy as np
-except ImportError:                                   # pragma: no cover
-    np = None
+import numpy as np
 
 from ..designs import register_design
 from ..mem.timing import DeviceConfig

@@ -14,10 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-try:
-    import numpy as np
-except ImportError:                                   # pragma: no cover
-    np = None
+import numpy as np
 
 from ..designs import register_design
 from ..mem.timing import DeviceConfig

@@ -11,10 +11,7 @@ MPKI group.
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:                                   # pragma: no cover
-    np = None
+import numpy as np
 
 from ..designs import register_design
 from ..mem.timing import DeviceConfig

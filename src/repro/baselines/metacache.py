@@ -10,10 +10,7 @@ SRAM budget.
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:                                   # pragma: no cover
-    np = None
+import numpy as np
 
 
 class MetadataCache:

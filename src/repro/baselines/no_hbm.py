@@ -7,10 +7,7 @@ modulo the module capacity, and no metadata exists.
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:                                   # pragma: no cover
-    np = None
+import numpy as np
 
 from ..designs import register_design
 from ..mem.timing import DeviceConfig

@@ -18,10 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-try:
-    import numpy as np
-except ImportError:                                   # pragma: no cover
-    np = None
+import numpy as np
 
 from ..designs import register_design
 from ..mem.timing import DeviceConfig

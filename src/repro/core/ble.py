@@ -18,10 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-try:
-    import numpy as np
-except ImportError:                                   # pragma: no cover
-    np = None
+import numpy as np
 
 
 class WayMode(enum.Enum):
@@ -235,8 +232,6 @@ def epoch_snapshot(entry_rows, *, with_counts: bool = False):
         without ``with_counts``).  The arrays are value copies: later
         entry mutations never leak into a frozen plan.
     """
-    if np is None:                                     # pragma: no cover
-        raise RuntimeError("epoch_snapshot requires numpy")
     free = WayMode.FREE
     cmode = WayMode.CHBM
     owner = np.array([[e.owner for e in row] for row in entry_rows],

@@ -16,18 +16,20 @@ from typing import Optional
 KIB = 1024
 
 
-def check_geometry(name: str, value) -> None:
-    """Reject a page/block size or way count that is not a positive
-    integer, naming the field.
+def check_int(name: str, value, minimum: int = 1) -> None:
+    """Reject a size, count or tunable that is not an integer of at
+    least ``minimum`` (1, or 0 where 0 means "off"), naming the field.
 
     Raises:
-        ValueError: for a bool, a non-integer, or a value <= 0.
+        ValueError: for a bool, a non-integer, or a value below
+            ``minimum``.
     """
+    sign = "positive" if minimum > 0 else "non-negative"
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be a positive integer, got "
+        raise ValueError(f"{name} must be a {sign} integer, got "
                          f"{value!r}")
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value}")
+    if value < minimum:
+        raise ValueError(f"{name} must be {sign}, got {value}")
 
 
 class AllocationPolicy(enum.Enum):
@@ -124,18 +126,26 @@ class BumblebeeConfig:
         # negative or non-integer one would turn into a bogus geometry
         # downstream.
         for name in ("page_bytes", "block_bytes", "hbm_ways"):
-            check_geometry(name, getattr(self, name))
+            check_int(name, getattr(self, name))
         if self.page_bytes % self.block_bytes != 0:
             raise ValueError("page size must be a multiple of block size")
         if self.block_bytes % 64 != 0:
             raise ValueError("block size must be a multiple of 64B lines")
         if not 0.0 < self.most_blocks_fraction <= 1.0:
             raise ValueError("most_blocks_fraction must be in (0, 1]")
-        if (self.fixed_chbm_ways is not None
-                and not 0 <= self.fixed_chbm_ways <= self.hbm_ways):
-            raise ValueError("fixed_chbm_ways must be within hbm_ways")
-        if self.prefetch_blocks < 0:
-            raise ValueError("prefetch_blocks must be non-negative")
+        if self.fixed_chbm_ways is not None:
+            check_int("fixed_chbm_ways", self.fixed_chbm_ways, minimum=0)
+            if self.fixed_chbm_ways > self.hbm_ways:
+                raise ValueError("fixed_chbm_ways must be within hbm_ways")
+        # Every field is a sweepable spec param: a counter width of 0
+        # or a negative patience would otherwise run and return a
+        # plausible number.
+        for name in ("hot_queue_dram_entries", "zombie_patience",
+                     "hmf_batch_sets", "counter_bits"):
+            check_int(name, getattr(self, name))
+        for name in ("age_interval", "hmf_cooldown_requests",
+                     "prefetch_blocks"):
+            check_int(name, getattr(self, name), minimum=0)
 
     @property
     def blocks_per_page(self) -> int:

@@ -22,10 +22,7 @@ from __future__ import annotations
 import dataclasses
 from collections import deque
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is a declared dep
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..baselines.base import HybridMemoryController
 from ..designs import register_design, register_spec
@@ -44,13 +41,6 @@ from .policy import (
     spatial_locality,
 )
 from .prt import UNALLOCATED, PageRemappingTable
-
-#: Run length from which :meth:`BumblebeeController._commit_run` lands
-#: feedback through its numpy scatter-OR form instead of the per-request
-#: loop.  The bulk form costs ~0.2 ms more per call; measured on pure runs
-#: of the fig8-cold Bumblebee and pressure-cold family cells, it is slower
-#: at 512 requests, even at 1024 and ~20% faster at 2048.
-COMMIT_BULK_MIN = 1024
 
 
 class BumblebeeController(HybridMemoryController):
@@ -661,11 +651,11 @@ class BumblebeeController(HybridMemoryController):
     #: epoch's numpy classification makes every later request it serves
     #: in that epoch re-checked once; a fresher classification saves
     #: that work until the per-epoch planning cost takes over.  CPU time
-    #: of the cells (min of 6 interleaved runs, 2 vCPUs, op-table walk)
-    #: at 1024 / 2048 / 4096 / 8192: pressure-cold's C-Only/Alloc-H
-    #: cells 0.885 / 0.852 / 0.867 / 0.863 s, fig8-cold's Bumblebee
-    #: cells 0.462 / 0.433 / 0.388 / 0.387 s.  Longer epochs help the
-    #: second set and slow the first, so the size stays.
+    #: of the cells (min of 6 interleaved runs, 2 vCPUs, per-request
+    #: commit) at 1024 / 2048 / 4096 / 8192: pressure-cold's C-Only,
+    #: M-Only, Alloc-D and Alloc-H cells 1.03 / 0.93 / 0.99 / 1.00 s,
+    #: fig8-cold's Bumblebee cells 0.45 / 0.28 / 0.26 / 0.25 s.  Longer
+    #: epochs help the second set and slow the first, so the size stays.
     preferred_epoch_requests = 2048
 
     def batch_epoch_plan(self, addr, is_write):
@@ -729,9 +719,11 @@ class BumblebeeController(HybridMemoryController):
         use_hbm = np.ones(m, dtype=bool)
         plan = EpochPlan(use_hbm=use_hbm, local_addr=None,
                          meta_const=meta_const)
-        plan.cols = (set_index, way, orig, block, offset >> 6, chbm,
-                     np.asarray(is_write))
-        plan.lists = None
+        # Per-request scalar reads are much cheaper on lists than on
+        # numpy arrays.
+        plan.cols = tuple(col.tolist() for col in (
+            set_index, way, orig, block, offset >> 6, chbm,
+            np.asarray(is_write)))
         plan.hmf = hmf
         impure = np.flatnonzero(~pure)
         recorder = None
@@ -741,8 +733,8 @@ class BumblebeeController(HybridMemoryController):
             recorder = self._run_impure(plan, pure.tolist(),
                                         int(impure[0]), addr.tolist())
         # Every request that stayed pure reads at its final way.
-        local = (plan.cols[1] * self._sets + set_index) \
-            * self._page_bytes + offset
+        local = (np.array(plan.cols[1], dtype=np.int64) * self._sets
+                 + set_index) * self._page_bytes + offset
         local %= self._hbm_capacity
         plan.local_addr = local
         if recorder is not None:
@@ -762,9 +754,9 @@ class BumblebeeController(HybridMemoryController):
             :meth:`access`.
         """
         from ..sim.vectorized import ScriptRecorder
-        s_l, _, _, _, _, _, wr_l = self._plan_lists(plan)
+        s_l, _, _, _, _, _, wr_l = plan.cols
         versions = self._set_versions
-        stamp_l = np.array(versions, dtype=np.int64)[plan.cols[0]].tolist()
+        stamp_l = [versions[s] for s in s_l]
         commit = self._commit_run
         reclassify = self._reclassify
         run_start = 0
@@ -821,14 +813,6 @@ class BumblebeeController(HybridMemoryController):
         flush = high & ((streak - 1) % self._hmf_flush_interval == 0)
         return flush | reenable, cooldown, streak
 
-    @staticmethod
-    def _plan_lists(plan) -> tuple:
-        """The plan's commit columns as lists (built once): per-request
-        scalar reads are much cheaper on lists than on numpy arrays."""
-        if plan.lists is None:
-            plan.lists = tuple(col.tolist() for col in plan.cols)
-        return plan.lists
-
     def _reclassify(self, plan, i: int) -> bool:
         """Whether request ``i`` is pure against the live PRT/BLE state.
 
@@ -838,7 +822,7 @@ class BumblebeeController(HybridMemoryController):
         """
         if plan.hmf is not None and plan.hmf[0][i]:
             return False
-        s_l, w_l, o_l, b_l, _, c_l, _ = plan.lists
+        s_l, w_l, o_l, b_l, _, c_l, _ = plan.cols
         s = s_l[i]
         o = o_l[i]
         slot = self._slot_maps[s][o]
@@ -860,9 +844,8 @@ class BumblebeeController(HybridMemoryController):
                         and valid.bit_count() >= self._most_blocks)):
                 return False
             cached = True
-        if way != w_l[i] or cached != c_l[i]:
-            w_l[i] = plan.cols[1][i] = way
-            c_l[i] = plan.cols[5][i] = cached
+        w_l[i] = way
+        c_l[i] = cached
         return True
 
     def _commit_run(self, plan, indices) -> None:
@@ -878,76 +861,24 @@ class BumblebeeController(HybridMemoryController):
         """
         entries = self._ble_entries
         hot = self.hot
+        # Entry bit-ops and hotness records land per request — the hot
+        # tables and the BLE entries are disjoint structures, so any
+        # interleaving that preserves the per-structure order is the
+        # scalar order.  Line bits past 63 (a 64KB page has 1024 lines)
+        # OR exactly as Python ints.
+        s_l, w_l, o_l, b_l, u_l, c_l, wr_l = plan.cols
+        for i in indices:
+            s = s_l[i]
+            entry = entries[s][w_l[i]]
+            if c_l[i]:
+                entry.used |= 1 << u_l[i]
+                if wr_l[i]:
+                    entry.dirty |= 1 << b_l[i]
+            else:
+                entry.valid |= 1 << b_l[i]
+                entry.used |= 1 << u_l[i]
+            hot[s].record_hbm_access(o_l[i])
         n = len(indices)
-        if n >= COMMIT_BULK_MIN:
-            # Bulk form: the entry feedback is pure bit-OR — commutative
-            # and saturating — so per-entry masks aggregate and land once
-            # per touched entry; the final entry state is exactly the
-            # scalar loop's.  Block masks fit a uint64 scatter-OR (the
-            # epoch engine only runs with <= 64 blocks per page); line
-            # masks span a whole page (1024 lines at 64KB), so they OR
-            # per 64-line word and each word lands shifted into place.
-            # Hotness is order-sensitive but per-set disjoint, so a
-            # stable sort by set preserves each tracker's arrival order.
-            s_a, w_a, o_a, b_a, u_a, chbm_a, wr_a = plan.cols
-            idx = np.asarray(indices, dtype=np.int64)
-            s = s_a[idx]
-            wide = len(entries[0])
-            key = s * wide + w_a[idx]
-            bb = np.uint64(1) << b_a[idx].astype(np.uint64)
-            cached = chbm_a[idx]
-            size = len(entries) * wide
-            u = u_a[idx]
-            words = int(u.max()) // 64 + 1
-            word_key, word_of = np.unique(key * words + (u >> 6),
-                                          return_inverse=True)
-            used_or = np.zeros(word_key.shape[0], dtype=np.uint64)
-            np.bitwise_or.at(used_or, word_of,
-                             np.uint64(1) << (u & 63).astype(np.uint64))
-            for wk, bits in zip(word_key.tolist(), used_or.tolist()):
-                k, word = divmod(wk, words)
-                entries[k // wide][k % wide].used |= bits << (64 * word)
-            dirty_or = np.zeros(size, dtype=np.uint64)
-            dm = cached & wr_a[idx]
-            if dm.any():
-                np.bitwise_or.at(dirty_or, key[dm], bb[dm])
-            valid_or = np.zeros(size, dtype=np.uint64)
-            vm = ~cached
-            if vm.any():
-                np.bitwise_or.at(valid_or, key[vm], bb[vm])
-            for k in np.flatnonzero(dirty_or | valid_or).tolist():
-                entry = entries[k // wide][k % wide]
-                d = int(dirty_or[k])
-                if d:
-                    entry.dirty |= d
-                v = int(valid_or[k])
-                if v:
-                    entry.valid |= v
-            order = np.argsort(s, kind="stable")
-            ss = s[order].tolist()
-            oo = o_a[idx][order].tolist()
-            start = 0
-            for end in range(1, n + 1):
-                if end == n or ss[end] != ss[start]:
-                    hot[ss[start]].record_hbm_epoch(oo[start:end])
-                    start = end
-        else:
-            # Entry bit-ops and hotness records land per request — the
-            # hot tables and the BLE entries are disjoint structures, so
-            # any interleaving that preserves the per-structure order is
-            # the scalar order.
-            s_l, w_l, o_l, b_l, u_l, c_l, wr_l = self._plan_lists(plan)
-            for i in indices:
-                s = s_l[i]
-                entry = entries[s][w_l[i]]
-                if c_l[i]:
-                    entry.used |= 1 << u_l[i]
-                    if wr_l[i]:
-                        entry.dirty |= 1 << b_l[i]
-                else:
-                    entry.valid |= 1 << b_l[i]
-                    entry.used |= 1 << u_l[i]
-                hot[s].record_hbm_access(o_l[i])
         if plan.hmf is not None and n:
             _, cooldown, streak = plan.hmf
             self._hmf_cooldown = int(cooldown[indices[-1]])

@@ -125,30 +125,6 @@ class HotnessTracker:
             # number of HBM ways.
             queue.push(page, 1)
 
-    def record_hbm_epoch(self, pages) -> None:
-        """Replay one epoch's deferred HBM-hit records, in scalar order.
-
-        The two-pass replay engine defers :meth:`record_hbm_access`
-        calls for pure requests to the epoch commit; this batched form
-        hoists the queue lookups out of the per-access path while
-        keeping every counter bump and LRU move in the exact order the
-        scalar loop would have issued them (hot-table state is
-        per-set, so the per-tracker order is the only order that
-        matters).
-        """
-        queue = self.hbm_queue
-        entries = queue._entries
-        cap = self.counter_max
-        move_to_end = entries.move_to_end
-        push = queue.push
-        for page in pages:
-            if page in entries:
-                bumped = entries[page] + 1
-                entries[page] = bumped if bumped < cap else cap
-                move_to_end(page)
-            else:
-                push(page, 1)
-
     def record_dram_access(self, page: int) -> None:
         """An access went to an off-chip page not present in HBM."""
         queue = self.dram_queue

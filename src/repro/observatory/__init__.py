@@ -12,7 +12,7 @@ ingest|query|trend|regress|pin|dashboard`` and as ``--db PATH`` on
 ``repro campaign`` / ``repro sweep``.
 """
 
-from .store import RunStore, iter_bench_files, record_hash, scalar_metrics
+from .store import RunStore, record_hash, scalar_metrics
 from .regress import (
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
@@ -27,7 +27,6 @@ from .dashboard import HEADLINE_METRICS, render_dashboard
 
 __all__ = [
     "RunStore",
-    "iter_bench_files",
     "record_hash",
     "scalar_metrics",
     "RegressCheck",

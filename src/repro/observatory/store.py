@@ -33,7 +33,7 @@ import hashlib
 import json
 import sqlite3
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from ..designs import DesignSpec
 
@@ -374,8 +374,3 @@ class RunStore:
         rows = [row["version"] for row in self._conn.execute(
             "SELECT DISTINCT version FROM runs WHERE version IS NOT NULL")]
         return sorted(rows, key=_version_key)
-
-
-def iter_bench_files(root: str | Path) -> Iterable[Path]:
-    """The ``BENCH_*.json`` perf artifacts under ``root``, sorted."""
-    return sorted(Path(root).glob("BENCH_*.json"))

@@ -8,8 +8,7 @@ from .request import (CACHE_LINE_BYTES, AccessResult, MemoryRequest,
                       MutableRequest, ServicedBy)
 from .stats import Histogram, StatGroup, geomean
 
-from .vectorized import (EpochPlan, epoch_capable, fallback_reason,
-                         replay_epoch)
+from .vectorized import EpochPlan, fallback_reason, replay_epoch
 
 __all__ = [
     "CpuModel",
@@ -18,7 +17,6 @@ __all__ = [
     "SimResult",
     "SimulationDriver",
     "EpochPlan",
-    "epoch_capable",
     "fallback_reason",
     "replay_epoch",
     "RawAccess",

@@ -11,10 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dep
-    _np = None
+import numpy as np
 
 
 class StatGroup:
@@ -93,7 +90,7 @@ class Histogram:
         self.total += weight
         self._invalidate_cache()
 
-    def add_many(self, samples, weights=None) -> None:
+    def add_many(self, samples) -> None:
         """Bulk-record samples; equivalent to :meth:`add` per element.
 
         ``np.searchsorted(side="right")`` is the array form of the
@@ -102,38 +99,16 @@ class Histogram:
 
         Args:
             samples: Sequence or array of sample values.
-            weights: Optional per-sample integer multiplicities
-                (default: 1 each).
         """
-        if _np is None:  # pragma: no cover - numpy is a declared dep
-            if weights is None:
-                for sample in samples:
-                    self.add(sample)
-            else:
-                for sample, weight in zip(samples, weights):
-                    self.add(sample, weight)
-            return
-        values = _np.asarray(samples, dtype=float)
-        buckets = _np.searchsorted(_np.asarray(self.bounds, dtype=float),
-                                   values, side="right")
-        if weights is None:
-            binned = _np.bincount(buckets,
-                                  minlength=len(self.bounds) + 1)
-            added = int(values.size)
-        else:
-            wts = _np.asarray(weights, dtype=_np.int64)
-            if wts.shape != values.shape:
-                raise ValueError(
-                    f"weights shape {wts.shape} does not match samples "
-                    f"shape {values.shape}")
-            binned = _np.zeros(len(self.bounds) + 1, dtype=_np.int64)
-            _np.add.at(binned, buckets, wts)
-            added = int(wts.sum())
+        values = np.asarray(samples, dtype=float)
+        buckets = np.searchsorted(np.asarray(self.bounds, dtype=float),
+                                  values, side="right")
+        binned = np.bincount(buckets, minlength=len(self.bounds) + 1)
         counts = self.counts
         for index, count in enumerate(binned.tolist()):
             if count:
                 counts[index] += count
-        self.total += added
+        self.total += int(values.size)
         self._invalidate_cache()
 
     def merge(self, other: "Histogram") -> None:

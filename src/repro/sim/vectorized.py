@@ -76,10 +76,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING, Any
 
-try:
-    import numpy as np
-except ImportError:      # pragma: no cover - numpy is a declared dep
-    np = None            # type: ignore[assignment]
+import numpy as np
 
 from ..traces.packed import ICOUNT_MAX, LINE_SHIFT, PackedTrace
 from .driver import LATENCY_BOUNDS, VECTOR_EPOCH_REQUESTS
@@ -91,8 +88,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mem.device import MemoryDevice, TimingState
     from .driver import SimResult, SimulationDriver
 
-__all__ = ["EpochPlan", "ScriptRecorder", "epoch_capable",
-           "fallback_reason", "decode_epoch", "replay_epoch",
+__all__ = ["EpochPlan", "ScriptRecorder", "fallback_reason",
+           "decode_epoch", "replay_epoch",
            "PRE_BULK", "PROBE", "POST_BULK", "OP_WIDTH",
            "VECTOR_EPOCH_REQUESTS"]
 
@@ -259,12 +256,6 @@ class ScriptRecorder:
         plan.policy_requests = len(self._index)
 
 
-def epoch_capable(controller: "HybridMemoryController") -> bool:
-    """Whether ``controller`` implements the two-pass epoch protocol."""
-    return np is not None and callable(
-        getattr(controller, "batch_epoch_plan", None))
-
-
 def fallback_reason(controller: "HybridMemoryController") -> str | None:
     """Why the epoch engine cannot replay ``controller``, or None.
 
@@ -273,17 +264,10 @@ def fallback_reason(controller: "HybridMemoryController") -> str | None:
     causes (forced scalar engine, empty trace, active invariant
     checker).
     """
-    if np is None:
-        return "numpy-unavailable"
     if callable(getattr(controller, "batch_epoch_plan", None)):
         hook = getattr(controller, "epoch_fallback_reason", None)
         return hook() if callable(hook) else None
     return "design-not-batch-capable"
-
-
-def _require_numpy() -> None:
-    if np is None:  # pragma: no cover - numpy is a declared dep
-        raise RuntimeError("the vectorized engine requires numpy")
 
 
 def decode_epoch(trace: PackedTrace, start: int = 0,
@@ -295,7 +279,6 @@ def decode_epoch(trace: PackedTrace, start: int = 0,
         element-for-element equal to
         :func:`~repro.traces.packed.decode_value` on each record.
     """
-    _require_numpy()
     values = np.frombuffer(trace.data, dtype=np.uint64)[start:stop]
     return _decode_values(values)
 
@@ -598,7 +581,6 @@ def replay_epoch(driver: "SimulationDriver",
             address, HBM use on a design without HBM, an op table that
             fails :func:`_op_table`'s checks).
     """
-    _require_numpy()
     if epoch_requests is None:
         # A controller whose pass 1 classifies from a snapshot (rather
         # than forward-replaying every request) trades work for epoch

@@ -187,3 +187,36 @@ class TestBumblebeeConfig:
             BumblebeeConfig(fixed_chbm_ways=9)
         with pytest.raises(ValueError):
             BumblebeeConfig(most_blocks_fraction=0.0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("counter_bits", 0, "counter_bits must be positive, got 0"),
+        ("counter_bits", -1, "counter_bits must be positive, got -1"),
+        ("zombie_patience", 0, "zombie_patience must be positive"),
+        ("zombie_patience", -1, "zombie_patience must be positive"),
+        ("hmf_batch_sets", 0, "hmf_batch_sets must be positive"),
+        ("hmf_batch_sets", -3, "hmf_batch_sets must be positive"),
+        ("hot_queue_dram_entries", 0,
+         "hot_queue_dram_entries must be positive"),
+        ("hmf_cooldown_requests", -5,
+         "hmf_cooldown_requests must be non-negative, got -5"),
+        ("age_interval", -1, "age_interval must be non-negative"),
+        ("prefetch_blocks", -1, "prefetch_blocks must be non-negative"),
+        ("zombie_patience", True,
+         "zombie_patience must be a positive integer, got True"),
+        ("counter_bits", 2.5, "counter_bits must be a positive integer"),
+        ("fixed_chbm_ways", 2.5,
+         "fixed_chbm_ways must be a non-negative integer, got 2.5"),
+        ("age_interval", "8",
+         "age_interval must be a non-negative integer, got '8'")])
+    def test_rejects_out_of_range_tunables(self, field, value, message):
+        """Every tunable is a sweepable spec param: a value outside its
+        range raises naming the field instead of running."""
+        with pytest.raises(ValueError, match=message):
+            BumblebeeConfig(**{field: value})
+
+    def test_accepts_tunables_at_their_bounds(self):
+        config = BumblebeeConfig(
+            counter_bits=1, zombie_patience=1, hmf_batch_sets=1,
+            hot_queue_dram_entries=1, hmf_cooldown_requests=0,
+            age_interval=0, prefetch_blocks=0)
+        assert config.counter_max == 1

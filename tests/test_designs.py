@@ -442,7 +442,8 @@ class TestDesignsCli:
         ("page_bytes=0", "page_bytes must be positive"),
         ("hbm_ways=0", "hbm_ways must be positive"),
         ("block_bytes=3", "multiple of block size"),
-        ("page_bytes=abc", "page_bytes must be a positive integer")])
+        ("page_bytes=abc", "page_bytes must be a positive integer"),
+        ("zombie_patience=-1", "zombie_patience must be positive, got -1")])
     def test_sweep_rejects_bad_geometry_before_any_cell(
             self, capsys, tmp_path, value, message):
         """A value the builder rejects exits 2 naming the spec, before

@@ -168,23 +168,3 @@ class TestHistogramAddMany:
         bulk.add_many(samples)
         assert bulk == one_by_one
         assert bulk.total == len(samples)
-
-    @settings(max_examples=50, deadline=None)
-    @given(weighted=st.lists(
-        st.tuples(st.floats(0.0, 200.0, allow_nan=False),
-                  st.integers(0, 5)),
-        max_size=32))
-    def test_weighted_add_many(self, weighted):
-        one_by_one = Histogram(bounds=list(self.BOUNDS))
-        for sample, weight in weighted:
-            for _ in range(weight):
-                one_by_one.add(sample)
-        bulk = Histogram(bounds=list(self.BOUNDS))
-        bulk.add_many([s for s, _ in weighted],
-                      weights=[w for _, w in weighted])
-        assert bulk == one_by_one
-
-    def test_weight_shape_mismatch_rejected(self):
-        histogram = Histogram(bounds=list(self.BOUNDS))
-        with pytest.raises(ValueError):
-            histogram.add_many([1.0, 2.0], weights=[1])

@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 from repro import ExperimentConfig, ExperimentHarness
 from repro.baselines import HybridMemoryController, make_controller
 from repro.core import (AllocationPolicy, BumblebeeConfig,
-                        BumblebeeController, hmmc)
+                        BumblebeeController)
 from repro.designs import registry
 from repro.mem import ddr4_3200_config, hbm2_config
-from repro.sim import SimulationDriver, epoch_capable, fallback_reason
+from repro.sim import SimulationDriver, fallback_reason
 from repro.sim.vectorized import EpochPlan, ScriptRecorder
 from repro.traces import SyntheticTraceGenerator, synthetic_spec
 from repro.traces.packed import PackedTrace, encode_request
@@ -160,36 +160,22 @@ class TestEpochBitIdentity:
                 assert driver.last_engine == "vector", (design, epoch)
                 assert vector == scalar, (design, epoch)
 
-    def test_bulk_commit_keeps_every_used_line_of_a_page(self,
-                                                       monkeypatch):
-        """A 64KB page has 1024 lines: the bulk commit path must OR line
-        bits past 63 exactly (a uint64 shift wraps them), or the BLE
-        used bitmaps and ``overfetch_bytes`` drift from the scalar loop.
-        The bulk branch's run length is lowered so that about a third of
-        the pure runs between this trace's policy requests take it,
-        interleaved with the per-request branch."""
-        monkeypatch.setattr(hmmc, "COMMIT_BULK_MIN", 32)
+    def test_commit_keeps_every_used_line_of_a_page(self):
+        """A 64KB page has 1024 lines: pass 1's commit must OR line bits
+        past 63 exactly (a uint64 shift wraps them), or the BLE used
+        bitmaps and ``overfetch_bytes`` drift from the scalar loop."""
         harness = ExperimentHarness(ExperimentConfig(
             requests=20_000, warmup=10_000, seed=1234,
             workloads=("lbm",)))
         trace = harness.trace("lbm")
         records = []
-        runs = []
         for engine in ("scalar", "auto"):
             controller = registry.build(
                 "No-HMF", harness.hbm_config, harness.dram_config,
                 sram_bytes=harness.config.scale.sram_bytes)
-            commit = controller._commit_run
-
-            def counted(plan, indices, commit=commit):
-                runs.append(len(indices))
-                commit(plan, indices)
-
-            controller._commit_run = counted
             records.append(harness.driver.run(
                 controller, trace, workload="lbm", warmup=10_000,
                 engine=engine).to_record())
-        assert sum(n >= hmmc.COMMIT_BULK_MIN for n in runs) >= 100
         assert records[0]["controller_stats"]["overfetch_bytes"] > 0
         assert records[1] == records[0]
 
@@ -242,6 +228,47 @@ def _replay(harness, design, workload, engine, vector_epoch=None):
                         workload=workload, warmup=harness.config.warmup,
                         engine=engine)
     return result, driver
+
+
+class TestHitRateOracle:
+    """A hit rate known in closed form, which the engines must measure
+    and not only agree on (Babaie et al.'s synthetic known-hit-rate
+    validation of DRAM-cache models)."""
+
+    PAGES = 8
+    PAGE_BYTES = 64 * 1024
+
+    def test_footprint_inside_hbm_always_hits(self):
+        """A cyclic sweep over every line of a few 64 KiB pages, far
+        fewer than the stack holds: after a one-pass warm-up every
+        request of the next two passes hits HBM, for every Bumblebee
+        spec, on the scalar loop and on the epoch engine at its advised
+        epoch and at 8192 requests (pure runs of whole passes)."""
+        harness = ExperimentHarness(CONFIG)
+        hbm_pages = (harness.hbm_config.geometry.capacity_bytes
+                     // self.PAGE_BYTES)
+        assert self.PAGES * 8 <= hbm_pages
+        lines = self.PAGES * self.PAGE_BYTES // 64
+        trace = PackedTrace(array("Q", [
+            encode_request(line * 64, line % 4 == 0, 20)
+            for line in range(lines)] * 3))
+        for design in BUMBLEBEE_FAMILY:
+            results = []
+            for engine, epoch in (("scalar", None), ("auto", None),
+                                  ("auto", 8192)):
+                driver = SimulationDriver(harness.config.cpu,
+                                          vector_epoch=epoch)
+                controller = registry.build(
+                    design, harness.hbm_config, harness.dram_config,
+                    sram_bytes=harness.config.scale.sram_bytes)
+                results.append(driver.run(controller, trace,
+                                          warmup=lines, engine=engine))
+                assert driver.last_engine == (
+                    "scalar" if engine == "scalar" else "vector"), design
+            assert results[0].requests == 2 * lines
+            assert results[0].hbm_hit_rate == 1.0, design
+            assert results[1] == results[0], design
+            assert results[2] == results[0], design
 
 
 class TestReclassification:
@@ -626,8 +653,9 @@ class TestFallback:
             return driver.run(controller, trace, workload="mcf",
                               warmup=200, engine=engine), driver
 
-        assert not epoch_capable(_DramOnly(None, harness.dram_config,
-                                           "probe"))
+        assert fallback_reason(_DramOnly(None, harness.dram_config,
+                                         "probe")) \
+            == "design-not-batch-capable"
         scalar, _ = run("scalar")
         vector, driver = run("vector")
         assert driver.last_engine == "scalar"
@@ -679,7 +707,8 @@ class TestFallback:
                                        harness.dram_config, config,
                                        name=name)
 
-        assert epoch_capable(wide("probe"))
+        # The hook's own reason, not design-not-batch-capable: the
+        # controller implements the protocol and vetoes it.
         assert fallback_reason(wide("probe")) \
             == "feedback-not-epoch-granular"
         trace = _trace(harness, n=600)
@@ -713,7 +742,6 @@ class TestRegistryCapability:
             controller = make_controller(
                 name, harness.hbm_config, harness.dram_config,
                 sram_bytes=harness.config.scale.sram_bytes)
-            assert epoch_capable(controller), name
             assert fallback_reason(controller) is None, name
 
     def test_engine_coverage_never_silently_drops(self):
