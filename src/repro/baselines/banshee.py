@@ -7,11 +7,14 @@ only cached when its counter exceeds the victim's by a threshold — most
 misses cause no data movement, which is exactly the bandwidth efficiency
 the Bumblebee paper credits it with (lowest off-chip traffic among prior
 designs, Figure 8c).
+
+Way state is two structures: ``_tags[set]`` is a short list of the set's
+page tags (-1 for an empty way), so a lookup is ``tag in row`` /
+``row.index(tag)``; the per-way fields ``_counters``, ``_dirty`` and
+``_used`` are flat lists indexed ``set * WAYS + way``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,14 +26,6 @@ from .base import HybridMemoryController
 PAGE_BYTES = 4096
 LINE_BYTES = 64
 WAYS = 4
-
-
-@dataclass
-class _ResidentPage:
-    tag: int = -1
-    counter: int = 0
-    dirty: bool = False
-    used_lines: int = 0
 
 
 class BansheeController(HybridMemoryController):
@@ -49,8 +44,11 @@ class BansheeController(HybridMemoryController):
         super().__init__(hbm_config, dram_config, name=name)
         page_slots = self.hbm.capacity_bytes // PAGE_BYTES
         self._sets = max(1, page_slots // WAYS)
-        self._ways = [[_ResidentPage() for _ in range(WAYS)]
-                      for _ in range(self._sets)]
+        slots = self._sets * WAYS
+        self._tags = [[-1] * WAYS for _ in range(self._sets)]
+        self._counters = [0] * slots
+        self._dirty = [False] * slots
+        self._used = [0] * slots
         self._candidate_counters: dict[int, int] = {}
         self._sample_tick = 0
 
@@ -64,16 +62,18 @@ class BansheeController(HybridMemoryController):
 
     def access(self, request: MemoryRequest, now_ns: float) -> AccessResult:
         set_index, tag, offset = self._locate(request.addr)
-        ways = self._ways[set_index]
-        for way_index, way in enumerate(ways):
-            if way.tag == tag:
-                way.counter = min(self.COUNTER_MAX, way.counter + 1)
-                way.used_lines |= 1 << (offset // LINE_BYTES)
-                if request.is_write:
-                    way.dirty = True
-                return self._demand_hbm(
-                    self._hbm_addr(set_index, way_index, offset),
-                    request, now_ns)
+        row = self._tags[set_index]
+        if tag in row:
+            way_index = row.index(tag)
+            slot = set_index * WAYS + way_index
+            self._counters[slot] = min(self.COUNTER_MAX,
+                                       self._counters[slot] + 1)
+            self._used[slot] |= 1 << (offset // LINE_BYTES)
+            if request.is_write:
+                self._dirty[slot] = True
+            return self._demand_hbm(
+                self._hbm_addr(set_index, way_index, offset),
+                request, now_ns)
         result = self._demand_dram(request.addr, request, now_ns)
         self._consider_caching(set_index, tag, request, now_ns)
         return result
@@ -87,59 +87,59 @@ class BansheeController(HybridMemoryController):
         page = tag * self._sets + set_index
         counter = self._candidate_counters.get(page, 0) + 1
         self._candidate_counters[page] = min(self.COUNTER_MAX, counter)
-        ways = self._ways[set_index]
-        empty = next((i for i, w in enumerate(ways) if w.tag < 0), None)
-        if empty is not None:
-            self._install(set_index, empty, tag, counter, request, now_ns)
-            return
-        victim_index = min(range(WAYS), key=lambda i: ways[i].counter)
-        if counter >= ways[victim_index].counter + self.REPLACE_MARGIN:
-            self._install(set_index, victim_index, tag, counter, request,
+        row = self._tags[set_index]
+        if -1 in row:
+            self._install(set_index, row.index(-1), tag, counter, request,
                           now_ns)
+            return
+        base = set_index * WAYS
+        counters = self._counters[base:base + WAYS]
+        best = min(counters)
+        if counter >= best + self.REPLACE_MARGIN:
+            self._install(set_index, counters.index(best), tag, counter,
+                          request, now_ns)
         else:
             self.stats.bump("replacement_rejected")
 
     def _install(self, set_index: int, way_index: int, tag: int,
                  counter: int, request: MemoryRequest,
                  now_ns: float) -> None:
-        way = self._ways[set_index][way_index]
-        if way.tag >= 0:
+        if self._tags[set_index][way_index] >= 0:
             self._evict(set_index, way_index, now_ns)
         page_base = ((tag * self._sets + set_index) * PAGE_BYTES) % \
             self.dram.capacity_bytes
         self.mover.fetch_to_hbm(page_base,
                                 self._hbm_addr(set_index, way_index, 0),
                                 PAGE_BYTES, now_ns)
-        way.tag = tag
-        way.counter = counter
-        way.dirty = request.is_write
-        way.used_lines = 1 << ((request.addr % PAGE_BYTES) // LINE_BYTES)
+        slot = set_index * WAYS + way_index
+        self._tags[set_index][way_index] = tag
+        self._counters[slot] = counter
+        self._dirty[slot] = request.is_write
+        self._used[slot] = 1 << ((request.addr % PAGE_BYTES) // LINE_BYTES)
         self._candidate_counters.pop(tag * self._sets + set_index, None)
         self.stats.bump("page_fills")
 
     def _evict(self, set_index: int, way_index: int, now_ns: float) -> None:
-        way = self._ways[set_index][way_index]
-        page = way.tag * self._sets + set_index
-        if way.dirty:
+        row = self._tags[set_index]
+        slot = set_index * WAYS + way_index
+        page = row[way_index] * self._sets + set_index
+        if self._dirty[slot]:
             # Banshee tracks dirtiness at page granularity: the whole page
             # is written back.
             self.mover.writeback_to_dram(
                 self._hbm_addr(set_index, way_index, 0),
                 (page * PAGE_BYTES) % self.dram.capacity_bytes,
                 PAGE_BYTES, now_ns)
-        self._account_overfetch(way)
-        # The departing page keeps half its frequency history (ageing).
-        self._candidate_counters[page] = way.counter // 2
-        self.stats.bump("page_evictions")
-        way.tag = -1
-        way.counter = 0
-        way.dirty = False
-        way.used_lines = 0
-
-    def _account_overfetch(self, way: _ResidentPage) -> None:
-        unused = (PAGE_BYTES // LINE_BYTES) - way.used_lines.bit_count()
+        unused = (PAGE_BYTES // LINE_BYTES) - self._used[slot].bit_count()
         if unused > 0:
             self.stats.bump("overfetch_bytes", unused * LINE_BYTES)
+        # The departing page keeps half its frequency history (ageing).
+        self._candidate_counters[page] = self._counters[slot] // 2
+        self.stats.bump("page_evictions")
+        row[way_index] = -1
+        self._counters[slot] = 0
+        self._dirty[slot] = False
+        self._used[slot] = 0
 
     # ------------------------------------------------------------------
     # two-pass epoch replay protocol (repro.sim.vectorized.replay_epoch)
@@ -167,7 +167,10 @@ class BansheeController(HybridMemoryController):
         dram_l = (addr % dram_cap).tolist()
         wr_l = np.asarray(is_write, dtype=bool).tolist()
         m = len(set_l)
-        ways_all = self._ways
+        tags_all = self._tags
+        counters = self._counters
+        dirty = self._dirty
+        used = self._used
         cand = self._candidate_counters
         tick = self._sample_tick
         cap = self.COUNTER_MAX
@@ -180,21 +183,15 @@ class BansheeController(HybridMemoryController):
         fills = evictions = rejected = writebacks = overfetch = 0
         for i, (s, tg, off, da, wr) in enumerate(zip(
                 set_l, tag_l, off_l, dram_l, wr_l)):
-            ways = ways_all[s]
-            hit_way = -1
-            for wi in range(WAYS):
-                if ways[wi].tag == tg:
-                    hit_way = wi
-                    break
-            if hit_way >= 0:
-                w = ways[hit_way]
-                c = w.counter + 1
-                w.counter = c if c < cap else cap
-                w.used_lines |= 1 << (off // LINE_BYTES)
+            row = tags_all[s]
+            if tg in row:
+                slot = s * WAYS + row.index(tg)
+                c = counters[slot] + 1
+                counters[slot] = c if c < cap else cap
+                used[slot] |= 1 << (off // LINE_BYTES)
                 if wr:
-                    w.dirty = True
-                local[i] = ((s * WAYS + hit_way) * PAGE_BYTES
-                            + off) % hbm_cap
+                    dirty[slot] = True
+                local[i] = (slot * PAGE_BYTES + off) % hbm_cap
                 continue
             use[i] = False
             local[i] = da
@@ -204,47 +201,38 @@ class BansheeController(HybridMemoryController):
             pg = tg * sets + s
             counter = cand.get(pg, 0) + 1
             cand[pg] = counter if counter < cap else cap
-            target = -1
-            for wi in range(WAYS):
-                if ways[wi].tag < 0:
-                    target = wi
-                    break
-            if target < 0:
-                victim = 0
-                best = ways[0].counter
-                for wi in range(1, WAYS):
-                    c = ways[wi].counter
-                    if c < best:
-                        best = c
-                        victim = wi
-                if counter >= best + margin:
-                    target = victim
-                else:
+            base = s * WAYS
+            if -1 in row:
+                target = row.index(-1)
+                slot = base + target
+            else:
+                window = counters[base:base + WAYS]
+                best = min(window)
+                if counter < best + margin:
                     rejected += 1
                     continue
-            w = ways[target]
-            if w.tag >= 0:
-                old_pg = w.tag * sets + s
-                if w.dirty:
-                    emit((i, POST_BULK, 0, ((s * WAYS + target) * PAGE_BYTES)
-                          % hbm_cap, PAGE_BYTES, 0,
+                target = window.index(best)
+                slot = base + target
+                old_pg = row[target] * sets + s
+                if dirty[slot]:
+                    emit((i, POST_BULK, 0, (slot * PAGE_BYTES) % hbm_cap,
+                          PAGE_BYTES, 0,
                           i, POST_BULK, 1, (old_pg * PAGE_BYTES) % dram_cap,
                           PAGE_BYTES, 1))
                     writebacks += 1
-                unused = ((PAGE_BYTES // LINE_BYTES)
-                          - w.used_lines.bit_count())
+                unused = (PAGE_BYTES // LINE_BYTES) - used[slot].bit_count()
                 if unused > 0:
                     overfetch += unused * LINE_BYTES
-                cand[old_pg] = w.counter // 2
+                cand[old_pg] = counters[slot] // 2
                 evictions += 1
             emit((i, POST_BULK, 1, (pg * PAGE_BYTES) % dram_cap,
                   PAGE_BYTES, 0,
-                  i, POST_BULK, 0, ((s * WAYS + target) * PAGE_BYTES)
-                  % hbm_cap, PAGE_BYTES, 1))
-            w.tag = tg
-            w.counter = counter
-            w.dirty = wr
-            w.used_lines = 1 << (off // LINE_BYTES)
+                  i, POST_BULK, 0, (slot * PAGE_BYTES) % hbm_cap,
+                  PAGE_BYTES, 1))
+            row[target] = tg
+            counters[slot] = counter
+            dirty[slot] = wr
+            used[slot] = 1 << (off // LINE_BYTES)
             cand.pop(pg, None)
             fills += 1
         self._sample_tick = tick
@@ -265,14 +253,13 @@ class BansheeController(HybridMemoryController):
                          local_addr=np.asarray(local, dtype=np.int64),
                          ops=ops)
 
-
     def reset_measurements(self) -> None:
         super().reset_measurements()
+        # A resident page counts as fully used, so warm-up fills are not
+        # charged as measured overfetch; an empty way's mask is 0.
         full = (1 << (PAGE_BYTES // LINE_BYTES)) - 1
-        for ways in self._ways:
-            for way in ways:
-                if way.tag >= 0:
-                    way.used_lines = full
+        self._used = [full if tag >= 0 else 0
+                      for row in self._tags for tag in row]
 
     def metadata_bytes(self) -> int:
         """Mapping + counters: 4B per HBM page slot plus sampled candidate

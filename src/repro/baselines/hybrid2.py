@@ -14,11 +14,15 @@ the Bumblebee paper targets:
 3. fine metadata granularity (256B blocks / 2KB pages) inflates the
    metadata footprint beyond SRAM, so lookups missing the 512KB SRAM
    metadata cache pay an HBM round trip (MAL).
+
+The staging cache's way state is two structures: ``_block_tags[set]`` is
+a short list of the set's block tags (-1 for an empty way), so a lookup
+is ``tag in row`` / ``row.index(tag)``; the per-way fields
+``_block_dirty``, ``_block_used`` and ``_block_lru`` are flat lists
+indexed ``set * CACHE_WAYS + way``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,14 +45,6 @@ CHBM_FRACTION = 1.0 / 16.0
 PROMOTE_THRESHOLD = 6
 
 
-@dataclass
-class _CacheSlot:
-    tag: int = -1
-    dirty: bool = False
-    used_lines: int = 0
-    lru: int = 0
-
-
 class Hybrid2Controller(HybridMemoryController):
     """Fixed 1/16 cHBM staging cache plus 2KB-page mHBM (POM)."""
 
@@ -60,8 +56,12 @@ class Hybrid2Controller(HybridMemoryController):
         chbm_bytes = int(hbm_bytes * CHBM_FRACTION)
         blocks = chbm_bytes // BLOCK_BYTES
         self._cache_sets = max(1, blocks // CACHE_WAYS)
-        self._cache = [[_CacheSlot() for _ in range(CACHE_WAYS)]
-                       for _ in range(self._cache_sets)]
+        slots = self._cache_sets * CACHE_WAYS
+        self._block_tags = [[-1] * CACHE_WAYS
+                            for _ in range(self._cache_sets)]
+        self._block_dirty = [False] * slots
+        self._block_used = [0] * slots
+        self._block_lru = [0] * slots
         self._page_blocks: dict[int, int] = {}
 
         mhbm_bytes = hbm_bytes - chbm_bytes
@@ -120,17 +120,17 @@ class Hybrid2Controller(HybridMemoryController):
         set_index = block % self._cache_sets
         tag = block // self._cache_sets
         line_in_block = (request.addr % BLOCK_BYTES) // LINE_BYTES
-        slots = self._cache[set_index]
-        for way, slot in enumerate(slots):
-            if slot.tag == tag:
-                slot.lru = self._clock
-                slot.used_lines |= 1 << line_in_block
-                if request.is_write:
-                    slot.dirty = True
-                return self._demand_hbm(
-                    self._chbm_addr(set_index, way,
-                                    request.addr % BLOCK_BYTES),
-                    request, now_ns, metadata_ns)
+        row = self._block_tags[set_index]
+        if tag in row:
+            way = row.index(tag)
+            slot = set_index * CACHE_WAYS + way
+            self._block_lru[slot] = self._clock
+            self._block_used[slot] |= 1 << line_in_block
+            if request.is_write:
+                self._block_dirty[slot] = True
+            return self._demand_hbm(
+                self._chbm_addr(set_index, way, request.addr % BLOCK_BYTES),
+                request, now_ns, metadata_ns)
         result = self._demand_dram(request.addr, request, now_ns,
                                    metadata_ns)
         self._insert_block(page, block, set_index, tag, line_in_block,
@@ -143,19 +143,22 @@ class Hybrid2Controller(HybridMemoryController):
                       line_in_block: int, request: MemoryRequest,
                       now_ns: float) -> None:
         """Hybrid2 caches *every* requested block (no hotness filter)."""
-        slots = self._cache[set_index]
-        way = next((i for i, s in enumerate(slots) if s.tag < 0), None)
-        if way is None:
-            way = min(range(CACHE_WAYS), key=lambda i: slots[i].lru)
+        row = self._block_tags[set_index]
+        base = set_index * CACHE_WAYS
+        if -1 in row:
+            way = row.index(-1)
+        else:
+            lrus = self._block_lru[base:base + CACHE_WAYS]
+            way = lrus.index(min(lrus))
             self._evict_block(set_index, way, now_ns)
-        slot = slots[way]
         self.mover.fetch_to_hbm(
             (block * BLOCK_BYTES) % self.dram.capacity_bytes,
             self._chbm_addr(set_index, way, 0), BLOCK_BYTES, now_ns)
-        slot.tag = tag
-        slot.dirty = request.is_write
-        slot.used_lines = 1 << line_in_block
-        slot.lru = self._clock
+        slot = base + way
+        row[way] = tag
+        self._block_dirty[slot] = request.is_write
+        self._block_used[slot] = 1 << line_in_block
+        self._block_lru[slot] = self._clock
         self.stats.bump("block_fills")
         mask = self._page_blocks.get(page, 0) | (
             1 << (block % BLOCKS_PER_PAGE))
@@ -164,14 +167,15 @@ class Hybrid2Controller(HybridMemoryController):
             self._promote_page(page, now_ns)
 
     def _evict_block(self, set_index: int, way: int, now_ns: float) -> None:
-        slot = self._cache[set_index][way]
-        block = slot.tag * self._cache_sets + set_index
-        if slot.dirty:
+        row = self._block_tags[set_index]
+        slot = set_index * CACHE_WAYS + way
+        block = row[way] * self._cache_sets + set_index
+        if self._block_dirty[slot]:
             self.mover.writeback_to_dram(
                 self._chbm_addr(set_index, way, 0),
                 (block * BLOCK_BYTES) % self.dram.capacity_bytes,
                 BLOCK_BYTES, now_ns)
-        unused = LINES_PER_BLOCK - slot.used_lines.bit_count()
+        unused = LINES_PER_BLOCK - self._block_used[slot].bit_count()
         if unused > 0:
             self.stats.bump("overfetch_bytes", unused * LINE_BYTES)
         page = block * BLOCK_BYTES // PAGE_BYTES
@@ -182,9 +186,9 @@ class Hybrid2Controller(HybridMemoryController):
                 self._page_blocks[page] = mask
             else:
                 self._page_blocks.pop(page, None)
-        slot.tag = -1
-        slot.dirty = False
-        slot.used_lines = 0
+        row[way] = -1
+        self._block_dirty[slot] = False
+        self._block_used[slot] = 0
         self.stats.bump("block_evictions")
 
     # ---- mHBM (POM) region ----------------------------------------------
@@ -231,18 +235,19 @@ class Hybrid2Controller(HybridMemoryController):
             block = first_block + i
             set_index = block % self._cache_sets
             tag = block // self._cache_sets
-            for way, slot in enumerate(self._cache[set_index]):
-                if slot.tag == tag:
-                    if slot.dirty:
-                        self.mover.writeback_to_dram(
-                            self._chbm_addr(set_index, way, 0),
-                            (block * BLOCK_BYTES)
-                            % self.dram.capacity_bytes,
-                            BLOCK_BYTES, now_ns, mode_switch=True)
-                    slot.tag = -1
-                    slot.dirty = False
-                    slot.used_lines = 0
-                    break
+            row = self._block_tags[set_index]
+            if tag not in row:
+                continue
+            way = row.index(tag)
+            slot = set_index * CACHE_WAYS + way
+            if self._block_dirty[slot]:
+                self.mover.writeback_to_dram(
+                    self._chbm_addr(set_index, way, 0),
+                    (block * BLOCK_BYTES) % self.dram.capacity_bytes,
+                    BLOCK_BYTES, now_ns, mode_switch=True)
+            row[way] = -1
+            self._block_dirty[slot] = False
+            self._block_used[slot] = 0
 
 
     # ------------------------------------------------------------------
@@ -283,7 +288,10 @@ class Hybrid2Controller(HybridMemoryController):
         meta_misses = m - int(sram_hit.sum())
         meta = np.where(sram_hit, 0.0, mal).tolist()
         clock = self._clock
-        cache = self._cache
+        block_tags = self._block_tags
+        bdirty = self._block_dirty
+        bused = self._block_used
+        blru = self._block_lru
         resident_all = self._resident
         free_all = self._free_ways
         page_blocks = self._page_blocks
@@ -307,47 +315,34 @@ class Hybrid2Controller(HybridMemoryController):
                 continue
             set_index = block % cache_sets
             tag = block // cache_sets
-            slots = cache[set_index]
-            hit_way = -1
-            for wi in range(CACHE_WAYS):
-                if slots[wi].tag == tag:
-                    hit_way = wi
-                    break
-            if hit_way >= 0:
-                slot = slots[hit_way]
-                slot.lru = clock
-                slot.used_lines |= 1 << ((a % BLOCK_BYTES) // LINE_BYTES)
+            row = block_tags[set_index]
+            base = set_index * CACHE_WAYS
+            if tag in row:
+                slot = base + row.index(tag)
+                blru[slot] = clock
+                bused[slot] |= 1 << ((a % BLOCK_BYTES) // LINE_BYTES)
                 if wr:
-                    slot.dirty = True
-                local[i] = (chbm_base
-                            + (set_index * CACHE_WAYS + hit_way)
-                            * BLOCK_BYTES + a % BLOCK_BYTES) % hbm_cap
+                    bdirty[slot] = True
+                local[i] = (chbm_base + slot * BLOCK_BYTES
+                            + a % BLOCK_BYTES) % hbm_cap
                 continue
             use[i] = False
             local[i] = da
-            way = -1
-            for wi in range(CACHE_WAYS):
-                if slots[wi].tag < 0:
-                    way = wi
-                    break
-            if way < 0:
-                way = 0
-                best = slots[0].lru
-                for wi in range(1, CACHE_WAYS):
-                    if slots[wi].lru < best:
-                        best = slots[wi].lru
-                        way = wi
-                slot = slots[way]
-                vblock = slot.tag * cache_sets + set_index
-                if slot.dirty:
-                    emit((i, POST_BULK, 0, (chbm_base
-                                            + (set_index * CACHE_WAYS + way)
-                                            * BLOCK_BYTES) % hbm_cap,
-                          BLOCK_BYTES, 0,
+            if -1 in row:
+                way = row.index(-1)
+                slot = base + way
+            else:
+                window = blru[base:base + CACHE_WAYS]
+                way = window.index(min(window))
+                slot = base + way
+                vblock = row[way] * cache_sets + set_index
+                if bdirty[slot]:
+                    emit((i, POST_BULK, 0, (chbm_base + slot * BLOCK_BYTES)
+                          % hbm_cap, BLOCK_BYTES, 0,
                           i, POST_BULK, 1, (vblock * BLOCK_BYTES) % dram_cap,
                           BLOCK_BYTES, 1))
                     wb_total += BLOCK_BYTES
-                unused = LINES_PER_BLOCK - slot.used_lines.bit_count()
+                unused = LINES_PER_BLOCK - bused[slot].bit_count()
                 if unused > 0:
                     overfetch += unused * LINE_BYTES
                 vpage = vblock * BLOCK_BYTES // PAGE_BYTES
@@ -358,22 +353,16 @@ class Hybrid2Controller(HybridMemoryController):
                         page_blocks[vpage] = mask
                     else:
                         page_blocks.pop(vpage, None)
-                slot.tag = -1
-                slot.dirty = False
-                slot.used_lines = 0
                 block_evictions += 1
-            slot = slots[way]
             emit((i, POST_BULK, 1, (block * BLOCK_BYTES) % dram_cap,
                   BLOCK_BYTES, 0,
-                  i, POST_BULK, 0, (chbm_base
-                                    + (set_index * CACHE_WAYS + way)
-                                    * BLOCK_BYTES) % hbm_cap,
-                  BLOCK_BYTES, 1))
+                  i, POST_BULK, 0, (chbm_base + slot * BLOCK_BYTES)
+                  % hbm_cap, BLOCK_BYTES, 1))
             fetch_total += BLOCK_BYTES
-            slot.tag = tag
-            slot.dirty = wr
-            slot.used_lines = 1 << ((a % BLOCK_BYTES) // LINE_BYTES)
-            slot.lru = clock
+            row[way] = tag
+            bdirty[slot] = wr
+            bused[slot] = 1 << ((a % BLOCK_BYTES) // LINE_BYTES)
+            blru[slot] = clock
             block_fills += 1
             mask = page_blocks.get(page, 0) | (
                 1 << (block % BLOCKS_PER_PAGE))
@@ -404,25 +393,23 @@ class Hybrid2Controller(HybridMemoryController):
                         b = first_block + bi
                         si = b % cache_sets
                         btag = b // cache_sets
-                        bslots = cache[si]
-                        for wj in range(CACHE_WAYS):
-                            bslot = bslots[wj]
-                            if bslot.tag == btag:
-                                if bslot.dirty:
-                                    emit((i, POST_BULK, 0,
-                                          (chbm_base + (si * CACHE_WAYS
-                                                        + wj)
-                                           * BLOCK_BYTES) % hbm_cap,
-                                          BLOCK_BYTES, 0,
-                                          i, POST_BULK, 1,
-                                          (b * BLOCK_BYTES) % dram_cap,
-                                          BLOCK_BYTES, 1))
-                                    wb_total += BLOCK_BYTES
-                                    mode_switch += BLOCK_BYTES
-                                bslot.tag = -1
-                                bslot.dirty = False
-                                bslot.used_lines = 0
-                                break
+                        brow = block_tags[si]
+                        if btag not in brow:
+                            continue
+                        wj = brow.index(btag)
+                        bslot = si * CACHE_WAYS + wj
+                        if bdirty[bslot]:
+                            emit((i, POST_BULK, 0,
+                                  (chbm_base + bslot * BLOCK_BYTES)
+                                  % hbm_cap, BLOCK_BYTES, 0,
+                                  i, POST_BULK, 1,
+                                  (b * BLOCK_BYTES) % dram_cap,
+                                  BLOCK_BYTES, 1))
+                            wb_total += BLOCK_BYTES
+                            mode_switch += BLOCK_BYTES
+                        brow[wj] = -1
+                        bdirty[bslot] = False
+                        bused[bslot] = 0
                 emit((i, POST_BULK, 1, (page * PAGE_BYTES) % dram_cap,
                       PAGE_BYTES, 0,
                       i, POST_BULK, 0, ((pom_set * POM_WAYS + pway)
@@ -459,11 +446,11 @@ class Hybrid2Controller(HybridMemoryController):
 
     def reset_measurements(self) -> None:
         super().reset_measurements()
+        # A resident block counts as fully used, so warm-up fills are not
+        # charged as measured overfetch; an empty way's mask is 0.
         full = (1 << LINES_PER_BLOCK) - 1
-        for slots in self._cache:
-            for slot in slots:
-                if slot.tag >= 0:
-                    slot.used_lines = full
+        self._block_used = [full if tag >= 0 else 0
+                            for row in self._block_tags for tag in row]
 
     def metadata_bytes(self) -> int:
         return self._metadata.total_bytes

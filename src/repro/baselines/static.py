@@ -24,7 +24,7 @@ and hands the walk its recorded op-table rows.
 
 from __future__ import annotations
 
-from ..core.config import BumblebeeConfig
+from ..core.config import BumblebeeConfig, check_fraction
 from ..core.hmmc import BumblebeeController
 from ..designs import register_spec
 from ..mem.timing import DeviceConfig
@@ -69,8 +69,7 @@ def m_only(hbm_config: DeviceConfig,
 def fixed_chbm(hbm_config: DeviceConfig, dram_config: DeviceConfig,
                fraction: float) -> BumblebeeController:
     """A KNL-style static split with ``fraction`` of HBM as cHBM."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be in [0, 1]")
+    check_fraction("fraction", fraction)
     ways = BumblebeeConfig().hbm_ways
     chbm_ways = round(ways * fraction)
     return _fixed(hbm_config, dram_config, chbm_ways=chbm_ways,

@@ -11,12 +11,17 @@ alongside the data.  Two predictors keep the embedded tags affordable:
 
 Misses still pay the embedded-tag probe in HBM before going off-chip —
 the metadata-access latency Bumblebee's SRAM-resident metadata avoids.
+
+Way state is two structures: ``_tags[set]`` is a short list of the set's
+page tags (-1 for an empty way), so a lookup is ``tag in row`` /
+``row.index(tag)``; the per-way line vectors ``_valid``, ``_dirty``,
+``_used`` and ``_brought`` and the LRU stamps ``_lru`` are flat lists
+indexed ``set * WAYS + way``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,16 +38,6 @@ TAG_BYTES = 8
 FOOTPRINT_BYTES = LINES_PER_PAGE // 8
 
 
-@dataclass
-class _PageWay:
-    tag: int = -1
-    valid_lines: int = 0
-    dirty_lines: int = 0
-    used_lines: int = 0
-    brought_lines: int = 0
-    lru: int = 0
-
-
 class UnisonCacheController(HybridMemoryController):
     """4-way page-granular cache with way + footprint prediction."""
 
@@ -55,8 +50,13 @@ class UnisonCacheController(HybridMemoryController):
         page_slots = self.hbm.capacity_bytes // (
             PAGE_BYTES + TAG_BYTES + FOOTPRINT_BYTES)
         self._sets = max(1, page_slots // WAYS)
-        self._ways = [[_PageWay() for _ in range(WAYS)]
-                      for _ in range(self._sets)]
+        slots = self._sets * WAYS
+        self._tags = [[-1] * WAYS for _ in range(self._sets)]
+        self._valid = [0] * slots
+        self._dirty = [0] * slots
+        self._used = [0] * slots
+        self._brought = [0] * slots
+        self._lru = [0] * slots
         self._footprints: dict[int, int] = {}
         self._clock = 0
         self._rng = random.Random(seed)
@@ -74,14 +74,15 @@ class UnisonCacheController(HybridMemoryController):
     def access(self, request: MemoryRequest, now_ns: float) -> AccessResult:
         self._clock += 1
         set_index, tag, line = self._locate(request.addr)
-        ways = self._ways[set_index]
-        hit_way = next((i for i, w in enumerate(ways) if w.tag == tag), None)
-        if hit_way is not None and ways[hit_way].valid_lines >> line & 1:
-            way = ways[hit_way]
-            way.lru = self._clock
-            way.used_lines |= 1 << line
+        row = self._tags[set_index]
+        hit_way = row.index(tag) if tag in row else None
+        if hit_way is not None and \
+                self._valid[set_index * WAYS + hit_way] >> line & 1:
+            slot = set_index * WAYS + hit_way
+            self._lru[slot] = self._clock
+            self._used[slot] |= 1 << line
             if request.is_write:
-                way.dirty_lines |= 1 << line
+                self._dirty[slot] |= 1 << line
             mispredict = self._rng.random() > self.WAY_PREDICTION_ACCURACY
             extra_ns = 0.0
             if mispredict:
@@ -120,24 +121,25 @@ class UnisonCacheController(HybridMemoryController):
     def _fill_line(self, set_index: int, way_index: int, line: int,
                    request: MemoryRequest, now_ns: float) -> None:
         """The page is resident but the footprint missed this line."""
-        way = self._ways[set_index][way_index]
+        slot = set_index * WAYS + way_index
         self.mover.fetch_to_hbm(
             request.addr % self.dram.capacity_bytes,
             self._hbm_addr(set_index, way_index, line), LINE_BYTES, now_ns)
-        way.valid_lines |= 1 << line
-        way.brought_lines |= 1 << line
-        way.used_lines |= 1 << line
+        bit = 1 << line
+        self._valid[slot] |= bit
+        self._brought[slot] |= bit
+        self._used[slot] |= bit
         if request.is_write:
-            way.dirty_lines |= 1 << line
-        way.lru = self._clock
+            self._dirty[slot] |= bit
+        self._lru[slot] = self._clock
 
     def _fill_page(self, set_index: int, tag: int, line: int,
                    request: MemoryRequest, now_ns: float) -> None:
         """Page miss: evict the LRU way, fetch the predicted footprint."""
-        ways = self._ways[set_index]
-        victim_index = min(range(WAYS), key=lambda i: ways[i].lru)
-        victim = ways[victim_index]
-        if victim.tag >= 0:
+        base = set_index * WAYS
+        lrus = self._lru[base:base + WAYS]
+        victim_index = lrus.index(min(lrus))
+        if self._tags[set_index][victim_index] >= 0:
             self._evict(set_index, victim_index, now_ns)
         page = tag * self._sets + set_index
         footprint = self._footprints.get(page, 0) | (1 << line)
@@ -146,34 +148,36 @@ class UnisonCacheController(HybridMemoryController):
         self.mover.fetch_to_hbm(page_base,
                                 self._hbm_addr(set_index, victim_index, 0),
                                 nbytes, now_ns)
-        victim.tag = tag
-        victim.valid_lines = footprint
-        victim.brought_lines = footprint
-        victim.used_lines = 1 << line
-        victim.dirty_lines = (1 << line) if request.is_write else 0
-        victim.lru = self._clock
+        slot = base + victim_index
+        self._tags[set_index][victim_index] = tag
+        self._valid[slot] = footprint
+        self._brought[slot] = footprint
+        self._used[slot] = 1 << line
+        self._dirty[slot] = (1 << line) if request.is_write else 0
+        self._lru[slot] = self._clock
         self.stats.bump("page_fills")
 
     def _evict(self, set_index: int, way_index: int,
                now_ns: float) -> None:
-        way = self._ways[set_index][way_index]
-        page = way.tag * self._sets + set_index
-        dirty = way.dirty_lines.bit_count() * LINE_BYTES
+        row = self._tags[set_index]
+        slot = set_index * WAYS + way_index
+        page = row[way_index] * self._sets + set_index
+        dirty = self._dirty[slot].bit_count() * LINE_BYTES
         if dirty:
             self.mover.writeback_to_dram(
                 self._hbm_addr(set_index, way_index, 0),
                 (page * PAGE_BYTES) % self.dram.capacity_bytes,
                 dirty, now_ns)
         # Teach the footprint predictor what this residency actually used.
-        self._footprints[page] = way.used_lines
-        unused = (way.brought_lines & ~way.used_lines).bit_count()
+        used = self._used[slot]
+        self._footprints[page] = used
+        unused = (self._brought[slot] & ~used).bit_count()
         if unused:
             self.stats.bump("overfetch_bytes", unused * LINE_BYTES)
         self.stats.bump("page_evictions")
-        way.tag = -1
-        way.valid_lines = way.dirty_lines = 0
-        way.used_lines = way.brought_lines = 0
-
+        row[way_index] = -1
+        self._valid[slot] = self._dirty[slot] = 0
+        self._used[slot] = self._brought[slot] = 0
 
     # ------------------------------------------------------------------
     # two-pass epoch replay protocol (repro.sim.vectorized.replay_epoch)
@@ -202,7 +206,12 @@ class UnisonCacheController(HybridMemoryController):
         dram_l = (addr % dram_cap).tolist()
         wr_l = np.asarray(is_write, dtype=bool).tolist()
         m = len(set_l)
-        ways_all = self._ways
+        tags_all = self._tags
+        valid = self._valid
+        dirty_l = self._dirty
+        used = self._used
+        brought = self._brought
+        lru = self._lru
         clock = self._clock
         rng_random = self._rng.random
         footprints = self._footprints
@@ -213,94 +222,78 @@ class UnisonCacheController(HybridMemoryController):
         emit = ops.extend
         mispredicts = probes = fills = evictions = 0
         fetch_total = wb_total = overfetch = 0
-        # Epoch-local mirror of each touched set's way tags: the scan
-        # becomes a C-speed list membership test.  Tags are unique per
-        # set (fills only install absent tags) and never -1-aliased
-        # (page tags are non-negative), so ``index`` finds the same way
-        # the scalar first-match scan would.
-        tag_rows: dict[int, list] = {}
-        tag_rows_get = tag_rows.get
         for i, (s, tg, ln, da, wr) in enumerate(zip(
                 set_l, tag_l, line_l, dram_l, wr_l)):
             clock += 1
-            ways = ways_all[s]
-            row = tag_rows_get(s)
-            if row is None:
-                row = tag_rows[s] = [w.tag for w in ways]
-            hit_way = row.index(tg) if tg in row else None
-            if hit_way is not None and (
-                    ways[hit_way].valid_lines >> ln) & 1:
-                w = ways[hit_way]
-                w.lru = clock
-                w.used_lines |= 1 << ln
+            row = tags_all[s]
+            base = s * WAYS
+            bit = 1 << ln
+            if tg in row:
+                hit_way = row.index(tg)
+                slot = base + hit_way
+                if valid[slot] & bit:
+                    lru[slot] = clock
+                    used[slot] |= bit
+                    if wr:
+                        dirty_l[slot] |= bit
+                    if rng_random() > accuracy:
+                        emit((i, PROBE, 0, ((base + (hit_way + 1) % WAYS)
+                                            * stride + ln * LINE_BYTES)
+                              % hbm_cap, LINE_BYTES, 0))
+                        mispredicts += 1
+                    local[i] = (slot * stride + ln * LINE_BYTES) % hbm_cap
+                    continue
+                # Resident page, footprint-missed line: 64B line fill.
+                use[i] = False
+                local[i] = da
+                emit((i, PROBE, 0, (slot * stride) % hbm_cap, TAG_BYTES, 0,
+                      i, POST_BULK, 1, da, LINE_BYTES, 0,
+                      i, POST_BULK, 0, (slot * stride + ln * LINE_BYTES)
+                      % hbm_cap, LINE_BYTES, 1))
+                probes += 1
+                fetch_total += LINE_BYTES
+                valid[slot] |= bit
+                brought[slot] |= bit
+                used[slot] |= bit
                 if wr:
-                    w.dirty_lines |= 1 << ln
-                if rng_random() > accuracy:
-                    emit((i, PROBE, 0, ((s * WAYS + (hit_way + 1) % WAYS)
-                                        * stride + ln * LINE_BYTES)
-                          % hbm_cap, LINE_BYTES, 0))
-                    mispredicts += 1
-                local[i] = ((s * WAYS + hit_way) * stride
-                            + ln * LINE_BYTES) % hbm_cap
+                    dirty_l[slot] |= bit
+                lru[slot] = clock
                 continue
             use[i] = False
             local[i] = da
-            emit((i, PROBE, 0, ((s * WAYS + (hit_way or 0)) * stride)
-                  % hbm_cap, TAG_BYTES, 0))
+            emit((i, PROBE, 0, (base * stride) % hbm_cap, TAG_BYTES, 0))
             probes += 1
-            if hit_way is not None:
-                # Resident page, footprint-missed line: 64B line fill.
-                emit((i, POST_BULK, 1, da, LINE_BYTES, 0,
-                      i, POST_BULK, 0, ((s * WAYS + hit_way) * stride
-                                        + ln * LINE_BYTES) % hbm_cap,
-                      LINE_BYTES, 1))
-                fetch_total += LINE_BYTES
-                w = ways[hit_way]
-                w.valid_lines |= 1 << ln
-                w.brought_lines |= 1 << ln
-                w.used_lines |= 1 << ln
-                if wr:
-                    w.dirty_lines |= 1 << ln
-                w.lru = clock
-            else:
-                victim_index = 0
-                best = ways[0].lru
-                for wi in range(1, WAYS):
-                    if ways[wi].lru < best:
-                        best = ways[wi].lru
-                        victim_index = wi
-                victim = ways[victim_index]
-                if victim.tag >= 0:
-                    old_pg = victim.tag * sets + s
-                    dirty = victim.dirty_lines.bit_count() * LINE_BYTES
-                    if dirty:
-                        emit((i, POST_BULK, 0, ((s * WAYS + victim_index)
-                                                * stride) % hbm_cap,
-                              dirty, 0,
-                              i, POST_BULK, 1,
-                              (old_pg * PAGE_BYTES) % dram_cap, dirty, 1))
-                        wb_total += dirty
-                    footprints[old_pg] = victim.used_lines
-                    unused = (victim.brought_lines
-                              & ~victim.used_lines).bit_count()
-                    if unused:
-                        overfetch += unused * LINE_BYTES
-                    evictions += 1
-                pg = tg * sets + s
-                footprint = footprints.get(pg, 0) | (1 << ln)
-                nb = footprint.bit_count() * LINE_BYTES
-                emit((i, POST_BULK, 1, (pg * PAGE_BYTES) % dram_cap, nb, 0,
-                      i, POST_BULK, 0, ((s * WAYS + victim_index) * stride)
-                      % hbm_cap, nb, 1))
-                fetch_total += nb
-                victim.tag = tg
-                row[victim_index] = tg
-                victim.valid_lines = footprint
-                victim.brought_lines = footprint
-                victim.used_lines = 1 << ln
-                victim.dirty_lines = (1 << ln) if wr else 0
-                victim.lru = clock
-                fills += 1
+            window = lru[base:base + WAYS]
+            victim_index = window.index(min(window))
+            slot = base + victim_index
+            old_tag = row[victim_index]
+            if old_tag >= 0:
+                old_pg = old_tag * sets + s
+                dirty = dirty_l[slot].bit_count() * LINE_BYTES
+                if dirty:
+                    emit((i, POST_BULK, 0, (slot * stride) % hbm_cap,
+                          dirty, 0,
+                          i, POST_BULK, 1,
+                          (old_pg * PAGE_BYTES) % dram_cap, dirty, 1))
+                    wb_total += dirty
+                footprints[old_pg] = used[slot]
+                unused = (brought[slot] & ~used[slot]).bit_count()
+                if unused:
+                    overfetch += unused * LINE_BYTES
+                evictions += 1
+            pg = tg * sets + s
+            footprint = footprints.get(pg, 0) | bit
+            nb = footprint.bit_count() * LINE_BYTES
+            emit((i, POST_BULK, 1, (pg * PAGE_BYTES) % dram_cap, nb, 0,
+                  i, POST_BULK, 0, (slot * stride) % hbm_cap, nb, 1))
+            fetch_total += nb
+            row[victim_index] = tg
+            valid[slot] = footprint
+            brought[slot] = footprint
+            used[slot] = bit
+            dirty_l[slot] = bit if wr else 0
+            lru[slot] = clock
+            fills += 1
         self._clock = clock
         bump = self.stats.bump
         if mispredicts:
@@ -324,10 +317,9 @@ class UnisonCacheController(HybridMemoryController):
 
     def reset_measurements(self) -> None:
         super().reset_measurements()
-        for ways in self._ways:
-            for way in ways:
-                way.brought_lines = 0
-                way.used_lines = 0
+        slots = len(self._lru)
+        self._brought = [0] * slots
+        self._used = [0] * slots
 
     def metadata_bytes(self) -> int:
         """Embedded tags + footprint vectors (HBM-resident)."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,6 +31,23 @@ def check_int(name: str, value, minimum: int = 1) -> None:
                          f"{value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be {sign}, got {value}")
+
+
+def check_fraction(name: str, value, low_open: bool = False) -> None:
+    """Reject a fraction that is not a real number in [0, 1] (or
+    (0, 1] with ``low_open``), naming the field.
+
+    Raises:
+        ValueError: for a bool, a non-real value (a string from a
+            ``--grid`` is one), NaN, or a value out of range.
+    """
+    bounds = "(0, 1]" if low_open else "[0, 1]"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number in {bounds}, "
+                         f"got {value!r}")
+    low_ok = value > 0.0 if low_open else value >= 0.0
+    if not (low_ok and value <= 1.0):
+        raise ValueError(f"{name} must be in {bounds}, got {value}")
 
 
 class AllocationPolicy(enum.Enum):
@@ -86,7 +104,8 @@ class BumblebeeConfig:
         hmf_batch_sets: Sets whose cHBM is flushed per global
             high-memory-footprint trigger.
         hmf_cooldown_requests: Requests without a beyond-DRAM address
-            before flushed sets may serve cHBM again.
+            before flushed sets may serve cHBM again (at least 1: the
+            countdown that re-enables them starts from this value).
         multiplexed: False models separate cHBM/mHBM spaces (No-Multi):
             every mode switch then pays full data movement.
         hmf_enabled: False disables the §III-E high-memory-footprint
@@ -131,8 +150,8 @@ class BumblebeeConfig:
             raise ValueError("page size must be a multiple of block size")
         if self.block_bytes % 64 != 0:
             raise ValueError("block size must be a multiple of 64B lines")
-        if not 0.0 < self.most_blocks_fraction <= 1.0:
-            raise ValueError("most_blocks_fraction must be in (0, 1]")
+        check_fraction("most_blocks_fraction", self.most_blocks_fraction,
+                       low_open=True)
         if self.fixed_chbm_ways is not None:
             check_int("fixed_chbm_ways", self.fixed_chbm_ways, minimum=0)
             if self.fixed_chbm_ways > self.hbm_ways:
@@ -141,10 +160,10 @@ class BumblebeeConfig:
         # or a negative patience would otherwise run and return a
         # plausible number.
         for name in ("hot_queue_dram_entries", "zombie_patience",
-                     "hmf_batch_sets", "counter_bits"):
+                     "hmf_batch_sets", "hmf_cooldown_requests",
+                     "counter_bits"):
             check_int(name, getattr(self, name))
-        for name in ("age_interval", "hmf_cooldown_requests",
-                     "prefetch_blocks"):
+        for name in ("age_interval", "prefetch_blocks"):
             check_int(name, getattr(self, name), minimum=0)
 
     @property

@@ -29,7 +29,8 @@ from ..designs import register_design, register_spec
 from ..mem.timing import DeviceConfig
 from ..sim.request import AccessResult, MemoryRequest
 from .ble import BLEArray, WayMode, epoch_snapshot
-from .config import AllocationPolicy, BumblebeeConfig, derive_geometry
+from .config import (AllocationPolicy, BumblebeeConfig, check_fraction,
+                     derive_geometry)
 from .hotness import HotnessTracker
 from .metadata import MetadataSizes, metadata_sizes
 from .policy import (
@@ -1090,9 +1091,7 @@ def build_bumblebee(hbm_config: DeviceConfig, dram_config: DeviceConfig,
         if params.get("fixed_chbm_ways") is not None:
             raise ValueError(
                 "give either chbm_ratio or fixed_chbm_ways, not both")
-        if not 0.0 <= chbm_ratio <= 1.0:
-            raise ValueError(f"chbm_ratio must be in [0, 1], "
-                             f"got {chbm_ratio}")
+        check_fraction("chbm_ratio", chbm_ratio)
         ways = params.get("hbm_ways", BumblebeeConfig.hbm_ways)
         params["fixed_chbm_ways"] = round(ways * chbm_ratio)
     if "allocation" in params:

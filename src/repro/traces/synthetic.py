@@ -157,11 +157,16 @@ class SyntheticTraceGenerator:
         # locality: strong-spatial hot regions span most of a 64KB page
         # (1024 lines); weak-spatial hot lines sit 1-2 to a 2KB block.
         cluster = max(2, int(spec.spatial * spec.spatial * 1024))
+        footprint = spec.footprint_lines
         lines: list[int] = []
         while len(lines) < count:
-            start = rng.randrange(spec.footprint_lines)
-            for offset in range(min(cluster, count - len(lines))):
-                lines.append((start + offset) % spec.footprint_lines)
+            start = rng.randrange(footprint)
+            end = start + min(cluster, count - len(lines))
+            # A cluster is at most count <= footprint lines long, so it
+            # wraps past the end of the footprint at most once.
+            lines.extend(range(start, min(end, footprint)))
+            if end > footprint:
+                lines.extend(range(end - footprint))
         return lines
 
     def _new_stream(self) -> list[int]:

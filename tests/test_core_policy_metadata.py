@@ -197,8 +197,10 @@ class TestBumblebeeConfig:
         ("hmf_batch_sets", -3, "hmf_batch_sets must be positive"),
         ("hot_queue_dram_entries", 0,
          "hot_queue_dram_entries must be positive"),
+        ("hmf_cooldown_requests", 0,
+         "hmf_cooldown_requests must be positive, got 0"),
         ("hmf_cooldown_requests", -5,
-         "hmf_cooldown_requests must be non-negative, got -5"),
+         "hmf_cooldown_requests must be positive, got -5"),
         ("age_interval", -1, "age_interval must be non-negative"),
         ("prefetch_blocks", -1, "prefetch_blocks must be non-negative"),
         ("zombie_patience", True,
@@ -207,7 +209,16 @@ class TestBumblebeeConfig:
         ("fixed_chbm_ways", 2.5,
          "fixed_chbm_ways must be a non-negative integer, got 2.5"),
         ("age_interval", "8",
-         "age_interval must be a non-negative integer, got '8'")])
+         "age_interval must be a non-negative integer, got '8'"),
+        ("most_blocks_fraction", "abc",
+         r"most_blocks_fraction must be a real number in \(0, 1\], "
+         "got 'abc'"),
+        ("most_blocks_fraction", True,
+         "most_blocks_fraction must be a real number"),
+        ("most_blocks_fraction", 0.0,
+         r"most_blocks_fraction must be in \(0, 1\], got 0.0"),
+        ("most_blocks_fraction", float("nan"),
+         "most_blocks_fraction must be in")])
     def test_rejects_out_of_range_tunables(self, field, value, message):
         """Every tunable is a sweepable spec param: a value outside its
         range raises naming the field instead of running."""
@@ -217,6 +228,6 @@ class TestBumblebeeConfig:
     def test_accepts_tunables_at_their_bounds(self):
         config = BumblebeeConfig(
             counter_bits=1, zombie_patience=1, hmf_batch_sets=1,
-            hot_queue_dram_entries=1, hmf_cooldown_requests=0,
+            hot_queue_dram_entries=1, hmf_cooldown_requests=1,
             age_interval=0, prefetch_blocks=0)
         assert config.counter_max == 1

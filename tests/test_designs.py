@@ -443,7 +443,13 @@ class TestDesignsCli:
         ("hbm_ways=0", "hbm_ways must be positive"),
         ("block_bytes=3", "multiple of block size"),
         ("page_bytes=abc", "page_bytes must be a positive integer"),
-        ("zombie_patience=-1", "zombie_patience must be positive, got -1")])
+        ("zombie_patience=-1", "zombie_patience must be positive, got -1"),
+        ("hmf_cooldown_requests=0",
+         "hmf_cooldown_requests must be positive, got 0"),
+        ("most_blocks_fraction=abc",
+         "most_blocks_fraction must be a real number in (0, 1], got 'abc'"),
+        ("chbm_ratio=abc",
+         "chbm_ratio must be a real number in [0, 1], got 'abc'")])
     def test_sweep_rejects_bad_geometry_before_any_cell(
             self, capsys, tmp_path, value, message):
         """A value the builder rejects exits 2 naming the spec, before

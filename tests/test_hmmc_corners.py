@@ -121,7 +121,7 @@ class TestGlobalFlushRotation:
 
 
     @given(beyond=st.lists(st.booleans(), min_size=1, max_size=60),
-           window=st.integers(0, 6), interval=st.integers(1, 4),
+           window=st.integers(1, 6), interval=st.integers(1, 4),
            cooldown=st.integers(0, 6), streak=st.integers(0, 9))
     @settings(max_examples=200, deadline=None)
     def test_epoch_trajectory_matches_footprint_check(

@@ -109,3 +109,63 @@ class TestGoldenValues:
         result = SimulationDriver(CpuModel()).run(
             controller, golden_trace(), workload="golden")
         assert result.avg_latency_ns == pytest.approx(42.68, abs=0.5)
+
+
+def pressure_trace():
+    """A footprint 48x the 1 MiB stack below: every way gets evicted."""
+    spec = SyntheticSpec("golden-pressure", 48 * MIB, spatial=0.6,
+                         temporal=0.5, mpki=16.0, hot_fraction=0.2)
+    return SyntheticTraceGenerator(spec, seed=42).generate_packed(8000)
+
+
+#: ``(hbm_hits, elapsed_ns, fetched_bytes, writeback_bytes,
+#: overfetch_bytes)`` per design: on ``golden_trace()`` with the 8 MiB
+#: stack and no warm-up, and on ``pressure_trace()`` with a 1 MiB stack
+#: and 2000 warm-up requests (so evictions, dirty writebacks and the
+#: warm-up reset of the used-line masks all count).
+PAGE_CACHE_GOLDENS = {
+    "Banshee": ((2295, 39804.48278077584, 872448, 0, 0),
+                (2686, 60813.88648373673, 548864, 28672, 20160)),
+    "UnisonCache": ((397, 62309.14281548876, 230592, 0, 0),
+                    (269, 86741.78875448032, 577664, 105280, 186048)),
+    "Hybrid2": ((1843, 40788.791132160084, 754944, 70144, 19136),
+                (2269, 63469.5157517999, 1104640, 286976, 583488)),
+}
+
+
+class TestPageCacheGoldens:
+    """Exact locks on the set-associative caches' results.
+
+    The epoch-vs-scalar identity tests cannot see a drift that moves
+    both engines together; these pin both against fixed numbers.
+    """
+
+    @staticmethod
+    def _observed(design, trace, hbm, warmup, engine, vector_epoch):
+        controller = make_controller(design, hbm, DRAM)
+        driver = SimulationDriver(CpuModel(), vector_epoch=vector_epoch)
+        result = driver.run(controller, trace, workload="golden",
+                            warmup=warmup, engine=engine)
+        assert driver.last_engine == (
+            "scalar" if engine == "scalar" else "vector")
+        stats = result.controller_stats
+        return (result.hbm_hits, result.elapsed_ns,
+                stats.get("fetched_bytes", 0),
+                stats.get("writeback_bytes", 0),
+                stats.get("overfetch_bytes", 0))
+
+    @pytest.mark.parametrize("engine, vector_epoch", [
+        ("scalar", None), ("auto", None), ("auto", 7)])
+    @pytest.mark.parametrize("design", sorted(PAGE_CACHE_GOLDENS))
+    def test_golden_trace(self, design, engine, vector_epoch):
+        assert self._observed(design, golden_trace(), HBM, 0, engine,
+                              vector_epoch) == PAGE_CACHE_GOLDENS[design][0]
+
+    @pytest.mark.parametrize("engine, vector_epoch", [
+        ("scalar", None), ("auto", None), ("auto", 7)])
+    @pytest.mark.parametrize("design", sorted(PAGE_CACHE_GOLDENS))
+    def test_pressure_trace_with_warmup(self, design, engine,
+                                        vector_epoch):
+        assert self._observed(design, pressure_trace(), hbm2_config(MIB),
+                              2000, engine, vector_epoch) == \
+            PAGE_CACHE_GOLDENS[design][1]

@@ -164,6 +164,55 @@ class TestGenerator:
         assert derive_seed("a", 1) != derive_seed("b", 1)
 
 
+class _PerLineHotSet(SyntheticTraceGenerator):
+    """The hot-set sampler as first written, one line at a time: the
+    reference the range-built sampler must reproduce."""
+
+    def _sample_hot_set(self):
+        spec = self.spec
+        rng = self._rng
+        count = max(64, min(self.HOT_SET_MAX_LINES,
+                            int(spec.footprint_lines * spec.hot_fraction)))
+        count = min(count, spec.footprint_lines)
+        cluster = max(2, int(spec.spatial * spec.spatial * 1024))
+        lines = []
+        while len(lines) < count:
+            start = rng.randrange(spec.footprint_lines)
+            for offset in range(min(cluster, count - len(lines))):
+                lines.append((start + offset) % spec.footprint_lines)
+        return lines
+
+
+class TestHotSet:
+    @staticmethod
+    def _assert_matches_reference(spec, seed):
+        built = SyntheticTraceGenerator(spec, seed=seed)
+        reference = _PerLineHotSet(spec, seed=seed)
+        assert built._hot_lines == reference._hot_lines
+        # Same RNG draws: the streams sampled next agree as well.
+        assert built._streams == reference._streams
+        assert built._rng.getstate() == reference._rng.getstate()
+        return built._hot_lines
+
+    @pytest.mark.parametrize("seed", [1234, 7])
+    @pytest.mark.parametrize("name", sorted(SPEC2017))
+    def test_workload_hot_sets_match_per_line_reference(self, name, seed):
+        self._assert_matches_reference(synthetic_spec(name), seed)
+
+    @pytest.mark.parametrize("lines, spatial", [(1024, 1.0), (10, 0.5),
+                                                (10, 1.0), (1500, 0.9)])
+    def test_clusters_wrapping_the_footprint_match_reference(
+            self, lines, spatial):
+        spec = SyntheticSpec("wrap", lines * CACHE_LINE_BYTES, spatial,
+                             0.5, 10.0, hot_fraction=1.0)
+        wrapped = 0
+        for seed in range(20):
+            hot = self._assert_matches_reference(spec, seed)
+            assert len(hot) == lines
+            wrapped += any(b < a for a, b in zip(hot, hot[1:]))
+        assert wrapped  # the wrapping branch ran
+
+
 class TestSpecCatalogue:
     def test_fourteen_benchmarks(self):
         assert len(SPEC2017) == 14
