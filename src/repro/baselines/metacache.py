@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
+#: The smallest SRAM the cache models: one 8-way set of 64B sectors.
+MIN_SRAM_BYTES = 8 * 64
+
 
 class MetadataCache:
     """An SRAM cache of metadata entries, indexed by entry number.
@@ -25,6 +28,10 @@ class MetadataCache:
 
     def __init__(self, sram_bytes: int, entry_bytes: int,
                  total_entries: int) -> None:
+        if (isinstance(sram_bytes, bool) or not isinstance(sram_bytes, int)
+                or sram_bytes < MIN_SRAM_BYTES):
+            raise ValueError(f"sram_bytes must be an integer of at least "
+                             f"{MIN_SRAM_BYTES}, got {sram_bytes!r}")
         if entry_bytes <= 0:
             raise ValueError("entry_bytes must be positive")
         self.sram_bytes = sram_bytes
@@ -44,11 +51,10 @@ class MetadataCache:
             # rank-array LRU: hit iff the tag is present, hits move to
             # front, a full set evicts the back.
             line_bytes = 64
-            capacity = max(line_bytes * 8, (sram_bytes // line_bytes)
-                           * line_bytes)
-            lines = capacity // line_bytes
+            lines = sram_bytes // line_bytes
             if lines % 8:
-                raise ValueError("lines must divide evenly into ways")
+                raise ValueError(f"sram_bytes must hold whole 8-way sets "
+                                 f"of 64B lines, got {sram_bytes}")
             self._line_bytes = line_bytes
             self._ways = 8
             self._nsets = lines // 8

@@ -46,6 +46,8 @@ class UnisonCacheController(HybridMemoryController):
 
     def __init__(self, hbm_config: DeviceConfig, dram_config: DeviceConfig,
                  name: str = "UnisonCache", seed: int = 7) -> None:
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         super().__init__(hbm_config, dram_config, name=name)
         page_slots = self.hbm.capacity_bytes // (
             PAGE_BYTES + TAG_BYTES + FOOTPRINT_BYTES)

@@ -175,11 +175,6 @@ class BLEArray:
     def count_mode(self, mode: WayMode) -> int:
         return sum(1 for e in self._entries if e.mode is mode)
 
-    def occupancy(self) -> float:
-        """Fraction of ways holding data (cHBM or mHBM): the Rh input."""
-        used = sum(1 for e in self._entries if e.mode is not WayMode.FREE)
-        return used / len(self._entries)
-
     def epoch_snapshot(self):
         """Frozen per-way arrays of this set's BLE state (pass-1 input).
 
@@ -188,18 +183,23 @@ class BLEArray:
         """
         return epoch_snapshot([self._entries])
 
-    def spatial_counts(self, most_blocks_threshold: int
-                       ) -> tuple[int, int, int]:
-        """Return (Na, Nn, Nc) for the SL = Na - Nn - Nc estimate (§III-E).
+    def way_counts(self, most_blocks_threshold: int
+                   ) -> tuple[int, int, int, int]:
+        """Return (Na, Nn, Nc, free ways) of the set in one pass (§III-E).
 
         Na: mHBM ways with >= threshold accessed blocks (strong spatial).
-        Nn: mHBM ways below the threshold.
+        Nn: mHBM ways with more than one accessed block but fewer
+            than threshold.
         Nc: cHBM ways.
+        The free-way count gives the occupied ratio Rh = 1 - free/ways.
         """
-        na = nn = nc = 0
+        mhbm = WayMode.MHBM
+        chbm = WayMode.CHBM
+        na = nn = nc = free = 0
         for entry in self._entries:
-            if entry.mode is WayMode.MHBM:
-                count = entry.valid_count()
+            mode = entry.mode
+            if mode is mhbm:
+                count = entry.valid.bit_count()
                 if count >= most_blocks_threshold:
                     na += 1
                 elif count > 1:
@@ -208,9 +208,11 @@ class BLEArray:
                     # touched); counting them as weak-spatial would bias
                     # every warm-up toward block caching.
                     nn += 1
-            elif entry.mode is WayMode.CHBM:
+            elif mode is chbm:
                 nc += 1
-        return na, nn, nc
+            else:
+                free += 1
+        return na, nn, nc, free
 
 
 def epoch_snapshot(entry_rows, *, with_counts: bool = False):

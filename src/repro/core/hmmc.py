@@ -101,6 +101,11 @@ class BumblebeeController(HybridMemoryController):
         self._dram_slots = g.dram_slots
         self._meta_in_hbm = c.metadata_in_hbm
         self._hmf_on = c.hmf_enabled
+        self._hbm_ways = g.hbm_ways
+        self._threshold_cap = c.counter_max - 1
+        self._age_interval = c.age_interval
+        self._chbm_any = len(self._chbm_ways) > 0
+        self._mhbm_any = len(self._mhbm_ways) > 0
         # Direct references into the per-set metadata containers.  The
         # aliased lists are mutated in place and never rebound, so these
         # stay coherent; they spare the PRT/BLE __getitem__ calls on the
@@ -264,40 +269,41 @@ class BumblebeeController(HybridMemoryController):
     def _movement_decision(self, set_index: int, orig: int, block: int,
                            is_write: bool, now_ns: float,
                            used_line: int = 0) -> None:
-        ble = self.ble[set_index]
         tracker = self.hot[set_index]
-        na, nn, nc = ble.spatial_counts(self._most_blocks)
+        na, nn, nc, free = self.ble[set_index].way_counts(self._most_blocks)
+        # tracker.hotness(orig) and tracker.threshold(), read straight
+        # from the two queues: this runs on most off-chip accesses.
+        hbm_counters = tracker.hbm_queue._entries
+        hotness = max(hbm_counters.get(orig, 0),
+                      tracker.dram_queue._entries.get(orig, 0))
+        threshold = min(hbm_counters.values()) if hbm_counters else 0
         condition = SetCondition(
             sl=spatial_locality(na, nn, nc),
-            rh=ble.occupancy(),
-            hotness=tracker.hotness(orig),
+            rh=(self._hbm_ways - free) / self._hbm_ways,
+            hotness=hotness,
             # Saturating-counter reading of "hotness larger than T": a
             # saturated candidate must be able to pass a saturated
             # threshold, or the set freezes once resident counters cap.
-            threshold=min(tracker.threshold(),
-                          self.config.counter_max - 1),
+            threshold=min(threshold, self._threshold_cap),
         )
-        self._decision_ticks[set_index] += 1
-        if (self.config.age_interval
-                and self._decision_ticks[set_index]
-                % self.config.age_interval == 0):
+        ticks = self._decision_ticks[set_index] + 1
+        self._decision_ticks[set_index] = ticks
+        if self._age_interval and ticks % self._age_interval == 0:
             tracker.age()
-        chbm_allowed = (len(self._chbm_ways) > 0
-                        and not self._chbm_disabled[set_index])
-        mhbm_allowed = len(self._mhbm_ways) > 0
+        disabled = self._chbm_disabled[set_index]
         action = decide_dram_access(
-            condition, chbm_allowed=chbm_allowed, mhbm_allowed=mhbm_allowed,
+            condition, chbm_allowed=self._chbm_any and not disabled,
+            mhbm_allowed=self._mhbm_any,
             # Static partitions have a single mechanism; and a set whose
             # cHBM the high-footprint state disabled behaves as pure POM.
-            allow_fallback=(not self._adaptive
-                            or self._chbm_disabled[set_index]))
+            allow_fallback=not self._adaptive or disabled)
         if action is MovementAction.MIGRATE:
             self._migrate_page(set_index, orig, block, now_ns,
                                used_line=used_line)
         elif action is MovementAction.CACHE_BLOCK:
             self._cache_into_chbm(set_index, orig, block, is_write, now_ns,
                                   used_line=used_line)
-        if self.config.hmf_enabled and condition.rh_high:
+        if self._hmf_on and condition.rh_high:
             zombie = tracker.observe_zombie(self.config.zombie_patience)
             if zombie is not None and zombie != orig:
                 self._evict_zombie(set_index, zombie, now_ns)

@@ -8,7 +8,7 @@ state and performs the movements they prescribe.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class MovementAction(enum.Enum):
@@ -29,9 +29,9 @@ def spatial_locality(na: int, nn: int, nc: int) -> int:
     return na - nn - nc
 
 
-@dataclass(frozen=True)
-class SetCondition:
-    """The hotness-tracker snapshot a movement decision is based on."""
+class SetCondition(NamedTuple):
+    """The hotness-tracker snapshot a movement decision is based on (a
+    tuple: one is built per off-chip access that reaches §III-E)."""
 
     sl: int
     rh: float

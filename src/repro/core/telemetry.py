@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .ble import WayMode
 from .policy import spatial_locality
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -52,14 +51,14 @@ def snapshot(controller: "BumblebeeController") -> ControllerSnapshot:
     allocated = 0
     for set_index in range(g.sets):
         ble = controller.ble[set_index]
-        chbm += ble.count_mode(WayMode.CHBM)
-        mhbm += ble.count_mode(WayMode.MHBM)
-        free += ble.count_mode(WayMode.FREE)
-        na, nn, nc = ble.spatial_counts(
+        na, nn, nc, free_ways = ble.way_counts(
             controller.config.most_blocks_threshold)
+        chbm += nc
+        mhbm += len(ble) - nc - free_ways
+        free += free_ways
         if spatial_locality(na, nn, nc) > 0:
             sl_positive += 1
-        if ble.occupancy() >= 1.0:
+        if not free_ways:
             rh_high += 1
         thresholds += controller.hot[set_index].threshold()
         allocated += controller.prt[set_index].allocated_count()

@@ -26,8 +26,10 @@ table are the scalar loop's:
   append rows directly (AlloyCache builds its table with numpy);
 * MemPod runs every request through its own ``access``, and Bumblebee
   classifies runs of resident hits with numpy and runs every other
-  request through ``access``, both with the devices bound to a
-  :class:`ScriptRecorder`, which appends the rows.
+  request through ``access``, both under a :class:`ScriptRecorder`,
+  which records the demand at the controller's ``_demand_hbm`` /
+  ``_demand_dram`` (no statistic bumped, none taken back) and appends
+  each ``bulk_transfer`` as a row.
 
 The walk then times the table, with everything outside the sequential
 float recurrence done as numpy array operations over the epoch:
@@ -154,75 +156,67 @@ class EpochPlan:
 
 
 class ScriptRecorder:
-    """Device calls of a controller's ``access``, recorded as op rows.
+    """The demand and movement of a controller's ``access``, recorded as
+    plan entries and op rows.
 
-    Inside a ``with`` block the controller's devices are bound to the
-    recorder: ``MemoryDevice.access`` records the running request's
-    demand and ``bulk_transfer`` appends a :data:`PRE_BULK` row (before
-    the demand) or a :data:`POST_BULK` row (after it) to the epoch's op
-    table, instead of running the timing model (both return their
-    ``now_ns`` argument).  So pass 1 can run a request's policy in
-    scalar order and leave its timing to the walk.  Each request
-    :meth:`run` sends through ``access`` must issue exactly one demand
-    access; :meth:`fill` writes the demands and the table into the
-    epoch's plan.
-
-    The engine counts every request's demand, so on leaving the block
-    the recorder takes back the ``demand_reads``/``demand_writes``/
-    ``hbm_demand_hits`` bumps that ``access`` made for the requests it
-    ran.
+    Inside a ``with`` block the controller's ``_demand_hbm`` /
+    ``_demand_dram`` record the running request's demand as ``(lane,
+    local_addr, is_write)``, and each device's ``bulk_transfer`` appends
+    a :data:`PRE_BULK` row (before the demand) or a :data:`POST_BULK`
+    row (after it) to the epoch's op table.  Nothing is timed and no
+    statistic is bumped: the engine times the table and counts every
+    request's demand.  So pass 1 can run a request's policy in scalar
+    order and leave its timing to the walk.  Each request :meth:`run`
+    sends through ``access`` must issue exactly one demand; :meth:`fill`
+    writes the demands and the table into the epoch's plan.  Leaving
+    the block, also by an exception, restores the class methods.
     """
 
     def __init__(self, controller: "HybridMemoryController") -> None:
+        self._controller = controller
         self._access = controller.access
-        self._stats = controller.stats
         self._devices = _lanes(controller)[1]
         self._request = MutableRequest()
         #: The recorded op table, flat.
         self._ops: list[int] = []
         #: ``[owner, kind]`` of the rows the running request appends;
-        #: its demand access turns the kind from PRE_BULK to POST_BULK.
+        #: its demand turns the kind from PRE_BULK to POST_BULK.
         self._cursor = [0, PRE_BULK]
         self._index: list[int] = []
-        #: ``(lane, local_addr, is_write)`` of each demand access, in
-        #: call order.
+        #: ``(lane, local_addr, is_write)`` of each demand, in call order.
         self._demands: list[tuple] = []
 
-    def _bind(self, lane: int, dev: "MemoryDevice") -> None:
-        emit = self._ops.extend
+    def _demand(self, lane: int, capacity: int):
         demand = self._demands.append
         cursor = self._cursor
 
-        def access(addr, nbytes, is_write, now_ns):
-            demand((lane, addr, is_write))
+        def record(addr, request, now_ns, metadata_ns=0.0):
+            demand((lane, addr % capacity, request.is_write))
             cursor[1] = POST_BULK
-            return now_ns
+        return record
+
+    def _bulk(self, lane: int):
+        emit = self._ops.extend
+        cursor = self._cursor
 
         def bulk_transfer(addr, nbytes, is_write, now_ns):
             emit((cursor[0], cursor[1], lane, addr, nbytes, is_write))
             return now_ns
-
-        dev.access = access
-        dev.bulk_transfer = bulk_transfer
+        return bulk_transfer
 
     def __enter__(self) -> "ScriptRecorder":
+        controller = self._controller
+        controller._demand_hbm = self._demand(0, controller._hbm_capacity)
+        controller._demand_dram = self._demand(1,
+                                               controller._dram_capacity)
         for lane, dev in self._devices:
-            self._bind(lane, dev)
+            dev.bulk_transfer = self._bulk(lane)
         return self
 
     def __exit__(self, *exc) -> None:
+        del self._controller._demand_hbm, self._controller._demand_dram
         for _, dev in self._devices:
-            del dev.access, dev.bulk_transfer
-        demands = self._demands
-        writes = sum(demand[2] for demand in demands)
-        bump = self._stats.bump
-        for key, count in (
-                ("demand_reads", len(demands) - writes),
-                ("demand_writes", writes),
-                ("hbm_demand_hits", sum(demand[0] == 0
-                                        for demand in demands))):
-            if count:
-                bump(key, -count)
+            del dev.bulk_transfer
 
     def run(self, index: int, addr: int, is_write: bool) -> None:
         """Run request ``index`` of the epoch through ``access``,

@@ -72,10 +72,10 @@ class TestBLEArray:
 
     def test_occupancy(self):
         array = BLEArray(ways=4, blocks_per_page=32)
-        assert array.occupancy() == 0.0
+        assert array.way_counts(16)[3] == 4
         array[0].mode = WayMode.MHBM
         array[1].mode = WayMode.CHBM
-        assert array.occupancy() == pytest.approx(0.5)
+        assert array.way_counts(16)[3] == 2
 
     def test_spatial_counts(self):
         array = BLEArray(ways=4, blocks_per_page=32)
@@ -87,8 +87,49 @@ class TestBLEArray:
         array[1].valid = 0b11
         # Nc: cHBM
         array[2].mode = WayMode.CHBM
-        na, nn, nc = array.spatial_counts(most_blocks_threshold=16)
-        assert (na, nn, nc) == (1, 1, 1)
+        assert array.way_counts(most_blocks_threshold=16) == (1, 1, 1, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_way_counts_match_two_pass_reference(self, data):
+        """The one-pass counts equal the two walks they replaced: the
+        (Na, Nn, Nc) spatial counts and the occupied ratio Rh."""
+        ways = data.draw(st.integers(1, 8), label="ways")
+        threshold = data.draw(st.integers(1, 32), label="threshold")
+        modes = {"mixed": list(WayMode), "all-free": [WayMode.FREE],
+                 "full": [WayMode.CHBM, WayMode.MHBM]}[
+            data.draw(st.sampled_from(["mixed", "all-free", "full"]))]
+        masks = st.one_of(
+            st.just(0), st.integers(0, 31).map(lambda bit: 1 << bit),
+            st.sampled_from([(1 << threshold) - 1,
+                             (1 << (threshold - 1)) - 1]),
+            st.integers(0, (1 << 32) - 1))
+        array = BLEArray(ways=ways, blocks_per_page=32)
+        for entry in array:
+            entry.mode = data.draw(st.sampled_from(modes))
+            entry.valid = data.draw(masks)
+        na, nn, nc, free = array.way_counts(threshold)
+        spatial, rh = _two_pass_counts(array, threshold)
+        assert (na, nn, nc) == spatial
+        assert (ways - free) / ways == rh
+        assert (free == 0) == (rh >= 1.0)
+
+
+def _two_pass_counts(array, threshold):
+    """The removed ``BLEArray.spatial_counts`` and ``occupancy``, kept
+    as the reference for ``way_counts``."""
+    na = nn = nc = 0
+    for entry in array:
+        if entry.mode is WayMode.MHBM:
+            count = entry.valid_count()
+            if count >= threshold:
+                na += 1
+            elif count > 1:
+                nn += 1
+        elif entry.mode is WayMode.CHBM:
+            nc += 1
+    used = sum(1 for e in array if e.mode is not WayMode.FREE)
+    return (na, nn, nc), used / len(array)
 
 
 class TestHotQueue:

@@ -438,29 +438,46 @@ class TestDesignsCli:
         assert code == 0
         assert "2 cells complete (2 new)" in out
 
-    @pytest.mark.parametrize("value, message", [
-        ("page_bytes=0", "page_bytes must be positive"),
-        ("hbm_ways=0", "hbm_ways must be positive"),
-        ("block_bytes=3", "multiple of block size"),
-        ("page_bytes=abc", "page_bytes must be a positive integer"),
-        ("zombie_patience=-1", "zombie_patience must be positive, got -1"),
-        ("hmf_cooldown_requests=0",
+    @pytest.mark.parametrize("base, value, message", [
+        ("Bumblebee", "page_bytes=0", "page_bytes must be positive"),
+        ("Bumblebee", "hbm_ways=0", "hbm_ways must be positive"),
+        ("Bumblebee", "block_bytes=3", "multiple of block size"),
+        ("Bumblebee", "page_bytes=abc",
+         "page_bytes must be a positive integer"),
+        ("Bumblebee", "zombie_patience=-1",
+         "zombie_patience must be positive, got -1"),
+        ("Bumblebee", "hmf_cooldown_requests=0",
          "hmf_cooldown_requests must be positive, got 0"),
-        ("most_blocks_fraction=abc",
+        ("Bumblebee", "most_blocks_fraction=abc",
          "most_blocks_fraction must be a real number in (0, 1], got 'abc'"),
-        ("chbm_ratio=abc",
-         "chbm_ratio must be a real number in [0, 1], got 'abc'")])
+        ("Bumblebee", "chbm_ratio=abc",
+         "chbm_ratio must be a real number in [0, 1], got 'abc'"),
+        ("Hybrid2", "sram_bytes=abc",
+         "sram_bytes must be an integer of at least 512, got 'abc'"),
+        ("Chameleon", "sram_bytes=-1",
+         "sram_bytes must be an integer of at least 512, got -1"),
+        ("Hybrid2", "sram_bytes=0",
+         "sram_bytes must be an integer of at least 512, got 0"),
+        ("Chameleon", "sram_bytes=511",
+         "sram_bytes must be an integer of at least 512, got 511"),
+        ("Hybrid2", "sram_bytes=true",
+         "sram_bytes must be an integer of at least 512, got True"),
+        ("Hybrid2", "sram_bytes=1000",
+         "sram_bytes must hold whole 8-way sets of 64B lines, got 1000"),
+        ("UnisonCache", "seed=abc", "seed must be an integer, got 'abc'"),
+        ("UnisonCache", "seed=1.5", "seed must be an integer, got 1.5"),
+        ("UnisonCache", "seed=true", "seed must be an integer, got True")])
     def test_sweep_rejects_bad_geometry_before_any_cell(
-            self, capsys, tmp_path, value, message):
+            self, capsys, tmp_path, base, value, message):
         """A value the builder rejects exits 2 naming the spec, before
         the campaign file opens and without a traceback."""
         out_file = tmp_path / "sweep.jsonl"
-        code = main(["sweep", "--base", "Bumblebee", "--grid", value,
+        code = main(["sweep", "--base", base, "--grid", value,
                      "--workloads", "mcf", "--out", str(out_file),
                      "--requests", "200", "--warmup", "100"])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith(f"Bumblebee[{value}]: ")
+        assert err.startswith(f"{base}[{value}]: ")
         assert message in err
         assert not out_file.exists()
 

@@ -133,6 +133,20 @@ PAGE_CACHE_GOLDENS = {
 }
 
 
+def _observed(design, trace, hbm, warmup, engine, vector_epoch):
+    controller = make_controller(design, hbm, DRAM)
+    driver = SimulationDriver(CpuModel(), vector_epoch=vector_epoch)
+    result = driver.run(controller, trace, workload="golden",
+                        warmup=warmup, engine=engine)
+    assert driver.last_engine == (
+        "scalar" if engine == "scalar" else "vector")
+    stats = result.controller_stats
+    return (result.hbm_hits, result.elapsed_ns,
+            stats.get("fetched_bytes", 0),
+            stats.get("writeback_bytes", 0),
+            stats.get("overfetch_bytes", 0))
+
+
 class TestPageCacheGoldens:
     """Exact locks on the set-associative caches' results.
 
@@ -140,25 +154,11 @@ class TestPageCacheGoldens:
     both engines together; these pin both against fixed numbers.
     """
 
-    @staticmethod
-    def _observed(design, trace, hbm, warmup, engine, vector_epoch):
-        controller = make_controller(design, hbm, DRAM)
-        driver = SimulationDriver(CpuModel(), vector_epoch=vector_epoch)
-        result = driver.run(controller, trace, workload="golden",
-                            warmup=warmup, engine=engine)
-        assert driver.last_engine == (
-            "scalar" if engine == "scalar" else "vector")
-        stats = result.controller_stats
-        return (result.hbm_hits, result.elapsed_ns,
-                stats.get("fetched_bytes", 0),
-                stats.get("writeback_bytes", 0),
-                stats.get("overfetch_bytes", 0))
-
     @pytest.mark.parametrize("engine, vector_epoch", [
         ("scalar", None), ("auto", None), ("auto", 7)])
     @pytest.mark.parametrize("design", sorted(PAGE_CACHE_GOLDENS))
     def test_golden_trace(self, design, engine, vector_epoch):
-        assert self._observed(design, golden_trace(), HBM, 0, engine,
+        assert _observed(design, golden_trace(), HBM, 0, engine,
                               vector_epoch) == PAGE_CACHE_GOLDENS[design][0]
 
     @pytest.mark.parametrize("engine, vector_epoch", [
@@ -166,6 +166,44 @@ class TestPageCacheGoldens:
     @pytest.mark.parametrize("design", sorted(PAGE_CACHE_GOLDENS))
     def test_pressure_trace_with_warmup(self, design, engine,
                                         vector_epoch):
-        assert self._observed(design, pressure_trace(), hbm2_config(MIB),
+        assert _observed(design, pressure_trace(), hbm2_config(MIB),
                               2000, engine, vector_epoch) == \
             PAGE_CACHE_GOLDENS[design][1]
+
+
+#: The same locks for the designs whose pass 1 runs requests through
+#: their own ``access`` under a ``ScriptRecorder``: MemPod (every
+#: request) and the Bumblebee family's static splits and allocation
+#: ablations (every request that is not a resident hit).
+RECORDED_GOLDENS = {
+    "MemPod": ((0, 51286.987618740604, 0, 0, 0),
+               (35, 77949.41213146439, 262144, 0, 0)),
+    "C-Only": ((3279, 34864.13611831238, 1476608, 0, 0),
+               (3177, 57352.146334343684, 450560, 155648, 219456)),
+    "M-Only": ((3984, 29590.604587129634, 1048576, 0, 0),
+               (3326, 62535.09437795542, 1245184, 1179648, 785280)),
+    "Alloc-D": ((3441, 34770.95939050727, 2181120, 0, 0),
+                (3247, 62123.23425321442, 1060864, 657408, 647680)),
+    "Alloc-H": ((4000, 27966.312282984774, 0, 0, 0),
+                (3149, 75562.28057354224, 1386496, 7340032, 901632)),
+}
+
+
+class TestRecordedGoldens:
+    """Exact locks on the recorded designs' results, on both engines."""
+
+    @pytest.mark.parametrize("engine, vector_epoch", [
+        ("scalar", None), ("auto", None), ("auto", 7)])
+    @pytest.mark.parametrize("design", sorted(RECORDED_GOLDENS))
+    def test_golden_trace(self, design, engine, vector_epoch):
+        assert _observed(design, golden_trace(), HBM, 0, engine,
+                         vector_epoch) == RECORDED_GOLDENS[design][0]
+
+    @pytest.mark.parametrize("engine, vector_epoch", [
+        ("scalar", None), ("auto", None), ("auto", 7)])
+    @pytest.mark.parametrize("design", sorted(RECORDED_GOLDENS))
+    def test_pressure_trace_with_warmup(self, design, engine,
+                                        vector_epoch):
+        assert _observed(design, pressure_trace(), hbm2_config(MIB),
+                         2000, engine, vector_epoch) == \
+            RECORDED_GOLDENS[design][1]

@@ -395,6 +395,65 @@ class _FaultThenFetch(HybridMemoryController):
         return plan
 
 
+class _Recorded(HybridMemoryController):
+    """DRAM-served requests that each fetch their line into HBM first;
+    a request to ``RAISE`` raises, one to ``SKIP`` issues no demand and
+    one to ``TWICE`` issues two."""
+
+    RAISE, SKIP, TWICE = 1 << 20, 2 << 20, 3 << 20
+
+    def access(self, request, now_ns):
+        addr = request.addr
+        if addr == self.RAISE:
+            raise RuntimeError("policy failure")
+        self.mover.fetch_to_hbm(addr, 0, 64, now_ns)
+        if addr == self.SKIP:
+            return None
+        if addr == self.TWICE:
+            self._demand_dram(addr + 64, request, now_ns)
+        return self._demand_dram(addr, request, now_ns)
+
+
+class TestScriptRecorderContract:
+    """The recorder binds the controller's demand helpers and the
+    devices' ``bulk_transfer`` only inside its block, and each request
+    it runs must issue exactly one demand."""
+
+    def test_bindings_removed_when_access_raises(self):
+        controller = _Recorded(*_small_pair(), "R")
+        with pytest.raises(RuntimeError, match="policy failure"):
+            with ScriptRecorder(controller) as recorder:
+                recorder.run(0, 0, False)
+                recorder.run(1, _Recorded.RAISE, False)
+        assert "_demand_hbm" not in vars(controller)
+        assert "_demand_dram" not in vars(controller)
+        for device in (controller.hbm, controller.dram):
+            assert "bulk_transfer" not in vars(device)
+        # A later scalar run times its demands as a fresh controller's.
+        trace = _four_requests()
+        later = SimulationDriver().run(controller, trace, engine="scalar")
+        fresh = SimulationDriver().run(_Recorded(*_small_pair(), "R"),
+                                       trace, engine="scalar")
+        assert later.avg_latency_ns > 0
+        assert (later.elapsed_ns, later.avg_latency_ns) == \
+            (fresh.elapsed_ns, fresh.avg_latency_ns)
+        assert later.controller_stats["demand_reads"] == 4
+
+    @pytest.mark.parametrize("addr, demands", [
+        (_Recorded.SKIP, 1), (_Recorded.TWICE, 3)])
+    def test_fill_rejects_a_request_without_one_demand(self, addr,
+                                                        demands):
+        controller = _Recorded(*_small_pair(), "R")
+        with ScriptRecorder(controller) as recorder:
+            recorder.run(0, 0, False)
+            recorder.run(1, addr, False)
+        plan = EpochPlan(use_hbm=np.zeros(2, dtype=bool),
+                         local_addr=np.zeros(2, dtype=np.int64))
+        with pytest.raises(ValueError, match=f"2 recorded requests issued "
+                                             f"{demands} demand accesses"):
+            recorder.fill(plan)
+
+
 class TestPlainWalk:
     def test_plain_epoch_advances_the_drain_timestamp(self):
         """A faulted request starts 250 ns after it arrives, so the
