@@ -378,8 +378,11 @@ class FabricBackend(ExecutionBackend):
         before = campaign.completed_cells
         completed = run_worker(self.url, progress=self.progress)
         client = FabricClient(self.url, f"campaign-cli-{os.getpid()}")
-        status, data = client.request("GET", "/file")
-        state = client.call("GET", "/status")
+        try:
+            status, data = client.request("GET", "/file")
+            state = client.call("GET", "/status")
+        finally:
+            client.close()
         if status != 200 or state is None:
             raise RuntimeError(
                 f"--fabric: coordinator at {self.url} would not serve "

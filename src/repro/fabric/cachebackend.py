@@ -14,6 +14,8 @@ None`` / ``put(key, data)`` plus an optional best-effort
 * :class:`HTTPCacheBackend` — ``GET``/``PUT /cache/<kind>/<key>``
   against the fabric coordinator, for workers with no shared disk.  It
   has no ``discard``: the coordinator's store owns its own healing.
+  A worker's result store defers its puts: they ride on the cell's
+  ``/complete`` or ``/fail`` report instead of costing one ``PUT`` each.
 
 A worker's trace cache is a plain :class:`~repro.traces.tracecache.
 TraceCache` over an :class:`HTTPCacheBackend`, and
@@ -37,11 +39,16 @@ class HTTPCacheBackend:
         client: A :class:`~repro.fabric.worker.FabricClient` (its retry
             budget and backoff apply to every cache exchange).
         kind: ``"result"`` or ``"trace"``.
+        defer_puts: Hold puts in :attr:`pending` until the caller takes
+            them (:meth:`take_pending`) or sends them (:meth:`flush`).
     """
 
-    def __init__(self, client, kind: str) -> None:
+    def __init__(self, client, kind: str,
+                 defer_puts: bool = False) -> None:
         self.client = client
         self.kind = kind
+        self.defer_puts = defer_puts
+        self.pending: dict[str, bytes] = {}
 
     def get(self, key: str) -> bytes | None:
         status, data = self.client.request(
@@ -49,8 +56,27 @@ class HTTPCacheBackend:
         return data if status == 200 else None
 
     def put(self, key: str, data: bytes) -> None:
+        if self.defer_puts:
+            self.pending[key] = data
+        else:
+            self._send(key, data)
+
+    def _send(self, key: str, data: bytes) -> None:
         self.client.request("PUT", f"/cache/{self.kind}/{key}",
                             body=data, raw=True)
+
+    def take_pending(self) -> dict[str, str]:
+        """Hand over the deferred puts, each entry's bytes as a latin-1
+        string (the coordinator's ``cache`` wire form)."""
+        pending, self.pending = self.pending, {}
+        return {key: data.decode("latin-1")
+                for key, data in pending.items()}
+
+    def flush(self) -> None:
+        """Send every deferred put as a ``PUT``."""
+        pending, self.pending = self.pending, {}
+        for key, data in pending.items():
+            self._send(key, data)
 
 
 class BackendResultCache:

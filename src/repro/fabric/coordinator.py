@@ -13,23 +13,37 @@ matter how the fleet's completions interleave, which worker crashed,
 or how many duplicate completions arrived (the chaos harness pins
 this).
 
-The HTTP surface (HTTP/1.1, one request per connection)::
+The HTTP surface (HTTP/1.1)::
 
     GET  /config                 harness window/seed/scale + lease terms
     POST /lease      {worker}    -> lease | wait(retry_s) | done
     POST /heartbeat  {lease}     extend the lease deadline
-    POST /complete   {worker, lease, cell, comparison, timing?}
-    POST /fail       {worker, lease, cell, error}
+    POST /complete   {worker, lease, cell, comparison, timing?,
+                      next?, cache?}
+    POST /fail       {worker, lease, cell, error, next?, cache?}
     GET  /status                 cell counts + quarantined cells
     GET  /file                   the campaign JSONL bytes
     GET|PUT /cache/{result,trace}/<key>   shared-cache byte store
+
+A connection stays open for the client's next request until the client
+closes it, sends ``Connection: close`` or speaks HTTP/1.0, so a worker
+makes all its exchanges on one connection.  ``/complete`` and ``/fail``
+with ``"next": true`` also answer the sender's next lease, as ``next``
+in ``/lease``'s reply format: a worker calls ``/lease`` only for its
+first cell and after a ``wait``.  Their ``cache`` entries,
+``{kind: {key: entry}}`` with each entry's bytes as a latin-1 string,
+are written into the coordinator's byte stores before it replies, so a
+cell's result-cache puts ride on its completion instead of costing one
+``PUT`` each.  A POST body that is not a JSON object, or a field of
+the wrong type, is answered 400 naming the route.
 
 Plain stdlib asyncio — the server is a few routes over
 ``asyncio.start_server``, not a web framework, and the single event
 loop makes every state transition atomic without locks.  Fault
 injection (:meth:`~repro.resilience.faults.FaultInjector.on_http`)
 wraps every exchange, so the chaos harness can drop, delay, 5xx,
-partition, or mid-body-disconnect any request deterministically.
+partition, or mid-body-disconnect any request deterministically; a
+drop or a disconnect also closes the connection.
 """
 
 from __future__ import annotations
@@ -59,18 +73,39 @@ def wire_cell(design: "str | DesignSpec", workload: str) -> dict:
 
 
 def unwire_cell(payload: dict) -> tuple["str | DesignSpec", str]:
-    """Invert :func:`wire_cell`."""
+    """Invert :func:`wire_cell`.
+
+    Raises:
+        TypeError: when ``payload`` is not a wire cell's shape.
+        KeyError: when a field is missing.
+    """
+    if not isinstance(payload, dict):
+        raise TypeError("'cell' must be a JSON object")
+    workload = _text(payload, "workload")
     if "spec" in payload:
-        return DesignSpec.from_dict(payload["spec"]), payload["workload"]
-    return payload["design"], payload["workload"]
+        spec = payload["spec"]
+        if not isinstance(spec, dict):
+            raise TypeError("'spec' must be a JSON object")
+        return DesignSpec.from_dict(spec), workload
+    return _text(payload, "design"), workload
 
 
-def _response(status: int, body: bytes,
-              content_type: str = "application/json") -> bytes:
+def _text(payload: dict, name: str, default: "str | None" = None) -> str:
+    """The string field ``name`` of a request body (KeyError when it is
+    missing and has no default, TypeError when it is not a string)."""
+    value = payload[name] if default is None else payload.get(name,
+                                                              default)
+    if not isinstance(value, str):
+        raise TypeError(f"{name!r} must be a string")
+    return value
+
+
+def _response(status: int, body: bytes, content_type: str,
+              close: bool) -> bytes:
     head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(body)}\r\n"
-            f"Connection: close\r\n\r\n")
+            + ("Connection: close\r\n" if close else "") + "\r\n")
     return head.encode("latin-1") + body
 
 
@@ -103,6 +138,8 @@ class FabricCoordinator:
             from the accepted one — always 0 for a deterministic
             simulator; anything else is a red flag the summary
             surfaces.
+        requests: HTTP requests parsed, over all connections.
+        connections: Client connections accepted.
     """
 
     def __init__(self, campaign: Campaign, designs, workloads,
@@ -130,7 +167,12 @@ class FabricCoordinator:
         self._hashes: dict[str, str] = {}
         self._emitted = 0
         self.divergent = 0
+        self.requests = 0
+        self.connections = 0
         self._fault_seq = 0
+        # Open connections -> True while waiting for their next request.
+        self._idle: dict[asyncio.StreamWriter, bool] = {}
+        self._closing = False
         self.port: int | None = None
         self.url: str | None = None
         self.ready = threading.Event()
@@ -238,7 +280,9 @@ class FabricCoordinator:
                 f"reclaimed={counts['reclaimed']} "
                 f"duplicates={counts['duplicates']} "
                 f"divergent={self.divergent} "
-                f"quarantined={counts['quarantined']}")
+                f"quarantined={counts['quarantined']} "
+                f"requests={self.requests} "
+                f"connections={self.connections}")
 
     # ---- routes ---------------------------------------------------------
 
@@ -260,21 +304,29 @@ class FabricCoordinator:
                         "application/octet-stream")
             if method == "POST":
                 payload = json.loads(body) if body else {}
+                if not isinstance(payload, dict):
+                    raise TypeError("body must be a JSON object")
                 if path == "/lease":
                     return self._ok(self._do_lease(
-                        payload.get("worker", worker)))
+                        _text(payload, "worker", worker)))
                 if path == "/heartbeat":
                     alive = self.state.heartbeat(
-                        payload.get("lease", ""), time.monotonic())
+                        _text(payload, "lease", ""), time.monotonic())
                     return self._ok({"ok": alive})
                 if path == "/complete":
-                    return self._ok(self._do_complete(payload))
+                    return self._ok(self._do_complete(payload, worker))
                 if path == "/fail":
                     return self._ok(self._do_fail(payload, worker))
             return 404, b'{"error":"no such route"}', "application/json"
-        except (KeyError, TypeError, ValueError) as exc:
-            detail = json.dumps({"error": str(exc)}).encode("utf-8")
-            return 400, detail, "application/json"
+        except KeyError as exc:
+            return self._bad(method, path, f"missing field {exc}")
+        except (TypeError, ValueError) as exc:
+            return self._bad(method, path, str(exc))
+
+    @staticmethod
+    def _bad(method: str, path: str, detail: str) -> tuple[int, bytes, str]:
+        body = json.dumps({"error": f"{method} {path}: {detail}"})
+        return 400, body.encode("utf-8"), "application/json"
 
     @staticmethod
     def _ok(payload: dict) -> tuple[int, bytes, str]:
@@ -335,17 +387,21 @@ class FabricCoordinator:
             retry = min(retry, 0.2)
         return {"status": "wait", "retry_s": min(retry, 1.0)}
 
-    def _do_complete(self, payload: dict) -> dict:
+    def _do_complete(self, payload: dict, worker: str) -> dict:
+        # Every field is checked before any state moves: a malformed
+        # completion is a 400, never a done cell without a result.
         design, workload = unwire_cell(payload["cell"])
         key = _cell_key(design, workload)
+        lease_id = _text(payload, "lease", "")
+        record = payload["comparison"]
+        comparison = WorkloadComparison(**record)
         digest = hashlib.sha256(
-            _canonical(payload["comparison"]).encode("utf-8")).hexdigest()
-        verdict = self.state.complete(key, payload.get("lease", ""),
-                                      time.monotonic())
+            _canonical(record).encode("utf-8")).hexdigest()
+        self._store_cache(payload)
+        verdict = self.state.complete(key, lease_id, time.monotonic())
         if verdict == "ok":
             index = self._index[key]
-            self._results[index] = WorkloadComparison(
-                **payload["comparison"])
+            self._results[index] = comparison
             timing = payload.get("timing")
             if timing:
                 self._timings[index] = timing
@@ -353,17 +409,59 @@ class FabricCoordinator:
             self._flush()
         elif self._hashes.get(key, digest) != digest:
             self.divergent += 1
-        return {"status": verdict, "done": self.finished}
+        return self._resolved(verdict, payload, worker)
 
     def _do_fail(self, payload: dict, worker: str) -> dict:
         design, workload = unwire_cell(payload["cell"])
-        status = self.state.fail(
-            _cell_key(design, workload), payload.get("lease", ""),
-            payload.get("worker", worker),
-            payload.get("error", "worker reported failure"),
-            time.monotonic())
+        lease_id = _text(payload, "lease", "")
+        failed_on = _text(payload, "worker", worker)
+        error = _text(payload, "error", "worker reported failure")
+        self._store_cache(payload)
+        status = self.state.fail(_cell_key(design, workload), lease_id,
+                                 failed_on, error, time.monotonic())
         self._flush()
-        return {"status": status, "done": self.finished}
+        return self._resolved(status, payload, worker)
+
+    def _resolved(self, status: str, payload: dict, worker: str) -> dict:
+        """The reply to a completion or failure, with the sender's next
+        lease when it asked for one (``"next": true``)."""
+        reply = {"status": status, "done": self.finished}
+        if payload.get("next") is True:
+            reply["next"] = self._do_lease(_text(payload, "worker",
+                                                 worker))
+        return reply
+
+    def _store_cache(self, payload: dict) -> None:
+        """Write the ``cache`` entries of a completion or failure.
+
+        Every entry is checked before the first is written.  Entries
+        for a kind this coordinator does not store are dropped, as a
+        ``PUT`` to it would be (404, which workers ignore), and a
+        failing store never fails the completion: the caches only save
+        work.
+        """
+        cache = payload.get("cache")
+        if cache is None:
+            return
+        if not isinstance(cache, dict):
+            raise TypeError("'cache' must be a JSON object")
+        stores = {"result": self.result_backend,
+                  "trace": self.trace_backend}
+        puts = []
+        for kind, entries in cache.items():
+            if not isinstance(entries, dict):
+                raise TypeError(f"cache {kind!r} must be a JSON object")
+            for key, text in entries.items():
+                if not _hex_key(key) or not isinstance(text, str):
+                    raise ValueError(f"bad cache {kind!r} entry {key!r}")
+                if stores.get(kind) is not None:
+                    puts.append((stores[kind], key,
+                                 text.encode("latin-1")))
+        try:
+            for store, key, data in puts:
+                store.put(key, data)
+        except OSError:
+            pass
 
     def _route_cache(self, method: str, path: str,
                      body: bytes) -> tuple[int, bytes, str]:
@@ -388,14 +486,16 @@ class FabricCoordinator:
     # ---- HTTP plumbing --------------------------------------------------
 
     @staticmethod
-    async def _read_request(reader) -> tuple[str, str, dict, bytes] | None:
-        line = await reader.readline()
-        if not line:
-            return None
+    async def _read_request(reader, line: bytes) -> tuple:
+        """Parse one request whose request line is ``line``.
+
+        Returns ``(method, path, version, headers, body)``; raises
+        ``ValueError`` on framing it cannot follow.
+        """
         parts = line.decode("latin-1").split()
-        if len(parts) < 2:
-            return None
-        method, path = parts[0].upper(), parts[1]
+        if len(parts) != 3:
+            raise ValueError("malformed request line")
+        method, path, version = parts[0].upper(), parts[1], parts[2].upper()
         headers: dict[str, str] = {}
         while True:
             line = await reader.readline()
@@ -403,48 +503,78 @@ class FabricCoordinator:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0"))
-        body = await reader.readexactly(length) if length else b""
-        return method, path, headers, body
+        body = await reader.readexactly(
+            int(headers.get("content-length", "0")))
+        return method, path, version, headers, body
 
     async def _handle_conn(self, reader, writer) -> None:
+        """Serve one connection's requests, in order, until either side
+        closes it (or its framing cannot be followed)."""
+        self.connections += 1
         try:
-            request = await self._read_request(reader)
-            if request is None:
-                return
-            method, path, headers, body = request
-            worker = headers.get("x-repro-worker", "-")
-            action = None
-            injector = faults.active()
-            if injector is not None:
-                self._fault_seq += 1
-                action = injector.on_http(
-                    f"{method} {path} {worker}", self._fault_seq)
-            if action == "drop":
-                return                    # partition: no response bytes
-            if action == "delay":
-                await asyncio.sleep(injector.spec.net_delay_s)
-            if action == "error":
-                status, payload, ctype = (
-                    500, b'{"error":"injected"}', "application/json")
-            else:
-                status, payload, ctype = self._route(method, path,
-                                                     body, worker)
-            if action == "disconnect":
-                torn = _response(status, payload, ctype)
-                writer.write(torn[:len(torn) - max(1, len(payload) // 2)])
-                await writer.drain()
-                return
-            writer.write(_response(status, payload, ctype))
-            await writer.drain()
-        except (asyncio.IncompleteReadError, ConnectionError,
-                ValueError, IndexError):
-            pass                          # half-open client; drop it
+            while not self._closing:
+                self._idle[writer] = True
+                line = await reader.readline()
+                self._idle[writer] = False
+                if not line or not await self._exchange(line, reader,
+                                                        writer):
+                    break
+        except (asyncio.IncompleteReadError, ConnectionError, ValueError):
+            pass                          # half-open or garbled; drop it
         finally:
-            try:
+            self._idle.pop(writer, None)
+            writer.close()
+
+    async def _exchange(self, line: bytes, reader, writer) -> bool:
+        """Answer one request; True when the connection stays open."""
+        method, path, version, headers, body = \
+            await self._read_request(reader, line)
+        self.requests += 1
+        keep = (version == "HTTP/1.1"
+                and headers.get("connection", "").lower() != "close")
+        worker = headers.get("x-repro-worker", "-")
+        action = None
+        injector = faults.active()
+        if injector is not None:
+            self._fault_seq += 1
+            action = injector.on_http(f"{method} {path} {worker}",
+                                      self._fault_seq)
+        if action == "drop":
+            return False                  # partition: no response bytes
+        if action == "delay":
+            await asyncio.sleep(injector.spec.net_delay_s)
+        if action == "error":
+            status, payload, ctype = (
+                500, b'{"error":"injected"}', "application/json")
+        else:
+            status, payload, ctype = self._route(method, path, body,
+                                                 worker)
+        keep = keep and action != "disconnect" and not self._closing
+        response = _response(status, payload, ctype, close=not keep)
+        if action == "disconnect":
+            response = response[:len(response) - max(1, len(payload) // 2)]
+        writer.write(response)
+        await writer.drain()
+        return keep
+
+    async def _close_connections(self, grace_s: float = 1.0) -> None:
+        """Close every client connection at shutdown.
+
+        Idle connections close at once; one mid-exchange closes after
+        its reply, or after ``grace_s``.  ``asyncio.Server.wait_closed``
+        waits for open connections on Python 3.12.1+, so a worker's
+        idle keep-alive connection would otherwise hold the coordinator
+        open.
+        """
+        self._closing = True
+        for writer, idle in list(self._idle.items()):
+            if idle:
                 writer.close()
-            except Exception:             # pragma: no cover - defensive
-                pass
+        deadline = time.monotonic() + grace_s
+        while self._idle and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+        for writer in list(self._idle):
+            writer.close()
 
     # ---- serving --------------------------------------------------------
 
@@ -459,6 +589,7 @@ class FabricCoordinator:
         """
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
+        self._closing = False
         server = await asyncio.start_server(self._handle_conn, host,
                                             port)
         self.port = server.sockets[0].getsockname()[1]
@@ -471,19 +602,24 @@ class FabricCoordinator:
         finished_at: float | None = None
         try:
             async with server:
-                while not self._stop.is_set():
-                    try:
-                        await asyncio.wait_for(self._stop.wait(),
-                                               timeout=sweep_s)
-                    except asyncio.TimeoutError:
-                        pass
-                    self.state.reclaim_expired(time.monotonic())
-                    self._flush()
-                    if once and self.finished:
-                        if finished_at is None:
-                            finished_at = time.monotonic()
-                        elif time.monotonic() - finished_at >= linger_s:
-                            break
+                try:
+                    while not self._stop.is_set():
+                        try:
+                            await asyncio.wait_for(self._stop.wait(),
+                                                   timeout=sweep_s)
+                        except asyncio.TimeoutError:
+                            pass
+                        self.state.reclaim_expired(time.monotonic())
+                        self._flush()
+                        if once and self.finished:
+                            if finished_at is None:
+                                finished_at = time.monotonic()
+                            elif (time.monotonic() - finished_at
+                                  >= linger_s):
+                                break
+                finally:
+                    server.close()
+                    await self._close_connections()
         finally:
             self._flush()
             self.campaign.flush_pending()

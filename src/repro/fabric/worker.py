@@ -8,12 +8,23 @@ the campaign file — lives on the coordinator, so a worker can be
 SIGKILL'd at any instant with no cleanup: its lease simply expires and
 the cell is re-issued elsewhere.
 
+A cell costs two exchanges on one kept-open connection: the result
+cache's ``GET`` and the ``/complete`` (or ``/fail``) report.  The
+report asks for the next lease (``"next": true``), so ``/lease`` is
+called only for the first cell and after a ``wait``, and it carries the
+cell's result-cache puts, which the coordinator writes into its store
+before it replies.  Trace-cache traffic stays plain ``GET``/``PUT``.
+
 Networking is deliberately pessimistic: every exchange runs through
 :class:`FabricClient`, which retries connection errors *and* 5xx
 responses with the supervisor's deterministic backoff.  The retry
 budget spans several seconds by default, long enough to ride out a
 coordinator SIGKILL + restart (the chaos harness pins that scenario);
 only a budget exhausted end to end raises :class:`FabricUnreachable`.
+The client keeps one connection per thread and sends each request in
+one write; a kept-open connection the coordinator has since closed is
+reopened and the request resent at once, without spending a retry
+attempt.
 
 Chaos hooks: the worker installs ``$REPRO_CHAOS`` faults on startup
 and fires :meth:`~repro.resilience.faults.FaultInjector.on_task`
@@ -25,9 +36,10 @@ the cell.
 
 from __future__ import annotations
 
-import http.client
+import io
 import json
 import os
+import socket
 import threading
 import time
 import urllib.parse
@@ -52,8 +64,51 @@ class FabricUnreachable(ConnectionError):
     """
 
 
+#: Longest status or header line a reply may have.
+_MAX_LINE = 8192
+
+
+def _read_reply(line: bytes, stream) -> tuple[int, bytes, bool]:
+    """Parse the coordinator's reply whose status line is ``line``.
+
+    Returns ``(status, body, close)``.  The coordinator frames every
+    reply with ``Content-Length``; ``close`` is set when it ends the
+    connection after this reply.
+
+    Raises:
+        ConnectionError: when the reply is cut short.
+        ValueError: when it is not an HTTP reply.
+    """
+    if not line:
+        raise ConnectionResetError("connection closed before a reply")
+    version, status = line.split(None, 2)[:2]
+    close = version != b"HTTP/1.1"
+    length = 0
+    while (header := stream.readline(_MAX_LINE)) not in (b"\r\n", b"\n"):
+        if not header:
+            raise ConnectionResetError("reply headers cut short")
+        name, _, value = header.partition(b":")
+        name = name.strip().lower()
+        if name == b"content-length":
+            length = int(value)
+            if length < 0:
+                raise ValueError("negative Content-Length")
+        elif name == b"connection":
+            close = value.strip().lower() == b"close"
+    body = stream.read(length)
+    if len(body) < length:
+        raise ConnectionResetError("reply body cut short")
+    return int(status), body, close
+
+
 class FabricClient:
     """One worker's HTTP client: retries, backoff, identity header.
+
+    Each thread that calls :meth:`request` gets its own persistent
+    HTTP/1.1 connection, kept open between exchanges; :meth:`close`
+    closes the calling thread's.  A request goes out in one write, and
+    replies are read by the coordinator's framing: every reply carries
+    ``Content-Length``.
 
     Args:
         url: Coordinator base URL (``http://host:port``).
@@ -76,6 +131,56 @@ class FabricClient:
         self.attempts = attempts
         self.timeout_s = timeout_s
         self._backoff = (backoff_base_s, backoff_cap_s, seed)
+        self._local = threading.local()
+
+    def close(self) -> None:
+        """Close the calling thread's connection, if it has one."""
+        conn = getattr(self._local, "conn", None)
+        self._local.conn = None
+        if conn is not None:
+            sock, stream = conn
+            stream.close()
+            sock.close()
+
+    def _connect(self) -> tuple[socket.socket, "io.BufferedReader"]:
+        sock = socket.create_connection((self.host, self.port),
+                                        timeout=self.timeout_s)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock, sock.makefile("rb")
+
+    def _exchange(self, request: bytes) -> tuple[int, bytes]:
+        """Send one whole request on the calling thread's connection and
+        read its reply.
+
+        A kept-open connection that fails before any response byte
+        (the coordinator closed it while idle) is reopened and the
+        request sent again at once.  Any other failure closes the
+        connection and raises.
+        """
+        while True:
+            conn = getattr(self._local, "conn", None)
+            reused = conn is not None
+            try:
+                if not reused:
+                    conn = self._local.conn = self._connect()
+                sock, stream = conn
+                try:
+                    sock.sendall(request)
+                    line = stream.readline(_MAX_LINE)
+                except ConnectionError:
+                    if not reused:
+                        raise
+                    line = b""
+                if not line and reused:
+                    self.close()
+                    continue
+                status, data, close = _read_reply(line, stream)
+            except (OSError, ValueError):
+                self.close()
+                raise
+            if close:
+                self.close()
+            return status, data
 
     def request(self, method: str, path: str,
                 body: bytes | None = None,
@@ -87,31 +192,29 @@ class FabricClient:
         caller.  ``raw`` marks byte-payload routes (cache traffic) —
         it only affects the Content-Type sent.
         """
+        body = body or b""
+        ctype = "application/octet-stream" if raw else "application/json"
+        request = (f"{method} {path} HTTP/1.1\r\n"
+                   f"Host: {self.host}:{self.port}\r\n"
+                   f"X-Repro-Worker: {self.worker_id}\r\n"
+                   f"Content-Type: {ctype}\r\n"
+                   f"Content-Length: {len(body)}\r\n\r\n"
+                   ).encode("latin-1") + body
         last_error: Exception | None = None
         for attempt in range(self.attempts):
             if attempt:
                 time.sleep(backoff_delay(f"{method} {path}", attempt - 1,
                                          *self._backoff))
-            conn = http.client.HTTPConnection(self.host, self.port,
-                                             timeout=self.timeout_s)
             try:
-                conn.request(method, path, body=body, headers={
-                    "X-Repro-Worker": self.worker_id,
-                    "Content-Type": ("application/octet-stream" if raw
-                                     else "application/json"),
-                    "Connection": "close",
-                })
-                response = conn.getresponse()
-                data = response.read()
-                if response.status >= 500:
-                    last_error = RuntimeError(
-                        f"HTTP {response.status} from {method} {path}")
-                    continue
-                return response.status, data
-            except (OSError, http.client.HTTPException) as exc:
+                status, data = self._exchange(request)
+            except (OSError, ValueError) as exc:
                 last_error = exc
-            finally:
-                conn.close()
+                continue
+            if status >= 500:
+                last_error = RuntimeError(
+                    f"HTTP {status} from {method} {path}")
+                continue
+            return status, data
         raise FabricUnreachable(
             f"coordinator unreachable after {self.attempts} attempts "
             f"({method} {path}): {last_error}")
@@ -131,7 +234,8 @@ class FabricClient:
 
 
 class _Heartbeat:
-    """Daemon thread renewing one lease until stopped."""
+    """Daemon thread renewing one lease until stopped; it closes its
+    own connection when it ends."""
 
     def __init__(self, client: FabricClient, lease_id: str,
                  interval_s: float) -> None:
@@ -142,12 +246,14 @@ class _Heartbeat:
         self._thread = threading.Thread(target=self._run, daemon=True)
 
     def _run(self) -> None:
-        while not self._stop.wait(self._interval_s):
-            try:
+        try:
+            while not self._stop.wait(self._interval_s):
                 self._client.call("POST", "/heartbeat",
                                   {"lease": self._lease_id})
-            except (OSError, RuntimeError):
-                return        # lease will expire; the cell is rescued
+        except (OSError, RuntimeError):
+            pass              # lease will expire; the cell is rescued
+        finally:
+            self._client.close()
 
     def start(self) -> None:
         self._thread.start()
@@ -163,6 +269,9 @@ def run_worker(url: str, worker_id: str | None = None,
                progress=None,
                client: FabricClient | None = None) -> int:
     """Work one coordinator's queue until it reports done.
+
+    The calling thread's connection to the coordinator is closed when
+    this returns or raises.
 
     Args:
         url: Coordinator base URL.
@@ -183,6 +292,17 @@ def run_worker(url: str, worker_id: str | None = None,
     faults.install_from_env()
     worker_id = worker_id or f"{os.uname().nodename}-{os.getpid()}"
     client = client or FabricClient(url, worker_id)
+    try:
+        return _work(client, url, worker_id, max_cells, harness,
+                     local_caches, progress)
+    finally:
+        client.close()
+
+
+def _work(client: FabricClient, url: str, worker_id: str,
+          max_cells: int | None, harness: ExperimentHarness | None,
+          local_caches: bool, progress) -> int:
+    """:func:`run_worker`'s loop, on an open client."""
     config = client.call("GET", "/config")
     if config is None:
         raise RuntimeError(f"no fabric coordinator at {url}")
@@ -200,22 +320,30 @@ def run_worker(url: str, worker_id: str | None = None,
             workloads=tuple(config["workloads"]),
             engine=config["engine"],
         ))
+    results = None
     if not local_caches:
         if config["caches"]["result"]:
-            harness.cache = BackendResultCache(
-                HTTPCacheBackend(client, "result"))
+            # Puts wait for the cell's report, which carries them.
+            results = HTTPCacheBackend(client, "result", defer_puts=True)
+            harness.cache = BackendResultCache(results)
         if config["caches"]["trace"]:
             harness.trace_cache = TraceCache(
                 backend=HTTPCacheBackend(client, "trace"))
     lease_s = float(config.get("lease_s", 30.0))
     injector = faults.active()
+
+    def report(route: str, payload: dict, more: bool) -> dict:
+        payload["next"] = more
+        if results is not None and results.pending:
+            payload["cache"] = {"result": results.take_pending()}
+        return client.call("POST", route, payload)
+
     completed = 0
-    while True:
-        reply = client.call("POST", "/lease", {"worker": worker_id})
-        if reply is None or reply.get("status") == "done":
-            break
+    reply = client.call("POST", "/lease", {"worker": worker_id})
+    while reply is not None and reply.get("status") != "done":
         if reply["status"] == "wait":
             time.sleep(float(reply.get("retry_s", 0.2)))
+            reply = client.call("POST", "/lease", {"worker": worker_id})
             continue
         design, workload = unwire_cell(reply["cell"])
         key = _cell_key(design, workload)
@@ -236,23 +364,25 @@ def run_worker(url: str, worker_id: str | None = None,
             raise
         except Exception as exc:
             heartbeat.stop()
-            client.call("POST", "/fail", {
+            reply = report("/fail", {
                 "worker": worker_id, "lease": reply["lease"],
                 "cell": reply["cell"],
-                "error": f"{type(exc).__name__}: {exc}"})
+                "error": f"{type(exc).__name__}: {exc}"}, True)["next"]
             continue
         finally:
             heartbeat.stop()
-        outcome = client.call("POST", "/complete", {
+        more = max_cells is None or completed + 1 < max_cells
+        outcome = report("/complete", {
             "worker": worker_id, "lease": reply["lease"],
             "cell": reply["cell"],
             "comparison": comparison.to_record(),
-            "timing": harness.cell_timing(design, workload)})
+            "timing": harness.cell_timing(design, workload)}, more)
         completed += 1
         if progress is not None:
             progress(f"[{worker_id}] {outcome['status']} {key}")
-        if max_cells is not None and completed >= max_cells:
+        if not more:
             break
-        if outcome.get("done"):
-            break
+        reply = outcome["next"]
+    if results is not None:
+        results.flush()
     return completed

@@ -5,8 +5,10 @@ the restart-determinism contract: same seed, same history, same
 re-lease order and backoff schedule), the pluggable cache byte stores
 (round trips, torn remote bytes read as misses), the HTTP fault hooks
 (drop/delay/5xx/disconnect/partition injected below the routing
-layer), and the end-to-end contract: a two-worker in-process fleet
-produces a campaign file byte-identical to a serial run, and duplicate
+layer), the exchange contract (one kept-open connection per worker
+thread, two exchanges per cell), fuzzed request bodies and framing,
+and the end-to-end contract: a two-worker in-process fleet produces a
+campaign file byte-identical to a serial run, and duplicate
 completions add zero rows on RunStore ingest.
 
 The full fleet scenarios — worker SIGKILL, lease expiry under a hung
@@ -17,11 +19,19 @@ scenarios compose.
 """
 
 import dataclasses
+import gc
 import json
+import logging
 import socket
 import threading
+import time
+import urllib.request
+import warnings
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.campaign import Campaign
 from repro.analysis.experiments import ExperimentConfig, ExperimentHarness
@@ -32,10 +42,12 @@ from repro.fabric import (
     FabricCoordinator,
     FabricUnreachable,
     CoordinatorThread,
+    HTTPCacheBackend,
     LocalDirBackend,
     run_worker,
 )
 from repro.fabric.coordinator import unwire_cell, wire_cell
+from repro.fabric.worker import _Heartbeat
 from repro.resilience import (FLEET_POLICY, FaultSpec, LeaseTable,
                               Supervision, faults)
 from repro.traces.spec import SystemScale, synthetic_spec
@@ -369,6 +381,7 @@ class TestFleetEndToEnd:
             second = client.call("POST", "/complete",
                                  dict(payload, worker="wB",
                                       lease="stale"))
+            client.close()
         finally:
             thread.stop()
         assert first["status"] == "ok" and first["done"] is True
@@ -397,6 +410,7 @@ class TestFleetEndToEnd:
             client = FabricClient(url, "wB")
             status, data = client.request("GET", "/file")
             state = client.call("GET", "/status")
+            client.close()
         finally:
             thread.stop()
         assert status == 200
@@ -425,3 +439,377 @@ class TestFleetEndToEnd:
                              record_timing=False)
         reference.run(designs, workloads)
         assert path.read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+
+
+# ---- exchange contract ----------------------------------------------------
+
+
+def _served(coordinator, **kwargs):
+    thread = CoordinatorThread(coordinator, **kwargs)
+    return thread, thread.start()
+
+
+def _await(condition, timeout_s: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def _open_connections(coordinator) -> int:
+    return len(coordinator._idle)
+
+
+class _RecordingClient(FabricClient):
+    """Records each exchange as ``METHOD route`` (cache keys dropped)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.exchanges = Counter()
+
+    def request(self, method, path, body=None, raw=False):
+        route = path.rsplit("/", 1)[0] if path.startswith("/cache/") \
+            else path
+        self.exchanges[f"{method} {route}"] += 1
+        return super().request(method, path, body=body, raw=raw)
+
+
+class TestExchangeContract:
+    def test_one_connection_two_exchanges_per_cell(self, tmp_path):
+        designs, workloads = ("Bumblebee", "Banshee"), ("leela", "mcf")
+        config = dataclasses.replace(FLEET, workloads=workloads)
+        results = LocalDirBackend(tmp_path / "results", ".json")
+        traces = LocalDirBackend(tmp_path / "traces", ".trace")
+        campaign = Campaign(ExperimentHarness(config),
+                            tmp_path / "fleet.jsonl", record_timing=False)
+        coordinator = FabricCoordinator(campaign, designs, workloads,
+                                        result_backend=results,
+                                        trace_backend=traces)
+        thread, url = _served(coordinator)
+        client = _RecordingClient(url, "wA")
+        try:
+            completed = run_worker(url, "wA", client=client)
+            assert _await(lambda: _open_connections(coordinator) == 0)
+        finally:
+            thread.stop()
+        cells = len(designs) * len(workloads)
+        assert completed == cells
+        # Per cell: its result GET and its /complete; per workload: the
+        # baseline's result GET and the trace GET + PUT.  No result PUT,
+        # no further /lease: both ride on /complete.
+        assert client.exchanges == {
+            "GET /config": 1, "POST /lease": 1,
+            "GET /cache/result": cells + len(workloads),
+            "POST /complete": cells,
+            "GET /cache/trace": len(workloads),
+            "PUT /cache/trace": len(workloads)}
+        assert coordinator.connections == 1
+        assert coordinator.requests == sum(client.exchanges.values())
+        assert "requests=16 connections=1" in coordinator.summary()
+        # Every cell's and every baseline's entry reached the store.
+        warm = ExperimentHarness(config)
+        warm.cache = BackendResultCache(results)
+        for design in designs:
+            for workload in workloads:
+                warm.run_design(design, workload)
+        for workload in workloads:
+            warm.baseline(workload)
+        assert (warm.cache.hits, warm.cache.misses) == (
+            cells + len(workloads), 0)
+
+    def test_next_lease_and_cache_ride_on_reports(self, tmp_path):
+        results = LocalDirBackend(tmp_path / "results", ".json")
+        campaign = Campaign(_harness(), tmp_path / "next.jsonl",
+                            record_timing=False)
+        # A minute of backoff: the failed cell cannot come back while
+        # the test computes the other one.
+        coordinator = FabricCoordinator(
+            campaign, ("Bumblebee", "Banshee"), ("leela",),
+            policy=dataclasses.replace(FLEET_POLICY, backoff_base_s=60.0,
+                                       backoff_cap_s=60.0),
+            result_backend=results)
+        thread, url = _served(coordinator)
+        client = FabricClient(url, "wA")
+        try:
+            first = client.call("POST", "/lease", {"worker": "wA"})
+            failed = client.call("POST", "/fail", {
+                "worker": "wA", "lease": first["lease"],
+                "cell": first["cell"], "error": "boom", "next": True,
+                "cache": {"result": {"ab" * 32: "entrée"}}})
+            comparison = _harness().run_design("Banshee", "leela")
+            done = client.call("POST", "/complete", {
+                "worker": "wA", "lease": failed["next"]["lease"],
+                "cell": failed["next"]["cell"],
+                "comparison": comparison.to_record(), "next": True})
+        finally:
+            client.close()
+            thread.stop()
+        assert failed["status"] == "pending"
+        assert failed["next"]["status"] == "lease"
+        assert unwire_cell(failed["next"]["cell"]) == ("Banshee", "leela")
+        assert results.get("ab" * 32) == "entrée".encode("latin-1")
+        # Bumblebee is still in its retry backoff: the next lease waits.
+        assert done["status"] == "ok"
+        assert done["next"]["status"] == "wait"
+        assert coordinator.connections == 1
+
+    def test_deferred_puts_wait_then_flush_as_puts(self, tmp_path):
+        results = LocalDirBackend(tmp_path / "results", ".json")
+        campaign = Campaign(_harness(), tmp_path / "puts.jsonl",
+                            record_timing=False)
+        coordinator = FabricCoordinator(campaign, (), ("leela",),
+                                        result_backend=results)
+        thread, url = _served(coordinator)
+        client = FabricClient(url, "wA")
+        store = HTTPCacheBackend(client, "result", defer_puts=True)
+        try:
+            store.put("ab" * 32, b"first")
+            store.put("cd" * 32, b"\xff\x00")
+            assert coordinator.requests == 0          # nothing sent yet
+            # Latin-1 text carries any bytes through the JSON report.
+            assert store.take_pending() == {"ab" * 32: "first",
+                                            "cd" * 32: "\xff\x00"}
+            assert store.pending == {}
+            store.put("ef" * 32, b"\xff\x00")
+            store.flush()
+            assert store.pending == {}
+        finally:
+            client.close()
+            thread.stop()
+        assert coordinator.requests == 1
+        assert len(results) == 1
+        assert results.get("ef" * 32) == b"\xff\x00"
+
+    def test_idle_connection_closed_by_coordinator_is_reopened(
+            self, tmp_path):
+        def coordinator():
+            campaign = Campaign(_harness(), tmp_path / "idle.jsonl",
+                                record_timing=False)
+            return FabricCoordinator(campaign, (), ("leela",))
+        first = coordinator()
+        thread, url = _served(first)
+        client = FabricClient(url, "wA", attempts=1)
+        try:
+            assert client.call("GET", "/status")["finished"] is True
+            thread.stop()         # closes the client's idle connection
+            second = coordinator()
+            thread, _ = _served(second, port=first.port)
+            # Not one retry attempt is spent on the stale connection.
+            assert client.call("GET", "/status")["finished"] is True
+        finally:
+            client.close()
+            thread.stop()
+        assert second.connections == 1
+
+    def test_connection_close_client_is_served_then_closed(self, tmp_path):
+        campaign = Campaign(_harness(), tmp_path / "close.jsonl",
+                            record_timing=False)
+        coordinator = FabricCoordinator(campaign, (), ("leela",))
+        thread, url = _served(coordinator)
+        try:
+            with urllib.request.urlopen(f"{url}/status",
+                                        timeout=5.0) as resp:
+                assert json.loads(resp.read())["finished"] is True
+            for request in (b"GET /status HTTP/1.1\r\n"
+                            b"Connection: close\r\n\r\n",
+                            b"GET /status HTTP/1.0\r\n\r\n"):
+                with socket.create_connection(
+                        ("127.0.0.1", coordinator.port), timeout=5) as sock:
+                    sock.sendall(request)
+                    reply = _read_to_eof(sock)
+                assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+                assert b"\r\nConnection: close\r\n" in reply
+            assert _await(lambda: _open_connections(coordinator) == 0)
+        finally:
+            thread.stop()
+        assert coordinator.connections == 3
+
+    def test_heartbeat_closes_its_own_connection(self, tmp_path):
+        campaign = Campaign(_harness(), tmp_path / "beat.jsonl",
+                            record_timing=False)
+        coordinator = FabricCoordinator(campaign, (), ("leela",))
+        thread, url = _served(coordinator)
+        client = FabricClient(url, "wH")
+        beat = _Heartbeat(client, "no-such-lease", 0.01)
+        gc.collect()          # earlier tests' unclosed clients warn here
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                beat.start()
+                assert _await(lambda: coordinator.requests >= 2)
+                beat.stop()
+                beat._thread.join(timeout=5.0)
+                gc.collect()
+            assert not beat._thread.is_alive()
+            assert _await(lambda: _open_connections(coordinator) == 0)
+        finally:
+            thread.stop()
+        assert coordinator.connections == 1
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+
+    def test_once_coordinator_exits_with_an_idle_connection_open(
+            self, tmp_path):
+        campaign = Campaign(_harness(), tmp_path / "once.jsonl",
+                            record_timing=False)
+        coordinator = FabricCoordinator(campaign, (), ("leela",))
+        thread, url = _served(coordinator, once=True, linger_s=0.3)
+        client = FabricClient(url, "wA")
+        try:
+            assert client.call("GET", "/status")["finished"] is True
+            assert _open_connections(coordinator) == 1
+            assert thread.wait(timeout_s=5.0)
+        finally:
+            client.close()
+            thread.stop()
+
+
+# ---- malformed requests ---------------------------------------------------
+
+
+def _read_to_eof(sock) -> bytes:
+    data = b""
+    while chunk := sock.recv(65536):
+        data += chunk
+    return data
+
+
+def _read_reply(stream) -> "int | None":
+    """Status of the next reply on ``stream``, None once it is closed."""
+    line = stream.readline()
+    if not line:
+        return None
+    length = 0
+    while (header := stream.readline()) not in (b"\r\n", b""):
+        name, _, value = header.decode("latin-1").partition(":")
+        if name.lower() == "content-length":
+            length = int(value)
+    stream.read(length)
+    return int(line.split()[1])
+
+
+class _Errors(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__(logging.ERROR)
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+
+@pytest.fixture(scope="module")
+def fuzzed(tmp_path_factory):
+    """A coordinator with nothing to lease and its asyncio error log."""
+    campaign = Campaign(_harness(),
+                        tmp_path_factory.mktemp("fuzz") / "fuzz.jsonl",
+                        record_timing=False)
+    coordinator = FabricCoordinator(campaign, (), ("leela",))
+    errors = _Errors()
+    logging.getLogger("asyncio").addHandler(errors)
+    thread, _ = _served(coordinator)
+    counts = coordinator.state.counts()
+    try:
+        yield coordinator, errors
+        assert not errors.records, [r.getMessage() for r in errors.records]
+        assert coordinator.state.counts() == counts
+        with socket.create_connection(("127.0.0.1", coordinator.port),
+                                      timeout=5) as sock:
+            sock.sendall(b"GET /status HTTP/1.1\r\n\r\n")
+            assert _read_reply(sock.makefile("rb")) == 200
+    finally:
+        thread.stop()
+        logging.getLogger("asyncio").removeHandler(errors)
+
+
+_ROUTES = ("/lease", "/heartbeat", "/complete", "/fail")
+_FIELDS = ("worker", "lease", "cell", "comparison", "error", "next",
+           "cache", "timing", "spec", "design", "workload", "result")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(_FIELDS) | st.text(max_size=4), inner,
+        max_size=5),
+    max_leaves=12)
+
+
+def _post(coordinator, route: str, body: bytes) -> int:
+    with socket.create_connection(("127.0.0.1", coordinator.port),
+                                  timeout=5) as sock:
+        sock.sendall(f"POST {route} HTTP/1.1\r\n"
+                     f"Content-Length: {len(body)}\r\n\r\n".encode()
+                     + body)
+        return _read_reply(sock.makefile("rb"))
+
+
+class TestRequestFuzz:
+    """Whatever a client sends, the coordinator answers 2xx/4xx or
+    closes the connection, logs no unhandled exception, moves no lease
+    state, and keeps serving (checked by the ``fuzzed`` fixture)."""
+
+    @pytest.mark.parametrize("route, body", [
+        ("/lease", b"[]"), ("/lease", b"1"), ("/heartbeat", b'"x"'),
+        ("/complete", b"null"), ("/fail", b"[1, 2]")])
+    def test_non_object_body_is_400_naming_the_route(self, fuzzed, route,
+                                                     body):
+        coordinator, _ = fuzzed
+        client = FabricClient(f"http://127.0.0.1:{coordinator.port}",
+                              "wF", attempts=1)
+        try:
+            status, data = client.request("POST", route, body=body)
+            # The same connection serves the next request.
+            assert client.call("GET", "/status")["finished"] is True
+        finally:
+            client.close()
+        assert status == 400
+        assert json.loads(data)["error"] == \
+            f"POST {route}: body must be a JSON object"
+
+    @settings(max_examples=80, deadline=None)
+    @given(route=st.sampled_from(_ROUTES), value=_JSON)
+    def test_json_bodies(self, fuzzed, route, value):
+        status = _post(fuzzed[0], route, json.dumps(value).encode())
+        assert status is not None and 200 <= status < 500
+
+    @settings(max_examples=40, deadline=None)
+    @given(route=st.sampled_from(_ROUTES), body=st.binary(max_size=48))
+    def test_raw_bodies(self, fuzzed, route, body):
+        status = _post(fuzzed[0], route, body)
+        assert status is not None and 200 <= status < 500
+
+    @settings(max_examples=40, deadline=None)
+    @given(head=st.one_of(
+        st.binary(max_size=40),
+        st.sampled_from([b"GET\r\n", b"GET /status\r\n",
+                         b"GET /status HTTP/1.1 extra\r\n"]),
+        st.from_regex(rb"\AContent-Length: [-+a-z0-9. ]{0,6}\r\n\Z")
+        .map(lambda header: b"POST /lease HTTP/1.1\r\n" + header)))
+    def test_malformed_framing(self, fuzzed, head):
+        with socket.create_connection(("127.0.0.1", fuzzed[0].port),
+                                      timeout=5) as sock:
+            sock.sendall(head + b"\r\n")
+            sock.shutdown(socket.SHUT_WR)
+            stream = sock.makefile("rb")
+            while (status := _read_reply(stream)) is not None:
+                assert 200 <= status < 500
+
+    def test_truncated_body_closes_the_connection(self, fuzzed):
+        with socket.create_connection(("127.0.0.1", fuzzed[0].port),
+                                      timeout=5) as sock:
+            sock.sendall(b"POST /lease HTTP/1.1\r\n"
+                         b"Content-Length: 100\r\n\r\n{\"worker\"")
+            sock.shutdown(socket.SHUT_WR)
+            assert _read_to_eof(sock) == b""
+
+    def test_pipelined_requests_answered_in_order(self, fuzzed):
+        with socket.create_connection(("127.0.0.1", fuzzed[0].port),
+                                      timeout=5) as sock:
+            sock.sendall(b"GET /status HTTP/1.1\r\n\r\n"
+                         b"GET /nowhere HTTP/1.1\r\n\r\n"
+                         b"POST /lease HTTP/1.1\r\n"
+                         b"Content-Length: 2\r\n\r\n{}")
+            stream = sock.makefile("rb")
+            assert [_read_reply(stream) for _ in range(3)] == \
+                [200, 404, 200]

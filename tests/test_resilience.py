@@ -185,18 +185,11 @@ class TestBackoff:
         ``(base, cap, seed)``, keyed by method and path."""
         from repro.fabric import worker
 
-        class Refused:
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def request(self, *args, **kwargs):
-                raise ConnectionRefusedError("refused")
-
-            def close(self):
-                pass
+        def refused(*args, **kwargs):
+            raise ConnectionRefusedError("refused")
 
         slept = []
-        monkeypatch.setattr(worker.http.client, "HTTPConnection", Refused)
+        monkeypatch.setattr(worker.socket, "create_connection", refused)
         monkeypatch.setattr(worker.time, "sleep", slept.append)
         client = worker.FabricClient("http://127.0.0.1:1", "w", attempts=3,
                                      backoff_base_s=0.05, backoff_cap_s=1.0)
