@@ -36,7 +36,8 @@ harness pins down).
 Crash safety: records are appended through a
 :class:`~repro.resilience.checkpoint.CheckpointWriter` (fsync'd, order
 preserving, ENOSPC/EIO absorbed into a pending buffer), emission is in
-deterministic cell order regardless of worker completion order, and a
+deterministic cell order regardless of worker completion order (each
+prefix of cells that resolves at once lands as one write), and a
 torn tail left by a kill is detected, dropped, and compacted on load —
 so at every instant the file is a clean prefix of the uninterrupted
 run and ``repro campaign --resume`` completes exactly the remainder.
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..designs import DesignSpec
 from ..resilience.checkpoint import (CheckpointWriter, read_jsonl,
@@ -189,48 +190,64 @@ class Campaign:
     def has(self, design: "str | DesignSpec", workload: str) -> bool:
         return _cell_key(design, workload) in self._records
 
+    def persist_comparisons(self, cells: Iterable[tuple]) -> int:
+        """Persist a run of completed cells, in the order given.
+
+        The merge-on-arrival primitive shared by the execution plane and
+        the fabric coordinator: builds each cell's record (attaching the
+        spec dump for :class:`~repro.designs.DesignSpec` cells and the
+        ``timing`` block when enabled), lands all of them with one
+        checkpoint write, and mirrors them into the attached RunStore in
+        one transaction.  Cells already present (duplicate completions)
+        are skipped and leave the file untouched, which is what keeps
+        duplicates idempotent.
+
+        Args:
+            cells: ``(design, workload, comparison, timing)`` tuples in
+                cell order.  ``timing`` is the block measured where the
+                cell actually ran (a fabric worker); when None and
+                ``record_timing`` is set, the harness's own counters are
+                consulted instead.
+
+        Returns:
+            How many cells were new and persisted.
+        """
+        batch: list[tuple[dict, str]] = []
+        for design, workload, comparison, timing in cells:
+            key = _cell_key(design, workload)
+            if key in self._records:
+                continue
+            record = _comparison_record(comparison, self.harness)
+            if isinstance(design, DesignSpec):
+                record["spec"] = design.to_dict()
+            if self.record_timing:
+                record["timing"] = (timing if timing is not None
+                                    else self.harness.cell_timing(
+                                        design, workload))
+            self._records[key] = record
+            batch.append((record, key))
+        if not batch:
+            return 0
+        self._append(batch)
+        if self.store is not None:
+            self.store.add_records([record for record, _ in batch],
+                                   source=self.store_source,
+                                   source_path=str(self.path))
+        return len(batch)
+
     def persist_comparison(self, design: "str | DesignSpec",
                            workload: str,
                            comparison: WorkloadComparison,
                            timing: dict | None = None) -> bool:
-        """Persist one completed cell (append + optional store ingest).
-
-        The merge-on-arrival primitive shared by :meth:`run` and the
-        fabric coordinator: builds the record (attaching the spec dump
-        for :class:`~repro.designs.DesignSpec` cells and the ``timing``
-        block when enabled), appends it through the checkpoint writer,
-        and mirrors it into the attached RunStore.
-
-        Args:
-            design: The cell's design (name or spec).
-            workload: The cell's workload.
-            comparison: The computed result.
-            timing: Timing block measured where the cell actually ran
-                (a fabric worker); when None and ``record_timing`` is
-                set, the harness's own counters are consulted instead.
+        """Persist one completed cell: :meth:`persist_comparisons` of
+        one.
 
         Returns:
             True when the record was new and persisted; False when the
-            cell was already present (duplicate completion — the file
-            is left untouched, which is what keeps duplicates
-            idempotent).
+            cell was already present.
         """
-        key = _cell_key(design, workload)
-        if key in self._records:
-            return False
-        record = _comparison_record(comparison, self.harness)
-        if isinstance(design, DesignSpec):
-            record["spec"] = design.to_dict()
-        if self.record_timing:
-            record["timing"] = (timing if timing is not None
-                                else self.harness.cell_timing(design,
-                                                              workload))
-        self._records[key] = record
-        self._append(record, tag=key)
-        if self.store is not None:
-            self.store.add_record(record, source=self.store_source,
-                                  source_path=str(self.path))
-        return True
+        return self.persist_comparisons(
+            [(design, workload, comparison, timing)]) == 1
 
     def run(self, designs: "Sequence[str | DesignSpec]",
             workloads: Sequence[str],
@@ -275,14 +292,15 @@ class Campaign:
         """``[SKIP]`` report lines for every quarantined cell."""
         return "\n".join(cell.render() for cell in self.quarantined)
 
-    def _append(self, record: dict, tag: str = "") -> None:
-        """Append one record line (migrating a legacy file first)."""
+    def _append(self, batch: list[tuple[dict, str]]) -> None:
+        """Append ``(record, tag)`` lines in one write (migrating a
+        legacy file first)."""
         if self._needs_migration:
             self._needs_migration = False
-            existing = [r for r in self._records.values()
-                        if r is not record]
-            self._writer.rewrite(existing)
-        self._writer.append(record, tag=tag)
+            fresh = {id(record) for record, _ in batch}
+            self._writer.rewrite([r for r in self._records.values()
+                                  if id(r) not in fresh])
+        self._writer.append_many(batch)
 
     # ---- views ----------------------------------------------------------
 

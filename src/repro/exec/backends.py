@@ -4,11 +4,12 @@ Every way this project computes ``design x workload`` cells — the
 serial loop, the process pool, the supervised pool, and the distributed
 fabric — is an :class:`ExecutionBackend` filling a campaign opened from
 a :class:`~repro.exec.plan.CellPlan`.  All of them emit through
-:meth:`~repro.analysis.campaign.Campaign.persist_comparison` in
-deterministic cell order, so the clean-prefix / fsync'd / resume-keyed
-record stream (and the ``--no-timing`` byte-identity contract) is a
-property of the plane: the same plan produces the same file bytes on
-any backend, pinned by ``tests/test_exec.py``.
+:meth:`~repro.analysis.campaign.Campaign.persist_comparisons` in
+deterministic cell order, each resolved prefix of cells as one fsync'd
+write and one RunStore transaction, so the clean-prefix / fsync'd /
+resume-keyed record stream (and the ``--no-timing`` byte-identity
+contract) is a property of the plane: the same plan produces the same
+file bytes on any backend, pinned by ``tests/test_exec.py``.
 
 Backends:
 
@@ -112,7 +113,7 @@ def resolve_jobs(jobs: "int | None") -> int:
 
 
 def run_cells(harness, cells: Sequence[tuple], jobs: "int | None" = 1,
-              supervise=None, on_result=None, on_quarantine=None):
+              supervise=None, on_results=None, on_quarantine=None):
     """Fill ``(design, workload)`` cells on a harness, optionally across
     processes.
 
@@ -131,11 +132,13 @@ def run_cells(harness, cells: Sequence[tuple], jobs: "int | None" = 1,
         supervise: A :class:`~repro.resilience.supervisor.Supervision`
             policy; when given, missing cells run under supervision
             (timeouts, retries, quarantine) even at ``jobs=1``.
-        on_result: Invoked once per resolved unique cell, in cell
-            order, with (design, workload, comparison).  Emission is
-            incremental: a cell is emitted as soon as it and every cell
-            before it have resolved, so an interrupted run has persisted
-            a clean, order-stable prefix of the uninterrupted run.
+        on_results: Invoked with each newly resolved prefix of the
+            unique cells, as a list of (design, workload, comparison)
+            in cell order.  Emission is incremental: a cell is emitted
+            as soon as it and every cell before it have resolved, so an
+            interrupted run has persisted a clean, order-stable prefix
+            of the uninterrupted run.  Cells that resolve together (a
+            warm run's cached cells) arrive in one call.
         on_quarantine: Invoked with (design, workload,
             :class:`~repro.resilience.supervisor.CellFailure`) for each
             cell the supervisor gave up on; such cells are skipped, not
@@ -154,17 +157,17 @@ def run_cells(harness, cells: Sequence[tuple], jobs: "int | None" = 1,
     def flush() -> None:
         """Emit the longest fully-resolved prefix of ``unique``."""
         nonlocal emitted
+        batch = []
         while emitted < len(unique):
             cell = unique[emitted]
-            if cell in skipped:
-                emitted += 1
-                continue
-            comparison = known.get(cell)
-            if comparison is None:
-                break
-            if on_result is not None:
-                on_result(cell[0], cell[1], comparison)
+            if cell not in skipped:
+                comparison = known.get(cell)
+                if comparison is None:
+                    break
+                batch.append((*cell, comparison))
             emitted += 1
+        if batch and on_results is not None:
+            on_results(batch)
 
     def adopt(design, workload, outcome: tuple) -> None:
         record, timing = outcome
@@ -226,8 +229,9 @@ def fill_cells(campaign, cells: Sequence[tuple],
     """Fill a campaign's missing cells; returns the number of new runs.
 
     The orchestration previously embedded in ``Campaign.run``: filter
-    already-present cells, persist each completion in deterministic
-    cell order (fsync'd clean prefix), quarantine supervised failures
+    already-present cells, persist completions in deterministic cell
+    order (each resolved prefix one fsync'd write, so the file is a
+    clean prefix), quarantine supervised failures
     instead of aborting, and convert SIGTERM/SIGINT into
     :class:`~repro.analysis.campaign.CampaignInterrupted` after
     flushing.
@@ -239,10 +243,11 @@ def fill_cells(campaign, cells: Sequence[tuple],
         return 0
     completed = 0
 
-    def persist(design, workload, comparison) -> None:
+    def persist(batch) -> None:
         nonlocal completed
-        if campaign.persist_comparison(design, workload, comparison):
-            completed += 1
+        completed += campaign.persist_comparisons(
+            (design, workload, comparison, None)
+            for design, workload, comparison in batch)
 
     def quarantine(design, workload, failure) -> None:
         campaign.quarantined.append(QuarantinedCell(
@@ -258,7 +263,7 @@ def fill_cells(campaign, cells: Sequence[tuple],
         previous = None
     try:
         run_cells(campaign.harness, missing, jobs=jobs,
-                  on_result=persist, supervise=supervise,
+                  on_results=persist, supervise=supervise,
                   on_quarantine=quarantine)
     except KeyboardInterrupt:
         campaign.flush_pending()
@@ -377,12 +382,10 @@ class FabricBackend(ExecutionBackend):
         from ..fabric import FabricClient, run_worker
         before = campaign.completed_cells
         completed = run_worker(self.url, progress=self.progress)
-        client = FabricClient(self.url, f"campaign-cli-{os.getpid()}")
-        try:
+        worker_id = f"campaign-cli-{os.getpid()}"
+        with FabricClient(self.url, worker_id) as client:
             status, data = client.request("GET", "/file")
             state = client.call("GET", "/status")
-        finally:
-            client.close()
         if status != 200 or state is None:
             raise RuntimeError(
                 f"--fabric: coordinator at {self.url} would not serve "

@@ -5,13 +5,13 @@ missing ``design x workload`` cells to worker clients
 (:mod:`~repro.fabric.worker`), tracks them through the deterministic
 :class:`~repro.resilience.supervisor.LeaseTable`, and merges completions
 on arrival into the campaign through
-:meth:`~repro.analysis.campaign.Campaign.persist_comparison` — in
-deterministic cell order, via the same fsync'd clean-prefix
-checkpoint writer a single-machine run uses.  With timing disabled the
-resulting file is therefore *byte-identical* to a serial run, no
-matter how the fleet's completions interleave, which worker crashed,
-or how many duplicate completions arrived (the chaos harness pins
-this).
+:meth:`~repro.analysis.campaign.Campaign.persist_comparisons` — in
+deterministic cell order, each newly resolved prefix as one batch, via
+the same fsync'd clean-prefix checkpoint writer a single-machine run
+uses.  With timing disabled the resulting file is therefore
+*byte-identical* to a serial run, no matter how the fleet's
+completions interleave, which worker crashed, or how many duplicate
+completions arrived (the chaos harness pins this).
 
 The HTTP surface (HTTP/1.1)::
 
@@ -200,6 +200,7 @@ class FabricCoordinator:
         cell order) is done or quarantined — the invariant that keeps
         the file a clean prefix of the serial run at every instant.
         """
+        batch = []
         while self._emitted < len(self.pending_cells):
             cell = self.state.cells[self._emitted]
             design, workload = self.pending_cells[self._emitted]
@@ -208,12 +209,13 @@ class FabricCoordinator:
                     getattr(design, "name", design), workload,
                     tuple(cell.failures)))
             elif cell.status == "done" and self._emitted in self._results:
-                self.campaign.persist_comparison(
-                    design, workload, self._results.pop(self._emitted),
-                    timing=self._timings.pop(self._emitted, None))
+                batch.append((design, workload,
+                              self._results.pop(self._emitted),
+                              self._timings.pop(self._emitted, None)))
             else:
                 break
             self._emitted += 1
+        self.campaign.persist_comparisons(batch)
 
     # ---- adaptive cells (held coordinators) -----------------------------
 

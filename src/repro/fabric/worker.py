@@ -106,7 +106,9 @@ class FabricClient:
 
     Each thread that calls :meth:`request` gets its own persistent
     HTTP/1.1 connection, kept open between exchanges; :meth:`close`
-    closes the calling thread's.  A request goes out in one write, and
+    closes the calling thread's, and so does leaving a ``with
+    FabricClient(...)`` block or a :class:`FabricUnreachable` from
+    :meth:`request`.  A request goes out in one write, and
     replies are read by the coordinator's framing: every reply carries
     ``Content-Length``.
 
@@ -132,6 +134,12 @@ class FabricClient:
         self.timeout_s = timeout_s
         self._backoff = (backoff_base_s, backoff_cap_s, seed)
         self._local = threading.local()
+
+    def __enter__(self) -> "FabricClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def close(self) -> None:
         """Close the calling thread's connection, if it has one."""
@@ -215,6 +223,7 @@ class FabricClient:
                     f"HTTP {status} from {method} {path}")
                 continue
             return status, data
+        self.close()
         raise FabricUnreachable(
             f"coordinator unreachable after {self.attempts} attempts "
             f"({method} {path}): {last_error}")
@@ -291,12 +300,9 @@ def run_worker(url: str, worker_id: str | None = None,
     """
     faults.install_from_env()
     worker_id = worker_id or f"{os.uname().nodename}-{os.getpid()}"
-    client = client or FabricClient(url, worker_id)
-    try:
+    with client or FabricClient(url, worker_id) as client:
         return _work(client, url, worker_id, max_cells, harness,
                      local_caches, progress)
-    finally:
-        client.close()
 
 
 def _work(client: FabricClient, url: str, worker_id: str,

@@ -13,7 +13,9 @@ explorer.
 Ingest is *idempotent*: each row is keyed by a sha256 over the
 canonical JSON form of its record, so re-ingesting the same file (or
 the same records arriving twice — once on the fly via ``--db`` and once
-from a later ``repro db ingest`` sweep) adds zero rows.
+from a later ``repro db ingest`` sweep) adds zero rows.  Records are
+inserted in batches, one transaction each: a campaign's resolved
+prefix of cells, or a whole ingested file.
 
 Two tables::
 
@@ -33,7 +35,7 @@ import hashlib
 import json
 import sqlite3
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from ..designs import DesignSpec
 
@@ -134,7 +136,9 @@ class RunStore:
 
     def __init__(self, path: str | Path) -> None:
         self.path = str(path)
-        self._conn = sqlite3.connect(self.path)
+        # An adaptive fleet's coordinator thread ingests into a store
+        # the main thread opened; the two never use it at once.
+        self._conn = sqlite3.connect(self.path, check_same_thread=False)
         self._conn.row_factory = sqlite3.Row
         self._conn.executescript(_SCHEMA)
         self._conn.commit()
@@ -144,14 +148,10 @@ class RunStore:
 
     # ---- ingest ---------------------------------------------------------
 
-    def add_record(self, record: Mapping[str, Any], source: str,
-                   source_path: str = "") -> bool:
-        """Insert one campaign-style record; False when already stored.
-
-        The record's canonical JSON form is its identity — the same
-        record ingested twice (from the file, from an on-the-fly
-        ``--db`` hook, from a copy of the file) lands exactly once.
-        """
+    def _insert(self, record: Mapping[str, Any], source: str,
+                source_path: str) -> bool:
+        """Insert one record inside the open transaction; False when it
+        is already stored."""
         record_json = _canonical(record)
         digest = hashlib.sha256(record_json.encode("utf-8")).hexdigest()
         spec = record.get("spec")
@@ -173,9 +173,6 @@ class RunStore:
              config.get("warmup"), config.get("scale"),
              config.get("version"), record_json))
         if cursor.rowcount == 0:
-            # The ignored INSERT still opened an implicit transaction;
-            # left open, it locks the database against other writers.
-            self._conn.commit()
             return False
         run_id = cursor.lastrowid
         rows = [(run_id, "metric", name, value)
@@ -187,21 +184,43 @@ class RunStore:
         self._conn.executemany(
             "INSERT OR REPLACE INTO metrics (run_id, kind, name, value) "
             "VALUES (?, ?, ?, ?)", rows)
-        self._conn.commit()
         return True
+
+    def add_records(self, records: Iterable[Mapping[str, Any]],
+                    source: str, source_path: str = "") -> int:
+        """Insert campaign-style records in one transaction; returns how
+        many were new.
+
+        A record's canonical JSON form is its identity — the same
+        record ingested twice (from the file, from an on-the-fly
+        ``--db`` hook, from a copy of the file) lands exactly once.
+        The transaction commits even when every record was already
+        stored: the ignored INSERTs still opened it, and left open it
+        would lock the database against other writers.  A failing
+        record rolls the whole batch back.
+        """
+        with self._conn:
+            return sum(self._insert(record, source, source_path)
+                       for record in records)
+
+    def add_record(self, record: Mapping[str, Any], source: str,
+                   source_path: str = "") -> bool:
+        """Insert one campaign-style record (:meth:`add_records` of
+        one); False when already stored."""
+        return self.add_records([record], source=source,
+                                source_path=source_path) == 1
 
     def ingest_jsonl(self, path: str | Path,
                      source: str = "campaign") -> tuple[int, int]:
-        """Ingest a campaign/sweep/chaos JSONL file.
+        """Ingest a campaign/sweep/chaos JSONL file in one transaction.
 
         Returns:
             ``(added, seen)`` — new rows inserted vs records read.
         """
         path = Path(path)
         records = load_jsonl_records(path)
-        added = sum(self.add_record(record, source=source,
-                                    source_path=str(path))
-                    for record in records)
+        added = self.add_records(records, source=source,
+                                 source_path=str(path))
         return added, len(records)
 
     def ingest_bench(self, path: str | Path) -> tuple[int, int]:

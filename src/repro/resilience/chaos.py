@@ -234,8 +234,10 @@ class _Proc:
         self._pump.start()
 
     def _drain(self) -> None:
-        for line in self.proc.stdout:
-            self.lines.append(line.rstrip("\n"))
+        # The pipe is closed here, at end of file, by its only reader.
+        with self.proc.stdout:
+            for line in self.proc.stdout:
+                self.lines.append(line.rstrip("\n"))
 
     @property
     def output(self) -> str:
@@ -655,18 +657,19 @@ def _fleet_duplicate_completion(sweep: _Sweep, path: Path) -> str:
     thread = CoordinatorThread(coordinator)
     url = thread.start()
     try:
-        slow = FabricClient(url, "wA")
-        lease = slow.call("POST", "/lease", {"worker": "wA"})
-        design, workload = unwire_cell(lease["cell"])
-        comparison = sweep.harness().run_design(
-            design, workload).to_record()
-        time.sleep(1.3)            # lease expires; sweeper reclaims it
-        first = FabricClient(url, "wB").call("POST", "/complete", {
-            "worker": "wB", "lease": "lost-in-restart",
-            "cell": lease["cell"], "comparison": comparison})
-        second = slow.call("POST", "/complete", {
-            "worker": "wA", "lease": lease["lease"],
-            "cell": lease["cell"], "comparison": comparison})
+        with FabricClient(url, "wA") as slow:
+            lease = slow.call("POST", "/lease", {"worker": "wA"})
+            design, workload = unwire_cell(lease["cell"])
+            comparison = sweep.harness().run_design(
+                design, workload).to_record()
+            time.sleep(1.3)        # lease expires; sweeper reclaims it
+            with FabricClient(url, "wB") as fast:
+                first = fast.call("POST", "/complete", {
+                    "worker": "wB", "lease": "lost-in-restart",
+                    "cell": lease["cell"], "comparison": comparison})
+            second = slow.call("POST", "/complete", {
+                "worker": "wA", "lease": lease["lease"],
+                "cell": lease["cell"], "comparison": comparison})
         run_worker(url, "wC", harness=sweep.harness(),
                    local_caches=True)
     finally:

@@ -1,7 +1,8 @@
 """Crash-safe JSONL checkpointing: durable appends, torn-tail recovery.
 
-A campaign's JSONL file is its checkpoint: one fsync'd line per
-completed cell, appended in deterministic cell order, so at any kill
+A campaign's JSONL file is its checkpoint: one line per completed
+cell, appended in deterministic cell order (each batch of lines in one
+fsync'd write), so at any kill
 point the file is a clean prefix of the uninterrupted run and a resume
 appends exactly the missing suffix — byte-identical to never having
 been interrupted (timing-free records; see
@@ -9,8 +10,9 @@ been interrupted (timing-free records; see
 
 Two failure modes are handled here:
 
-* **Torn tails.** A process killed mid-``write`` can leave a partial
-  final line (or, on a crashed kernel, arbitrary damaged lines).
+* **Torn tails.** A process killed mid-``write`` can leave the whole
+  lines written so far plus a partial final line (or, on a crashed
+  kernel, arbitrary damaged lines).
   :func:`recover_jsonl` parses what is valid, drops what is not, and
   compacts the file atomically so the damage cannot compound.
 * **Failing writes.** ENOSPC/EIO on an append must not abort the
@@ -42,7 +44,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 try:
     import fcntl
@@ -295,11 +297,19 @@ def recover_jsonl(path: str | Path) -> tuple[list[dict], int]:
 class CheckpointWriter:
     """Durable, order-preserving JSONL appender with failure absorption.
 
+    Records arrive in batches (:meth:`append_many`; :meth:`append` is a
+    batch of one).  A batch lands with one lock, one open, one
+    ``write``, one flush and one fsync, and behaves exactly like one
+    :meth:`append` per record: every record rolls the fault hook with
+    its own attempt sequence, and a record still failing at the end of
+    the batch parks in ``pending`` with everything after it, in FIFO
+    order.
+
     Args:
         path: The checkpoint file (created on first append).
-        fsync: When True (default) every successful append is fsync'd
-            before :meth:`append` returns, so a SIGKILL immediately
-            after cannot lose it.
+        fsync: When True (default) every successful write is fsync'd
+            before the call returns, so a SIGKILL immediately after
+            cannot lose it.
 
     Attributes:
         pending: Records whose writes failed, in append order, waiting
@@ -313,29 +323,26 @@ class CheckpointWriter:
         self.pending: list[tuple[str, str]] = []
         self.write_errors = 0
         self._seq = 0
-        # Set while the head of ``pending`` may already be on disk: an
+        # How many head lines of ``pending`` may already be on disk: an
         # interrupt (the campaign's SIGTERM handler raises
-        # KeyboardInterrupt anywhere) can land between a line's write
-        # and its pop.
-        self._unsure = False
+        # KeyboardInterrupt anywhere) can land between a write and the
+        # pops that follow it.
+        self._unsure = 0
 
-    def _write_line(self, tag: str, line: str) -> None:
-        """One append attempt; raises OSError on (possibly injected)
-        failure."""
-        self._seq += 1
-        faults.checkpoint_error(tag, self._seq)
+    def _write_lines(self, text: str) -> None:
+        """One write of whole lines; raises OSError on failure."""
         if self.path.parent and not self.path.parent.exists():
             self.path.parent.mkdir(parents=True, exist_ok=True)
         with FileLock(self.path):
             with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(line)
+                handle.write(text)
                 handle.flush()
                 if self.fsync:
                     os.fsync(handle.fileno())
 
-    def _ends_with(self, line: str) -> bool:
-        """Whether the file's last line is ``line``."""
-        data = line.encode("utf-8")
+    def _ends_with(self, text: str) -> bool:
+        """Whether the file ends with the whole lines ``text``."""
+        data = text.encode("utf-8")
         try:
             with self.path.open("rb") as handle:
                 size = handle.seek(0, os.SEEK_END)
@@ -345,39 +352,82 @@ class CheckpointWriter:
             return False
         return tail in (data, b"\n" + data)
 
-    def _drain(self) -> bool:
-        """Write pending lines in FIFO order; False on first failure.
+    def _settle(self) -> None:
+        """Pop the head lines an interrupted write already landed.
 
-        A line whose write was interrupted before its pop is not written
-        twice: the retry pops it when the file already ends with it.
+        Lines that were not landed stay pending and roll again.
         """
-        while self.pending:
-            tag, line = self.pending[0]
-            if not (self._unsure and self._ends_with(line)):
-                self._unsure = True
-                try:
-                    self._write_line(tag, line)
-                except OSError:
-                    self._unsure = False
-                    self.write_errors += 1
-                    return False
-            self.pending.pop(0)
-            self._unsure = False
-        return True
+        if self._unsure:
+            head = "".join(line for _, line in self.pending[:self._unsure])
+            if self._ends_with(head):
+                del self.pending[:self._unsure]
+            self._unsure = 0
+
+    def _admit(self, ready: int) -> int:
+        """Roll the fault hook for pending lines past the first
+        ``ready``; returns how many head lines may now be written.
+
+        Stops at the first injected failure, as one :meth:`append`
+        does: the failed line and everything after it wait for the
+        next roll.
+        """
+        while ready < len(self.pending):
+            self._seq += 1
+            try:
+                faults.checkpoint_error(self.pending[ready][0], self._seq)
+            except OSError:
+                self.write_errors += 1
+                break
+            ready += 1
+        return ready
+
+    def _land(self, ready: int) -> bool:
+        """Write the first ``ready`` pending lines in one write and pop
+        them; True once nothing is pending."""
+        if ready:
+            self._unsure = ready
+            try:
+                self._write_lines("".join(
+                    line for _, line in self.pending[:ready]))
+            except OSError:
+                self._unsure = 0
+                self.write_errors += 1
+                return False
+            del self.pending[:ready]
+            self._unsure = 0
+        return not self.pending
+
+    def append_many(self, entries: Iterable[tuple[dict, str]]) -> bool:
+        """Queue ``(record, tag)`` entries and push everything queued to
+        disk in one write.
+
+        Each record rolls the fault hook as its own :meth:`append`
+        would, so a batch leaves the same lines on disk, the same
+        ``pending`` and the same ``write_errors`` as one append per
+        record.  Lines reach the file strictly in append order
+        regardless of which attempts failed.
+
+        Returns:
+            True when every record (and all earlier pending ones) is on
+            disk, False when some are parked in ``pending``.
+        """
+        self._settle()
+        ready = 0
+        for record, tag in entries:
+            self.pending.append((tag, json.dumps(record) + "\n"))
+            ready = self._admit(ready)
+        return self._land(ready)
 
     def append(self, record: dict, tag: str = "") -> bool:
         """Queue one record and push everything queued to disk.
 
-        The record always survives in ``pending`` on failure, and lines
-        reach the file strictly in append order regardless of which
-        attempts failed.
+        The record always survives in ``pending`` on failure.
 
         Returns:
             True when the record (and all earlier pending ones) is on
             disk, False when it is parked in ``pending``.
         """
-        self.pending.append((tag, json.dumps(record) + "\n"))
-        return self._drain()
+        return self.append_many([(record, tag)])
 
     def flush_pending(self, attempts: int = 20) -> bool:
         """Retry parked records; True once nothing is pending.
@@ -386,7 +436,8 @@ class CheckpointWriter:
         advances), mirroring a disk that recovers.
         """
         for _ in range(attempts):
-            if self._drain():
+            self._settle()
+            if self._land(self._admit(0)):
                 return True
         return not self.pending
 

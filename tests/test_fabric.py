@@ -270,10 +270,10 @@ class TestFabricClient:
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
-        client = FabricClient(f"http://127.0.0.1:{port}", "w0",
-                              attempts=2, backoff_base_s=0.001)
-        with pytest.raises(FabricUnreachable) as failure:
-            client.call("GET", "/config")
+        with FabricClient(f"http://127.0.0.1:{port}", "w0",
+                          attempts=2, backoff_base_s=0.001) as client:
+            with pytest.raises(FabricUnreachable) as failure:
+                client.call("GET", "/config")
         assert isinstance(failure.value, OSError)
 
 
@@ -293,37 +293,39 @@ class TestNetworkFaults:
         thread.stop()
 
     def test_injected_5xx_exhausts_retry_budget(self, served):
-        client = FabricClient(served, "wX", attempts=3,
-                              backoff_base_s=0.001, backoff_cap_s=0.01)
-        assert client.call("GET", "/status")["finished"] is True
-        injector = faults.install(FaultSpec(net_error=1.0,
-                                            match="GET /status"))
-        with pytest.raises(FabricUnreachable):
-            client.call("GET", "/status")
+        with FabricClient(served, "wX", attempts=3, backoff_base_s=0.001,
+                          backoff_cap_s=0.01) as client:
+            assert client.call("GET", "/status")["finished"] is True
+            injector = faults.install(FaultSpec(net_error=1.0,
+                                                match="GET /status"))
+            with pytest.raises(FabricUnreachable):
+                client.call("GET", "/status")
+            # Giving up closes the connection the 500s kept open.
+            assert client._local.conn is None
         assert injector.counters["net_error"] == 3
 
     def test_injected_disconnect_tears_mid_body(self, served):
-        client = FabricClient(served, "wX", attempts=3,
-                              backoff_base_s=0.001, backoff_cap_s=0.01)
         injector = faults.install(FaultSpec(net_disconnect=1.0,
                                             match="GET /config"))
-        with pytest.raises(FabricUnreachable):
-            client.call("GET", "/config")
+        with FabricClient(served, "wX", attempts=3, backoff_base_s=0.001,
+                          backoff_cap_s=0.01) as client:
+            with pytest.raises(FabricUnreachable):
+                client.call("GET", "/config")
         assert injector.counters["net_disconnect"] == 3
 
     def test_injected_delay_slows_but_succeeds(self, served):
-        client = FabricClient(served, "wX", attempts=3)
         injector = faults.install(FaultSpec(net_delay=1.0,
                                             net_delay_s=0.01,
                                             match="GET /status"))
-        assert client.call("GET", "/status")["finished"] is True
+        with FabricClient(served, "wX", attempts=3) as client:
+            assert client.call("GET", "/status")["finished"] is True
         assert injector.counters["net_delay"] >= 1
 
     def test_partition_budget_drops_then_heals(self, served):
-        client = FabricClient(served, "wX", attempts=8,
-                              backoff_base_s=0.001, backoff_cap_s=0.01)
         injector = faults.install(FaultSpec(partition_n=2, match="wX"))
-        assert client.call("GET", "/status")["finished"] is True
+        with FabricClient(served, "wX", attempts=8, backoff_base_s=0.001,
+                          backoff_cap_s=0.01) as client:
+            assert client.call("GET", "/status")["finished"] is True
         assert injector.counters["partition"] == 2
 
 
@@ -371,17 +373,17 @@ class TestFleetEndToEnd:
         thread = CoordinatorThread(coordinator)
         url = thread.start()
         try:
-            client = FabricClient(url, "wA")
-            reply = client.call("POST", "/lease", {"worker": "wA"})
-            comparison = dataclasses.asdict(
-                _harness().run_design("Bumblebee", "leela"))
-            payload = {"worker": "wA", "lease": reply["lease"],
-                       "cell": reply["cell"], "comparison": comparison}
-            first = client.call("POST", "/complete", payload)
-            second = client.call("POST", "/complete",
-                                 dict(payload, worker="wB",
-                                      lease="stale"))
-            client.close()
+            with FabricClient(url, "wA") as client:
+                reply = client.call("POST", "/lease", {"worker": "wA"})
+                comparison = dataclasses.asdict(
+                    _harness().run_design("Bumblebee", "leela"))
+                payload = {"worker": "wA", "lease": reply["lease"],
+                           "cell": reply["cell"],
+                           "comparison": comparison}
+                first = client.call("POST", "/complete", payload)
+                second = client.call("POST", "/complete",
+                                     dict(payload, worker="wB",
+                                          lease="stale"))
         finally:
             thread.stop()
         assert first["status"] == "ok" and first["done"] is True
@@ -407,10 +409,9 @@ class TestFleetEndToEnd:
         url = thread.start()
         try:
             run_worker(url, "wA", harness=_harness(), local_caches=True)
-            client = FabricClient(url, "wB")
-            status, data = client.request("GET", "/file")
-            state = client.call("GET", "/status")
-            client.close()
+            with FabricClient(url, "wB") as client:
+                status, data = client.request("GET", "/file")
+                state = client.call("GET", "/status")
         finally:
             thread.stop()
         assert status == 200

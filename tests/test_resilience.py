@@ -126,19 +126,19 @@ class TestCheckpointWriter:
         path = tmp_path / "c.jsonl"
         writer = CheckpointWriter(path)
         assert writer.append({"i": 0}, tag="cell0")
-        write_line = writer._write_line
+        write_lines = writer._write_lines
         fired = []
 
-        def interrupted(tag, line):
+        def interrupted(text):
             if written:
-                write_line(tag, line)
+                write_lines(text)
             if not fired:
-                fired.append(tag)
+                fired.append(text)
                 raise KeyboardInterrupt
             if not written:
-                write_line(tag, line)
+                write_lines(text)
 
-        writer._write_line = interrupted
+        writer._write_lines = interrupted
         with pytest.raises(KeyboardInterrupt):
             writer.append({"i": 1}, tag="cell1")
         assert writer.flush_pending()
