@@ -8,10 +8,10 @@ loadable without this package.
 
 Records are stored as JSON Lines — one record appended per line — so
 persisting cell *n* costs O(1) instead of rewriting the whole file
-(the old format serialised every record on every flush, turning an
-N-cell campaign into O(N^2) bytes written).  Legacy files holding a
-single JSON array are still read, and are migrated to JSONL the first
-time a new record is appended.
+(the retired JSON-array format serialised every record on every flush,
+turning an N-cell campaign into O(N^2) bytes written).  A file holding
+a single JSON array is refused with a ``ValueError`` naming it, and
+left untouched.
 
 Record schema (one per line)::
 
@@ -53,8 +53,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..designs import DesignSpec
-from ..resilience.checkpoint import (CheckpointWriter, read_jsonl,
-                                     recover_jsonl)
+from ..resilience.checkpoint import CheckpointWriter, recover_jsonl
 from .experiments import ExperimentHarness
 from .metrics import WorkloadComparison
 
@@ -134,20 +133,21 @@ class Campaign:
 
     Args:
         harness: The shared experiment harness.
-        path: JSONL file holding the accumulated records (legacy JSON
-            array files are read and migrated transparently; torn or
+        path: JSONL file holding the accumulated records (torn or
             corrupt lines are dropped and the file compacted — see
-            :attr:`recovered_lines`).
+            :attr:`recovered_lines`; a whole-file JSON array raises
+            ``ValueError``).
         record_timing: Attach the per-cell ``timing`` observability
             block (default).  Disable for byte-deterministic files —
             an interrupted-and-resumed campaign then produces exactly
             the bytes of an uninterrupted one.
-        store: Optional :class:`~repro.observatory.RunStore` that every
-            persisted record is additionally ingested into on the fly
+        store: Optional :class:`~repro.observatory.RunStore` mirroring
+            the file: the records loaded on open land in it in one
+            transaction, and every persisted batch in one more
             (idempotent — a later ``repro db ingest`` of the campaign
             file adds nothing new).
-        store_source: Source label for on-the-fly ingest (``campaign``
-            or ``sweep``).
+        store_source: Source label for the mirrored records
+            (``campaign``, ``sweep`` or ``explore``).
 
     Attributes:
         quarantined: Cells a supervised run gave up on (skip-and-report;
@@ -167,16 +167,14 @@ class Campaign:
         self.quarantined: list[QuarantinedCell] = []
         self.recovered_lines = 0
         self._records: dict[str, dict] = {}
-        self._needs_migration = False
         self._writer = CheckpointWriter(self.path)
         if self.path.exists():
-            if self.path.read_text().lstrip().startswith("["):
-                self._needs_migration = True
-                records, self.recovered_lines = read_jsonl(self.path)
-            else:
-                records, self.recovered_lines = recover_jsonl(self.path)
+            records, self.recovered_lines = recover_jsonl(self.path)
             for record in records:
                 self._records[_record_key(record)] = record
+            if store is not None and records:
+                store.add_records(records, source=store_source,
+                                  source_path=str(self.path))
 
     @property
     def completed_cells(self) -> int:
@@ -228,7 +226,7 @@ class Campaign:
             batch.append((record, key))
         if not batch:
             return 0
-        self._append(batch)
+        self._writer.append_many(batch)
         if self.store is not None:
             self.store.add_records([record for record, _ in batch],
                                    source=self.store_source,
@@ -291,16 +289,6 @@ class Campaign:
     def render_quarantine(self) -> str:
         """``[SKIP]`` report lines for every quarantined cell."""
         return "\n".join(cell.render() for cell in self.quarantined)
-
-    def _append(self, batch: list[tuple[dict, str]]) -> None:
-        """Append ``(record, tag)`` lines in one write (migrating a
-        legacy file first)."""
-        if self._needs_migration:
-            self._needs_migration = False
-            fresh = {id(record) for record, _ in batch}
-            self._writer.rewrite([r for r in self._records.values()
-                                  if id(r) not in fresh])
-        self._writer.append_many(batch)
 
     # ---- views ----------------------------------------------------------
 

@@ -82,6 +82,10 @@ def _add_scaling_args(parser: argparse.ArgumentParser) -> None:
                         help="worker processes for independent cells "
                              "(0 = all cores; results are identical to "
                              "a serial run)")
+    _add_cache_args(parser)
+
+
+def _add_cache_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache", metavar="DIR", nargs="?", const="",
                         default=None,
                         help="enable the persistent result cache; with no "
@@ -96,37 +100,62 @@ def _add_scaling_args(parser: argparse.ArgumentParser) -> None:
                              "'off' disables it")
 
 
-def _add_campaign_args(parser: argparse.ArgumentParser,
-                       out_default: str) -> None:
-    """The shared campaign-file and backend-selection flags.
+def _say(line: str) -> None:
+    """Progress sink: one flushed stdout line."""
+    print(line, flush=True)
 
-    ``campaign``, ``sweep``, and ``explore`` all execute through the
-    same plane (:mod:`repro.exec`), so they share one flag surface:
-    output/resume/db/timing plus the backend pickers (``--jobs``,
-    supervision, ``--fabric``) and the window/caching knobs.
+
+def _add_grid_args(parser: argparse.ArgumentParser, required: bool,
+                   help: str) -> None:
+    parser.add_argument("--base", default="Bumblebee",
+                        help="base design the grid parameterises "
+                             "(see 'repro designs list')")
+    parser.add_argument("--grid", action="append", nargs="+",
+                        required=required, metavar="KEY=V1,V2,...",
+                        help=help)
+
+
+def _add_metric_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--metric", default="norm_ipc",
+                        help="metric the closing result matrix shows")
+
+
+def _add_plan_args(parser: argparse.ArgumentParser,
+                   out_default: str) -> None:
+    """The campaign-file flags every plan command shares.
+
+    ``campaign``, ``sweep``, ``explore`` and ``fabric serve`` all fill a
+    :class:`~repro.exec.CellPlan` through one plane (:mod:`repro.exec`),
+    so they share output/resume/db/timing plus the window knobs.
     """
     parser.add_argument("--out", default=out_default)
     parser.add_argument("--workloads", nargs="+",
                         default=["mcf", "wrf", "xz", "roms"])
-    parser.add_argument("--metric", default="norm_ipc")
     parser.add_argument("--resume", action="store_true",
                         help="require an existing campaign file and "
-                             "run only the missing cells")
+                             "fill only its missing cells")
     parser.add_argument("--db", metavar="PATH", default=None,
                         help="also record every cell into this run "
                              "database (idempotent; see 'repro db')")
-    parser.add_argument("--fabric", metavar="URL", default=None,
-                        help="join a fabric fleet at URL instead of "
-                             "running locally: work leased cells, "
-                             "then mirror the coordinator's campaign "
-                             "file to --out (see 'repro fabric')")
     parser.add_argument("--no-timing", action="store_true",
                         dest="no_timing",
                         help="omit per-cell timing from records, "
                              "making the campaign file byte-"
                              "deterministic")
-    _add_supervision_args(parser)
     _add_window_args(parser)
+
+
+def _add_campaign_args(parser: argparse.ArgumentParser,
+                       out_default: str) -> None:
+    """The plan flags plus the caches and the local and fleet-client
+    backend pickers (``--jobs``, supervision, ``--fabric``)."""
+    _add_plan_args(parser, out_default)
+    parser.add_argument("--fabric", metavar="URL", default=None,
+                        help="join a fabric fleet at URL instead of "
+                             "running locally: work leased cells, "
+                             "then mirror the coordinator's campaign "
+                             "file to --out (see 'repro fabric')")
+    _add_supervision_args(parser)
     _add_scaling_args(parser)
 
 
@@ -259,50 +288,74 @@ def _supervision(args: argparse.Namespace):
 
 def _plan_from_args(args: argparse.Namespace, designs,
                     source: str = "campaign"):
-    """The :class:`~repro.exec.CellPlan` the shared campaign flags
+    """The :class:`~repro.exec.CellPlan` the shared plan flags
     describe: the experiment window, the cell matrix, and every
     persistence setting (campaign file, caches, run store, resume)."""
     from .exec import CellPlan
     config = ExperimentConfig(
         requests=args.requests, warmup=args.warmup, seed=args.seed,
         workloads=tuple(args.workloads),
-        trace_cache_dir=getattr(args, "trace_cache", None),
-        engine=getattr(args, "engine", "auto"))
+        trace_cache_dir=args.trace_cache, engine=args.engine)
     return CellPlan(
         config=config, designs=tuple(designs),
         workloads=tuple(args.workloads), out=args.out,
-        record_timing=not getattr(args, "no_timing", False),
-        cache_dir=getattr(args, "cache", None),
-        db=getattr(args, "db", None), source=source,
-        resume=bool(getattr(args, "resume", False)))
+        record_timing=not args.no_timing, cache_dir=args.cache,
+        db=args.db, source=source, resume=args.resume)
+
+
+def _expand_grid(args: argparse.Namespace):
+    """``(grid, designs)`` the ``--base``/``--grid`` flags name.
+
+    Without ``--grid`` (``campaign``, or ``fabric serve`` without
+    one) the designs are ``--designs``.  Prints why and returns None when an axis names an
+    undeclared parameter or a value its schema rejects, so the caller
+    exits 2 before any campaign opens.
+    """
+    if not getattr(args, "grid", None):
+        return {}, args.designs
+    try:
+        grid = parse_grid([token for group in args.grid
+                           for token in group])
+        return grid, registry.expand_grid(args.base, grid)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return None
 
 
 def _backend(args: argparse.Namespace):
     """The :class:`~repro.exec.ExecutionBackend` the shared flags pick.
 
-    ``--fabric URL`` selects the fleet-joining backend; any supervision
-    flag or ``--jobs != 1`` the (supervised) pool; otherwise the serial
-    loop.  Results are identical on every backend — only wall-clock and
-    failure handling differ.
+    ``fabric serve`` and ``explore --fabric-serve PORT`` host a fleet;
+    ``--fabric URL`` joins one; any supervision flag or ``--jobs != 1``
+    selects the (supervised) pool; otherwise the serial loop.  Results
+    are identical on every backend — only wall-clock and failure
+    handling differ.
     """
-    from .exec import FabricBackend, PoolBackend, SerialBackend
-    url = getattr(args, "fabric", None)
-    if url:
-        return FabricBackend(
-            url, progress=lambda line: print(line, flush=True))
+    from .exec import (FabricBackend, FleetServeBackend, PoolBackend,
+                       SerialBackend)
+    from .resilience import FLEET_POLICY
+    if args.command == "fabric":
+        # --retries here is the fleet's quarantine count, not the
+        # pool's supervision flag.
+        return FleetServeBackend(
+            host=args.host, port=args.port,
+            policy=dataclasses.replace(
+                FLEET_POLICY, timeout_s=args.lease,
+                max_attempts=args.retries + 1,
+                quarantine_workers=args.quarantine_workers,
+                seed=args.seed),
+            linger_s=args.linger if args.once else None, progress=_say)
+    if getattr(args, "fabric_serve", None) is not None:
+        return FleetServeBackend(
+            host=args.host, port=args.fabric_serve,
+            policy=dataclasses.replace(FLEET_POLICY, seed=args.seed),
+            progress=_say)
+    if args.fabric:
+        return FabricBackend(args.fabric, progress=_say)
     supervise = _supervision(args)
     if supervise is not None or args.jobs != 1:
         return PoolBackend(jobs=args.jobs, supervise=supervise)
     return SerialBackend()
-
-
-def _announce_campaign(args: argparse.Namespace, campaign) -> None:
-    if campaign.recovered_lines:
-        print(f"recovered campaign file: {campaign.recovered_lines} "
-              f"damaged line(s) dropped and compacted")
-    if getattr(args, "resume", False):
-        print(f"resuming: {campaign.completed_cells} cells already "
-              f"complete in {args.out}")
 
 
 def _print_timing(campaign) -> None:
@@ -334,28 +387,29 @@ def _print_timing(campaign) -> None:
     print(line)
 
 
-def _report_campaign(args: argparse.Namespace, plan, campaign,
-                     new_runs: int, notes=()) -> int:
-    """The uniform post-run summary every backend's campaign gets."""
-    for note in notes:
+def _report_campaign(args: argparse.Namespace, plan, outcome) -> int:
+    """The closing lines of every plan command, whichever backend ran
+    it: the backend's notes, the campaign line, the run store, timing,
+    the ``--metric`` matrix (commands that render one) and the
+    quarantine trailer."""
+    campaign = outcome.campaign
+    for note in outcome.notes:
         print(note)
     print(f"campaign: {campaign.completed_cells} cells complete "
-          f"({new_runs} new) -> {plan.out}")
+          f"({outcome.new_runs} new) -> {plan.out}")
     if campaign.store is not None:
-        # Sweep the file too, so cells persisted by earlier runs (a
-        # --resume, a fleet mirror) land as well; ingest is idempotent,
-        # so cells recorded on the fly add nothing twice.
-        campaign.store.ingest_jsonl(plan.out, source=plan.source)
         print(f"db: {campaign.store.run_count} runs in {plan.db}")
     _print_timing(campaign)
-    if (campaign.completed_cells
-            and args.metric not in campaign.available_metrics()):
-        print(f"--metric {args.metric!r}: no record carries it; "
-              f"available: {', '.join(campaign.available_metrics())}",
-              file=sys.stderr)
-        return 2
-    print()
-    print(campaign.render(args.metric))
+    metric = getattr(args, "metric", None)
+    if metric is not None:
+        if (campaign.completed_cells
+                and metric not in campaign.available_metrics()):
+            print(f"--metric {metric!r}: no record carries it; "
+                  f"available: {', '.join(campaign.available_metrics())}",
+                  file=sys.stderr)
+            return 2
+        print()
+        print(campaign.render(metric))
     if campaign.quarantined:
         print()
         print(campaign.render_quarantine())
@@ -385,11 +439,11 @@ def _spec_error(harness, designs) -> str | None:
 def _open_campaign(args: argparse.Namespace, plan):
     """Open the plan's campaign once every spec in it builds.
 
-    Prints ``<spec>: <message>`` (or the plan error) and returns None
-    when a spec's controller cannot be built or the campaign cannot
-    open, so the caller exits 2 before any cell runs.
+    Prints ``<spec>: <message>`` (or why the file cannot be opened) and
+    returns None when a spec's controller cannot be built or the
+    campaign cannot open (a bad ``--resume``, a file that is not JSON
+    Lines), so the caller exits 2 before any cell runs.
     """
-    from .exec import PlanError
     harness = plan.build_harness()
     error = _spec_error(harness, plan.designs)
     if error is not None:
@@ -397,28 +451,37 @@ def _open_campaign(args: argparse.Namespace, plan):
         return None
     try:
         campaign = plan.open_campaign(harness)
-    except PlanError as exc:
+    except ValueError as exc:
         print(exc, file=sys.stderr)
         return None
-    _announce_campaign(args, campaign)
+    if campaign.recovered_lines:
+        print(f"recovered campaign file: {campaign.recovered_lines} "
+              f"damaged line(s) dropped and compacted")
+    if args.resume:
+        print(f"resuming: {campaign.completed_cells} cells already "
+              f"complete in {args.out}")
     return campaign
 
 
 def _run_plan(args: argparse.Namespace, designs,
-              source: str = "campaign") -> int:
-    """Shared plan/execute/report path of ``campaign`` and ``sweep``.
+              source: str = "campaign", drive=None) -> int:
+    """The one plan/execute/report path of every plan command.
 
     ``designs`` mixes registered names and
     :class:`~repro.designs.DesignSpec` sweep points.  The backend —
-    serial, pool, or fabric fleet — comes from the shared flags; the
-    post-run summary is identical on all of them (same campaign line,
-    db ingest, timing/engine counters, matrix render, and quarantine
-    trailer).  Exit codes: 0 complete, 2 usage (a spec whose controller
-    cannot be built, bad --resume, a --metric no record carries, fabric
-    config errors), 3 fabric unreachable, 4 quarantined cells, 130
-    interrupted.
+    serial, pool, fleet client or hosted fleet — comes from the shared
+    flags.  ``drive(backend, plan, campaign)``, when given, replaces the
+    backend's whole-plan ``execute`` (the explorer's adaptive search)
+    and returns the same :class:`~repro.exec.ExecutionOutcome`.  The
+    closing lines are the same on every path
+    (:func:`_report_campaign`).  Exit codes: 0 complete, 2 usage (a
+    spec whose controller cannot be built, a campaign file that cannot
+    open, a --metric no record carries, a backend that cannot run the
+    request, fabric config errors), 3 fabric unreachable, 4 quarantined
+    cells, 130 interrupted.
     """
     from .analysis import CampaignInterrupted
+    from .exec import PlanError
     from .fabric import FabricUnreachable
     plan = _plan_from_args(args, designs, source)
     campaign = _open_campaign(args, plan)
@@ -426,7 +489,8 @@ def _run_plan(args: argparse.Namespace, designs,
         return 2
     backend = _backend(args)
     try:
-        outcome = backend.execute(plan, campaign)
+        outcome = (drive(backend, plan, campaign) if drive is not None
+                   else backend.execute(plan, campaign))
     except CampaignInterrupted as interrupted:
         print(f"interrupted: {interrupted.completed} cells persisted in "
               f"{interrupted.path}; rerun with --resume to continue",
@@ -435,6 +499,9 @@ def _run_plan(args: argparse.Namespace, designs,
     except FabricUnreachable as exc:
         print(exc, file=sys.stderr)
         return 3
+    except PlanError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except RuntimeError as exc:
         if backend.name == "fabric":
             # Worker-side configuration errors (version skew, a URL
@@ -444,85 +511,26 @@ def _run_plan(args: argparse.Namespace, designs,
         raise
     finally:
         backend.close()
-    return _report_campaign(args, plan, outcome.campaign,
-                            outcome.new_runs, outcome.notes)
+    return _report_campaign(args, plan, outcome)
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    """Fill (or resume) a persisted design x workload result matrix."""
-    return _run_plan(args, args.designs, source="campaign")
-
-
-def cmd_fabric(args: argparse.Namespace) -> int:
-    """Dispatch ``repro fabric serve`` / ``repro fabric work``."""
-    if args.action == "serve":
-        return _cmd_fabric_serve(args)
-    return _cmd_fabric_work(args)
-
-
-def _cmd_fabric_serve(args: argparse.Namespace) -> int:
-    """Lease a campaign's cells to fabric workers over HTTP."""
-    import json
-
-    from .fabric import FabricCoordinator
-    from .resilience import FLEET_POLICY, faults
-    designs = args.designs
-    if args.grid:
-        tokens = [token for group in args.grid for token in group]
-        try:
-            grid = parse_grid(tokens)
-            designs = registry.expand_grid(args.base, grid)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-    plan = _plan_from_args(args, designs, source="campaign")
-    campaign = _open_campaign(args, plan)
-    if campaign is None:
+    """Fill (or resume) a persisted design x workload result matrix;
+    ``repro fabric serve`` fills it through a hosted worker fleet."""
+    expanded = _expand_grid(args)
+    if expanded is None:
         return 2
-    harness = campaign.harness
-    policy = dataclasses.replace(
-        FLEET_POLICY, timeout_s=args.lease,
-        max_attempts=args.retries + 1,
-        quarantine_workers=args.quarantine_workers, seed=args.seed)
-    coordinator = FabricCoordinator(campaign, designs, args.workloads,
-                                    policy=policy,
-                                    result_backend=getattr(
-                                        harness.cache, "store", None),
-                                    trace_backend=getattr(
-                                        harness.trace_cache, "store", None))
-    try:
-        coordinator.serve(host=args.host, port=args.port,
-                          once=args.once, linger_s=args.linger)
-    except KeyboardInterrupt:
-        print("\ninterrupted: clean prefix persisted; restart with "
-              "--resume to continue", file=sys.stderr)
-    print(coordinator.summary(), flush=True)
-    injector = faults.active()
-    if injector is not None and any(injector.counters.values()):
-        print("fabric: faults " + json.dumps(injector.counters),
-              flush=True)
-    if campaign.store is not None:
-        campaign.store.ingest_jsonl(plan.out, source="campaign")
-        print(f"db: {campaign.store.run_count} runs in {args.db}")
-    if campaign.completed_cells:
-        print()
-        print(campaign.render(args.metric))
-    if campaign.quarantined:
-        print()
-        print(campaign.render_quarantine())
-        return 4
-    return 0
+    return _run_plan(args, expanded[1], source="campaign")
 
 
-def _cmd_fabric_work(args: argparse.Namespace) -> int:
+def cmd_fabric_work(args: argparse.Namespace) -> int:
     """Run cells leased by a fabric coordinator until it is done."""
     from .fabric import FabricUnreachable, run_worker
     try:
         completed = run_worker(
             args.url, worker_id=args.worker_id,
             max_cells=args.max_cells, local_caches=args.local_caches,
-            progress=(lambda line: print(line, flush=True))
-            if args.verbose else None)
+            progress=_say if args.verbose else None)
     except FabricUnreachable as exc:
         print(exc, file=sys.stderr)
         return 3
@@ -535,13 +543,10 @@ def _cmd_fabric_work(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Expand a parameter grid into specs and run them as a campaign."""
-    tokens = [token for group in args.grid for token in group]
-    try:
-        grid = parse_grid(tokens)
-        specs = registry.expand_grid(args.base, grid)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
+    expanded = _expand_grid(args)
+    if expanded is None:
         return 2
+    grid, specs = expanded
     axes = " x ".join(f"{key}[{len(values)}]"
                       for key, values in grid.items())
     print(f"sweep: {args.base} over {axes} = {len(specs)} specs x "
@@ -553,73 +558,44 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_explore(args: argparse.Namespace) -> int:
     """Budgeted Pareto-frontier search over a parameter grid.
 
-    Exit codes mirror ``campaign``: 0 complete, 2 usage errors (bad
-    grid/objectives/budget, bad --resume, a backend that cannot run
-    adaptive batches), 4 quarantined cells, 130 interrupted.
+    Runs through :func:`_run_plan` with the search in place of
+    ``execute``, so exit codes and closing lines are ``campaign``'s
+    (bad objectives are one more usage error, exit 2).
     """
     from pathlib import Path
 
-    from .analysis import CampaignInterrupted
-    from .exec import (FleetServeBackend, PlanError, explore_frontier,
+    from .exec import (ExecutionOutcome, PlanError, explore_frontier,
                        parse_objectives)
-    tokens = [token for group in args.grid for token in group]
+    expanded = _expand_grid(args)
+    if expanded is None:
+        return 2
+    grid, specs = expanded
     try:
-        grid = parse_grid(tokens)
-        specs = registry.expand_grid(args.base, grid)
         objectives = parse_objectives(args.objectives)
-    except (PlanError, ValueError) as exc:
+    except PlanError as exc:
         print(exc, file=sys.stderr)
         return 2
-    plan = _plan_from_args(args, specs, source="explore")
-    campaign = _open_campaign(args, plan)
-    if campaign is None:
-        return 2
-    if args.fabric_serve is not None:
-        from .resilience import FLEET_POLICY
-        backend = FleetServeBackend(
-            host=args.host, port=args.fabric_serve,
-            policy=dataclasses.replace(FLEET_POLICY, seed=args.seed),
-            progress=lambda line: print(line, flush=True))
-    else:
-        backend = _backend(args)
     axes = " x ".join(f"{key}[{len(values)}]"
                       for key, values in grid.items())
     budget = "unlimited" if args.budget is None else str(args.budget)
     print(f"explore: {args.base} over {axes} = {len(specs)} candidate "
           f"spec(s) x {len(args.workloads)} workloads; objectives "
           f"{','.join(o.key for o in objectives)}; budget {budget}")
-    try:
-        result = explore_frontier(
+
+    def search(backend, plan, campaign) -> ExecutionOutcome:
+        before = campaign.completed_cells
+        report = explore_frontier(
             campaign, backend, specs, args.workloads,
             objectives=objectives, budget=args.budget, grid=grid,
-            progress=(lambda line: print(line, flush=True))
-            if args.verbose else None)
-    except CampaignInterrupted as interrupted:
-        print(f"interrupted: {interrupted.completed} cells persisted in "
-              f"{interrupted.path}; rerun with --resume to continue",
-              file=sys.stderr)
-        return 130
-    except PlanError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    finally:
-        backend.close()
-    report = result.render()
-    print(report)
-    if args.report:
-        Path(args.report).write_text(report + "\n")
-        print(f"report -> {args.report}")
-    print(f"explore: {campaign.completed_cells} cells persisted -> "
-          f"{plan.out}")
-    if campaign.store is not None:
-        campaign.store.ingest_jsonl(plan.out, source="explore")
-        print(f"db: {campaign.store.run_count} runs in {plan.db}")
-    _print_timing(campaign)
-    if campaign.quarantined:
-        print()
-        print(campaign.render_quarantine())
-        return 4
-    return 0
+            progress=_say if args.verbose else None).render()
+        print(report)
+        if args.report:
+            Path(args.report).write_text(report + "\n")
+            print(f"report -> {args.report}")
+        return ExecutionOutcome(campaign,
+                                campaign.completed_cells - before)
+
+    return _run_plan(args, specs, source="explore", drive=search)
 
 
 def cmd_designs(args: argparse.Namespace) -> int:
@@ -829,8 +805,7 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
         designs=designs, seeds=args.seeds, requests=args.requests,
         warmup=args.warmup, epoch_requests=args.epoch,
         out_dir=args.out_dir,
-        progress=(lambda line: print(line, flush=True))
-        if args.verbose else None,
+        progress=_say if args.verbose else None,
         vector_epoch=args.vector_epoch)
     print(report.render())
     return 0 if report.passed else 1
@@ -844,8 +819,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             scenarios=args.scenarios, seed=args.seed, jobs=args.jobs,
             requests=args.requests, warmup=args.warmup,
             out_dir=args.out_dir,
-            progress=(lambda line: print(line, flush=True))
-            if args.verbose else None)
+            progress=_say if args.verbose else None)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
@@ -923,34 +897,27 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--designs", nargs="+",
                           default=list(FIGURE8_DESIGNS))
     _add_campaign_args(campaign, out_default="campaign.json")
+    _add_metric_arg(campaign)
     campaign.set_defaults(func=cmd_campaign)
 
     sweep = sub.add_parser(
         "sweep",
         help="expand a parameter grid into a resumable spec campaign")
-    sweep.add_argument("--base", default="Bumblebee",
-                       help="base design the grid parameterises "
-                            "(see 'repro designs list')")
-    sweep.add_argument("--grid", action="append", nargs="+",
-                       required=True, metavar="KEY=V1,V2,...",
-                       help="one sweep axis: a declared parameter and "
-                            "its values (repeatable; axes cross-"
-                            "multiply, last axis varying fastest)")
+    _add_grid_args(sweep, required=True,
+                   help="one sweep axis: a declared parameter and its "
+                        "values (repeatable; axes cross-multiply, last "
+                        "axis varying fastest)")
     _add_campaign_args(sweep, out_default="sweep.jsonl")
+    _add_metric_arg(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
     explore = sub.add_parser(
         "explore",
         help="budgeted Pareto-frontier search over a parameter grid")
-    explore.add_argument("--base", default="Bumblebee",
-                         help="base design the grid parameterises "
-                              "(see 'repro designs list')")
-    explore.add_argument("--grid", action="append", nargs="+",
-                         required=True, metavar="KEY=V1,V2,...",
-                         help="one search axis: a declared parameter "
-                              "and its ordered values (repeatable; "
-                              "neighbour refinement steps along each "
-                              "axis)")
+    _add_grid_args(explore, required=True,
+                   help="one search axis: a declared parameter and its "
+                        "ordered values (repeatable; neighbour "
+                        "refinement steps along each axis)")
     explore.add_argument("--objectives",
                          default="ipc,hbm_traffic,energy",
                          help="ordered comma-separated objectives; the "
@@ -1114,18 +1081,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve = fabric_sub.add_parser(
         "serve", help="coordinate: lease campaign cells over HTTP and "
                       "merge results into one campaign file")
-    serve.add_argument("--out", default="fabric.jsonl")
     serve.add_argument("--designs", nargs="+",
                        default=list(FIGURE8_DESIGNS))
-    serve.add_argument("--base", default="Bumblebee",
-                       help="base design for --grid sweep points")
-    serve.add_argument("--grid", action="append", nargs="+",
-                       default=None, metavar="KEY=V1,V2,...",
-                       help="sweep axis (repeatable); when given, the "
-                            "expanded grid replaces --designs")
-    serve.add_argument("--workloads", nargs="+",
-                       default=["mcf", "wrf", "xz", "roms"])
-    serve.add_argument("--metric", default="norm_ipc")
+    _add_grid_args(serve, required=False,
+                   help="sweep axis (repeatable); when given, the "
+                        "expanded grid replaces --designs")
+    _add_plan_args(serve, out_default="fabric.jsonl")
+    _add_cache_args(serve)
+    _add_metric_arg(serve)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0,
                        help="listen port (0 = ephemeral, announced on "
@@ -1146,26 +1109,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--linger", type=float, default=2.0, metavar="S",
                        help="with --once, how long to keep serving "
                             "after the last cell resolves")
-    serve.add_argument("--resume", action="store_true",
-                       help="require an existing campaign file and "
-                            "serve only the missing cells")
-    serve.add_argument("--db", metavar="PATH", default=None,
-                       help="also record every cell into this run "
-                            "database (idempotent; see 'repro db')")
-    serve.add_argument("--no-timing", action="store_true",
-                       dest="no_timing",
-                       help="omit per-cell timing from records, making "
-                            "the campaign file byte-deterministic")
-    serve.add_argument("--cache", metavar="DIR", nargs="?", const="",
-                       default=None,
-                       help="serve a shared result cache to the fleet "
-                            "from this directory")
-    serve.add_argument("--trace-cache", metavar="DIR", nargs="?",
-                       const="", default=None, dest="trace_cache",
-                       help="serve a shared packed-trace cache to the "
-                            "fleet from this directory")
-    _add_window_args(serve)
-    serve.set_defaults(func=cmd_fabric)
+    serve.set_defaults(func=cmd_campaign)
 
     work = fabric_sub.add_parser(
         "work", help="run cells leased by a fabric coordinator")
@@ -1183,7 +1127,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "coordinator's shared HTTP caches")
     work.add_argument("--verbose", action="store_true",
                       help="print one line per leased cell")
-    work.set_defaults(func=cmd_fabric)
+    work.set_defaults(func=cmd_fabric_work)
 
     mix = sub.add_parser("mix", help="run a multi-programmed mix")
     mix.add_argument("--preset", default="mix-fig1",

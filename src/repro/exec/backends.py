@@ -23,8 +23,9 @@ Backends:
                            mirror the coordinator's file
                            (``--fabric URL``)
 :class:`FleetServeBackend` host a coordinator and lease cells to
-                           external workers, batch by batch — the
-                           explorer's adaptive fleet mode
+                           external workers: a whole plan
+                           (``fabric serve``) or the explorer's
+                           adaptive batches
                            (``explore --fabric-serve PORT``)
 ==================  ===================================================
 
@@ -50,6 +51,7 @@ and :meth:`~repro.analysis.experiments.ExperimentHarness.adopt_timing`.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import time
@@ -355,7 +357,8 @@ class FabricBackend(ExecutionBackend):
     one more fleet worker, then pull the coordinator's campaign bytes
     over ``GET /file`` and reload them as the outcome campaign — so the
     post-run summary (timing, engines, quarantine render) is computed
-    from exactly the records a local run would have produced.
+    from exactly the records a local run would have produced, and the
+    reload lands the mirrored records in the plan's run store.
 
     ``run_cells`` (adaptive batches) is refused: a client worker cannot
     inject cells into a remote coordinator's fixed lease table.  Host
@@ -412,12 +415,21 @@ class FabricBackend(ExecutionBackend):
 class FleetServeBackend(ExecutionBackend):
     """Host a coordinator and lease cells to external workers.
 
-    The adaptive fleet mode: a held coordinator starts with an empty
-    lease table, each ``run_cells`` batch is appended to it
-    (:meth:`~repro.fabric.coordinator.FabricCoordinator.extend`), and
-    workers attached with ``repro fabric work URL`` drain batches as
-    they appear.  ``close`` releases the hold so the fleet winds down
-    with the normal ``--once`` done/linger handshake.
+    Two modes share one coordinator build (:meth:`serve`):
+
+    * Whole plan (``repro fabric serve``): :meth:`execute` leases the
+      plan's missing cells and serves until they resolve and
+      ``linger_s`` passes, or until Ctrl-C when ``linger_s`` is None.
+      Ctrl-C is a normal end there: the clean prefix is already on
+      disk.  The coordinator's ``fabric: cells=...`` summary and any
+      injected fault counters come back as the outcome's notes.
+    * Adaptive (``explore --fabric-serve PORT``): a held coordinator
+      starts with an empty lease table, each ``run_cells`` batch is
+      appended to it
+      (:meth:`~repro.fabric.coordinator.FabricCoordinator.extend`), and
+      workers attached with ``repro fabric work URL`` drain batches as
+      they appear.  ``close`` releases the hold so the fleet winds down
+      with the normal done/linger handshake.
 
     Args:
         host / port: Listen address (port 0 = ephemeral).
@@ -425,55 +437,91 @@ class FleetServeBackend(ExecutionBackend):
             :class:`~repro.resilience.supervisor.Supervision` (default
             :data:`~repro.resilience.supervisor.FLEET_POLICY`, the
             ``repro fabric serve`` defaults).
-        linger_s: How long to keep answering stragglers after release.
+        linger_s: How long to keep answering stragglers once every cell
+            has resolved; None serves a whole plan until interrupted.
         progress: Line sink for the serving announcement.
+
+    Attributes:
+        coordinator: The hosted
+            :class:`~repro.fabric.coordinator.FabricCoordinator` while
+            serving, else None.
     """
 
     name = "fleet"
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  policy: "Supervision | None" = None,
-                 linger_s: float = 2.0,
+                 linger_s: "float | None" = 2.0,
                  progress: "Callable[[str], None] | None" = None) -> None:
         self.host = host
         self.port = port
         self.policy = policy
         self.linger_s = linger_s
         self.progress = progress
-        self._coordinator = None
+        self.coordinator = None
         self._thread = None
 
-    def serve(self, campaign) -> str:
-        """Start (or return) the coordinator; returns its URL."""
+    def serve(self, campaign, plan=None) -> str:
+        """Start (or return) the coordinator; returns its URL.
+
+        With a ``plan`` the coordinator leases the plan's missing
+        cells; without one it starts held with an empty lease table.
+        """
         if self._thread is not None:
-            return self._coordinator.url
+            return self.coordinator.url
         from ..fabric import FabricCoordinator
         from ..fabric.coordinator import CoordinatorThread
         harness = campaign.harness
-        self._coordinator = FabricCoordinator(
-            campaign, (), (), policy=self.policy,
+        self.coordinator = FabricCoordinator(
+            campaign, plan.designs if plan else (),
+            plan.workloads if plan else (), policy=self.policy,
             result_backend=getattr(harness.cache, "store", None),
             trace_backend=getattr(harness.trace_cache, "store", None),
-            hold=True)
+            hold=plan is None)
         self._thread = CoordinatorThread(
-            self._coordinator, host=self.host, port=self.port,
-            once=True, linger_s=self.linger_s)
+            self.coordinator, host=self.host, port=self.port,
+            once=self.linger_s is not None,
+            linger_s=self.linger_s or 0.0)
         url = self._thread.start()
         if self.progress is not None:
-            self.progress(f"fabric: serving adaptive cells at {url} "
-                          f"(attach workers with 'repro fabric work "
-                          f"{url}')")
+            self.progress(
+                f"fabric: serving {len(self.coordinator.pending_cells)} "
+                f"cell(s) at {url}" if plan is not None else
+                f"fabric: serving adaptive cells at {url} (attach "
+                f"workers with 'repro fabric work {url}')")
         return url
+
+    def execute(self, plan, campaign) -> ExecutionOutcome:
+        if self._thread is not None:
+            # Already hosting adaptive batches: the plan is one more.
+            return super().execute(plan, campaign)
+        from ..resilience import faults
+        before = campaign.completed_cells
+        self.serve(campaign, plan)
+        notes = []
+        try:
+            self._thread.wait(timeout_s=None)
+        except KeyboardInterrupt:
+            notes.append("fabric: interrupted; clean prefix persisted, "
+                         "restart with --resume to continue")
+        self._thread.stop()
+        notes.append(self.coordinator.summary())
+        injector = faults.active()
+        if injector is not None and any(injector.counters.values()):
+            notes.append("fabric: faults " + json.dumps(injector.counters))
+        return ExecutionOutcome(
+            campaign=campaign,
+            new_runs=campaign.completed_cells - before, notes=tuple(notes))
 
     def run_cells(self, campaign, cells: Sequence[tuple]) -> int:
         from ..analysis.campaign import CampaignInterrupted
         self.serve(campaign)
         unique = list(dict.fromkeys(tuple(cell) for cell in cells))
         before = campaign.completed_cells
-        self._coordinator.extend(unique)
+        self.coordinator.extend(unique)
         try:
             while any(not campaign.has(design, workload)
-                      and self._coordinator.cell_status(design, workload)
+                      and self.coordinator.cell_status(design, workload)
                       != "quarantined"
                       for design, workload in unique):
                 time.sleep(0.05)
@@ -486,8 +534,9 @@ class FleetServeBackend(ExecutionBackend):
     def close(self) -> None:
         if self._thread is None:
             return
-        self._coordinator.release()
-        if not self._thread.wait(timeout_s=self.linger_s + 30.0):
+        self.coordinator.release()
+        if (self.linger_s is None
+                or not self._thread.wait(timeout_s=self.linger_s + 30.0)):
             self._thread.stop()
         self._thread = None
-        self._coordinator = None
+        self.coordinator = None

@@ -581,7 +581,7 @@ class FabricCoordinator:
     # ---- serving --------------------------------------------------------
 
     async def serve_async(self, host: str = "127.0.0.1", port: int = 0,
-                          once: bool = False, announce: bool = True,
+                          once: bool = False,
                           linger_s: float = 2.0) -> None:
         """Serve until stopped (or, with ``once``, until finished).
 
@@ -596,9 +596,6 @@ class FabricCoordinator:
                                             port)
         self.port = server.sockets[0].getsockname()[1]
         self.url = f"http://{host}:{self.port}"
-        if announce:
-            print(f"fabric: serving {len(self.pending_cells)} cell(s) "
-                  f"at {self.url}", flush=True)
         self.ready.set()
         sweep_s = max(min(self.policy.timeout_s / 4, 0.5), 0.05)
         finished_at: float | None = None
@@ -627,12 +624,10 @@ class FabricCoordinator:
             self.campaign.flush_pending()
 
     def serve(self, host: str = "127.0.0.1", port: int = 0,
-              once: bool = False, announce: bool = True,
-              linger_s: float = 2.0) -> None:
+              once: bool = False, linger_s: float = 2.0) -> None:
         """Blocking wrapper: install env chaos faults, run the loop."""
         faults.install_from_env()
         asyncio.run(self.serve_async(host=host, port=port, once=once,
-                                     announce=announce,
                                      linger_s=linger_s))
 
     def request_stop(self) -> None:
@@ -651,12 +646,13 @@ class FabricCoordinator:
 
 
 class CoordinatorThread:
-    """A coordinator served on a daemon thread (in-process tests).
+    """A coordinator served on a daemon thread (the hosted-fleet backend,
+    in-process tests).
 
     Args:
         coordinator: The coordinator to serve.
         host / port / once / linger_s: Passed to
-            :meth:`FabricCoordinator.serve_async`.
+            :meth:`FabricCoordinator.serve`.
     """
 
     def __init__(self, coordinator: FabricCoordinator,
@@ -664,17 +660,23 @@ class CoordinatorThread:
                  once: bool = False, linger_s: float = 2.0) -> None:
         self.coordinator = coordinator
         self._thread = threading.Thread(
-            target=lambda: asyncio.run(coordinator.serve_async(
-                host=host, port=port, once=once, announce=False,
-                linger_s=linger_s)),
+            target=lambda: coordinator.serve(
+                host=host, port=port, once=once, linger_s=linger_s),
             daemon=True)
 
     def start(self) -> str:
-        """Start serving; returns the coordinator URL once bound."""
+        """Start serving; returns the coordinator URL once bound.
+
+        Raises at once when the serve loop dies before binding (a busy
+        port), else after 10 s without a bound socket.
+        """
         self._thread.start()
-        if not self.coordinator.ready.wait(timeout=10.0):
-            raise RuntimeError("fabric coordinator failed to start")
-        return self.coordinator.url
+        for _ in range(200):
+            if self.coordinator.ready.wait(timeout=0.05):
+                return self.coordinator.url
+            if not self._thread.is_alive():
+                break
+        raise RuntimeError("fabric coordinator failed to start")
 
     def wait(self, timeout_s: float = 60.0) -> bool:
         """Wait for the serve loop to end on its own (``once`` mode);

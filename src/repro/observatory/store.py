@@ -116,11 +116,12 @@ def _version_key(version: str | None) -> tuple:
 
 
 def load_jsonl_records(path: Path) -> list[dict]:
-    """Records from a campaign/sweep/chaos file (JSONL or legacy array).
+    """Records from a campaign/sweep/chaos JSONL file.
 
     Torn, corrupt and non-object lines are skipped exactly as campaign
     loading skips them (:func:`~repro.resilience.checkpoint.read_jsonl`);
-    the file on disk is never modified.
+    the file on disk is never modified.  A whole-file JSON array is a
+    ``ValueError`` naming the file.
     """
     from ..resilience.checkpoint import read_jsonl
     return read_jsonl(path)[0]

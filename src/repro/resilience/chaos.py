@@ -43,8 +43,7 @@ from typing import Callable, Iterator, Sequence
 from ..analysis.campaign import Campaign
 from ..analysis.experiments import ExperimentConfig, ExperimentHarness
 from ..analysis.resultcache import ResultCache
-from ..fabric import (CoordinatorThread, FabricClient, FabricCoordinator,
-                      run_worker)
+from ..fabric import FabricClient, run_worker
 from ..fabric.coordinator import unwire_cell
 from ..observatory import RunStore
 from . import faults
@@ -651,11 +650,14 @@ def _fleet_duplicate_completion(sweep: _Sweep, path: Path) -> str:
     lease expires mid-compute, a second worker completes the cell
     first, and the straggler's identical completion must be absorbed
     idempotently (0 new rows on RunStore ingest)."""
-    coordinator = FabricCoordinator(
-        sweep.campaign(path), CHAOS_DESIGNS, CHAOS_WORKLOADS,
-        policy=replace(FLEET_POLICY, timeout_s=1.0, seed=sweep.seed))
-    thread = CoordinatorThread(coordinator)
-    url = thread.start()
+    from ..exec import CellPlan, FleetServeBackend
+    campaign = sweep.campaign(path)
+    fleet = FleetServeBackend(
+        policy=replace(FLEET_POLICY, timeout_s=1.0, seed=sweep.seed),
+        linger_s=None)
+    url = fleet.serve(campaign, CellPlan(
+        campaign.harness.config, CHAOS_DESIGNS, CHAOS_WORKLOADS))
+    coordinator = fleet.coordinator
     try:
         with FabricClient(url, "wA") as slow:
             lease = slow.call("POST", "/lease", {"worker": "wA"})
@@ -673,7 +675,7 @@ def _fleet_duplicate_completion(sweep: _Sweep, path: Path) -> str:
         run_worker(url, "wC", harness=sweep.harness(),
                    local_caches=True)
     finally:
-        thread.stop()
+        fleet.close()
     duplicates = coordinator.state.duplicates
     _check(first["status"] == "ok" and second["status"] == "duplicate",
            f"expected ok then duplicate, got {first['status']} then "

@@ -218,13 +218,25 @@ def read_valid(store, key: str, decode: Callable[[bytes], Any]) -> Any:
     return None
 
 
-def _parse_jsonl(raw: bytes) -> tuple[list[dict], list[bytes], int]:
+def _parse_jsonl(raw: bytes,
+                 path: Path) -> tuple[list[dict], list[bytes], int]:
     """``(records, their lines, damaged lines)`` of JSONL bytes.
 
-    Every syntactically valid object line is kept; torn, corrupt or
-    non-object lines (interrupted appends, bit-rot) are counted and
-    skipped, so one bad line never hides the records after it.
+    Every syntactically valid object line is kept; torn, corrupt,
+    non-object or too deeply nested lines (interrupted appends, bit-rot)
+    are counted and skipped, so one bad line never hides the records
+    after it.
+
+    Raises:
+        ValueError: naming ``path`` when its first non-blank byte is
+            ``[``: a whole-file JSON array (the retired campaign
+            format), which line recovery would otherwise compact to
+            nothing.
     """
+    if raw.lstrip().startswith(b"["):
+        raise ValueError(
+            f"{path}: a whole-file JSON array, not JSON Lines; the "
+            f"JSON-array campaign format is no longer read")
     records: list[dict] = []
     good_lines: list[bytes] = []
     dropped = 0
@@ -233,7 +245,7 @@ def _parse_jsonl(raw: bytes) -> tuple[list[dict], list[bytes], int]:
             continue
         try:
             record = json.loads(segment)
-        except ValueError:
+        except (ValueError, RecursionError):
             dropped += 1
             continue
         if not isinstance(record, dict):
@@ -249,20 +261,17 @@ def read_jsonl(path: str | Path) -> tuple[list[dict], int]:
 
     The read-only twin of :func:`recover_jsonl` (same line parse, no
     repair) for readers that do not own the file, such as ``repro db
-    ingest``.  Content starting with ``[`` is a legacy whole-file JSON
-    array (``ValueError`` when malformed); its non-object entries count
-    as damaged.
+    ingest``.
 
     Returns:
         ``(records, dropped)``: the valid records in file order and the
-        number of damaged lines (or array entries) skipped.
+        number of damaged lines skipped.
+
+    Raises:
+        ValueError: the file is a whole-file JSON array.
     """
-    raw = Path(path).read_bytes()
-    if raw.lstrip().startswith(b"["):
-        items = json.loads(raw)
-        records = [item for item in items if isinstance(item, dict)]
-        return records, len(items) - len(records)
-    records, _, dropped = _parse_jsonl(raw)
+    path = Path(path)
+    records, _, dropped = _parse_jsonl(path.read_bytes(), path)
     return records, dropped
 
 
@@ -283,11 +292,15 @@ def recover_jsonl(path: str | Path) -> tuple[list[dict], int]:
     Returns:
         ``(records, dropped)``: the surviving records in file order and
         the number of damaged lines discarded.
+
+    Raises:
+        ValueError: the file is a whole-file JSON array; it is left
+            untouched.
     """
     path = Path(path)
     with FileLock(path):
         raw = path.read_bytes()
-        records, good_lines, dropped = _parse_jsonl(raw)
+        records, good_lines, dropped = _parse_jsonl(raw, path)
         if dropped or (raw and not raw.endswith(b"\n")):
             atomic_write_bytes(path, b"".join(line + b"\n"
                                               for line in good_lines))
@@ -440,11 +453,3 @@ class CheckpointWriter:
             if self._land(self._admit(0)):
                 return True
         return not self.pending
-
-    def rewrite(self, records: list[dict]) -> None:
-        """Atomically replace the whole file (legacy-format migration)."""
-        with FileLock(self.path):
-            atomic_write_bytes(
-                self.path,
-                "".join(json.dumps(r) + "\n"
-                        for r in records).encode("utf-8"))

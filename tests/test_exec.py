@@ -18,6 +18,8 @@ import sys
 import pytest
 
 from repro import ExperimentConfig, ExperimentHarness
+from repro.analysis import Campaign
+from repro.cli import main
 from repro.designs import DesignSpec
 from repro.exec import (
     CellPlan,
@@ -29,6 +31,7 @@ from repro.exec import (
     comparison_of,
     enumerate_cells,
 )
+from repro.observatory import RunStore
 
 FAST = ExperimentConfig(requests=800, warmup=200,
                         workloads=("leela", "mcf"))
@@ -184,6 +187,13 @@ class TestFabricBackend:
 
 
 class TestStoreMirroring:
+    """A campaign opened over a store mirrors the records it loads and
+    the records it persists, each set in one transaction; no command
+    re-reads the file into the store afterwards."""
+
+    CELLS = ("--designs", *DESIGNS, "--workloads", "leela",
+             "--requests", "800", "--warmup", "200", "--no-timing")
+
     def test_plan_db_records_with_source(self, tmp_path):
         plan = plan_for(tmp_path, "c.jsonl", designs=("Bumblebee",),
                         workloads=("leela",),
@@ -191,3 +201,72 @@ class TestStoreMirroring:
         campaign = plan.open_campaign()
         SerialBackend().execute(plan, campaign)
         assert campaign.store.counts_by_source() == {"explore": 1}
+
+    @staticmethod
+    def _assert_stored(db, out, cells):
+        store = RunStore(db)
+        try:
+            assert store.run_count == cells
+            assert store.ingest_jsonl(out) == (0, cells)
+        finally:
+            store.close()
+
+    def test_resume_lands_records_filled_without_db(self, tmp_path,
+                                                    capsys):
+        out, db = tmp_path / "c.jsonl", tmp_path / "runs.db"
+        assert main(["campaign", "--out", str(out), *self.CELLS]) == 0
+        assert main(["campaign", "--out", str(out), "--resume",
+                     "--db", str(db), *self.CELLS]) == 0
+        assert "campaign: 2 cells complete (0 new)" in \
+            capsys.readouterr().out
+        self._assert_stored(db, out, 2)
+
+    def test_fabric_mirror_lands_records(self, tmp_path, capsys):
+        from repro.fabric import FabricCoordinator
+        from repro.fabric.coordinator import CoordinatorThread
+        served = Campaign(ExperimentHarness(FAST), tmp_path / "fleet.jsonl",
+                          record_timing=False)
+        thread = CoordinatorThread(
+            FabricCoordinator(served, DESIGNS, ["leela"]),
+            once=True, linger_s=2.0)
+        url = thread.start()
+        mirror, db = tmp_path / "mirror.jsonl", tmp_path / "runs.db"
+        try:
+            assert main(["campaign", "--fabric", url, "--out",
+                         str(mirror), "--db", str(db), *self.CELLS]) == 0
+        finally:
+            thread.wait(timeout_s=30.0)
+            thread.stop()
+        self._assert_stored(db, mirror, 2)
+
+    def test_complete_file_is_mirrored_once_per_run(self, tmp_path,
+                                                    monkeypatch):
+        out, db = tmp_path / "c.jsonl", tmp_path / "runs.db"
+        argv = ["campaign", "--out", str(out), "--db", str(db),
+                *self.CELLS]
+        assert main(argv) == 0
+        statements = []
+        open_store = CellPlan.open_store
+
+        def traced(plan):
+            store = open_store(plan)
+            store._conn.set_trace_callback(statements.append)
+            return store
+
+        monkeypatch.setattr(CellPlan, "open_store", traced)
+        assert main(argv) == 0
+        inserts = [statement for statement in statements
+                   if statement.startswith("INSERT OR IGNORE INTO runs")]
+        assert len(inserts) == 2
+        assert statements.count("COMMIT") == 1
+
+    def test_opening_a_fresh_file_issues_no_statement(self, tmp_path):
+        store = RunStore(tmp_path / "runs.db")
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        try:
+            Campaign(ExperimentHarness(FAST), tmp_path / "fresh.jsonl",
+                     store=store)
+        finally:
+            store.close()
+        assert statements == []

@@ -333,6 +333,22 @@ class TestNetworkFaults:
 
 
 class TestFleetEndToEnd:
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_busy_port_fails_to_start_at_once(self, tmp_path):
+        campaign = Campaign(_harness(), tmp_path / "c.jsonl")
+        coordinator = FabricCoordinator(campaign, ["Bumblebee"], ["leela"])
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            thread = CoordinatorThread(coordinator,
+                                       port=busy.getsockname()[1])
+            started = time.monotonic()
+            with pytest.raises(RuntimeError, match="failed to start"):
+                thread.start()
+        assert time.monotonic() - started < 5.0
+        assert thread.wait(timeout_s=5.0)
+
     def test_two_workers_match_serial_reference(self, tmp_path):
         designs, workloads = ("Bumblebee", "Banshee"), ("leela",)
         reference = Campaign(_harness(), tmp_path / "ref.jsonl",

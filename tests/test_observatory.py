@@ -483,11 +483,21 @@ class TestCli:
         assert code == 0
         assert "<svg" in out_file.read_text()
 
-    def test_campaign_unknown_metric_exits_2(self, capsys, tmp_path):
-        code, _, err = self.run(
-            capsys, "campaign", "--designs", "No-HBM", "--workloads",
-            "leela", "--requests", "900", "--warmup", "200",
-            "--out", str(tmp_path / "c.jsonl"), "--metric", "bogus")
+    @pytest.mark.parametrize("command", [
+        ("campaign",),
+        # Over a complete file: the coordinator has no cell to lease,
+        # and --once ends it after the linger.
+        ("fabric", "serve", "--once", "--linger", "0")],
+        ids=["campaign", "fabric-serve"])
+    def test_campaign_unknown_metric_exits_2(self, capsys, tmp_path,
+                                             command):
+        cell = ("--designs", "No-HBM", "--workloads", "leela",
+                "--requests", "900", "--warmup", "200",
+                "--out", str(tmp_path / "c.jsonl"))
+        if command[0] == "fabric":
+            assert self.run(capsys, "campaign", *cell)[0] == 0
+        code, _, err = self.run(capsys, *command, *cell,
+                                "--metric", "bogus")
         assert code == 2
         assert "norm_ipc" in err
 

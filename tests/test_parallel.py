@@ -16,6 +16,7 @@ from repro import ExperimentConfig, ExperimentHarness, __version__
 from repro.analysis import Campaign, ResultCache
 from repro.analysis.campaign import run_campaign
 from repro.baselines import make_controller
+from repro.cli import main
 from repro.analysis.experiments import fitted_devices
 from repro.analysis.metrics import compare, geomean_speedup
 from repro.core.config import BumblebeeConfig
@@ -261,28 +262,27 @@ class TestCampaignJsonl:
         assert all(json.loads(line)["design"] == "Banshee"
                    for line in lines)
 
-    def test_reads_legacy_json_array(self, tmp_path):
-        harness = ExperimentHarness(FAST)
+    def test_json_array_file_is_refused_untouched(self, tmp_path,
+                                                   capsys):
+        """The retired whole-file JSON-array format is refused by name,
+        never recovered: line recovery would compact it to nothing."""
         path = tmp_path / "c.json"
-        run_campaign(harness, path, ["Banshee"], ["leela"])
+        run_campaign(ExperimentHarness(FAST), path, ["Banshee"],
+                     ["leela"])
         records = [json.loads(l) for l in path.read_text().splitlines()]
-        path.write_text(json.dumps(records, indent=1))   # legacy format
-        resumed = Campaign(ExperimentHarness(FAST), path)
-        assert resumed.completed_cells == 1
-        assert resumed.run(["Banshee"], ["leela"]) == 0
-
-    def test_legacy_file_migrates_on_append(self, tmp_path):
-        harness = ExperimentHarness(FAST)
-        path = tmp_path / "c.json"
-        run_campaign(harness, path, ["Banshee"], ["leela"])
-        records = [json.loads(l) for l in path.read_text().splitlines()]
-        path.write_text(json.dumps(records, indent=1))
-        resumed = Campaign(ExperimentHarness(FAST), path)
-        resumed.run(["Banshee"], ["mcf"])    # triggers migration + append
-        lines = [l for l in path.read_text().splitlines() if l.strip()]
-        assert len(lines) == 2
-        assert {json.loads(l)["workload"] for l in lines} == \
-            {"leela", "mcf"}
+        path.write_text("\n " + json.dumps(records, indent=1))
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=str(path)):
+            Campaign(ExperimentHarness(FAST), path)
+        assert path.read_bytes() == before
+        for argv in (["campaign", "--out", str(path), "--designs",
+                      "Banshee", "--workloads", "leela", "--requests",
+                      "800", "--warmup", "200"],
+                     ["db", "ingest", str(path), "--db",
+                      str(tmp_path / "runs.db")]):
+            assert main(argv) == 2
+            assert "JSON array" in capsys.readouterr().err
+            assert path.read_bytes() == before
 
     def test_truncated_tail_line_skipped(self, tmp_path):
         path = tmp_path / "c.jsonl"

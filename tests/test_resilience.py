@@ -13,10 +13,13 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.campaign import Campaign
 from repro.analysis.experiments import ExperimentConfig, ExperimentHarness
@@ -28,6 +31,7 @@ from repro.resilience import (
     recover_jsonl,
     run_supervised,
 )
+from repro.resilience.checkpoint import read_jsonl
 from repro.resilience import faults
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -79,6 +83,93 @@ class TestRecoverJsonl:
         path.write_text('{"i": 0}\n[1, 2]\n')
         records, dropped = recover_jsonl(path)
         assert records == [{"i": 0}] and dropped == 1
+
+
+_RECORDS = st.dictionaries(
+    st.text(max_size=6),
+    st.one_of(st.integers(), st.floats(allow_nan=False,
+                                       allow_infinity=False),
+              st.text(max_size=8), st.booleans(), st.none()),
+    max_size=4)
+_NON_OBJECTS = st.one_of(st.integers(), st.text(max_size=8), st.none(),
+                         st.lists(st.integers(), max_size=3))
+
+#: One line of a damaged campaign file: ``(intact?, bytes)``.  Damage is
+#: a torn record (its closing brace lost), a garbage line, a non-object
+#: JSON line, or nesting too deep for the JSON parser.
+_LINES = st.one_of(
+    _RECORDS.map(lambda record: (True, json.dumps(record).encode())),
+    _RECORDS.map(lambda record: (False, json.dumps(record).encode()[:-1])),
+    st.binary(max_size=12).filter(lambda junk: b"\n" not in junk).map(
+        lambda junk: (False, b"#" + junk)),
+    _NON_OBJECTS.map(lambda value: (False, json.dumps(value).encode())),
+    st.sampled_from((2, 200, 20_000)).map(
+        lambda depth: (False, b'{"a": ' + b"[" * depth)))
+
+
+def _in_scratch_file(raw: bytes, check) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.jsonl"
+        path.write_bytes(raw)
+        check(path)
+
+
+class TestJsonlFuzz:
+    """Random damage: ``read_jsonl``/``recover_jsonl`` return exactly
+    the intact lines, recovery is idempotent, and nothing raises except
+    the refusal of a whole-file JSON array."""
+
+    @staticmethod
+    def _refused(path, raw) -> None:
+        for reader in (read_jsonl, recover_jsonl):
+            with pytest.raises(ValueError, match="JSON array"):
+                reader(path)
+        assert path.read_bytes() == raw
+
+    @staticmethod
+    def _recovered_twice(path) -> list:
+        records, _ = recover_jsonl(path)
+        healed = path.read_bytes()
+        assert recover_jsonl(path) == (records, 0)
+        assert path.read_bytes() == healed
+        return records
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(_LINES, max_size=8), data=st.data())
+    def test_damage_keeps_exactly_the_intact_lines(self, lines, data):
+        raw = b"".join(line + b"\n" for _, line in lines)
+        if raw and data.draw(st.booleans(), label="no final newline"):
+            raw = raw[:-1]
+        raw = raw[:data.draw(st.integers(0, len(raw)), label="cut")]
+        intact, start = [], 0
+        for whole, line in lines:
+            if whole and start + len(line) <= len(raw):
+                intact.append(line)
+            start += len(line) + 1
+        expected = [json.loads(line) for line in intact]
+
+        def check(path):
+            if raw.lstrip().startswith(b"["):
+                self._refused(path, raw)
+                return
+            assert read_jsonl(path)[0] == expected
+            assert path.read_bytes() == raw
+            assert self._recovered_twice(path) == expected
+            assert path.read_bytes() == b"".join(line + b"\n"
+                                                 for line in intact)
+
+        _in_scratch_file(raw, check)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=st.binary(max_size=200))
+    def test_arbitrary_bytes_raise_only_the_array_refusal(self, raw):
+        def check(path):
+            if raw.lstrip().startswith(b"["):
+                self._refused(path, raw)
+            else:
+                self._recovered_twice(path)
+
+        _in_scratch_file(raw, check)
 
 
 class TestCheckpointWriter:
