@@ -449,6 +449,10 @@ def _open_campaign(args: argparse.Namespace, plan):
     if error is not None:
         print(error, file=sys.stderr)
         return None
+    if getattr(args, "fabric", None):
+        # The fleet's file replaces this one, so only the mirror that
+        # FabricBackend reloads meets the run store.
+        plan = dataclasses.replace(plan, db=None)
     try:
         campaign = plan.open_campaign(harness)
     except ValueError as exc:

@@ -396,7 +396,7 @@ class FabricBackend(ExecutionBackend):
         plan.out.write_bytes(data)
         mirrored = Campaign(campaign.harness, plan.out,
                             record_timing=plan.record_timing,
-                            store=campaign.store,
+                            store=plan.open_store(),
                             store_source=plan.source)
         for cell in state.get("quarantined") or []:
             mirrored.quarantined.append(QuarantinedCell(
@@ -415,21 +415,22 @@ class FabricBackend(ExecutionBackend):
 class FleetServeBackend(ExecutionBackend):
     """Host a coordinator and lease cells to external workers.
 
-    Two modes share one coordinator build (:meth:`serve`):
+    The coordinator starts held with an empty lease table
+    (:meth:`serve`).  Cells are appended to it
+    (:meth:`~repro.fabric.coordinator.FabricCoordinator.extend`) and
+    workers attached with ``repro fabric work URL`` drain them as they
+    appear; releasing the hold lets the fleet wind down with the normal
+    done/linger handshake.
 
-    * Whole plan (``repro fabric serve``): :meth:`execute` leases the
-      plan's missing cells and serves until they resolve and
-      ``linger_s`` passes, or until Ctrl-C when ``linger_s`` is None.
-      Ctrl-C is a normal end there: the clean prefix is already on
-      disk.  The coordinator's ``fabric: cells=...`` summary and any
-      injected fault counters come back as the outcome's notes.
-    * Adaptive (``explore --fabric-serve PORT``): a held coordinator
-      starts with an empty lease table, each ``run_cells`` batch is
-      appended to it
-      (:meth:`~repro.fabric.coordinator.FabricCoordinator.extend`), and
-      workers attached with ``repro fabric work URL`` drain batches as
-      they appear.  ``close`` releases the hold so the fleet winds down
-      with the normal done/linger handshake.
+    * Whole plan (``repro fabric serve``): :meth:`execute` appends the
+      plan's cells, releases the hold and serves until every cell
+      resolves and ``linger_s`` passes, or until Ctrl-C when
+      ``linger_s`` is None.  Ctrl-C is a normal end there: the clean
+      prefix is already on disk.  The coordinator's ``fabric:
+      cells=...`` summary and any injected fault counters come back as
+      the outcome's notes.
+    * Adaptive (``explore --fabric-serve PORT``): each ``run_cells``
+      batch is appended; ``close`` releases the hold.
 
     Args:
         host / port: Listen address (port 0 = ephemeral).
@@ -438,7 +439,7 @@ class FleetServeBackend(ExecutionBackend):
             :data:`~repro.resilience.supervisor.FLEET_POLICY`, the
             ``repro fabric serve`` defaults).
         linger_s: How long to keep answering stragglers once every cell
-            has resolved; None serves a whole plan until interrupted.
+            has resolved; None serves until interrupted or closed.
         progress: Line sink for the serving announcement.
 
     Attributes:
@@ -461,51 +462,47 @@ class FleetServeBackend(ExecutionBackend):
         self.coordinator = None
         self._thread = None
 
-    def serve(self, campaign, plan=None) -> str:
-        """Start (or return) the coordinator; returns its URL.
-
-        With a ``plan`` the coordinator leases the plan's missing
-        cells; without one it starts held with an empty lease table.
-        """
+    def serve(self, campaign) -> str:
+        """Start (or return) the held coordinator; returns its URL."""
         if self._thread is not None:
             return self.coordinator.url
         from ..fabric import FabricCoordinator
         from ..fabric.coordinator import CoordinatorThread
         harness = campaign.harness
         self.coordinator = FabricCoordinator(
-            campaign, plan.designs if plan else (),
-            plan.workloads if plan else (), policy=self.policy,
+            campaign, (), (), policy=self.policy,
             result_backend=getattr(harness.cache, "store", None),
             trace_backend=getattr(harness.trace_cache, "store", None),
-            hold=plan is None)
+            hold=True)
         self._thread = CoordinatorThread(
             self.coordinator, host=self.host, port=self.port,
             once=self.linger_s is not None,
             linger_s=self.linger_s or 0.0)
-        url = self._thread.start()
+        return self._thread.start()
+
+    def _announce(self) -> None:
         if self.progress is not None:
-            self.progress(
-                f"fabric: serving {len(self.coordinator.pending_cells)} "
-                f"cell(s) at {url}" if plan is not None else
-                f"fabric: serving adaptive cells at {url} (attach "
-                f"workers with 'repro fabric work {url}')")
-        return url
+            self.progress(f"fabric: serving "
+                          f"{len(self.coordinator.pending_cells)} cell(s) "
+                          f"at {self.coordinator.url}")
 
     def execute(self, plan, campaign) -> ExecutionOutcome:
-        if self._thread is not None:
-            # Already hosting adaptive batches: the plan is one more.
-            return super().execute(plan, campaign)
         from ..resilience import faults
         before = campaign.completed_cells
-        self.serve(campaign, plan)
+        self.serve(campaign)
+        coordinator, thread = self.coordinator, self._thread
+        coordinator.extend(plan.cells())
+        coordinator.release()
+        self._announce()
         notes = []
         try:
-            self._thread.wait(timeout_s=None)
+            thread.wait(timeout_s=None)
         except KeyboardInterrupt:
             notes.append("fabric: interrupted; clean prefix persisted, "
                          "restart with --resume to continue")
-        self._thread.stop()
-        notes.append(self.coordinator.summary())
+        thread.stop()
+        self._thread = self.coordinator = None
+        notes.append(coordinator.summary())
         injector = faults.active()
         if injector is not None and any(injector.counters.values()):
             notes.append("fabric: faults " + json.dumps(injector.counters))
@@ -515,10 +512,13 @@ class FleetServeBackend(ExecutionBackend):
 
     def run_cells(self, campaign, cells: Sequence[tuple]) -> int:
         from ..analysis.campaign import CampaignInterrupted
+        fresh = self._thread is None
         self.serve(campaign)
         unique = list(dict.fromkeys(tuple(cell) for cell in cells))
         before = campaign.completed_cells
         self.coordinator.extend(unique)
+        if fresh:
+            self._announce()
         try:
             while any(not campaign.has(design, workload)
                       and self.coordinator.cell_status(design, workload)

@@ -650,14 +650,14 @@ def _fleet_duplicate_completion(sweep: _Sweep, path: Path) -> str:
     lease expires mid-compute, a second worker completes the cell
     first, and the straggler's identical completion must be absorbed
     idempotently (0 new rows on RunStore ingest)."""
-    from ..exec import CellPlan, FleetServeBackend
-    campaign = sweep.campaign(path)
+    from ..exec import FleetServeBackend, enumerate_cells
     fleet = FleetServeBackend(
         policy=replace(FLEET_POLICY, timeout_s=1.0, seed=sweep.seed),
         linger_s=None)
-    url = fleet.serve(campaign, CellPlan(
-        campaign.harness.config, CHAOS_DESIGNS, CHAOS_WORKLOADS))
+    url = fleet.serve(sweep.campaign(path))
     coordinator = fleet.coordinator
+    coordinator.extend(enumerate_cells(CHAOS_DESIGNS, CHAOS_WORKLOADS))
+    coordinator.release()
     try:
         with FabricClient(url, "wA") as slow:
             lease = slow.call("POST", "/lease", {"worker": "wA"})

@@ -221,16 +221,23 @@ class TestStoreMirroring:
             capsys.readouterr().out
         self._assert_stored(db, out, 2)
 
-    def test_fabric_mirror_lands_records(self, tmp_path, capsys):
+    @pytest.mark.parametrize("stale", [False, True],
+                             ids=["fresh-out", "out-holds-another-cell"])
+    def test_fabric_mirror_lands_records(self, tmp_path, stale):
         from repro.fabric import FabricCoordinator
         from repro.fabric.coordinator import CoordinatorThread
+        mirror, db = tmp_path / "mirror.jsonl", tmp_path / "runs.db"
+        if stale:
+            # The fleet's bytes replace this file: its cell must not
+            # reach the store.
+            assert main(["campaign", "--out", str(mirror), "--designs",
+                         "Banshee", *self.CELLS[2:]]) == 0
         served = Campaign(ExperimentHarness(FAST), tmp_path / "fleet.jsonl",
                           record_timing=False)
         thread = CoordinatorThread(
             FabricCoordinator(served, DESIGNS, ["leela"]),
             once=True, linger_s=2.0)
         url = thread.start()
-        mirror, db = tmp_path / "mirror.jsonl", tmp_path / "runs.db"
         try:
             assert main(["campaign", "--fabric", url, "--out",
                          str(mirror), "--db", str(db), *self.CELLS]) == 0
