@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import emit
-from repro.baselines import make_controller
+from repro.designs import registry
 from repro.sim import SimulationDriver
 
 DESIGNS = ("No-HBM", "AlloyCache", "Chameleon", "Bumblebee")
@@ -26,7 +26,7 @@ def measure(harness):
         totals = {"hbm_act": 0.0, "hbm_rd": 0.0, "hbm_wr": 0.0,
                   "dram_act": 0.0, "dram_rd": 0.0, "dram_wr": 0.0}
         for workload in WORKLOADS:
-            controller = make_controller(
+            controller = registry.build(
                 design, harness.hbm_config, harness.dram_config,
                 sram_bytes=harness.config.scale.sram_bytes)
             result = driver.run(controller, harness.trace(workload),

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import emit
 from repro.analysis import bar_chart
-from repro.baselines import make_controller
+from repro.designs import registry
 from repro.sim import SimulationDriver
 
 DESIGNS = ("Banshee", "Chameleon", "MemPod", "Bumblebee", "Ideal")
@@ -26,7 +26,7 @@ def measure(harness):
         for workload in WORKLOADS:
             trace = harness.trace(workload)
             base = harness.baseline(workload)
-            controller = make_controller(
+            controller = registry.build(
                 design, harness.hbm_config, harness.dram_config,
                 sram_bytes=harness.config.scale.sram_bytes)
             result = driver.run(controller, trace, workload=workload,

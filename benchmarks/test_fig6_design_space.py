@@ -17,6 +17,7 @@ import pytest
 
 from conftest import emit
 from repro.analysis import format_figure6
+from repro.analysis.artefacts import ARTEFACTS
 
 KIB = 1024
 
@@ -29,7 +30,7 @@ SWEEP_WORKLOADS = ("mcf", "wrf", "xz", "lbm", "xalancbmk", "roms")
 @pytest.mark.benchmark(group="fig6")
 def test_fig6_design_space(benchmark, harness):
     results = benchmark.pedantic(
-        harness.figure6_design_space,
+        ARTEFACTS["6"].run, args=(harness,),
         kwargs={"workloads": SWEEP_WORKLOADS},
         rounds=1, iterations=1)
     emit("Figure 6", format_figure6(results))

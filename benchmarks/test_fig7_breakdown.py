@@ -16,11 +16,12 @@ import pytest
 
 from conftest import emit
 from repro.analysis import format_figure7
+from repro.analysis.artefacts import ARTEFACTS
 
 
 @pytest.mark.benchmark(group="fig7")
 def test_fig7_breakdown(benchmark, harness):
-    results = benchmark.pedantic(harness.figure7_breakdown,
+    results = benchmark.pedantic(ARTEFACTS["7"].run, args=(harness,),
                                  rounds=1, iterations=1)
     emit("Figure 7", format_figure7(results))
 

@@ -15,12 +15,13 @@ import pytest
 
 from conftest import emit
 from repro.analysis import format_figure8
+from repro.analysis.artefacts import ARTEFACTS
 from repro.baselines import FIGURE8_DESIGNS
 
 
 @pytest.mark.benchmark(group="fig8")
 def test_fig8a_ipc(benchmark, harness):
-    results = benchmark.pedantic(harness.figure8_comparison,
+    results = benchmark.pedantic(ARTEFACTS["8a"].run, args=(harness,),
                                  rounds=1, iterations=1)
     emit("Figure 8(a)", format_figure8(results, "norm_ipc"))
 

@@ -15,11 +15,12 @@ import pytest
 
 from conftest import emit
 from repro.analysis import format_figure8
+from repro.analysis.artefacts import ARTEFACTS
 
 
 @pytest.mark.benchmark(group="fig8")
 def test_fig8c_dram_traffic(benchmark, harness):
-    results = benchmark.pedantic(harness.figure8_comparison,
+    results = benchmark.pedantic(ARTEFACTS["8c"].run, args=(harness,),
                                  rounds=1, iterations=1)
     emit("Figure 8(c)", format_figure8(results, "norm_dram_traffic"))
 

@@ -17,11 +17,12 @@ import pytest
 
 from conftest import emit
 from repro.analysis import format_figure8
+from repro.analysis.artefacts import ARTEFACTS
 
 
 @pytest.mark.benchmark(group="fig8")
 def test_fig8d_energy(benchmark, harness):
-    results = benchmark.pedantic(harness.figure8_comparison,
+    results = benchmark.pedantic(ARTEFACTS["8d"].run, args=(harness,),
                                  rounds=1, iterations=1)
     emit("Figure 8(d)", format_figure8(results, "norm_energy"))
 

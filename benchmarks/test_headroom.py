@@ -13,14 +13,17 @@ import pytest
 
 from conftest import emit
 from repro.analysis import grouped_bars
+from repro.analysis.artefacts import figure8
 from repro.baselines import FIGURE8_DESIGNS
+from repro.exec import enumerate_cells, run_cells
 
 DESIGNS = FIGURE8_DESIGNS + ["Ideal"]
 GROUPS = ("high", "medium", "low", "all")
 
 
 def measure(harness):
-    results = harness.figure8_comparison(designs=DESIGNS)
+    results = figure8(run_cells(harness, enumerate_cells(
+        DESIGNS, harness.config.workloads)), DESIGNS)
     captured: dict[str, dict[str, float]] = {}
     for design in DESIGNS:
         captured[design] = {}

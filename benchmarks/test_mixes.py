@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import emit
-from repro.baselines import make_controller
+from repro.designs import registry
 from repro.sim import SimulationDriver
 from repro.traces import MIX_PRESETS, build_mix, mix_trace
 
@@ -29,7 +29,7 @@ def run_mixes(harness):
         baseline = None
         out[preset] = {}
         for design in DESIGNS:
-            controller = make_controller(
+            controller = registry.build(
                 design, harness.hbm_config, harness.dram_config,
                 sram_bytes=harness.config.scale.sram_bytes)
             result = driver.run(controller, trace, workload=preset,

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from repro.analysis.campaign import Campaign
 from repro.analysis.experiments import ExperimentHarness
-from repro.baselines import make_controller
+from repro.designs import registry
 from repro.core.hmmc import BumblebeeController
 from repro.sim.driver import SimulationDriver
 
@@ -36,8 +36,8 @@ THROUGHPUT_DESIGNS = ("No-HBM", "Banshee", "Bumblebee")
 def _make(design: str, harness):
     if design == "Bumblebee":
         return BumblebeeController(harness.hbm_config, harness.dram_config)
-    return make_controller(design, harness.hbm_config, harness.dram_config,
-                           sram_bytes=harness.config.scale.sram_bytes)
+    return registry.build(design, harness.hbm_config, harness.dram_config,
+                          sram_bytes=harness.config.scale.sram_bytes)
 
 
 def test_driver_throughput(harness):

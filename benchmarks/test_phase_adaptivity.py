@@ -20,7 +20,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import emit
-from repro.baselines import make_controller
+from repro.designs import registry
 from repro.core import WayMode
 from repro.sim import SimulationDriver
 from repro.traces import table2_phases, windowed_hit_rates
@@ -33,9 +33,9 @@ WINDOW = 5_000
 def run_phase_study(harness):
     schedule = table2_phases(BENCHMARK, PHASE_REQUESTS, cycles=2,
                              seed=harness.config.seed)
-    controller = make_controller("Bumblebee", harness.hbm_config,
-                                 harness.dram_config,
-                                 sram_bytes=harness.config.scale.sram_bytes)
+    controller = registry.build("Bumblebee", harness.hbm_config,
+                                harness.dram_config,
+                                sram_bytes=harness.config.scale.sram_bytes)
     censuses = []
     hit_samples = []
     cpu = harness.config.cpu
@@ -60,13 +60,13 @@ def run_phase_study(harness):
     # Comparative runs over the identical schedule.
     driver = SimulationDriver(cpu)
     ipcs = {}
-    base = driver.run(make_controller("No-HBM", harness.hbm_config,
-                                      harness.dram_config),
+    base = driver.run(registry.build("No-HBM", harness.hbm_config,
+                                     harness.dram_config),
                       trace, workload="phases", warmup=PHASE_REQUESTS)
     for design in ("C-Only", "M-Only", "50%-C", "Bumblebee"):
-        ctl = make_controller(design, harness.hbm_config,
-                              harness.dram_config,
-                              sram_bytes=harness.config.scale.sram_bytes)
+        ctl = registry.build(design, harness.hbm_config,
+                             harness.dram_config,
+                             sram_bytes=harness.config.scale.sram_bytes)
         result = driver.run(ctl, trace, workload="phases",
                             warmup=PHASE_REQUESTS)
         ipcs[design] = result.normalised_ipc(base)

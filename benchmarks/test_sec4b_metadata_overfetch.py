@@ -16,6 +16,7 @@ import pytest
 
 from conftest import emit
 from repro.analysis import format_metadata, format_overfetch
+from repro.analysis.artefacts import ARTEFACTS
 from repro.core.metadata import SRAM_BUDGET_BYTES
 
 
@@ -38,8 +39,8 @@ def test_sec4b_metadata(benchmark, harness):
 
 @pytest.mark.benchmark(group="sec4b")
 def test_sec4b_overfetch(benchmark, harness):
-    results = benchmark.pedantic(harness.sec4b_overfetch,
-                                 rounds=1, iterations=1)
+    results = benchmark.pedantic(ARTEFACTS["overfetch"].run,
+                                 args=(harness,), rounds=1, iterations=1)
     emit("SIV-B over-fetch", format_overfetch(results))
 
     # Despite 8x larger blocks and 32x larger pages, Bumblebee's unused

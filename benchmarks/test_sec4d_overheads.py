@@ -12,12 +12,13 @@ import pytest
 
 from conftest import emit
 from repro.analysis import format_overheads
+from repro.analysis.artefacts import ARTEFACTS
 
 
 @pytest.mark.benchmark(group="sec4d")
 def test_sec4d_overheads(benchmark, harness):
-    report = benchmark.pedantic(harness.sec4d_overheads,
-                                rounds=1, iterations=1)
+    report = benchmark.pedantic(ARTEFACTS["overheads"].run,
+                                args=(harness,), rounds=1, iterations=1)
     emit("SIV-D overheads", format_overheads(report))
 
     # Bumblebee's SRAM-resident metadata eliminates (>= paper's 69.7%

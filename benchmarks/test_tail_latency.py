@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import emit
-from repro.baselines import make_controller
+from repro.designs import registry
 from repro.sim import SimulationDriver
 
 DESIGNS = ("No-HBM", "AlloyCache", "Chameleon", "Hybrid2", "Meta-H",
@@ -41,7 +41,7 @@ def measure(harness):
     driver = SimulationDriver(harness.config.cpu)
     out = {}
     for design in DESIGNS:
-        controller = make_controller(
+        controller = registry.build(
             design, harness.hbm_config, harness.dram_config,
             sram_bytes=harness.config.scale.sram_bytes)
         result = driver.run(controller, harness.trace(WORKLOAD),

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import emit
 from repro.analysis import bar_chart
-from repro.baselines import make_controller
+from repro.designs import registry
 from repro.mem import ddr4_3200_config, ddr5_4800_config, hbm2_config, \
     hbm3_config
 from repro.sim import SimulationDriver
@@ -31,13 +31,13 @@ def run_point(label, hbm_config, dram_config, harness):
     count = 0
     for workload in WORKLOADS:
         trace = harness.trace(workload)
-        base = driver.run(make_controller("No-HBM", hbm_config,
-                                          dram_config),
+        base = driver.run(registry.build("No-HBM", hbm_config,
+                                         dram_config),
                           trace, workload=workload,
                           warmup=harness.config.warmup)
         bee = driver.run(
-            make_controller("Bumblebee", hbm_config, dram_config,
-                            sram_bytes=harness.config.scale.sram_bytes),
+            registry.build("Bumblebee", hbm_config, dram_config,
+                           sram_bytes=harness.config.scale.sram_bytes),
             trace, workload=workload, warmup=harness.config.warmup)
         total += bee.normalised_ipc(base)
         count += 1

@@ -36,7 +36,7 @@ from pathlib import Path
 
 from repro.analysis.experiments import ExperimentHarness
 from repro.analysis.resultcache import ResultCache
-from repro.baselines import make_controller
+from repro.designs import registry
 from repro.sim.driver import SimulationDriver
 from repro.traces import SyntheticTraceGenerator, TraceCache, synthetic_spec
 from repro.traces.packed import PackedTrace
@@ -141,10 +141,10 @@ def test_warm_campaign_speedup(harness, tmp_path: Path):
         probe = ExperimentHarness(dataclasses.replace(
             config, trace_cache_dir="off"))
         baseline = driver.run(
-            make_controller("No-HBM", probe.hbm_config, probe.dram_config),
+            registry.build("No-HBM", probe.hbm_config, probe.dram_config),
             trace, workload=CAMPAIGN_WORKLOAD, warmup=config.warmup,
             engine="scalar")
-        controller = make_controller(
+        controller = registry.build(
             design, probe.hbm_config, probe.dram_config,
             sram_bytes=config.scale.sram_bytes)
         result = driver.run(controller, trace,
@@ -206,7 +206,7 @@ def test_vectorized_replay_speedup(harness, tmp_path: Path):
 
     def _replay(engine: str):
         driver = SimulationDriver(harness.config.cpu)
-        controller = make_controller(
+        controller = registry.build(
             VECTOR_DESIGN, harness.hbm_config, harness.dram_config,
             sram_bytes=harness.config.scale.sram_bytes)
         start = time.perf_counter()
@@ -254,7 +254,6 @@ def test_fig8_campaign_vector_speedup(harness, tmp_path: Path):
     bit-identical per design; each leg is the best of three timed runs
     so the end-to-end gate measures the engines, not scheduler noise.
     """
-    from repro.designs import registry
     designs = registry.figure_names("fig8")
     spec = synthetic_spec(CAMPAIGN_WORKLOAD, harness.config.scale)
     n = harness.config.requests + harness.config.warmup
@@ -263,7 +262,7 @@ def test_fig8_campaign_vector_speedup(harness, tmp_path: Path):
 
     def _replay(design: str, engine: str):
         driver = SimulationDriver(harness.config.cpu)
-        controller = make_controller(
+        controller = registry.build(
             design, harness.hbm_config, harness.dram_config,
             sram_bytes=harness.config.scale.sram_bytes)
         start = time.perf_counter()

@@ -19,7 +19,7 @@ from repro import (
     SimulationDriver,
     ddr4_3200_config,
     hbm2_config,
-    make_controller,
+    registry,
     workload_trace,
 )
 
@@ -42,8 +42,8 @@ def main() -> None:
 
     baseline = None
     for design in DESIGNS:
-        controller = make_controller(design, hbm, dram,
-                                     sram_bytes=DEFAULT_SCALE.sram_bytes)
+        controller = registry.build(design, hbm, dram,
+                                    sram_bytes=DEFAULT_SCALE.sram_bytes)
         result = driver.run(controller, trace, workload="roms")
         if design == "No-HBM":
             baseline = result

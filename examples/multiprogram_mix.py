@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import sys
 
-from repro import DEFAULT_SCALE, SimulationDriver, make_controller
+from repro import DEFAULT_SCALE, SimulationDriver, registry
 from repro.analysis.experiments import fitted_devices
 from repro.core import WayMode
 from repro.traces import MIX_PRESETS, build_mix, member_share, mix_trace
@@ -39,8 +39,8 @@ def main() -> None:
     print(f"\n{'design':>12} {'norm IPC':>9} {'HBM hit':>8}")
     print("-" * 33)
     for design in DESIGNS:
-        controller = make_controller(design, hbm, dram,
-                                     sram_bytes=DEFAULT_SCALE.sram_bytes)
+        controller = registry.build(design, hbm, dram,
+                                    sram_bytes=DEFAULT_SCALE.sram_bytes)
         result = driver.run(controller, trace, workload=preset,
                             warmup=WARMUP)
         if design == "No-HBM":

@@ -19,14 +19,11 @@ import time
 from repro import ExperimentConfig, ExperimentHarness
 from repro.analysis import (
     format_figure1,
-    format_figure6,
-    format_figure7,
     format_figure8,
     format_metadata,
-    format_overfetch,
-    format_overheads,
     format_table2,
 )
+from repro.analysis.artefacts import ARTEFACTS
 
 
 def banner(title: str) -> None:
@@ -49,25 +46,31 @@ def main() -> None:
     banner("SIV-B — metadata budgets (paper scale)")
     print(format_metadata(harness.sec4b_metadata()))
 
+    def show(fig: str) -> None:
+        # Each artefact fills its cells on the shared harness, so the
+        # figures share every cell they have in common.
+        artefact = ARTEFACTS[fig]
+        print(artefact.render(artefact.run(
+            harness, workloads=artefact.workloads)))
+
     banner("Figure 6 — design-space exploration")
-    print(format_figure6(harness.figure6_design_space(
-        workloads=("mcf", "wrf", "xz", "lbm", "xalancbmk", "roms"))))
+    show("6")
 
     banner("Figure 7 — performance factor breakdown")
-    print(format_figure7(harness.figure7_breakdown()))
+    show("7")
 
     banner("Figure 8 — comparison against state-of-the-art designs")
-    figure8 = harness.figure8_comparison()
+    figure8 = ARTEFACTS["8a"].run(harness)
     for metric in ("norm_ipc", "norm_hbm_traffic", "norm_dram_traffic",
                    "norm_energy"):
         print(format_figure8(figure8, metric))
         print()
 
     banner("SIV-B — over-fetch analysis")
-    print(format_overfetch(harness.sec4b_overfetch()))
+    show("overfetch")
 
     banner("SIV-D — overheads vs Hybrid2")
-    print(format_overheads(harness.sec4d_overheads()))
+    show("overheads")
 
     print(f"\nAll artefacts regenerated in {time.time() - started:.0f}s.")
 

@@ -15,8 +15,9 @@ Quick start::
     print(harness.run_design("Bumblebee", "mcf").norm_ipc)
 """
 
+# Baselines first: repro.core and repro.baselines import each other.
+from .baselines import FIGURE7_VARIANTS, FIGURE8_DESIGNS
 from .analysis import ExperimentConfig, ExperimentHarness
-from .baselines import FIGURE7_VARIANTS, FIGURE8_DESIGNS, make_controller
 from .core import BumblebeeConfig, BumblebeeController
 from .designs import DesignSpec, registry
 from .mem import MemoryDevice, ddr4_3200_config, hbm2_config
@@ -29,7 +30,7 @@ from .traces import (
     workload_trace,
 )
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     "ExperimentConfig",
@@ -38,7 +39,6 @@ __all__ = [
     "BumblebeeController",
     "DesignSpec",
     "registry",
-    "make_controller",
     "FIGURE7_VARIANTS",
     "FIGURE8_DESIGNS",
     "MemoryDevice",

@@ -1,5 +1,9 @@
 """Experiment harness, metric aggregation, campaigns, and report rendering.
 
+The paper's matrix artefacts (a cell plan plus a reducer each, and the
+shape checks of ``repro validate``) live in :mod:`.artefacts` and
+:mod:`.validation`.
+
 Cell fan-out (serial, process pool, supervised pool) and design-space
 sweeps live on the execution plane, :mod:`repro.exec`.
 """
@@ -45,14 +49,6 @@ from .tracetools import (
     stride_profile,
     windowed_statistics,
 )
-from .validation import (
-    ShapeCheck,
-    check_figure7,
-    check_figure8,
-    check_metadata,
-    check_overfetch,
-    render_report,
-)
 from .differential import (
     SANITIZE_DESIGNS,
     DiffCase,
@@ -79,12 +75,6 @@ __all__ = [
     "format_metadata",
     "format_overfetch",
     "format_overheads",
-    "ShapeCheck",
-    "check_figure7",
-    "check_figure8",
-    "check_metadata",
-    "check_overfetch",
-    "render_report",
     "bar_chart",
     "heat_strip",
     "grouped_bars",

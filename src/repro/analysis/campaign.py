@@ -114,17 +114,43 @@ def _record_key(record: dict) -> str:
     return _cell_key(record["design"], record["workload"])
 
 
-def _comparison_record(comparison: WorkloadComparison,
-                       harness: ExperimentHarness) -> dict:
+def _window(harness: ExperimentHarness) -> dict:
+    """The ``config`` block (window and version) of the records."""
     from .. import __version__
-    record = comparison.to_record()
-    record["config"] = {
+    return {
         "requests": harness.config.requests,
         "warmup": harness.config.warmup,
         "seed": harness.config.seed,
         "scale": harness.config.scale.factor,
         "version": __version__,
     }
+
+
+def check_window(records: Sequence[dict], harness: ExperimentHarness,
+                 path: Path) -> None:
+    """Refuse another window's records before a plan resumes them.
+
+    Raises:
+        ValueError: naming the first record (cell and field) written
+            under another window or package version: resumed, it would
+            pass for this run's cell.
+    """
+    window = _window(harness)
+    for record in records:
+        stored = record.get("config") or {}
+        for name, value in window.items():
+            if stored.get(name) != value:
+                raise ValueError(
+                    f"{path}: cell {_record_key(record)} was written with "
+                    f"{name}={stored.get(name)!r}, this run has "
+                    f"{name}={value!r}; one campaign file holds one "
+                    f"window (use another --out)")
+
+
+def _comparison_record(comparison: WorkloadComparison,
+                       harness: ExperimentHarness) -> dict:
+    record = comparison.to_record()
+    record["config"] = _window(harness)
     return record
 
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ..baselines import make_controller
 from ..designs import registry
 from ..mem.timing import DeviceConfig
 from ..sanitize import InvariantChecker, shrink_trace
@@ -159,11 +158,11 @@ def _replay_all_paths(design: str, trace: PackedTrace,
     """Run the scalar, checked, and epoch replays; return
     (diffs, violations, checker)."""
     scalar_result = SimulationDriver().run(
-        make_controller(design, hbm_config, dram_config), trace,
+        registry.build(design, hbm_config, dram_config), trace,
         workload=workload, warmup=warmup, engine="scalar")
     checker = InvariantChecker(epoch_requests=epoch_requests)
     checked_result = SimulationDriver(checker=checker).run(
-        make_controller(design, hbm_config, dram_config), trace,
+        registry.build(design, hbm_config, dram_config), trace,
         workload=workload, warmup=warmup)
     diffs = [f"checked-vs-scalar {d}"
              for d in diff_results(scalar_result, checked_result)]
@@ -171,7 +170,7 @@ def _replay_all_paths(design: str, trace: PackedTrace,
     # loop, which keeps the equality trivially true and the sweep
     # uniform.
     epoch_result = SimulationDriver(vector_epoch=vector_epoch).run(
-        make_controller(design, hbm_config, dram_config), trace,
+        registry.build(design, hbm_config, dram_config), trace,
         workload=workload, warmup=warmup, engine="vector")
     diffs += [f"epoch-vs-scalar {d}"
               for d in diff_results(scalar_result, epoch_result)]

@@ -2,22 +2,18 @@
 
 The :class:`ExperimentHarness` owns the scaled system configuration,
 materialises each workload's trace once, caches the no-HBM baseline runs,
-and exposes a method per paper artefact:
+and exposes a method per paper artefact that is not a cell matrix:
 
 ===========================  ===========================================
 Paper artefact               Harness method
 ===========================  ===========================================
 Figure 1                     :meth:`figure1_line_utilisation`
 Table II (measured)          :meth:`table2_characteristics`
-Figure 6                     :meth:`figure6_design_space`
 §IV-B metadata budget        :meth:`sec4b_metadata`
-§IV-B over-fetch             :meth:`sec4b_overfetch`
-Figure 7                     :meth:`figure7_breakdown`
-Figure 8 (a-d)               :meth:`figure8_comparison`
-§IV-D overhead reductions    :meth:`sec4d_overheads`
+Figures 6-8, §IV-B/D         :mod:`repro.analysis.artefacts` (cell plans)
 ===========================  ===========================================
 
-Benchmarks under ``benchmarks/`` are thin wrappers over these methods.
+Benchmarks under ``benchmarks/`` are thin wrappers over both.
 """
 
 from __future__ import annotations
@@ -25,16 +21,14 @@ from __future__ import annotations
 import dataclasses
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
-from ..baselines import FIGURE7_VARIANTS, FIGURE8_DESIGNS, make_controller
 from ..designs import DesignSpec, registry
 from ..cache.utilisation import FIG1_LINE_SIZES, UtilisationResult, characterise
 from ..core.config import BumblebeeConfig, check_int, derive_geometry
 from ..core.metadata import (
     SRAM_BUDGET_BYTES,
-    MetadataSizes,
     alloy_metadata_bytes,
     chameleon_metadata_bytes,
     hybrid2_metadata_bytes,
@@ -53,13 +47,7 @@ from ..traces.spec import (
 from ..traces.packed import PackedTrace
 from ..traces.synthetic import SyntheticTraceGenerator
 from ..traces.tracecache import TraceCache, resolve_trace_cache
-from .metrics import (
-    GroupSummary,
-    WorkloadComparison,
-    compare,
-    geomean_speedup,
-    summarise_group,
-)
+from .metrics import WorkloadComparison, compare
 from .resultcache import ResultCache
 
 KIB = 1024
@@ -197,11 +185,6 @@ class ExperimentHarness:
         return encoded
 
     @staticmethod
-    def _resolve_spec(design: "str | DesignSpec") -> DesignSpec:
-        """Normalise a design name or spec to a :class:`DesignSpec`."""
-        return registry.resolve(design)
-
-    @staticmethod
     def _timing_label(design: "str | DesignSpec") -> str:
         """The observability label of one design cell."""
         return design.name if isinstance(design, DesignSpec) else design
@@ -216,7 +199,7 @@ class ExperimentHarness:
         overrides — and every size that already tiles the harness
         capacities — get device configs equal to the harness's own.
         """
-        spec = self._resolve_spec(design)
+        spec = registry.resolve(design)
         fit = (spec.get("page_bytes", 64 * KIB), spec.get("hbm_ways", 8))
         devices = self._devices.get(fit)
         if devices is None:
@@ -233,7 +216,7 @@ class ExperimentHarness:
         collide — keying on the display name alone would let e.g. two
         ``chbm_ratio`` points of a sweep alias each other's records.
         """
-        spec = self._resolve_spec(design)
+        spec = registry.resolve(design)
         encoded = self._encoded_designs.get(spec)
         if encoded is None:
             hbm, dram = self.devices(spec)
@@ -274,7 +257,7 @@ class ExperimentHarness:
         Returns None when the cell has not been computed (no simulation
         is triggered).
         """
-        spec = self._resolve_spec(design)
+        spec = registry.resolve(design)
         key = (spec, workload)
         if key in self._comparisons:
             return self._comparisons[key]
@@ -295,7 +278,7 @@ class ExperimentHarness:
         cache — exactly as if this harness had simulated the cell
         itself.
         """
-        spec = self._resolve_spec(design)
+        spec = registry.resolve(design)
         comparison = WorkloadComparison(**record)
         self._comparisons[(spec, workload)] = comparison
         if self.cache is not None:
@@ -354,8 +337,8 @@ class ExperimentHarness:
                     self._baselines[workload] = SimResult.from_record(
                         record)
                     return self._baselines[workload]
-            controller = make_controller("No-HBM", self.hbm_config,
-                                         self.dram_config)
+            controller = registry.build("No-HBM", self.hbm_config,
+                                        self.dram_config)
             result = self.driver.run(
                 controller, self.trace(workload), workload=workload,
                 warmup=self.config.warmup, engine=self.config.engine)
@@ -446,7 +429,7 @@ class ExperimentHarness:
         on one workload, normalised (cached: repeated figures share the
         same deterministic run, and the persistent cache — when
         configured — spans processes under spec-hash keys)."""
-        spec = self._resolve_spec(design)
+        spec = registry.resolve(design)
         snapshot = self._timing_start()
         cached = self.cached_comparison(spec, workload)
         if cached is not None:
@@ -522,50 +505,10 @@ class ExperimentHarness:
             })
         return rows
 
-    # ---- Figure 6 ----------------------------------------------------------
-
-    def figure6_design_space(
-            self,
-            block_sizes: Sequence[int] = (1 * KIB, 2 * KIB, 4 * KIB),
-            page_sizes: Sequence[int] = (64 * KIB, 96 * KIB, 128 * KIB),
-            workloads: Sequence[str] | None = None,
-            jobs: int | None = 1,
-    ) -> dict[tuple[int, int], dict]:
-        """Normalised IPC for each block-page configuration (Figure 6).
-
-        Each configuration is a Bumblebee :class:`DesignSpec` whose
-        devices the harness refits to its page size (see
-        :meth:`devices`).  Configurations whose metadata exceeds the
-        (scaled) SRAM budget are reported with ``fits_sram=False``,
-        mirroring the paper's 512KB feasibility cut.  ``jobs`` > 1 fans
-        the cells over processes.
-        """
-        from ..exec.backends import run_cells
-        from ..exec.plan import enumerate_cells
-        chosen = list(workloads or self.config.workloads)
-        specs = registry.expand_grid("Bumblebee", {
-            "page_bytes": list(page_sizes), "block_bytes": list(block_sizes)})
-        run_cells(self, enumerate_cells(specs, chosen), jobs=jobs)
-        out: dict[tuple[int, int], dict] = {}
-        for spec in specs:
-            bconfig = BumblebeeConfig(**spec.param_dict)
-            hbm_config, dram_config = self.devices(spec)
-            geometry = derive_geometry(
-                bconfig, hbm_config.geometry.capacity_bytes,
-                dram_config.geometry.capacity_bytes)
-            sizes = metadata_sizes(bconfig, geometry)
-            picked = [self.run_design(spec, workload) for workload in chosen]
-            out[(bconfig.block_bytes, bconfig.page_bytes)] = {
-                "norm_ipc": geomean_speedup(picked),
-                "metadata_bytes": sizes.total_bytes,
-                "fits_sram": sizes.total_bytes
-                <= self.config.scale.sram_bytes,
-            }
-        return out
-
     # ---- §IV-B -------------------------------------------------------------
 
-    def sec4b_metadata(self) -> dict:
+    @staticmethod
+    def sec4b_metadata() -> dict:
         """Metadata budgets at full paper scale (the 334KB claim)."""
         config = BumblebeeConfig()
         geometry = derive_geometry(config, PAPER_SCALE.hbm_bytes,
@@ -579,113 +522,4 @@ class ExperimentHarness:
             "alloy_bytes": alloy_metadata_bytes(PAPER_SCALE.hbm_bytes),
             "chameleon_bytes": chameleon_metadata_bytes(
                 PAPER_SCALE.hbm_bytes, PAPER_SCALE.dram_bytes),
-        }
-
-    def sec4b_overfetch(self, designs: Sequence[str] = ("Hybrid2",
-                                                        "Bumblebee"),
-                        workloads: Sequence[str] | None = None
-                        ) -> dict[str, float]:
-        """Fraction of data brought into HBM but never used (§IV-B)."""
-        chosen = list(workloads or self.config.workloads)
-        out = {}
-        for design in designs:
-            fetched = 0
-            unused = 0
-            for workload in chosen:
-                controller = make_controller(
-                    design, self.hbm_config, self.dram_config,
-                    sram_bytes=self.config.scale.sram_bytes)
-                self.driver.run(controller, self.trace(workload),
-                                workload=workload,
-                                warmup=self.config.warmup,
-                                engine=self.config.engine)
-                fetched += controller.stats.get("fetched_bytes")
-                unused += controller.stats.get("overfetch_bytes")
-            out[design] = unused / fetched if fetched else 0.0
-        return out
-
-    # ---- Figure 7 ----------------------------------------------------------
-
-    def figure7_breakdown(self, variants: Sequence[str] | None = None,
-                          workloads: Sequence[str] | None = None,
-                          jobs: int | None = 1) -> dict[str, float]:
-        """Geomean speedup of each factor-breakdown variant (Figure 7).
-
-        ``jobs`` > 1 fans the (variant, workload) cells over processes;
-        the aggregates are bit-identical to a serial run.
-        """
-        from ..exec.backends import run_cells
-        from ..exec.plan import enumerate_cells
-        chosen_workloads = list(workloads or self.config.workloads)
-        chosen_variants = list(variants or FIGURE7_VARIANTS)
-        run_cells(self, enumerate_cells(chosen_variants,
-                                        chosen_workloads), jobs=jobs)
-        out = {}
-        for variant in chosen_variants:
-            comparisons = [self.run_design(variant, workload)
-                           for workload in chosen_workloads]
-            out[variant] = geomean_speedup(comparisons)
-        return out
-
-    # ---- Figure 8 ----------------------------------------------------------
-
-    def figure8_comparison(self, designs: Sequence[str] | None = None,
-                           workloads: Sequence[str] | None = None,
-                           groups: Sequence[str] = ("high", "medium",
-                                                    "low", "all"),
-                           jobs: int | None = 1,
-                           ) -> dict[str, dict[str, GroupSummary]]:
-        """Figures 8(a)-(d): per-MPKI-group normalised IPC / traffic /
-        energy for every design.  ``jobs`` > 1 fans the cells over
-        processes (results identical to a serial run)."""
-        from ..exec.backends import run_cells
-        from ..exec.plan import enumerate_cells
-        chosen_workloads = list(workloads or self.config.workloads)
-        chosen_designs = list(designs or FIGURE8_DESIGNS)
-        run_cells(self, enumerate_cells(chosen_designs,
-                                        chosen_workloads), jobs=jobs)
-        out: dict[str, dict[str, GroupSummary]] = {}
-        for design in chosen_designs:
-            comparisons = [self.run_design(design, workload)
-                           for workload in chosen_workloads]
-            out[design] = {}
-            for group in groups:
-                try:
-                    out[design][group] = summarise_group(comparisons, group)
-                except ValueError:
-                    continue
-        return out
-
-    # ---- §IV-D --------------------------------------------------------------
-
-    def sec4d_overheads(self, workloads: Sequence[str] | None = None
-                        ) -> dict:
-        """Metadata-access and mode-switch overheads vs Hybrid2 (§IV-D)."""
-        chosen = list(workloads or self.config.workloads)
-        totals = {"Bumblebee": {"mal_ns": 0.0, "switch_bytes": 0},
-                  "Hybrid2": {"mal_ns": 0.0, "switch_bytes": 0}}
-        for design in totals:
-            for workload in chosen:
-                controller = make_controller(
-                    design, self.hbm_config, self.dram_config,
-                    sram_bytes=self.config.scale.sram_bytes)
-                result = self.driver.run(controller, self.trace(workload),
-                                         workload=workload,
-                                         warmup=self.config.warmup,
-                                         engine=self.config.engine)
-                totals[design]["mal_ns"] += result.total_metadata_ns
-                totals[design]["switch_bytes"] += controller.stats.get(
-                    "mode_switch_bytes")
-        hybrid2 = totals["Hybrid2"]
-        bumblebee = totals["Bumblebee"]
-
-        def reduction(ours: float, theirs: float) -> float:
-            return 1.0 - ours / theirs if theirs else 0.0
-
-        return {
-            "mal_reduction": reduction(bumblebee["mal_ns"],
-                                       hybrid2["mal_ns"]),
-            "mode_switch_reduction": reduction(bumblebee["switch_bytes"],
-                                               hybrid2["switch_bytes"]),
-            "totals": totals,
         }

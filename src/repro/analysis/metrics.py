@@ -19,7 +19,12 @@ from ..traces.spec import MPKI_GROUPS
 
 @dataclass(frozen=True)
 class WorkloadComparison:
-    """One design's result against the baseline on one workload."""
+    """One design's result against the baseline on one workload.
+
+    ``counts`` holds the raw totals §IV-B/D sum over workloads
+    (``fetched_bytes``, ``overfetch_bytes``, ``total_metadata_ns``,
+    ``mode_switch_bytes``), nested so it is no scalar metric.
+    """
 
     workload: str
     design: str
@@ -31,14 +36,14 @@ class WorkloadComparison:
     overfetch_fraction: float
     metadata_latency_fraction: float
     page_faults: int
+    counts: dict
 
     def to_record(self) -> dict:
-        """A flat ``{field: value}`` dump in field order.
-
-        Every field is a scalar, so this equals
-        ``dataclasses.asdict(self)`` without its recursive deep copy.
-        """
-        return {name: getattr(self, name) for name in _COMPARISON_FIELDS}
+        """``dataclasses.asdict(self)`` without its recursive deep copy
+        (``counts`` is the one dict, of scalars)."""
+        record = {name: getattr(self, name) for name in _COMPARISON_FIELDS}
+        record["counts"] = dict(self.counts)
+        return record
 
 
 _COMPARISON_FIELDS = tuple(f.name for f in fields(WorkloadComparison))
@@ -70,6 +75,12 @@ def compare(result: SimResult, baseline: SimResult) -> WorkloadComparison:
         overfetch_fraction=overfetch,
         metadata_latency_fraction=result.metadata_latency_fraction,
         page_faults=stats.get("page_faults", 0),
+        counts={
+            "fetched_bytes": fetched,
+            "overfetch_bytes": stats.get("overfetch_bytes", 0),
+            "total_metadata_ns": result.total_metadata_ns,
+            "mode_switch_bytes": stats.get("mode_switch_bytes", 0),
+        },
     )
 
 

@@ -12,7 +12,7 @@ absent are reported as skipped (never a crash, never a spurious MISS).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .metrics import GroupSummary
 
@@ -51,146 +51,110 @@ def _missing(results: Mapping[str, object],
     return [name for name in needed if name not in results]
 
 
+def _claim(artefact: str, claim: str, missing: Sequence[str],
+           evaluate: Callable[[], tuple[bool, str]]) -> ShapeCheck:
+    """A skip naming what is ``missing``, else the check ``evaluate()``
+    measures as ``(passed, measured)``."""
+    if missing:
+        return ShapeCheck.skip(artefact, claim, missing)
+    return ShapeCheck(artefact, claim, *evaluate())
+
+
 def check_figure8(results: Mapping[str, Mapping[str, GroupSummary]]
                   ) -> list[ShapeCheck]:
     """Shape claims of Figures 8(a)-(d).
 
-    Claims whose designs the campaign did not run are skipped.
+    Claims whose designs (or MPKI groups) the campaign did not run are
+    skipped.
     """
-    checks: list[ShapeCheck] = []
-
-    claim = "Bumblebee has the best overall normalised IPC"
+    bee = results.get("Bumblebee", {})
     others = [name for name in results if name != "Bumblebee"]
-    if _missing(results, ["Bumblebee"]) or not others:
-        checks.append(ShapeCheck.skip(
-            "Fig8a", claim,
-            _missing(results, ["Bumblebee"]) or ["a second design"]))
-    else:
-        bee = results["Bumblebee"]
+
+    def best_overall() -> tuple[bool, str]:
         best_other = max(
             others, key=lambda name: results[name]["all"].norm_ipc)
         margin = bee["all"].norm_ipc / results[best_other]["all"].norm_ipc
-        checks.append(ShapeCheck(
-            "Fig8a", claim, margin >= 0.98,
-            f"{bee['all'].norm_ipc:.2f} vs {best_other} "
-            f"{results[best_other]['all'].norm_ipc:.2f}"))
+        return (margin >= 0.98,
+                f"{bee['all'].norm_ipc:.2f} vs {best_other} "
+                f"{results[best_other]['all'].norm_ipc:.2f}")
 
-    claim = "gains concentrate in the high-MPKI group"
-    if _missing(results, ["Bumblebee"]):
-        checks.append(ShapeCheck.skip("Fig8a", claim, ["Bumblebee"]))
-    else:
-        bee = results["Bumblebee"]
-        checks.append(ShapeCheck(
-            "Fig8a", claim, bee["high"].norm_ipc > bee["low"].norm_ipc,
-            f"high {bee['high'].norm_ipc:.2f} vs low "
-            f"{bee['low'].norm_ipc:.2f}"))
-
-    claim = "Unison is the weakest design"
-    if _missing(results, ["UnisonCache"]):
-        checks.append(ShapeCheck.skip("Fig8a", claim, ["UnisonCache"]))
-    else:
-        checks.append(ShapeCheck(
-            "Fig8a", claim,
-            results["UnisonCache"]["all"].norm_ipc
-            <= min(r["all"].norm_ipc for r in results.values()) + 0.05,
-            f"Unison {results['UnisonCache']['all'].norm_ipc:.2f}"))
-
-    claim = "Bumblebee's HBM traffic below Hybrid2's x1.6"
-    missing = _missing(results, ["Bumblebee", "Hybrid2"])
-    if missing:
-        checks.append(ShapeCheck.skip("Fig8b", claim, missing))
-    else:
-        bee = results["Bumblebee"]
-        checks.append(ShapeCheck(
-            "Fig8b", claim,
-            bee["all"].norm_hbm_traffic
-            < results["Hybrid2"]["all"].norm_hbm_traffic * 1.6,
-            f"{bee['all'].norm_hbm_traffic:.2f} vs Hybrid2 "
-            f"{results['Hybrid2']['all'].norm_hbm_traffic:.2f}"))
-
-    claim = "POM designs cut off-chip traffic below baseline"
-    if _missing(results, ["Chameleon"]):
-        checks.append(ShapeCheck.skip("Fig8c", claim, ["Chameleon"]))
-    else:
-        checks.append(ShapeCheck(
-            "Fig8c", claim,
-            results["Chameleon"]["all"].norm_dram_traffic < 1.0,
-            f"Chameleon "
-            f"{results['Chameleon']['all'].norm_dram_traffic:.2f}"))
-
-    claim = "Bumblebee beats the tag-in-HBM designs on energy"
-    missing = _missing(results, ["Bumblebee", "AlloyCache", "UnisonCache"])
-    if missing:
-        checks.append(ShapeCheck.skip("Fig8d", claim, missing))
-    else:
-        bee = results["Bumblebee"]
-        checks.append(ShapeCheck(
-            "Fig8d", claim,
-            bee["all"].norm_energy
-            < min(results["AlloyCache"]["all"].norm_energy,
-                  results["UnisonCache"]["all"].norm_energy),
-            f"{bee['all'].norm_energy:.2f} vs AC "
-            f"{results['AlloyCache']['all'].norm_energy:.2f} / UC "
-            f"{results['UnisonCache']['all'].norm_energy:.2f}"))
-    return checks
+    return [
+        _claim("Fig8a", "Bumblebee has the best overall normalised IPC",
+               _missing(results, ["Bumblebee"])
+               or ([] if others else ["a second design"]), best_overall),
+        _claim("Fig8a", "gains concentrate in the high-MPKI group",
+               _missing(results, ["Bumblebee"])
+               or [f"{group}-MPKI workloads"
+                   for group in _missing(bee, ["high", "low"])],
+               lambda: (bee["high"].norm_ipc > bee["low"].norm_ipc,
+                        f"high {bee['high'].norm_ipc:.2f} vs low "
+                        f"{bee['low'].norm_ipc:.2f}")),
+        _claim("Fig8a", "Unison is the weakest design",
+               _missing(results, ["UnisonCache"]),
+               lambda: (results["UnisonCache"]["all"].norm_ipc
+                        <= min(r["all"].norm_ipc for r in results.values())
+                        + 0.05,
+                        f"Unison "
+                        f"{results['UnisonCache']['all'].norm_ipc:.2f}")),
+        _claim("Fig8b", "Bumblebee's HBM traffic below Hybrid2's x1.6",
+               _missing(results, ["Bumblebee", "Hybrid2"]),
+               lambda: (bee["all"].norm_hbm_traffic
+                        < results["Hybrid2"]["all"].norm_hbm_traffic * 1.6,
+                        f"{bee['all'].norm_hbm_traffic:.2f} vs Hybrid2 "
+                        f"{results['Hybrid2']['all'].norm_hbm_traffic:.2f}"
+                        )),
+        _claim("Fig8c", "POM designs cut off-chip traffic below baseline",
+               _missing(results, ["Chameleon"]),
+               lambda: (results["Chameleon"]["all"].norm_dram_traffic < 1.0,
+                        f"Chameleon "
+                        f"{results['Chameleon']['all'].norm_dram_traffic:.2f}"
+                        )),
+        _claim("Fig8d", "Bumblebee beats the tag-in-HBM designs on energy",
+               _missing(results, ["Bumblebee", "AlloyCache", "UnisonCache"]),
+               lambda: (bee["all"].norm_energy
+                        < min(results["AlloyCache"]["all"].norm_energy,
+                              results["UnisonCache"]["all"].norm_energy),
+                        f"{bee['all'].norm_energy:.2f} vs AC "
+                        f"{results['AlloyCache']['all'].norm_energy:.2f} / UC "
+                        f"{results['UnisonCache']['all'].norm_energy:.2f}")),
+    ]
 
 
 def check_figure7(results: Mapping[str, float]) -> list[ShapeCheck]:
     """Shape claims of Figure 7 (skipping claims over absent variants)."""
-    checks: list[ShapeCheck] = []
-
-    claim = "C-Only is the weakest partitioning variant"
-    if _missing(results, ["C-Only"]):
-        checks.append(ShapeCheck.skip("Fig7", claim, ["C-Only"]))
-    else:
-        partitioning = [v for k, v in results.items() if k != "Meta-H"]
-        checks.append(ShapeCheck(
-            "Fig7", claim,
-            results["C-Only"] <= min(partitioning) + 0.02,
-            f"C-Only {results['C-Only']:.2f}"))
-
-    claim = "M-Only beats C-Only"
-    missing = _missing(results, ["M-Only", "C-Only"])
-    if missing:
-        checks.append(ShapeCheck.skip("Fig7", claim, missing))
-    else:
-        checks.append(ShapeCheck(
-            "Fig7", claim, results["M-Only"] > results["C-Only"],
-            f"{results['M-Only']:.2f} vs {results['C-Only']:.2f}"))
-
-    claim = "Meta-H pays a metadata-latency penalty"
-    missing = _missing(results, ["Meta-H", "Bumblebee"])
-    if missing:
-        checks.append(ShapeCheck.skip("Fig7", claim, missing))
-    else:
-        checks.append(ShapeCheck(
-            "Fig7", claim, results["Meta-H"] < results["Bumblebee"] * 0.9,
-            f"Meta-H {results['Meta-H']:.2f} vs "
-            f"{results['Bumblebee']:.2f}"))
-
-    claim = "full Bumblebee is the (tied-)top bar"
-    if _missing(results, ["Bumblebee"]):
-        checks.append(ShapeCheck.skip("Fig7", claim, ["Bumblebee"]))
-    else:
-        checks.append(ShapeCheck(
-            "Fig7", claim,
-            results["Bumblebee"] >= max(results.values()) * 0.97,
-            f"Bumblebee {results['Bumblebee']:.2f} vs max "
-            f"{max(results.values()):.2f}"))
-    return checks
+    partitioning = [v for k, v in results.items() if k != "Meta-H"]
+    return [
+        _claim("Fig7", "C-Only is the weakest partitioning variant",
+               _missing(results, ["C-Only"]),
+               lambda: (results["C-Only"] <= min(partitioning) + 0.02,
+                        f"C-Only {results['C-Only']:.2f}")),
+        _claim("Fig7", "M-Only beats C-Only",
+               _missing(results, ["M-Only", "C-Only"]),
+               lambda: (results["M-Only"] > results["C-Only"],
+                        f"{results['M-Only']:.2f} vs "
+                        f"{results['C-Only']:.2f}")),
+        _claim("Fig7", "Meta-H pays a metadata-latency penalty",
+               _missing(results, ["Meta-H", "Bumblebee"]),
+               lambda: (results["Meta-H"] < results["Bumblebee"] * 0.9,
+                        f"Meta-H {results['Meta-H']:.2f} vs "
+                        f"{results['Bumblebee']:.2f}")),
+        _claim("Fig7", "full Bumblebee is the (tied-)top bar",
+               _missing(results, ["Bumblebee"]),
+               lambda: (results["Bumblebee"] >= max(results.values()) * 0.97,
+                        f"Bumblebee {results['Bumblebee']:.2f} vs max "
+                        f"{max(results.values()):.2f}")),
+    ]
 
 
 def check_overfetch(results: Mapping[str, float]) -> list[ShapeCheck]:
     """§IV-B over-fetch parity claim."""
-    claim = ("Bumblebee's over-fetch stays near fine-grained Hybrid2's "
-             "despite 8x/32x larger granularity")
-    missing = _missing(results, ["Bumblebee", "Hybrid2"])
-    if missing:
-        return [ShapeCheck.skip("SIV-B", claim, missing)]
-    return [ShapeCheck(
-        "SIV-B", claim, results["Bumblebee"] < 0.3,
-        f"Bumblebee {results['Bumblebee']:.1%} vs Hybrid2 "
-        f"{results['Hybrid2']:.1%}")]
+    return [_claim(
+        "SIV-B", "Bumblebee's over-fetch stays near fine-grained Hybrid2's "
+                 "despite 8x/32x larger granularity",
+        _missing(results, ["Bumblebee", "Hybrid2"]),
+        lambda: (results["Bumblebee"] < 0.3,
+                 f"Bumblebee {results['Bumblebee']:.1%} vs Hybrid2 "
+                 f"{results['Hybrid2']:.1%}"))]
 
 
 def check_metadata(report: Mapping) -> list[ShapeCheck]:

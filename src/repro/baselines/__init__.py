@@ -2,18 +2,15 @@
 
 Every controller here (and Bumblebee in :mod:`repro.core.hmmc`)
 registers itself into the design registry
-(:data:`repro.designs.registry`); the paper-order name lists and the
-``make_controller`` factory below are thin views over it, kept for
-backward compatibility.  New code should build from
-:class:`~repro.designs.DesignSpec`\\ s via ``registry.build``.
+(:data:`repro.designs.registry`); the paper-order name lists below are
+views over it.  Controllers are built from a registered name or a
+:class:`~repro.designs.DesignSpec` with ``registry.build``.
 """
 
 from __future__ import annotations
 
-from ..core.config import AllocationPolicy, BumblebeeConfig
 from ..core.hmmc import BumblebeeController
 from ..designs import registry
-from ..mem.timing import DeviceConfig
 from .alloy import AlloyCacheController
 from .banshee import BansheeController
 from .base import HybridMemoryController, MovementEngine
@@ -33,30 +30,6 @@ FIGURE8_DESIGNS = registry.figure_names("fig8")
 FIGURE7_VARIANTS = registry.figure_names("fig7")
 
 
-def make_controller(name: str, hbm_config: DeviceConfig,
-                    dram_config: DeviceConfig,
-                    sram_bytes: int = 512 * 1024) -> HybridMemoryController:
-    """Instantiate any registered design by name (registry shim).
-
-    Args:
-        name: Any registered design name (Figure 7/8 names, ``No-HBM``,
-            ``Ideal``, ``MemPod``).
-        hbm_config: Die-stacked device configuration.
-        dram_config: Off-chip device configuration.
-        sram_bytes: On-chip metadata SRAM budget (512KB at paper scale;
-            pass ``scale.sram_bytes`` for reduced-scale runs so
-            metadata-heavy designs keep paying their MAL).  Reaches only
-            designs that declare an ``sram_bytes`` parameter (Chameleon,
-            Hybrid2); explicitly unsupported elsewhere.
-
-    Raises:
-        ValueError: for an unknown design name (the message lists every
-            registered name).
-    """
-    return registry.build(name, hbm_config, dram_config,
-                          sram_bytes=sram_bytes)
-
-
 __all__ = [
     "HybridMemoryController",
     "MovementEngine",
@@ -72,7 +45,6 @@ __all__ = [
     "c_only",
     "m_only",
     "fixed_chbm",
-    "make_controller",
     "FIGURE8_DESIGNS",
     "FIGURE7_VARIANTS",
 ]

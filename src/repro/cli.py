@@ -32,22 +32,12 @@ from typing import Sequence
 from .analysis import (
     ExperimentConfig,
     ExperimentHarness,
-    bar_chart,
-    check_figure7,
-    check_figure8,
-    check_metadata,
-    check_overfetch,
-    render_report,
     format_figure1,
-    format_figure6,
-    format_figure7,
-    format_figure8,
     format_metadata,
-    format_overfetch,
-    format_overheads,
     format_table2,
 )
-from .baselines import FIGURE8_DESIGNS, make_controller
+from .analysis.artefacts import ARTEFACTS, VALIDATION, Artefact, ipc_matrix
+from .baselines import FIGURE8_DESIGNS
 from .designs import parse_grid, registry
 from .sim import SimulationDriver
 from .traces import MIX_PRESETS, SPEC2017, build_mix, mix_trace
@@ -75,14 +65,6 @@ def _jobs_arg(value: str) -> int:
         raise argparse.ArgumentTypeError(
             f"must be >= 0 (0 = all cores), got {jobs}")
     return jobs
-
-
-def _add_scaling_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=_jobs_arg, default=1,
-                        help="worker processes for independent cells "
-                             "(0 = all cores; results are identical to "
-                             "a serial run)")
-    _add_cache_args(parser)
 
 
 def _add_cache_args(parser: argparse.ArgumentParser) -> None:
@@ -124,9 +106,8 @@ def _add_plan_args(parser: argparse.ArgumentParser,
                    out_default: str) -> None:
     """The campaign-file flags every plan command shares.
 
-    ``campaign``, ``sweep``, ``explore`` and ``fabric serve`` all fill a
-    :class:`~repro.exec.CellPlan` through one plane (:mod:`repro.exec`),
-    so they share output/resume/db/timing plus the window knobs.
+    Every command that fills a :class:`~repro.exec.CellPlan` through
+    :mod:`repro.exec` shares output/resume/db/timing and the window.
     """
     parser.add_argument("--out", default=out_default)
     parser.add_argument("--workloads", nargs="+",
@@ -156,7 +137,11 @@ def _add_campaign_args(parser: argparse.ArgumentParser,
                              "then mirror the coordinator's campaign "
                              "file to --out (see 'repro fabric')")
     _add_supervision_args(parser)
-    _add_scaling_args(parser)
+    parser.add_argument("--jobs", type=_jobs_arg, default=1,
+                        help="worker processes for independent cells "
+                             "(0 = all cores; results are identical to "
+                             "a serial run)")
+    _add_cache_args(parser)
 
 
 def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
@@ -181,23 +166,19 @@ def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
                              "--supervise)")
 
 
-def _harness(args: argparse.Namespace,
-             workloads: Sequence[str] | None = None) -> ExperimentHarness:
-    config = ExperimentConfig(
+def _config(args: argparse.Namespace,
+            workloads: Sequence[str] | None = None) -> ExperimentConfig:
+    """The experiment window the flags describe (every workload when
+    ``workloads`` is not given)."""
+    return ExperimentConfig(
         requests=args.requests, warmup=args.warmup, seed=args.seed,
-        workloads=tuple(workloads) if workloads else tuple(SPEC2017),
+        workloads=tuple(workloads or SPEC2017),
         trace_cache_dir=getattr(args, "trace_cache", None),
-        engine=getattr(args, "engine", "auto"))
-    cache = None
-    cache_dir = getattr(args, "cache", None)
-    if cache_dir is not None:
-        from .analysis import ResultCache
-        cache = ResultCache(cache_dir or None)
-    return ExperimentHarness(config, cache=cache)
+        engine=args.engine)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    harness = _harness(args, [args.workload])
+    harness = ExperimentHarness(_config(args, [args.workload]))
     comparison = harness.run_design(args.design, args.workload)
     print(f"design            : {comparison.design}")
     print(f"workload          : {comparison.workload}")
@@ -212,58 +193,43 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    harness = _harness(args, args.workloads)
-    header = f"{'workload':>12} " + " ".join(f"{d[:10]:>10}"
-                                             for d in args.designs)
-    print(header)
-    for workload in args.workloads:
-        cells = []
-        for design in args.designs:
-            comparison = harness.run_design(design, workload)
-            cells.append(f"{comparison.norm_ipc:10.2f}")
-        print(f"{workload:>12} " + " ".join(cells))
-    return 0
+    """The normalised IPC of designs x workloads, as a campaign."""
+    artefact = Artefact(tuple(args.designs), tuple(args.workloads),
+                        lambda comparisons, scale: comparisons, ipc_matrix)
+    return _run_plan(args, args.designs, artefact=artefact)
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    harness = _harness(args)
+    """Figure 1 and Table II directly; a matrix artefact (``ARTEFACTS``)
+    as a campaign reduced to the figure."""
     fig = args.id.lower()
     if fig == "1":
-        print(format_figure1(harness.figure1_line_utilisation()))
-    elif fig == "6":
-        print(format_figure6(harness.figure6_design_space(
-            workloads=("mcf", "wrf", "xz", "lbm", "xalancbmk", "roms"),
-            jobs=args.jobs)))
-    elif fig == "7":
-        print(format_figure7(harness.figure7_breakdown(jobs=args.jobs)))
-    elif fig in ("8a", "8b", "8c", "8d"):
-        metric = {"8a": "norm_ipc", "8b": "norm_hbm_traffic",
-                  "8c": "norm_dram_traffic", "8d": "norm_energy"}[fig]
-        print(format_figure8(harness.figure8_comparison(jobs=args.jobs),
-                             metric))
-    elif fig == "table2":
-        print(format_table2(harness.table2_characteristics()))
-    elif fig == "overfetch":
-        print(format_overfetch(harness.sec4b_overfetch()))
-    elif fig == "overheads":
-        print(format_overheads(harness.sec4d_overheads()))
-    else:
+        print(format_figure1(
+            ExperimentHarness(_config(args)).figure1_line_utilisation()))
+        return 0
+    if fig == "table2":
+        print(format_table2(
+            ExperimentHarness(_config(args)).table2_characteristics()))
+        return 0
+    artefact = ARTEFACTS.get(fig)
+    if artefact is None:
         print(f"unknown figure id {args.id!r}; valid: 1, 6, 7, 8a-8d, "
               "table2, overfetch, overheads", file=sys.stderr)
         return 2
-    return 0
+    args.workloads = args.workloads or list(artefact.workloads)
+    args.out = args.out or f"figure-{fig}.jsonl"
+    return _run_plan(args, artefact.designs, artefact=artefact)
 
 
 def cmd_characterise(args: argparse.Namespace) -> int:
-    harness = _harness(args, [args.workload])
+    harness = ExperimentHarness(_config(args, [args.workload]))
     results = harness.figure1_line_utilisation(workloads=(args.workload,))
     print(format_figure1(results))
     return 0
 
 
 def cmd_metadata(args: argparse.Namespace) -> int:
-    harness = _harness(args, ["mcf"])
-    print(format_metadata(harness.sec4b_metadata()))
+    print(format_metadata(ExperimentHarness.sec4b_metadata()))
     return 0
 
 
@@ -292,12 +258,8 @@ def _plan_from_args(args: argparse.Namespace, designs,
     describe: the experiment window, the cell matrix, and every
     persistence setting (campaign file, caches, run store, resume)."""
     from .exec import CellPlan
-    config = ExperimentConfig(
-        requests=args.requests, warmup=args.warmup, seed=args.seed,
-        workloads=tuple(args.workloads),
-        trace_cache_dir=args.trace_cache, engine=args.engine)
     return CellPlan(
-        config=config, designs=tuple(designs),
+        config=_config(args, args.workloads), designs=tuple(designs),
         workloads=tuple(args.workloads), out=args.out,
         record_timing=not args.no_timing, cache_dir=args.cache,
         db=args.db, source=source, resume=args.resume)
@@ -387,11 +349,32 @@ def _print_timing(campaign) -> None:
     print(line)
 
 
-def _report_campaign(args: argparse.Namespace, plan, outcome) -> int:
+def _print_artefact(plan, campaign, artefact) -> int:
+    """Print the artefact reduced from the plan's records; exit 1 when
+    it does not pass (a ``validate`` claim missed).  A missing or
+    quarantined cell prints no artefact numbers: exit 4."""
+    from .exec import comparison_of
+    comparisons = [comparison_of(campaign, *cell)
+                   for cell in dict.fromkeys(plan.cells())]
+    missing = sum(comparison is None for comparison in comparisons)
+    if missing or campaign.quarantined:
+        print(f"artefact not rendered: {missing} of {len(comparisons)} "
+              f"cells missing; rerun with --resume to fill them",
+              file=sys.stderr)
+        return 4
+    result = artefact.reduce(comparisons, plan.config.scale)
+    print()
+    print(artefact.render(result))
+    return 0 if artefact.passed(result) else 1
+
+
+def _report_campaign(args: argparse.Namespace, plan, outcome,
+                     artefact=None) -> int:
     """The closing lines of every plan command, whichever backend ran
     it: the backend's notes, the campaign line, the run store, timing,
-    the ``--metric`` matrix (commands that render one) and the
-    quarantine trailer."""
+    then the artefact (``figure``, ``compare``, ``validate``) or the
+    ``--metric`` matrix (commands that render one) and the quarantine
+    trailer."""
     campaign = outcome.campaign
     for note in outcome.notes:
         print(note)
@@ -400,8 +383,11 @@ def _report_campaign(args: argparse.Namespace, plan, outcome) -> int:
     if campaign.store is not None:
         print(f"db: {campaign.store.run_count} runs in {plan.db}")
     _print_timing(campaign)
+    code = 0
     metric = getattr(args, "metric", None)
-    if metric is not None:
+    if artefact is not None:
+        code = _print_artefact(plan, campaign, artefact)
+    elif metric is not None:
         if (campaign.completed_cells
                 and metric not in campaign.available_metrics()):
             print(f"--metric {metric!r}: no record carries it; "
@@ -414,7 +400,7 @@ def _report_campaign(args: argparse.Namespace, plan, outcome) -> int:
         print()
         print(campaign.render_quarantine())
         return 4
-    return 0
+    return code
 
 
 def _spec_error(harness, designs) -> str | None:
@@ -468,7 +454,7 @@ def _open_campaign(args: argparse.Namespace, plan):
 
 
 def _run_plan(args: argparse.Namespace, designs,
-              source: str = "campaign", drive=None) -> int:
+              source: str = "campaign", drive=None, artefact=None) -> int:
     """The one plan/execute/report path of every plan command.
 
     ``designs`` mixes registered names and
@@ -476,13 +462,16 @@ def _run_plan(args: argparse.Namespace, designs,
     serial, pool, fleet client or hosted fleet — comes from the shared
     flags.  ``drive(backend, plan, campaign)``, when given, replaces the
     backend's whole-plan ``execute`` (the explorer's adaptive search)
-    and returns the same :class:`~repro.exec.ExecutionOutcome`.  The
-    closing lines are the same on every path
-    (:func:`_report_campaign`).  Exit codes: 0 complete, 2 usage (a
-    spec whose controller cannot be built, a campaign file that cannot
-    open, a --metric no record carries, a backend that cannot run the
-    request, fabric config errors), 3 fabric unreachable, 4 quarantined
-    cells, 130 interrupted.
+    and returns the same :class:`~repro.exec.ExecutionOutcome`.  An
+    ``artefact`` (:class:`~repro.analysis.artefacts.Artefact`) reduces
+    the filled plan in place of the ``--metric`` matrix.  The closing
+    lines are the same on every path (:func:`_report_campaign`).  Exit
+    codes: 0 complete, 1 an artefact that does not pass (a ``validate``
+    claim missed), 2 usage (a spec whose controller cannot be built, a
+    campaign file that cannot open or holds another window's records, a
+    --metric no record carries, a backend that cannot run the request,
+    a fleet port that cannot be bound, fabric config errors), 3 fabric
+    unreachable, 4 quarantined or missing cells, 130 interrupted.
     """
     from .analysis import CampaignInterrupted
     from .exec import PlanError
@@ -515,7 +504,7 @@ def _run_plan(args: argparse.Namespace, designs,
         raise
     finally:
         backend.close()
-    return _report_campaign(args, plan, outcome)
+    return _report_campaign(args, plan, outcome, artefact)
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
@@ -771,21 +760,9 @@ def cmd_db(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    """Run the shape-claim validation suite; exit non-zero on misses."""
-    harness = _harness(args)
-    checks = []
-    figure8 = harness.figure8_comparison()
-    checks += check_figure8(figure8)
-    checks += check_figure7(harness.figure7_breakdown())
-    checks += check_overfetch(harness.sec4b_overfetch())
-    checks += check_metadata(harness.sec4b_metadata())
-    print(render_report(checks))
-    print()
-    print(bar_chart(
-        {design: groups["all"].norm_ipc
-         for design, groups in figure8.items()},
-        title="normalised IPC (all workloads)", baseline=1.0))
-    return 0 if all(c.passed or c.skipped for c in checks) else 1
+    """Fill the validation plan and check every shape claim; exit 1 on
+    a miss."""
+    return _run_plan(args, VALIDATION.designs, artefact=VALIDATION)
 
 
 def cmd_sanitize(args: argparse.Namespace) -> int:
@@ -836,13 +813,13 @@ def cmd_mix(args: argparse.Namespace) -> int:
     members = build_mix(MIX_PRESETS[args.preset])
     trace = mix_trace(members, args.requests + args.warmup,
                       seed=args.seed)
-    harness = _harness(args, ["mcf"])  # devices only
+    harness = ExperimentHarness(_config(args, ["mcf"]))  # devices only
     driver = SimulationDriver()
     baseline = driver.run(
-        make_controller("No-HBM", harness.hbm_config, harness.dram_config),
+        registry.build("No-HBM", harness.hbm_config, harness.dram_config),
         trace, workload=args.preset, warmup=args.warmup,
         engine=args.engine)
-    controller = make_controller(
+    controller = registry.build(
         args.design, harness.hbm_config, harness.dram_config,
         sram_bytes=harness.config.scale.sram_bytes)
     result = driver.run(controller, trace, workload=args.preset,
@@ -872,17 +849,15 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare",
                              help="normalised IPC matrix of designs")
     compare.add_argument("--designs", nargs="+", default=FIGURE8_DESIGNS)
-    compare.add_argument("--workloads", nargs="+",
-                         default=["mcf", "wrf", "xz"])
-    _add_window_args(compare)
-    compare.set_defaults(func=cmd_compare)
+    _add_campaign_args(compare, out_default="compare.jsonl")
+    compare.set_defaults(func=cmd_compare, workloads=["mcf", "wrf", "xz"])
 
     figure = sub.add_parser("figure", help="regenerate a paper artefact")
     figure.add_argument("--id", required=True,
                         help="1, 6, 7, 8a-8d, table2, overfetch, overheads")
-    _add_window_args(figure)
-    _add_scaling_args(figure)
-    figure.set_defaults(func=cmd_figure)
+    # --out defaults to figure-<id>.jsonl, --workloads to the figure's.
+    _add_campaign_args(figure, out_default=None)
+    figure.set_defaults(func=cmd_figure, workloads=None)
 
     characterise = sub.add_parser(
         "characterise", help="Figure 1 study for one workload")
@@ -1030,8 +1005,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     validate = sub.add_parser(
         "validate", help="check every paper shape claim; exit 1 on miss")
-    _add_window_args(validate)
-    validate.set_defaults(func=cmd_validate)
+    _add_campaign_args(validate, out_default="validate.jsonl")
+    validate.set_defaults(func=cmd_validate,
+                          workloads=list(VALIDATION.workloads))
 
     sanitize = sub.add_parser(
         "sanitize",

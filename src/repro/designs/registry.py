@@ -10,9 +10,8 @@ optionally tagged with its figure and bar position so the paper-order
 name lists derive from the registry instead of living as frozen
 constants.
 
-``repro.baselines.make_controller`` is a thin shim over
-:meth:`DesignRegistry.build`; new code should build from specs
-directly and sweep them with :meth:`DesignRegistry.expand_grid`.
+Controllers are built with :meth:`DesignRegistry.build` from a name or
+a spec, and sweeps expand with :meth:`DesignRegistry.expand_grid`.
 """
 
 from __future__ import annotations

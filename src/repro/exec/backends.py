@@ -59,6 +59,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .plan import PlanError
+
 # Per-process harness store: workers keep traces and baselines warm
 # across the cells they are handed (keyed by the frozen config plus the
 # persistent cache root, so one pool can serve several harnesses).
@@ -373,14 +375,11 @@ class FabricBackend(ExecutionBackend):
         self.progress = progress
 
     def run_cells(self, campaign, cells: Sequence[tuple]) -> int:
-        from .plan import PlanError
         raise PlanError(
             "--fabric joins an existing fleet and cannot drive adaptive "
             "cell batches; host the fleet with --fabric-serve instead")
 
     def execute(self, plan, campaign) -> ExecutionOutcome:
-        import os
-
         from ..analysis.campaign import Campaign, QuarantinedCell
         from ..fabric import FabricClient, run_worker
         before = campaign.completed_cells
@@ -463,7 +462,9 @@ class FleetServeBackend(ExecutionBackend):
         self._thread = None
 
     def serve(self, campaign) -> str:
-        """Start (or return) the held coordinator; returns its URL."""
+        """Start (or return) the held coordinator; returns its URL.
+        Raises :class:`PlanError` naming the address and the cause when
+        it cannot be bound (a busy port)."""
         if self._thread is not None:
             return self.coordinator.url
         from ..fabric import FabricCoordinator
@@ -474,11 +475,19 @@ class FleetServeBackend(ExecutionBackend):
             result_backend=getattr(harness.cache, "store", None),
             trace_backend=getattr(harness.trace_cache, "store", None),
             hold=True)
-        self._thread = CoordinatorThread(
+        thread = CoordinatorThread(
             self.coordinator, host=self.host, port=self.port,
             once=self.linger_s is not None,
             linger_s=self.linger_s or 0.0)
-        return self._thread.start()
+        try:
+            url = thread.start()
+        except OSError as exc:
+            self.coordinator = None
+            cause = os.strerror(exc.errno) if exc.errno else str(exc)
+            raise PlanError(f"fabric: cannot listen on {self.host}:"
+                            f"{self.port}: {cause}") from None
+        self._thread = thread
+        return url
 
     def _announce(self) -> None:
         if self.progress is not None:

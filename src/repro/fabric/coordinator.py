@@ -659,16 +659,24 @@ class CoordinatorThread:
                  host: str = "127.0.0.1", port: int = 0,
                  once: bool = False, linger_s: float = 2.0) -> None:
         self.coordinator = coordinator
-        self._thread = threading.Thread(
-            target=lambda: coordinator.serve(
-                host=host, port=port, once=once, linger_s=linger_s),
-            daemon=True)
+        self._error: OSError | None = None
+
+        def serve() -> None:
+            try:
+                coordinator.serve(host=host, port=port, once=once,
+                                  linger_s=linger_s)
+            except OSError as exc:
+                if coordinator.ready.is_set():
+                    raise
+                self._error = exc       # the bind: start() raises it
+
+        self._thread = threading.Thread(target=serve, daemon=True)
 
     def start(self) -> str:
         """Start serving; returns the coordinator URL once bound.
 
-        Raises at once when the serve loop dies before binding (a busy
-        port), else after 10 s without a bound socket.
+        Raises the serve loop's ``OSError`` at once when it cannot bind
+        (a busy port), else ``RuntimeError`` after 10 s without a socket.
         """
         self._thread.start()
         for _ in range(200):
@@ -676,6 +684,8 @@ class CoordinatorThread:
                 return self.coordinator.url
             if not self._thread.is_alive():
                 break
+        if self._error is not None:
+            raise self._error
         raise RuntimeError("fabric coordinator failed to start")
 
     def wait(self, timeout_s: float = 60.0) -> bool:

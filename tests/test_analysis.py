@@ -15,8 +15,10 @@ from repro.analysis import (
     geomean_speedup,
     summarise_group,
 )
+from repro.analysis.artefacts import figure8
 from repro.analysis.experiments import fitted_devices
 from repro.analysis.metrics import WorkloadComparison
+from repro.exec import run_cells
 from repro.traces import DEFAULT_SCALE, SystemScale
 
 FAST = ExperimentConfig(requests=6000, warmup=2000,
@@ -33,7 +35,7 @@ def fake_comparison(workload="mcf", design="X", ipc=1.5):
         workload=workload, design=design, norm_ipc=ipc,
         norm_hbm_traffic=1.0, norm_dram_traffic=0.8, norm_energy=0.9,
         hbm_hit_rate=0.9, overfetch_fraction=0.1,
-        metadata_latency_fraction=0.0, page_faults=0)
+        metadata_latency_fraction=0.0, page_faults=0, counts={})
 
 
 class TestMetrics:
@@ -131,15 +133,15 @@ class TestReports:
         assert "Bumblebee" in text and "2.00" in text
 
     def test_figure8_format(self, harness):
-        results = harness.figure8_comparison(
-            designs=("AlloyCache",), workloads=("mcf",), groups=("all",))
+        results = figure8(run_cells(harness, [("AlloyCache", "mcf")]),
+                          designs=("AlloyCache",), groups=("all",))
         for metric in ("norm_ipc", "norm_hbm_traffic",
                        "norm_dram_traffic", "norm_energy"):
             assert "AlloyCache" in format_figure8(results, metric)
 
     def test_figure8_rejects_bad_metric(self, harness):
-        results = harness.figure8_comparison(
-            designs=("AlloyCache",), workloads=("mcf",), groups=("all",))
+        results = figure8(run_cells(harness, [("AlloyCache", "mcf")]),
+                          designs=("AlloyCache",), groups=("all",))
         with pytest.raises(KeyError):
             format_figure8(results, "bogus")
 

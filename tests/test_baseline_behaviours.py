@@ -3,7 +3,7 @@ strengths and weaknesses on crafted access patterns."""
 
 import pytest
 
-from repro.baselines import make_controller
+from repro.designs import registry
 from repro.mem import ddr4_3200_config, hbm2_config
 from repro.sim import MemoryRequest, SimulationDriver
 from repro.traces import PackedTrace, SyntheticSpec, SyntheticTraceGenerator
@@ -14,7 +14,7 @@ DRAM = ddr4_3200_config(80 * MIB)
 
 
 def run(design, trace, warmup=0):
-    controller = make_controller(design, HBM, DRAM, sram_bytes=16 * 1024)
+    controller = registry.build(design, HBM, DRAM, sram_bytes=16 * 1024)
     result = SimulationDriver().run(controller, trace, workload="t",
                                     warmup=warmup)
     return controller, result
@@ -45,7 +45,7 @@ class TestAlloyCharacter:
 class TestUnisonCharacter:
     def test_footprint_prediction_saves_fetches_second_round(self):
         """Second residency fetches only the learned footprint."""
-        controller = make_controller("UnisonCache", HBM, DRAM)
+        controller = registry.build("UnisonCache", HBM, DRAM)
         sets = controller._sets
         now = 0.0
         # Round 1: touch 3 lines of page 0, then flush the set.
@@ -71,7 +71,7 @@ class TestUnisonCharacter:
 class TestBansheeCharacter:
     def test_resists_scan_pollution(self):
         """A one-pass scan must not evict Banshee's hot pages."""
-        controller = make_controller("Banshee", HBM, DRAM)
+        controller = registry.build("Banshee", HBM, DRAM)
         now = 0.0
         hot_addrs = [i * 4096 for i in range(32)]
         for _ in range(40):                      # heat 32 pages
@@ -93,8 +93,8 @@ class TestBansheeCharacter:
 class TestChameleonCharacter:
     def test_one_sector_per_group_limits_coverage(self):
         """Two hot segments in the same group fight over one HBM slot."""
-        controller = make_controller("Chameleon", HBM, DRAM,
-                                     sram_bytes=16 * 1024)
+        controller = registry.build("Chameleon", HBM, DRAM,
+                                    sram_bytes=16 * 1024)
         groups = controller._groups_count
         a = groups * 2048          # member 1, group 0
         b = 2 * groups * 2048      # member 2, group 0
@@ -112,8 +112,8 @@ class TestChameleonCharacter:
 class TestHybrid2Character:
     def test_fixed_chbm_thrashes_on_wide_hot_set(self):
         """A hot block set larger than the fixed cHBM churns it."""
-        controller = make_controller("Hybrid2", HBM, DRAM,
-                                     sram_bytes=16 * 1024)
+        controller = registry.build("Hybrid2", HBM, DRAM,
+                                    sram_bytes=16 * 1024)
         chbm_blocks = controller._cache_sets * 8
         hot_blocks = chbm_blocks * 3
         now = 0.0
@@ -133,8 +133,8 @@ class TestBumblebeeCharacter:
         from repro.traces import SystemScale
         members = build_mix(["xz", "wrf"], scale=SystemScale(1 / 256))
         trace = list(mix_trace(members, 40000))
-        controller = make_controller("Bumblebee", HBM, DRAM,
-                                     sram_bytes=16 * 1024)
+        controller = registry.build("Bumblebee", HBM, DRAM,
+                                    sram_bytes=16 * 1024)
         driver = SimulationDriver()
         # Measure per-region hit rates manually.
         boundary = members[1].spec.base_addr

@@ -12,8 +12,8 @@ from repro.baselines import (
     MetadataCache,
     NoHBMController,
     UnisonCacheController,
-    make_controller,
 )
+from repro.designs import registry
 from repro.mem import ddr4_3200_config, hbm2_config
 from repro.sim import MemoryRequest, ServicedBy, SimulationDriver
 from repro.traces import SyntheticSpec, SyntheticTraceGenerator
@@ -35,18 +35,18 @@ class TestFactory:
     @pytest.mark.parametrize("name", FIGURE8_DESIGNS + FIGURE7_VARIANTS
                              + ["No-HBM"])
     def test_every_design_constructs_and_runs(self, name):
-        controller = make_controller(name, HBM, DRAM, sram_bytes=16 * 1024)
+        controller = registry.build(name, HBM, DRAM, sram_bytes=16 * 1024)
         result = run_trace(controller, n=1500)
         assert result.requests == 1500
         assert result.ipc > 0
 
     def test_unknown_design_rejected(self):
         with pytest.raises(ValueError):
-            make_controller("FancyCache", HBM, DRAM)
+            registry.build("FancyCache", HBM, DRAM)
 
     def test_names_match(self):
         for name in FIGURE8_DESIGNS:
-            controller = make_controller(name, HBM, DRAM)
+            controller = registry.build(name, HBM, DRAM)
             assert controller.name == name
 
 

@@ -100,4 +100,4 @@ class TestRepositoryQuality:
                 assert inspect.getdoc(member), (cls.__name__, name)
 
     def test_version_exported(self):
-        assert repro.__version__ == "1.5.0"
+        assert repro.__version__ == "1.6.0"

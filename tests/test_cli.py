@@ -41,7 +41,8 @@ class TestCommands:
                             "--workload", "leela", *WINDOW)
         assert code == 0
 
-    def test_compare(self, capsys):
+    def test_compare(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)     # the default compare.jsonl
         code, out = run_cli(capsys, "compare", "--designs", "Bumblebee",
                             "--workloads", "leela", "mcf", *WINDOW)
         assert code == 0
@@ -62,8 +63,9 @@ class TestCommands:
         code = main(["figure", "--id", "99", *WINDOW])
         assert code == 2
 
-    def test_figure_7_small(self, capsys):
+    def test_figure_7_small(self, capsys, tmp_path, monkeypatch):
         # Tiny window: exercises the full variant sweep path.
+        monkeypatch.chdir(tmp_path)     # the default figure-7.jsonl
         code, out = run_cli(capsys, "figure", "--id", "7",
                             "--requests", "600", "--warmup", "200")
         assert code == 0

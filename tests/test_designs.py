@@ -27,7 +27,6 @@ from repro.baselines import (
     c_only,
     fixed_chbm,
     m_only,
-    make_controller,
 )
 from repro.cli import main
 from repro.core.config import AllocationPolicy, BumblebeeConfig
@@ -233,7 +232,7 @@ class TestRegistry:
         for name in ("Bumblebee", "Banshee", "Chameleon", "No-HBM"):
             assert name in message
         with pytest.raises(ValueError, match="Bumblebee"):
-            make_controller("FancyCache", HBM, DRAM)
+            registry.build("FancyCache", HBM, DRAM)
 
     def test_undeclared_param_rejected_with_supported_list(self):
         spec = DesignSpec("Banshee", {"chbm_ratio": 0.5})
@@ -310,8 +309,8 @@ class TestLegacyBitIdentity:
         registry (the refactor's behaviour-preservation contract)."""
         legacy = run_trace(legacy_make_controller(name, HBM, DRAM,
                                                   sram_bytes=16 * 1024))
-        routed = run_trace(make_controller(name, HBM, DRAM,
-                                           sram_bytes=16 * 1024))
+        routed = run_trace(registry.build(name, HBM, DRAM,
+                                          sram_bytes=16 * 1024))
         assert diff_results(legacy, routed, ignore=()) == []
 
 

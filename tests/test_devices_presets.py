@@ -7,7 +7,7 @@ from repro.analysis import (
     device_report,
     format_device_reports,
 )
-from repro.baselines import make_controller
+from repro.designs import registry
 from repro.mem import (
     MemoryDevice,
     ddr4_3200_config,
@@ -45,8 +45,8 @@ class TestPresets:
         assert device.traffic().total_bytes > 64 * 1024
 
     def test_bumblebee_runs_on_hbm3_ddr5(self):
-        controller = make_controller("Bumblebee", hbm3_config(8 * MIB),
-                                     ddr5_4800_config(80 * MIB))
+        controller = registry.build("Bumblebee", hbm3_config(8 * MIB),
+                                    ddr5_4800_config(80 * MIB))
         result = SimulationDriver().run(
             controller, workload_trace("mcf", 3000), workload="mcf")
         assert result.requests == 3000
@@ -55,8 +55,8 @@ class TestPresets:
 
 class TestDeviceReports:
     def run(self, design="Bumblebee"):
-        controller = make_controller(design, hbm2_config(8 * MIB),
-                                     ddr4_3200_config(80 * MIB))
+        controller = registry.build(design, hbm2_config(8 * MIB),
+                                    ddr4_3200_config(80 * MIB))
         result = SimulationDriver().run(
             controller, workload_trace("lbm", 5000), workload="lbm")
         return controller, result
@@ -68,8 +68,8 @@ class TestDeviceReports:
         assert reports["hbm"].name == "HBM2"
 
     def test_no_hbm_design_reports_dram_only(self):
-        controller = make_controller("No-HBM", hbm2_config(8 * MIB),
-                                     ddr4_3200_config(80 * MIB))
+        controller = registry.build("No-HBM", hbm2_config(8 * MIB),
+                                    ddr4_3200_config(80 * MIB))
         result = SimulationDriver().run(
             controller, workload_trace("lbm", 2000), workload="lbm")
         reports = controller_device_reports(controller, result)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import NoHBMController, make_controller
+from repro.baselines import NoHBMController
+from repro.designs import registry
 from repro.core import BumblebeeController
 from repro.mem import ddr4_3200_config, hbm2_config
 from repro.sim import CpuModel, MemoryRequest, SimulationDriver
@@ -66,7 +67,7 @@ class TestDriver:
 
     def test_metadata_latency_accumulates(self):
         driver = SimulationDriver()
-        controller = make_controller("Meta-H", HBM, DRAM)
+        controller = registry.build("Meta-H", HBM, DRAM)
         result = driver.run(controller, trace_of(500), workload="w")
         assert result.total_metadata_ns > 0
         assert result.metadata_latency_fraction > 0
@@ -105,24 +106,24 @@ class TestCrossDesignInvariants:
 
     @pytest.mark.parametrize("design", DESIGNS)
     def test_latency_positive_and_bounded(self, design):
-        controller = make_controller(design, HBM, DRAM,
-                                     sram_bytes=16 * 1024)
+        controller = registry.build(design, HBM, DRAM,
+                                    sram_bytes=16 * 1024)
         driver = SimulationDriver()
         result = driver.run(controller, trace_of(3000), workload="w")
         assert 0 < result.avg_latency_ns < 10_000
 
     @pytest.mark.parametrize("design", DESIGNS)
     def test_hit_rate_in_unit_interval(self, design):
-        controller = make_controller(design, HBM, DRAM,
-                                     sram_bytes=16 * 1024)
+        controller = registry.build(design, HBM, DRAM,
+                                    sram_bytes=16 * 1024)
         result = SimulationDriver().run(controller, trace_of(3000),
                                         workload="w")
         assert 0.0 <= result.hbm_hit_rate <= 1.0
 
     @pytest.mark.parametrize("design", DESIGNS)
     def test_demand_reads_plus_writes_equals_requests(self, design):
-        controller = make_controller(design, HBM, DRAM,
-                                     sram_bytes=16 * 1024)
+        controller = registry.build(design, HBM, DRAM,
+                                    sram_bytes=16 * 1024)
         result = SimulationDriver().run(controller, trace_of(2000),
                                         workload="w")
         stats = result.controller_stats
@@ -131,8 +132,8 @@ class TestCrossDesignInvariants:
 
     @pytest.mark.parametrize("design", DESIGNS)
     def test_overfetch_never_exceeds_fetched(self, design):
-        controller = make_controller(design, HBM, DRAM,
-                                     sram_bytes=16 * 1024)
+        controller = registry.build(design, HBM, DRAM,
+                                    sram_bytes=16 * 1024)
         SimulationDriver().run(controller,
                                trace_of(4000, spatial=0.3, temporal=0.3),
                                workload="w")

@@ -333,8 +333,6 @@ class TestNetworkFaults:
 
 
 class TestFleetEndToEnd:
-    @pytest.mark.filterwarnings(
-        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_busy_port_fails_to_start_at_once(self, tmp_path):
         campaign = Campaign(_harness(), tmp_path / "c.jsonl")
         coordinator = FabricCoordinator(campaign, ["Bumblebee"], ["leela"])
@@ -344,7 +342,7 @@ class TestFleetEndToEnd:
             thread = CoordinatorThread(coordinator,
                                        port=busy.getsockname()[1])
             started = time.monotonic()
-            with pytest.raises(RuntimeError, match="failed to start"):
+            with pytest.raises(OSError, match="address already in use"):
                 thread.start()
         assert time.monotonic() - started < 5.0
         assert thread.wait(timeout_s=5.0)

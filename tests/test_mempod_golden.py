@@ -8,7 +8,8 @@ the same commit and say why.
 
 import pytest
 
-from repro.baselines import MemPodController, make_controller
+from repro.baselines import MemPodController
+from repro.designs import registry
 from repro.mem import ddr4_3200_config, hbm2_config
 from repro.sim import CpuModel, MemoryRequest, SimulationDriver
 from repro.traces import SyntheticSpec, SyntheticTraceGenerator
@@ -89,7 +90,7 @@ class TestGoldenValues:
         assert sum(r.addr for r in trace) == 7685797632
 
     def test_bumblebee_golden_counters(self):
-        controller = make_controller("Bumblebee", HBM, DRAM)
+        controller = registry.build("Bumblebee", HBM, DRAM)
         result = SimulationDriver(CpuModel()).run(
             controller, golden_trace(), workload="golden")
         stats = result.controller_stats
@@ -105,7 +106,7 @@ class TestGoldenValues:
         assert golden["fetch_bytes"] == 733184
 
     def test_no_hbm_golden_latency(self):
-        controller = make_controller("No-HBM", HBM, DRAM)
+        controller = registry.build("No-HBM", HBM, DRAM)
         result = SimulationDriver(CpuModel()).run(
             controller, golden_trace(), workload="golden")
         assert result.avg_latency_ns == pytest.approx(42.68, abs=0.5)
@@ -134,7 +135,7 @@ PAGE_CACHE_GOLDENS = {
 
 
 def _observed(design, trace, hbm, warmup, engine, vector_epoch):
-    controller = make_controller(design, hbm, DRAM)
+    controller = registry.build(design, hbm, DRAM)
     driver = SimulationDriver(CpuModel(), vector_epoch=vector_epoch)
     result = driver.run(controller, trace, workload="golden",
                         warmup=warmup, engine=engine)

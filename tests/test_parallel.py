@@ -15,14 +15,14 @@ import pytest
 from repro import ExperimentConfig, ExperimentHarness, __version__
 from repro.analysis import Campaign, ResultCache
 from repro.analysis.campaign import run_campaign
-from repro.baselines import make_controller
 from repro.cli import main
+from repro.analysis.artefacts import ARTEFACTS, figure7
 from repro.analysis.experiments import fitted_devices
 from repro.analysis.metrics import compare, geomean_speedup
 from repro.core.config import BumblebeeConfig
 from repro.core.hmmc import BumblebeeController
 from repro.designs import DesignSpec, registry
-from repro.exec import run_cells
+from repro.exec import enumerate_cells, run_cells
 from repro.exec.backends import resolve_jobs
 from repro.sim.driver import SimulationDriver
 from repro.traces.packed import PackedTrace
@@ -53,10 +53,11 @@ class TestParallelIdentical:
 
     def test_figure7_identical(self):
         variants = ("Bumblebee", "No-HMF")
-        serial = ExperimentHarness(FAST).figure7_breakdown(
-            variants=variants, workloads=("leela",))
-        parallel = ExperimentHarness(FAST).figure7_breakdown(
-            variants=variants, workloads=("leela",), jobs=2)
+        cells = enumerate_cells(variants, ("leela",))
+        serial = figure7(run_cells(ExperimentHarness(FAST), cells),
+                         variants)
+        parallel = figure7(run_cells(ExperimentHarness(FAST), cells,
+                                     jobs=2), variants)
         assert serial == parallel
 
     def test_bumblebee_cells_page_refit(self):
@@ -78,7 +79,7 @@ class TestFigure6SpecCells:
         """Figure 6 fills Bumblebee spec cells on refit devices; each
         equals a controller built directly on ``fitted_devices``."""
         harness = ExperimentHarness(FAST)
-        results = harness.figure6_design_space()
+        results = ARTEFACTS["6"].run(harness)
         reference = ExperimentHarness(FAST)
         for page in (64 * 1024, 96 * 1024, 128 * 1024):
             hbm, dram = fitted_devices(FAST.scale, page_bytes=page)
@@ -315,8 +316,8 @@ class TestCampaignJsonl:
 class TestZeroRequestRuns:
     def test_empty_run_reports_zero_not_fabricated(self):
         harness = ExperimentHarness(FAST)
-        controller = make_controller("No-HBM", harness.hbm_config,
-                                     harness.dram_config)
+        controller = registry.build("No-HBM", harness.hbm_config,
+                                    harness.dram_config)
         result = SimulationDriver().run(controller, PackedTrace(),
                                         workload="empty")
         assert result.requests == 0
@@ -324,8 +325,8 @@ class TestZeroRequestRuns:
 
     def test_empty_run_ipc_raises(self):
         harness = ExperimentHarness(FAST)
-        controller = make_controller("No-HBM", harness.hbm_config,
-                                     harness.dram_config)
+        controller = registry.build("No-HBM", harness.hbm_config,
+                                    harness.dram_config)
         result = SimulationDriver().run(controller, PackedTrace(),
                                         workload="empty")
         with pytest.raises(ValueError, match="no IPC"):

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.analysis import bar_chart, grouped_bars, heat_strip, sparkline
-from repro.baselines import IdealHBMController, make_controller
+from repro.baselines import IdealHBMController
+from repro.designs import registry
 from repro.mem import ddr4_3200_config, hbm2_config
 from repro.sim import SimulationDriver
 from repro.traces import (
@@ -85,7 +86,7 @@ class TestPhaseSchedule:
     def test_windowed_hit_rates_sample_count(self):
         schedule = PhaseSchedule(
             phases=[Phase(self.spec(temporal=0.9), 2000)], cycles=1)
-        controller = make_controller("Bumblebee", HBM, DRAM)
+        controller = registry.build("Bumblebee", HBM, DRAM)
         samples = windowed_hit_rates(controller, schedule, window=500)
         assert len(samples) == 4
         assert all(0.0 <= s <= 1.0 for s in samples)
@@ -153,11 +154,11 @@ class TestIdeal:
         driver = SimulationDriver()
         ideal = driver.run(IdealHBMController(HBM, DRAM), trace,
                            workload="mcf")
-        bee = driver.run(make_controller("Bumblebee", HBM, DRAM), trace,
+        bee = driver.run(registry.build("Bumblebee", HBM, DRAM), trace,
                          workload="mcf")
         assert bee.ipc <= ideal.ipc * 1.02
 
     def test_factory_builds_ideal(self):
-        controller = make_controller("Ideal", HBM, DRAM)
+        controller = registry.build("Ideal", HBM, DRAM)
         assert controller.name == "Ideal"
         assert controller.metadata_bytes() == 0

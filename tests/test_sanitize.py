@@ -16,7 +16,8 @@ from repro.analysis.differential import (
     write_reproducer,
 )
 from repro.analysis.experiments import fitted_devices
-from repro.baselines import FIGURE8_DESIGNS, make_controller
+from repro.baselines import FIGURE8_DESIGNS
+from repro.designs import registry
 from repro.core.ble import WayMode
 from repro.sanitize import InvariantChecker, InvariantViolation, shrink_trace
 from repro.sim import SimulationDriver
@@ -37,7 +38,7 @@ class TestInvariantChecker:
     def test_clean_run_has_no_violations(self):
         checker = InvariantChecker(epoch_requests=256)
         result = SimulationDriver(checker=checker).run(
-            make_controller("Bumblebee", HBM, DRAM), _trace(),
+            registry.build("Bumblebee", HBM, DRAM), _trace(),
             workload="clean", warmup=400)
         assert checker.ok
         assert checker.violations == []
@@ -50,16 +51,16 @@ class TestInvariantChecker:
     def test_checked_loop_matches_fast_path_exactly(self):
         trace = _trace(1)
         fast = SimulationDriver().run(
-            make_controller("Bumblebee", HBM, DRAM), trace,
+            registry.build("Bumblebee", HBM, DRAM), trace,
             workload="w", warmup=400)
         checked = SimulationDriver(checker=InvariantChecker()).run(
-            make_controller("Bumblebee", HBM, DRAM), trace,
+            registry.build("Bumblebee", HBM, DRAM), trace,
             workload="w", warmup=400)
         assert diff_results(fast, checked) == []
 
     def test_checker_uninstalls_instrumentation(self):
         checker = InvariantChecker()
-        controller = make_controller("Bumblebee", HBM, DRAM)
+        controller = registry.build("Bumblebee", HBM, DRAM)
         SimulationDriver(checker=checker).run(
             controller, _trace(), workload="w", warmup=100)
         # The access wrapper is an instance attribute; after the run the
@@ -71,7 +72,7 @@ class TestInvariantChecker:
                    for e in ble_set._entries)
 
     def test_detects_stats_corruption(self):
-        controller = make_controller("Bumblebee", HBM, DRAM)
+        controller = registry.build("Bumblebee", HBM, DRAM)
         original = controller.access
         state = {"count": 0}
 
@@ -91,7 +92,7 @@ class TestInvariantChecker:
 
     def test_detects_hit_flag_divergence(self):
         import dataclasses
-        controller = make_controller("Bumblebee", HBM, DRAM)
+        controller = registry.build("Bumblebee", HBM, DRAM)
         original = controller.access
         state = {"count": 0}
 
@@ -111,7 +112,7 @@ class TestInvariantChecker:
         assert any("serviced by" in v for v in checker.violations)
 
     def test_detects_illegal_ble_transition(self):
-        controller = make_controller("Bumblebee", HBM, DRAM)
+        controller = registry.build("Bumblebee", HBM, DRAM)
         checker = InvariantChecker()
         checker.on_run_start(controller, "ble")
         entry = controller.ble[0]._entries[0]
@@ -123,7 +124,7 @@ class TestInvariantChecker:
         checker._uninstall(controller)
 
     def test_legal_ble_transition_passes(self):
-        controller = make_controller("Bumblebee", HBM, DRAM)
+        controller = registry.build("Bumblebee", HBM, DRAM)
         checker = InvariantChecker()
         checker.on_run_start(controller, "ble")
         entry = controller.ble[0]._entries[0]
@@ -147,7 +148,7 @@ class TestInvariantChecker:
     def test_clean_on_every_design(self, design):
         checker = InvariantChecker(epoch_requests=256)
         SimulationDriver(checker=checker).run(
-            make_controller(design, HBM, DRAM), _trace(2, 1_200),
+            registry.build(design, HBM, DRAM), _trace(2, 1_200),
             workload="sweep", warmup=200)
         assert checker.violations == []
 
@@ -231,9 +232,9 @@ class TestDifferential:
 
     def test_diff_results_flags_divergence(self):
         driver = SimulationDriver()
-        a = driver.run(make_controller("Banshee", HBM, DRAM), _trace(0),
+        a = driver.run(registry.build("Banshee", HBM, DRAM), _trace(0),
                        workload="w", warmup=100)
-        b = driver.run(make_controller("Banshee", HBM, DRAM), _trace(1),
+        b = driver.run(registry.build("Banshee", HBM, DRAM), _trace(1),
                        workload="w", warmup=100)
         diffs = diff_results(a, b)
         assert diffs  # different traces cannot agree on everything

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ExperimentConfig, ExperimentHarness
-from repro.baselines import HybridMemoryController, make_controller
+from repro.baselines import HybridMemoryController
 from repro.core import (AllocationPolicy, BumblebeeConfig,
                         BumblebeeController)
 from repro.designs import registry
@@ -50,8 +50,8 @@ def _run(harness, design, trace, engine, warmup=0, max_requests=None,
     driver = SimulationDriver(harness.config.cpu,
                               vector_epoch=vector_epoch)
     result = driver.run(
-        make_controller(design, harness.hbm_config, harness.dram_config,
-                        sram_bytes=harness.config.scale.sram_bytes),
+        registry.build(design, harness.hbm_config, harness.dram_config,
+                       sram_bytes=harness.config.scale.sram_bytes),
         trace, workload="mcf", max_requests=max_requests, warmup=warmup,
         engine=engine)
     return result, driver
@@ -99,8 +99,8 @@ class TestBitIdentity:
         """Addresses past the OS-visible window fault on No-HBM; the
         vectorized fault penalty and accounting must match exactly."""
         harness = ExperimentHarness(CONFIG)
-        probe = make_controller("No-HBM", harness.hbm_config,
-                                harness.dram_config)
+        probe = registry.build("No-HBM", harness.hbm_config,
+                               harness.dram_config)
         lines = 2 * probe.os_visible_bytes() // 64
         stride = lines // 400 + 1       # span the whole 2x window
         trace = PackedTrace(array("Q", [
@@ -798,7 +798,7 @@ class TestRegistryCapability:
         protocol without a fallback veto."""
         harness = ExperimentHarness(CONFIG)
         for name in registry.names():
-            controller = make_controller(
+            controller = registry.build(
                 name, harness.hbm_config, harness.dram_config,
                 sram_bytes=harness.config.scale.sram_bytes)
             assert fallback_reason(controller) is None, name
@@ -810,8 +810,8 @@ class TestRegistryCapability:
         harness = ExperimentHarness(CONFIG)
         names = registry.names()
         capable = [name for name in names if fallback_reason(
-            make_controller(name, harness.hbm_config, harness.dram_config,
-                            sram_bytes=harness.config.scale.sram_bytes))
+            registry.build(name, harness.hbm_config, harness.dram_config,
+                           sram_bytes=harness.config.scale.sram_bytes))
             is None]
         assert len(names) >= 18
         assert capable == names
