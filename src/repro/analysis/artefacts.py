@@ -118,17 +118,6 @@ def overheads(comparisons) -> dict:
             "totals": totals}
 
 
-def ipc_matrix(comparisons) -> str:
-    """``repro compare``'s normalised IPC, workloads x designs."""
-    cells = by_design(comparisons)
-    rows = [f"{'workload':>12} " + " ".join(f"{d[:10]:>10}" for d in cells)]
-    for workload in dict.fromkeys(c.workload for c in comparisons):
-        rows.append(f"{workload:>12} " + " ".join(
-            f"{c.norm_ipc:10.2f}" for column in cells.values()
-            for c in column if c.workload == workload))
-    return "\n".join(rows)
-
-
 def validation(comparisons) -> tuple[list, dict]:
     """``repro validate``'s shape checks, and the Figure 8 summaries
     its bar chart plots."""

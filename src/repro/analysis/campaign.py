@@ -126,8 +126,8 @@ def _window(harness: ExperimentHarness) -> dict:
     }
 
 
-def check_window(records: Sequence[dict], harness: ExperimentHarness,
-                 path: Path) -> None:
+def _check_window(records: Sequence[dict], harness: ExperimentHarness,
+                  path: Path) -> None:
     """Refuse another window's records before a plan resumes them.
 
     Raises:
@@ -174,6 +174,8 @@ class Campaign:
             file adds nothing new).
         store_source: Source label for the mirrored records
             (``campaign``, ``sweep`` or ``explore``).
+        one_window: Refuse (``ValueError``, file untouched) a record
+            of another window, seed, scale or version, as plans do.
 
     Attributes:
         quarantined: Cells a supervised run gave up on (skip-and-report;
@@ -184,7 +186,8 @@ class Campaign:
 
     def __init__(self, harness: ExperimentHarness,
                  path: str | Path, record_timing: bool = True,
-                 store=None, store_source: str = "campaign") -> None:
+                 store=None, store_source: str = "campaign",
+                 one_window: bool = False) -> None:
         self.harness = harness
         self.path = Path(path)
         self.record_timing = record_timing
@@ -195,7 +198,9 @@ class Campaign:
         self._records: dict[str, dict] = {}
         self._writer = CheckpointWriter(self.path)
         if self.path.exists():
-            records, self.recovered_lines = recover_jsonl(self.path)
+            records, self.recovered_lines = recover_jsonl(
+                self.path, check=(lambda records: _check_window(
+                    records, harness, self.path)) if one_window else None)
             for record in records:
                 self._records[_record_key(record)] = record
             if store is not None and records:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 from typing import Sequence
 
 from .analysis import (
@@ -36,7 +37,7 @@ from .analysis import (
     format_metadata,
     format_table2,
 )
-from .analysis.artefacts import ARTEFACTS, VALIDATION, Artefact, ipc_matrix
+from .analysis.artefacts import ARTEFACTS, VALIDATION
 from .baselines import FIGURE8_DESIGNS
 from .designs import parse_grid, registry
 from .sim import SimulationDriver
@@ -194,22 +195,44 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """The normalised IPC of designs x workloads, as a campaign."""
-    artefact = Artefact(tuple(args.designs), tuple(args.workloads),
-                        lambda comparisons, scale: comparisons, ipc_matrix)
-    return _run_plan(args, args.designs, artefact=artefact)
+    if not _artefact_out(args, "compare.jsonl"):
+        return 2
+    return _run_plan(args, args.designs)
+
+
+def _artefact_out(args: argparse.Namespace, default: str) -> bool:
+    """Point ``--out`` at the file of a command that recomputes what it
+    prints: unless ``--resume``, the ``default`` file is started afresh
+    and an existing named ``--out`` is refused (False: exit 2)."""
+    if args.out is None:
+        args.out = default
+        if not args.resume:
+            Path(default).unlink(missing_ok=True)
+    elif not args.resume and Path(args.out).exists():
+        print(f"{args.out} exists; pass --resume or another --out",
+              file=sys.stderr)
+        return False
+    return True
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
     """Figure 1 and Table II directly; a matrix artefact (``ARTEFACTS``)
     as a campaign reduced to the figure."""
     fig = args.id.lower()
-    if fig == "1":
-        print(format_figure1(
-            ExperimentHarness(_config(args)).figure1_line_utilisation()))
-        return 0
-    if fig == "table2":
-        print(format_table2(
-            ExperimentHarness(_config(args)).table2_characteristics()))
+    if fig in ("1", "table2"):
+        plain = vars(build_parser().parse_args(["figure", "--id", fig]))
+        if given := [f"--{name.replace('_', '-')}" for name in plain
+                     if vars(args)[name] != plain[name] and name not in
+                     ("id", "requests", "warmup", "seed", "engine",
+                      "trace_cache")]:
+            print(f"figure --id {fig} runs no cell plan; it takes only "
+                  f"the window flags, not {' '.join(given)}",
+                  file=sys.stderr)
+            return 2
+        harness = ExperimentHarness(_config(args))
+        print(format_figure1(harness.figure1_line_utilisation())
+              if fig == "1"
+              else format_table2(harness.table2_characteristics()))
         return 0
     artefact = ARTEFACTS.get(fig)
     if artefact is None:
@@ -217,7 +240,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
               "table2, overfetch, overheads", file=sys.stderr)
         return 2
     args.workloads = args.workloads or list(artefact.workloads)
-    args.out = args.out or f"figure-{fig}.jsonl"
+    if not _artefact_out(args, f"figure-{fig}.jsonl"):
+        return 2
     return _run_plan(args, artefact.designs, artefact=artefact)
 
 
@@ -555,8 +579,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
     ``execute``, so exit codes and closing lines are ``campaign``'s
     (bad objectives are one more usage error, exit 2).
     """
-    from pathlib import Path
-
     from .exec import (ExecutionOutcome, PlanError, explore_frontier,
                        parse_objectives)
     expanded = _expand_grid(args)
@@ -659,7 +681,6 @@ def cmd_db(args: argparse.Namespace) -> int:
     errors (bad paths, malformed goldens, unknown metrics).
     """
     import json
-    from pathlib import Path
 
     from .observatory import (RunStore, check_regression, load_golden,
                               pin_golden, regression_passed,
@@ -762,6 +783,8 @@ def cmd_db(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     """Fill the validation plan and check every shape claim; exit 1 on
     a miss."""
+    if not _artefact_out(args, "validate.jsonl"):
+        return 2
     return _run_plan(args, VALIDATION.designs, artefact=VALIDATION)
 
 
@@ -849,13 +872,16 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare",
                              help="normalised IPC matrix of designs")
     compare.add_argument("--designs", nargs="+", default=FIGURE8_DESIGNS)
-    _add_campaign_args(compare, out_default="compare.jsonl")
-    compare.set_defaults(func=cmd_compare, workloads=["mcf", "wrf", "xz"])
+    # --out defaults to compare.jsonl, started afresh unless --resume.
+    _add_campaign_args(compare, out_default=None)
+    compare.set_defaults(func=cmd_compare, workloads=["mcf", "wrf", "xz"],
+                         metric="norm_ipc")
 
     figure = sub.add_parser("figure", help="regenerate a paper artefact")
     figure.add_argument("--id", required=True,
                         help="1, 6, 7, 8a-8d, table2, overfetch, overheads")
-    # --out defaults to figure-<id>.jsonl, --workloads to the figure's.
+    # --out defaults to figure-<id>.jsonl, started afresh unless
+    # --resume; --workloads to the figure's.
     _add_campaign_args(figure, out_default=None)
     figure.set_defaults(func=cmd_figure, workloads=None)
 
@@ -1005,7 +1031,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     validate = sub.add_parser(
         "validate", help="check every paper shape claim; exit 1 on miss")
-    _add_campaign_args(validate, out_default="validate.jsonl")
+    # --out defaults to validate.jsonl, started afresh unless --resume.
+    _add_campaign_args(validate, out_default=None)
     validate.set_defaults(func=cmd_validate,
                           workloads=list(VALIDATION.workloads))
 

@@ -119,20 +119,17 @@ class CellPlan:
             ValueError: the file is not JSON Lines or holds another
                 window's records; it is left untouched.
         """
-        from ..analysis.campaign import Campaign, check_window
-        from ..resilience.checkpoint import read_jsonl
+        from ..analysis.campaign import Campaign
         if self.out is None:
             raise PlanError("plan has no campaign file (out is None)")
         if self.resume and not self.out.exists():
             raise PlanError(f"--resume: no campaign file at {self.out}")
         if harness is None:
             harness = self.build_harness()
-        if self.out.exists():
-            check_window(read_jsonl(self.out)[0], harness, self.out)
         return Campaign(harness, self.out,
                         record_timing=self.record_timing,
                         store=self.open_store(),
-                        store_source=self.source)
+                        store_source=self.source, one_window=True)
 
 
 def comparison_of(campaign, design, workload):

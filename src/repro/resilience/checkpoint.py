@@ -275,13 +275,14 @@ def read_jsonl(path: str | Path) -> tuple[list[dict], int]:
     return records, dropped
 
 
-def recover_jsonl(path: str | Path) -> tuple[list[dict], int]:
+def recover_jsonl(path: str | Path, check=None) -> tuple[list[dict], int]:
     """Load a JSONL checkpoint, repairing any damage in place.
 
     Parses like :func:`read_jsonl`.  When any line was dropped — or
     the file lacks its final newline, which would make the next append
     produce a run-on line — the file is rewritten atomically from the
-    surviving lines.
+    surviving lines.  ``check(records)``, when given, sees the records
+    before any rewrite: an exception it raises leaves the file untouched.
 
     The read and the compacting rewrite happen under the file's
     advisory :class:`FileLock`, so an append racing in from another
@@ -301,6 +302,8 @@ def recover_jsonl(path: str | Path) -> tuple[list[dict], int]:
     with FileLock(path):
         raw = path.read_bytes()
         records, good_lines, dropped = _parse_jsonl(raw, path)
+        if check is not None:
+            check(records)
         if dropped or (raw and not raw.endswith(b"\n")):
             atomic_write_bytes(path, b"".join(line + b"\n"
                                               for line in good_lines))

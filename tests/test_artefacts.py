@@ -220,15 +220,67 @@ class TestPlanCommands:
         assert captured.out == ""
         assert "1 of 2 cells missing" in captured.err
 
-    def test_compare_prints_the_ipc_matrix(self, tmp_path, capsys):
+    def test_compare_prints_the_campaign_ipc_matrix(self, tmp_path,
+                                                    capsys):
         assert main(["compare", "--designs", "Banshee", "Bumblebee",
                      "--workloads", "leela", "mcf",
                      "--out", str(tmp_path / "c.jsonl"), *_window()]) == 0
         out = capsys.readouterr().out.splitlines()
-        header = out.index(f"{'workload':>12} {'Banshee':>10} "
-                           f"{'Bumblebee':>10}")
+        header = out.index(f"{'design':>12} {'leela':>7} {'mcf':>7}")
         assert [line.split()[0] for line in out[header + 1:]] == \
-            ["leela", "mcf"]
+            ["Banshee", "Bumblebee"]
+
+
+class TestEveryRunRecomputes:
+    """``figure``, ``compare`` and ``validate`` print this run's cells:
+    an earlier run's file is reused only under ``--resume``."""
+
+    def test_validate_twice_in_one_directory(self, tmp_path, monkeypatch,
+                                             capsys):
+        monkeypatch.chdir(tmp_path)
+        args = ["validate", "--workloads", "leela", *_window()]
+        cells = len(VALIDATION.designs)
+        main(args)
+        first = capsys.readouterr().out
+        stale = (tmp_path / "validate.jsonl").read_text()
+        (tmp_path / "validate.jsonl").write_text(
+            stale.replace('"norm_ipc": ', '"norm_ipc": 9'))
+        main(args)
+        second = capsys.readouterr().out
+        assert f"({cells} new)" in first and f"({cells} new)" in second
+        assert second == first
+        assert (tmp_path / "validate.jsonl").read_text() == stale
+
+    def test_resume_reuses_the_default_file(self, tmp_path, monkeypatch,
+                                            capsys):
+        monkeypatch.chdir(tmp_path)
+        args = ["figure", "--id", "overfetch", "--workloads", "leela",
+                *_window()]
+        assert main(args) == 0
+        assert main([*args, "--resume"]) == 0
+        assert "(0 new)" in capsys.readouterr().out
+
+    def test_existing_named_out_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "c.jsonl"
+        out.write_text("")
+        for command in (["compare"], ["validate"],
+                        ["figure", "--id", "overfetch"]):
+            assert main([*command, "--workloads", "leela",
+                         "--out", str(out), *_window()]) == 2
+            assert capsys.readouterr().err == (
+                f"{out} exists; pass --resume or another --out\n")
+        assert out.read_text() == ""
+
+    @pytest.mark.parametrize("fig", ["1", "table2"])
+    def test_figure_without_a_plan_refuses_plan_flags(self, fig, tmp_path,
+                                                      monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["figure", "--id", fig, "--resume", "--db", "x.db",
+                     *_window()]) == 2
+        assert capsys.readouterr().err == (
+            f"figure --id {fig} runs no cell plan; it takes only the "
+            f"window flags, not --resume --db --no-timing\n")
+        assert not list(tmp_path.iterdir())
 
 
 class TestMixedWindowsRefused:
