@@ -10,6 +10,11 @@ bandwidth cost predictable but its reaction time one epoch — the
 "slower migration decision" trade the Bumblebee paper attributes to POM
 designs generally.
 
+The policy is one step, :meth:`MemPodController._route`, which both
+engines run: the scalar ``access`` adds the demand to it, and the epoch
+engine's pass 1 loops it over the epoch and leaves the demand to the
+walk.
+
 Not part of the paper's Figure 8 comparison; provided as an extra
 evaluation point (see ``benchmarks/test_extended_designs.py``).
 """
@@ -68,39 +73,62 @@ class MemPodController(HybridMemoryController):
         return ((pod_index * self._slots_per_pod + slot) * PAGE_BYTES
                 + offset) % self.hbm.capacity_bytes
 
-    def access(self, request: MemoryRequest, now_ns: float) -> AccessResult:
+    def _route(self, addr: int, now_ns: float) -> int | None:
+        """MemPod's policy for one request: the MEA update, the pod's
+        access epoch (whose migrations run before the demand) and the
+        LRU tick of a resident page.
+
+        Returns:
+            The HBM address that serves ``addr``, or None when DRAM
+            serves it.
+        """
         self._clock += 1
-        pod_index, page, offset = self._locate(request.addr)
+        pod_index, page, offset = self._locate(addr)
         pod = self._pods[pod_index]
         pod.accesses += 1
         self._mea_update(pod, page)
         if pod.accesses % self.EPOCH_ACCESSES == 0:
             self._epoch_migrate(pod_index, now_ns)
         slot = pod.resident.get(page)
-        if slot is not None:
-            pod.lru[page] = self._clock
-            return self._demand_hbm(
-                self._hbm_addr(pod_index, slot, offset), request, now_ns)
-        return self._demand_dram(request.addr, request, now_ns)
+        if slot is None:
+            return None
+        pod.lru[page] = self._clock
+        return self._hbm_addr(pod_index, slot, offset)
+
+    def access(self, request: MemoryRequest, now_ns: float) -> AccessResult:
+        hbm_addr = self._route(request.addr, now_ns)
+        if hbm_addr is None:
+            return self._demand_dram(request.addr, request, now_ns)
+        return self._demand_hbm(hbm_addr, request, now_ns)
 
     def batch_epoch_plan(self, addr, is_write):
         """Pass 1 of the epoch engine: every request runs through
-        :meth:`access` in scalar order with the devices bound to a
-        :class:`~repro.sim.vectorized.ScriptRecorder`.  MemPod's policy
-        (MEA counters, per-pod access epochs, LRU ticks) never reads
-        device timing — ``now_ns`` only reaches the movement engine — so
-        the page moves a pod epoch issues before the demand become that
-        request's ``PRE_BULK`` rows of the op table."""
+        :meth:`_route` in scalar order, the policy half of
+        :meth:`access`.  MemPod's policy never reads device timing —
+        ``now_ns`` only reaches the movement engine — so the devices are
+        bound to a :class:`~repro.sim.vectorized.ScriptRecorder` only to
+        turn the page moves of a pod epoch into that request's
+        ``PRE_BULK`` rows of the op table; the routed address is the
+        demand."""
         from ..sim.vectorized import EpochPlan, ScriptRecorder
         m = addr.shape[0]
         plan = EpochPlan(use_hbm=np.zeros(m, dtype=bool),
-                         local_addr=np.zeros(m, dtype=np.int64))
+                         local_addr=addr % self._dram_capacity,
+                         policy_requests=m)
+        route = self._route
+        hits: list[int] = []
+        hbm_addr: list[int] = []
         with ScriptRecorder(self) as recorder:
-            run = recorder.run
-            for i, (a, w) in enumerate(zip(addr.tolist(),
-                                           is_write.tolist())):
-                run(i, a, w)
-        recorder.fill(plan)
+            owner = recorder.cursor
+            for i, a in enumerate(addr.tolist()):
+                owner[0] = i
+                routed = route(a, 0.0)
+                if routed is not None:
+                    hits.append(i)
+                    hbm_addr.append(routed)
+        plan.use_hbm[hits] = True
+        plan.local_addr[hits] = hbm_addr
+        plan.ops = recorder.ops
         return plan
 
     def _mea_update(self, pod: _Pod, page: int) -> None:

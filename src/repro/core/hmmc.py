@@ -657,12 +657,13 @@ class BumblebeeController(HybridMemoryController):
     #: ``vector_epoch`` is set.  A page allocated or filled after an
     #: epoch's numpy classification makes every later request it serves
     #: in that epoch re-checked once; a fresher classification saves
-    #: that work until the per-epoch planning cost takes over.  CPU time
-    #: of the cells (min of 6 interleaved runs, 2 vCPUs, per-request
-    #: commit) at 1024 / 2048 / 4096 / 8192: pressure-cold's C-Only,
-    #: M-Only, Alloc-D and Alloc-H cells 1.03 / 0.93 / 0.99 / 1.00 s,
-    #: fig8-cold's Bumblebee cells 0.45 / 0.28 / 0.26 / 0.25 s.  Longer
-    #: epochs help the second set and slow the first, so the size stays.
+    #: that work until the per-epoch planning cost takes over.  Process
+    #: CPU time of the cells (median of 5 interleaved runs, seed 1234,
+    #: 2 vCPUs) at 2048 / 4096 / 8192 / 16384 / 65536: C-Only, M-Only,
+    #: Alloc-D and Alloc-H on lbm and roms (20k + 10k) 0.594 / 0.603 /
+    #: 0.610 / 0.595 / 0.603 s; Bumblebee on mcf, leela and xalancbmk
+    #: (30k + 15k) 0.204 / 0.201 / 0.187 / 0.195 / 0.200 s.  Both curves
+    #: are flat within a few percent, so the size stays.
     preferred_epoch_requests = 2048
 
     def batch_epoch_plan(self, addr, is_write):

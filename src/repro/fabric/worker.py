@@ -68,6 +68,15 @@ class FabricUnreachable(ConnectionError):
 _MAX_LINE = 8192
 
 
+def _whole(line: bytes) -> bytes:
+    """``line`` as read by ``readline(_MAX_LINE)``, refused when it
+    filled the limit without reaching its newline (read on, its tail
+    would parse as the next line)."""
+    if len(line) >= _MAX_LINE and not line.endswith(b"\n"):
+        raise ValueError(f"reply line longer than {_MAX_LINE} bytes")
+    return line
+
+
 def _read_reply(line: bytes, stream) -> tuple[int, bytes, bool]:
     """Parse the coordinator's reply whose status line is ``line``.
 
@@ -77,24 +86,33 @@ def _read_reply(line: bytes, stream) -> tuple[int, bytes, bool]:
 
     Raises:
         ConnectionError: when the reply is cut short.
-        ValueError: when it is not an HTTP reply.
+        ValueError: when it is not an HTTP reply: a status that is not
+            three ASCII digits in 100-599, a status or header line
+            longer than ``_MAX_LINE``, or a ``Content-Length`` that is
+            not digits or differs from an earlier one.
     """
     if not line:
         raise ConnectionResetError("connection closed before a reply")
-    version, status = line.split(None, 2)[:2]
+    version, status = _whole(line).split(None, 2)[:2]
+    if not (len(status) == 3 and status.isdigit()
+            and 100 <= int(status) <= 599):
+        raise ValueError(f"bad reply status {status[:16]!r}")
     close = version != b"HTTP/1.1"
-    length = 0
+    length = None
     while (header := stream.readline(_MAX_LINE)) not in (b"\r\n", b"\n"):
         if not header:
             raise ConnectionResetError("reply headers cut short")
-        name, _, value = header.partition(b":")
+        name, _, value = _whole(header).partition(b":")
         name = name.strip().lower()
         if name == b"content-length":
+            value = value.strip()
+            if not value.isdigit() or length not in (None, int(value)):
+                raise ValueError(
+                    f"bad or conflicting Content-Length {value[:16]!r}")
             length = int(value)
-            if length < 0:
-                raise ValueError("negative Content-Length")
         elif name == b"connection":
             close = value.strip().lower() == b"close"
+    length = length or 0
     body = stream.read(length)
     if len(body) < length:
         raise ConnectionResetError("reply body cut short")

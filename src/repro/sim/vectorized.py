@@ -24,12 +24,11 @@ table are the scalar loop's:
   ``addr % capacity`` and script nothing;
 * the Figure-8 caches forward-replay their own state machine and
   append rows directly (AlloyCache builds its table with numpy);
-* MemPod runs every request through its own ``access``, and Bumblebee
-  classifies runs of resident hits with numpy and runs every other
-  request through ``access``, both under a :class:`ScriptRecorder`,
-  which records the demand at the controller's ``_demand_hbm`` /
-  ``_demand_dram`` (no statistic bumped, none taken back) and appends
-  each ``bulk_transfer`` as a row.
+* Bumblebee classifies runs of resident hits with numpy and runs every
+  other request through ``access`` under a :class:`ScriptRecorder`,
+  which records the demand at ``_demand_hbm`` / ``_demand_dram`` and
+  each ``bulk_transfer`` as a row; MemPod routes every request through
+  the policy step of its ``access`` and records only the rows.
 
 The walk then times the table, with everything outside the sequential
 float recurrence done as numpy array operations over the epoch:
@@ -137,9 +136,9 @@ class EpochPlan:
             after the demand, charged at the request's arrival).  Rows
             are ordered by ``(owner, kind)`` and keep the scalar call
             order within each group.
-        policy_requests: How many of the epoch's requests pass 1 ran
-            through the controller's ``access`` (0 for designs that
-            forward-replay their own state machine).
+        policy_requests: How many of the epoch's requests pass 1
+            decided one at a time through the design's scalar policy
+            (0 for designs that forward-replay their own state machine).
 
     ``lane`` is 0 for the stacked device, 1 for off-chip DRAM.  Pass 1
     bumps the design's own statistics; the engine counts every
@@ -178,17 +177,18 @@ class ScriptRecorder:
         self._devices = _lanes(controller)[1]
         self._request = MutableRequest()
         #: The recorded op table, flat.
-        self._ops: list[int] = []
-        #: ``[owner, kind]`` of the rows the running request appends;
-        #: its demand turns the kind from PRE_BULK to POST_BULK.
-        self._cursor = [0, PRE_BULK]
+        self.ops: list[int] = []
+        #: ``[owner, kind]`` of the rows the running request appends (a
+        #: pass 1 that routes requests itself sets the owner); its
+        #: demand turns the kind from PRE_BULK to POST_BULK.
+        self.cursor = [0, PRE_BULK]
         self._index: list[int] = []
         #: ``(lane, local_addr, is_write)`` of each demand, in call order.
         self._demands: list[tuple] = []
 
     def _demand(self, lane: int, capacity: int):
         demand = self._demands.append
-        cursor = self._cursor
+        cursor = self.cursor
 
         def record(addr, request, now_ns, metadata_ns=0.0):
             demand((lane, addr % capacity, request.is_write))
@@ -196,8 +196,8 @@ class ScriptRecorder:
         return record
 
     def _bulk(self, lane: int):
-        emit = self._ops.extend
-        cursor = self._cursor
+        emit = self.ops.extend
+        cursor = self.cursor
 
         def bulk_transfer(addr, nbytes, is_write, now_ns):
             emit((cursor[0], cursor[1], lane, addr, nbytes, is_write))
@@ -224,7 +224,7 @@ class ScriptRecorder:
         request = self._request
         request.addr = addr
         request.is_write = is_write
-        cursor = self._cursor
+        cursor = self.cursor
         cursor[0] = index
         cursor[1] = PRE_BULK
         self._access(request, 0.0)
@@ -246,7 +246,7 @@ class ScriptRecorder:
             index = np.array(self._index, dtype=np.int64)
             plan.use_hbm[index] = np.array(lane) == 0
             plan.local_addr[index] = local
-        plan.ops = self._ops
+        plan.ops = self.ops
         plan.policy_requests = len(self._index)
 
 
@@ -474,12 +474,15 @@ def _add_counts(state: "TimingState", chan, is_write, nbytes, bursts,
 def _row_outcomes(bank, row, open_row):
     """Row-buffer outcome (0 hit, 1 closed, 2 conflict) of each access:
     it sees the row its bank's previous access opened, a bank's first
-    access its ``open_row`` entry (int64, updated in place)."""
+    access its ``open_row`` entry (int64, updated in place).  Bank ids
+    sort as the narrowest unsigned type, which numpy radix-sorts (a
+    stable order is unique, so it is the one of the int64 ids)."""
     m = bank.shape[0]
     outcome = np.empty(m, dtype=np.int64)
     if not m:
         return outcome
-    order = np.argsort(bank, kind="stable")
+    narrow = bank.astype(np.min_scalar_type(len(open_row) - 1))
+    order = np.argsort(narrow, kind="stable")
     bank_sorted = bank[order]
     row_sorted = row[order]
     same = bank_sorted[1:] == bank_sorted[:-1]
@@ -519,7 +522,6 @@ def _segments(n: int, max_requests: int | None,
         return [(0, warmup, False), (warmup, warmup + measured, True)]
     count = n if max_requests is None else min(n, max_requests)
     return [(0, count, True)]
-
 
 
 def _plain_walk(columns, t: float, running: float, mlp: float,
@@ -567,7 +569,7 @@ def replay_epoch(driver: "SimulationDriver",
         ``(result, epochs, policy_requests)`` — a
         :class:`~repro.sim.driver.SimResult` bit-identical to the scalar
         loop's, the number of epochs processed, and the number of
-        requests pass 1 ran through ``controller.access``.
+        requests pass 1 decided one at a time (``policy_requests``).
 
     Raises:
         ValueError: on a non-positive epoch size or a malformed
@@ -576,12 +578,10 @@ def replay_epoch(driver: "SimulationDriver",
             fails :func:`_op_table`'s checks).
     """
     if epoch_requests is None:
-        # A controller whose pass 1 classifies from a snapshot (rather
-        # than forward-replaying every request) trades work for epoch
-        # length and may advise a shorter epoch; an explicit
-        # ``vector_epoch`` always wins, and the choice is
-        # performance-only — results are bit-identical at any size
-        # (pinned by tests).
+        # A pass 1 that classifies from a snapshot trades work for
+        # epoch length and may advise a shorter epoch; an explicit
+        # ``vector_epoch`` always wins.  Results are bit-identical at
+        # any size (pinned by tests).
         epoch_requests = getattr(controller, "preferred_epoch_requests",
                                  None)
     epoch = int(epoch_requests or VECTOR_EPOCH_REQUESTS)

@@ -181,44 +181,88 @@ class SyntheticTraceGenerator:
         length = max(1, int(self._run_mean * (0.5 + rng.random())))
         return [start, length]
 
-    def _next_line(self) -> int:
-        rng = self._rng
-        draw = rng.random()
-        if draw < self._p_hot:
-            index = rng.randrange(len(self._hot_lines))
-            if self._churn and rng.random() < self._churn:
-                self._hot_lines[index] = rng.randrange(
-                    self.spec.footprint_lines)
-            return self._hot_lines[index]
-        if draw < self._p_hot + self._p_seq:
-            stream = self._streams[rng.randrange(self.STREAMS)]
-            line = stream[0]
-            stream[0] = (stream[0] + 1) % self.spec.footprint_lines
-            stream[1] -= 1
-            if stream[1] <= 0:
-                stream[:] = self._new_stream()
-            return line
-        # Cold access: in a strongly spatial workload even irregular
-        # accesses land near recent activity (indirect accesses into the
-        # active tile); only weak-spatial codes scatter uniformly.
-        if rng.random() < self.spec.spatial:
-            cursor = self._streams[rng.randrange(self.STREAMS)][0]
-            page_base = cursor - (cursor % 1024)
-            return (page_base + rng.randrange(1024)) % \
-                self.spec.footprint_lines
-        return rng.randrange(self.spec.footprint_lines)
+    def _draws(self, base_line: int, icount_bits: int) -> Iterator[int]:
+        """The endless draw loop behind :meth:`__iter__` and
+        :meth:`generate_packed`: each request's line, then its write
+        draw, yielded as ``(base_line + line) << LINE_SHIFT |
+        icount_bits | is_write``.
 
-    def __iter__(self) -> Iterator[MemoryRequest]:
+        Every piece of state stays on ``self`` (the RNG, and the hot set
+        and streams mutated in place), so a loop abandoned between
+        requests loses nothing a later loop needs.  Each
+        ``randrange(n)`` is written out as CPython's ``_randbelow``:
+        ``getrandbits(n.bit_length())`` redrawn while it is ``>= n``,
+        the same draws without three Python frames per call.
+        """
         spec = self.spec
         rng = self._rng
-        icount = spec.icount_per_miss
+        random_ = rng.random
+        getrandbits = rng.getrandbits
+        hot = self._hot_lines
+        streams = self._streams
+        new_stream = self._new_stream
+        footprint = spec.footprint_lines
+        n_hot = len(hot)
+        n_streams = self.STREAMS
+        k_hot = n_hot.bit_length()
+        k_foot = footprint.bit_length()
+        k_streams = n_streams.bit_length()
+        k_page = (1024).bit_length()
+        p_hot = self._p_hot
+        p_seq_end = self._p_hot + self._p_seq
+        churn = self._churn
+        spatial = spec.spatial
         write_fraction = spec.write_fraction
-        base = spec.base_addr
+        shift = LINE_SHIFT
         while True:
-            addr = base + self._next_line() * CACHE_LINE_BYTES
+            draw = random_()
+            if draw < p_hot:
+                index = getrandbits(k_hot)
+                while index >= n_hot:
+                    index = getrandbits(k_hot)
+                if churn and random_() < churn:
+                    line = getrandbits(k_foot)
+                    while line >= footprint:
+                        line = getrandbits(k_foot)
+                    hot[index] = line
+                line = hot[index]
+            elif draw < p_seq_end:
+                pick = getrandbits(k_streams)
+                while pick >= n_streams:
+                    pick = getrandbits(k_streams)
+                stream = streams[pick]
+                line = stream[0]
+                stream[0] = (line + 1) % footprint
+                stream[1] -= 1
+                if stream[1] <= 0:
+                    stream[:] = new_stream()
+            elif random_() < spatial:
+                # Cold access: in a strongly spatial workload even
+                # irregular accesses land near recent activity (indirect
+                # accesses into the active tile); only weak-spatial
+                # codes scatter uniformly.
+                pick = getrandbits(k_streams)
+                while pick >= n_streams:
+                    pick = getrandbits(k_streams)
+                cursor = streams[pick][0]
+                offset = getrandbits(k_page)
+                while offset >= 1024:
+                    offset = getrandbits(k_page)
+                line = (cursor - cursor % 1024 + offset) % footprint
+            else:
+                line = getrandbits(k_foot)
+                while line >= footprint:
+                    line = getrandbits(k_foot)
+            yield (((base_line + line) << shift) | icount_bits
+                   | (random_() < write_fraction))
+
+    def __iter__(self) -> Iterator[MemoryRequest]:
+        base = self.spec.base_addr
+        icount = self.spec.icount_per_miss
+        for value in self._draws(0, 0):
             yield MemoryRequest(
-                addr=addr,
-                is_write=rng.random() < write_fraction,
+                addr=base + (value >> LINE_SHIFT) * CACHE_LINE_BYTES,
+                is_write=bool(value & 1),
                 icount=icount,
             )
 
@@ -229,10 +273,9 @@ class SyntheticTraceGenerator:
     def generate_packed(self, n: int) -> PackedTrace:
         """Materialise ``n`` requests in packed form, no objects built.
 
-        Consumes the RNG in exactly the order of :meth:`__iter__`
-        (address draw, then write draw), so the packed stream decodes to
-        the byte-identical ``(addr, is_write, icount)`` sequence the
-        reference :meth:`__iter__` yields for the same seed.
+        Draws from the loop :meth:`__iter__` draws from, so the packed
+        stream decodes to the byte-identical ``(addr, is_write,
+        icount)`` sequence :meth:`__iter__` yields for the same seed.
 
         Raises:
             ValueError: when the spec is not representable in the packed
@@ -247,18 +290,8 @@ class SyntheticTraceGenerator:
                              "the packed layout")
         if icount > ICOUNT_MAX:
             raise ValueError(f"icount {icount} exceeds the packed budget")
-        rng_random = self._rng.random
-        next_line = self._next_line
-        write_fraction = spec.write_fraction
-        base_line = spec.base_addr // CACHE_LINE_BYTES
-        icount_bits = icount << 1
-        shift = LINE_SHIFT
-        data = array("Q", bytes(8 * n))
-        for index in range(n):
-            line = base_line + next_line()
-            data[index] = ((line << shift) | icount_bits
-                           | (rng_random() < write_fraction))
-        return PackedTrace(data)
+        draws = self._draws(spec.base_addr // CACHE_LINE_BYTES, icount << 1)
+        return PackedTrace(array("Q", itertools.islice(draws, n)))
 
 
 def phase_shift_trace(spec_a: SyntheticSpec, spec_b: SyntheticSpec,

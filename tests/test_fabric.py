@@ -20,6 +20,7 @@ scenarios compose.
 
 import dataclasses
 import gc
+import io
 import json
 import logging
 import socket
@@ -47,6 +48,7 @@ from repro.fabric import (
     run_worker,
 )
 from repro.fabric.coordinator import unwire_cell, wire_cell
+from repro.fabric import worker as fabric_worker
 from repro.fabric.worker import _Heartbeat
 from repro.resilience import (FLEET_POLICY, FaultSpec, LeaseTable,
                               Supervision, faults)
@@ -828,3 +830,136 @@ class TestRequestFuzz:
             stream = sock.makefile("rb")
             assert [_read_reply(stream) for _ in range(3)] == \
                 [200, 404, 200]
+
+
+# ---- malformed replies ----------------------------------------------------
+
+
+def _parse(reply: bytes):
+    """``fabric.worker._read_reply`` over ``reply`` as the client reads it."""
+    stream = io.BytesIO(reply)
+    return fabric_worker._read_reply(
+        stream.readline(fabric_worker._MAX_LINE), stream)
+
+
+_STATUS_LINES = st.sampled_from([
+    b"HTTP/1.1 200 OK\r\n", b"HTTP/1.1 404 Not Found\r\n",
+    b"HTTP/1.0 200 OK\r\n", b"HTTP/1.1 599\r\n", b"HTTP/1.1 -1 OK\r\n",
+    b"HTTP/1.1 99999 OK\r\n", b"HTTP/1.1 099 OK\r\n", b"HTTP/1.1\r\n",
+    b"\r\n"])
+_HEADERS = st.lists(st.sampled_from([
+    b"Connection: close\r\n", b"Connection: keep-alive\r\n",
+    b"Content-Type: application/json\r\n", b"X: y\r\n",
+    b"Content-Length: 0\r\n", b"Content-Length: 3\r\n",
+    b"Content-Length: 9\r\n", b"Content-Length: -2\r\n",
+    b"Content-Length: +3\r\n", b"Content-Length: 1_0\r\n"]), max_size=4)
+
+
+class TestReplyParser:
+    """The worker's reply parser returns a whole ``(status, body,
+    close)`` or raises ``ValueError`` / ``ConnectionError``: a reply it
+    cannot frame must never read as a success or desynchronise the
+    kept-open connection."""
+
+    def test_well_formed_reply(self):
+        assert _parse(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}"
+                      b"HTTP/1.1 ...") == (200, b"{}", False)
+        assert _parse(b"HTTP/1.1 503 X\r\nConnection: close\r\n"
+                      b"Content-Length: 0\r\n\r\n") == (503, b"", True)
+
+    @pytest.mark.parametrize("status", [
+        b"-1", b"99999", b"20", b"600", b"099", b"2O0", b"+20",
+        "٢٠٠".encode()])
+    def test_status_must_be_three_digits_in_range(self, status):
+        with pytest.raises(ValueError, match="status"):
+            _parse(b"HTTP/1.1 " + status + b" OK\r\n"
+                   b"Content-Length: 2\r\n\r\n{}")
+
+    def test_conflicting_content_lengths(self):
+        with pytest.raises(ValueError, match="Content-Length"):
+            _parse(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
+                   b"Content-Length: 1\r\n\r\n{}")
+        # A repeated equal value frames the same body.
+        assert _parse(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
+                      b"Content-Length: 2\r\n\r\n{}")[1] == b"{}"
+
+    @pytest.mark.parametrize("value", [b"-1", b"+2", b"1_0", b"", b"2 2"])
+    def test_content_length_must_be_digits(self, value):
+        with pytest.raises(ValueError, match="Content-Length"):
+            _parse(b"HTTP/1.1 200 OK\r\nContent-Length: " + value
+                   + b"\r\n\r\n{}")
+
+    def test_overlong_header_line_is_refused(self):
+        """Read on, the tail of the long line would parse as its own
+        header line and the ``Content-Length`` after it would be
+        missed, leaving the body on the connection."""
+        long = b"X-Pad: " + b"a" * fabric_worker._MAX_LINE + b"\r\n"
+        with pytest.raises(ValueError, match="longer than"):
+            _parse(b"HTTP/1.1 200 OK\r\n" + long
+                   + b"Content-Length: 2\r\n\r\n{}")
+        # A line that just fits, newline included, is fine.
+        fits = b"X-Pad: " + b"a" * (fabric_worker._MAX_LINE - 9) + b"\r\n"
+        assert len(fits) == fabric_worker._MAX_LINE
+        assert _parse(b"HTTP/1.1 200 OK\r\n" + fits
+                      + b"Content-Length: 2\r\n\r\n{}") == \
+            (200, b"{}", False)
+
+    def test_overlong_status_line_is_refused(self):
+        with pytest.raises(ValueError, match="longer than"):
+            _parse(b"HTTP/1.1 200 " + b"O" * fabric_worker._MAX_LINE
+                   + b"\r\nContent-Length: 0\r\n\r\n")
+
+    def test_bad_status_is_retried_not_returned(self):
+        """Through :meth:`FabricClient.request` a reply with status -1
+        is a failed exchange, not a success whose body ``call``
+        decodes."""
+        server = socket.create_server(("127.0.0.1", 0))
+        port = server.getsockname()[1]
+
+        def answer():
+            conn, _ = server.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(b"HTTP/1.1 -1 OK\r\nContent-Length: 2\r\n"
+                             b"\r\n{}")
+        thread = threading.Thread(target=answer, daemon=True)
+        thread.start()
+        try:
+            with FabricClient(f"http://127.0.0.1:{port}", "wR",
+                              attempts=1) as client:
+                with pytest.raises(FabricUnreachable, match="status"):
+                    client.request("GET", "/status")
+        finally:
+            thread.join(5)
+            server.close()
+
+    @settings(max_examples=300, deadline=None)
+    @given(reply=st.binary(max_size=120) | st.builds(
+        lambda line, headers, rest: line + b"".join(headers) + b"\r\n"
+        + rest,
+        _STATUS_LINES, _HEADERS, st.binary(max_size=12)))
+    def test_arbitrary_bytes_parse_whole_or_raise(self, reply):
+        try:
+            status, body, close = _parse(reply)
+        except (ValueError, ConnectionError):
+            return
+        assert 100 <= status <= 599 and isinstance(close, bool)
+        assert body in reply
+
+    @settings(max_examples=200, deadline=None)
+    @given(headers=_HEADERS, body=st.binary(max_size=12))
+    def test_body_is_never_short(self, headers, body):
+        """A reply either yields exactly its declared body or raises."""
+        reply = b"HTTP/1.1 200 OK\r\n" + b"".join(headers) + b"\r\n" + body
+        lengths = {h.split(b":")[1].strip() for h in headers
+                   if h.startswith(b"Content-Length")}
+        try:
+            _, got, _ = _parse(reply)
+        except ValueError:
+            assert len(lengths) > 1 or not all(v.isdigit() for v in lengths)
+            return
+        except ConnectionError:
+            assert int(lengths.pop()) > len(body)
+            return
+        declared = int(lengths.pop()) if lengths else 0
+        assert got == body[:declared] and len(got) == declared

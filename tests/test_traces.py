@@ -213,6 +213,111 @@ class TestHotSet:
         assert wrapped  # the wrapping branch ran
 
 
+class _RandrangeDraws(SyntheticTraceGenerator):
+    """The draw loop as first written, one ``_next_line`` and one
+    ``randrange`` call per draw: the oracle the inlined loop must
+    reproduce byte for byte."""
+
+    def _next_line(self):
+        rng = self._rng
+        draw = rng.random()
+        if draw < self._p_hot:
+            index = rng.randrange(len(self._hot_lines))
+            if self._churn and rng.random() < self._churn:
+                self._hot_lines[index] = rng.randrange(
+                    self.spec.footprint_lines)
+            return self._hot_lines[index]
+        if draw < self._p_hot + self._p_seq:
+            stream = self._streams[rng.randrange(self.STREAMS)]
+            line = stream[0]
+            stream[0] = (stream[0] + 1) % self.spec.footprint_lines
+            stream[1] -= 1
+            if stream[1] <= 0:
+                stream[:] = self._new_stream()
+            return line
+        if rng.random() < self.spec.spatial:
+            cursor = self._streams[rng.randrange(self.STREAMS)][0]
+            page_base = cursor - (cursor % 1024)
+            return (page_base + rng.randrange(1024)) % \
+                self.spec.footprint_lines
+        return rng.randrange(self.spec.footprint_lines)
+
+    def requests(self, n):
+        spec = self.spec
+        return [MemoryRequest(
+            addr=spec.base_addr + self._next_line() * CACHE_LINE_BYTES,
+            is_write=self._rng.random() < spec.write_fraction,
+            icount=spec.icount_per_miss) for _ in range(n)]
+
+    def packed(self, n):
+        return PackedTrace.from_requests(self.requests(n)).data.tobytes()
+
+
+def _streams(count):
+    """The generator and its oracle with ``count`` sequential streams."""
+    return (type("Gen", (SyntheticTraceGenerator,), {"STREAMS": count}),
+            type("Ref", (_RandrangeDraws,), {"STREAMS": count}))
+
+
+class TestDrawLoop:
+    """``generate_packed`` and ``__iter__`` share one inlined draw loop;
+    both must equal the ``randrange`` oracle, including where a
+    rejection loop could diverge: ranges of 1, 2 and powers of two
+    (``randrange(n)`` draws ``n.bit_length()`` bits, so ``n == 2**k``
+    still rejects half its draws)."""
+
+    @staticmethod
+    def _assert_matches(spec, seed, n=3000, streams=None):
+        gen_cls, ref_cls = ((SyntheticTraceGenerator, _RandrangeDraws)
+                            if streams is None else _streams(streams))
+        packed = gen_cls(spec, seed=seed)
+        reference = ref_cls(spec, seed=seed)
+        # Two calls: the second resumes where the first loop stopped.
+        assert packed.generate_packed(n // 2).data.tobytes() \
+            + packed.generate_packed(n - n // 2).data.tobytes() \
+            == reference.packed(n)
+        assert packed._rng.getstate() == reference._rng.getstate()
+        assert packed._hot_lines == reference._hot_lines
+        assert packed._streams == reference._streams
+        iterated = gen_cls(spec, seed=seed)
+        assert iterated.generate(n) == ref_cls(spec, seed=seed).requests(n)
+
+    @pytest.mark.parametrize("seed", [1, 7, 1234])
+    @pytest.mark.parametrize("name", sorted(SPEC2017))
+    def test_workloads_match_randrange_oracle(self, name, seed):
+        self._assert_matches(synthetic_spec(name), seed)
+
+    @pytest.mark.parametrize("lines, hot_fraction", [
+        (1, 1.0), (2, 1.0), (4, 1.0), (64, 1.0), (1024, 0.125),
+        (1024, 1.0), (4096, 0.5), (3, 1.0), (1500, 0.9)])
+    @pytest.mark.parametrize("spatial, temporal", [
+        (0.0, 1.0), (1.0, 0.0), (0.5, 0.5), (0.9, 0.1)])
+    def test_small_and_power_of_two_ranges(self, lines, hot_fraction,
+                                           spatial, temporal):
+        spec = SyntheticSpec("edge", lines * CACHE_LINE_BYTES, spatial,
+                             temporal, 10.0, hot_fraction=hot_fraction,
+                             base_addr=64 * CACHE_LINE_BYTES)
+        hot = min(lines, max(64, int(lines * hot_fraction)))
+        assert len(SyntheticTraceGenerator(spec)._hot_lines) == hot
+        for seed in (1, 7):
+            self._assert_matches(spec, seed, n=1500)
+
+    @pytest.mark.parametrize("streams", [1, 2, 3, 8])
+    def test_stream_counts(self, streams):
+        spec = SyntheticSpec("streams", 2048 * CACHE_LINE_BYTES, 0.7, 0.2,
+                             10.0)
+        self._assert_matches(spec, 5, n=1500, streams=streams)
+
+    def test_unaligned_base_iterates_like_the_oracle(self):
+        """``__iter__`` serves specs the packed layout refuses."""
+        spec = SyntheticSpec("odd", 512 * CACHE_LINE_BYTES, 0.5, 0.5,
+                             10.0, base_addr=3)
+        with pytest.raises(ValueError, match="packed layout"):
+            SyntheticTraceGenerator(spec).generate_packed(1)
+        assert SyntheticTraceGenerator(spec).generate(800) == \
+            _RandrangeDraws(spec).requests(800)
+
+
 class TestSpecCatalogue:
     def test_fourteen_benchmarks(self):
         assert len(SPEC2017) == 14

@@ -19,12 +19,14 @@ from hypothesis import strategies as st
 
 from repro import ExperimentConfig, ExperimentHarness
 from repro.baselines import HybridMemoryController
+from repro.baselines.mempod import MemPodController
 from repro.core import (AllocationPolicy, BumblebeeConfig,
                         BumblebeeController)
 from repro.designs import registry
 from repro.mem import ddr4_3200_config, hbm2_config
 from repro.sim import SimulationDriver, fallback_reason
-from repro.sim.vectorized import EpochPlan, ScriptRecorder
+from repro.sim.vectorized import (EpochPlan, ScriptRecorder,
+                                  _row_outcomes)
 from repro.traces import SyntheticTraceGenerator, synthetic_spec
 from repro.traces.packed import PackedTrace, encode_request
 
@@ -634,6 +636,55 @@ def _alloy_both(lines_writes, warmup=0, vector_epoch=None):
     return runs
 
 
+def _row_outcomes_per_access(bank, row, open_row):
+    """The row-buffer FSM one access at a time: the reference for the
+    sorted classification."""
+    open_row = list(open_row)
+    outcome = []
+    for b, r in zip(bank.tolist(), row.tolist()):
+        prev = open_row[b]
+        outcome.append(0 if r == prev else 1 if prev < 0 else 2)
+        open_row[b] = r
+    return outcome, open_row
+
+
+class TestRowOutcomes:
+    """``_row_outcomes`` sorts bank ids as the narrowest unsigned type
+    that holds the bank count; it must agree with the per-access FSM."""
+
+    @staticmethod
+    def _assert_matches(bank, row, open_row):
+        expected, final = _row_outcomes_per_access(bank, row, open_row)
+        state = np.array(open_row, dtype=np.int64)
+        got = _row_outcomes(np.asarray(bank, dtype=np.int64),
+                            np.asarray(row, dtype=np.int64), state)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected
+        assert state.tolist() == final
+
+    @pytest.mark.parametrize("nbank", [1, 2, 255, 256, 257, 65536, 65537])
+    def test_random_accesses(self, nbank):
+        rng = np.random.default_rng(nbank)
+        for m in (0, 1, 2, 50, 3000):
+            bank = rng.integers(0, nbank, m)
+            # A few rows per bank, so hits, conflicts and closed banks
+            # all occur; -1 marks a closed bank.
+            row = rng.integers(0, 3, m)
+            open_row = rng.integers(-1, 3, nbank)
+            self._assert_matches(bank, row, open_row)
+
+    @pytest.mark.parametrize("nbank", [256, 65536, 70000])
+    def test_largest_bank_id(self, nbank):
+        """The top id of a uint8 / uint16 / uint32 sort key keeps its
+        place among the others."""
+        top = nbank - 1
+        bank = np.array([top, 0, top, 1, top, top - 1, 0, top])
+        row = np.array([5, 1, 5, 2, 6, 3, 1, 5])
+        open_row = np.full(nbank, -1)
+        open_row[top] = 6
+        self._assert_matches(bank, row, open_row)
+
+
 class TestAlloyPassOne:
     """AlloyCache's numpy pass 1 against its scalar ``access``."""
 
@@ -745,6 +796,26 @@ class TestFallback:
         assert on_recorded.last_engine == "vector"
         assert on_recorded.last_policy_requests == 600
         assert recorded == scalar
+
+    def test_mempod_pass_one_routes_without_access(self, monkeypatch):
+        """MemPod's pass 1 loops its policy step, never ``access`` or the
+        recorder's ``run``, and still equals the scalar loop, pod-epoch
+        migrations (the op table's rows) included."""
+        harness = ExperimentHarness(CONFIG)
+        trace = _trace(harness, n=9000)
+        scalar, _ = _run(harness, "MemPod", trace, "scalar")
+        assert scalar.controller_stats["pod_migrations"] > 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pass 1 ran a request through access")
+        monkeypatch.setattr(ScriptRecorder, "run", refuse)
+        monkeypatch.setattr(MemPodController, "access", refuse)
+        for epoch in (None, 7):
+            routed, driver = _run(harness, "MemPod", trace, "auto",
+                                  vector_epoch=epoch)
+            assert driver.last_engine == "vector"
+            assert driver.last_policy_requests == 9000
+            assert routed == scalar
 
     def test_unknown_engine_rejected(self):
         harness = ExperimentHarness(CONFIG)
