@@ -18,8 +18,10 @@ take its *direct* classification: with ``fixed_chbm_ways`` pinned the
 controller is non-adaptive, so pass 1 skips the most-blocks switch
 restriction entirely — every resident hit classifies pure straight from
 the BLE snapshot, without the per-way block-count guard the adaptive
-Bumblebee needs.  Every other request runs through ``access`` in pass 1
-and hands the walk its recorded op-table rows.
+Bumblebee needs.  C-Only, with no mHBM way, also classifies the
+off-chip accesses of the sets whose cHBM a flush disabled, where
+nothing may move.  Every other request runs through ``access`` in
+pass 1 and hands the walk its recorded op-table rows.
 """
 
 from __future__ import annotations

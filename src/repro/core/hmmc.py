@@ -69,10 +69,13 @@ class BumblebeeController(HybridMemoryController):
             deque(maxlen=2) for _ in range(g.sets)]
         self._decision_ticks = [0] * g.sets
         # Per-set count of changes to what an epoch classification reads
-        # (PRT slots, way owners and modes, cHBM block bits), bumped at
-        # every such change: pass 1 re-checks a request only when its
-        # set moved after the request was classified.
-        self._set_versions = [0] * g.sets
+        # (PRT slots, way owners and modes, cHBM block bits, and with no
+        # mHBM ways a flush's disable), bumped at every such change:
+        # pass 1 re-checks a request only when its set moved after the
+        # request was classified.  A re-enable bumps nothing; the
+        # off-chip class ends at it instead (:meth:`batch_epoch_plan`).
+        # Nothing bumps the extra last entry, which that class stamps.
+        self._set_versions = [0] * (g.sets + 1)
         self._chbm_disabled = [False] * g.sets
         self._hmf_cooldown = 0
         self._hmf_cursor = 0
@@ -647,6 +650,9 @@ class BumblebeeController(HybridMemoryController):
                 if self.ble[set_index][way].mode is WayMode.CHBM:
                     self._evict_chbm_way(set_index, way, now_ns)
             self._chbm_disabled[set_index] = True
+            if not self._mhbm_any:
+                # Only the off-chip class reads the disabled bit.
+                self._set_versions[set_index] += 1
         self.stats.bump("hmf_flushes")
 
     # ------------------------------------------------------------------
@@ -660,22 +666,27 @@ class BumblebeeController(HybridMemoryController):
     #: that work until the per-epoch planning cost takes over.  Process
     #: CPU time of the cells (median of 5 interleaved runs, seed 1234,
     #: 2 vCPUs) at 2048 / 4096 / 8192 / 16384 / 65536: C-Only, M-Only,
-    #: Alloc-D and Alloc-H on lbm and roms (20k + 10k) 0.594 / 0.603 /
-    #: 0.610 / 0.595 / 0.603 s; Bumblebee on mcf, leela and xalancbmk
-    #: (30k + 15k) 0.204 / 0.201 / 0.187 / 0.195 / 0.200 s.  Both curves
-    #: are flat within a few percent, so the size stays.
+    #: Alloc-D and Alloc-H on lbm and roms (20k + 10k) 0.69 / 0.63 /
+    #: 0.62 / 0.72 / 0.63 s; Bumblebee on mcf, leela and xalancbmk
+    #: (30k + 15k) 0.25 / 0.30 / 0.22 / 0.23 / 0.27 s.  The runs of one
+    #: size spread by 0.2 s and 0.1 s, more than the curves move, so
+    #: the size stays.
     preferred_epoch_requests = 2048
 
     def batch_epoch_plan(self, addr, is_write):
         """Pass 1: decide one epoch in scalar order against live state.
 
         Pure requests are exactly the accesses whose scalar path touches
-        no state a classification reads: resident mHBM hits and cHBM
-        block hits that cannot trigger the cHBM->mHBM switch.  They are
-        classified with numpy from the PRT/BLE state at the epoch's
-        start, and their feedback lands one run at a time
-        (:meth:`_commit_run`).  Every other request — PRT misses,
-        DRAM-home service (movement decisions), cHBM block fills, and
+        no state a classification reads: resident mHBM hits, cHBM block
+        hits that cannot trigger the cHBM->mHBM switch, and, in a design
+        with no mHBM ways, the *off-chip class*: an allocated DRAM-home
+        page in a set whose cHBM the high-memory-footprint state
+        disabled (its flush emptied every way, and none can fill), so
+        that nothing may move and :meth:`access` only counts the access
+        (see :meth:`_commit_offchip_run`).  They are classified with numpy
+        from the state at the epoch's start, and their feedback lands
+        one run at a time.  Every other request — PRT misses, the other
+        DRAM-home accesses (movement decisions), cHBM block fills, and
         the two requests at which the high-memory-footprint state acts
         on the sets, a batch flush and the re-enable that ends a
         cooldown (:meth:`_hmf_trajectory`) — runs through :meth:`access`
@@ -686,7 +697,9 @@ class BumblebeeController(HybridMemoryController):
         Such a request changes the tables the classification read, and
         every change bumps its set's ``_set_versions`` counter: a request
         whose set moved since it was classified is re-checked against
-        the live tables (:meth:`_reclassify`) when its turn comes.
+        the live tables (:meth:`_reclassify`) when its turn comes.  A
+        re-enable clears every set's disabled bit without a bump, so the
+        off-chip class ends at the epoch's first one.
         """
         from ..sim.vectorized import EpochPlan
         m = addr.shape[0]
@@ -706,7 +719,11 @@ class BumblebeeController(HybridMemoryController):
         chbm = np.zeros(m, dtype=bool)
         way = np.zeros(m, dtype=np.int64)
         cand = ok & ~mhbm
-        if self.config.blocks_per_page <= 64 and bool(cand.any()):
+        pure = mhbm
+        stamp_key = None
+        # No cHBM hit exists without cHBM ways (M-Only).
+        if (self._chbm_any and self.config.blocks_per_page <= 64
+                and bool(cand.any())):
             owner, live, cached, valid, counts = epoch_snapshot(
                 self._ble_entries, with_counts=self._adaptive)
             cs = set_index[cand]
@@ -722,10 +739,26 @@ class BumblebeeController(HybridMemoryController):
                 hit &= counts[cs, w] < self._most_blocks
             chbm[cand] = hit
             way[cand] = w
-        pure = mhbm | chbm
+            if not self._mhbm_any and any(self._chbm_disabled):
+                # Both hit classes need a live way holding the page, and
+                # a DRAM-home access without one may move data.  In a
+                # disabled set (no live way, see check_invariants) it
+                # cannot; its "way" is its DRAM slot.
+                offchip = cand & np.array(self._chbm_disabled)[set_index]
+                if hmf is not None:
+                    reenable = np.flatnonzero(
+                        hmf[0] & (addr < self._dram_capacity))
+                    if reenable.shape[0]:
+                        offchip[reenable[0]:] = False
+                pure = pure | offchip
+                way = np.where(offchip, slot, way)
+                # Until the re-enable nothing can give such a set a
+                # live way or move its DRAM-home pages (allocations of
+                # other pages still bump it): no re-check.
+                stamp_key = np.where(offchip, self._sets, set_index)
+        pure = pure | chbm
         way = np.where(mhbm, slot - self._dram_slots, way)
-        use_hbm = np.ones(m, dtype=bool)
-        plan = EpochPlan(use_hbm=use_hbm, local_addr=None,
+        plan = EpochPlan(use_hbm=None, local_addr=None,
                          meta_const=meta_const)
         # Per-request scalar reads are much cheaper on lists than on
         # numpy arrays.
@@ -733,28 +766,37 @@ class BumblebeeController(HybridMemoryController):
             set_index, way, orig, block, offset >> 6, chbm,
             np.asarray(is_write)))
         plan.hmf = hmf
+        plan.hmf_events = None if hmf is None else hmf[0].tolist()
+        commit = (self._commit_run if self._mhbm_any
+                  else self._commit_offchip_run)
         impure = np.flatnonzero(~pure)
         recorder = None
         if not impure.shape[0]:
-            self._commit_run(plan, range(m))
+            commit(plan, range(m))
         else:
-            recorder = self._run_impure(plan, pure.tolist(),
-                                        int(impure[0]), addr.tolist())
-        # Every request that stayed pure reads at its final way.
-        local = (np.array(plan.cols[1], dtype=np.int64) * self._sets
-                 + set_index) * self._page_bytes + offset
-        local %= self._hbm_capacity
-        plan.local_addr = local
+            recorder = self._run_impure(plan, commit, pure.tolist(),
+                                        int(impure[0]), addr.tolist(),
+                                        plan.cols[0] if stamp_key is None
+                                        else stamp_key.tolist())
+        # Every request that stayed pure reads at its final way (an
+        # off-chip one at its DRAM slot), inside the serving device.
+        plan.local_addr = (np.array(plan.cols[1], dtype=np.int64)
+                           * self._sets + set_index) * self._page_bytes \
+            + offset
+        plan.use_hbm = (np.ones(m, dtype=bool) if self._mhbm_any
+                        else np.array(plan.cols[5], dtype=bool))
         if recorder is not None:
             recorder.fill(plan)
         return plan
 
-    def _run_impure(self, plan, pure_l: list, first: int, addr_l: list):
+    def _run_impure(self, plan, commit, pure_l: list, first: int,
+                    addr_l: list, key_l: list):
         """Pass 1's scalar walk from the first impure request on.
 
-        Commits each pure run, runs each impure request through
-        :meth:`access` with the devices recorded, and re-checks a
-        request whose set an earlier request changed.
+        Commits each pure run with ``commit``, runs each impure request
+        through :meth:`access` with the devices recorded, and re-checks
+        a request whose ``_set_versions`` entry (``key_l``: its set's)
+        an earlier request bumped.
 
         Returns:
             The :class:`~repro.sim.vectorized.ScriptRecorder` holding the
@@ -762,16 +804,15 @@ class BumblebeeController(HybridMemoryController):
             :meth:`access`.
         """
         from ..sim.vectorized import ScriptRecorder
-        s_l, _, _, _, _, _, wr_l = plan.cols
+        wr_l = plan.cols[6]
         versions = self._set_versions
-        stamp_l = [versions[s] for s in s_l]
-        commit = self._commit_run
+        stamp_l = [versions[k] for k in key_l]
         reclassify = self._reclassify
         run_start = 0
         with ScriptRecorder(self) as recorder:
             run = recorder.run
             for i in range(first, len(pure_l)):
-                version = versions[s_l[i]]
+                version = versions[key_l[i]]
                 if version != stamp_l[i]:
                     stamp_l[i] = version
                     pure_l[i] = reclassify(plan, i)
@@ -825,10 +866,11 @@ class BumblebeeController(HybridMemoryController):
         """Whether request ``i`` is pure against the live PRT/BLE state.
 
         Pass 1's rule, read from the live tables, which uncommitted pure
-        feedback never changes; the way and mode of a request that is
-        pure land in the plan's commit columns.
+        feedback never changes; the way (an off-chip request's DRAM
+        slot) and mode of a request that is pure land in the plan's
+        commit columns.
         """
-        if plan.hmf is not None and plan.hmf[0][i]:
+        if plan.hmf_events is not None and plan.hmf_events[i]:
             return False
         s_l, w_l, o_l, b_l, _, c_l, _ = plan.cols
         s = s_l[i]
@@ -844,7 +886,13 @@ class BumblebeeController(HybridMemoryController):
                 if entry.owner == o and entry.mode is not WayMode.FREE:
                     break
             else:
-                return False
+                # The off-chip class, read live: the disabled bit is
+                # exact at the request's turn, past a re-enable too.
+                if self._mhbm_any or not self._chbm_disabled[s]:
+                    return False
+                w_l[i] = slot
+                c_l[i] = False
+                return True
             valid = entry.valid
             # Static partitions never switch a cached page to mHBM.
             if (entry.mode is not WayMode.CHBM or not valid >> b_l[i] & 1
@@ -886,6 +934,43 @@ class BumblebeeController(HybridMemoryController):
                 entry.valid |= 1 << b_l[i]
                 entry.used |= 1 << u_l[i]
             hot[s].record_hbm_access(o_l[i])
+        self._commit_counters(plan, indices)
+
+    def _commit_offchip_run(self, plan, indices) -> None:
+        """:meth:`_commit_run` for a design with no mHBM ways, where a
+        pure request is a cHBM block hit or in the off-chip class.
+
+        An off-chip request's :meth:`access` records the page in the
+        set's hot queue, serves it off-chip and ticks the set's movement
+        decisions (aging the counters every ``age_interval`` ticks);
+        the decision itself is NONE (no cHBM, no mHBM allowed) and an
+        empty set's occupancy cannot trip the zombie watchdog.  A
+        separate loop, so that designs with mHBM ways pay no per-request
+        test for the class.
+        """
+        entries = self._ble_entries
+        hot = self.hot
+        ticks = self._decision_ticks
+        age_interval = self._age_interval
+        s_l, w_l, o_l, b_l, u_l, c_l, wr_l = plan.cols
+        for i in indices:
+            s = s_l[i]
+            if c_l[i]:
+                entry = entries[s][w_l[i]]
+                entry.used |= 1 << u_l[i]
+                if wr_l[i]:
+                    entry.dirty |= 1 << b_l[i]
+                hot[s].record_hbm_access(o_l[i])
+            else:
+                hot[s].record_dram_access(o_l[i])
+                tick = ticks[s] + 1
+                ticks[s] = tick
+                if age_interval and tick % age_interval == 0:
+                    hot[s].age()
+        self._commit_counters(plan, indices)
+
+    def _commit_counters(self, plan, indices) -> None:
+        """The HMF counters and metadata count a pure run leaves."""
         n = len(indices)
         if plan.hmf is not None and n:
             _, cooldown, streak = plan.hmf
@@ -1059,6 +1144,13 @@ class BumblebeeController(HybridMemoryController):
                     assert entry.dirty == 0, (
                         f"set {set_index} way {way}: free way retains "
                         f"dirty blocks {entry.dirty:#x}")
+            # A flush empties every way of the set it disables, and
+            # without mHBM ways nothing can fill one until the re-enable:
+            # pass 1's off-chip class relies on it.
+            assert not (owners_seen and self._chbm_disabled[set_index]
+                        and not self._mhbm_any), (
+                f"set {set_index}: cHBM disabled with no mHBM ways, yet "
+                f"ways hold pages {sorted(owners_seen)}")
         assert occupied_pages * self._page_bytes \
             <= self.hbm.capacity_bytes, (
             f"{occupied_pages} occupied HBM pages of {self._page_bytes}B "

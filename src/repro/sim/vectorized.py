@@ -24,11 +24,11 @@ table are the scalar loop's:
   ``addr % capacity`` and script nothing;
 * the Figure-8 caches forward-replay their own state machine and
   append rows directly (AlloyCache builds its table with numpy);
-* Bumblebee classifies runs of resident hits with numpy and runs every
-  other request through ``access`` under a :class:`ScriptRecorder`,
-  which records the demand at ``_demand_hbm`` / ``_demand_dram`` and
-  each ``bulk_transfer`` as a row; MemPod routes every request through
-  the policy step of its ``access`` and records only the rows.
+* Bumblebee numpy-classifies runs of resident hits (and C-Only's
+  off-chip accesses that may move nothing), runs the rest through
+  ``access`` under a :class:`ScriptRecorder` (the demand recorded at
+  ``_demand_hbm``/``_demand_dram``, each ``bulk_transfer`` as a row);
+  MemPod loops ``_route``, the policy step of ``access``, for rows only.
 
 The walk then times the table, with everything outside the sequential
 float recurrence done as numpy array operations over the epoch:

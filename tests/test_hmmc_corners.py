@@ -1,5 +1,8 @@
 """Corner-path tests for the HMMC: swaps, flush rotation, failure modes."""
 
+import random
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,9 @@ from repro.core import (
     WayMode,
 )
 from repro.mem import ddr4_3200_config, hbm2_config
-from repro.sim import MemoryRequest
+from repro.sanitize import InvariantChecker
+from repro.sim import CpuModel, MemoryRequest, SimulationDriver
+from repro.traces.packed import PackedTrace, encode_request
 
 MIB = 1 << 20
 
@@ -154,6 +159,99 @@ class TestGlobalFlushRotation:
         flags, cooldowns, streaks = planned
         assert flags.tolist() == events
         assert list(zip(cooldowns.tolist(), streaks.tolist())) == after
+
+
+class TestOffChipEpochClass:
+    """C-Only's off-chip class in the epoch engine's pass 1.
+
+    With no mHBM ways, a DRAM-home access in a set whose cHBM a flush
+    disabled can move nothing, and pass 1 commits it without running
+    :meth:`access`.  The trace crosses DRAM capacity (one flush disables
+    every set), stays below it past the cooldown so that the re-enable
+    lands mid-epoch, and then flushes again; fresh pages are touched in
+    bursts while the sets are disabled, so that requests join the class
+    after their page's allocation.  ``age_interval`` 3 ages the hot
+    queues inside the class's runs.
+    """
+
+    COOLDOWN = 600
+    PAGE = 64 * 1024
+
+    def build(self, age_interval):
+        return BumblebeeController(
+            hbm2_config(MIB), ddr4_3200_config(4 * MIB),
+            BumblebeeConfig(fixed_chbm_ways=8, age_interval=age_interval,
+                            hmf_cooldown_requests=self.COOLDOWN),
+            name="C-Only")
+
+    def trace(self, dram_bytes):
+        rng = random.Random(11)
+        page = self.PAGE
+        out = []
+
+        def below(pages, n):
+            for _ in range(n):
+                line = rng.randrange(4) + 32 * rng.randrange(4)
+                out.append(encode_request(rng.choice(pages) * page
+                                          + line * 64,
+                                          rng.random() < 0.3, 3))
+
+        def burst(pages):
+            out.extend(encode_request(p * page + 64 * k, False, 3)
+                       for p in pages for k in range(4))
+
+        def beyond(n):
+            out.extend(encode_request(dram_bytes + 64 * k, False, 3)
+                       for k in range(n))
+
+        below(range(24), 700)
+        beyond(3)
+        burst(range(24, 34))
+        # Ten hot pages climb the hot queues while nothing may move, so
+        # the counters (and their aging) steer the movement afterwards.
+        below(range(10), self.COOLDOWN)
+        below(range(34), 860)
+        beyond(1)
+        burst(range(34, 38))
+        below(range(38), 200)
+        return PackedTrace(array("Q", out))
+
+    @pytest.mark.parametrize("age_interval", [0, 3])
+    def test_epoch_engine_matches_scalar(self, age_interval):
+        probe = self.build(age_interval)
+        dram = probe.dram.capacity_bytes
+        trace = self.trace(dram)
+        addr = np.array([r.addr for r in trace], dtype=np.int64)
+        events = probe._hmf_trajectory(addr)[0]
+        reenable = np.flatnonzero(events & (addr < dram))
+        assert len(reenable) == 1 and reenable[0] % 512, reenable
+        scalar = SimulationDriver(CpuModel()).run(
+            self.build(age_interval), trace, workload="offchip",
+            engine="scalar")
+        assert scalar.controller_stats["hmf_flushes"] == 2
+        # The class's premise: a disabled set of a design without mHBM
+        # ways holds no live way (check_invariants, every 50 requests).
+        checker = InvariantChecker(epoch_requests=50)
+        checked = SimulationDriver(CpuModel(), checker=checker).run(
+            self.build(age_interval), trace, workload="offchip")
+        assert checker.ok, checker.violations
+        assert checked == scalar
+        off_chip = scalar.requests - scalar.hbm_hits
+        bridged = []
+        for epoch in (1, 7, 512, None):
+            driver = SimulationDriver(CpuModel(), vector_epoch=epoch)
+            vector = driver.run(self.build(age_interval), trace,
+                                workload="offchip", engine="auto")
+            assert driver.last_engine == "vector"
+            assert vector.to_record() == scalar.to_record(), epoch
+            assert vector == scalar, epoch
+            bridged.append(driver.last_policy_requests)
+        # The class fires: fewer requests run through access than are
+        # served off-chip.
+        assert bridged[0] < off_chip
+        # A request pure against the live tables at its turn is pure at
+        # any epoch size (re-checks cover allocations and flushes).
+        assert bridged == [bridged[0]] * 4, bridged
 
 
 class TestBufferReheat:

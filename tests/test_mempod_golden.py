@@ -173,9 +173,11 @@ class TestPageCacheGoldens:
 
 
 #: The same locks for the designs whose pass 1 runs requests through
-#: their own ``access`` under a ``ScriptRecorder``: MemPod (every
-#: request) and the Bumblebee family's static splits and allocation
-#: ablations (every request that is not a resident hit).
+#: their scalar policy under a ``ScriptRecorder``: MemPod (every request
+#: through ``_route``, the policy step of its ``access``) and the
+#: Bumblebee family's static splits and allocation ablations (through
+#: ``access``, every request that is neither a resident hit nor, in
+#: C-Only, an off-chip access in a set whose cHBM a flush disabled).
 RECORDED_GOLDENS = {
     "MemPod": ((0, 51286.987618740604, 0, 0, 0),
                (35, 77949.41213146439, 262144, 0, 0)),
